@@ -51,6 +51,8 @@ from .estimator import (
 from .harness import (
     PointRow,
     SweepResult,
+    TrialContext,
+    build_context,
     resolve_experiment,
     run_single,
     run_sweep,

@@ -13,10 +13,16 @@ import numpy as np
 
 from . import __version__
 from .config import config_digest, load_config
-from .crb import crb
 from .errors import MsdoaError, ValidationError
-from .harness import resolve_experiment, run_single, run_sweep, trial_seed_sequence, write_sweep_csv
-from .waveform import draw_source_amplitudes
+from .harness import (
+    build_context,
+    resolve_experiment,
+    run_single,
+    run_sweep,
+    synthesize_trial,
+    trial_bound,
+    write_sweep_csv,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -96,18 +102,10 @@ def _cmd_crb(cfg, args) -> int:
     if cfg.scene.num_sources < 1:
         raise ValidationError("crb needs at least one configured source")
     cfg = resolve_experiment(cfg)
-    amps = draw_source_amplitudes(
-        cfg.scene, cfg.plan.num_snapshots, trial_seed_sequence(cfg.seed, 0, 0)
-    )
-    bound = crb(
-        cfg.surface,
-        cfg.scene,
-        cfg.plan,
-        cfg.max_harmonic,
-        cfg.noise.variance,
-        amps,
-        known_elevations=cfg.estimator.kind == "1d",
-    )
+    # Bound the amplitudes trial (0, 0) draws, the run `single` makes.
+    context = build_context(cfg)
+    _, amplitudes, _ = synthesize_trial(cfg, context, 0, 0)
+    bound = trial_bound(cfg, context, amplitudes, check_full=True)
     for k, b in enumerate(bound.theta_bounds, 1):
         print(f"source {k}: sqrt_crb_deg={np.rad2deg(np.sqrt(b)):.6g}")
     prefix = args.output if args.output is not None else cfg.output

@@ -329,9 +329,20 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
             f"{est.num_sources} sources need a search dimension above "
             f"{est.num_sources}; this geometry gives {dim}"
         )
-    inclusive_grid(*est.theta_grid_deg)
+    # The peak search reports strict interior maxima only, so a source
+    # on or beyond a grid end point could never be found.
+    axes = [("theta", "theta_grid_deg", inclusive_grid(*est.theta_grid_deg))]
     if est.kind == "2d":
-        inclusive_grid(*est.phi_grid_deg)
+        axes.append(("phi", "phi_grid_deg", inclusive_grid(*est.phi_grid_deg)))
+    for k, doa in enumerate(cfg.scene.doas, 1):
+        for axis, key, grid in axes:
+            angle = getattr(doa, f"{axis}_deg")
+            if not grid[0] < angle < grid[-1]:
+                raise ConfigurationError(
+                    f"source {k} has {axis} = {angle:g} deg, on or outside the end "
+                    f"points of {key} ({grid[0]:g} .. {grid[-1]:g}); the peak "
+                    "search never reports an end point"
+                )
     if cfg.trials < 1:
         raise ValidationError("trials must be at least 1")
     if cfg.seed < 0:

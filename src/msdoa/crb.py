@@ -18,11 +18,12 @@ import numpy as np
 from .errors import ConfigurationError, UnidentifiableParameterError, ValidationError
 from .surface import (
     Doa,
+    HarmonicMatrix,
     SurfaceConfig,
     element_positions,
     harmonic_matrix,
+    steering_matrix,
     steering_vector,
-    wave_vector,
 )
 from .waveform import SamplingPlan, SourceScene
 
@@ -79,6 +80,67 @@ def _guarded_inverse(real_matrix: np.ndarray) -> np.ndarray:
     return np.linalg.inv(sym)
 
 
+@dataclass(frozen=True, eq=False)
+class CrbCore:
+    """The amplitude-independent part of the bound.
+
+    ``mixed_steer`` and ``mixed_sens`` are the steering and the angle
+    sensitivities seen through the harmonic mixing, and ``core`` is the
+    projected sensitivity Gram matrix S^H P S, with P the projector onto
+    the orthogonal complement of the mixed steering. Only the sample
+    covariance of the amplitudes changes from one draw to the next.
+    ``key`` names the surface, scene, truncation order and elevation
+    treatment the core was built for. Arrays are read-only.
+    """
+
+    key: tuple
+    mixed_steer: np.ndarray
+    mixed_sens: np.ndarray
+    core: np.ndarray
+
+
+def _core_key(cfg, scene, max_harmonic, known_elevations) -> tuple:
+    return (cfg, scene.doas, int(max_harmonic), bool(known_elevations))
+
+
+def crb_core(
+    cfg: SurfaceConfig,
+    scene: SourceScene,
+    harmonics: HarmonicMatrix,
+    known_elevations: bool = False,
+) -> CrbCore:
+    """Build and rank-check the amplitude-independent part of :func:`crb`."""
+    if scene.num_sources < 1:
+        raise ValidationError("bound needs at least one source")
+    steer = steering_matrix(scene.doas, cfg)
+    derivs = [steering_derivatives(d, cfg) for d in scene.doas]
+    # Columns: d/dtheta_1..K, then d/dphi_1..K unless elevations are known.
+    theta_cols = np.column_stack([d[:, 0] for d in derivs])
+    if known_elevations:
+        sens = theta_cols
+    else:
+        phi_cols = np.column_stack([d[:, 1] for d in derivs])
+        sens = np.column_stack([theta_cols, phi_cols])
+
+    mixed_steer = harmonics.entries @ steer  # (2P+1, K)
+    mixed_sens = harmonics.entries @ sens  # (2P+1, groups*K)
+
+    sing = np.linalg.svd(mixed_steer, compute_uv=False)
+    if sing[-1] <= 1e-10 * sing[0]:
+        raise ConfigurationError(
+            "mixed steering matrix is rank deficient; amplitude nuisance "
+            "directions are not separable (coincident sources?)"
+        )
+
+    lines = 2 * harmonics.max_harmonic + 1
+    proj = np.eye(lines) - mixed_steer @ np.linalg.pinv(mixed_steer)
+    core = mixed_sens.conj().T @ proj @ mixed_sens
+    for arr in (mixed_steer, mixed_sens, core):
+        arr.flags.writeable = False
+    key = _core_key(cfg, scene, harmonics.max_harmonic, known_elevations)
+    return CrbCore(key, mixed_steer, mixed_sens, core)
+
+
 def crb(
     cfg: SurfaceConfig,
     scene: SourceScene,
@@ -88,6 +150,7 @@ def crb(
     amplitudes: np.ndarray,
     check_full: bool = True,
     known_elevations: bool = False,
+    core: CrbCore | None = None,
 ) -> CrbResult:
     """Angle-block Cramer-Rao bound for one amplitude realization.
 
@@ -110,6 +173,9 @@ def crb(
         azimuth-only search). Required for in-plane scenes: at 90-degree
         elevation a flat surface carries no first-order elevation
         information, so the joint bound does not exist there.
+    core : CrbCore, optional
+        The precomputed :func:`crb_core` of these arguments; built here
+        when omitted.
 
     Returns
     -------
@@ -128,37 +194,20 @@ def crb(
         )
     if noise_variance < 0:
         raise ValidationError("noise_variance must be nonnegative")
-
-    harmonics = harmonic_matrix(max_harmonic, cfg).entries
-    steer = np.column_stack([steering_vector(d, cfg) for d in scene.doas])
-    derivs = [steering_derivatives(d, cfg) for d in scene.doas]
-    # Columns: d/dtheta_1..K, then d/dphi_1..K unless elevations are known.
-    theta_cols = np.column_stack([d[:, 0] for d in derivs])
-    if known_elevations:
-        sens = theta_cols
-        groups = 1
-    else:
-        phi_cols = np.column_stack([d[:, 1] for d in derivs])
-        sens = np.column_stack([theta_cols, phi_cols])
-        groups = 2
-
-    mixed_steer = harmonics @ steer  # (2P+1, K)
-    mixed_sens = harmonics @ sens  # (2P+1, groups*K)
-
-    sing = np.linalg.svd(mixed_steer, compute_uv=False)
-    if sing[-1] <= 1e-10 * sing[0]:
-        raise ConfigurationError(
-            "mixed steering matrix is rank deficient; amplitude nuisance "
-            "directions are not separable (coincident sources?)"
+    if core is None:
+        core = crb_core(cfg, scene, harmonic_matrix(max_harmonic, cfg), known_elevations)
+    elif core.key != _core_key(cfg, scene, max_harmonic, known_elevations):
+        raise ValidationError(
+            "bound core was built for another surface, scene, truncation or elevation setting"
         )
+    groups = 1 if known_elevations else 2
+    mixed_steer, mixed_sens = core.mixed_steer, core.mixed_sens
 
     lines = 2 * max_harmonic + 1
     q_len = plan.points_per_snapshot
-    proj = np.eye(lines) - mixed_steer @ np.linalg.pinv(mixed_steer)
-    core = mixed_sens.conj().T @ proj @ mixed_sens
     sample_cov = amps @ amps.conj().T / num_snap
     hadamard = np.kron(np.ones((groups, groups)), sample_cov).T
-    fisher_core = np.real(core * hadamard)
+    fisher_core = np.real(core.core * hadamard)
     prefactor = cfg.size * noise_variance / (2.0 * q_len * num_snap)
     bound = prefactor * _guarded_inverse(fisher_core)
 

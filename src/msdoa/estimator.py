@@ -264,6 +264,7 @@ def music_search(
     elevation_rad: float = np.pi / 2.0,
     phi_grid_deg: np.ndarray | None = None,
     subarray_width: int | None = None,
+    manifold: np.ndarray | None = None,
 ) -> MusicResult:
     """Subspace spectrum search over the angle grid.
 
@@ -276,6 +277,8 @@ def music_search(
     In "1d" the manifold is the per-row steering at the known elevation;
     in "2d" it is the Kronecker product of per-row steering and the
     sliding-window phase ramp of ``subarray_width``-column windows.
+    A "1d" caller searching many covariances on one grid may pass that
+    row manifold as ``manifold`` (see :func:`search_setup`).
     """
     if theta_grid_deg is None:
         theta_grid_deg = np.arange(-90.0, 90.0 + 1e-9, 0.1)
@@ -306,7 +309,12 @@ def music_search(
             raise ConfigurationError(
                 f"1-D search expects covariance dimension {cfg.rows}; got {dim}"
             )
-        manifold = _row_manifold(theta_rad, elevation_rad, cfg)
+        if manifold is None:
+            manifold = _row_manifold(theta_rad, elevation_rad, cfg)
+        elif manifold.shape != (cfg.rows, theta_rad.size):
+            raise ValidationError(
+                f"manifold must be ({cfg.rows}, {theta_rad.size}); got {manifold.shape}"
+            )
         proj = noise_basis.conj().T @ (w_inv_sqrt @ manifold)
         spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), tiny)
         peaks = _local_maxima_1d(spectrum)
@@ -388,12 +396,71 @@ def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(count + 1)
 
 
-def estimate_doa(
-    snapshots: MultiSnapshot, cfg: SurfaceConfig, params: EstimatorParams
-) -> MusicResult:
-    """Run the full recover/compensate/smooth/whiten/search chain."""
-    harmonics = snapshots.harmonics
+@dataclass(frozen=True, eq=False)
+class SearchSetup:
+    """The part of :func:`estimate_doa` that no trial changes.
+
+    Holds the phase compensation, the search grids, and for the 1-D
+    search the row manifold over the azimuth grid at the known
+    elevation. The 2-D manifolds are built per elevation during the
+    search instead, since holding them all would cost megabytes. ``key``
+    names the surface and estimator settings the setup was built for.
+    Arrays are read-only: trials share them.
+    """
+
+    key: tuple
+    compensation: np.ndarray
+    theta_grid_deg: np.ndarray
+    phi_grid_deg: np.ndarray | None
+    elevation_rad: float
+    manifold: np.ndarray | None
+
+
+def _setup_key(cfg: SurfaceConfig, params: EstimatorParams) -> tuple:
+    return (
+        cfg,
+        params.kind,
+        params.elevation_deg,
+        params.subarray_width,
+        params.theta_grid_deg,
+        params.phi_grid_deg,
+    )
+
+
+def search_setup(cfg: SurfaceConfig, params: EstimatorParams) -> SearchSetup:
+    """Precompute the trial-invariant part of :func:`estimate_doa`."""
     comp = compensation_matrix(cfg)
+    theta_grid = inclusive_grid(*params.theta_grid_deg)
+    phi_grid = inclusive_grid(*params.phi_grid_deg) if params.kind == "2d" else None
+    elevation_rad = float(np.deg2rad(params.elevation_deg))
+    manifold = None
+    if params.kind == "1d":
+        manifold = _row_manifold(np.deg2rad(theta_grid), elevation_rad, cfg)
+    for arr in (comp, theta_grid, phi_grid, manifold):
+        if arr is not None:
+            arr.flags.writeable = False
+    return SearchSetup(
+        _setup_key(cfg, params), comp, theta_grid, phi_grid, elevation_rad, manifold
+    )
+
+
+def estimate_doa(
+    snapshots: MultiSnapshot,
+    cfg: SurfaceConfig,
+    params: EstimatorParams,
+    setup: SearchSetup | None = None,
+) -> MusicResult:
+    """Run the full recover/compensate/smooth/whiten/search chain.
+
+    ``setup`` is the precomputed :func:`search_setup` of ``cfg`` and
+    ``params``; it is built here when omitted.
+    """
+    if setup is None:
+        setup = search_setup(cfg, params)
+    elif setup.key != _setup_key(cfg, params):
+        raise ValidationError("search setup was built for another surface or estimator")
+    harmonics = snapshots.harmonics
+    comp = setup.compensation
     width = cfg.cols if params.kind == "1d" else params.subarray_width
     weights = make_ps_weights(params.num_weights, params.kind, width, params.weight_seed)
     whitener = smoothing_whitener(weights, comp, harmonics, cfg)
@@ -411,10 +478,11 @@ def estimate_doa(
         params.num_sources,
         cfg,
         kind=params.kind,
-        theta_grid_deg=inclusive_grid(*params.theta_grid_deg),
-        elevation_rad=float(np.deg2rad(params.elevation_deg)),
-        phi_grid_deg=inclusive_grid(*params.phi_grid_deg) if params.kind == "2d" else None,
+        theta_grid_deg=setup.theta_grid_deg,
+        elevation_rad=setup.elevation_rad,
+        phi_grid_deg=setup.phi_grid_deg,
         subarray_width=params.subarray_width,
+        manifold=setup.manifold,
     )
 
 

@@ -1,5 +1,19 @@
 """Seeded Monte Carlo harness over experiment configs.
 
+How a sweep runs: each sweep value gives one config point, and
+:func:`run_trials` builds that point's :class:`TrialContext` once. The
+context holds everything no trial changes: the harmonic matrix with
+its rank check, pseudo-inverse and Gram inverse; the phase
+compensation; the signal model (the scene steering with the full-mode
+switched patterns or the ideal-mode phase table); the search grids and
+the 1-D row manifold; and the bound's rank-checked projected core. A
+trial then does only what its draws change: amplitudes and noise,
+synthesis, snapshot extraction, the smoothing weights and their
+whitener, smoothing, the eigendecomposition and search projection, and
+the bound's amplitude-dependent product and inverse. With several
+workers the trials go out in contiguous chunks, one per worker, and
+each chunk builds the context once.
+
 Per-trial seeds derive from (experiment seed, sweep index, trial index)
 alone, so results are identical for identical configs regardless of how
 trials are distributed over workers. Trials fail fast: any estimator
@@ -16,13 +30,19 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, apply_sweep_value, config_digest
-from .crb import crb
+from .crb import CrbCore, CrbResult, crb, crb_core
 from .errors import MsdoaError, ValidationError
-from .estimator import estimate_doa, write_spectrum_csv
+from .estimator import SearchSetup, estimate_doa, search_setup, write_spectrum_csv
 from .metrics import AggregateResult, ResolutionPolicy, TrialOutcome, aggregate, resolve_and_score
 from .snapshot import extract_snapshots, frequency_indices, write_snapshots_csv
-from .surface import harmonic_matrix
-from .waveform import resolve_gains, synthesize_received, write_time_series
+from .surface import HarmonicMatrix, harmonic_matrix
+from .waveform import (
+    SignalModel,
+    resolve_gains,
+    signal_model,
+    synthesize_received,
+    write_time_series,
+)
 
 # Fixed tag mixed into the seed stream for experiment-level draws
 # (coherent gains), distinct from any (sweep, trial) pair.
@@ -42,17 +62,51 @@ def resolve_experiment(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, scene=scene)
 
 
-def run_trial(
-    cfg: ExperimentConfig,
-    sweep_index: int,
-    trial_index: int,
-    policy: ResolutionPolicy = ResolutionPolicy(),
-) -> tuple[TrialOutcome, tuple[float, ...]]:
-    """One synthesize/extract/estimate/score pass plus its angle bound.
+@dataclass(frozen=True, eq=False)
+class TrialContext:
+    """What every trial of one config point shares; see :func:`build_context`.
 
-    Returns the trial outcome and the per-source square-root bound in
-    degrees, computed from the amplitudes this trial actually drew.
+    ``bound`` is ``None`` when the scene has no sources.
     """
+
+    config: ExperimentConfig
+    harmonics: HarmonicMatrix
+    signal: SignalModel
+    search: SearchSetup
+    bound: CrbCore | None
+
+
+def build_context(cfg: ExperimentConfig) -> TrialContext:
+    """Build the trial-invariant state of one config point.
+
+    Every check that no draw can change runs here, so a rank-deficient
+    harmonic matrix or mixed steering fails before the first trial.
+    """
+    harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface).decompose()
+    signal = signal_model(cfg.surface, cfg.scene, cfg.plan, cfg.mode, harmonics)
+    search = search_setup(cfg.surface, cfg.estimator)
+    bound = None
+    if cfg.scene.num_sources > 0:
+        bound = crb_core(cfg.surface, cfg.scene, harmonics, _known_elevations(cfg))
+    return TrialContext(cfg, harmonics, signal, search, bound)
+
+
+def _known_elevations(cfg: ExperimentConfig) -> bool:
+    # The azimuth-only search treats elevation as given; bounding it
+    # jointly would be singular for in-plane scenes.
+    return cfg.estimator.kind == "1d"
+
+
+def synthesize_trial(
+    cfg: ExperimentConfig, context: TrialContext, sweep_index: int, trial_index: int
+):
+    """Received series of one trial, the amplitudes it drew, and its weight seed.
+
+    This is the one place a trial's random streams are derived, shared
+    by sweeps, ``single`` and ``crb``.
+    """
+    if context.config != cfg:
+        raise ValidationError("trial context was built for another config")
     seq = trial_seed_sequence(cfg.seed, sweep_index, trial_index)
     synth_seed, weight_seed = seq.spawn(2)
     series, amplitudes = synthesize_received(
@@ -64,31 +118,69 @@ def run_trial(
         rng_seed=synth_seed,
         max_harmonic=cfg.max_harmonic,
         return_amplitudes=True,
+        model=context.signal,
     )
-    harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface)
-    snapshots = extract_snapshots(series, cfg.plan, harmonics)
-    params = replace(cfg.estimator, weight_seed=weight_seed)
-    result = estimate_doa(snapshots, cfg.surface, params)
-    outcome = resolve_and_score(result, cfg.scene.doas, policy)
-    bound = crb(
+    return series, amplitudes, weight_seed
+
+
+def _simulate(
+    cfg: ExperimentConfig, context: TrialContext, sweep_index: int, trial_index: int
+):
+    """Series, amplitudes, snapshots and estimate (``None`` without sources) of one trial."""
+    series, amplitudes, weight_seed = synthesize_trial(cfg, context, sweep_index, trial_index)
+    snapshots = extract_snapshots(series, cfg.plan, context.harmonics)
+    result = None
+    if cfg.scene.num_sources > 0:
+        params = replace(cfg.estimator, weight_seed=weight_seed)
+        result = estimate_doa(snapshots, cfg.surface, params, context.search)
+    return series, amplitudes, snapshots, result
+
+
+def trial_bound(
+    cfg: ExperimentConfig, context: TrialContext, amplitudes, check_full: bool = False
+) -> CrbResult:
+    """The angle bound of one amplitude draw at a config point."""
+    return crb(
         cfg.surface,
         cfg.scene,
         cfg.plan,
         cfg.max_harmonic,
         cfg.noise.variance,
         amplitudes,
-        check_full=False,
-        # The azimuth-only search treats elevation as given; bounding it
-        # jointly would be singular for in-plane scenes.
-        known_elevations=cfg.estimator.kind == "1d",
+        check_full=check_full,
+        known_elevations=_known_elevations(cfg),
+        core=context.bound,
     )
+
+
+def run_trial(
+    cfg: ExperimentConfig,
+    sweep_index: int,
+    trial_index: int,
+    policy: ResolutionPolicy = ResolutionPolicy(),
+    context: TrialContext | None = None,
+) -> tuple[TrialOutcome, tuple[float, ...]]:
+    """One synthesize/extract/estimate/score pass plus its angle bound.
+
+    Returns the trial outcome and the per-source square-root bound in
+    degrees, computed from the amplitudes this trial actually drew.
+    ``context`` is the point's :func:`build_context`, built here when
+    omitted; the result is the same either way.
+    """
+    if context is None:
+        context = build_context(cfg)
+    _, amplitudes, _, result = _simulate(cfg, context, sweep_index, trial_index)
+    # Scoring rejects a scene without sources before reading the result.
+    outcome = resolve_and_score(result, cfg.scene.doas, policy)
+    bound = trial_bound(cfg, context, amplitudes)
     sqrt_crb_deg = tuple(float(np.rad2deg(np.sqrt(b))) for b in bound.theta_bounds)
     return outcome, sqrt_crb_deg
 
 
-def _trial_task(args):
-    cfg, sweep_index, trial_index, policy = args
-    return run_trial(cfg, sweep_index, trial_index, policy)
+def _trial_chunk(args):
+    cfg, sweep_index, trial_indices, policy = args
+    context = build_context(cfg)
+    return [run_trial(cfg, sweep_index, t, policy, context) for t in trial_indices]
 
 
 def run_trials(
@@ -97,12 +189,20 @@ def run_trials(
     workers: int = 1,
     policy: ResolutionPolicy = ResolutionPolicy(),
 ):
-    """All trials of one config point, in trial order."""
-    tasks = [(cfg, sweep_index, t, policy) for t in range(cfg.trials)]
+    """All trials of one config point, in trial order.
+
+    Trials run in contiguous chunks, one per worker, and each chunk
+    builds the point's context once; the serial path is one chunk.
+    """
     if workers <= 1:
-        return [_trial_task(task) for task in tasks]
+        return _trial_chunk((cfg, sweep_index, range(cfg.trials), policy))
+    size = -(-cfg.trials // workers)
+    tasks = [
+        (cfg, sweep_index, range(start, min(start + size, cfg.trials)), policy)
+        for start in range(0, cfg.trials, size)
+    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_task, tasks))
+        return [r for chunk in pool.map(_trial_chunk, tasks) for r in chunk]
 
 
 @dataclass(frozen=True)
@@ -203,27 +303,16 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     """One seeded end-to-end run with CSV dumps of both spectra.
 
-    Writes ``<prefix>_frequency.csv`` (centered FFT magnitude averaged
-    over snapshots, selected harmonic bins flagged), and, when sources
-    are configured, ``<prefix>_spatial.csv`` with the search spectrum
-    and peak estimates. Also dumps the raw series and the snapshot
-    matrix for downstream tools.
+    Runs trial (0, 0) of the config, through the same context and trial
+    path as a sweep. Writes ``<prefix>_frequency.csv`` (centered FFT
+    magnitude averaged over snapshots, selected harmonic bins flagged),
+    and, when sources are configured, ``<prefix>_spatial.csv`` with the
+    search spectrum and peak estimates. Also dumps the raw series and
+    the snapshot matrix for downstream tools.
     """
     cfg = resolve_experiment(cfg)
     prefix = out_prefix if out_prefix is not None else cfg.output
-    seq = trial_seed_sequence(cfg.seed, 0, 0)
-    synth_seed, weight_seed = seq.spawn(2)
-    series = synthesize_received(
-        cfg.surface,
-        cfg.scene,
-        cfg.plan,
-        cfg.noise,
-        mode=cfg.mode,
-        rng_seed=synth_seed,
-        max_harmonic=cfg.max_harmonic,
-    )
-    harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface)
-    snapshots = extract_snapshots(series, cfg.plan, harmonics)
+    series, _, snapshots, result = _simulate(cfg, build_context(cfg), 0, 0)
 
     q_len = cfg.plan.points_per_snapshot
     windows = series.samples[: cfg.plan.total_points].reshape(-1, q_len)
@@ -243,10 +332,7 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     paths["snapshots"] = f"{prefix}_snapshots.csv"
     write_snapshots_csv(snapshots, paths["snapshots"])
 
-    result = None
-    if cfg.scene.num_sources > 0:
-        params = replace(cfg.estimator, weight_seed=weight_seed)
-        result = estimate_doa(snapshots, cfg.surface, params)
+    if result is not None:
         paths["spatial"] = f"{prefix}_spatial.csv"
         write_spectrum_csv(result, paths["spatial"])
     return {"paths": paths, "result": result}

@@ -237,6 +237,11 @@ def steering_vector(doa: Doa, cfg: SurfaceConfig) -> np.ndarray:
     return np.exp(1j * cfg.omega0 * total)
 
 
+def steering_matrix(doas, cfg: SurfaceConfig) -> np.ndarray:
+    """Steering vectors of one or more arrivals as (M*N, K) columns."""
+    return np.column_stack([steering_vector(d, cfg) for d in doas])
+
+
 class HarmonicMatrix:
     """Stacked Fourier-coefficient rows of the element coding waveforms.
 
@@ -255,7 +260,7 @@ class HarmonicMatrix:
             )
         self.max_harmonic = int(max_harmonic)
         self.entries = entries
-        self._svd = None
+        self._inverses = None
 
     @property
     def harmonic_orders(self) -> np.ndarray:
@@ -266,8 +271,13 @@ class HarmonicMatrix:
     def num_elements(self) -> int:
         return self.entries.shape[1]
 
-    def _decompose(self):
-        if self._svd is None:
+    def decompose(self) -> "HarmonicMatrix":
+        """Check the rank and cache both inverses, once; returns ``self``.
+
+        The cached inverses are read-only, since every holder of this
+        matrix shares them.
+        """
+        if self._inverses is None:
             rows, cols = self.entries.shape
             if rows < cols:
                 raise ConfigurationError(
@@ -282,20 +292,22 @@ class HarmonicMatrix:
                     f"(singular value ratio {s[-1] / s[0]:.3e}); the coding "
                     "schedule does not separate the element channels"
                 )
-            self._svd = (u, s, vh)
-        return self._svd
+            pseudo = (vh.conj().T / s) @ u.conj().T
+            gram = (vh.conj().T / s**2) @ vh
+            pseudo.flags.writeable = False
+            gram.flags.writeable = False
+            self._inverses = (pseudo, gram)
+        return self
 
     @property
     def pseudo_inverse(self) -> np.ndarray:
         """Left inverse (U^H U)^-1 U^H, computed once via SVD."""
-        u, s, vh = self._decompose()
-        return (vh.conj().T / s) @ u.conj().T
+        return self.decompose()._inverses[0]
 
     @property
     def gram_inverse(self) -> np.ndarray:
-        """(U^H U)^-1, shared by the smoothing whitener."""
-        u, s, vh = self._decompose()
-        return (vh.conj().T / s**2) @ vh
+        """(U^H U)^-1, shared by the smoothing whitener; computed once via SVD."""
+        return self.decompose()._inverses[1]
 
 
 def harmonic_matrix(max_harmonic: int, cfg: SurfaceConfig) -> HarmonicMatrix:

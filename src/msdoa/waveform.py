@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .surface import Doa, SurfaceConfig, harmonic_matrix, steering_vector
+from .surface import Doa, HarmonicMatrix, SurfaceConfig, harmonic_matrix, steering_matrix
 
 _MODES = ("full", "ideal")
 _AMPLITUDE_MODELS = ("gaussian", "constant_modulus")
@@ -219,36 +219,86 @@ def _slot_indices(sample_indices: np.ndarray, points_per_period: int, size: int)
     return np.where(num == 0, size - 1, (num + points_per_period - 1) // points_per_period - 1)
 
 
-def _signal_samples(cfg, doas, amplitudes, plan, mode, max_harmonic):
+@dataclass(frozen=True, eq=False)
+class SignalModel:
+    """The part of the noiseless received signal no amplitude draw changes.
+
+    In full mode ``patterns`` holds, per source, the switched surface
+    sum over the whole record: at each sample the active element's
+    steering entry counts +1 and every other entry -1, i.e.
+    ``2*a[slot] - sum(a)``. In ideal mode ``mixed_steering`` is the
+    (2P+1, K) harmonic mixture of the steering and ``phase_table`` the
+    Q x (2P+1) table of sample phases, which repeats exactly from
+    snapshot to snapshot because snapshots span whole coding periods.
+    ``key`` names the surface, scene, plan, mode and truncation order
+    the model was built for. Arrays are read-only: trials share them.
+    """
+
+    key: tuple
+    num_sources: int
+    total_points: int
+    points_per_snapshot: int
+    patterns: np.ndarray | None = None
+    mixed_steering: np.ndarray | None = None
+    phase_table: np.ndarray | None = None
+
+
+def _model_key(cfg, scene, plan, mode, max_harmonic) -> tuple:
+    return (cfg, scene, plan, mode, max_harmonic if mode == "ideal" else None)
+
+
+def signal_model(
+    cfg: SurfaceConfig,
+    scene: SourceScene,
+    plan: SamplingPlan,
+    mode: str,
+    harmonics: HarmonicMatrix | None = None,
+) -> SignalModel:
+    """Precompute the trial-invariant part of :func:`synthesize_received`.
+
+    Ideal mode needs the harmonic matrix of the truncation order.
+    """
+    if mode not in _MODES:
+        raise ValidationError(f"mode must be one of {_MODES}")
+    if mode == "ideal" and harmonics is None:
+        raise ValidationError("ideal mode needs the harmonic matrix")
+    max_harmonic = harmonics.max_harmonic if harmonics is not None else None
+    key = _model_key(cfg, scene, plan, mode, max_harmonic)
     n_total = plan.total_points
     q_len = plan.points_per_snapshot
-    if len(doas) == 0:
-        return np.zeros(n_total, dtype=complex)
-    steering = np.column_stack([steering_vector(d, cfg) for d in doas])
-
-    if mode == "full":
-        z = plan.points_per_period
-        idx = np.arange(n_total)
-        slots = _slot_indices(idx, z, cfg.size)
-        snap = idx // q_len
-        col_sums = steering.sum(axis=0)
-        out = np.zeros(n_total, dtype=complex)
-        for k in range(len(doas)):
-            out += (2.0 * steering[slots, k] - col_sums[k]) * amplitudes[k, snap]
-        return out
-
-    # Band-limited model: truncated harmonic sum. Within one snapshot
-    # the sample phase of order p is 2*pi*p*q/z, and snapshots span
-    # whole coding periods, so the Q x (2P+1) phase table repeats
-    # exactly from snapshot to snapshot. Phases are reduced with
-    # integer arithmetic before exp to stay exact for large p*q.
-    harmonics = harmonic_matrix(max_harmonic, cfg)
-    coeffs = harmonics.entries @ steering @ amplitudes  # (2P+1, I)
+    k = scene.num_sources
+    if k == 0:
+        return SignalModel(key, 0, n_total, q_len)
+    steering = steering_matrix(scene.doas, cfg)
     z = plan.points_per_period
-    q = np.arange(q_len)
-    reduced = np.mod(np.outer(q, harmonics.harmonic_orders), z)
+    if mode == "full":
+        slots = _slot_indices(np.arange(n_total), z, cfg.size)
+        col_sums = steering.sum(axis=0)
+        patterns = np.stack([2.0 * steering[slots, j] - col_sums[j] for j in range(k)])
+        patterns.flags.writeable = False
+        return SignalModel(key, k, n_total, q_len, patterns=patterns)
+    # Phases are reduced with integer arithmetic before exp to stay
+    # exact for large p*q.
+    mixed = harmonics.entries @ steering
+    reduced = np.mod(np.outer(np.arange(q_len), harmonics.harmonic_orders), z)
     table = np.exp(2j * np.pi * reduced / z)
-    return (table @ coeffs).ravel(order="F")
+    mixed.flags.writeable = False
+    table.flags.writeable = False
+    return SignalModel(key, k, n_total, q_len, mixed_steering=mixed, phase_table=table)
+
+
+def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
+    if model.num_sources == 0:
+        return np.zeros(model.total_points, dtype=complex)
+    if model.patterns is not None:
+        out = np.zeros(model.total_points, dtype=complex)
+        for k in range(model.num_sources):
+            out += model.patterns[k] * np.repeat(amplitudes[k], model.points_per_snapshot)
+        return out
+    # Band-limited model: truncated harmonic sum, one phase-table
+    # product per snapshot column.
+    coeffs = model.mixed_steering @ amplitudes  # (2P+1, I)
+    return (model.phase_table @ coeffs).ravel(order="F")
 
 
 def synthesize_received(
@@ -260,6 +310,7 @@ def synthesize_received(
     rng_seed=0,
     max_harmonic: int | None = None,
     return_amplitudes: bool = False,
+    model: SignalModel | None = None,
 ):
     """Synthesize the receiver time series for one experiment run.
 
@@ -284,6 +335,9 @@ def synthesize_received(
         Required in ideal mode.
     return_amplitudes : bool
         Also return the drawn (K, I) amplitude matrix.
+    model : SignalModel, optional
+        The precomputed :func:`signal_model` of these arguments; built
+        here when omitted.
 
     Returns
     -------
@@ -296,10 +350,16 @@ def synthesize_received(
     if abs(plan.coding_period_s - cfg.coding_period_s) > 1e-12 * cfg.coding_period_s:
         raise ValidationError("plan and surface disagree on the coding period")
 
+    if model is None:
+        harmonics = harmonic_matrix(max_harmonic, cfg) if mode == "ideal" else None
+        model = signal_model(cfg, scene, plan, mode, harmonics)
+    elif model.key != _model_key(cfg, scene, plan, mode, max_harmonic):
+        raise ValidationError("signal model was built for another surface, scene, plan or mode")
+
     rng = np.random.default_rng(rng_seed)
     amp_rng, noise_rng = rng.spawn(2)
     amplitudes = draw_source_amplitudes(scene, plan.num_snapshots, amp_rng)
-    samples = _signal_samples(cfg, scene.doas, amplitudes, plan, mode, max_harmonic)
+    samples = _signal_samples(model, amplitudes)
     if noise.variance > 0:
         scale = np.sqrt(cfg.size * noise.variance / 2.0)
         samples = samples + scale * (

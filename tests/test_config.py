@@ -257,3 +257,19 @@ def test_elevation_applies_to_all_sources():
 def test_builtin_path_unknown():
     with pytest.raises(ValidationError, match="bundled"):
         builtin_config_path("nope")
+
+
+def test_grid_edge_sources_rejected():
+    # The peak search reports interior maxima only, so a source on a
+    # grid end point would be missed in every trial.
+    with pytest.raises(ConfigurationError, match=r"source 2 has theta = 90 deg.*theta_grid_deg"):
+        parse_config(BASE.replace("angles_deg = -22, 12", "angles_deg = -22, 90"))
+    with pytest.raises(ConfigurationError, match=r"source 1 has theta = -30 deg.*theta_grid_deg"):
+        parse_config(BASE.replace("-22, 12", "-30, 12") + "theta_grid_deg = -20, 20, 0.5\n")
+    path = builtin_config_path("table1_2d")
+    with pytest.raises(ConfigurationError, match=r"source 1 has phi = 90 deg.*phi_grid_deg"):
+        load_config(path, overrides=["angles_deg = (10, 90)", "powers = 1"])
+    # Just inside the end points is searchable; the 1-D search does not
+    # search elevation, so in-plane sources stay valid there.
+    parse_config(BASE.replace("angles_deg = -22, 12", "angles_deg = -89.9, 89.9"))
+    load_config(path, overrides=["angles_deg = (10, 89.5)", "powers = 1"])

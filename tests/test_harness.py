@@ -1,14 +1,33 @@
 """Monte Carlo harness: seeding, worker equivalence, outputs, CLI."""
 
 import os
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msdoa.estimator
+import msdoa.harness
+import msdoa.surface
 from msdoa import (
+    ConfigurationError,
+    DegenerateCodingError,
+    HarmonicMatrix,
+    MsdoaError,
+    NearSingularWhitenerError,
+    UnidentifiableParameterError,
     ValidationError,
+    aggregate,
+    build_context,
     builtin_config_path,
     config_digest,
+    crb,
+    estimate_doa,
+    extract_snapshots,
+    harmonic_matrix,
     load_config,
     parse_config,
     resolve_experiment,
@@ -16,8 +35,12 @@ from msdoa import (
     run_sweep,
     run_trial,
     run_trials,
+    synthesize_received,
     trial_seed_sequence,
+    write_snapshots_csv,
+    write_spectrum_csv,
     write_sweep_csv,
+    write_time_series,
 )
 from msdoa.cli import main
 
@@ -242,3 +265,214 @@ def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
                  "-o", str(tmp_path / "x")])
     assert code == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_cli_crb_bounds_the_amplitudes_of_trial_zero(tmp_path, capsys):
+    # `crb` and `single` report on one and the same draw: trial (0, 0).
+    path = builtin_config_path("table1")
+    assert main(["crb", "-c", path, "-o", str(tmp_path / "bound")]) == 0
+    printed = [line.split("sqrt_crb_deg=")[1]
+               for line in capsys.readouterr().out.splitlines() if "sqrt_crb_deg=" in line]
+    _, bound = run_trial(resolve_experiment(load_config(path)), 0, 0)
+    assert printed == [f"{b:.6g}" for b in bound]
+
+
+def test_run_single_is_trial_zero(tmp_path):
+    cfg = parse_config(COHERENT)
+    out = run_single(cfg, str(tmp_path / "run"))
+    resolved = resolve_experiment(cfg)
+    outcome, _ = run_trial(resolved, 0, 0)
+    assert out["result"].estimates == outcome.estimates
+
+    # Reference: trial (0, 0) composed from the public stages, each
+    # building its own trial-invariant state.
+    synth_seed, weight_seed = trial_seed_sequence(resolved.seed, 0, 0).spawn(2)
+    series = synthesize_received(
+        resolved.surface, resolved.scene, resolved.plan, resolved.noise,
+        mode=resolved.mode, rng_seed=synth_seed, max_harmonic=resolved.max_harmonic,
+    )
+    snapshots = extract_snapshots(
+        series, resolved.plan, harmonic_matrix(resolved.max_harmonic, resolved.surface)
+    )
+    result = estimate_doa(
+        snapshots, resolved.surface, replace(resolved.estimator, weight_seed=weight_seed)
+    )
+    ref = str(tmp_path / "ref")
+    write_time_series(series, resolved.plan, f"{ref}_series.f64", seed=resolved.seed)
+    write_snapshots_csv(snapshots, f"{ref}_snapshots.csv")
+    write_spectrum_csv(result, f"{ref}_spatial.csv")
+    for got, want in (
+        (out["paths"]["series"], f"{ref}_series.f64"),
+        (out["paths"]["series"] + ".hdr", f"{ref}_series.f64.hdr"),
+        (out["paths"]["snapshots"], f"{ref}_snapshots.csv"),
+        (out["paths"]["spatial"], f"{ref}_spatial.csv"),
+    ):
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read(), got
+
+
+@st.composite
+def _small_configs(draw):
+    rows = draw(st.integers(2, 3))
+    cols = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["1d", "2d"]))
+    width = draw(st.integers(1, cols))
+    dim = rows if kind == "1d" else rows * (cols - width + 1)
+    count = draw(st.integers(1, min(2, dim - 1)))
+    thetas = draw(st.lists(st.integers(-80, 80), min_size=count, max_size=count, unique=True))
+    if kind == "1d":
+        angles = ", ".join(str(t) for t in thetas)
+    else:
+        phis = draw(st.lists(st.integers(10, 80), min_size=count, max_size=count))
+        angles = ", ".join(f"({t}, {p})" for t, p in zip(thetas, phis))
+    lines = [
+        f"rows = {rows}",
+        f"cols = {cols}",
+        f"angles_deg = {angles}",
+        f"powers = {', '.join(['1'] * count)}",
+        f"max_harmonic = {rows * cols // 2 + draw(st.integers(0, 2))}",
+        f"estimator = {kind}",
+        f"subarray_width = {width}",
+        "phi_grid_deg = 0, 90, 5",
+        f"mode = {draw(st.sampled_from(['full', 'ideal']))}",
+        f"seed = {draw(st.integers(0, 2**16))}",
+    ]
+    keys = {line.split(" = ")[0] for line in lines}
+    base = [line for line in SMALL.splitlines() if line.split(" = ")[0] not in keys]
+    return resolve_experiment(parse_config("\n".join(base + lines) + "\n"))
+
+
+def _result_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except MsdoaError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_configs())
+def test_shared_context_matches_fresh_context(cfg):
+    # Bitwise the same outcome and bound, or the same typed error (some
+    # tiny surfaces have a rank-deficient harmonic matrix).
+    context = _result_or_error(build_context, cfg)
+    for trial in range(2):
+        fresh = _result_or_error(run_trial, cfg, 1, trial)
+        if isinstance(context, tuple):
+            assert fresh == context
+        else:
+            assert _result_or_error(run_trial, cfg, 1, trial, context=context) == fresh
+
+
+def test_context_belongs_to_its_config():
+    cfg = parse_config(SMALL)
+    context = build_context(cfg)
+    with pytest.raises(ValidationError, match="another config"):
+        run_trial(replace(cfg, max_harmonic=4), 0, 0, context=context)
+    # Trials share these arrays, so none of them may be written.
+    for arr in (context.harmonics.pseudo_inverse, context.harmonics.gram_inverse,
+                context.signal.patterns, context.search.manifold,
+                context.search.compensation, context.bound.core):
+        assert not arr.flags.writeable
+
+
+def test_precomputed_pieces_must_match_their_call():
+    cfg = parse_config(SMALL)
+    other = parse_config(SMALL.replace("angles_deg = -20", "angles_deg = 30"))
+    context = build_context(cfg)
+    wrong = build_context(other)
+    _, amplitudes, _ = msdoa.harness.synthesize_trial(cfg, context, 0, 0)
+    with pytest.raises(ValidationError, match="signal model"):
+        synthesize_received(cfg.surface, cfg.scene, cfg.plan, cfg.noise,
+                            max_harmonic=cfg.max_harmonic, model=wrong.signal)
+    snapshots = extract_snapshots(synthesize_received(cfg.surface, cfg.scene, cfg.plan, cfg.noise),
+                                  cfg.plan, context.harmonics)
+    with pytest.raises(ValidationError, match="search setup"):
+        estimate_doa(snapshots, cfg.surface, replace(cfg.estimator, elevation_deg=80.0),
+                     context.search)
+    with pytest.raises(ValidationError, match="bound core"):
+        crb(cfg.surface, cfg.scene, cfg.plan, cfg.max_harmonic, cfg.noise.variance,
+            amplitudes, known_elevations=True, core=wrong.bound)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Route every msdoa reference to ``module.name`` through a call counter."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "msdoa" or mod_name.startswith("msdoa."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["full", "ideal"])
+def test_harmonic_matrix_built_once_per_sweep_point(monkeypatch, mode):
+    calls = _count_calls(monkeypatch, msdoa.surface, "harmonic_matrix")
+    cfg = parse_config(SMALL + f"mode = {mode}\nsweep = I: 1, 2, 3\n")
+    run_sweep(cfg)
+    assert len(calls) == len(cfg.sweep.values)
+
+
+def test_p_sweep_points_match_standalone_configs():
+    # Each point's context follows its own P: rows equal those of each
+    # point run as a config of its own at the same sweep index.
+    text = SMALL + "mode = ideal\n"
+    result = run_sweep(parse_config(text + "sweep = P: 3, 5\n"))
+    for index, (row, p) in enumerate(zip(result.rows, (3, 5))):
+        point = parse_config(text.replace("max_harmonic = 3", f"max_harmonic = {p}"))
+        trials = run_trials(resolve_experiment(point), index)
+        agg = aggregate([outcome for outcome, _ in trials], point.scene.doas)
+        mean_bound = np.array([bound for _, bound in trials]).mean(axis=0)
+        assert (row.pr, row.rmse_deg) == (agg.pr, agg.rmse_deg)
+        assert row.sqrt_crb_deg == tuple(float(b) for b in mean_bound)
+
+
+def test_uneven_worker_chunks_match_serial(tmp_path):
+    # 5 trials over 2 and 3 workers split into chunks of 3+2 and 2+2+1.
+    cfg = parse_config(SMALL.replace("trials = 3", "trials = 5")
+                       + "mode = ideal\nsweep = P: 3, 4\n")
+    paths = []
+    for workers in (1, 2, 3):
+        paths.append(tmp_path / f"w{workers}.csv")
+        write_sweep_csv(run_sweep(cfg, workers=workers), str(paths[-1]))
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+def _degenerate_harmonics(max_harmonic, surface):
+    return HarmonicMatrix(max_harmonic, np.ones((2 * max_harmonic + 1, surface.size)))
+
+
+def _singular_whitener(weights, compensation, harmonics, cfg):
+    dim = cfg.rows * (cfg.cols - weights.width + 1)
+    return np.zeros((dim, dim), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "text, patch, error, workers",
+    [
+        (SMALL, (msdoa.harness, "harmonic_matrix", _degenerate_harmonics),
+         DegenerateCodingError, 1),
+        (COHERENT.replace("angles_deg = -30, 25", "angles_deg = 10, 10"), None,
+         ConfigurationError, 1),
+        (COHERENT.replace("angles_deg = -30, 25", "angles_deg = 10, 10"), None,
+         ConfigurationError, 2),
+        (SMALL + "elevation_deg = 0\n", None, UnidentifiableParameterError, 1),
+        (SMALL + "elevation_deg = 0\n", None, UnidentifiableParameterError, 2),
+        (SMALL, (msdoa.estimator, "smoothing_whitener", _singular_whitener),
+         NearSingularWhitenerError, 1),
+    ],
+    ids=["harmonic-rank", "mixed-steering", "mixed-steering-pool",
+         "fisher", "fisher-pool", "whitener"],
+)
+def test_sweep_errors_name_their_point(monkeypatch, text, patch, error, workers):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    cfg = parse_config(text + "sweep = I: 2, 3\n")
+    with pytest.raises(error, match=r"^sweep I=2 \(index 0\): "):
+        run_sweep(cfg, workers=workers)

@@ -208,6 +208,17 @@ def test_gram_inverse(table1_cfg):
     assert np.max(np.abs(um.gram_inverse @ gram - np.eye(30))) < 1e-9
 
 
+def test_inverses_computed_once(table1_cfg):
+    # Cached on the instance, read-only, and bitwise the SVD formulas.
+    um = harmonic_matrix(15, table1_cfg)
+    pseudo, gram = um.pseudo_inverse, um.gram_inverse
+    assert um.pseudo_inverse is pseudo and um.gram_inverse is gram
+    assert not pseudo.flags.writeable and not gram.flags.writeable
+    u, s, vh = np.linalg.svd(um.entries, full_matrices=False)
+    assert np.array_equal(pseudo, (vh.conj().T / s) @ u.conj().T)
+    assert np.array_equal(gram, (vh.conj().T / s**2) @ vh)
+
+
 def test_harmonic_matrix_too_few_lines(table1_cfg):
     with pytest.raises(ConfigurationError):
         harmonic_matrix(14, table1_cfg).pseudo_inverse  # 29 lines < 30 elements
