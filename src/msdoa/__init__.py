@@ -36,7 +36,6 @@ from .estimator import (
     EstimatorParams,
     MusicResult,
     PsWeightSet,
-    SmoothedSet,
     compensation_matrix,
     estimate_doa,
     make_ps_weights,
@@ -69,7 +68,6 @@ from .metrics import (
     resolve_and_score,
 )
 from .snapshot import (
-    FrequencySnapshot,
     MultiSnapshot,
     extract_snapshots,
     frequency_indices,
@@ -80,7 +78,6 @@ from .surface import (
     HarmonicMatrix,
     SurfaceConfig,
     coding_waveform,
-    element_position,
     element_positions,
     fourier_coefficient,
     harmonic_matrix,

@@ -105,7 +105,7 @@ def _cmd_crb(cfg, args) -> int:
     # Bound the amplitudes trial (0, 0) draws, the run `single` makes.
     context = build_context(cfg)
     _, amplitudes, _ = synthesize_trial(cfg, context, 0, 0)
-    bound = trial_bound(cfg, context, amplitudes, check_full=True)
+    bound = trial_bound(cfg, context, amplitudes)
     for k, b in enumerate(bound.theta_bounds, 1):
         print(f"source {k}: sqrt_crb_deg={np.rad2deg(np.sqrt(b)):.6g}")
     prefix = args.output if args.output is not None else cfg.output

@@ -407,7 +407,8 @@ def emit_config(cfg: ExperimentConfig) -> str:
         f"wave_speed = {_fmt(cfg.surface.wave_speed)}",
         f"angles_deg = {angles}",
         f"coherence = {scene.coherence}",
-        f"powers = {', '.join(_fmt(p) for p in scene.powers)}",
+        # A scene without sources has no powers line to write.
+        *([f"powers = {', '.join(_fmt(p) for p in scene.powers)}"] if scene.powers else []),
         f"amplitude_model = {scene.amplitude_model}",
         f"sampling_rate_hz = {_fmt(cfg.plan.sample_rate_hz)}",
         f"periods_per_snapshot = {cfg.plan.periods_per_snapshot}",

@@ -27,7 +27,6 @@ from .surface import (
 )
 from .waveform import SamplingPlan, SourceScene
 
-_FORM_AGREEMENT_RTOL = 1e-8
 _SINGULAR_RTOL = 1e-12
 
 
@@ -84,18 +83,16 @@ def _guarded_inverse(real_matrix: np.ndarray) -> np.ndarray:
 class CrbCore:
     """The amplitude-independent part of the bound.
 
-    ``mixed_steer`` and ``mixed_sens`` are the steering and the angle
-    sensitivities seen through the harmonic mixing, and ``core`` is the
-    projected sensitivity Gram matrix S^H P S, with P the projector onto
-    the orthogonal complement of the mixed steering. Only the sample
-    covariance of the amplitudes changes from one draw to the next.
+    ``core`` is the projected sensitivity Gram matrix S^H P S, with S
+    the angle sensitivities seen through the harmonic mixing and P the
+    projector onto the orthogonal complement of the mixed steering.
+    Only the sample covariance of the amplitudes changes from one draw
+    to the next.
     ``key`` names the surface, scene, truncation order and elevation
     treatment the core was built for. Arrays are read-only.
     """
 
     key: tuple
-    mixed_steer: np.ndarray
-    mixed_sens: np.ndarray
     core: np.ndarray
 
 
@@ -135,10 +132,9 @@ def crb_core(
     lines = 2 * harmonics.max_harmonic + 1
     proj = np.eye(lines) - mixed_steer @ np.linalg.pinv(mixed_steer)
     core = mixed_sens.conj().T @ proj @ mixed_sens
-    for arr in (mixed_steer, mixed_sens, core):
-        arr.flags.writeable = False
+    core.flags.writeable = False
     key = _core_key(cfg, scene, harmonics.max_harmonic, known_elevations)
-    return CrbCore(key, mixed_steer, mixed_sens, core)
+    return CrbCore(key, core)
 
 
 def crb(
@@ -148,7 +144,6 @@ def crb(
     max_harmonic: int,
     noise_variance: float,
     amplitudes: np.ndarray,
-    check_full: bool = True,
     known_elevations: bool = False,
     core: CrbCore | None = None,
 ) -> CrbResult:
@@ -163,11 +158,6 @@ def crb(
         Per-element sigma^2.
     amplitudes : (K, I) complex
         The deterministic source amplitudes of the run.
-    check_full : bool
-        Also build the stacked-observation form explicitly and assert
-        it matches the per-snapshot Hadamard form; the stacked form is
-        cubic in (2P+1)*I, so sweeps disable this. The returned matrix
-        is always the per-snapshot form, so both settings agree bitwise.
     known_elevations : bool
         Bound azimuths only, treating every elevation as known (the
         azimuth-only search). Required for in-plane scenes: at 90-degree
@@ -201,8 +191,6 @@ def crb(
             "bound core was built for another surface, scene, truncation or elevation setting"
         )
     groups = 1 if known_elevations else 2
-    mixed_steer, mixed_sens = core.mixed_steer, core.mixed_sens
-
     lines = 2 * max_harmonic + 1
     q_len = plan.points_per_snapshot
     sample_cov = amps @ amps.conj().T / num_snap
@@ -210,28 +198,6 @@ def crb(
     fisher_core = np.real(core.core * hadamard)
     prefactor = cfg.size * noise_variance / (2.0 * q_len * num_snap)
     bound = prefactor * _guarded_inverse(fisher_core)
-
-    if check_full:
-        # Stacked-observation form: block-diagonal amplitude
-        # sensitivities, angle sensitivities replicated per snapshot and
-        # scaled by that snapshot's amplitudes.
-        eye_snap = np.eye(num_snap)
-        amp_sens = np.kron(eye_snap, mixed_steer)
-        scale = np.kron(np.ones((1, groups)), np.kron(amps.T, np.ones((lines, 1))))
-        angle_sens = np.kron(np.ones((num_snap, 1)), mixed_sens) * scale
-        proj_big = np.eye(lines * num_snap) - amp_sens @ np.linalg.pinv(amp_sens)
-        fisher_big = np.real(angle_sens.conj().T @ proj_big @ angle_sens)
-        bound_big = (cfg.size * noise_variance / (2.0 * q_len)) * _guarded_inverse(
-            fisher_big
-        )
-        scale_ref = max(np.max(np.abs(bound)), np.max(np.abs(bound_big)))
-        if scale_ref > 0 and np.max(np.abs(bound - bound_big)) > _FORM_AGREEMENT_RTOL * scale_ref:
-            raise ConfigurationError(
-                "stacked and per-snapshot bound forms disagree beyond "
-                f"{_FORM_AGREEMENT_RTOL:g} relative; the model is too "
-                "ill-conditioned to bound reliably"
-            )
-
     bound = 0.5 * (bound + bound.T)
     noise_fisher = np.inf if noise_variance == 0 else lines * num_snap / noise_variance**2
     return CrbResult(bound, np.diagonal(bound)[:k].copy(), noise_fisher)

@@ -1,13 +1,20 @@
 """Pattern-smoothing MUSIC on recovered element channels.
 
-Pipeline per snapshot: invert the harmonic mixing to recover one
-complex value per element, cancel the known element-to-receiver phases,
-then apply a bank of random-phase weight vectors that collapse each row
-(or each sliding sub-row window) of the surface to a scalar. Averaging
-the outer products of the collapsed vectors over snapshots and weights
-restores rank for coherent sources. The weight bank colors the noise,
-so the covariance is whitened with the known weight/recovery structure
-before the subspace search.
+One chain serves every search. The harmonic bins of all snapshots are
+inverted at once to one complex value per element and snapshot, the
+known element-to-receiver phases are canceled, and a bank of
+random-phase weight rows collapses every sliding ``width``-column
+window of each surface row to a scalar. Averaging the outer products of
+the collapsed vectors over snapshots and weights restores rank for
+coherent sources. The azimuth-only (1-D) search is the window as wide
+as the surface, searched at the one known elevation; the 2-D search
+slides narrower windows and also scans an elevation grid.
+
+The weight bank colors the noise. Bin noise e reaches the smoothed
+vectors as smooth(B e), with B the recovery left inverse, so the
+whitener is the outer-product sum of the smoothed recovery matrix
+itself. Its inverse square root is taken once per trial and used both
+to whiten the covariance and to whiten the search manifold.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigurationError,
@@ -22,29 +30,28 @@ from .errors import (
     NoNoiseSubspaceError,
     ValidationError,
 )
-from .snapshot import FrequencySnapshot, MultiSnapshot
+from .snapshot import MultiSnapshot
 from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 
 # Relative eigenvalue floor below which the whitener is rejected.
 WHITENER_RTOL = 1e-12
 
 
-def recover_channels(values, harmonics: HarmonicMatrix) -> np.ndarray:
-    """Recover per-element values from one snapshot's harmonic bins.
+def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
+    """Recover per-element values from harmonic bins, one column per snapshot.
 
-    Solves the overdetermined mixing system with the cached SVD left
-    inverse; requires at least M*N frequency lines and a numerically
-    full-rank harmonic matrix.
+    ``bins`` is (2P+1,) or (2P+1, snapshots). Solves the overdetermined
+    mixing system with the cached SVD left inverse; requires at least
+    M*N frequency lines and a numerically full-rank harmonic matrix.
     """
-    if isinstance(values, FrequencySnapshot):
-        values = values.values
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (2 * harmonics.max_harmonic + 1,):
+    bins = np.asarray(bins, dtype=complex)
+    lines = 2 * harmonics.max_harmonic + 1
+    if bins.ndim not in (1, 2) or bins.shape[0] != lines:
         raise ValidationError(
-            f"snapshot has shape {values.shape}; expected "
-            f"({2 * harmonics.max_harmonic + 1},)"
+            f"snapshot bins have shape {bins.shape}; expected ({lines},) "
+            f"or ({lines}, snapshots)"
         )
-    return harmonics.pseudo_inverse @ values
+    return harmonics.pseudo_inverse @ bins
 
 
 def compensation_matrix(cfg: SurfaceConfig) -> np.ndarray:
@@ -54,19 +61,15 @@ def compensation_matrix(cfg: SurfaceConfig) -> np.ndarray:
 
 @dataclass(eq=False)
 class PsWeightSet:
-    """Bank of unit-modulus smoothing weight rows.
+    """Bank of unit-modulus smoothing weight rows, shape (count, width).
 
-    ``kind`` "1d" collapses whole rows (width ``cols``); "2d" collapses
-    sliding windows of ``width`` columns, keeping one output per window
-    position per row.
+    Each row collapses a ``width``-column window; a row as wide as the
+    surface collapses whole surface rows.
     """
 
-    kind: str
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("1d", "2d"):
-            raise ValidationError("kind must be '1d' or '2d'")
         self.weights = np.asarray(self.weights, dtype=complex)
         if self.weights.ndim != 2:
             raise ValidationError("weights must be a (count, width) array")
@@ -82,7 +85,7 @@ class PsWeightSet:
         return self.weights.shape[1]
 
 
-def make_ps_weights(count: int, kind: str, width: int, rng_seed) -> PsWeightSet:
+def make_ps_weights(count: int, width: int, rng_seed) -> PsWeightSet:
     """Draw ``count`` unit-modulus weight rows with random phases."""
     if count < 1:
         raise ValidationError("need at least one weight vector")
@@ -90,31 +93,36 @@ def make_ps_weights(count: int, kind: str, width: int, rng_seed) -> PsWeightSet:
         raise ValidationError("weight width must be at least 1")
     rng = np.random.default_rng(rng_seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, width))
-    return PsWeightSet(kind, np.exp(1j * phases))
+    return PsWeightSet(np.exp(1j * phases))
 
 
-def _band_matrix(weight_row: np.ndarray, cols: int) -> np.ndarray:
-    """Sliding-window weight matrix, one shifted copy of the row per output."""
-    width = weight_row.size
-    if width > cols:
-        raise ConfigurationError(
-            f"weight width {width} exceeds the {cols} surface columns"
-        )
-    out_rows = cols - width + 1
-    band = np.zeros((out_rows, cols), dtype=complex)
-    for r in range(out_rows):
-        band[r, r : r + width] = weight_row
-    return band
+def smooth(
+    columns: np.ndarray,
+    compensation: np.ndarray,
+    weights: PsWeightSet,
+    cfg: SurfaceConfig,
+) -> np.ndarray:
+    """Compensate a stack of element vectors and collapse it with every weight row.
 
-
-def smoothing_matrix(weight_row: np.ndarray, cfg: SurfaceConfig) -> np.ndarray:
-    """Block-diagonal smoothing matrix for one weight row.
-
-    One band block per surface row; a full-width row collapses each
-    surface row to a single output (the 1-D case).
+    ``columns`` is (M*N, K), one row-major element vector per column.
+    Returns (K, L, M*(N-width+1)): entry [k, l] holds, for each surface
+    row and window position (row-major), the compensated window of
+    column k weighted by row l and summed.
     """
-    band = _band_matrix(np.asarray(weight_row, dtype=complex), cfg.cols)
-    return np.kron(np.eye(cfg.rows), band)
+    columns = np.asarray(columns, dtype=complex)
+    if columns.ndim != 2 or columns.shape[0] != cfg.size:
+        raise ValidationError(
+            f"element stack must have shape ({cfg.size}, K); got {columns.shape}"
+        )
+    if weights.width > cfg.cols:
+        raise ConfigurationError(
+            f"weight width {weights.width} exceeds the {cfg.cols} surface columns"
+        )
+    compensated = np.diagonal(compensation)[:, None] * columns
+    grid = compensated.T.reshape(-1, cfg.rows, cfg.cols)
+    windows = sliding_window_view(grid, weights.width, axis=2)  # (K, M, W, width)
+    collapsed = windows @ weights.weights.T  # (K, M, W, L)
+    return collapsed.transpose(0, 3, 1, 2).reshape(columns.shape[1], weights.count, -1)
 
 
 def smoothing_whitener(
@@ -123,78 +131,33 @@ def smoothing_whitener(
     harmonics: HarmonicMatrix,
     cfg: SurfaceConfig,
 ) -> np.ndarray:
-    """Accumulated noise-shaping matrix of the recover/compensate/smooth chain.
+    """Noise-shaping matrix of the recover/compensate/smooth chain.
 
-    Sums J_l C G C^H J_l^H over the weight bank, where J_l is the
-    smoothing matrix, C the phase compensation, and G the inverse Gram
-    matrix of the harmonic mixing. Up to a common scalar this is the
-    covariance that white receiver noise acquires after the chain.
+    White bin noise e reaches the smoothed vectors as smooth(B e), with
+    B the recovery left inverse, so this is the sum over every column of
+    B and every weight row of the smoothed outer products. It equals
+    the sum of J_l C G C^H J_l^H over the weight bank (J_l the
+    smoothing operator, C the compensation, G = B B^H the inverse Gram
+    matrix of the mixing), the per-bin covariance of the smoothed noise.
     """
-    diag = np.diagonal(compensation)
-    gram = harmonics.gram_inverse
-    shaped = (diag[:, None] * gram) * diag.conj()[None, :]
-    dim = cfg.rows * (cfg.cols - weights.width + 1)
-    total = np.zeros((dim, dim), dtype=complex)
-    for row in weights.weights:
-        j_l = smoothing_matrix(row, cfg)
-        total += j_l @ shaped @ j_l.conj().T
+    vectors = smooth(harmonics.pseudo_inverse, compensation, weights, cfg)
+    rows = vectors.reshape(-1, vectors.shape[2])
+    total = rows.T @ rows.conj()
     return 0.5 * (total + total.conj().T)
 
 
-@dataclass(eq=False)
-class SmoothedSet:
-    """Smoothed vectors of one snapshot (rows = weight vectors)."""
-
-    vectors: np.ndarray
-    whitener: np.ndarray
-
-
-def smooth(
-    recovered: np.ndarray,
-    compensation: np.ndarray,
-    weights: PsWeightSet,
-    cfg: SurfaceConfig,
-    harmonics: HarmonicMatrix | None = None,
-    whitener: np.ndarray | None = None,
-) -> SmoothedSet:
-    """Compensate and collapse one recovered snapshot with every weight row.
-
-    The whitener depends only on the weights and mixing, so callers
-    processing many snapshots should compute it once (or pass
-    ``harmonics`` and let the first call build it).
-    """
-    recovered = np.asarray(recovered, dtype=complex)
-    if recovered.shape != (cfg.size,):
-        raise ValidationError(f"recovered vector must have shape ({cfg.size},)")
-    if whitener is None:
-        if harmonics is None:
-            raise ValidationError("pass either a precomputed whitener or harmonics")
-        whitener = smoothing_whitener(weights, compensation, harmonics, cfg)
-
-    comp = np.diagonal(compensation) * recovered
-    grid = comp.reshape(cfg.rows, cfg.cols)
-    width = weights.width
-    out_cols = cfg.cols - width + 1
-    vectors = np.empty((weights.count, cfg.rows * out_cols), dtype=complex)
-    for l, row in enumerate(weights.weights):
-        collapsed = np.stack(
-            [grid[:, r : r + width] @ row for r in range(out_cols)], axis=1
-        )
-        vectors[l] = collapsed.ravel()
-    return SmoothedSet(vectors, whitener)
-
-
-def ps_covariance(sets) -> np.ndarray:
-    """Average outer product over all snapshots and weight vectors."""
-    stacks = [s.vectors for s in sets]
-    if not stacks:
+def ps_covariance(smoothed: np.ndarray) -> np.ndarray:
+    """Average outer product over all snapshots and weight rows of :func:`smooth`."""
+    smoothed = np.asarray(smoothed)
+    if smoothed.ndim != 3 or smoothed.shape[0] * smoothed.shape[1] == 0:
         raise ValidationError("need at least one smoothed snapshot")
-    rows = np.vstack(stacks)
+    rows = smoothed.reshape(-1, smoothed.shape[2])
     return rows.T @ rows.conj() / rows.shape[0]
 
 
-def _hermitian_inv_sqrt(matrix: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (matrix + matrix.conj().T)
+def whitener_inv_sqrt(whitener: np.ndarray) -> np.ndarray:
+    """W^-1/2 of a Hermitian whitener, rejecting a near-singular one."""
+    sym = 0.5 * (whitener + whitener.conj().T)
     vals, vecs = np.linalg.eigh(sym)
     if vals[-1] <= 0 or vals[0] <= WHITENER_RTOL * vals[-1]:
         raise NearSingularWhitenerError(
@@ -205,159 +168,57 @@ def _hermitian_inv_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
-def whiten(covariance: np.ndarray, whitener: np.ndarray) -> np.ndarray:
-    """Two-sided inverse-square-root transform of the covariance."""
-    w = _hermitian_inv_sqrt(whitener)
-    out = w @ covariance @ w.conj().T
+def whiten(covariance: np.ndarray, w_inv_sqrt: np.ndarray) -> np.ndarray:
+    """Two-sided transform W^-1/2 R W^-H/2, given W^-1/2 from :func:`whitener_inv_sqrt`."""
+    out = w_inv_sqrt @ covariance @ w_inv_sqrt.conj().T
     return 0.5 * (out + out.conj().T)
 
 
-def _row_manifold(theta_rad, phi_rad, cfg: SurfaceConfig):
-    """Per-row steering phases exp(j*w0*(m - (M+1)/2)*d*sin(phi)*sin(theta)/c)."""
+def _manifold(theta_rad, phi_rad, out_cols: int, cfg: SurfaceConfig) -> np.ndarray:
+    """Smoothed-domain steering over an azimuth grid at one elevation.
+
+    Row phases exp(j*w0*(m - (M+1)/2)*d*sin(phi)*sin(theta)/c) times the
+    window ramp exp(j*w0*r*d*sin(phi)*cos(theta)/c), r = 0..out_cols-1,
+    in :func:`smooth`'s (row, window) order; shape (M*out_cols, thetas).
+    """
     m = np.arange(1, cfg.rows + 1) - (cfg.rows + 1) / 2.0
-    factor = cfg.omega0 * cfg.spacing_m * np.sin(phi_rad) * np.sin(theta_rad) / cfg.wave_speed
-    return np.exp(1j * np.outer(m, np.atleast_1d(factor)))
-
-
-def _window_manifold(theta_rad, phi_rad, out_cols: int, cfg: SurfaceConfig):
-    """Per-window phase ramp exp(j*w0*r*d*sin(phi)*cos(theta)/c), r = 0..out_cols-1."""
     r = np.arange(out_cols)
-    factor = cfg.omega0 * cfg.spacing_m * np.sin(phi_rad) * np.cos(theta_rad) / cfg.wave_speed
-    return np.exp(1j * np.outer(r, np.atleast_1d(factor)))
+    scale = cfg.omega0 * cfg.spacing_m * np.sin(phi_rad)
+    rows = np.exp(1j * np.outer(m, scale * np.sin(theta_rad) / cfg.wave_speed))
+    ramp = np.exp(1j * np.outer(r, scale * np.cos(theta_rad) / cfg.wave_speed))
+    return (rows[:, None, :] * ramp[None, :, :]).reshape(-1, theta_rad.size)
+
+
+def _local_maxima(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indices of strict local maxima along every axis longer than one point.
+
+    End points of a searched axis are never reported.
+    """
+    searched = [axis for axis, n in enumerate(values.shape) if n > 1]
+    inner = tuple(slice(1, -1) if axis in searched else slice(None) for axis in range(values.ndim))
+    core = values[inner]
+    mask = np.ones(core.shape, dtype=bool)
+    for axis in searched:
+        below, above = list(inner), list(inner)
+        below[axis], above[axis] = slice(None, -2), slice(2, None)
+        mask &= (core > values[tuple(below)]) & (core > values[tuple(above)])
+    return tuple(idx + (axis in searched) for axis, idx in enumerate(np.nonzero(mask)))
 
 
 @dataclass(eq=False)
 class MusicResult:
-    """Spatial spectrum, its grid, peak estimates, and eigenvalues."""
+    """Spatial spectrum, its grid, peak estimates, and eigenvalues.
+
+    A search at one known elevation has ``phi_grid_deg`` of ``None`` and
+    a spectrum over azimuth only; otherwise the spectrum is
+    (azimuths, elevations).
+    """
 
     theta_grid_deg: np.ndarray
     phi_grid_deg: np.ndarray | None
     spectrum: np.ndarray
     estimates: tuple[Doa, ...]
     eigenvalues: np.ndarray
-
-
-def _local_maxima_1d(values: np.ndarray) -> np.ndarray:
-    inner = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
-    return np.nonzero(inner)[0] + 1
-
-
-def _local_maxima_2d(values: np.ndarray):
-    v = values
-    inner = (
-        (v[1:-1, 1:-1] > v[:-2, 1:-1])
-        & (v[1:-1, 1:-1] > v[2:, 1:-1])
-        & (v[1:-1, 1:-1] > v[1:-1, :-2])
-        & (v[1:-1, 1:-1] > v[1:-1, 2:])
-    )
-    rows, cols = np.nonzero(inner)
-    return rows + 1, cols + 1
-
-
-def music_search(
-    whitened: np.ndarray,
-    whitener: np.ndarray,
-    num_sources: int,
-    cfg: SurfaceConfig,
-    kind: str = "1d",
-    theta_grid_deg: np.ndarray | None = None,
-    elevation_rad: float = np.pi / 2.0,
-    phi_grid_deg: np.ndarray | None = None,
-    subarray_width: int | None = None,
-    manifold: np.ndarray | None = None,
-) -> MusicResult:
-    """Subspace spectrum search over the angle grid.
-
-    Eigenvectors of the whitened covariance beyond the ``num_sources``
-    largest span the noise subspace; the spectrum is the reciprocal
-    projection of the whitened manifold onto it, and estimates are the
-    ``num_sources`` largest strict local maxima (fewer if the spectrum
-    has fewer peaks).
-
-    In "1d" the manifold is the per-row steering at the known elevation;
-    in "2d" it is the Kronecker product of per-row steering and the
-    sliding-window phase ramp of ``subarray_width``-column windows.
-    A "1d" caller searching many covariances on one grid may pass that
-    row manifold as ``manifold`` (see :func:`search_setup`).
-    """
-    if theta_grid_deg is None:
-        theta_grid_deg = np.arange(-90.0, 90.0 + 1e-9, 0.1)
-    theta_grid_deg = np.asarray(theta_grid_deg, dtype=float)
-    if theta_grid_deg.size < 3:
-        raise ValidationError("theta grid needs at least 3 points")
-    dim = whitened.shape[0]
-    if whitened.shape != (dim, dim) or whitener.shape != (dim, dim):
-        raise ValidationError("whitened covariance and whitener must be square and matching")
-    if num_sources < 0:
-        raise ValidationError("num_sources must be nonnegative")
-    if num_sources >= dim:
-        raise NoNoiseSubspaceError(
-            f"{num_sources} sources leave no noise subspace in dimension {dim}"
-        )
-
-    vals, vecs = np.linalg.eigh(whitened)
-    order = np.argsort(-vals, kind="stable")
-    eigenvalues = vals[order]
-    noise_basis = vecs[:, order[num_sources:]]
-    w_inv_sqrt = _hermitian_inv_sqrt(whitener)
-
-    theta_rad = np.deg2rad(theta_grid_deg)
-    tiny = np.finfo(float).tiny
-
-    if kind == "1d":
-        if dim != cfg.rows:
-            raise ConfigurationError(
-                f"1-D search expects covariance dimension {cfg.rows}; got {dim}"
-            )
-        if manifold is None:
-            manifold = _row_manifold(theta_rad, elevation_rad, cfg)
-        elif manifold.shape != (cfg.rows, theta_rad.size):
-            raise ValidationError(
-                f"manifold must be ({cfg.rows}, {theta_rad.size}); got {manifold.shape}"
-            )
-        proj = noise_basis.conj().T @ (w_inv_sqrt @ manifold)
-        spectrum = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), tiny)
-        peaks = _local_maxima_1d(spectrum)
-        ranked = peaks[np.argsort(-spectrum[peaks], kind="stable")][:num_sources]
-        # Estimates carry the exact grid degrees, not a radian round trip.
-        elevation_deg = float(np.rad2deg(elevation_rad))
-        estimates = tuple(
-            Doa.from_degrees(float(theta_grid_deg[i]), elevation_deg) for i in ranked
-        )
-        return MusicResult(theta_grid_deg, None, spectrum, estimates, eigenvalues)
-
-    if kind != "2d":
-        raise ValidationError("kind must be '1d' or '2d'")
-    if subarray_width is None or not 1 <= subarray_width <= cfg.cols:
-        raise ValidationError("2-D search needs 1 <= subarray_width <= cols")
-    out_cols = cfg.cols - subarray_width + 1
-    if dim != cfg.rows * out_cols:
-        raise ConfigurationError(
-            f"2-D search expects covariance dimension {cfg.rows * out_cols}; got {dim}"
-        )
-    if phi_grid_deg is None:
-        phi_grid_deg = np.arange(0.0, 90.0 + 1e-9, 0.5)
-    phi_grid_deg = np.asarray(phi_grid_deg, dtype=float)
-    if phi_grid_deg.size < 3:
-        raise ValidationError("phi grid needs at least 3 points")
-    phi_rad = np.deg2rad(phi_grid_deg)
-
-    spectrum = np.empty((theta_grid_deg.size, phi_grid_deg.size))
-    basis_w = noise_basis.conj().T @ w_inv_sqrt
-    for j, phi in enumerate(phi_rad):
-        rows = _row_manifold(theta_rad, phi, cfg)
-        wins = _window_manifold(theta_rad, phi, out_cols, cfg)
-        manifold = np.einsum("mt,rt->mrt", rows, wins).reshape(dim, theta_rad.size)
-        proj = basis_w @ manifold
-        spectrum[:, j] = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), tiny)
-
-    rows_idx, cols_idx = _local_maxima_2d(spectrum)
-    ranked = np.argsort(-spectrum[rows_idx, cols_idx], kind="stable")[:num_sources]
-    estimates = tuple(
-        Doa.from_degrees(float(theta_grid_deg[rows_idx[i]]), float(phi_grid_deg[cols_idx[i]]))
-        for i in ranked
-    )
-    return MusicResult(theta_grid_deg, phi_grid_deg, spectrum, estimates, eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -400,19 +261,20 @@ def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
 class SearchSetup:
     """The part of :func:`estimate_doa` that no trial changes.
 
-    Holds the phase compensation, the search grids, and for the 1-D
-    search the row manifold over the azimuth grid at the known
-    elevation. The 2-D manifolds are built per elevation during the
-    search instead, since holding them all would cost megabytes. ``key``
-    names the surface and estimator settings the setup was built for.
-    Arrays are read-only: trials share them.
+    Holds the phase compensation, the smoothing window width, the
+    azimuth and elevation grids, and, when there is one elevation, the
+    manifold over the azimuth grid. With an elevation grid the
+    manifolds are built per elevation during the search instead, since
+    holding them all would cost megabytes. ``key`` names the surface and
+    estimator settings the setup was built for. Arrays are read-only:
+    trials share them.
     """
 
     key: tuple
     compensation: np.ndarray
+    width: int
     theta_grid_deg: np.ndarray
-    phi_grid_deg: np.ndarray | None
-    elevation_rad: float
+    elevation_grid_deg: np.ndarray
     manifold: np.ndarray | None
 
 
@@ -428,20 +290,92 @@ def _setup_key(cfg: SurfaceConfig, params: EstimatorParams) -> tuple:
 
 
 def search_setup(cfg: SurfaceConfig, params: EstimatorParams) -> SearchSetup:
-    """Precompute the trial-invariant part of :func:`estimate_doa`."""
-    comp = compensation_matrix(cfg)
-    theta_grid = inclusive_grid(*params.theta_grid_deg)
-    phi_grid = inclusive_grid(*params.phi_grid_deg) if params.kind == "2d" else None
-    elevation_rad = float(np.deg2rad(params.elevation_deg))
-    manifold = None
+    """Precompute the trial-invariant part of :func:`estimate_doa`.
+
+    The estimator ``kind`` only picks the window width and the elevation
+    grid: "1d" is the full-width window at the single elevation
+    ``elevation_deg``, "2d" the ``subarray_width`` window over the
+    ``phi_grid_deg`` grid.
+    """
     if params.kind == "1d":
-        manifold = _row_manifold(np.deg2rad(theta_grid), elevation_rad, cfg)
-    for arr in (comp, theta_grid, phi_grid, manifold):
+        width, elevations = cfg.cols, np.array([float(params.elevation_deg)])
+    else:
+        width, elevations = params.subarray_width, inclusive_grid(*params.phi_grid_deg)
+    if not 1 <= width <= cfg.cols:
+        raise ValidationError(f"window width {width} must lie in [1, {cfg.cols}]")
+    theta_grid = inclusive_grid(*params.theta_grid_deg)
+    if theta_grid.size < 3 or elevations.size == 2:
+        raise ValidationError("a searched angle grid needs at least 3 points")
+    comp = compensation_matrix(cfg)
+    manifold = None
+    if elevations.size == 1:
+        manifold = _manifold(
+            np.deg2rad(theta_grid), np.deg2rad(elevations[0]), cfg.cols - width + 1, cfg
+        )
+    for arr in (comp, theta_grid, elevations, manifold):
         if arr is not None:
             arr.flags.writeable = False
-    return SearchSetup(
-        _setup_key(cfg, params), comp, theta_grid, phi_grid, elevation_rad, manifold
+    return SearchSetup(_setup_key(cfg, params), comp, width, theta_grid, elevations, manifold)
+
+
+def music_search(
+    whitened: np.ndarray,
+    w_inv_sqrt: np.ndarray,
+    num_sources: int,
+    cfg: SurfaceConfig,
+    setup: SearchSetup,
+) -> MusicResult:
+    """Subspace spectrum search over the setup's azimuth x elevation grid.
+
+    Eigenvectors of the whitened covariance beyond the ``num_sources``
+    largest span the noise subspace; the spectrum is the reciprocal
+    projection of the whitened manifold W^-1/2 a onto it, and estimates
+    are the ``num_sources`` largest strict local maxima (fewer if the
+    spectrum has fewer peaks). ``w_inv_sqrt`` is the whitening
+    transform :func:`whiten` applied.
+    """
+    dim = whitened.shape[0]
+    if whitened.shape != (dim, dim) or w_inv_sqrt.shape != (dim, dim):
+        raise ValidationError("whitened covariance and whitener must be square and matching")
+    out_cols = cfg.cols - setup.width + 1
+    if dim != cfg.rows * out_cols:
+        raise ConfigurationError(
+            f"search with {setup.width}-column windows expects covariance "
+            f"dimension {cfg.rows * out_cols}; got {dim}"
+        )
+    if num_sources < 0:
+        raise ValidationError("num_sources must be nonnegative")
+    if num_sources >= dim:
+        raise NoNoiseSubspaceError(
+            f"{num_sources} sources leave no noise subspace in dimension {dim}"
+        )
+
+    vals, vecs = np.linalg.eigh(whitened)
+    order = np.argsort(-vals, kind="stable")
+    eigenvalues = vals[order]
+    basis_w = vecs[:, order[num_sources:]].conj().T @ w_inv_sqrt
+
+    theta_grid, elevations = setup.theta_grid_deg, setup.elevation_grid_deg
+    theta_rad = np.deg2rad(theta_grid)
+    tiny = np.finfo(float).tiny
+    spectrum = np.empty((theta_grid.size, elevations.size))
+    for j, phi in enumerate(np.deg2rad(elevations)):
+        manifold = setup.manifold
+        if manifold is None:
+            manifold = _manifold(theta_rad, phi, out_cols, cfg)
+        proj = basis_w @ manifold
+        spectrum[:, j] = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), tiny)
+
+    peaks = _local_maxima(spectrum)
+    ranked = np.argsort(-spectrum[peaks], kind="stable")[:num_sources]
+    # Estimates carry the exact grid degrees, not a radian round trip.
+    estimates = tuple(
+        Doa.from_degrees(float(theta_grid[peaks[0][i]]), float(elevations[peaks[1][i]]))
+        for i in ranked
     )
+    if elevations.size == 1:
+        return MusicResult(theta_grid, None, spectrum[:, 0], estimates, eigenvalues)
+    return MusicResult(theta_grid, elevations, spectrum, estimates, eigenvalues)
 
 
 def estimate_doa(
@@ -460,30 +394,14 @@ def estimate_doa(
     elif setup.key != _setup_key(cfg, params):
         raise ValidationError("search setup was built for another surface or estimator")
     harmonics = snapshots.harmonics
-    comp = setup.compensation
-    width = cfg.cols if params.kind == "1d" else params.subarray_width
-    weights = make_ps_weights(params.num_weights, params.kind, width, params.weight_seed)
-    whitener = smoothing_whitener(weights, comp, harmonics, cfg)
+    weights = make_ps_weights(params.num_weights, setup.width, params.weight_seed)
+    whitener = smoothing_whitener(weights, setup.compensation, harmonics, cfg)
+    w_inv_sqrt = whitener_inv_sqrt(whitener)
 
-    sets = []
-    for i in range(snapshots.plan.num_snapshots):
-        recovered = recover_channels(snapshots.matrix[:, i], harmonics)
-        sets.append(smooth(recovered, comp, weights, cfg, whitener=whitener))
-    covariance = ps_covariance(sets)
-    whitened = whiten(covariance, whitener)
-
-    return music_search(
-        whitened,
-        whitener,
-        params.num_sources,
-        cfg,
-        kind=params.kind,
-        theta_grid_deg=setup.theta_grid_deg,
-        elevation_rad=setup.elevation_rad,
-        phi_grid_deg=setup.phi_grid_deg,
-        subarray_width=params.subarray_width,
-        manifold=setup.manifold,
-    )
+    recovered = recover_channels(snapshots.matrix, harmonics)
+    covariance = ps_covariance(smooth(recovered, setup.compensation, weights, cfg))
+    whitened = whiten(covariance, w_inv_sqrt)
+    return music_search(whitened, w_inv_sqrt, params.num_sources, cfg, setup)
 
 
 def write_spectrum_csv(result: MusicResult, path: str) -> None:

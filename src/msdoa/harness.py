@@ -3,14 +3,15 @@
 How a sweep runs: each sweep value gives one config point, and
 :func:`run_trials` builds that point's :class:`TrialContext` once. The
 context holds everything no trial changes: the harmonic matrix with
-its rank check, pseudo-inverse and Gram inverse; the phase
-compensation; the signal model (the scene steering with the full-mode
-switched patterns or the ideal-mode phase table); the search grids and
-the 1-D row manifold; and the bound's rank-checked projected core. A
-trial then does only what its draws change: amplitudes and noise,
-synthesis, snapshot extraction, the smoothing weights and their
-whitener, smoothing, the eigendecomposition and search projection, and
-the bound's amplitude-dependent product and inverse. With several
+its rank check and pseudo-inverse; the phase compensation; the signal
+model (the scene steering with the full-mode switched patterns or the
+ideal-mode phase table); the smoothing window width, the search grids
+and, at one known elevation, the search manifold; and the bound's
+rank-checked projected core. A trial then does only what its draws
+change: amplitudes and noise, synthesis, snapshot extraction, the
+smoothing weights with their whitener and its inverse square root,
+smoothing, the eigendecomposition and search projection, and the
+bound's amplitude-dependent product and inverse. With several
 workers the trials go out in contiguous chunks, one per worker, and
 each chunk builds the context once.
 
@@ -136,9 +137,7 @@ def _simulate(
     return series, amplitudes, snapshots, result
 
 
-def trial_bound(
-    cfg: ExperimentConfig, context: TrialContext, amplitudes, check_full: bool = False
-) -> CrbResult:
+def trial_bound(cfg: ExperimentConfig, context: TrialContext, amplitudes) -> CrbResult:
     """The angle bound of one amplitude draw at a config point."""
     return crb(
         cfg.surface,
@@ -147,7 +146,6 @@ def trial_bound(
         cfg.max_harmonic,
         cfg.noise.variance,
         amplitudes,
-        check_full=check_full,
         known_elevations=_known_elevations(cfg),
         core=context.bound,
     )

@@ -45,15 +45,6 @@ def frequency_indices(plan: SamplingPlan, max_harmonic: int) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class FrequencySnapshot:
-    """Harmonic-bin values of one snapshot window."""
-
-    values: np.ndarray
-    t_index: int
-    max_harmonic: int
-
-
-@dataclass(eq=False)
 class MultiSnapshot:
     """Harmonic-bin values of all snapshot windows, columns = snapshots."""
 
@@ -68,9 +59,6 @@ class MultiSnapshot:
                 f"matrix shape {self.matrix.shape} does not match "
                 f"({rows}, {self.plan.num_snapshots})"
             )
-
-    def snapshot(self, i: int) -> FrequencySnapshot:
-        return FrequencySnapshot(self.matrix[:, i], i, self.harmonics.max_harmonic)
 
 
 def extract_snapshots(

@@ -104,21 +104,6 @@ def _check_element(m: int, n: int, cfg: SurfaceConfig) -> None:
         )
 
 
-def element_position(m: int, n: int, cfg: SurfaceConfig) -> np.ndarray:
-    """Cartesian position of element (m, n), meters.
-
-    Row index m counts along y, column index n along x, both 1-based;
-    the grid is centered on the origin.
-    """
-    _check_element(m, n, cfg)
-    d = cfg.spacing_m
-    return np.array([
-        (n - (cfg.cols + 1) / 2.0) * d,
-        (m - (cfg.rows + 1) / 2.0) * d,
-        0.0,
-    ])
-
-
 def element_positions(cfg: SurfaceConfig) -> np.ndarray:
     """All element positions as an (M*N, 3) array in row-major order."""
     d = cfg.spacing_m

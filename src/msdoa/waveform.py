@@ -124,10 +124,6 @@ class SamplingPlan:
         return self.periods_per_snapshot * self.points_per_period
 
     @property
-    def snapshot_duration_s(self) -> float:
-        return self.periods_per_snapshot * self.coding_period_s
-
-    @property
     def total_points(self) -> int:
         return self.points_per_snapshot * self.num_snapshots
 
@@ -165,7 +161,6 @@ class TimeSeries:
 
     samples: np.ndarray
     sample_rate_hz: float
-    t_origin_s: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)

@@ -1,6 +1,8 @@
 """Config parsing, validation, round-trip, and sweep expansion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msdoa import (
     ConfigurationError,
@@ -273,3 +275,75 @@ def test_grid_edge_sources_rejected():
     # search elevation, so in-plane sources stay valid there.
     parse_config(BASE.replace("angles_deg = -22, 12", "angles_deg = -89.9, 89.9"))
     load_config(path, overrides=["angles_deg = (10, 89.5)", "powers = 1"])
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _config_texts(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["1d", "2d"]))
+    width = draw(st.integers(1, cols))
+    dim = rows if kind == "1d" else rows * (cols - width + 1)
+    count = draw(st.integers(0, min(3, dim - 1)))
+    thetas = draw(st.lists(st.floats(-89.0, 89.0, **_FINITE), min_size=count,
+                           max_size=count, unique=True))
+    if not thetas:
+        angles = "none"
+    elif kind == "1d":
+        angles = ", ".join(repr(t) for t in thetas)
+    else:
+        phis = draw(st.lists(st.floats(1.0, 89.0, **_FINITE), min_size=count, max_size=count))
+        angles = ", ".join(f"({t!r}, {p!r})" for t, p in zip(thetas, phis))
+    lines = [
+        f"rows = {rows}",
+        f"cols = {cols}",
+        f"carrier_hz = {draw(st.floats(1e8, 1e10, **_FINITE))!r}",
+        "coding_period_s = 1.6e-5",
+        f"angles_deg = {angles}",
+        f"coherence = {draw(st.sampled_from(['incoherent', 'coherent']))}",
+        f"amplitude_model = {draw(st.sampled_from(['gaussian', 'constant_modulus']))}",
+        "sampling_rate_hz = 5.0e7",
+        f"periods_per_snapshot = {draw(st.integers(1, 3))}",
+        f"snapshots = {draw(st.integers(1, 8))}",
+        f"max_harmonic = {rows * cols // 2 + draw(st.integers(0, 5))}",
+        f"num_weights = {draw(st.integers(1, 6))}",
+        f"estimator = {kind}",
+        f"mode = {draw(st.sampled_from(['full', 'ideal']))}",
+        f"trials = {draw(st.integers(1, 500))}",
+        f"seed = {draw(st.integers(0, 2**31))}",
+        f"output = {draw(st.sampled_from(['results', 'out/run_1']))}",
+    ]
+    if thetas:
+        powers = draw(st.lists(st.floats(0.01, 100.0, **_FINITE), min_size=count,
+                               max_size=count))
+        lines.append(f"powers = {', '.join(repr(p) for p in powers)}")
+    if draw(st.booleans()):
+        lines.append(f"spacing_m = {draw(st.floats(0.01, 1.0, **_FINITE))!r}")
+    if draw(st.booleans()):
+        lines.append(f"receiver_offset_m = {draw(st.floats(0.01, 2.0, **_FINITE))!r}")
+    if draw(st.booleans()):
+        lines.append(f"snr_db = {draw(st.floats(-30.0, 40.0, **_FINITE))!r}")
+    else:
+        lines.append(f"noise_variance = {draw(st.floats(0.0, 10.0, **_FINITE))!r}")
+    if kind == "1d":
+        lines.append(f"elevation_deg = {draw(st.floats(1.0, 90.0, **_FINITE))!r}")
+    else:
+        lines.append(f"subarray_width = {width}")
+    if draw(st.booleans()):
+        lines.append(f"theta_grid_deg = -90, 90, {draw(st.sampled_from([0.1, 0.25, 1.0]))}")
+    sweep = draw(st.sampled_from(["none", "snr_db: -10, 0.5, 20", "L: 1, 3",
+                                  "mode: full, ideal", "I: 2, 4", "k0: 1, 2"]))
+    lines.append(f"sweep = {sweep}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_texts())
+def test_emit_parse_roundtrip_generated(text):
+    cfg = parse_config(text)
+    again = parse_config(emit_config(cfg))
+    assert again == cfg
+    assert config_digest(again) == config_digest(cfg)

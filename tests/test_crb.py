@@ -15,6 +15,7 @@ from msdoa import (
     steering_derivatives,
     steering_vector,
 )
+from oracles import stacked_crb
 
 C0 = 299792458.0
 
@@ -50,7 +51,7 @@ def test_bound_matches_finite_difference_fisher():
     cfg, plan, scene, amps = _tiny_setup()
     sigma2 = 0.3
     max_harmonic = 2
-    res = crb(cfg, scene, plan, max_harmonic, sigma2, amps, check_full=True)
+    res = crb(cfg, scene, plan, max_harmonic, sigma2, amps)
 
     um = harmonic_matrix(max_harmonic, cfg).entries
     num_snap = plan.num_snapshots
@@ -81,33 +82,29 @@ def test_bound_matches_finite_difference_fisher():
 
 
 def test_fast_path_equals_checked_path():
-    # check_full only adds the stacked-form agreement assertion; the
-    # returned matrix is the per-snapshot form either way.
+    # The per-snapshot Hadamard form equals the bound of the explicitly
+    # stacked observation to 1e-8 relative, with and without elevations.
     cfg, plan, scene, amps = _tiny_setup()
-    a = crb(cfg, scene, plan, 2, 0.3, amps, check_full=True)
-    b = crb(cfg, scene, plan, 2, 0.3, amps, check_full=False)
-    assert np.array_equal(a.matrix, b.matrix)
-    c = crb(cfg, scene, plan, 2, 0.3, amps, check_full=True,
-            known_elevations=True)
-    d = crb(cfg, scene, plan, 2, 0.3, amps, check_full=False,
-            known_elevations=True)
-    assert np.array_equal(c.matrix, d.matrix)
+    for known in (False, True):
+        fast = crb(cfg, scene, plan, 2, 0.3, amps, known_elevations=known).matrix
+        stacked = stacked_crb(cfg, scene, plan, 2, 0.3, amps, known_elevations=known)
+        assert np.max(np.abs(fast - stacked)) <= 1e-8 * np.max(np.abs(stacked))
 
 
 def test_bound_scales_exactly():
     cfg, plan, scene, amps = _tiny_setup()
-    base = crb(cfg, scene, plan, 2, 0.3, amps, check_full=False).matrix
-    double_noise = crb(cfg, scene, plan, 2, 0.6, amps, check_full=False).matrix
+    base = crb(cfg, scene, plan, 2, 0.3, amps).matrix
+    double_noise = crb(cfg, scene, plan, 2, 0.6, amps).matrix
     assert np.allclose(double_noise, 2.0 * base, rtol=1e-12)
     # Doubling the sample rate doubles Q and halves the bound.
     plan2 = SamplingPlan(2e6, 1, 2, 1.6e-5)
-    double_q = crb(cfg, scene, plan2, 2, 0.3, amps, check_full=False).matrix
+    double_q = crb(cfg, scene, plan2, 2, 0.3, amps).matrix
     assert np.allclose(double_q, 0.5 * base, rtol=1e-12)
 
 
 def test_bound_symmetric_psd():
     cfg, plan, scene, amps = _tiny_setup()
-    res = crb(cfg, scene, plan, 2, 0.3, amps, check_full=True)
+    res = crb(cfg, scene, plan, 2, 0.3, amps)
     assert np.array_equal(res.matrix, res.matrix.T)
     assert np.all(np.linalg.eigvalsh(res.matrix) > 0)
     assert res.theta_bounds[0] == res.matrix[0, 0]
@@ -116,9 +113,8 @@ def test_bound_symmetric_psd():
 
 def test_common_phase_invariance():
     cfg, plan, scene, amps = _tiny_setup()
-    a = crb(cfg, scene, plan, 2, 0.3, amps, check_full=False).matrix
-    b = crb(cfg, scene, plan, 2, 0.3, amps * np.exp(0.83j),
-            check_full=False).matrix
+    a = crb(cfg, scene, plan, 2, 0.3, amps).matrix
+    b = crb(cfg, scene, plan, 2, 0.3, amps * np.exp(0.83j)).matrix
     assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-10
 
 
@@ -133,8 +129,8 @@ def test_two_source_bound_grows():
     amps2 = np.vstack([amps1, rng.standard_normal((1, 4))
                        + 1j * rng.standard_normal((1, 4))])
     plan4 = SamplingPlan(1e6, 1, 4, 1.6e-5)
-    b1 = crb(cfg, one, plan4, 2, 0.3, amps1, check_full=False)
-    b2 = crb(cfg, two, plan4, 2, 0.3, amps2, check_full=False)
+    b1 = crb(cfg, one, plan4, 2, 0.3, amps1)
+    b2 = crb(cfg, two, plan4, 2, 0.3, amps2)
     assert b2.theta_bounds[0] > b1.theta_bounds[0]
 
 
@@ -163,7 +159,7 @@ def test_in_plane_sources_need_known_elevations(table1_cfg):
     amps = (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
     with pytest.raises(UnidentifiableParameterError):
         crb(table1_cfg, scene, plan, 15, 1.0, amps)
-    res = crb(table1_cfg, scene, plan, 15, 1.0, amps, check_full=True,
+    res = crb(table1_cfg, scene, plan, 15, 1.0, amps,
               known_elevations=True)
     assert res.matrix.shape == (2, 2)
     assert res.theta_bounds.shape == (2,)
@@ -173,8 +169,8 @@ def test_in_plane_sources_need_known_elevations(table1_cfg):
 def test_known_elevations_tightens_the_bound():
     # Dropping the elevation nuisance can only reduce the azimuth floor.
     cfg, plan, scene, amps = _tiny_setup()
-    joint = crb(cfg, scene, plan, 2, 0.3, amps, check_full=False)
-    azimuth_only = crb(cfg, scene, plan, 2, 0.3, amps, check_full=False,
+    joint = crb(cfg, scene, plan, 2, 0.3, amps)
+    azimuth_only = crb(cfg, scene, plan, 2, 0.3, amps,
                        known_elevations=True)
     assert azimuth_only.theta_bounds[0] <= joint.theta_bounds[0] + 1e-15
 

@@ -1,8 +1,13 @@
 """Channel recovery, pattern smoothing, whitening, and the MUSIC search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from msdoa import (
     ConfigurationError,
     DegenerateCodingError,
@@ -14,23 +19,29 @@ from msdoa import (
     NoNoiseSubspaceError,
     SamplingPlan,
     SourceScene,
+    SurfaceConfig,
     ValidationError,
+    builtin_config_path,
+    build_context,
     compensation_matrix,
     estimate_doa,
     extract_snapshots,
     frequency_indices,
     harmonic_matrix,
+    load_config,
     make_ps_weights,
     music_search,
     ps_covariance,
     recover_channels,
+    resolve_experiment,
     smooth,
     smoothing_whitener,
     steering_vector,
     synthesize_received,
     whiten,
 )
-from msdoa.estimator import inclusive_grid, smoothing_matrix
+from msdoa.estimator import inclusive_grid, search_setup, whitener_inv_sqrt
+from msdoa.harness import synthesize_trial
 from msdoa.surface import element_positions, receiver_delays
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
@@ -65,32 +76,15 @@ def test_compensation_matrix(table1_cfg):
 
 
 def test_make_ps_weights():
-    ws = make_ps_weights(4, "1d", 6, 3)
+    ws = make_ps_weights(4, 6, 3)
     assert ws.count == 4 and ws.width == 6
     assert np.allclose(np.abs(ws.weights), 1.0)
-    assert np.array_equal(ws.weights, make_ps_weights(4, "1d", 6, 3).weights)
-    assert not np.array_equal(ws.weights, make_ps_weights(4, "1d", 6, 4).weights)
+    assert np.array_equal(ws.weights, make_ps_weights(4, 6, 3).weights)
+    assert not np.array_equal(ws.weights, make_ps_weights(4, 6, 4).weights)
     with pytest.raises(ValidationError):
-        make_ps_weights(0, "1d", 6, 3)
+        make_ps_weights(0, 6, 3)
     with pytest.raises(ValidationError):
-        make_ps_weights(2, "diag", 6, 3)
-
-
-def test_smoothing_matrix_structure(table1_cfg):
-    w = make_ps_weights(1, "1d", 6, 0).weights[0]
-    j1 = smoothing_matrix(w, table1_cfg)
-    assert j1.shape == (5, 30)
-    g = np.arange(30) + 1j
-    assert np.allclose(j1 @ g, g.reshape(5, 6) @ w)
-    # 2-D window: 3 window positions for width 4 on 6 columns.
-    w2 = make_ps_weights(1, "2d", 4, 0).weights[0]
-    j2 = smoothing_matrix(w2, table1_cfg)
-    assert j2.shape == (15, 30)
-    grid = g.reshape(5, 6)
-    want = np.stack([grid[:, r : r + 4] @ w2 for r in range(3)], axis=1)
-    assert np.allclose(j2 @ g, want.ravel())
-    with pytest.raises(ConfigurationError):
-        smoothing_matrix(np.ones(7, dtype=complex), table1_cfg)
+        make_ps_weights(2, 0, 3)
 
 
 def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
@@ -102,20 +96,16 @@ def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
     snaps = extract_snapshots(series, plan, um)
     comp = compensation_matrix(cfg)
     wh = smoothing_whitener(weights, comp, um, cfg)
-    sets = [
-        smooth(recover_channels(snaps.matrix[:, i], um), comp, weights, cfg,
-               whitener=wh)
-        for i in range(plan.num_snapshots)
-    ]
-    return sets, amps, wh
+    smoothed = smooth(recover_channels(snaps.matrix, um), comp, weights, cfg)
+    return smoothed, amps, wh
 
 
 def test_smoothing_factorization_oracle(table1_cfg, table1_plan):
     # Independent reconstruction of the smoothed vectors: per-row
     # steering times a per-source scalar window gain.
     scene = SourceScene(TWO, (1.0, 1.0))
-    weights = make_ps_weights(3, "1d", 6, 7)
-    sets, amps, _ = _chain(table1_cfg, table1_plan, scene, weights)
+    weights = make_ps_weights(3, 6, 7)
+    smoothed, amps, _ = _chain(table1_cfg, table1_plan, scene, weights)
 
     pos = element_positions(table1_cfg)
     xs = pos[:6, 0]          # column abscissae of one surface row
@@ -130,13 +120,13 @@ def test_smoothing_factorization_oracle(table1_cfg, table1_plan):
                 row_phase = np.exp(1j * k_scale * ys * beta)
                 gain = np.sum(weights.weights[l] * np.exp(1j * k_scale * xs * alpha))
                 want += amps[k, i] * gain * row_phase
-            assert np.max(np.abs(sets[i].vectors[l] - want)) < 1e-9
+            assert np.max(np.abs(smoothed[i, l] - want)) < 1e-9
 
 
 def test_whitener_is_hermitian_psd(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
     comp = compensation_matrix(table1_cfg)
-    weights = make_ps_weights(5, "1d", 6, 1)
+    weights = make_ps_weights(5, 6, 1)
     wh = smoothing_whitener(weights, comp, um, table1_cfg)
     assert np.allclose(wh, wh.conj().T)
     assert np.min(np.linalg.eigvalsh(wh)) > 0
@@ -145,15 +135,15 @@ def test_whitener_is_hermitian_psd(table1_cfg):
 def test_whiten_self_is_identity(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
     comp = compensation_matrix(table1_cfg)
-    weights = make_ps_weights(2, "1d", 6, 1)
+    weights = make_ps_weights(2, 6, 1)
     wh = smoothing_whitener(weights, comp, um, table1_cfg)
-    assert np.max(np.abs(whiten(wh, wh) - np.eye(5))) < 1e-10
+    assert np.max(np.abs(whiten(wh, whitener_inv_sqrt(wh)) - np.eye(5))) < 1e-10
 
 
 def test_whiten_rejects_singular():
     singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
     with pytest.raises(NearSingularWhitenerError):
-        whiten(np.eye(3, dtype=complex), singular)
+        whitener_inv_sqrt(singular)
 
 
 def _noise_only_whitened_cov(num_weights, draws, sigma2):
@@ -165,7 +155,7 @@ def _noise_only_whitened_cov(num_weights, draws, sigma2):
     plan = SamplingPlan(4e6, 1, 1, 1.6e-5)
     um = harmonic_matrix(15, cfg)
     comp = compensation_matrix(cfg)
-    weights = make_ps_weights(num_weights, "1d", 6, 11)
+    weights = make_ps_weights(num_weights, 6, 11)
     wh = smoothing_whitener(weights, comp, um, cfg)
     idx = frequency_indices(plan, 15)
     q_len = plan.points_per_snapshot
@@ -175,13 +165,8 @@ def _noise_only_whitened_cov(num_weights, draws, sigma2):
     noise = scale * (rng.standard_normal((draws, q_len))
                      + 1j * rng.standard_normal((draws, q_len)))
     bins = (np.fft.fftshift(np.fft.fft(noise, axis=1), axes=1) / q_len)[:, idx]
-    acc = np.zeros((5, 5), dtype=complex)
-    for d in range(draws):
-        sets = smooth(recover_channels(bins[d], um), comp, weights, cfg,
-                      whitener=wh)
-        acc += sets.vectors.T @ sets.vectors.conj()
-    cov = acc / (draws * num_weights)
-    return whiten(cov, wh), cfg.size * sigma2 / q_len
+    cov = ps_covariance(smooth(recover_channels(bins.T, um), comp, weights, cfg))
+    return whiten(cov, whitener_inv_sqrt(wh)), cfg.size * sigma2 / q_len
 
 
 def test_whitened_noise_covariance_is_white():
@@ -201,10 +186,10 @@ def test_whitened_noise_covariance_scales_with_weights():
 
 def test_ps_covariance_hermitian_psd(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
-    weights = make_ps_weights(5, "1d", 6, 1)
-    sets, _, _ = _chain(table1_cfg, table1_plan, scene, weights,
-                        noise=NoiseSpec(variance=0.5))
-    cov = ps_covariance(sets)
+    weights = make_ps_weights(5, 6, 1)
+    smoothed, _, _ = _chain(table1_cfg, table1_plan, scene, weights,
+                            noise=NoiseSpec(variance=0.5))
+    cov = ps_covariance(smoothed)
     assert cov.shape == (5, 5)
     assert np.allclose(cov, cov.conj().T)
     assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
@@ -215,9 +200,9 @@ def test_ps_covariance_hermitian_psd(table1_cfg, table1_plan):
 def _coherent_eigs(num_weights, table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0), coherence="coherent",
                         coherent_gains=(1.0, np.exp(1.3j)))
-    weights = make_ps_weights(num_weights, "1d", 6, 13)
-    sets, _, wh = _chain(table1_cfg, table1_plan, scene, weights)
-    vals = np.linalg.eigvalsh(whiten(ps_covariance(sets), wh))
+    weights = make_ps_weights(num_weights, 6, 13)
+    smoothed, _, wh = _chain(table1_cfg, table1_plan, scene, weights)
+    vals = np.linalg.eigvalsh(whiten(ps_covariance(smoothed), whitener_inv_sqrt(wh)))
     return np.sort(vals)[::-1]
 
 
@@ -292,33 +277,37 @@ def test_music_coherent_pair_needs_weights(table1_cfg, table1_plan):
 
 def test_music_scale_equivariance(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
-    weights = make_ps_weights(5, "1d", 6, 1)
-    sets, _, wh = _chain(table1_cfg, table1_plan, scene, weights,
-                         noise=NoiseSpec(variance=0.3))
-    cov = ps_covariance(sets)
-    grid = inclusive_grid(-90.0, 90.0, 0.1)
-    a = music_search(whiten(cov, wh), wh, 2, table1_cfg, theta_grid_deg=grid)
-    b = music_search(whiten(7.3 * cov, wh), wh, 2, table1_cfg,
-                     theta_grid_deg=grid)
+    weights = make_ps_weights(5, 6, 1)
+    smoothed, _, wh = _chain(table1_cfg, table1_plan, scene, weights,
+                             noise=NoiseSpec(variance=0.3))
+    cov = ps_covariance(smoothed)
+    w = whitener_inv_sqrt(wh)
+    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
+    a = music_search(whiten(cov, w), w, 2, table1_cfg, setup)
+    b = music_search(whiten(7.3 * cov, w), w, 2, table1_cfg, setup)
     assert [e.theta_deg for e in a.estimates] == [e.theta_deg for e in b.estimates]
     # Scaling only scales eigenvalues; the subspaces and spectrum stay put.
     assert np.allclose(b.spectrum, a.spectrum, rtol=1e-9)
     assert np.allclose(b.eigenvalues, 7.3 * a.eigenvalues, rtol=1e-9)
 
 
+def _setup_1d(cfg):
+    return search_setup(cfg, EstimatorParams(num_sources=1, num_weights=5))
+
+
 def test_music_no_noise_subspace(table1_cfg):
     with pytest.raises(NoNoiseSubspaceError):
         music_search(np.eye(5, dtype=complex), np.eye(5, dtype=complex), 5,
-                     table1_cfg)
+                     table1_cfg, _setup_1d(table1_cfg))
 
 
 def test_music_dimension_checks(table1_cfg):
     with pytest.raises(ConfigurationError):
         music_search(np.eye(4, dtype=complex), np.eye(4, dtype=complex), 1,
-                     table1_cfg)  # 1-D expects dimension rows = 5
+                     table1_cfg, _setup_1d(table1_cfg))  # full width expects rows = 5
     with pytest.raises(ValidationError):
-        music_search(np.eye(15, dtype=complex), np.eye(15, dtype=complex), 1,
-                     table1_cfg, kind="2d")  # missing subarray_width
+        search_setup(table1_cfg, EstimatorParams(
+            num_sources=1, num_weights=5, kind="2d", subarray_width=7))  # wider than cols
 
 
 def test_estimator_params_validation():
@@ -350,16 +339,12 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     auto = estimate_doa(snaps, table1_cfg, params)
 
     comp = compensation_matrix(table1_cfg)
-    weights = make_ps_weights(5, "1d", 6, 17)
-    wh = smoothing_whitener(weights, comp, um, table1_cfg)
-    sets = [
-        smooth(recover_channels(snaps.matrix[:, i], um), comp, weights,
-               table1_cfg, whitener=wh)
-        for i in range(5)
-    ]
+    weights = make_ps_weights(5, 6, 17)
+    w = whitener_inv_sqrt(smoothing_whitener(weights, comp, um, table1_cfg))
+    smoothed = smooth(recover_channels(snaps.matrix, um), comp, weights, table1_cfg)
     manual = music_search(
-        whiten(ps_covariance(sets), wh), wh, 2, table1_cfg,
-        theta_grid_deg=inclusive_grid(-90.0, 90.0, 0.1))
+        whiten(ps_covariance(smoothed), w), w, 2, table1_cfg,
+        search_setup(table1_cfg, params))
     assert np.array_equal(auto.spectrum, manual.spectrum)
     assert auto.estimates == manual.estimates
 
@@ -370,3 +355,144 @@ def test_estimate_doa_single_source(table1_cfg, table1_plan):
     result = _search_noiseless(table1_cfg, table1_plan, scene, params)
     assert len(result.estimates) == 1
     assert result.estimates[0].theta_deg == pytest.approx(22.0, abs=0.05)
+
+
+@st.composite
+def _smoothing_cases(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    width = draw(st.integers(1, cols))
+    count = draw(st.integers(1, 4))
+    max_harmonic = draw(st.integers(rows * cols // 2, rows * cols // 2 + 2))
+    columns = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    return rows, cols, width, count, max_harmonic, columns, seed
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_smoothing_cases())
+def test_smooth_and_whitener_match_dense_oracles(case):
+    # The stacked smoothing operator is the per-snapshot window loop and
+    # the dense I_M kron band matrix; the whitener built from the
+    # smoothed recovery matrix is C G C^H with G = (U^H U)^-1 smoothed.
+    rows, cols, width, count, max_harmonic, num_columns, seed = case
+    cfg = SurfaceConfig(rows, cols, 1e9, 1.6e-5, 0.3)
+    comp = compensation_matrix(cfg)
+    weights = make_ps_weights(count, width, seed)
+    rng = np.random.default_rng(seed)
+    columns = rng.standard_normal((cfg.size, num_columns)) + 1j * rng.standard_normal(
+        (cfg.size, num_columns))
+    got = smooth(columns, comp, weights, cfg)
+    assert got.shape == (num_columns, count, rows * (cols - width + 1))
+    for k in range(num_columns):
+        loop = oracles.loop_smooth(columns[:, k], comp, weights.weights, cfg)
+        dense = np.array([oracles.dense_smoothing(row, cfg) @ comp @ columns[:, k]
+                          for row in weights.weights])
+        assert _rel_err(got[k], loop) < 1e-10
+        assert _rel_err(got[k], dense) < 1e-10
+    with pytest.raises(ConfigurationError):
+        smooth(columns, comp, make_ps_weights(1, cols + 1, seed), cfg)
+
+    um = harmonic_matrix(max_harmonic, cfg)
+    try:
+        um.decompose()
+    except DegenerateCodingError:
+        assume(False)
+    # The explicit normal equations lose cond(U)^2 digits; compare on
+    # mixes where they still hold 1e-10.
+    assume(np.linalg.cond(um.entries) < 1e2)
+    want = oracles.gram_whitener(weights.weights, comp, um.entries, cfg)
+    assert _rel_err(smoothing_whitener(weights, comp, um, cfg), want) < 1e-10
+
+
+def _trial_zero(name, **estimator):
+    cfg = resolve_experiment(load_config(builtin_config_path(name)))
+    cfg = replace(cfg, estimator=replace(cfg.estimator, **estimator))
+    context = build_context(cfg)
+    series, _, weight_seed = synthesize_trial(cfg, context, 0, 0)
+    snaps = extract_snapshots(series, cfg.plan, context.harmonics)
+    return cfg, replace(cfg.estimator, weight_seed=weight_seed), snaps
+
+
+@pytest.mark.parametrize("name, grids", [
+    ("table1", {}),
+    ("table1_2d", {"theta_grid_deg": (-90.0, 90.0, 1.0), "phi_grid_deg": (0.0, 90.0, 1.0)}),
+])
+def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
+    cfg, params, snaps = _trial_zero(name, **grids)
+    got = estimate_doa(snaps, cfg.surface, params)
+    width = cfg.surface.cols if params.kind == "1d" else params.subarray_width
+    weights = make_ps_weights(params.num_weights, width, params.weight_seed)
+    thetas, phis, spectrum, estimates = oracles.separate_chain(
+        snaps, cfg.surface, params, compensation_matrix(cfg.surface), weights.weights)
+    assert np.array_equal(got.theta_grid_deg, thetas)
+    assert (got.phi_grid_deg is None) == (phis is None)
+    if phis is not None:
+        assert np.array_equal(got.phi_grid_deg, phis)
+    assert got.spectrum.shape == spectrum.shape
+    assert np.max(np.abs(got.spectrum - spectrum) / spectrum) < 1e-9
+    assert got.estimates == estimates
+
+
+def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypatch):
+    # One eigendecomposition of the whitener (shared by whitening and
+    # the search) and one of the whitened covariance.
+    scene = SourceScene(TWO, (1.0, 1.0))
+    series = synthesize_received(table1_cfg, scene, table1_plan,
+                                 NoiseSpec(variance=0.5), rng_seed=31)
+    um = harmonic_matrix(15, table1_cfg)
+    snaps = extract_snapshots(series, table1_plan, um)
+    params = EstimatorParams(num_sources=2, num_weights=5, weight_seed=17)
+    whitener = smoothing_whitener(make_ps_weights(5, 6, 17),
+                                  compensation_matrix(table1_cfg), um, table1_cfg)
+    inputs = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    estimate_doa(snaps, table1_cfg, params)
+    assert len(inputs) == 2
+    assert sum(np.array_equal(a, whitener) for a in inputs) == 1
+
+
+@st.composite
+def _permuted_scenes(draw):
+    two_d = draw(st.booleans())
+    count = draw(st.integers(1, 3))
+    thetas = draw(st.lists(st.integers(-40, 40).map(lambda t: 2.0 * t), min_size=count,
+                           max_size=count, unique=True))
+    phis = draw(st.lists(st.integers(10, 40).map(lambda p: 2.0 * p), min_size=count,
+                         max_size=count)) if two_d else [90.0] * count
+    powers = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=count, max_size=count))
+    order = draw(st.permutations(range(count)))
+    return two_d, list(zip(thetas, phis, powers)), order
+
+
+@settings(max_examples=12, deadline=None)
+@given(_permuted_scenes())
+def test_estimates_invariant_under_source_permutation(table1_cfg, table1_plan, case):
+    # Noiseless ideal synthesis puts every peak on its source, whatever
+    # amplitudes the reordered scene draws.
+    two_d, sources, order = case
+    if two_d:
+        params = EstimatorParams(num_sources=len(sources), num_weights=5, kind="2d",
+                                 subarray_width=4, weight_seed=2,
+                                 theta_grid_deg=(-90.0, 90.0, 1.0),
+                                 phi_grid_deg=(0.0, 90.0, 1.0))
+    else:
+        params = EstimatorParams(num_sources=len(sources), num_weights=5, weight_seed=2)
+
+    def estimates(srcs):
+        scene = SourceScene(tuple(Doa.from_degrees(t, p) for t, p, _ in srcs),
+                            tuple(w for _, _, w in srcs))
+        result = _search_noiseless(table1_cfg, table1_plan, scene, params)
+        return set(result.estimates)
+
+    assert estimates([sources[i] for i in order]) == estimates(sources)

@@ -11,7 +11,6 @@ from msdoa import (
     SurfaceConfig,
     ValidationError,
     coding_waveform,
-    element_position,
     element_positions,
     fourier_coefficient,
     harmonic_matrix,
@@ -23,13 +22,20 @@ from msdoa.surface import arrival_delays, receiver_delays
 C0 = 299792458.0
 
 
+def element_position(m, n, cfg):
+    """Oracle: element (m, n), 1-based, row m along y and column n along x, grid centred."""
+    d = cfg.spacing_m
+    return np.array([(n - (cfg.cols + 1) / 2.0) * d, (m - (cfg.rows + 1) / 2.0) * d, 0.0])
+
+
 def test_element_position_example():
     cfg = SurfaceConfig(5, 6, 1e9, 1.6e-5, receiver_offset_m=0.3, spacing_m=0.15)
+    pos = element_positions(cfg)
     # First element sits at the lower-left corner of the centred grid.
-    assert np.allclose(element_position(1, 1, cfg), [-0.375, -0.3, 0.0])
-    assert np.allclose(element_position(5, 6, cfg), [0.375, 0.3, 0.0])
+    assert np.allclose(pos[0], [-0.375, -0.3, 0.0])
+    assert np.allclose(pos[29], [0.375, 0.3, 0.0])
     # Centre element of the odd axis lands on the axis itself.
-    assert element_position(3, 1, cfg)[1] == 0.0
+    assert pos[12][1] == 0.0
 
 
 def test_element_positions_row_major(table1_cfg):
@@ -248,8 +254,8 @@ def test_surface_validation():
 
 def test_element_index_bounds(small_cfg):
     with pytest.raises(ValidationError):
-        element_position(0, 1, small_cfg)
+        fourier_coefficient(0, 1, 0, small_cfg)
     with pytest.raises(ValidationError):
-        element_position(3, 1, small_cfg)
+        fourier_coefficient(3, 1, 0, small_cfg)
     with pytest.raises(ValidationError):
         coding_waveform(1, 4, np.array([0.0]), small_cfg)
