@@ -22,7 +22,7 @@ from .config import (
     parse_config,
     validate_experiment,
 )
-from .crb import CrbResult, crb, steering_derivatives
+from .crb import CrbResult, crb, crb_core, steering_derivatives
 from .errors import (
     ConfigurationError,
     DegenerateCodingError,
@@ -42,6 +42,7 @@ from .estimator import (
     music_search,
     ps_covariance,
     recover_channels,
+    search_setup,
     smooth,
     smoothing_whitener,
     whiten,
@@ -93,6 +94,7 @@ from .waveform import (
     make_coherent_gains,
     read_time_series,
     resolve_gains,
+    signal_model,
     synthesize_received,
     write_time_series,
 )

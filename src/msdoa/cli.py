@@ -99,13 +99,11 @@ def _cmd_sweep(cfg, args) -> int:
 
 
 def _cmd_crb(cfg, args) -> int:
-    if cfg.scene.num_sources < 1:
-        raise ValidationError("crb needs at least one configured source")
     cfg = resolve_experiment(cfg)
     # Bound the amplitudes trial (0, 0) draws, the run `single` makes.
     context = build_context(cfg)
-    _, amplitudes, _ = synthesize_trial(cfg, context, 0, 0)
-    bound = trial_bound(cfg, context, amplitudes)
+    _, amplitudes, _ = synthesize_trial(context, 0, 0)
+    bound = trial_bound(context, amplitudes)
     for k, b in enumerate(bound.theta_bounds, 1):
         print(f"source {k}: sqrt_crb_deg={np.rad2deg(np.sqrt(b)):.6g}")
     prefix = args.output if args.output is not None else cfg.output

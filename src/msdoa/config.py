@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .estimator import EstimatorParams, inclusive_grid
+from .estimator import EstimatorParams, search_grids
 from .snapshot import frequency_indices
 from .surface import Doa, SurfaceConfig
 from .waveform import NoiseSpec, SamplingPlan, SourceScene
@@ -331,9 +331,10 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         )
     # The peak search reports strict interior maxima only, so a source
     # on or beyond a grid end point could never be found.
-    axes = [("theta", "theta_grid_deg", inclusive_grid(*est.theta_grid_deg))]
+    theta_grid, elevations = search_grids(est)
+    axes = [("theta", "theta_grid_deg", theta_grid)]
     if est.kind == "2d":
-        axes.append(("phi", "phi_grid_deg", inclusive_grid(*est.phi_grid_deg)))
+        axes.append(("phi", "phi_grid_deg", elevations))
     for k, doa in enumerate(cfg.scene.doas, 1):
         for axis, key, grid in axes:
             angle = getattr(doa, f"{axis}_deg")
@@ -354,7 +355,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
             apply_sweep_value(cfg, value)
 
 
-def apply_sweep_value(cfg: ExperimentConfig, value, validate: bool = True) -> ExperimentConfig:
+def apply_sweep_value(cfg: ExperimentConfig, value) -> ExperimentConfig:
     """Config for one sweep point (requires a sweep to be configured)."""
     if cfg.sweep is None:
         raise ValidationError("config has no sweep")
@@ -379,8 +380,7 @@ def apply_sweep_value(cfg: ExperimentConfig, value, validate: bool = True) -> Ex
         out = replace(cfg, mode=str(value))
     else:  # pragma: no cover - SweepSpec already rejects unknown names
         raise ValidationError(f"unknown sweep variable {var!r}")
-    if validate:
-        validate_experiment(replace(out, sweep=None))
+    validate_experiment(replace(out, sweep=None))
     return out
 
 

@@ -21,7 +21,6 @@ from .surface import (
     HarmonicMatrix,
     SurfaceConfig,
     element_positions,
-    harmonic_matrix,
     steering_matrix,
     steering_vector,
 )
@@ -87,17 +86,16 @@ class CrbCore:
     the angle sensitivities seen through the harmonic mixing and P the
     projector onto the orthogonal complement of the mixed steering.
     Only the sample covariance of the amplitudes changes from one draw
-    to the next.
-    ``key`` names the surface, scene, truncation order and elevation
-    treatment the core was built for. Arrays are read-only.
+    to the next. The other fields are what :func:`crb` needs of the
+    model: the source count, whether elevations are known, the number
+    of frequency lines 2P+1 and the element count. Arrays are read-only.
     """
 
-    key: tuple
+    num_sources: int
+    known_elevations: bool
+    lines: int
+    num_elements: int
     core: np.ndarray
-
-
-def _core_key(cfg, scene, max_harmonic, known_elevations) -> tuple:
-    return (cfg, scene.doas, int(max_harmonic), bool(known_elevations))
 
 
 def crb_core(
@@ -106,7 +104,14 @@ def crb_core(
     harmonics: HarmonicMatrix,
     known_elevations: bool = False,
 ) -> CrbCore:
-    """Build and rank-check the amplitude-independent part of :func:`crb`."""
+    """Build and rank-check the amplitude-independent part of :func:`crb`.
+
+    ``known_elevations`` bounds azimuths only, treating every elevation
+    as known (the azimuth-only search). It is required for in-plane
+    scenes: at 90-degree elevation a flat surface carries no
+    first-order elevation information, so the joint bound does not
+    exist there.
+    """
     if scene.num_sources < 1:
         raise ValidationError("bound needs at least one source")
     steer = steering_matrix(scene.doas, cfg)
@@ -133,49 +138,32 @@ def crb_core(
     proj = np.eye(lines) - mixed_steer @ np.linalg.pinv(mixed_steer)
     core = mixed_sens.conj().T @ proj @ mixed_sens
     core.flags.writeable = False
-    key = _core_key(cfg, scene, harmonics.max_harmonic, known_elevations)
-    return CrbCore(key, core)
+    return CrbCore(scene.num_sources, bool(known_elevations), lines, cfg.size, core)
 
 
 def crb(
-    cfg: SurfaceConfig,
-    scene: SourceScene,
-    plan: SamplingPlan,
-    max_harmonic: int,
-    noise_variance: float,
-    amplitudes: np.ndarray,
-    known_elevations: bool = False,
-    core: CrbCore | None = None,
+    core: CrbCore, plan: SamplingPlan, noise_variance: float, amplitudes: np.ndarray
 ) -> CrbResult:
     """Angle-block Cramer-Rao bound for one amplitude realization.
 
     Parameters
     ----------
-    cfg, scene, plan : model under test
-    max_harmonic : int
-        Harmonic truncation order P of the snapshot model.
+    core : CrbCore
+        The :func:`crb_core` of the model under test.
+    plan : SamplingPlan
+        The snapshot length and count of the run.
     noise_variance : float
         Per-element sigma^2.
     amplitudes : (K, I) complex
         The deterministic source amplitudes of the run.
-    known_elevations : bool
-        Bound azimuths only, treating every elevation as known (the
-        azimuth-only search). Required for in-plane scenes: at 90-degree
-        elevation a flat surface carries no first-order elevation
-        information, so the joint bound does not exist there.
-    core : CrbCore, optional
-        The precomputed :func:`crb_core` of these arguments; built here
-        when omitted.
 
     Returns
     -------
     CrbResult
-        ``matrix`` is K x K over azimuths when ``known_elevations``,
-        otherwise 2K x 2K over azimuths then elevations.
+        ``matrix`` is K x K over azimuths when the core's elevations are
+        known, otherwise 2K x 2K over azimuths then elevations.
     """
-    k = scene.num_sources
-    if k < 1:
-        raise ValidationError("bound needs at least one source")
+    k = core.num_sources
     amps = np.asarray(amplitudes, dtype=complex)
     num_snap = plan.num_snapshots
     if amps.shape != (k, num_snap):
@@ -184,20 +172,13 @@ def crb(
         )
     if noise_variance < 0:
         raise ValidationError("noise_variance must be nonnegative")
-    if core is None:
-        core = crb_core(cfg, scene, harmonic_matrix(max_harmonic, cfg), known_elevations)
-    elif core.key != _core_key(cfg, scene, max_harmonic, known_elevations):
-        raise ValidationError(
-            "bound core was built for another surface, scene, truncation or elevation setting"
-        )
-    groups = 1 if known_elevations else 2
-    lines = 2 * max_harmonic + 1
+    groups = 1 if core.known_elevations else 2
     q_len = plan.points_per_snapshot
     sample_cov = amps @ amps.conj().T / num_snap
     hadamard = np.kron(np.ones((groups, groups)), sample_cov).T
     fisher_core = np.real(core.core * hadamard)
-    prefactor = cfg.size * noise_variance / (2.0 * q_len * num_snap)
+    prefactor = core.num_elements * noise_variance / (2.0 * q_len * num_snap)
     bound = prefactor * _guarded_inverse(fisher_core)
     bound = 0.5 * (bound + bound.T)
-    noise_fisher = np.inf if noise_variance == 0 else lines * num_snap / noise_variance**2
+    noise_fisher = np.inf if noise_variance == 0 else core.lines * num_snap / noise_variance**2
     return CrbResult(bound, np.diagonal(bound)[:k].copy(), noise_fisher)

@@ -236,7 +236,6 @@ class EstimatorParams:
     subarray_width: int | None = None
     theta_grid_deg: tuple[float, float, float] = (-90.0, 90.0, 0.1)
     phi_grid_deg: tuple[float, float, float] = (0.0, 90.0, 0.5)
-    weight_seed: object = 0
 
     def __post_init__(self):
         if self.num_sources < 0:
@@ -257,20 +256,40 @@ def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(count + 1)
 
 
+def search_grids(params: EstimatorParams) -> tuple[np.ndarray, np.ndarray]:
+    """The azimuth grid and the elevation grid a search scans, in degrees.
+
+    The estimator ``kind`` picks the elevations: "1d" searches at the
+    single elevation ``elevation_deg``, "2d" over the ``phi_grid_deg``
+    grid. The peak search needs a neighbor on each side of a point, so
+    a searched grid (every azimuth grid, and an elevation grid of more
+    than one point) must have at least 3 points.
+    """
+    theta_grid = inclusive_grid(*params.theta_grid_deg)
+    if params.kind == "1d":
+        elevations = np.array([float(params.elevation_deg)])
+    else:
+        elevations = inclusive_grid(*params.phi_grid_deg)
+    if theta_grid.size < 3 or elevations.size == 2:
+        raise ValidationError("a searched angle grid needs at least 3 points")
+    return theta_grid, elevations
+
+
 @dataclass(frozen=True, eq=False)
 class SearchSetup:
     """The part of :func:`estimate_doa` that no trial changes.
 
-    Holds the phase compensation, the smoothing window width, the
-    azimuth and elevation grids, and, when there is one elevation, the
-    manifold over the azimuth grid. With an elevation grid the
-    manifolds are built per elevation during the search instead, since
-    holding them all would cost megabytes. ``key`` names the surface and
-    estimator settings the setup was built for. Arrays are read-only:
-    trials share them.
+    Holds the surface, the source count, the weight count, the phase
+    compensation, the smoothing window width, the azimuth and elevation
+    grids, and, when there is one elevation, the manifold over the
+    azimuth grid. With an elevation grid the manifolds are built per
+    elevation during the search instead, since holding them all would
+    cost megabytes. Arrays are read-only: trials share them.
     """
 
-    key: tuple
+    surface: SurfaceConfig
+    num_sources: int
+    num_weights: int
     compensation: np.ndarray
     width: int
     theta_grid_deg: np.ndarray
@@ -278,34 +297,18 @@ class SearchSetup:
     manifold: np.ndarray | None
 
 
-def _setup_key(cfg: SurfaceConfig, params: EstimatorParams) -> tuple:
-    return (
-        cfg,
-        params.kind,
-        params.elevation_deg,
-        params.subarray_width,
-        params.theta_grid_deg,
-        params.phi_grid_deg,
-    )
-
-
 def search_setup(cfg: SurfaceConfig, params: EstimatorParams) -> SearchSetup:
     """Precompute the trial-invariant part of :func:`estimate_doa`.
 
     The estimator ``kind`` only picks the window width and the elevation
-    grid: "1d" is the full-width window at the single elevation
-    ``elevation_deg``, "2d" the ``subarray_width`` window over the
-    ``phi_grid_deg`` grid.
+    grid: "1d" is the full-width window at one elevation, "2d" the
+    ``subarray_width`` window over an elevation grid (see
+    :func:`search_grids`).
     """
-    if params.kind == "1d":
-        width, elevations = cfg.cols, np.array([float(params.elevation_deg)])
-    else:
-        width, elevations = params.subarray_width, inclusive_grid(*params.phi_grid_deg)
+    width = cfg.cols if params.kind == "1d" else params.subarray_width
     if not 1 <= width <= cfg.cols:
         raise ValidationError(f"window width {width} must lie in [1, {cfg.cols}]")
-    theta_grid = inclusive_grid(*params.theta_grid_deg)
-    if theta_grid.size < 3 or elevations.size == 2:
-        raise ValidationError("a searched angle grid needs at least 3 points")
+    theta_grid, elevations = search_grids(params)
     comp = compensation_matrix(cfg)
     manifold = None
     if elevations.size == 1:
@@ -315,25 +318,22 @@ def search_setup(cfg: SurfaceConfig, params: EstimatorParams) -> SearchSetup:
     for arr in (comp, theta_grid, elevations, manifold):
         if arr is not None:
             arr.flags.writeable = False
-    return SearchSetup(_setup_key(cfg, params), comp, width, theta_grid, elevations, manifold)
+    return SearchSetup(
+        cfg, params.num_sources, params.num_weights, comp, width, theta_grid, elevations, manifold
+    )
 
 
-def music_search(
-    whitened: np.ndarray,
-    w_inv_sqrt: np.ndarray,
-    num_sources: int,
-    cfg: SurfaceConfig,
-    setup: SearchSetup,
-) -> MusicResult:
+def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetup) -> MusicResult:
     """Subspace spectrum search over the setup's azimuth x elevation grid.
 
-    Eigenvectors of the whitened covariance beyond the ``num_sources``
-    largest span the noise subspace; the spectrum is the reciprocal
-    projection of the whitened manifold W^-1/2 a onto it, and estimates
-    are the ``num_sources`` largest strict local maxima (fewer if the
-    spectrum has fewer peaks). ``w_inv_sqrt`` is the whitening
-    transform :func:`whiten` applied.
+    Eigenvectors of the whitened covariance beyond the setup's
+    ``num_sources`` largest span the noise subspace; the spectrum is
+    the reciprocal projection of the whitened manifold W^-1/2 a onto
+    it, and estimates are the ``num_sources`` largest strict local
+    maxima (fewer if the spectrum has fewer peaks). ``w_inv_sqrt`` is
+    the whitening transform :func:`whiten` applied.
     """
+    cfg, num_sources = setup.surface, setup.num_sources
     dim = whitened.shape[0]
     if whitened.shape != (dim, dim) or w_inv_sqrt.shape != (dim, dim):
         raise ValidationError("whitened covariance and whitener must be square and matching")
@@ -343,8 +343,6 @@ def music_search(
             f"search with {setup.width}-column windows expects covariance "
             f"dimension {cfg.rows * out_cols}; got {dim}"
         )
-    if num_sources < 0:
-        raise ValidationError("num_sources must be nonnegative")
     if num_sources >= dim:
         raise NoNoiseSubspaceError(
             f"{num_sources} sources leave no noise subspace in dimension {dim}"
@@ -378,30 +376,21 @@ def music_search(
     return MusicResult(theta_grid, elevations, spectrum, estimates, eigenvalues)
 
 
-def estimate_doa(
-    snapshots: MultiSnapshot,
-    cfg: SurfaceConfig,
-    params: EstimatorParams,
-    setup: SearchSetup | None = None,
-) -> MusicResult:
+def estimate_doa(snapshots: MultiSnapshot, setup: SearchSetup, rng_seed) -> MusicResult:
     """Run the full recover/compensate/smooth/whiten/search chain.
 
-    ``setup`` is the precomputed :func:`search_setup` of ``cfg`` and
-    ``params``; it is built here when omitted.
+    ``setup`` is the :func:`search_setup` of the surface and estimator;
+    ``rng_seed`` seeds the trial's smoothing weight rows.
     """
-    if setup is None:
-        setup = search_setup(cfg, params)
-    elif setup.key != _setup_key(cfg, params):
-        raise ValidationError("search setup was built for another surface or estimator")
-    harmonics = snapshots.harmonics
-    weights = make_ps_weights(params.num_weights, setup.width, params.weight_seed)
+    cfg, harmonics = setup.surface, snapshots.harmonics
+    weights = make_ps_weights(setup.num_weights, setup.width, rng_seed)
     whitener = smoothing_whitener(weights, setup.compensation, harmonics, cfg)
     w_inv_sqrt = whitener_inv_sqrt(whitener)
 
     recovered = recover_channels(snapshots.matrix, harmonics)
     covariance = ps_covariance(smooth(recovered, setup.compensation, weights, cfg))
     whitened = whiten(covariance, w_inv_sqrt)
-    return music_search(whitened, w_inv_sqrt, params.num_sources, cfg, setup)
+    return music_search(whitened, w_inv_sqrt, setup)
 
 
 def write_spectrum_csv(result: MusicResult, path: str) -> None:

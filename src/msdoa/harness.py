@@ -7,13 +7,15 @@ its rank check and pseudo-inverse; the phase compensation; the signal
 model (the scene steering with the full-mode switched patterns or the
 ideal-mode phase table); the smoothing window width, the search grids
 and, at one known elevation, the search manifold; and the bound's
-rank-checked projected core. A trial then does only what its draws
-change: amplitudes and noise, synthesis, snapshot extraction, the
-smoothing weights with their whitener and its inverse square root,
-smoothing, the eigendecomposition and search projection, and the
-bound's amplitude-dependent product and inverse. With several
-workers the trials go out in contiguous chunks, one per worker, and
-each chunk builds the context once.
+rank-checked projected core. Each stage of a trial takes its piece of
+the context and the trial's own draws, nothing the piece was built
+from, and does only what those draws change: amplitudes and noise,
+synthesis, snapshot extraction, the smoothing weights with their
+whitener and its inverse square root, smoothing, the
+eigendecomposition and search projection, and the bound's
+amplitude-dependent product and inverse. With several workers the
+trials go out in contiguous chunks, one per worker, and each chunk
+builds the context once.
 
 Per-trial seeds derive from (experiment seed, sweep index, trial index)
 alone, so results are identical for identical configs regardless of how
@@ -34,7 +36,7 @@ from .config import ExperimentConfig, apply_sweep_value, config_digest
 from .crb import CrbCore, CrbResult, crb, crb_core
 from .errors import MsdoaError, ValidationError
 from .estimator import SearchSetup, estimate_doa, search_setup, write_spectrum_csv
-from .metrics import AggregateResult, ResolutionPolicy, TrialOutcome, aggregate, resolve_and_score
+from .metrics import TrialOutcome, aggregate, resolve_and_score
 from .snapshot import extract_snapshots, frequency_indices, write_snapshots_csv
 from .surface import HarmonicMatrix, harmonic_matrix
 from .waveform import (
@@ -88,115 +90,78 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
     search = search_setup(cfg.surface, cfg.estimator)
     bound = None
     if cfg.scene.num_sources > 0:
-        bound = crb_core(cfg.surface, cfg.scene, harmonics, _known_elevations(cfg))
+        # The azimuth-only search treats elevation as given; bounding it
+        # jointly would be singular for in-plane scenes.
+        known_elevations = cfg.estimator.kind == "1d"
+        bound = crb_core(cfg.surface, cfg.scene, harmonics, known_elevations)
     return TrialContext(cfg, harmonics, signal, search, bound)
 
 
-def _known_elevations(cfg: ExperimentConfig) -> bool:
-    # The azimuth-only search treats elevation as given; bounding it
-    # jointly would be singular for in-plane scenes.
-    return cfg.estimator.kind == "1d"
-
-
-def synthesize_trial(
-    cfg: ExperimentConfig, context: TrialContext, sweep_index: int, trial_index: int
-):
-    """Received series of one trial, the amplitudes it drew, and its weight seed.
+def synthesize_trial(context: TrialContext, sweep_index: int, trial_index: int):
+    """Received series of one trial, the amplitudes it drew, and its smoothing seed.
 
     This is the one place a trial's random streams are derived, shared
     by sweeps, ``single`` and ``crb``.
     """
-    if context.config != cfg:
-        raise ValidationError("trial context was built for another config")
+    cfg = context.config
     seq = trial_seed_sequence(cfg.seed, sweep_index, trial_index)
-    synth_seed, weight_seed = seq.spawn(2)
-    series, amplitudes = synthesize_received(
-        cfg.surface,
-        cfg.scene,
-        cfg.plan,
-        cfg.noise,
-        mode=cfg.mode,
-        rng_seed=synth_seed,
-        max_harmonic=cfg.max_harmonic,
-        return_amplitudes=True,
-        model=context.signal,
-    )
-    return series, amplitudes, weight_seed
+    synth_seed, smoothing_seed = seq.spawn(2)
+    series, amplitudes = synthesize_received(context.signal, cfg.noise, synth_seed)
+    return series, amplitudes, smoothing_seed
 
 
-def _simulate(
-    cfg: ExperimentConfig, context: TrialContext, sweep_index: int, trial_index: int
-):
+def _simulate(context: TrialContext, sweep_index: int, trial_index: int):
     """Series, amplitudes, snapshots and estimate (``None`` without sources) of one trial."""
-    series, amplitudes, weight_seed = synthesize_trial(cfg, context, sweep_index, trial_index)
-    snapshots = extract_snapshots(series, cfg.plan, context.harmonics)
+    series, amplitudes, smoothing_seed = synthesize_trial(context, sweep_index, trial_index)
+    snapshots = extract_snapshots(series, context.config.plan, context.harmonics)
     result = None
-    if cfg.scene.num_sources > 0:
-        params = replace(cfg.estimator, weight_seed=weight_seed)
-        result = estimate_doa(snapshots, cfg.surface, params, context.search)
+    if context.config.scene.num_sources > 0:
+        result = estimate_doa(snapshots, context.search, smoothing_seed)
     return series, amplitudes, snapshots, result
 
 
-def trial_bound(cfg: ExperimentConfig, context: TrialContext, amplitudes) -> CrbResult:
+def trial_bound(context: TrialContext, amplitudes) -> CrbResult:
     """The angle bound of one amplitude draw at a config point."""
-    return crb(
-        cfg.surface,
-        cfg.scene,
-        cfg.plan,
-        cfg.max_harmonic,
-        cfg.noise.variance,
-        amplitudes,
-        known_elevations=_known_elevations(cfg),
-        core=context.bound,
-    )
+    if context.bound is None:
+        raise ValidationError("the bound needs at least one configured source")
+    cfg = context.config
+    return crb(context.bound, cfg.plan, cfg.noise.variance, amplitudes)
 
 
 def run_trial(
-    cfg: ExperimentConfig,
-    sweep_index: int,
-    trial_index: int,
-    policy: ResolutionPolicy = ResolutionPolicy(),
-    context: TrialContext | None = None,
+    context: TrialContext, sweep_index: int, trial_index: int
 ) -> tuple[TrialOutcome, tuple[float, ...]]:
     """One synthesize/extract/estimate/score pass plus its angle bound.
 
-    Returns the trial outcome and the per-source square-root bound in
-    degrees, computed from the amplitudes this trial actually drew.
-    ``context`` is the point's :func:`build_context`, built here when
-    omitted; the result is the same either way.
+    ``context`` is the point's :func:`build_context`. Returns the trial
+    outcome and the per-source square-root bound in degrees, computed
+    from the amplitudes this trial actually drew.
     """
-    if context is None:
-        context = build_context(cfg)
-    _, amplitudes, _, result = _simulate(cfg, context, sweep_index, trial_index)
+    _, amplitudes, _, result = _simulate(context, sweep_index, trial_index)
     # Scoring rejects a scene without sources before reading the result.
-    outcome = resolve_and_score(result, cfg.scene.doas, policy)
-    bound = trial_bound(cfg, context, amplitudes)
+    outcome = resolve_and_score(result, context.config.scene.doas)
+    bound = trial_bound(context, amplitudes)
     sqrt_crb_deg = tuple(float(np.rad2deg(np.sqrt(b))) for b in bound.theta_bounds)
     return outcome, sqrt_crb_deg
 
 
 def _trial_chunk(args):
-    cfg, sweep_index, trial_indices, policy = args
+    cfg, sweep_index, trial_indices = args
     context = build_context(cfg)
-    return [run_trial(cfg, sweep_index, t, policy, context) for t in trial_indices]
+    return [run_trial(context, sweep_index, t) for t in trial_indices]
 
 
-def run_trials(
-    cfg: ExperimentConfig,
-    sweep_index: int = 0,
-    workers: int = 1,
-    policy: ResolutionPolicy = ResolutionPolicy(),
-):
+def run_trials(cfg: ExperimentConfig, sweep_index: int = 0, workers: int = 1):
     """All trials of one config point, in trial order.
 
     Trials run in contiguous chunks, one per worker, and each chunk
     builds the point's context once; the serial path is one chunk.
     """
     if workers <= 1:
-        return _trial_chunk((cfg, sweep_index, range(cfg.trials), policy))
+        return _trial_chunk((cfg, sweep_index, range(cfg.trials)))
     size = -(-cfg.trials // workers)
     tasks = [
-        (cfg, sweep_index, range(start, min(start + size, cfg.trials)), policy)
+        (cfg, sweep_index, range(start, min(start + size, cfg.trials)))
         for start in range(0, cfg.trials, size)
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -225,11 +190,7 @@ class SweepResult:
     version: str
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    workers: int = 1,
-    policy: ResolutionPolicy = ResolutionPolicy(),
-) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run every sweep point and aggregate (PR, RMSE, mean bound)."""
     if cfg.sweep is None:
         raise ValidationError("config has no sweep; use run_single instead")
@@ -240,7 +201,7 @@ def run_sweep(
         point = apply_sweep_value(cfg, value)
         start = time.perf_counter()
         try:
-            results = run_trials(point, sweep_index, workers, policy)
+            results = run_trials(point, sweep_index, workers)
         except (MsdoaError, np.linalg.LinAlgError) as exc:
             raise type(exc)(
                 f"sweep {cfg.sweep.variable}={value} (index {sweep_index}): {exc}"
@@ -310,7 +271,7 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     """
     cfg = resolve_experiment(cfg)
     prefix = out_prefix if out_prefix is not None else cfg.output
-    series, _, snapshots, result = _simulate(cfg, build_context(cfg), 0, 0)
+    series, _, snapshots, result = _simulate(build_context(cfg), 0, 0)
 
     q_len = cfg.plan.points_per_snapshot
     windows = series.samples[: cfg.plan.total_points].reshape(-1, q_len)

@@ -252,10 +252,6 @@ class HarmonicMatrix:
         """Row harmonic orders -P..P."""
         return np.arange(-self.max_harmonic, self.max_harmonic + 1)
 
-    @property
-    def num_elements(self) -> int:
-        return self.entries.shape[1]
-
     def decompose(self) -> "HarmonicMatrix":
         """Check the rank and cache both inverses, once; returns ``self``.
 

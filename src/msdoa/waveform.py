@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .surface import Doa, HarmonicMatrix, SurfaceConfig, harmonic_matrix, steering_matrix
+from .surface import Doa, HarmonicMatrix, SurfaceConfig, steering_matrix
 
 _MODES = ("full", "ideal")
 _AMPLITUDE_MODELS = ("gaussian", "constant_modulus")
@@ -218,28 +218,23 @@ def _slot_indices(sample_indices: np.ndarray, points_per_period: int, size: int)
 class SignalModel:
     """The part of the noiseless received signal no amplitude draw changes.
 
-    In full mode ``patterns`` holds, per source, the switched surface
-    sum over the whole record: at each sample the active element's
-    steering entry counts +1 and every other entry -1, i.e.
-    ``2*a[slot] - sum(a)``. In ideal mode ``mixed_steering`` is the
-    (2P+1, K) harmonic mixture of the steering and ``phase_table`` the
-    Q x (2P+1) table of sample phases, which repeats exactly from
-    snapshot to snapshot because snapshots span whole coding periods.
-    ``key`` names the surface, scene, plan, mode and truncation order
-    the model was built for. Arrays are read-only: trials share them.
+    Holds the scene and plan it was built for and the element count
+    that scales the receiver noise. In full mode ``patterns`` holds,
+    per source, the switched surface sum over the whole record: at each
+    sample the active element's steering entry counts +1 and every
+    other entry -1, i.e. ``2*a[slot] - sum(a)``. In ideal mode
+    ``mixed_steering`` is the (2P+1, K) harmonic mixture of the
+    steering and ``phase_table`` the Q x (2P+1) table of sample phases,
+    which repeats exactly from snapshot to snapshot because snapshots
+    span whole coding periods. Arrays are read-only: trials share them.
     """
 
-    key: tuple
-    num_sources: int
-    total_points: int
-    points_per_snapshot: int
+    scene: SourceScene
+    plan: SamplingPlan
+    num_elements: int
     patterns: np.ndarray | None = None
     mixed_steering: np.ndarray | None = None
     phase_table: np.ndarray | None = None
-
-
-def _model_key(cfg, scene, plan, mode, max_harmonic) -> tuple:
-    return (cfg, scene, plan, mode, max_harmonic if mode == "ideal" else None)
 
 
 def signal_model(
@@ -251,44 +246,44 @@ def signal_model(
 ) -> SignalModel:
     """Precompute the trial-invariant part of :func:`synthesize_received`.
 
-    Ideal mode needs the harmonic matrix of the truncation order.
+    ``mode`` "full" evaluates the exact +/-1 schedule; "ideal" keeps
+    the coding harmonics of ``harmonics``, which it requires. The plan's
+    coding period must match ``cfg``.
     """
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}")
     if mode == "ideal" and harmonics is None:
         raise ValidationError("ideal mode needs the harmonic matrix")
-    max_harmonic = harmonics.max_harmonic if harmonics is not None else None
-    key = _model_key(cfg, scene, plan, mode, max_harmonic)
-    n_total = plan.total_points
-    q_len = plan.points_per_snapshot
+    if abs(plan.coding_period_s - cfg.coding_period_s) > 1e-12 * cfg.coding_period_s:
+        raise ValidationError("plan and surface disagree on the coding period")
     k = scene.num_sources
     if k == 0:
-        return SignalModel(key, 0, n_total, q_len)
+        return SignalModel(scene, plan, cfg.size)
     steering = steering_matrix(scene.doas, cfg)
     z = plan.points_per_period
     if mode == "full":
-        slots = _slot_indices(np.arange(n_total), z, cfg.size)
+        slots = _slot_indices(np.arange(plan.total_points), z, cfg.size)
         col_sums = steering.sum(axis=0)
         patterns = np.stack([2.0 * steering[slots, j] - col_sums[j] for j in range(k)])
         patterns.flags.writeable = False
-        return SignalModel(key, k, n_total, q_len, patterns=patterns)
+        return SignalModel(scene, plan, cfg.size, patterns=patterns)
     # Phases are reduced with integer arithmetic before exp to stay
     # exact for large p*q.
     mixed = harmonics.entries @ steering
-    reduced = np.mod(np.outer(np.arange(q_len), harmonics.harmonic_orders), z)
+    reduced = np.mod(np.outer(np.arange(plan.points_per_snapshot), harmonics.harmonic_orders), z)
     table = np.exp(2j * np.pi * reduced / z)
     mixed.flags.writeable = False
     table.flags.writeable = False
-    return SignalModel(key, k, n_total, q_len, mixed_steering=mixed, phase_table=table)
+    return SignalModel(scene, plan, cfg.size, mixed_steering=mixed, phase_table=table)
 
 
 def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
-    if model.num_sources == 0:
-        return np.zeros(model.total_points, dtype=complex)
+    if model.scene.num_sources == 0:
+        return np.zeros(model.plan.total_points, dtype=complex)
     if model.patterns is not None:
-        out = np.zeros(model.total_points, dtype=complex)
-        for k in range(model.num_sources):
-            out += model.patterns[k] * np.repeat(amplitudes[k], model.points_per_snapshot)
+        out = np.zeros(model.plan.total_points, dtype=complex)
+        for k in range(model.scene.num_sources):
+            out += model.patterns[k] * np.repeat(amplitudes[k], model.plan.points_per_snapshot)
         return out
     # Band-limited model: truncated harmonic sum, one phase-table
     # product per snapshot column.
@@ -296,75 +291,31 @@ def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
     return (model.phase_table @ coeffs).ravel(order="F")
 
 
-def synthesize_received(
-    cfg: SurfaceConfig,
-    scene: SourceScene,
-    plan: SamplingPlan,
-    noise: NoiseSpec,
-    mode: str = "full",
-    rng_seed=0,
-    max_harmonic: int | None = None,
-    return_amplitudes: bool = False,
-    model: SignalModel | None = None,
-):
-    """Synthesize the receiver time series for one experiment run.
+def synthesize_received(model: SignalModel, noise: NoiseSpec, rng_seed):
+    """Synthesize the receiver time series of one run of a :func:`signal_model`.
 
     Samples sit at t_q = q / sample_rate_hz with the coding phase
     continuous across snapshot boundaries (time origin 0). The seed is
     split once for amplitudes and once for noise, so a given seed
-    reproduces the run exactly.
-
-    Parameters
-    ----------
-    cfg : SurfaceConfig
-    scene : SourceScene
-        Coherent scenes must have resolved gains.
-    plan : SamplingPlan
-        Its coding period must match ``cfg``.
-    noise : NoiseSpec
-    mode : {"full", "ideal"}
-        "full" evaluates the exact +/-1 schedule; "ideal" keeps coding
-        harmonics with order at most ``max_harmonic``.
-    rng_seed : int, SeedSequence, or Generator seed
-    max_harmonic : int, optional
-        Required in ideal mode.
-    return_amplitudes : bool
-        Also return the drawn (K, I) amplitude matrix.
-    model : SignalModel, optional
-        The precomputed :func:`signal_model` of these arguments; built
-        here when omitted.
+    reproduces the run exactly. Coherent scenes must have resolved
+    gains.
 
     Returns
     -------
-    TimeSeries, or (TimeSeries, np.ndarray) when ``return_amplitudes``.
+    (TimeSeries, np.ndarray)
+        The series and the (K, I) source amplitudes it drew.
     """
-    if mode not in _MODES:
-        raise ValidationError(f"mode must be one of {_MODES}")
-    if mode == "ideal" and (max_harmonic is None or max_harmonic < 0):
-        raise ValidationError("ideal mode needs a nonnegative max_harmonic")
-    if abs(plan.coding_period_s - cfg.coding_period_s) > 1e-12 * cfg.coding_period_s:
-        raise ValidationError("plan and surface disagree on the coding period")
-
-    if model is None:
-        harmonics = harmonic_matrix(max_harmonic, cfg) if mode == "ideal" else None
-        model = signal_model(cfg, scene, plan, mode, harmonics)
-    elif model.key != _model_key(cfg, scene, plan, mode, max_harmonic):
-        raise ValidationError("signal model was built for another surface, scene, plan or mode")
-
     rng = np.random.default_rng(rng_seed)
     amp_rng, noise_rng = rng.spawn(2)
-    amplitudes = draw_source_amplitudes(scene, plan.num_snapshots, amp_rng)
+    amplitudes = draw_source_amplitudes(model.scene, model.plan.num_snapshots, amp_rng)
     samples = _signal_samples(model, amplitudes)
     if noise.variance > 0:
-        scale = np.sqrt(cfg.size * noise.variance / 2.0)
+        scale = np.sqrt(model.num_elements * noise.variance / 2.0)
         samples = samples + scale * (
             noise_rng.standard_normal(samples.size)
             + 1j * noise_rng.standard_normal(samples.size)
         )
-    series = TimeSeries(samples, plan.sample_rate_hz)
-    if return_amplitudes:
-        return series, amplitudes
-    return series
+    return TimeSeries(samples, model.plan.sample_rate_hz), amplitudes
 
 
 def write_time_series(series: TimeSeries, plan: SamplingPlan, path: str, seed=None) -> None:

@@ -22,6 +22,7 @@ from msdoa import (
     coding_waveform,
     compensation_matrix,
     crb,
+    crb_core,
     element_positions,
     extract_snapshots,
     fourier_coefficient,
@@ -34,6 +35,7 @@ from msdoa import (
     resolve_experiment,
     run_sweep,
     run_trials,
+    signal_model,
     smooth,
     smoothing_whitener,
     steering_derivatives,
@@ -135,8 +137,9 @@ def test_criterion_3(capsys):
     # snapshot-averaged centered FFT magnitude.
     cfg = load_config(builtin_config_path("table1"))
     synth_seed, _ = trial_seed_sequence(cfg.seed, 0, 0).spawn(2)
-    series = synthesize_received(cfg.surface, cfg.scene, cfg.plan, cfg.noise,
-                                 mode=cfg.mode, rng_seed=synth_seed)
+    harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface)
+    model = signal_model(cfg.surface, cfg.scene, cfg.plan, cfg.mode, harmonics)
+    series, _ = synthesize_received(model, cfg.noise, synth_seed)
     q_len = cfg.plan.points_per_snapshot
     windows = series.samples[:cfg.plan.total_points].reshape(
         cfg.plan.num_snapshots, q_len)
@@ -313,10 +316,9 @@ def test_criterion_8(capsys):
     # snapshot matrix = harmonic mixture of steered amplitudes.
     scene = SourceScene((Doa.from_degrees(-22.0), Doa.from_degrees(12.0)),
                         (1.0, 1.0))
-    series, amps = synthesize_received(
-        surface, scene, plan, NoiseSpec.quiet(), rng_seed=5, mode="ideal",
-        max_harmonic=15, return_amplitudes=True)
     lines = harmonic_matrix(15, surface)
+    series, amps = synthesize_received(
+        signal_model(surface, scene, plan, "ideal", lines), NoiseSpec.quiet(), 5)
     snaps = extract_snapshots(series, plan, lines)
     steer = np.column_stack(
         [steering_vector(doa, surface) for doa in scene.doas])
@@ -385,7 +387,8 @@ def test_criterion_8(capsys):
     tiny_amps = (rng.standard_normal((1, 2))
                  + 1j * rng.standard_normal((1, 2))) / np.sqrt(2)
     stacked = stacked_crb(tiny, tiny_scene, tiny_plan, 2, 0.3, tiny_amps)
-    fast = crb(tiny, tiny_scene, tiny_plan, 2, 0.3, tiny_amps).matrix
+    tiny_core = crb_core(tiny, tiny_scene, harmonic_matrix(2, tiny))
+    fast = crb(tiny_core, tiny_plan, 0.3, tiny_amps).matrix
     checks.append(("stacked vs per-snapshot bound",
                    float(np.max(np.abs(stacked - fast)) / np.max(np.abs(stacked))), 1e-8))
 
@@ -407,10 +410,10 @@ def test_criterion_8(capsys):
 
     # The bound scales exactly: linear in noise power, inverse in the
     # number of samples.
-    base_m = crb(tiny, tiny_scene, tiny_plan, 2, 0.3, tiny_amps).matrix
-    doubled = crb(tiny, tiny_scene, tiny_plan, 2, 0.6, tiny_amps).matrix
+    base_m = crb(tiny_core, tiny_plan, 0.3, tiny_amps).matrix
+    doubled = crb(tiny_core, tiny_plan, 0.6, tiny_amps).matrix
     plan_2q = SamplingPlan(2e6, 1, 2, 1.6e-5)
-    halved = crb(tiny, tiny_scene, plan_2q, 2, 0.3, tiny_amps).matrix
+    halved = crb(tiny_core, plan_2q, 0.3, tiny_amps).matrix
     norm = float(np.max(np.abs(base_m)))
     scaling = max(
         float(np.max(np.abs(doubled - 2.0 * base_m))) / (2.0 * norm),

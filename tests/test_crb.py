@@ -11,6 +11,7 @@ from msdoa import (
     SurfaceConfig,
     UnidentifiableParameterError,
     crb,
+    crb_core,
     harmonic_matrix,
     steering_derivatives,
     steering_vector,
@@ -29,6 +30,10 @@ def _tiny_setup():
     amps = (rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2)))
     amps /= np.sqrt(2)
     return cfg, plan, scene, amps
+
+
+def _core(cfg, scene, max_harmonic=2, known_elevations=False):
+    return crb_core(cfg, scene, harmonic_matrix(max_harmonic, cfg), known_elevations)
 
 
 def test_steering_derivatives_match_finite_differences(table1_cfg):
@@ -51,7 +56,7 @@ def test_bound_matches_finite_difference_fisher():
     cfg, plan, scene, amps = _tiny_setup()
     sigma2 = 0.3
     max_harmonic = 2
-    res = crb(cfg, scene, plan, max_harmonic, sigma2, amps)
+    res = crb(_core(cfg, scene, max_harmonic), plan, sigma2, amps)
 
     um = harmonic_matrix(max_harmonic, cfg).entries
     num_snap = plan.num_snapshots
@@ -86,25 +91,25 @@ def test_fast_path_equals_checked_path():
     # stacked observation to 1e-8 relative, with and without elevations.
     cfg, plan, scene, amps = _tiny_setup()
     for known in (False, True):
-        fast = crb(cfg, scene, plan, 2, 0.3, amps, known_elevations=known).matrix
+        fast = crb(_core(cfg, scene, known_elevations=known), plan, 0.3, amps).matrix
         stacked = stacked_crb(cfg, scene, plan, 2, 0.3, amps, known_elevations=known)
         assert np.max(np.abs(fast - stacked)) <= 1e-8 * np.max(np.abs(stacked))
 
 
 def test_bound_scales_exactly():
     cfg, plan, scene, amps = _tiny_setup()
-    base = crb(cfg, scene, plan, 2, 0.3, amps).matrix
-    double_noise = crb(cfg, scene, plan, 2, 0.6, amps).matrix
+    base = crb(_core(cfg, scene), plan, 0.3, amps).matrix
+    double_noise = crb(_core(cfg, scene), plan, 0.6, amps).matrix
     assert np.allclose(double_noise, 2.0 * base, rtol=1e-12)
     # Doubling the sample rate doubles Q and halves the bound.
     plan2 = SamplingPlan(2e6, 1, 2, 1.6e-5)
-    double_q = crb(cfg, scene, plan2, 2, 0.3, amps).matrix
+    double_q = crb(_core(cfg, scene), plan2, 0.3, amps).matrix
     assert np.allclose(double_q, 0.5 * base, rtol=1e-12)
 
 
 def test_bound_symmetric_psd():
     cfg, plan, scene, amps = _tiny_setup()
-    res = crb(cfg, scene, plan, 2, 0.3, amps)
+    res = crb(_core(cfg, scene), plan, 0.3, amps)
     assert np.array_equal(res.matrix, res.matrix.T)
     assert np.all(np.linalg.eigvalsh(res.matrix) > 0)
     assert res.theta_bounds[0] == res.matrix[0, 0]
@@ -113,8 +118,8 @@ def test_bound_symmetric_psd():
 
 def test_common_phase_invariance():
     cfg, plan, scene, amps = _tiny_setup()
-    a = crb(cfg, scene, plan, 2, 0.3, amps).matrix
-    b = crb(cfg, scene, plan, 2, 0.3, amps * np.exp(0.83j)).matrix
+    a = crb(_core(cfg, scene), plan, 0.3, amps).matrix
+    b = crb(_core(cfg, scene), plan, 0.3, amps * np.exp(0.83j)).matrix
     assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-10
 
 
@@ -129,8 +134,8 @@ def test_two_source_bound_grows():
     amps2 = np.vstack([amps1, rng.standard_normal((1, 4))
                        + 1j * rng.standard_normal((1, 4))])
     plan4 = SamplingPlan(1e6, 1, 4, 1.6e-5)
-    b1 = crb(cfg, one, plan4, 2, 0.3, amps1)
-    b2 = crb(cfg, two, plan4, 2, 0.3, amps2)
+    b1 = crb(_core(cfg, one), plan4, 0.3, amps1)
+    b2 = crb(_core(cfg, two), plan4, 0.3, amps2)
     assert b2.theta_bounds[0] > b1.theta_bounds[0]
 
 
@@ -139,13 +144,13 @@ def test_zenith_is_unidentifiable():
     cfg, plan, _, amps = _tiny_setup()
     scene = SourceScene((Doa.from_degrees(10.0, 0.0),), (1.0,))
     with pytest.raises(UnidentifiableParameterError):
-        crb(cfg, scene, plan, 2, 0.3, amps)
+        crb(_core(cfg, scene), plan, 0.3, amps)
 
 
 def test_amplitude_shape_check():
     cfg, plan, scene, _ = _tiny_setup()
     with pytest.raises(Exception):
-        crb(cfg, scene, plan, 2, 0.3, np.ones((2, 2), dtype=complex))
+        crb(_core(cfg, scene), plan, 0.3, np.ones((2, 2), dtype=complex))
 
 
 def test_in_plane_sources_need_known_elevations(table1_cfg):
@@ -158,9 +163,8 @@ def test_in_plane_sources_need_known_elevations(table1_cfg):
     rng = np.random.default_rng(3)
     amps = (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
     with pytest.raises(UnidentifiableParameterError):
-        crb(table1_cfg, scene, plan, 15, 1.0, amps)
-    res = crb(table1_cfg, scene, plan, 15, 1.0, amps,
-              known_elevations=True)
+        crb(_core(table1_cfg, scene, 15), plan, 1.0, amps)
+    res = crb(_core(table1_cfg, scene, 15, known_elevations=True), plan, 1.0, amps)
     assert res.matrix.shape == (2, 2)
     assert res.theta_bounds.shape == (2,)
     assert np.all(np.sqrt(res.theta_bounds) < np.deg2rad(5.0))
@@ -169,9 +173,8 @@ def test_in_plane_sources_need_known_elevations(table1_cfg):
 def test_known_elevations_tightens_the_bound():
     # Dropping the elevation nuisance can only reduce the azimuth floor.
     cfg, plan, scene, amps = _tiny_setup()
-    joint = crb(cfg, scene, plan, 2, 0.3, amps)
-    azimuth_only = crb(cfg, scene, plan, 2, 0.3, amps,
-                       known_elevations=True)
+    joint = crb(_core(cfg, scene), plan, 0.3, amps)
+    azimuth_only = crb(_core(cfg, scene, known_elevations=True), plan, 0.3, amps)
     assert azimuth_only.theta_bounds[0] <= joint.theta_bounds[0] + 1e-15
 
 
@@ -181,4 +184,4 @@ def test_coincident_sources_rejected():
                          Doa.from_degrees(22.0, 70.0)), (1.0, 1.0))
     amps = np.ones((2, 2), dtype=complex)
     with pytest.raises(ConfigurationError):
-        crb(cfg, scene, plan, 2, 0.3, amps)
+        crb(_core(cfg, scene), plan, 0.3, amps)

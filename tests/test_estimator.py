@@ -34,13 +34,15 @@ from msdoa import (
     ps_covariance,
     recover_channels,
     resolve_experiment,
+    search_setup,
+    signal_model,
     smooth,
     smoothing_whitener,
     steering_vector,
     synthesize_received,
     whiten,
 )
-from msdoa.estimator import inclusive_grid, search_setup, whitener_inv_sqrt
+from msdoa.estimator import inclusive_grid, whitener_inv_sqrt
 from msdoa.harness import synthesize_trial
 from msdoa.surface import element_positions, receiver_delays
 
@@ -89,10 +91,8 @@ def test_make_ps_weights():
 
 def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
     noise = NoiseSpec.quiet() if noise is None else noise
-    series, amps = synthesize_received(
-        cfg, scene, plan, noise, rng_seed=rng_seed, mode=mode,
-        max_harmonic=15 if mode == "ideal" else None, return_amplitudes=True)
     um = harmonic_matrix(15, cfg)
+    series, amps = synthesize_received(signal_model(cfg, scene, plan, mode, um), noise, rng_seed)
     snaps = extract_snapshots(series, plan, um)
     comp = compensation_matrix(cfg)
     wh = smoothing_whitener(weights, comp, um, cfg)
@@ -217,19 +217,18 @@ def test_weight_bank_recovers_rank(table1_cfg, table1_plan):
         assert vals[1] / vals[0] > 1e-3  # second source visible again
 
 
-def _search_noiseless(table1_cfg, table1_plan, scene, params):
-    series = synthesize_received(
-        table1_cfg, scene, table1_plan, NoiseSpec.quiet(), rng_seed=5,
-        mode="ideal", max_harmonic=15)
+def _search_noiseless(table1_cfg, table1_plan, scene, params, weight_seed):
     um = harmonic_matrix(15, table1_cfg)
+    model = signal_model(table1_cfg, scene, table1_plan, "ideal", um)
+    series, _ = synthesize_received(model, NoiseSpec.quiet(), 5)
     snaps = extract_snapshots(series, table1_plan, um)
-    return estimate_doa(snaps, table1_cfg, params)
+    return estimate_doa(snaps, search_setup(table1_cfg, params), weight_seed)
 
 
 def test_music_noiseless_1d(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
-    params = EstimatorParams(num_sources=2, num_weights=5, weight_seed=2)
-    result = _search_noiseless(table1_cfg, table1_plan, scene, params)
+    params = EstimatorParams(num_sources=2, num_weights=5)
+    result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
     got = sorted(est.theta_deg for est in result.estimates)
     assert got == pytest.approx([-22.0, 12.0], abs=0.05)
     assert all(est.phi_deg == pytest.approx(90.0) for est in result.estimates)
@@ -240,12 +239,12 @@ def test_music_noiseless_1d(table1_cfg, table1_plan):
 def test_music_noiseless_1d_full_mode(table1_cfg, table1_plan):
     # Spectral folding in full synthesis may shift peaks one grid step.
     scene = SourceScene(TWO, (1.0, 1.0))
-    series = synthesize_received(table1_cfg, scene, table1_plan,
-                                 NoiseSpec.quiet(), rng_seed=5, mode="full")
+    model = signal_model(table1_cfg, scene, table1_plan, "full")
+    series, _ = synthesize_received(model, NoiseSpec.quiet(), 5)
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
-    params = EstimatorParams(num_sources=2, num_weights=5, weight_seed=2)
-    result = estimate_doa(snaps, table1_cfg, params)
+    params = EstimatorParams(num_sources=2, num_weights=5)
+    result = estimate_doa(snaps, search_setup(table1_cfg, params), 2)
     got = sorted(est.theta_deg for est in result.estimates)
     assert got == pytest.approx([-22.0, 12.0], abs=0.15)
 
@@ -255,9 +254,8 @@ def test_music_noiseless_2d(table1_cfg, table1_plan):
         (Doa.from_degrees(-36.0, 20.0), Doa.from_degrees(42.0, 45.0)),
         (1.0, 1.0))
     params = EstimatorParams(num_sources=2, num_weights=5, kind="2d",
-                             subarray_width=4, weight_seed=2,
-                             theta_grid_deg=(-90.0, 90.0, 0.5))
-    result = _search_noiseless(table1_cfg, table1_plan, scene, params)
+                             subarray_width=4, theta_grid_deg=(-90.0, 90.0, 0.5))
+    result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
     got = sorted(((e.theta_deg, e.phi_deg) for e in result.estimates))
     assert got[0] == pytest.approx((-36.0, 20.0), abs=0.5)
     assert got[1] == pytest.approx((42.0, 45.0), abs=0.5)
@@ -270,7 +268,7 @@ def test_music_coherent_pair_needs_weights(table1_cfg, table1_plan):
                         coherent_gains=(1.0, np.exp(0.9j)))
     good = _search_noiseless(
         table1_cfg, table1_plan, scene,
-        EstimatorParams(num_sources=2, num_weights=5, weight_seed=3))
+        EstimatorParams(num_sources=2, num_weights=5), 3)
     got = sorted(est.theta_deg for est in good.estimates)
     assert got == pytest.approx([-22.0, 12.0], abs=0.2)
 
@@ -283,28 +281,28 @@ def test_music_scale_equivariance(table1_cfg, table1_plan):
     cov = ps_covariance(smoothed)
     w = whitener_inv_sqrt(wh)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
-    a = music_search(whiten(cov, w), w, 2, table1_cfg, setup)
-    b = music_search(whiten(7.3 * cov, w), w, 2, table1_cfg, setup)
+    a = music_search(whiten(cov, w), w, setup)
+    b = music_search(whiten(7.3 * cov, w), w, setup)
     assert [e.theta_deg for e in a.estimates] == [e.theta_deg for e in b.estimates]
     # Scaling only scales eigenvalues; the subspaces and spectrum stay put.
     assert np.allclose(b.spectrum, a.spectrum, rtol=1e-9)
     assert np.allclose(b.eigenvalues, 7.3 * a.eigenvalues, rtol=1e-9)
 
 
-def _setup_1d(cfg):
-    return search_setup(cfg, EstimatorParams(num_sources=1, num_weights=5))
+def _setup_1d(cfg, num_sources=1):
+    return search_setup(cfg, EstimatorParams(num_sources=num_sources, num_weights=5))
 
 
 def test_music_no_noise_subspace(table1_cfg):
     with pytest.raises(NoNoiseSubspaceError):
-        music_search(np.eye(5, dtype=complex), np.eye(5, dtype=complex), 5,
-                     table1_cfg, _setup_1d(table1_cfg))
+        music_search(np.eye(5, dtype=complex), np.eye(5, dtype=complex),
+                     _setup_1d(table1_cfg, 5))
 
 
 def test_music_dimension_checks(table1_cfg):
     with pytest.raises(ConfigurationError):
-        music_search(np.eye(4, dtype=complex), np.eye(4, dtype=complex), 1,
-                     table1_cfg, _setup_1d(table1_cfg))  # full width expects rows = 5
+        music_search(np.eye(4, dtype=complex), np.eye(4, dtype=complex),
+                     _setup_1d(table1_cfg))  # full width expects rows = 5
     with pytest.raises(ValidationError):
         search_setup(table1_cfg, EstimatorParams(
             num_sources=1, num_weights=5, kind="2d", subarray_width=7))  # wider than cols
@@ -331,28 +329,26 @@ def test_inclusive_grid():
 
 def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
-    series = synthesize_received(table1_cfg, scene, table1_plan,
-                                 NoiseSpec(variance=0.5), rng_seed=31)
+    model = signal_model(table1_cfg, scene, table1_plan, "full")
+    series, _ = synthesize_received(model, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
-    params = EstimatorParams(num_sources=2, num_weights=5, weight_seed=17)
-    auto = estimate_doa(snaps, table1_cfg, params)
+    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
+    auto = estimate_doa(snaps, setup, 17)
 
     comp = compensation_matrix(table1_cfg)
     weights = make_ps_weights(5, 6, 17)
     w = whitener_inv_sqrt(smoothing_whitener(weights, comp, um, table1_cfg))
     smoothed = smooth(recover_channels(snaps.matrix, um), comp, weights, table1_cfg)
-    manual = music_search(
-        whiten(ps_covariance(smoothed), w), w, 2, table1_cfg,
-        search_setup(table1_cfg, params))
+    manual = music_search(whiten(ps_covariance(smoothed), w), w, setup)
     assert np.array_equal(auto.spectrum, manual.spectrum)
     assert auto.estimates == manual.estimates
 
 
 def test_estimate_doa_single_source(table1_cfg, table1_plan):
     scene = SourceScene((Doa.from_degrees(22.0, 90.0),), (1.0,))
-    params = EstimatorParams(num_sources=1, num_weights=5, weight_seed=2)
-    result = _search_noiseless(table1_cfg, table1_plan, scene, params)
+    params = EstimatorParams(num_sources=1, num_weights=5)
+    result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
     assert len(result.estimates) == 1
     assert result.estimates[0].theta_deg == pytest.approx(22.0, abs=0.05)
 
@@ -413,9 +409,9 @@ def _trial_zero(name, **estimator):
     cfg = resolve_experiment(load_config(builtin_config_path(name)))
     cfg = replace(cfg, estimator=replace(cfg.estimator, **estimator))
     context = build_context(cfg)
-    series, _, weight_seed = synthesize_trial(cfg, context, 0, 0)
+    series, _, weight_seed = synthesize_trial(context, 0, 0)
     snaps = extract_snapshots(series, cfg.plan, context.harmonics)
-    return cfg, replace(cfg.estimator, weight_seed=weight_seed), snaps
+    return cfg, context.search, weight_seed, snaps
 
 
 @pytest.mark.parametrize("name, grids", [
@@ -423,10 +419,11 @@ def _trial_zero(name, **estimator):
     ("table1_2d", {"theta_grid_deg": (-90.0, 90.0, 1.0), "phi_grid_deg": (0.0, 90.0, 1.0)}),
 ])
 def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
-    cfg, params, snaps = _trial_zero(name, **grids)
-    got = estimate_doa(snaps, cfg.surface, params)
+    cfg, setup, weight_seed, snaps = _trial_zero(name, **grids)
+    got = estimate_doa(snaps, setup, weight_seed)
+    params = cfg.estimator
     width = cfg.surface.cols if params.kind == "1d" else params.subarray_width
-    weights = make_ps_weights(params.num_weights, width, params.weight_seed)
+    weights = make_ps_weights(params.num_weights, width, weight_seed)
     thetas, phis, spectrum, estimates = oracles.separate_chain(
         snaps, cfg.surface, params, compensation_matrix(cfg.surface), weights.weights)
     assert np.array_equal(got.theta_grid_deg, thetas)
@@ -442,11 +439,11 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     # One eigendecomposition of the whitener (shared by whitening and
     # the search) and one of the whitened covariance.
     scene = SourceScene(TWO, (1.0, 1.0))
-    series = synthesize_received(table1_cfg, scene, table1_plan,
-                                 NoiseSpec(variance=0.5), rng_seed=31)
+    model = signal_model(table1_cfg, scene, table1_plan, "full")
+    series, _ = synthesize_received(model, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
-    params = EstimatorParams(num_sources=2, num_weights=5, weight_seed=17)
+    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
     whitener = smoothing_whitener(make_ps_weights(5, 6, 17),
                                   compensation_matrix(table1_cfg), um, table1_cfg)
     inputs = []
@@ -457,7 +454,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    estimate_doa(snaps, table1_cfg, params)
+    estimate_doa(snaps, setup, 17)
     assert len(inputs) == 2
     assert sum(np.array_equal(a, whitener) for a in inputs) == 1
 
@@ -483,16 +480,15 @@ def test_estimates_invariant_under_source_permutation(table1_cfg, table1_plan, c
     two_d, sources, order = case
     if two_d:
         params = EstimatorParams(num_sources=len(sources), num_weights=5, kind="2d",
-                                 subarray_width=4, weight_seed=2,
-                                 theta_grid_deg=(-90.0, 90.0, 1.0),
+                                 subarray_width=4, theta_grid_deg=(-90.0, 90.0, 1.0),
                                  phi_grid_deg=(0.0, 90.0, 1.0))
     else:
-        params = EstimatorParams(num_sources=len(sources), num_weights=5, weight_seed=2)
+        params = EstimatorParams(num_sources=len(sources), num_weights=5)
 
     def estimates(srcs):
         scene = SourceScene(tuple(Doa.from_degrees(t, p) for t, p, _ in srcs),
                             tuple(w for _, _, w in srcs))
-        result = _search_noiseless(table1_cfg, table1_plan, scene, params)
+        result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
         return set(result.estimates)
 
     assert estimates([sources[i] for i in order]) == estimates(sources)

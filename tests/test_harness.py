@@ -2,7 +2,6 @@
 
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from msdoa import (
     build_context,
     builtin_config_path,
     config_digest,
-    crb,
     estimate_doa,
     extract_snapshots,
     harmonic_matrix,
@@ -35,6 +33,8 @@ from msdoa import (
     run_sweep,
     run_trial,
     run_trials,
+    search_setup,
+    signal_model,
     synthesize_received,
     trial_seed_sequence,
     write_snapshots_csv,
@@ -79,12 +79,12 @@ def test_trial_seed_sequence():
 
 
 def test_run_trial_deterministic():
-    cfg = parse_config(SMALL)
-    a_out, a_bound = run_trial(cfg, 0, 0)
-    b_out, b_bound = run_trial(cfg, 0, 0)
+    context = build_context(parse_config(SMALL))
+    a_out, a_bound = run_trial(context, 0, 0)
+    b_out, b_bound = run_trial(context, 0, 0)
     assert a_out == b_out
     assert a_bound == b_bound
-    c_out, _ = run_trial(cfg, 0, 1)
+    c_out, _ = run_trial(context, 0, 1)
     assert c_out.errors_deg != a_out.errors_deg
 
 
@@ -225,6 +225,17 @@ def test_cli_invalid_config(tmp_path, capsys):
     assert "frequency lines" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, grid", [
+    ("table1", "theta_grid_deg=-90, 90, 180"),
+    ("table1_2d", "phi_grid_deg=0, 90, 90"),
+])
+def test_cli_rejects_two_point_search_grid(capsys, name, grid):
+    # The peak search needs a neighbor on each side, so a searched grid
+    # of 2 points is refused when the config is loaded.
+    assert main(["validate", "-c", builtin_config_path(name), "--set", grid]) == 2
+    assert "at least 3 points" in capsys.readouterr().err
+
+
 def test_cli_single_and_sweep(tmp_path, capsys):
     path = _write_cfg(tmp_path, SMALL)
     prefix = str(tmp_path / "cli")
@@ -273,7 +284,7 @@ def test_cli_crb_bounds_the_amplitudes_of_trial_zero(tmp_path, capsys):
     assert main(["crb", "-c", path, "-o", str(tmp_path / "bound")]) == 0
     printed = [line.split("sqrt_crb_deg=")[1]
                for line in capsys.readouterr().out.splitlines() if "sqrt_crb_deg=" in line]
-    _, bound = run_trial(resolve_experiment(load_config(path)), 0, 0)
+    _, bound = run_trial(build_context(resolve_experiment(load_config(path))), 0, 0)
     assert printed == [f"{b:.6g}" for b in bound]
 
 
@@ -281,21 +292,18 @@ def test_run_single_is_trial_zero(tmp_path):
     cfg = parse_config(COHERENT)
     out = run_single(cfg, str(tmp_path / "run"))
     resolved = resolve_experiment(cfg)
-    outcome, _ = run_trial(resolved, 0, 0)
+    outcome, _ = run_trial(build_context(resolved), 0, 0)
     assert out["result"].estimates == outcome.estimates
 
-    # Reference: trial (0, 0) composed from the public stages, each
-    # building its own trial-invariant state.
+    # Reference: trial (0, 0) composed from the public stages and the
+    # builders of their pieces, without a trial context.
     synth_seed, weight_seed = trial_seed_sequence(resolved.seed, 0, 0).spawn(2)
-    series = synthesize_received(
-        resolved.surface, resolved.scene, resolved.plan, resolved.noise,
-        mode=resolved.mode, rng_seed=synth_seed, max_harmonic=resolved.max_harmonic,
-    )
-    snapshots = extract_snapshots(
-        series, resolved.plan, harmonic_matrix(resolved.max_harmonic, resolved.surface)
-    )
+    harmonics = harmonic_matrix(resolved.max_harmonic, resolved.surface)
+    model = signal_model(resolved.surface, resolved.scene, resolved.plan, resolved.mode, harmonics)
+    series, _ = synthesize_received(model, resolved.noise, synth_seed)
+    snapshots = extract_snapshots(series, resolved.plan, harmonics)
     result = estimate_doa(
-        snapshots, resolved.surface, replace(resolved.estimator, weight_seed=weight_seed)
+        snapshots, search_setup(resolved.surface, resolved.estimator), weight_seed
     )
     ref = str(tmp_path / "ref")
     write_time_series(series, resolved.plan, f"{ref}_series.f64", seed=resolved.seed)
@@ -356,42 +364,20 @@ def test_shared_context_matches_fresh_context(cfg):
     # tiny surfaces have a rank-deficient harmonic matrix).
     context = _result_or_error(build_context, cfg)
     for trial in range(2):
-        fresh = _result_or_error(run_trial, cfg, 1, trial)
+        fresh = _result_or_error(lambda: run_trial(build_context(cfg), 1, trial))
         if isinstance(context, tuple):
             assert fresh == context
         else:
-            assert _result_or_error(run_trial, cfg, 1, trial, context=context) == fresh
+            assert _result_or_error(run_trial, context, 1, trial) == fresh
 
 
 def test_context_belongs_to_its_config():
-    cfg = parse_config(SMALL)
-    context = build_context(cfg)
-    with pytest.raises(ValidationError, match="another config"):
-        run_trial(replace(cfg, max_harmonic=4), 0, 0, context=context)
+    context = build_context(parse_config(SMALL))
     # Trials share these arrays, so none of them may be written.
     for arr in (context.harmonics.pseudo_inverse, context.harmonics.gram_inverse,
                 context.signal.patterns, context.search.manifold,
                 context.search.compensation, context.bound.core):
         assert not arr.flags.writeable
-
-
-def test_precomputed_pieces_must_match_their_call():
-    cfg = parse_config(SMALL)
-    other = parse_config(SMALL.replace("angles_deg = -20", "angles_deg = 30"))
-    context = build_context(cfg)
-    wrong = build_context(other)
-    _, amplitudes, _ = msdoa.harness.synthesize_trial(cfg, context, 0, 0)
-    with pytest.raises(ValidationError, match="signal model"):
-        synthesize_received(cfg.surface, cfg.scene, cfg.plan, cfg.noise,
-                            max_harmonic=cfg.max_harmonic, model=wrong.signal)
-    snapshots = extract_snapshots(synthesize_received(cfg.surface, cfg.scene, cfg.plan, cfg.noise),
-                                  cfg.plan, context.harmonics)
-    with pytest.raises(ValidationError, match="search setup"):
-        estimate_doa(snapshots, cfg.surface, replace(cfg.estimator, elevation_deg=80.0),
-                     context.search)
-    with pytest.raises(ValidationError, match="bound core"):
-        crb(cfg.surface, cfg.scene, cfg.plan, cfg.max_harmonic, cfg.noise.variance,
-            amplitudes, known_elevations=True, core=wrong.bound)
 
 
 def _count_calls(monkeypatch, module, name):

@@ -14,6 +14,7 @@ from msdoa import (
     extract_snapshots,
     frequency_indices,
     harmonic_matrix,
+    signal_model,
     steering_vector,
     synthesize_received,
     write_snapshots_csv,
@@ -50,10 +51,9 @@ def test_noiseless_snapshots_equal_mixture(table1_cfg, table1_plan):
     # Ideal-isolation synthesis then extraction reproduces the harmonic
     # mixture exactly: snapshot matrix = U A S.
     scene = SourceScene(TWO, (1.0, 1.0))
-    series, amps = synthesize_received(
-        table1_cfg, scene, table1_plan, NoiseSpec.quiet(), rng_seed=5,
-        mode="ideal", max_harmonic=15, return_amplitudes=True)
     um = harmonic_matrix(15, table1_cfg)
+    series, amps = synthesize_received(
+        signal_model(table1_cfg, scene, table1_plan, "ideal", um), NoiseSpec.quiet(), 5)
     snaps = extract_snapshots(series, table1_plan, um)
     steer = np.column_stack([steering_vector(d, table1_cfg) for d in scene.doas])
     want = um.entries @ steer @ amps
@@ -123,8 +123,8 @@ def test_multisnapshot_shape_check(table1_cfg, table1_plan):
 
 def test_snapshots_csv(tmp_path, table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
-    series = synthesize_received(table1_cfg, scene, table1_plan,
-                                 NoiseSpec.quiet(), rng_seed=5)
+    series, _ = synthesize_received(signal_model(table1_cfg, scene, table1_plan, "full"),
+                                    NoiseSpec.quiet(), 5)
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
     path = tmp_path / "snaps.csv"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msdoa import (
     ConfigurationError,
@@ -200,6 +202,19 @@ def test_harmonic_matrix_conjugate_rows(table1_cfg):
     # Row for -p is the conjugate of the row for +p.
     for p in range(1, 16):
         assert np.allclose(um.entries[15 - p], np.conj(um.entries[15 + p]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), max_harmonic=st.integers(0, 40))
+def test_harmonic_matrix_conjugate_rows_any_surface(rows, cols, max_harmonic):
+    # The coding waveform is real for every surface, so the row of
+    # order -p is the conjugate of the row of order +p and the mean row
+    # is real.
+    cfg = SurfaceConfig(rows=rows, cols=cols, carrier_hz=1e9,
+                        coding_period_s=1.6e-5, receiver_offset_m=0.6)
+    entries = harmonic_matrix(max_harmonic, cfg).entries
+    assert np.allclose(entries[::-1], np.conj(entries), rtol=0.0, atol=1e-14)
+    assert np.all(entries[max_harmonic].imag == 0.0)
 
 
 def test_pseudo_inverse_identity(table1_cfg):

@@ -1,7 +1,12 @@
 """Source scenes, sampling plans, and received-signal synthesis."""
 
+from fractions import Fraction
+from math import ceil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msdoa import (
     Doa,
@@ -13,7 +18,9 @@ from msdoa import (
     draw_source_amplitudes,
     make_coherent_gains,
     read_time_series,
+    harmonic_matrix,
     resolve_gains,
+    signal_model,
     synthesize_received,
     write_time_series,
 )
@@ -125,6 +132,20 @@ def test_slot_indices_partition():
     assert slots[101] == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), size=st.integers(2, 64))
+def test_slot_indices_match_exact_reference(data, size):
+    # Sample q at phase r = q mod z is in slot ceil(r*size/z) - 1, and
+    # phase 0 wraps to the last slot, also when z is no multiple of the
+    # element count and q lies many periods out.
+    z = data.draw(st.integers(1, 5000).filter(lambda v: v % size != 0), label="z")
+    periods = data.draw(st.integers(0, 10**9), label="periods")
+    phases = data.draw(st.lists(st.integers(0, z - 1), min_size=1, max_size=20), label="r")
+    q = np.array([periods * z + r for r in [0, *phases]], dtype=np.int64)
+    want = [size - 1 if r == 0 else ceil(Fraction(r * size, z)) - 1 for r in [0, *phases]]
+    assert _slot_indices(q, z, size).tolist() == want
+
+
 def test_slot_indices_match_waveform(small_cfg):
     # The synthesis slot table agrees with the continuous-time schedule.
     from msdoa import coding_waveform
@@ -144,22 +165,19 @@ def _table1_scene():
 
 
 def test_synthesis_deterministic(table1_cfg, table1_plan):
-    a = synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                            NoiseSpec.from_snr_db(0.0, 1.0), rng_seed=42)
-    b = synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                            NoiseSpec.from_snr_db(0.0, 1.0), rng_seed=42)
-    c = synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                            NoiseSpec.from_snr_db(0.0, 1.0), rng_seed=43)
+    model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
+    a, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), 42)
+    b, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), 42)
+    c, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), 43)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
     # Same seed, noiseless vs noisy: the signal part is unchanged.
-    quiet = synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                                NoiseSpec.quiet(), rng_seed=42)
-    noisy = synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                                NoiseSpec(variance=0.5), rng_seed=42)
+    model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
+    quiet, _ = synthesize_received(model, NoiseSpec.quiet(), 42)
+    noisy, _ = synthesize_received(model, NoiseSpec(variance=0.5), 42)
     diff = noisy.samples - quiet.samples
     assert np.std(diff) > 0
     # Residual is exactly the additive noise: variance M*N*sigma^2.
@@ -168,12 +186,10 @@ def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
 
 def test_noise_variance_scaling(table1_cfg, table1_plan):
     # K = 0 leaves pure noise with per-sample variance M*N*sigma^2.
-    empty = SourceScene((), ())
-    series = synthesize_received(table1_cfg, empty, table1_plan,
-                                 NoiseSpec(variance=2.0), rng_seed=9)
+    model = signal_model(table1_cfg, SourceScene((), ()), table1_plan, "full")
+    series, _ = synthesize_received(model, NoiseSpec(variance=2.0), 9)
     assert np.mean(np.abs(series.samples) ** 2) == pytest.approx(60.0, rel=0.05)
-    quiet = synthesize_received(table1_cfg, empty, table1_plan,
-                                NoiseSpec.quiet(), rng_seed=9)
+    quiet, _ = synthesize_received(model, NoiseSpec.quiet(), 9)
     assert np.array_equal(quiet.samples, np.zeros(table1_plan.total_points))
 
 
@@ -190,13 +206,12 @@ def test_full_vs_ideal_folding(table1_cfg):
     # full one; the residue is spectral content beyond the budget.
     scene = _table1_scene()
     plan = SamplingPlan(50e6, 2, 2, 1.6e-5)
-    full = synthesize_received(table1_cfg, scene, plan,
-                               NoiseSpec.quiet(), rng_seed=4, mode="full")
+    full, _ = synthesize_received(signal_model(table1_cfg, scene, plan, "full"),
+                                  NoiseSpec.quiet(), 4)
 
     def rel(cap):
-        ideal = synthesize_received(table1_cfg, scene, plan,
-                                    NoiseSpec.quiet(), rng_seed=4,
-                                    mode="ideal", max_harmonic=cap)
+        model = signal_model(table1_cfg, scene, plan, "ideal", harmonic_matrix(cap, table1_cfg))
+        ideal, _ = synthesize_received(model, NoiseSpec.quiet(), 4)
         return (np.linalg.norm(full.samples - ideal.samples)
                 / np.linalg.norm(full.samples))
 
@@ -211,11 +226,10 @@ def test_folding_residue_shrinks_with_oversampling(table1_cfg):
     def residue(fs_mult):
         plan = SamplingPlan(50e6 * fs_mult, 2, 2, 1.6e-5)
         cap = plan.points_per_period // 2 - 1
-        full = synthesize_received(table1_cfg, scene, plan,
-                                   NoiseSpec.quiet(), rng_seed=4, mode="full")
-        ideal = synthesize_received(table1_cfg, scene, plan,
-                                    NoiseSpec.quiet(), rng_seed=4, mode="ideal",
-                                    max_harmonic=cap)
+        full, _ = synthesize_received(signal_model(table1_cfg, scene, plan, "full"),
+                                      NoiseSpec.quiet(), 4)
+        model = signal_model(table1_cfg, scene, plan, "ideal", harmonic_matrix(cap, table1_cfg))
+        ideal, _ = synthesize_received(model, NoiseSpec.quiet(), 4)
         return (np.linalg.norm(full.samples - ideal.samples)
                 / np.linalg.norm(full.samples))
 
@@ -224,30 +238,26 @@ def test_folding_residue_shrinks_with_oversampling(table1_cfg):
 
 def test_mode_and_plan_validation(table1_cfg, table1_plan):
     with pytest.raises(ValidationError):
-        synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                            NoiseSpec.quiet(), mode="approximate")
+        signal_model(table1_cfg, _table1_scene(), table1_plan, "approximate")
     bad_plan = SamplingPlan(50e6, 2, 5, 3.2e-5)  # wrong coding period
     with pytest.raises(ValidationError):
-        synthesize_received(table1_cfg, _table1_scene(), bad_plan,
-                            NoiseSpec.quiet())
+        signal_model(table1_cfg, _table1_scene(), bad_plan, "full")
     with pytest.raises(ValidationError):
-        synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                            NoiseSpec.quiet(), mode="ideal")  # needs budget
+        signal_model(table1_cfg, _table1_scene(), table1_plan, "ideal")  # needs budget
 
 
 def test_return_amplitudes(table1_cfg, table1_plan):
-    series, amps = synthesize_received(
-        table1_cfg, _table1_scene(), table1_plan, NoiseSpec.quiet(),
-        rng_seed=21, return_amplitudes=True)
+    model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
+    series, amps = synthesize_received(model, NoiseSpec.quiet(), 21)
     assert amps.shape == (2, 5)
-    again = synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                                NoiseSpec.quiet(), rng_seed=21)
+    again, again_amps = synthesize_received(model, NoiseSpec.quiet(), 21)
     assert np.array_equal(series.samples, again.samples)
+    assert np.array_equal(amps, again_amps)
 
 
 def test_series_roundtrip(tmp_path, table1_cfg, table1_plan):
-    series = synthesize_received(table1_cfg, _table1_scene(), table1_plan,
-                                 NoiseSpec(variance=0.3), rng_seed=8)
+    model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
+    series, _ = synthesize_received(model, NoiseSpec(variance=0.3), 8)
     path = str(tmp_path / "rx.bin")
     write_time_series(series, table1_plan, path, seed=8)
     back = read_time_series(path)
