@@ -34,6 +34,7 @@ from .errors import (
 )
 from .estimator import (
     EstimatorParams,
+    MusicBatch,
     MusicResult,
     PsWeightSet,
     compensation_matrix,
@@ -54,9 +55,9 @@ from .harness import (
     TrialContext,
     build_context,
     resolve_experiment,
+    run_chunk,
     run_single,
     run_sweep,
-    run_trial,
     run_trials,
     trial_seed_sequence,
     write_sweep_csv,

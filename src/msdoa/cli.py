@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import config_digest, load_config
-from .errors import MsdoaError, ValidationError
+from .config import apply_sweep_value, config_digest, load_config
+from .errors import DegenerateCodingError, MsdoaError, ValidationError
 from .harness import (
     build_context,
     resolve_experiment,
@@ -66,6 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(cfg, args) -> int:
+    # Building each point's context runs the checks that need the
+    # harmonic matrix's SVD, such as its rank.
+    resolved = resolve_experiment(cfg)
+    points = [resolved] if cfg.sweep is None else [
+        apply_sweep_value(resolved, value) for value in cfg.sweep.values
+    ]
+    try:
+        for point in points:
+            build_context(point)
+    except DegenerateCodingError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(f"OK config_sha256={config_digest(cfg)}")
     return EXIT_OK
 

@@ -335,6 +335,13 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     axes = [("theta", "theta_grid_deg", theta_grid)]
     if est.kind == "2d":
         axes.append(("phi", "phi_grid_deg", elevations))
+        # The manifold sees the elevation only through sin(phi), so phi
+        # and 180 - phi cannot be told apart.
+        if elevations[-1] > 90.0:
+            raise ConfigurationError(
+                f"phi_grid_deg reaches {elevations[-1]:g} deg; elevations past 90 "
+                "mirror those below it, so the search would return mirrored pairs"
+            )
     for k, doa in enumerate(cfg.scene.doas, 1):
         for axis, key, grid in axes:
             angle = getattr(doa, f"{axis}_deg")

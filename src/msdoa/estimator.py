@@ -15,6 +15,15 @@ vectors as smooth(B e), with B the recovery left inverse, so the
 whitener is the outer-product sum of the smoothed recovery matrix
 itself. Its inverse square root is taken once per trial and used both
 to whiten the covariance and to whiten the search manifold.
+
+The search serves a batch of trials. Each elevation's manifold is
+built once per batch, and every trial's whitened noise basis is
+projected onto it in one stacked product. That product makes the same
+BLAS call per trial as a batch of one would, so no bit of a spectrum
+depends on the batch. A single product of all the bases stacked as
+rows would not keep that: a one-row basis goes to a matrix-vector
+kernel and several rows to a matrix-matrix kernel, which round
+differently.
 """
 
 from __future__ import annotations
@@ -30,11 +39,15 @@ from .errors import (
     NoNoiseSubspaceError,
     ValidationError,
 )
-from .snapshot import MultiSnapshot
 from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 
 # Relative eigenvalue floor below which the whitener is rejected.
 WHITENER_RTOL = 1e-12
+# Bytes a search batch may hold: its trials' spectra plus the projection
+# of all their noise bases onto one elevation's manifold, complex, with
+# its squared magnitude. 2.5 MiB lets the 361 x 181 grid of table1_2d
+# search 4 trials per manifold build.
+SEARCH_BATCH_BYTES = 5 * 2**19
 
 
 def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
@@ -221,6 +234,19 @@ class MusicResult:
     eigenvalues: np.ndarray
 
 
+@dataclass(eq=False)
+class MusicBatch:
+    """The searches of a batch of trials over one grid.
+
+    ``spectrum`` is (trials, azimuths, elevations), every grid point of
+    every trial; ``results`` holds each trial's :class:`MusicResult`,
+    whose spectrum is a view into it.
+    """
+
+    spectrum: np.ndarray
+    results: tuple[MusicResult, ...]
+
+
 @dataclass(frozen=True)
 class EstimatorParams:
     """Knobs of the end-to-end estimator.
@@ -281,10 +307,14 @@ class SearchSetup:
 
     Holds the surface, the source count, the weight count, the phase
     compensation, the smoothing window width, the azimuth and elevation
-    grids, and, when there is one elevation, the manifold over the
-    azimuth grid. With an elevation grid the manifolds are built per
-    elevation during the search instead, since holding them all would
-    cost megabytes. Arrays are read-only: trials share them.
+    grids, the search batch size and, when there is one elevation, the
+    manifold over the azimuth grid. With an elevation grid the manifolds
+    are built per elevation during the search instead: holding all of
+    them would cost megabytes (15.7 MB on table1_2d), while one serves
+    every trial of a batch. ``batch_size`` is the most trials whose
+    spectra plus one elevation's projection and its squared magnitude
+    fit in ``SEARCH_BATCH_BYTES``, and at least 1. Arrays are
+    read-only: trials share them.
     """
 
     surface: SurfaceConfig
@@ -295,6 +325,7 @@ class SearchSetup:
     theta_grid_deg: np.ndarray
     elevation_grid_deg: np.ndarray
     manifold: np.ndarray | None
+    batch_size: int
 
 
 def search_setup(cfg: SurfaceConfig, params: EstimatorParams) -> SearchSetup:
@@ -310,33 +341,46 @@ def search_setup(cfg: SurfaceConfig, params: EstimatorParams) -> SearchSetup:
         raise ValidationError(f"window width {width} must lie in [1, {cfg.cols}]")
     theta_grid, elevations = search_grids(params)
     comp = compensation_matrix(cfg)
+    out_cols = cfg.cols - width + 1
     manifold = None
     if elevations.size == 1:
-        manifold = _manifold(
-            np.deg2rad(theta_grid), np.deg2rad(elevations[0]), cfg.cols - width + 1, cfg
-        )
+        manifold = _manifold(np.deg2rad(theta_grid), np.deg2rad(elevations[0]), out_cols, cfg)
+    noise_dim = max(cfg.rows * out_cols - params.num_sources, 0)
+    trial_bytes = theta_grid.size * (8 * elevations.size + 24 * noise_dim)
+    batch_size = max(1, SEARCH_BATCH_BYTES // trial_bytes)
     for arr in (comp, theta_grid, elevations, manifold):
         if arr is not None:
             arr.flags.writeable = False
     return SearchSetup(
-        cfg, params.num_sources, params.num_weights, comp, width, theta_grid, elevations, manifold
+        cfg,
+        params.num_sources,
+        params.num_weights,
+        comp,
+        width,
+        theta_grid,
+        elevations,
+        manifold,
+        batch_size,
     )
 
 
-def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetup) -> MusicResult:
-    """Subspace spectrum search over the setup's azimuth x elevation grid.
+def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetup) -> MusicBatch:
+    """Subspace spectrum search of a batch of trials over the setup's grid.
 
-    Eigenvectors of the whitened covariance beyond the setup's
-    ``num_sources`` largest span the noise subspace; the spectrum is
-    the reciprocal projection of the whitened manifold W^-1/2 a onto
-    it, and estimates are the ``num_sources`` largest strict local
-    maxima (fewer if the spectrum has fewer peaks). ``w_inv_sqrt`` is
-    the whitening transform :func:`whiten` applied.
+    ``whitened`` and ``w_inv_sqrt`` stack one whitened covariance and
+    the whitening transform :func:`whiten` applied to it per trial,
+    shape (trials, dim, dim). Eigenvectors of each whitened covariance
+    beyond the setup's ``num_sources`` largest span that trial's noise
+    subspace; its spectrum is the reciprocal projection of the whitened
+    manifold W^-1/2 a onto it, and its estimates are the
+    ``num_sources`` largest strict local maxima (fewer if the spectrum
+    has fewer peaks). Each elevation's manifold is built once and all
+    trials' noise bases are projected onto it in one stacked product.
     """
     cfg, num_sources = setup.surface, setup.num_sources
-    dim = whitened.shape[0]
-    if whitened.shape != (dim, dim) or w_inv_sqrt.shape != (dim, dim):
-        raise ValidationError("whitened covariance and whitener must be square and matching")
+    trials, dim = whitened.shape[0], whitened.shape[-1]
+    if whitened.shape != (trials, dim, dim) or w_inv_sqrt.shape != whitened.shape:
+        raise ValidationError("whitened covariances and whiteners must be matching square stacks")
     out_cols = cfg.cols - setup.width + 1
     if dim != cfg.rows * out_cols:
         raise ConfigurationError(
@@ -349,48 +393,62 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
         )
 
     vals, vecs = np.linalg.eigh(whitened)
-    order = np.argsort(-vals, kind="stable")
-    eigenvalues = vals[order]
-    basis_w = vecs[:, order[num_sources:]].conj().T @ w_inv_sqrt
+    order = np.argsort(-vals, axis=1, kind="stable")
+    eigenvalues = np.take_along_axis(vals, order, axis=1)
+    noise = np.take_along_axis(vecs, order[:, None, num_sources:], axis=2)
+    basis_w = noise.conj().transpose(0, 2, 1) @ w_inv_sqrt
 
     theta_grid, elevations = setup.theta_grid_deg, setup.elevation_grid_deg
     theta_rad = np.deg2rad(theta_grid)
     tiny = np.finfo(float).tiny
-    spectrum = np.empty((theta_grid.size, elevations.size))
+    spectrum = np.empty((trials, theta_grid.size, elevations.size))
+    # |projection|^2, squared in place so that an elevation holds only
+    # the complex projection and this buffer (see SEARCH_BATCH_BYTES).
+    power = np.empty((trials, dim - num_sources, theta_grid.size))
     for j, phi in enumerate(np.deg2rad(elevations)):
         manifold = setup.manifold
         if manifold is None:
             manifold = _manifold(theta_rad, phi, out_cols, cfg)
-        proj = basis_w @ manifold
-        spectrum[:, j] = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0), tiny)
+        np.square(np.abs(basis_w @ manifold, out=power), out=power)
+        spectrum[:, :, j] = 1.0 / np.maximum(np.sum(power, axis=1), tiny)
 
-    peaks = _local_maxima(spectrum)
-    ranked = np.argsort(-spectrum[peaks], kind="stable")[:num_sources]
-    # Estimates carry the exact grid degrees, not a radian round trip.
-    estimates = tuple(
-        Doa.from_degrees(float(theta_grid[peaks[0][i]]), float(elevations[peaks[1][i]]))
-        for i in ranked
-    )
-    if elevations.size == 1:
-        return MusicResult(theta_grid, None, spectrum[:, 0], estimates, eigenvalues)
-    return MusicResult(theta_grid, elevations, spectrum, estimates, eigenvalues)
+    results = []
+    for values, eigs in zip(spectrum, eigenvalues):
+        peaks = _local_maxima(values)
+        ranked = np.argsort(-values[peaks], kind="stable")[:num_sources]
+        # Estimates carry the exact grid degrees, not a radian round trip.
+        estimates = tuple(
+            Doa.from_degrees(float(theta_grid[peaks[0][i]]), float(elevations[peaks[1][i]]))
+            for i in ranked
+        )
+        if elevations.size == 1:
+            results.append(MusicResult(theta_grid, None, values[:, 0], estimates, eigs))
+        else:
+            results.append(MusicResult(theta_grid, elevations, values, estimates, eigs))
+    return MusicBatch(spectrum, tuple(results))
 
 
-def estimate_doa(snapshots: MultiSnapshot, setup: SearchSetup, rng_seed) -> MusicResult:
-    """Run the full recover/compensate/smooth/whiten/search chain.
+def estimate_doa(snapshots, setup: SearchSetup, rng_seeds) -> MusicBatch:
+    """Run the recover/compensate/smooth/whiten chain per trial, then one batched search.
 
-    ``setup`` is the :func:`search_setup` of the surface and estimator;
-    ``rng_seed`` seeds the trial's smoothing weight rows.
+    ``snapshots`` holds each trial's :class:`MultiSnapshot` and
+    ``rng_seeds`` the seeds of its smoothing weight rows, in the same
+    order; ``setup`` is the :func:`search_setup` of the surface and
+    estimator. Everything up to the whitened covariance is per trial;
+    :func:`music_search` then searches the whole batch at once.
     """
-    cfg, harmonics = setup.surface, snapshots.harmonics
-    weights = make_ps_weights(setup.num_weights, setup.width, rng_seed)
-    whitener = smoothing_whitener(weights, setup.compensation, harmonics, cfg)
-    w_inv_sqrt = whitener_inv_sqrt(whitener)
-
-    recovered = recover_channels(snapshots.matrix, harmonics)
-    covariance = ps_covariance(smooth(recovered, setup.compensation, weights, cfg))
-    whitened = whiten(covariance, w_inv_sqrt)
-    return music_search(whitened, w_inv_sqrt, setup)
+    cfg = setup.surface
+    whitened, w_inv_sqrts = [], []
+    for snaps, rng_seed in zip(snapshots, rng_seeds, strict=True):
+        harmonics = snaps.harmonics
+        weights = make_ps_weights(setup.num_weights, setup.width, rng_seed)
+        whitener = smoothing_whitener(weights, setup.compensation, harmonics, cfg)
+        w_inv_sqrt = whitener_inv_sqrt(whitener)
+        recovered = recover_channels(snaps.matrix, harmonics)
+        covariance = ps_covariance(smooth(recovered, setup.compensation, weights, cfg))
+        whitened.append(whiten(covariance, w_inv_sqrt))
+        w_inv_sqrts.append(w_inv_sqrt)
+    return music_search(np.stack(whitened), np.stack(w_inv_sqrts), setup)
 
 
 def write_spectrum_csv(result: MusicResult, path: str) -> None:

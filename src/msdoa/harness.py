@@ -5,17 +5,30 @@ How a sweep runs: each sweep value gives one config point, and
 context holds everything no trial changes: the harmonic matrix with
 its rank check and pseudo-inverse; the phase compensation; the signal
 model (the scene steering with the full-mode switched patterns or the
-ideal-mode phase table); the smoothing window width, the search grids
-and, at one known elevation, the search manifold; and the bound's
-rank-checked projected core. Each stage of a trial takes its piece of
-the context and the trial's own draws, nothing the piece was built
-from, and does only what those draws change: amplitudes and noise,
-synthesis, snapshot extraction, the smoothing weights with their
-whitener and its inverse square root, smoothing, the
-eigendecomposition and search projection, and the bound's
-amplitude-dependent product and inverse. With several workers the
-trials go out in contiguous chunks, one per worker, and each chunk
-builds the context once.
+ideal-mode phase table); the smoothing window width, the search grids,
+the search batch size and, at one known elevation, the search
+manifold; and the bound's rank-checked projected core. Each stage of a
+trial takes its piece of the context and the trial's own draws,
+nothing the piece was built from, and does only what those draws
+change: amplitudes and noise, synthesis, snapshot extraction, the
+smoothing weights with their whitener and its inverse square root,
+smoothing, the covariance and its eigendecomposition, and the bound's
+amplitude-dependent product and inverse.
+
+The search is the one stage that serves several trials at once.
+:func:`run_chunk` walks its trials in batches of the setup's
+``batch_size``. It synthesizes and extracts each trial of a batch and
+hands their snapshots and smoothing seeds to one :func:`estimate_doa`
+call, which whitens each trial on its own and then searches them
+together, building each elevation's manifold once per batch rather
+than once per trial. :func:`run_trial` then scores each trial and
+bounds its amplitudes. The batch size follows from the grid sizes and
+the noise dimension under a fixed byte budget (see
+``msdoa.estimator.SEARCH_BATCH_BYTES``), and every result is bitwise
+the same for every batch size. ``single`` is the batch of the one
+trial (0, 0), and ``crb`` bounds the amplitudes that trial draws. With
+several workers the trials go out in contiguous chunks, one per
+worker, and each chunk builds the context once.
 
 Per-trial seeds derive from (experiment seed, sweep index, trial index)
 alone, so results are identical for identical configs regardless of how
@@ -110,14 +123,18 @@ def synthesize_trial(context: TrialContext, sweep_index: int, trial_index: int):
     return series, amplitudes, smoothing_seed
 
 
-def _simulate(context: TrialContext, sweep_index: int, trial_index: int):
-    """Series, amplitudes, snapshots and estimate (``None`` without sources) of one trial."""
+def _draw(context: TrialContext, sweep_index: int, trial_index: int):
+    """Series, amplitudes, snapshots and smoothing seed of one trial."""
     series, amplitudes, smoothing_seed = synthesize_trial(context, sweep_index, trial_index)
     snapshots = extract_snapshots(series, context.config.plan, context.harmonics)
-    result = None
-    if context.config.scene.num_sources > 0:
-        result = estimate_doa(snapshots, context.search, smoothing_seed)
-    return series, amplitudes, snapshots, result
+    return series, amplitudes, snapshots, smoothing_seed
+
+
+def _estimate(context: TrialContext, snapshots, smoothing_seeds) -> tuple:
+    """Estimates of a batch of trials, or ``None`` each without sources."""
+    if context.config.scene.num_sources == 0:
+        return (None,) * len(snapshots)
+    return estimate_doa(snapshots, context.search, smoothing_seeds).results
 
 
 def trial_bound(context: TrialContext, amplitudes) -> CrbResult:
@@ -128,16 +145,13 @@ def trial_bound(context: TrialContext, amplitudes) -> CrbResult:
     return crb(context.bound, cfg.plan, cfg.noise.variance, amplitudes)
 
 
-def run_trial(
-    context: TrialContext, sweep_index: int, trial_index: int
-) -> tuple[TrialOutcome, tuple[float, ...]]:
-    """One synthesize/extract/estimate/score pass plus its angle bound.
+def run_trial(context: TrialContext, amplitudes, result) -> tuple[TrialOutcome, tuple[float, ...]]:
+    """Score one trial's estimate and bound the amplitudes it drew.
 
-    ``context`` is the point's :func:`build_context`. Returns the trial
-    outcome and the per-source square-root bound in degrees, computed
-    from the amplitudes this trial actually drew.
+    ``result`` is the trial's search result from :func:`run_chunk`'s
+    batch. Returns the trial outcome and the per-source square-root
+    bound in degrees.
     """
-    _, amplitudes, _, result = _simulate(context, sweep_index, trial_index)
     # Scoring rejects a scene without sources before reading the result.
     outcome = resolve_and_score(result, context.config.scene.doas)
     bound = trial_bound(context, amplitudes)
@@ -145,10 +159,29 @@ def run_trial(
     return outcome, sqrt_crb_deg
 
 
+def run_chunk(context: TrialContext, sweep_index: int, trial_indices):
+    """Outcome and square-root bound of each listed trial of one config point.
+
+    ``context`` is the point's :func:`build_context`. The trials are
+    drawn one by one and searched in batches of the search setup's
+    ``batch_size``; each trial is then scored by :func:`run_trial`.
+    """
+    size = context.search.batch_size
+    out = []
+    for start in range(0, len(trial_indices), size):
+        # Each series is dropped as soon as its snapshots are taken.
+        drawn = [_draw(context, sweep_index, t)[1:] for t in trial_indices[start : start + size]]
+        amplitudes, snapshots, seeds = zip(*drawn)
+        results = _estimate(context, snapshots, seeds)
+        out.extend(run_trial(context, a, r) for a, r in zip(amplitudes, results))
+        # Free the batch's spectra before the next batch is searched.
+        del results
+    return out
+
+
 def _trial_chunk(args):
     cfg, sweep_index, trial_indices = args
-    context = build_context(cfg)
-    return [run_trial(context, sweep_index, t) for t in trial_indices]
+    return run_chunk(build_context(cfg), sweep_index, trial_indices)
 
 
 def run_trials(cfg: ExperimentConfig, sweep_index: int = 0, workers: int = 1):
@@ -271,7 +304,9 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     """
     cfg = resolve_experiment(cfg)
     prefix = out_prefix if out_prefix is not None else cfg.output
-    series, _, snapshots, result = _simulate(build_context(cfg), 0, 0)
+    context = build_context(cfg)
+    series, _, snapshots, smoothing_seed = _draw(context, 0, 0)
+    (result,) = _estimate(context, [snapshots], [smoothing_seed])
 
     q_len = cfg.plan.points_per_snapshot
     windows = series.samples[: cfg.plan.total_points].reshape(-1, q_len)

@@ -49,6 +49,16 @@ from msdoa.surface import element_positions, receiver_delays
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
 
+def _estimate_one(snapshots, setup, weight_seed):
+    """The estimate of one trial: a batch of one."""
+    return estimate_doa([snapshots], setup, [weight_seed]).results[0]
+
+
+def _search_one(whitened, w_inv_sqrt, setup):
+    """The search of one whitened covariance: a batch of one."""
+    return music_search(whitened[None], w_inv_sqrt[None], setup).results[0]
+
+
 def test_recover_channels_left_inverse(table1_cfg, rng):
     um = harmonic_matrix(15, table1_cfg)
     g = rng.standard_normal(30) + 1j * rng.standard_normal(30)
@@ -222,7 +232,7 @@ def _search_noiseless(table1_cfg, table1_plan, scene, params, weight_seed):
     model = signal_model(table1_cfg, scene, table1_plan, "ideal", um)
     series, _ = synthesize_received(model, NoiseSpec.quiet(), 5)
     snaps = extract_snapshots(series, table1_plan, um)
-    return estimate_doa(snaps, search_setup(table1_cfg, params), weight_seed)
+    return _estimate_one(snaps, search_setup(table1_cfg, params), weight_seed)
 
 
 def test_music_noiseless_1d(table1_cfg, table1_plan):
@@ -244,7 +254,7 @@ def test_music_noiseless_1d_full_mode(table1_cfg, table1_plan):
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
     params = EstimatorParams(num_sources=2, num_weights=5)
-    result = estimate_doa(snaps, search_setup(table1_cfg, params), 2)
+    result = _estimate_one(snaps, search_setup(table1_cfg, params), 2)
     got = sorted(est.theta_deg for est in result.estimates)
     assert got == pytest.approx([-22.0, 12.0], abs=0.15)
 
@@ -281,8 +291,8 @@ def test_music_scale_equivariance(table1_cfg, table1_plan):
     cov = ps_covariance(smoothed)
     w = whitener_inv_sqrt(wh)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
-    a = music_search(whiten(cov, w), w, setup)
-    b = music_search(whiten(7.3 * cov, w), w, setup)
+    a = _search_one(whiten(cov, w), w, setup)
+    b = _search_one(whiten(7.3 * cov, w), w, setup)
     assert [e.theta_deg for e in a.estimates] == [e.theta_deg for e in b.estimates]
     # Scaling only scales eigenvalues; the subspaces and spectrum stay put.
     assert np.allclose(b.spectrum, a.spectrum, rtol=1e-9)
@@ -295,14 +305,14 @@ def _setup_1d(cfg, num_sources=1):
 
 def test_music_no_noise_subspace(table1_cfg):
     with pytest.raises(NoNoiseSubspaceError):
-        music_search(np.eye(5, dtype=complex), np.eye(5, dtype=complex),
-                     _setup_1d(table1_cfg, 5))
+        _search_one(np.eye(5, dtype=complex), np.eye(5, dtype=complex),
+                    _setup_1d(table1_cfg, 5))
 
 
 def test_music_dimension_checks(table1_cfg):
     with pytest.raises(ConfigurationError):
-        music_search(np.eye(4, dtype=complex), np.eye(4, dtype=complex),
-                     _setup_1d(table1_cfg))  # full width expects rows = 5
+        _search_one(np.eye(4, dtype=complex), np.eye(4, dtype=complex),
+                    _setup_1d(table1_cfg))  # full width expects rows = 5
     with pytest.raises(ValidationError):
         search_setup(table1_cfg, EstimatorParams(
             num_sources=1, num_weights=5, kind="2d", subarray_width=7))  # wider than cols
@@ -334,13 +344,13 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
-    auto = estimate_doa(snaps, setup, 17)
+    auto = _estimate_one(snaps, setup, 17)
 
     comp = compensation_matrix(table1_cfg)
     weights = make_ps_weights(5, 6, 17)
     w = whitener_inv_sqrt(smoothing_whitener(weights, comp, um, table1_cfg))
     smoothed = smooth(recover_channels(snaps.matrix, um), comp, weights, table1_cfg)
-    manual = music_search(whiten(ps_covariance(smoothed), w), w, setup)
+    manual = _search_one(whiten(ps_covariance(smoothed), w), w, setup)
     assert np.array_equal(auto.spectrum, manual.spectrum)
     assert auto.estimates == manual.estimates
 
@@ -420,7 +430,7 @@ def _trial_zero(name, **estimator):
 ])
 def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
     cfg, setup, weight_seed, snaps = _trial_zero(name, **grids)
-    got = estimate_doa(snaps, setup, weight_seed)
+    got = _estimate_one(snaps, setup, weight_seed)
     params = cfg.estimator
     width = cfg.surface.cols if params.kind == "1d" else params.subarray_width
     weights = make_ps_weights(params.num_weights, width, weight_seed)
@@ -454,7 +464,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    estimate_doa(snaps, setup, 17)
+    _estimate_one(snaps, setup, 17)
     assert len(inputs) == 2
     assert sum(np.array_equal(a, whitener) for a in inputs) == 1
 

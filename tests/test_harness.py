@@ -2,10 +2,11 @@
 
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import msdoa.estimator
@@ -31,7 +32,7 @@ from msdoa import (
     resolve_experiment,
     run_single,
     run_sweep,
-    run_trial,
+    run_chunk,
     run_trials,
     search_setup,
     signal_model,
@@ -80,12 +81,15 @@ def test_trial_seed_sequence():
 
 def test_run_trial_deterministic():
     context = build_context(parse_config(SMALL))
-    a_out, a_bound = run_trial(context, 0, 0)
-    b_out, b_bound = run_trial(context, 0, 0)
+    (a_out, a_bound), = run_chunk(context, 0, [0])
+    (b_out, b_bound), = run_chunk(context, 0, [0])
     assert a_out == b_out
     assert a_bound == b_bound
-    c_out, _ = run_trial(context, 0, 1)
+    (c_out, c_bound), = run_chunk(context, 0, [1])
     assert c_out.errors_deg != a_out.errors_deg
+    # A trial's result does not depend on the batch it is searched in.
+    batch = [(a_out, a_bound), (c_out, c_bound), (a_out, a_bound)]
+    assert run_chunk(context, 0, [0, 1, 0]) == batch
 
 
 def test_run_trials_worker_equivalence():
@@ -236,6 +240,26 @@ def test_cli_rejects_two_point_search_grid(capsys, name, grid):
     assert "at least 3 points" in capsys.readouterr().err
 
 
+def test_cli_rejects_elevation_grid_past_90(capsys):
+    # The manifold sees phi only through sin(phi): a grid past 90 deg
+    # would hold the mirror image of every elevation below it.
+    path = builtin_config_path("table1_2d")
+    assert main(["validate", "-c", path, "--set", "phi_grid_deg=0, 100, 0.5"]) == 2
+    assert "past 90" in capsys.readouterr().err
+    assert main(["validate", "-c", path, "--set", "phi_grid_deg=0, 90, 0.5"]) == 0
+
+
+@pytest.mark.parametrize("sweep", [[], ["--set", "sweep=I: 1, 2"]])
+def test_cli_validate_rejects_rank_deficient_surface(capsys, sweep):
+    # A 2 x 1 surface's harmonic matrix is rank deficient; only the SVD
+    # that building each point's context makes can tell.
+    args = ["validate", "-c", builtin_config_path("table1"), "--set", "rows=2",
+            "--set", "cols=1", "--set", "max_harmonic=1", "--set", "angles_deg=-22",
+            "--set", "powers=1", *sweep]
+    assert main(args) == 2
+    assert "rank deficient" in capsys.readouterr().err
+
+
 def test_cli_single_and_sweep(tmp_path, capsys):
     path = _write_cfg(tmp_path, SMALL)
     prefix = str(tmp_path / "cli")
@@ -284,7 +308,7 @@ def test_cli_crb_bounds_the_amplitudes_of_trial_zero(tmp_path, capsys):
     assert main(["crb", "-c", path, "-o", str(tmp_path / "bound")]) == 0
     printed = [line.split("sqrt_crb_deg=")[1]
                for line in capsys.readouterr().out.splitlines() if "sqrt_crb_deg=" in line]
-    _, bound = run_trial(build_context(resolve_experiment(load_config(path))), 0, 0)
+    (_, bound), = run_chunk(build_context(resolve_experiment(load_config(path))), 0, [0])
     assert printed == [f"{b:.6g}" for b in bound]
 
 
@@ -292,7 +316,7 @@ def test_run_single_is_trial_zero(tmp_path):
     cfg = parse_config(COHERENT)
     out = run_single(cfg, str(tmp_path / "run"))
     resolved = resolve_experiment(cfg)
-    outcome, _ = run_trial(build_context(resolved), 0, 0)
+    (outcome, _), = run_chunk(build_context(resolved), 0, [0])
     assert out["result"].estimates == outcome.estimates
 
     # Reference: trial (0, 0) composed from the public stages and the
@@ -302,9 +326,9 @@ def test_run_single_is_trial_zero(tmp_path):
     model = signal_model(resolved.surface, resolved.scene, resolved.plan, resolved.mode, harmonics)
     series, _ = synthesize_received(model, resolved.noise, synth_seed)
     snapshots = extract_snapshots(series, resolved.plan, harmonics)
-    result = estimate_doa(
-        snapshots, search_setup(resolved.surface, resolved.estimator), weight_seed
-    )
+    (result,) = estimate_doa(
+        [snapshots], search_setup(resolved.surface, resolved.estimator), [weight_seed]
+    ).results
     ref = str(tmp_path / "ref")
     write_time_series(series, resolved.plan, f"{ref}_series.f64", seed=resolved.seed)
     write_snapshots_csv(snapshots, f"{ref}_snapshots.csv")
@@ -364,11 +388,65 @@ def test_shared_context_matches_fresh_context(cfg):
     # tiny surfaces have a rank-deficient harmonic matrix).
     context = _result_or_error(build_context, cfg)
     for trial in range(2):
-        fresh = _result_or_error(lambda: run_trial(build_context(cfg), 1, trial))
+        fresh = _result_or_error(lambda: run_chunk(build_context(cfg), 1, [trial]))
         if isinstance(context, tuple):
             assert fresh == context
         else:
-            assert _result_or_error(run_trial, context, 1, trial) == fresh
+            assert _result_or_error(run_chunk, context, 1, [trial]) == fresh
+
+
+@st.composite
+def _batched_runs(draw):
+    cfg = draw(_small_configs())
+    est = replace(
+        cfg.estimator,
+        theta_grid_deg=(-90.0, 90.0, float(draw(st.sampled_from([1, 2, 3, 5, 6])))),
+        phi_grid_deg=(0.0, 90.0, float(draw(st.sampled_from([2, 3, 5, 9, 10])))),
+    )
+    trials = draw(st.integers(1, 6))
+    return replace(cfg, estimator=est, trials=trials), draw(st.integers(1, trials + 1))
+
+
+def _search_bytes(setup):
+    """Bytes one trial adds to a search batch: its spectrum, and its
+    projection (complex) with the projection's squared magnitude."""
+    surface, elevations = setup.surface, setup.elevation_grid_deg.size
+    noise_dim = surface.rows * (surface.cols - setup.width + 1) - setup.num_sources
+    return setup.theta_grid_deg.size * (8 * elevations + 24 * noise_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batched_runs(), st.floats(0.0, 0.999))
+def test_batching_never_moves_a_bit(case, slack):
+    cfg, batch = case
+    with pytest.MonkeyPatch.context() as mp:
+        # A budget below one trial's spectrum still searches one trial.
+        mp.setattr(msdoa.estimator, "SEARCH_BATCH_BYTES", 1)
+        single = _result_or_error(build_context, cfg)
+        assume(not isinstance(single, tuple))
+        assert single.search.batch_size == 1
+        unbatched = _result_or_error(run_trials, cfg)
+
+        trial_bytes = _search_bytes(single.search)
+        budget = int((batch + slack) * trial_bytes)
+        mp.setattr(msdoa.estimator, "SEARCH_BATCH_BYTES", budget)
+        context = build_context(cfg)
+        assert context.search.batch_size == batch
+        assert batch * trial_bytes <= budget
+        assert _result_or_error(run_trials, cfg) == unbatched
+
+    drawn = [msdoa.harness._draw(context, 0, t) for t in range(cfg.trials)]
+    together = _result_or_error(
+        estimate_doa, [d[2] for d in drawn], context.search, [d[3] for d in drawn])
+    for t, (_, _, snapshots, seed) in enumerate(drawn):
+        alone = _result_or_error(estimate_doa, [snapshots], single.search, [seed])
+        if isinstance(alone, tuple) or isinstance(together, tuple):
+            assert alone == together
+            continue
+        got, want = together.results[t], alone.results[0]
+        assert np.array_equal(got.spectrum, want.spectrum)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert got.estimates == want.estimates
 
 
 def test_context_belongs_to_its_config():
