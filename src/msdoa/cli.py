@@ -13,7 +13,12 @@ import numpy as np
 
 from . import __version__
 from .config import apply_sweep_value, config_digest, load_config
-from .errors import DegenerateCodingError, MsdoaError, ValidationError
+from .errors import (
+    DegenerateCodingError,
+    MsdoaError,
+    UnidentifiableParameterError,
+    ValidationError,
+)
 from .harness import (
     build_context,
     resolve_experiment,
@@ -58,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo sweep to CSV")
     _add_common(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    p_sweep.add_argument("--workers", type=int, default=1, help="parallel trial workers (at least 1)")
 
     p_crb = sub.add_parser("crb", help="angle error bound for the configured scene")
     _add_common(p_crb)
@@ -67,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(cfg, args) -> int:
     # Building each point's context runs the checks that need the
-    # harmonic matrix's SVD, such as its rank.
+    # harmonic matrix's SVD, such as its rank, and the check that every
+    # bounded angle is identifiable.
     resolved = resolve_experiment(cfg)
     points = [resolved] if cfg.sweep is None else [
         apply_sweep_value(resolved, value) for value in cfg.sweep.values
@@ -75,7 +81,7 @@ def _cmd_validate(cfg, args) -> int:
     try:
         for point in points:
             build_context(point)
-    except DegenerateCodingError as exc:
+    except (DegenerateCodingError, UnidentifiableParameterError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(f"OK config_sha256={config_digest(cfg)}")

@@ -106,6 +106,10 @@ def crb_core(
 ) -> CrbCore:
     """Build and rank-check the amplitude-independent part of :func:`crb`.
 
+    Raises :class:`UnidentifiableParameterError` when an angle has no
+    first-order effect on the mean once the amplitudes are projected
+    out, since then the bound does not exist for any amplitude draw.
+
     ``known_elevations`` bounds azimuths only, treating every elevation
     as known (the azimuth-only search). It is required for in-plane
     scenes: at 90-degree elevation a flat surface carries no
@@ -137,6 +141,19 @@ def crb_core(
     lines = 2 * harmonics.max_harmonic + 1
     proj = np.eye(lines) - mixed_steer @ np.linalg.pinv(mixed_steer)
     core = mixed_sens.conj().T @ proj @ mixed_sens
+    # The Fisher matrix is this core times a positive semidefinite
+    # amplitude covariance, entry by entry, so a vanishing diagonal
+    # entry vanishes in it too (Schur product theorem): that angle is
+    # unidentifiable whatever the amplitudes.
+    diag = np.real(np.diagonal(core))
+    if diag.min() <= _SINGULAR_RTOL * diag.max():
+        k = int(np.argmin(diag))
+        angle = "azimuth" if k < scene.num_sources else "elevation"
+        raise UnidentifiableParameterError(
+            f"the {angle} of source {k % scene.num_sources + 1} carries no "
+            f"first-order information (projected sensitivity {diag[k]:.3e} "
+            f"against {diag.max():.3e}) for any amplitudes"
+        )
     core.flags.writeable = False
     return CrbCore(scene.num_sources, bool(known_elevations), lines, cfg.size, core)
 

@@ -26,9 +26,18 @@ bounds its amplitudes. The batch size follows from the grid sizes and
 the noise dimension under a fixed byte budget (see
 ``msdoa.estimator.SEARCH_BATCH_BYTES``), and every result is bitwise
 the same for every batch size. ``single`` is the batch of the one
-trial (0, 0), and ``crb`` bounds the amplitudes that trial draws. With
-several workers the trials go out in contiguous chunks, one per
-worker, and each chunk builds the context once.
+trial (0, 0), and ``crb`` bounds the amplitudes that trial draws.
+
+A chunk of trials is the unit of work: :func:`run_trials` runs a
+point's trials as one chunk, or, with several workers, as contiguous
+chunks, one per worker, each of which builds the context once. Every
+chunk runs with BLAS held to one thread (:func:`_single_threaded_blas`),
+in the serial path and in each pool worker alike. The trial's matrices
+are too small for BLAS threads to pay: they cost twice the CPU and save
+no wall time, and next to pool workers they oversubscribe the cores.
+Parallelism comes from ``workers`` processes instead. A sweep holds one
+process pool for all its points, with no more processes than a point
+has trials.
 
 Per-trial seeds derive from (experiment seed, sweep index, trial index)
 alone, so results are identical for identical configs regardless of how
@@ -38,6 +47,11 @@ error aborts the sweep with context rather than emitting partial rows.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -179,9 +193,98 @@ def run_chunk(context: TrialContext, sweep_index: int, trial_indices):
     return out
 
 
+# Thread-count (getter, setter) pairs of numpy's bundled OpenBLAS: the
+# symbol-suffixed build numpy wheels ship, then a plain build.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_controls():
+    """Thread-count getter and setter of numpy's bundled OpenBLAS, or ``None``.
+
+    Opening the library numpy already loaded returns the loaded copy,
+    so the setter acts on the BLAS numpy calls.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is None or setter is None:
+                continue
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Hold numpy's BLAS to one thread inside the scope.
+
+    The previous thread count comes back on exit, also when the body
+    raises. Without a bundled OpenBLAS whose thread count can be set
+    the scope does nothing. The count is process-wide, so the scope is
+    meant for one thread of a process. It is set from inside the
+    process that runs the trials because a forked pool worker inherits
+    an OpenBLAS that has already started, so a thread variable set in
+    the worker would come too late.
+    """
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    getter, setter = controls
+    previous = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
 def _trial_chunk(args):
     cfg, sweep_index, trial_indices = args
-    return run_chunk(build_context(cfg), sweep_index, trial_indices)
+    with _single_threaded_blas():
+        return run_chunk(build_context(cfg), sweep_index, trial_indices)
+
+
+@contextlib.contextmanager
+def _point_runner(cfg: ExperimentConfig, workers: int):
+    """Scope of a function that runs all trials of one of ``cfg``'s points.
+
+    The function takes the point's config and sweep index and returns
+    the trials' results in trial order. With one worker it runs them
+    as one chunk in this process. With more, one process pool serves
+    every point of the scope, and each point's trials go out to it in
+    contiguous chunks, one per process. No sweep variable changes the
+    trial count, and a point never has more chunks than trials, so the
+    pool holds at most ``cfg.trials`` processes.
+    """
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1; got {workers}")
+    processes = min(workers, cfg.trials)
+    if processes == 1:
+        yield lambda point, sweep_index: _trial_chunk((point, sweep_index, range(point.trials)))
+        return
+    size = -(-cfg.trials // processes)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+
+        def run_point(point, sweep_index):
+            tasks = [
+                (point, sweep_index, range(start, min(start + size, point.trials)))
+                for start in range(0, point.trials, size)
+            ]
+            return [r for chunk in pool.map(_trial_chunk, tasks) for r in chunk]
+
+        yield run_point
 
 
 def run_trials(cfg: ExperimentConfig, sweep_index: int = 0, workers: int = 1):
@@ -189,16 +292,10 @@ def run_trials(cfg: ExperimentConfig, sweep_index: int = 0, workers: int = 1):
 
     Trials run in contiguous chunks, one per worker, and each chunk
     builds the point's context once; the serial path is one chunk.
+    With several workers the call opens a process pool of its own.
     """
-    if workers <= 1:
-        return _trial_chunk((cfg, sweep_index, range(cfg.trials)))
-    size = -(-cfg.trials // workers)
-    tasks = [
-        (cfg, sweep_index, range(start, min(start + size, cfg.trials)))
-        for start in range(0, cfg.trials, size)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for chunk in pool.map(_trial_chunk, tasks) for r in chunk]
+    with _point_runner(cfg, workers) as run_point:
+        return run_point(cfg, sweep_index)
 
 
 @dataclass(frozen=True)
@@ -230,29 +327,30 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     cfg = resolve_experiment(cfg)
     digest = config_digest(replace(cfg, scene=replace(cfg.scene, coherent_gains=None)))
     rows = []
-    for sweep_index, value in enumerate(cfg.sweep.values):
-        point = apply_sweep_value(cfg, value)
-        start = time.perf_counter()
-        try:
-            results = run_trials(point, sweep_index, workers)
-        except (MsdoaError, np.linalg.LinAlgError) as exc:
-            raise type(exc)(
-                f"sweep {cfg.sweep.variable}={value} (index {sweep_index}): {exc}"
-            ) from exc
-        wall = time.perf_counter() - start
-        outcomes = [r[0] for r in results]
-        bounds = np.array([r[1] for r in results])
-        agg = aggregate(outcomes, cfg.scene.doas)
-        rows.append(
-            PointRow(
-                cfg.sweep.variable,
-                value,
-                agg.pr,
-                agg.rmse_deg,
-                tuple(float(b) for b in bounds.mean(axis=0)),
-                wall,
+    with _point_runner(cfg, workers) as run_point:
+        for sweep_index, value in enumerate(cfg.sweep.values):
+            point = apply_sweep_value(cfg, value)
+            start = time.perf_counter()
+            try:
+                results = run_point(point, sweep_index)
+            except (MsdoaError, np.linalg.LinAlgError) as exc:
+                raise type(exc)(
+                    f"sweep {cfg.sweep.variable}={value} (index {sweep_index}): {exc}"
+                ) from exc
+            wall = time.perf_counter() - start
+            outcomes = [r[0] for r in results]
+            bounds = np.array([r[1] for r in results])
+            agg = aggregate(outcomes, cfg.scene.doas)
+            rows.append(
+                PointRow(
+                    cfg.sweep.variable,
+                    value,
+                    agg.pr,
+                    agg.rmse_deg,
+                    tuple(float(b) for b in bounds.mean(axis=0)),
+                    wall,
+                )
             )
-        )
     return SweepResult(rows, digest, cfg.seed, __version__)
 
 

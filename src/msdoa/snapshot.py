@@ -2,8 +2,9 @@
 
 Each snapshot window spans an integer number of coding periods, so the
 coding harmonics land exactly on FFT bins. The window is transformed
-with a 1/Q-scaled length-Q DFT, centered, and sampled at the harmonic
-bins, giving one (2P+1)-vector per snapshot.
+with a length-Q DFT and sampled at the harmonic bins, read from the
+unshifted spectrum at their centered positions and scaled by 1/Q,
+giving one (2P+1)-vector per snapshot.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ def extract_snapshots(
         )
     idx = frequency_indices(plan, harmonics.max_harmonic)
     windows = series.samples[:needed].reshape(plan.num_snapshots, q_len)
-    spectra = np.fft.fftshift(np.fft.fft(windows, axis=1), axes=1) / q_len
-    return MultiSnapshot(spectra[:, idx].T.copy(), harmonics, plan)
+    # Centered bin b is unshifted bin (b + Q/2) mod Q; only the sampled
+    # bins are scaled.
+    bins = np.fft.fft(windows, axis=1)[:, (idx + q_len // 2) % q_len] / q_len
+    return MultiSnapshot(bins.T.copy(), harmonics, plan)
 
 
 def write_snapshots_csv(snapshots: MultiSnapshot, path: str) -> None:

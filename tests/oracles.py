@@ -142,3 +142,17 @@ def separate_chain(snapshots, cfg, params, compensation, weights):
     best = np.argsort(-spectrum[ri, ci], kind="stable")[:params.num_sources]
     return thetas, phis, spectrum, tuple(
         Doa.from_degrees(thetas[ri[i]], phis[ci[i]]) for i in best)
+
+
+def fftshift_snapshots(series, plan, max_harmonic):
+    """Snapshot matrix from the whole centered spectrum of every window.
+
+    Scales the full (I, Q) spectrum, shifts it to centered order and
+    samples the harmonic bins there. Must equal ``extract_snapshots``
+    bit for bit.
+    """
+    q_len = plan.points_per_snapshot
+    windows = series.samples[:plan.total_points].reshape(plan.num_snapshots, q_len)
+    spectra = np.fft.fftshift(np.fft.fft(windows, axis=1), axes=1) / q_len
+    orders = np.arange(-max_harmonic, max_harmonic + 1)
+    return spectra[:, q_len // 2 + plan.periods_per_snapshot * orders].T.copy()

@@ -147,6 +147,20 @@ def test_zenith_is_unidentifiable():
         crb(_core(cfg, scene), plan, 0.3, amps)
 
 
+def test_core_rejects_an_angle_no_draw_can_bound(table1_cfg):
+    # The Fisher matrix is the core times the amplitude covariance,
+    # entry by entry, so a zero on the core's diagonal is a zero in
+    # every Fisher matrix: the core is rejected before any draw.
+    cfg, _, _, _ = _tiny_setup()
+    with pytest.raises(UnidentifiableParameterError, match="azimuth of source 1"):
+        _core(cfg, SourceScene((Doa.from_degrees(10.0, 0.0),), (1.0,)))
+    in_plane = SourceScene((Doa.from_degrees(-22.0, 90.0),
+                            Doa.from_degrees(12.0, 90.0)), (1.0, 1.0))
+    with pytest.raises(UnidentifiableParameterError, match="elevation of source"):
+        _core(table1_cfg, in_plane, 15)
+    assert _core(table1_cfg, in_plane, 15, known_elevations=True).core.shape == (2, 2)
+
+
 def test_amplitude_shape_check():
     cfg, plan, scene, _ = _tiny_setup()
     with pytest.raises(Exception):

@@ -540,3 +540,131 @@ def test_sweep_errors_name_their_point(monkeypatch, text, patch, error, workers)
     cfg = parse_config(text + "sweep = I: 2, 3\n")
     with pytest.raises(error, match=r"^sweep I=2 \(index 0\): "):
         run_sweep(cfg, workers=workers)
+
+
+@pytest.fixture
+def blas_threads():
+    """Getter of the bundled OpenBLAS thread count, set to 2 for the test."""
+    controls = msdoa.harness._blas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy's BLAS has no settable thread count here")
+    getter, setter = controls
+    previous = getter()
+    setter(2)
+    yield getter
+    setter(previous)
+
+
+def test_trials_run_single_threaded_and_restore_the_count(monkeypatch, blas_threads):
+    seen = []
+    build = msdoa.harness.build_context
+
+    def recording(cfg):
+        seen.append(blas_threads())
+        return build(cfg)
+
+    monkeypatch.setattr(msdoa.harness, "build_context", recording)
+    before = blas_threads()
+    run_trials(parse_config(SMALL))
+    assert blas_threads() == before
+    run_sweep(parse_config(SMALL + "sweep = I: 1, 2\n"))
+    assert blas_threads() == before
+    monkeypatch.setattr(msdoa.estimator, "smoothing_whitener", _singular_whitener)
+    with pytest.raises(NearSingularWhitenerError):
+        run_trials(parse_config(SMALL))
+    assert blas_threads() == before
+    with pytest.raises(NearSingularWhitenerError):
+        run_sweep(parse_config(SMALL + "sweep = I: 1, 2\n"))
+    assert blas_threads() == before
+    assert seen == [1] * 5
+
+
+def test_blas_scope_without_a_setter_does_nothing(monkeypatch, blas_threads):
+    with msdoa.harness._single_threaded_blas():
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+    monkeypatch.setattr(msdoa.harness, "_blas_thread_controls", lambda: None)
+    with msdoa.harness._single_threaded_blas():
+        assert blas_threads() == 2
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("name, trials", [("table2", 4), ("table1_2d", 2)])
+def test_blas_threads_never_move_a_bit(monkeypatch, blas_threads, name, trials):
+    cfg = resolve_experiment(replace(load_config(builtin_config_path(name)), trials=trials))
+    pinned = run_trials(cfg)
+    monkeypatch.setattr(msdoa.harness, "_blas_thread_controls", lambda: None)
+    assert run_trials(cfg) == pinned
+
+
+def test_sweep_holds_one_pool(monkeypatch, tmp_path):
+    pools = []
+
+    class CountingPool(msdoa.harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(msdoa.harness, "ProcessPoolExecutor", CountingPool)
+    cfg = parse_config(SMALL + "sweep = I: 1, 2, 3\n")
+    p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    write_sweep_csv(run_sweep(cfg, workers=2), str(p2))
+    assert len(pools) == 1
+    write_sweep_csv(run_sweep(cfg, workers=1), str(p1))
+    assert len(pools) == 1
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("workers, trials, processes", [
+    (1000, 3, 3), (2, 3, 2), (3, 5, 3), (4, 1, None), (1, 3, None),
+])
+def test_pool_never_outnumbers_the_trials(monkeypatch, workers, trials, processes):
+    sizes, chunks = [], []
+
+    class InlinePool:
+        """In-process stand-in for the process pool; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            chunks.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(msdoa.harness, "ProcessPoolExecutor", InlinePool)
+    cfg = parse_config(SMALL.replace("trials = 3", f"trials = {trials}"))
+    assert run_trials(cfg, workers=workers) == run_trials(cfg)
+    assert sizes == chunks == ([] if processes is None else [processes])
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_are_rejected(tmp_path, capsys, workers):
+    text = SMALL + "sweep = I: 1, 2\n"
+    with pytest.raises(ValidationError, match="at least 1"):
+        run_trials(parse_config(SMALL), workers=workers)
+    with pytest.raises(ValidationError, match="at least 1"):
+        run_sweep(parse_config(text), workers=workers)
+    path = _write_cfg(tmp_path, text)
+    args = ["sweep", "-c", path, "--workers", str(workers), "-o", str(tmp_path / "x")]
+    assert main(args) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_an_azimuth_no_draw_can_bound(tmp_path, capsys):
+    # A lone source at the zenith: its azimuth moves nothing, whatever
+    # the amplitudes, so `validate` rejects the config that `crb` fails on.
+    path = _write_cfg(tmp_path, SMALL)
+    assert main(["validate", "-c", path, "--set", "elevation_deg=0"]) == 2
+    assert "azimuth of source 1" in capsys.readouterr().err
+    assert main(["crb", "-c", path, "--set", "elevation_deg=0",
+                 "-o", str(tmp_path / "x")]) == 3
+    assert "azimuth of source 1" in capsys.readouterr().err
+    for name in ("table1", "table1_2d", "table2"):
+        assert main(["validate", "-c", builtin_config_path(name)]) == 0

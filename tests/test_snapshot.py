@@ -11,14 +11,20 @@ from msdoa import (
     SourceScene,
     TimeSeries,
     ValidationError,
+    build_context,
+    builtin_config_path,
     extract_snapshots,
     frequency_indices,
     harmonic_matrix,
+    load_config,
+    resolve_experiment,
     signal_model,
     steering_vector,
     synthesize_received,
     write_snapshots_csv,
 )
+from msdoa.harness import synthesize_trial
+from oracles import fftshift_snapshots
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
@@ -136,3 +142,34 @@ def test_snapshots_csv(tmp_path, table1_cfg, table1_plan):
     assert first[0] == "0" and first[1] == "-15"
     v = snaps.matrix[0, 0]
     assert float(first[2]) == pytest.approx(v.real, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("table1", []),
+    ("table1", ["mode=ideal"]),
+    ("table1", ["mode=ideal", "max_harmonic=40"]),
+    ("table2", []),
+])
+def test_extraction_equals_fftshift_oracle(name, overrides):
+    # Reading the harmonic bins from the unshifted spectrum gives the
+    # same bits as shifting and scaling the whole spectrum first.
+    cfg = resolve_experiment(load_config(builtin_config_path(name), overrides))
+    context = build_context(cfg)
+    for trial in range(20):
+        series, _, _ = synthesize_trial(context, 0, trial)
+        got = extract_snapshots(series, cfg.plan, context.harmonics).matrix
+        want = fftshift_snapshots(series, cfg.plan, cfg.max_harmonic)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_extraction_equals_fftshift_oracle_at_the_band_edge(small_cfg):
+    # k0 * P one bin short of Q/2: the top harmonic wraps to the last
+    # unshifted bins, the bottom one to the first.
+    plan = SamplingPlan(2.5e6, 1, 3, 1.6e-5)  # 40 points per snapshot
+    um = harmonic_matrix(19, small_cfg)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(120) + 1j * rng.standard_normal(120)
+    got = extract_snapshots(TimeSeries(x, plan.sample_rate_hz), plan, um).matrix
+    want = fftshift_snapshots(TimeSeries(x, plan.sample_rate_hz), plan, 19)
+    assert got.tobytes() == want.tobytes()
