@@ -55,6 +55,7 @@ from .harness import (
     TrialContext,
     build_context,
     resolve_experiment,
+    run_batch,
     run_chunk,
     run_single,
     run_sweep,

@@ -24,8 +24,7 @@ from .harness import (
     resolve_experiment,
     run_single,
     run_sweep,
-    synthesize_trial,
-    trial_bound,
+    trial_zero_bound,
     write_sweep_csv,
 )
 
@@ -117,11 +116,7 @@ def _cmd_sweep(cfg, args) -> int:
 
 
 def _cmd_crb(cfg, args) -> int:
-    cfg = resolve_experiment(cfg)
-    # Bound the amplitudes trial (0, 0) draws, the run `single` makes.
-    context = build_context(cfg)
-    _, amplitudes, _ = synthesize_trial(context, 0, 0)
-    bound = trial_bound(context, amplitudes)
+    bound = trial_zero_bound(cfg)
     for k, b in enumerate(bound.theta_bounds, 1):
         print(f"source {k}: sqrt_crb_deg={np.rad2deg(np.sqrt(b)):.6g}")
     prefix = args.output if args.output is not None else cfg.output

@@ -57,7 +57,8 @@ class CrbResult:
     when the elevations were declared known). ``theta_bounds`` are the
     azimuth diagonal entries. ``noise_fisher`` is the decoupled Fisher
     information of the noise variance, (2P+1)*I/sigma^4, reported for
-    completeness.
+    completeness. The bound of a stack of draws stacks ``matrix`` and
+    ``theta_bounds`` along a leading trial axis.
     """
 
     matrix: np.ndarray
@@ -66,12 +67,16 @@ class CrbResult:
 
 
 def _guarded_inverse(real_matrix: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (real_matrix + real_matrix.T)
+    """Inverse of a symmetric matrix or of each of a stack; the first singular one raises."""
+    sym = 0.5 * (real_matrix + np.swapaxes(real_matrix, -1, -2))
     vals = np.linalg.eigvalsh(sym)
-    if vals[-1] <= 0 or vals[0] <= _SINGULAR_RTOL * vals[-1]:
+    low, high = vals[..., 0], vals[..., -1]
+    singular = np.flatnonzero((high <= 0) | (low <= _SINGULAR_RTOL * high))
+    if singular.size:
+        low, high = low.flat[singular[0]], high.flat[singular[0]]
         raise UnidentifiableParameterError(
             "projected Fisher information is singular "
-            f"(eigenvalues {vals[0]:.3e} .. {vals[-1]:.3e}); at least one "
+            f"(eigenvalues {low:.3e} .. {high:.3e}); at least one "
             "angle is unidentifiable in this geometry (for example azimuth "
             "at zero elevation)"
         )
@@ -161,7 +166,7 @@ def crb_core(
 def crb(
     core: CrbCore, plan: SamplingPlan, noise_variance: float, amplitudes: np.ndarray
 ) -> CrbResult:
-    """Angle-block Cramer-Rao bound for one amplitude realization.
+    """Angle-block Cramer-Rao bound for one amplitude realization, or for each of a stack.
 
     Parameters
     ----------
@@ -171,31 +176,36 @@ def crb(
         The snapshot length and count of the run.
     noise_variance : float
         Per-element sigma^2.
-    amplitudes : (K, I) complex
-        The deterministic source amplitudes of the run.
+    amplitudes : (K, I) or (trials, K, I) complex
+        The deterministic source amplitudes of the run, or of each
+        trial of a batch.
 
     Returns
     -------
     CrbResult
         ``matrix`` is K x K over azimuths when the core's elevations are
-        known, otherwise 2K x 2K over azimuths then elevations.
+        known, otherwise 2K x 2K over azimuths then elevations; a stack
+        of amplitudes gives a stack of matrices and a (trials, K) array
+        of ``theta_bounds``. The first trial whose Fisher information is
+        singular raises as it would alone.
     """
     k = core.num_sources
     amps = np.asarray(amplitudes, dtype=complex)
     num_snap = plan.num_snapshots
-    if amps.shape != (k, num_snap):
+    if amps.ndim not in (2, 3) or amps.shape[-2:] != (k, num_snap):
         raise ValidationError(
-            f"amplitudes must be ({k}, {num_snap}); got {amps.shape}"
+            f"amplitudes must be ({k}, {num_snap}) or a stack of them; got {amps.shape}"
         )
     if noise_variance < 0:
         raise ValidationError("noise_variance must be nonnegative")
     groups = 1 if core.known_elevations else 2
     q_len = plan.points_per_snapshot
-    sample_cov = amps @ amps.conj().T / num_snap
-    hadamard = np.kron(np.ones((groups, groups)), sample_cov).T
+    sample_cov = amps @ np.swapaxes(amps.conj(), -1, -2) / num_snap
+    # One copy of the sample covariance per (angle, angle) group block.
+    hadamard = np.swapaxes(np.tile(sample_cov, (groups, groups)), -1, -2)
     fisher_core = np.real(core.core * hadamard)
     prefactor = core.num_elements * noise_variance / (2.0 * q_len * num_snap)
     bound = prefactor * _guarded_inverse(fisher_core)
-    bound = 0.5 * (bound + bound.T)
+    bound = 0.5 * (bound + np.swapaxes(bound, -1, -2))
     noise_fisher = np.inf if noise_variance == 0 else core.lines * num_snap / noise_variance**2
-    return CrbResult(bound, np.diagonal(bound)[:k].copy(), noise_fisher)
+    return CrbResult(bound, bound.diagonal(axis1=-2, axis2=-1)[..., :k].copy(), noise_fisher)

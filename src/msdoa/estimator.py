@@ -13,17 +13,23 @@ slides narrower windows and also scans an elevation grid.
 The weight bank colors the noise. Bin noise e reaches the smoothed
 vectors as smooth(B e), with B the recovery left inverse, so the
 whitener is the outer-product sum of the smoothed recovery matrix
-itself. Its inverse square root is taken once per trial and used both
-to whiten the covariance and to whiten the search manifold.
+itself. The windows of the compensated B are built once per search
+setup; each trial's weight bank collapses them into its whitener,
+whose inverse square root whitens both the covariance and the search
+manifold.
 
-The search serves a batch of trials. Each elevation's manifold is
-built once per batch, and every trial's whitened noise basis is
-projected onto it in one stacked product. That product makes the same
-BLAS call per trial as a batch of one would, so no bit of a spectrum
-depends on the batch. A single product of all the bases stacked as
-rows would not keep that: a one-row basis goes to a matrix-vector
-kernel and several rows to a matrix-matrix kernel, which round
-differently.
+:func:`estimate_doa` runs a batch of trials. Every stage after the
+per-trial weight draws takes arrays with a leading trial axis:
+:func:`smoothing_whitener`, :func:`whitener_inv_sqrt`,
+:func:`recover_channels`, :func:`smooth`, :func:`ps_covariance`,
+:func:`whiten` and :func:`music_search`. A stacked product or
+decomposition makes the same BLAS or LAPACK call per trial as a batch
+of one would, so no bit of a result depends on the batch. A single
+product of all the trials stacked as rows would not keep that: a
+one-row operand goes to a matrix-vector kernel and several rows to a
+matrix-matrix kernel, which round differently. The search builds each
+elevation's manifold once per batch and projects every trial's
+whitened noise basis onto it in one stacked product.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 
 # Relative eigenvalue floor below which the whitener is rejected.
 WHITENER_RTOL = 1e-12
+# Largest distance of a smoothing weight's modulus from 1.
+UNIT_MODULUS_ATOL = 1e-9
 # Bytes a search batch may hold: its trials' spectra plus the projection
 # of all their noise bases onto one elevation's manifold, complex, with
 # its squared magnitude. 2.5 MiB lets the 361 x 181 grid of table1_2d
@@ -53,16 +61,17 @@ SEARCH_BATCH_BYTES = 5 * 2**19
 def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
     """Recover per-element values from harmonic bins, one column per snapshot.
 
-    ``bins`` is (2P+1,) or (2P+1, snapshots). Solves the overdetermined
-    mixing system with the cached SVD left inverse; requires at least
-    M*N frequency lines and a numerically full-rank harmonic matrix.
+    ``bins`` is (2P+1,), (2P+1, snapshots) or a stack of the latter,
+    (trials, 2P+1, snapshots). Solves the overdetermined mixing system
+    with the cached SVD left inverse; requires at least M*N frequency
+    lines and a numerically full-rank harmonic matrix.
     """
     bins = np.asarray(bins, dtype=complex)
     lines = 2 * harmonics.max_harmonic + 1
-    if bins.ndim not in (1, 2) or bins.shape[0] != lines:
+    if not 1 <= bins.ndim <= 3 or bins.shape[0 if bins.ndim == 1 else -2] != lines:
         raise ValidationError(
-            f"snapshot bins have shape {bins.shape}; expected ({lines},) "
-            f"or ({lines}, snapshots)"
+            f"snapshot bins have shape {bins.shape}; expected ({lines},), "
+            f"({lines}, snapshots) or (trials, {lines}, snapshots)"
         )
     return harmonics.pseudo_inverse @ bins
 
@@ -76,26 +85,33 @@ def compensation_matrix(cfg: SurfaceConfig) -> np.ndarray:
 class PsWeightSet:
     """Bank of unit-modulus smoothing weight rows, shape (count, width).
 
+    A stack of banks, one per trial, has shape (trials, count, width).
     Each row collapses a ``width``-column window; a row as wide as the
-    surface collapses whole surface rows.
+    surface collapses whole surface rows. Every modulus must lie within
+    ``UNIT_MODULUS_ATOL`` of 1.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=complex)
-        if self.weights.ndim != 2:
-            raise ValidationError("weights must be a (count, width) array")
-        if not np.allclose(np.abs(self.weights), 1.0, atol=1e-9):
+        if self.weights.ndim not in (2, 3):
+            raise ValidationError("weights must be a (count, width) array or a stack of them")
+        if not np.all(np.abs(np.abs(self.weights) - 1.0) <= UNIT_MODULUS_ATOL):
             raise ValidationError("smoothing weights must have unit modulus")
 
     @property
     def count(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
+
+
+def _weight_rows(count: int, width: int, rng_seed) -> np.ndarray:
+    rng = np.random.default_rng(rng_seed)
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, width)))
 
 
 def make_ps_weights(count: int, width: int, rng_seed) -> PsWeightSet:
@@ -104,9 +120,45 @@ def make_ps_weights(count: int, width: int, rng_seed) -> PsWeightSet:
         raise ValidationError("need at least one weight vector")
     if width < 1:
         raise ValidationError("weight width must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(count, width))
-    return PsWeightSet(np.exp(1j * phases))
+    return PsWeightSet(_weight_rows(count, width, rng_seed))
+
+
+def smoothing_windows(
+    columns: np.ndarray, compensation: np.ndarray, cfg: SurfaceConfig, width: int
+) -> np.ndarray:
+    """Every ``width``-column window of a compensated stack of element vectors.
+
+    ``columns`` is (..., M*N, K), one row-major element vector per
+    column. Returns a read-only view of shape (..., K, M, N-width+1,
+    width): entry [..., k, m, r] is the window of surface row m that
+    starts at column r, after the phase compensation.
+    """
+    columns = np.asarray(columns, dtype=complex)
+    if columns.ndim < 2 or columns.shape[-2] != cfg.size:
+        raise ValidationError(
+            f"element stack must have shape (..., {cfg.size}, K); got {columns.shape}"
+        )
+    if width > cfg.cols:
+        raise ConfigurationError(f"weight width {width} exceeds the {cfg.cols} surface columns")
+    compensated = np.diagonal(compensation)[:, None] * columns
+    grid = np.swapaxes(compensated, -1, -2).reshape(
+        *columns.shape[:-2], columns.shape[-1], cfg.rows, cfg.cols
+    )
+    return sliding_window_view(grid, width, axis=-1)
+
+
+def _collapse(windows: np.ndarray, weights: PsWeightSet) -> np.ndarray:
+    """Sum every window against every weight row: (..., K, M, W, width) -> (..., K, L, M*W).
+
+    Leading axes of the windows and of a stack of weight banks broadcast.
+    """
+    if windows.shape[-1] != weights.width:
+        raise ConfigurationError(
+            f"{windows.shape[-1]}-column windows cannot take {weights.width}-wide weight rows"
+        )
+    banks = np.swapaxes(weights.weights, -1, -2)[..., None, None, :, :]
+    collapsed = windows @ banks  # (..., K, M, W, L)
+    return np.moveaxis(collapsed, -1, -3).reshape(*collapsed.shape[:-3], weights.count, -1)
 
 
 def smooth(
@@ -120,71 +172,71 @@ def smooth(
     ``columns`` is (M*N, K), one row-major element vector per column.
     Returns (K, L, M*(N-width+1)): entry [k, l] holds, for each surface
     row and window position (row-major), the compensated window of
-    column k weighted by row l and summed.
+    column k weighted by row l and summed. A batch of trials passes
+    (trials, M*N, K) columns with a (trials, L, width) stack of banks
+    and gets (trials, K, L, M*(N-width+1)).
     """
-    columns = np.asarray(columns, dtype=complex)
-    if columns.ndim != 2 or columns.shape[0] != cfg.size:
-        raise ValidationError(
-            f"element stack must have shape ({cfg.size}, K); got {columns.shape}"
-        )
-    if weights.width > cfg.cols:
-        raise ConfigurationError(
-            f"weight width {weights.width} exceeds the {cfg.cols} surface columns"
-        )
-    compensated = np.diagonal(compensation)[:, None] * columns
-    grid = compensated.T.reshape(-1, cfg.rows, cfg.cols)
-    windows = sliding_window_view(grid, weights.width, axis=2)  # (K, M, W, width)
-    collapsed = windows @ weights.weights.T  # (K, M, W, L)
-    return collapsed.transpose(0, 3, 1, 2).reshape(columns.shape[1], weights.count, -1)
+    return _collapse(smoothing_windows(columns, compensation, cfg, weights.width), weights)
 
 
-def smoothing_whitener(
-    weights: PsWeightSet,
-    compensation: np.ndarray,
-    harmonics: HarmonicMatrix,
-    cfg: SurfaceConfig,
-) -> np.ndarray:
+def smoothing_whitener(weights: PsWeightSet, windows: np.ndarray) -> np.ndarray:
     """Noise-shaping matrix of the recover/compensate/smooth chain.
 
     White bin noise e reaches the smoothed vectors as smooth(B e), with
     B the recovery left inverse, so this is the sum over every column of
-    B and every weight row of the smoothed outer products. It equals
-    the sum of J_l C G C^H J_l^H over the weight bank (J_l the
-    smoothing operator, C the compensation, G = B B^H the inverse Gram
-    matrix of the mixing), the per-bin covariance of the smoothed noise.
+    B and every weight row of the smoothed outer products. ``windows``
+    are the :func:`smoothing_windows` of B, which no trial changes (see
+    :class:`SearchSetup`). The result equals the sum of
+    J_l C G C^H J_l^H over the weight bank (J_l the smoothing operator,
+    C the compensation, G = B B^H the inverse Gram matrix of the
+    mixing), the per-bin covariance of the smoothed noise. A stack of
+    banks gives a stack of whiteners.
     """
-    vectors = smooth(harmonics.pseudo_inverse, compensation, weights, cfg)
-    rows = vectors.reshape(-1, vectors.shape[2])
-    total = rows.T @ rows.conj()
-    return 0.5 * (total + total.conj().T)
+    vectors = _collapse(windows, weights)
+    rows = vectors.reshape(*vectors.shape[:-3], -1, vectors.shape[-1])
+    total = np.swapaxes(rows, -1, -2) @ rows.conj()
+    return 0.5 * (total + np.swapaxes(total.conj(), -1, -2))
 
 
 def ps_covariance(smoothed: np.ndarray) -> np.ndarray:
-    """Average outer product over all snapshots and weight rows of :func:`smooth`."""
+    """Average outer product over all snapshots and weight rows of :func:`smooth`.
+
+    A (trials, K, L, dim) stack gives one covariance per trial.
+    """
     smoothed = np.asarray(smoothed)
-    if smoothed.ndim != 3 or smoothed.shape[0] * smoothed.shape[1] == 0:
+    if smoothed.ndim not in (3, 4) or smoothed.shape[-3] * smoothed.shape[-2] == 0:
         raise ValidationError("need at least one smoothed snapshot")
-    rows = smoothed.reshape(-1, smoothed.shape[2])
-    return rows.T @ rows.conj() / rows.shape[0]
+    rows = smoothed.reshape(*smoothed.shape[:-3], -1, smoothed.shape[-1])
+    return np.swapaxes(rows, -1, -2) @ rows.conj() / rows.shape[-2]
 
 
 def whitener_inv_sqrt(whitener: np.ndarray) -> np.ndarray:
-    """W^-1/2 of a Hermitian whitener, rejecting a near-singular one."""
-    sym = 0.5 * (whitener + whitener.conj().T)
+    """W^-1/2 of a Hermitian whitener, rejecting a near-singular one.
+
+    A stack of whiteners gives a stack of inverse square roots; the
+    first near-singular one raises as it would alone.
+    """
+    sym = 0.5 * (whitener + np.swapaxes(whitener.conj(), -1, -2))
     vals, vecs = np.linalg.eigh(sym)
-    if vals[-1] <= 0 or vals[0] <= WHITENER_RTOL * vals[-1]:
+    low, high = vals[..., 0], vals[..., -1]
+    singular = np.flatnonzero((high <= 0) | (low <= WHITENER_RTOL * high))
+    if singular.size:
+        low, high = low.flat[singular[0]], high.flat[singular[0]]
         raise NearSingularWhitenerError(
             "whitener eigenvalues span more than "
-            f"{1 / WHITENER_RTOL:.0e} (min {vals[0]:.3e}, max {vals[-1]:.3e}); "
+            f"{1 / WHITENER_RTOL:.0e} (min {low:.3e}, max {high:.3e}); "
             "inverse square root would amplify noise unboundedly"
         )
-    return (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def whiten(covariance: np.ndarray, w_inv_sqrt: np.ndarray) -> np.ndarray:
-    """Two-sided transform W^-1/2 R W^-H/2, given W^-1/2 from :func:`whitener_inv_sqrt`."""
-    out = w_inv_sqrt @ covariance @ w_inv_sqrt.conj().T
-    return 0.5 * (out + out.conj().T)
+    """Two-sided transform W^-1/2 R W^-H/2, given W^-1/2 from :func:`whitener_inv_sqrt`.
+
+    Stacks of covariances and transforms are whitened pairwise.
+    """
+    out = w_inv_sqrt @ covariance @ np.swapaxes(w_inv_sqrt.conj(), -1, -2)
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
 def _manifold(theta_rad, phi_rad, out_cols: int, cfg: SurfaceConfig) -> np.ndarray:
@@ -305,13 +357,15 @@ def search_grids(params: EstimatorParams) -> tuple[np.ndarray, np.ndarray]:
 class SearchSetup:
     """The part of :func:`estimate_doa` that no trial changes.
 
-    Holds the surface, the source count, the weight count, the phase
-    compensation, the smoothing window width, the azimuth and elevation
-    grids, the search batch size and, when there is one elevation, the
-    manifold over the azimuth grid. With an elevation grid the manifolds
-    are built per elevation during the search instead: holding all of
-    them would cost megabytes (15.7 MB on table1_2d), while one serves
-    every trial of a batch. ``batch_size`` is the most trials whose
+    Holds the surface, the source count, the weight count, the harmonic
+    matrix the snapshots are recovered with, the phase compensation, the
+    smoothing window width, the :func:`smoothing_windows` of the
+    recovery left inverse (every weight bank's whitener is summed from
+    them), the azimuth and elevation grids, the search batch size and,
+    when there is one elevation, the manifold over the azimuth grid.
+    With an elevation grid the manifolds are built per elevation during
+    the search instead: holding all of them would cost megabytes
+    (15.7 MB on table1_2d), while one serves every trial of a batch. ``batch_size`` is the most trials whose
     spectra plus one elevation's projection and its squared magnitude
     fit in ``SEARCH_BATCH_BYTES``, and at least 1. Arrays are
     read-only: trials share them.
@@ -320,27 +374,33 @@ class SearchSetup:
     surface: SurfaceConfig
     num_sources: int
     num_weights: int
+    harmonics: HarmonicMatrix
     compensation: np.ndarray
     width: int
+    whitener_windows: np.ndarray
     theta_grid_deg: np.ndarray
     elevation_grid_deg: np.ndarray
     manifold: np.ndarray | None
     batch_size: int
 
 
-def search_setup(cfg: SurfaceConfig, params: EstimatorParams) -> SearchSetup:
+def search_setup(
+    cfg: SurfaceConfig, params: EstimatorParams, harmonics: HarmonicMatrix
+) -> SearchSetup:
     """Precompute the trial-invariant part of :func:`estimate_doa`.
 
-    The estimator ``kind`` only picks the window width and the elevation
-    grid: "1d" is the full-width window at one elevation, "2d" the
-    ``subarray_width`` window over an elevation grid (see
-    :func:`search_grids`).
+    ``harmonics`` is the harmonic matrix the snapshots will be
+    extracted with; its rank is checked here. The estimator ``kind``
+    only picks the window width and the elevation grid: "1d" is the
+    full-width window at one elevation, "2d" the ``subarray_width``
+    window over an elevation grid (see :func:`search_grids`).
     """
     width = cfg.cols if params.kind == "1d" else params.subarray_width
     if not 1 <= width <= cfg.cols:
         raise ValidationError(f"window width {width} must lie in [1, {cfg.cols}]")
     theta_grid, elevations = search_grids(params)
     comp = compensation_matrix(cfg)
+    windows = smoothing_windows(harmonics.pseudo_inverse, comp, cfg, width)
     out_cols = cfg.cols - width + 1
     manifold = None
     if elevations.size == 1:
@@ -355,8 +415,10 @@ def search_setup(cfg: SurfaceConfig, params: EstimatorParams) -> SearchSetup:
         cfg,
         params.num_sources,
         params.num_weights,
+        harmonics,
         comp,
         width,
+        windows,
         theta_grid,
         elevations,
         manifold,
@@ -429,26 +491,37 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
 
 
 def estimate_doa(snapshots, setup: SearchSetup, rng_seeds) -> MusicBatch:
-    """Run the recover/compensate/smooth/whiten chain per trial, then one batched search.
+    """Run the recover/compensate/smooth/whiten chain and the search on a batch of trials.
 
-    ``snapshots`` holds each trial's :class:`MultiSnapshot` and
-    ``rng_seeds`` the seeds of its smoothing weight rows, in the same
-    order; ``setup`` is the :func:`search_setup` of the surface and
-    estimator. Everything up to the whitened covariance is per trial;
-    :func:`music_search` then searches the whole batch at once.
+    ``snapshots`` holds each trial's :class:`MultiSnapshot`, extracted
+    with the setup's harmonic matrix, and ``rng_seeds`` the seeds of
+    its smoothing weight rows, in the same order; ``setup`` is the
+    :func:`search_setup` of the surface and estimator. Each trial draws
+    its own weight bank. Every stage then runs once on arrays with a
+    leading trial axis and makes, per trial, the call a batch of one
+    makes, so no bit of a result depends on the batch.
     """
+    if len(snapshots) != len(rng_seeds):
+        raise ValidationError(
+            f"{len(snapshots)} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
+        )
+    entries = setup.harmonics.entries
+    if any(
+        snaps.harmonics is not setup.harmonics
+        and not np.array_equal(snaps.harmonics.entries, entries)
+        for snaps in snapshots
+    ):
+        raise ValidationError(
+            "snapshots must be extracted with the search setup's harmonic matrix"
+        )
     cfg = setup.surface
-    whitened, w_inv_sqrts = [], []
-    for snaps, rng_seed in zip(snapshots, rng_seeds, strict=True):
-        harmonics = snaps.harmonics
-        weights = make_ps_weights(setup.num_weights, setup.width, rng_seed)
-        whitener = smoothing_whitener(weights, setup.compensation, harmonics, cfg)
-        w_inv_sqrt = whitener_inv_sqrt(whitener)
-        recovered = recover_channels(snaps.matrix, harmonics)
-        covariance = ps_covariance(smooth(recovered, setup.compensation, weights, cfg))
-        whitened.append(whiten(covariance, w_inv_sqrt))
-        w_inv_sqrts.append(w_inv_sqrt)
-    return music_search(np.stack(whitened), np.stack(w_inv_sqrts), setup)
+    weights = PsWeightSet(
+        np.stack([_weight_rows(setup.num_weights, setup.width, seed) for seed in rng_seeds])
+    )
+    w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(weights, setup.whitener_windows))
+    recovered = recover_channels(np.stack([snaps.matrix for snaps in snapshots]), setup.harmonics)
+    covariance = ps_covariance(smooth(recovered, setup.compensation, weights, cfg))
+    return music_search(whiten(covariance, w_inv_sqrt), w_inv_sqrt, setup)
 
 
 def write_spectrum_csv(result: MusicResult, path: str) -> None:

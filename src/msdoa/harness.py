@@ -5,28 +5,31 @@ How a sweep runs: each sweep value gives one config point, and
 context holds everything no trial changes: the harmonic matrix with
 its rank check and pseudo-inverse; the phase compensation; the signal
 model (the scene steering with the full-mode switched patterns or the
-ideal-mode phase table); the smoothing window width, the search grids,
-the search batch size and, at one known elevation, the search
-manifold; and the bound's rank-checked projected core. Each stage of a
-trial takes its piece of the context and the trial's own draws,
-nothing the piece was built from, and does only what those draws
-change: amplitudes and noise, synthesis, snapshot extraction, the
-smoothing weights with their whitener and its inverse square root,
-smoothing, the covariance and its eigendecomposition, and the bound's
-amplitude-dependent product and inverse.
+ideal-mode phase table); the smoothing window width, the windows of
+the compensated pseudo-inverse that every whitener is summed from, the
+search grids, the search batch size and, at one known elevation, the
+search manifold; and the bound's rank-checked projected core. Each
+stage takes its piece of the context and the trials' own draws,
+nothing the piece was built from.
 
-The search is the one stage that serves several trials at once.
 :func:`run_chunk` walks its trials in batches of the setup's
-``batch_size``. It synthesizes and extracts each trial of a batch and
-hands their snapshots and smoothing seeds to one :func:`estimate_doa`
-call, which whitens each trial on its own and then searches them
-together, building each elevation's manifold once per batch rather
-than once per trial. :func:`run_trial` then scores each trial and
-bounds its amplitudes. The batch size follows from the grid sizes and
-the noise dimension under a fixed byte budget (see
-``msdoa.estimator.SEARCH_BATCH_BYTES``), and every result is bitwise
-the same for every batch size. ``single`` is the batch of the one
-trial (0, 0), and ``crb`` bounds the amplitudes that trial draws.
+``batch_size``. The draws stay per trial: each trial derives its own
+seed streams, draws its amplitudes and noise, synthesizes its series
+and extracts its snapshots, and the series is dropped as soon as the
+snapshots are taken. :func:`run_batch` then runs every later stage
+once per batch, on arrays with a leading trial axis: the smoothing
+weights with their whiteners and inverse square roots, recovery and
+smoothing of every snapshot, the covariances and their whitening, the
+search (which builds each elevation's manifold once per batch rather
+than once per trial), and the bound's amplitude-dependent product and
+inverse. Each stacked call makes, per trial, the BLAS or LAPACK call a
+batch of one makes, so every result is bitwise the same for every
+batch size, and a trial that fails a check raises the error it raises
+alone. :func:`run_trial` then scores each trial. The batch size
+follows from the grid sizes and the noise dimension under a fixed byte
+budget (see ``msdoa.estimator.SEARCH_BATCH_BYTES``). ``single`` and
+``crb`` run trial (0, 0) as a batch of one through the same
+:func:`run_batch`, with BLAS held to one thread as in a sweep.
 
 A chunk of trials is the unit of work: :func:`run_trials` runs a
 point's trials as one chunk, or, with several workers, as contiguous
@@ -114,7 +117,7 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
     """
     harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface).decompose()
     signal = signal_model(cfg.surface, cfg.scene, cfg.plan, cfg.mode, harmonics)
-    search = search_setup(cfg.surface, cfg.estimator)
+    search = search_setup(cfg.surface, cfg.estimator, harmonics)
     bound = None
     if cfg.scene.num_sources > 0:
         # The azimuth-only search treats elevation as given; bounding it
@@ -144,50 +147,57 @@ def _draw(context: TrialContext, sweep_index: int, trial_index: int):
     return series, amplitudes, snapshots, smoothing_seed
 
 
-def _estimate(context: TrialContext, snapshots, smoothing_seeds) -> tuple:
-    """Estimates of a batch of trials, or ``None`` each without sources."""
-    if context.config.scene.num_sources == 0:
-        return (None,) * len(snapshots)
-    return estimate_doa(snapshots, context.search, smoothing_seeds).results
+def run_batch(context: TrialContext, drawn) -> tuple:
+    """Search results and stacked bound of a batch of drawn trials.
 
-
-def trial_bound(context: TrialContext, amplitudes) -> CrbResult:
-    """The angle bound of one amplitude draw at a config point."""
-    if context.bound is None:
-        raise ValidationError("the bound needs at least one configured source")
-    cfg = context.config
-    return crb(context.bound, cfg.plan, cfg.noise.variance, amplitudes)
-
-
-def run_trial(context: TrialContext, amplitudes, result) -> tuple[TrialOutcome, tuple[float, ...]]:
-    """Score one trial's estimate and bound the amplitudes it drew.
-
-    ``result`` is the trial's search result from :func:`run_chunk`'s
-    batch. Returns the trial outcome and the per-source square-root
-    bound in degrees.
+    ``drawn`` holds one (amplitudes, snapshots, smoothing seed) triple
+    per trial, from that trial's own draws. The estimator
+    chain and the bound each run once on arrays with a leading trial
+    axis. Returns the trials' :class:`MusicResult`s and one
+    :class:`CrbResult` whose arrays stack theirs; without sources the
+    results are ``None`` each and the bound is ``None``.
     """
-    # Scoring rejects a scene without sources before reading the result.
+    if context.bound is None:
+        return (None,) * len(drawn), None
+    amplitudes, snapshots, seeds = zip(*drawn)
+    cfg = context.config
+    results = estimate_doa(snapshots, context.search, seeds).results
+    bound = crb(context.bound, cfg.plan, cfg.noise.variance, np.stack(amplitudes))
+    return results, bound
+
+
+def run_trial(
+    context: TrialContext, result, theta_bounds
+) -> tuple[TrialOutcome, tuple[float, ...]]:
+    """Score one trial's estimate and convert its azimuth bounds.
+
+    ``result`` is the trial's search result and ``theta_bounds`` its
+    row of the batch bound's azimuth diagonal, both from
+    :func:`run_batch`. Returns the trial outcome and the per-source
+    square-root bound in degrees.
+    """
+    # Scoring rejects a scene without sources before reading the bound.
     outcome = resolve_and_score(result, context.config.scene.doas)
-    bound = trial_bound(context, amplitudes)
-    sqrt_crb_deg = tuple(float(np.rad2deg(np.sqrt(b))) for b in bound.theta_bounds)
+    sqrt_crb_deg = tuple(float(np.rad2deg(np.sqrt(b))) for b in theta_bounds)
     return outcome, sqrt_crb_deg
 
 
 def run_chunk(context: TrialContext, sweep_index: int, trial_indices):
     """Outcome and square-root bound of each listed trial of one config point.
 
-    ``context`` is the point's :func:`build_context`. The trials are
-    drawn one by one and searched in batches of the search setup's
-    ``batch_size``; each trial is then scored by :func:`run_trial`.
+    ``context`` is the point's :func:`build_context`. The trials run in
+    batches of the search setup's ``batch_size``: each trial of a batch
+    is drawn on its own, :func:`run_batch` estimates and bounds the
+    batch, and :func:`run_trial` scores each trial.
     """
     size = context.search.batch_size
     out = []
     for start in range(0, len(trial_indices), size):
         # Each series is dropped as soon as its snapshots are taken.
         drawn = [_draw(context, sweep_index, t)[1:] for t in trial_indices[start : start + size]]
-        amplitudes, snapshots, seeds = zip(*drawn)
-        results = _estimate(context, snapshots, seeds)
-        out.extend(run_trial(context, a, r) for a, r in zip(amplitudes, results))
+        results, bound = run_batch(context, drawn)
+        theta_bounds = [()] * len(drawn) if bound is None else bound.theta_bounds
+        out.extend(run_trial(context, r, b) for r, b in zip(results, theta_bounds))
         # Free the batch's spectra before the next batch is searched.
         del results
     return out
@@ -390,6 +400,29 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
             )
 
 
+def _trial_zero(cfg: ExperimentConfig):
+    """Trial (0, 0) of a config, run as a sweep runs it, as a batch of one.
+
+    BLAS is held to one thread, as in a sweep's trial chunks. Returns
+    the resolved config, the trial's series and snapshots, and its
+    search result and stacked bound from :func:`run_batch`.
+    """
+    cfg = resolve_experiment(cfg)
+    with _single_threaded_blas():
+        context = build_context(cfg)
+        series, amplitudes, snapshots, smoothing_seed = _draw(context, 0, 0)
+        (result,), bound = run_batch(context, [(amplitudes, snapshots, smoothing_seed)])
+    return cfg, series, snapshots, result, bound
+
+
+def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
+    """The angle bound of the amplitudes trial (0, 0) draws, the run ``single`` makes."""
+    *_, bound = _trial_zero(cfg)
+    if bound is None:
+        raise ValidationError("the bound needs at least one configured source")
+    return CrbResult(bound.matrix[0], bound.theta_bounds[0], bound.noise_fisher)
+
+
 def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     """One seeded end-to-end run with CSV dumps of both spectra.
 
@@ -400,11 +433,8 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     search spectrum and peak estimates. Also dumps the raw series and
     the snapshot matrix for downstream tools.
     """
-    cfg = resolve_experiment(cfg)
+    cfg, series, snapshots, result, _ = _trial_zero(cfg)
     prefix = out_prefix if out_prefix is not None else cfg.output
-    context = build_context(cfg)
-    series, _, snapshots, smoothing_seed = _draw(context, 0, 0)
-    (result,) = _estimate(context, [snapshots], [smoothing_seed])
 
     q_len = cfg.plan.points_per_snapshot
     windows = series.samples[: cfg.plan.total_points].reshape(-1, q_len)

@@ -281,10 +281,13 @@ def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
     if model.scene.num_sources == 0:
         return np.zeros(model.plan.total_points, dtype=complex)
     if model.patterns is not None:
-        out = np.zeros(model.plan.total_points, dtype=complex)
+        # Snapshot i of pattern k scales by amplitude (k, i): broadcast
+        # over (I, Q) rather than repeating each amplitude Q times.
+        plan = model.plan
+        out = np.zeros((plan.num_snapshots, plan.points_per_snapshot), dtype=complex)
         for k in range(model.scene.num_sources):
-            out += model.patterns[k] * np.repeat(amplitudes[k], model.plan.points_per_snapshot)
-        return out
+            out += model.patterns[k].reshape(out.shape) * amplitudes[k][:, None]
+        return out.ravel()
     # Band-limited model: truncated harmonic sum, one phase-table
     # product per snapshot column.
     coeffs = model.mixed_steering @ amplitudes  # (2P+1, I)
@@ -310,11 +313,13 @@ def synthesize_received(model: SignalModel, noise: NoiseSpec, rng_seed):
     amplitudes = draw_source_amplitudes(model.scene, model.plan.num_snapshots, amp_rng)
     samples = _signal_samples(model, amplitudes)
     if noise.variance > 0:
+        # Real parts first, then imaginary parts, from one buffer, added
+        # in place.
         scale = np.sqrt(model.num_elements * noise.variance / 2.0)
-        samples = samples + scale * (
-            noise_rng.standard_normal(samples.size)
-            + 1j * noise_rng.standard_normal(samples.size)
-        )
+        draws = noise_rng.standard_normal((2, samples.size))
+        draws *= scale
+        samples.real += draws[0]
+        samples.imag += draws[1]
     return TimeSeries(samples, model.plan.sample_rate_hz), amplitudes
 
 

@@ -1,9 +1,18 @@
-"""Shared fixtures: the baseline 5x6 surface and its sampling plan."""
+"""Shared fixtures: the baseline 5x6 surface, its sampling plan, and shipped points."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from msdoa import SamplingPlan, SurfaceConfig
+from msdoa import (
+    NoiseSpec,
+    SamplingPlan,
+    SurfaceConfig,
+    builtin_config_path,
+    load_config,
+    resolve_experiment,
+)
 
 C0 = 299792458.0
 
@@ -47,3 +56,24 @@ def small_cfg() -> SurfaceConfig:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture(scope="session", params=["full", "ideal", "coherent", "noise-free", "2d"])
+def chain_config(request):
+    """A shipped point in each regime the batched trial chain must keep bitwise.
+
+    The table1 scene in full and ideal synthesis, with coherent sources
+    and without noise, and the table1_2d scene on coarse grids.
+    """
+    overrides = {
+        "full": [],
+        "ideal": ["mode=ideal"],
+        "coherent": ["coherence=coherent"],
+        "noise-free": [],
+        "2d": ["theta_grid_deg=-90, 90, 2", "phi_grid_deg=0, 90, 2"],
+    }[request.param]
+    name = "table1_2d" if request.param == "2d" else "table1"
+    cfg = load_config(builtin_config_path(name), ["trials=4", *overrides])
+    if request.param == "noise-free":
+        cfg = replace(cfg, noise=NoiseSpec.quiet())
+    return resolve_experiment(cfg)

@@ -7,7 +7,7 @@ purpose and live here rather than in the package.
 
 import numpy as np
 
-from msdoa import Doa, harmonic_matrix, steering_derivatives
+from msdoa import Doa, draw_source_amplitudes, harmonic_matrix, steering_derivatives
 from msdoa.surface import steering_matrix
 
 
@@ -40,6 +40,52 @@ def stacked_crb(cfg, scene, plan, max_harmonic, noise_variance, amplitudes,
     fisher = 0.5 * (fisher + fisher.T)
     bound = (cfg.size * noise_variance / (2.0 * plan.points_per_snapshot)) * np.linalg.inv(fisher)
     return 0.5 * (bound + bound.T)
+
+
+def kron_crb(core, plan, noise_variance, amplitudes):
+    """Angle-block bound of one (K, I) draw with the Hadamard factor built by ``np.kron``.
+
+    The per-trial form ``crb`` had before it took stacks. Must equal
+    each trial of a stacked ``crb`` bit for bit.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    num_snap = plan.num_snapshots
+    groups = 1 if core.known_elevations else 2
+    sample_cov = amps @ amps.conj().T / num_snap
+    hadamard = np.kron(np.ones((groups, groups)), sample_cov).T
+    fisher = np.real(core.core * hadamard)
+    sym = 0.5 * (fisher + fisher.T)
+    prefactor = core.num_elements * noise_variance / (2.0 * plan.points_per_snapshot * num_snap)
+    bound = prefactor * np.linalg.inv(sym)
+    return 0.5 * (bound + bound.T)
+
+
+def repeat_synthesis(model, noise, rng_seed):
+    """Received samples and amplitudes with each amplitude repeated per sample.
+
+    Full mode adds every source's switched pattern times its amplitudes
+    repeated Q times; the noise is ``samples + scale*(re + 1j*im)`` from
+    two separate draws. This is the form ``synthesize_received`` had
+    before it broadcast over (I, Q) and drew the noise into one buffer;
+    the two must agree bit for bit.
+    """
+    amp_rng, noise_rng = np.random.default_rng(rng_seed).spawn(2)
+    plan = model.plan
+    amplitudes = draw_source_amplitudes(model.scene, plan.num_snapshots, amp_rng)
+    samples = np.zeros(plan.total_points, dtype=complex)
+    if model.patterns is not None:
+        for k in range(model.scene.num_sources):
+            samples += model.patterns[k] * np.repeat(amplitudes[k], plan.points_per_snapshot)
+    elif model.phase_table is not None:
+        coeffs = model.mixed_steering @ amplitudes
+        samples = (model.phase_table @ coeffs).ravel(order="F")
+    if noise.variance > 0:
+        scale = np.sqrt(model.num_elements * noise.variance / 2.0)
+        samples = samples + scale * (
+            noise_rng.standard_normal(samples.size)
+            + 1j * noise_rng.standard_normal(samples.size)
+        )
+    return samples, amplitudes
 
 
 def dense_smoothing(weight_row, cfg):

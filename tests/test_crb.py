@@ -16,7 +16,8 @@ from msdoa import (
     steering_derivatives,
     steering_vector,
 )
-from oracles import stacked_crb
+from msdoa.harness import build_context, synthesize_trial
+from oracles import kron_crb, stacked_crb
 
 C0 = 299792458.0
 
@@ -165,6 +166,39 @@ def test_amplitude_shape_check():
     cfg, plan, scene, _ = _tiny_setup()
     with pytest.raises(Exception):
         crb(_core(cfg, scene), plan, 0.3, np.ones((2, 2), dtype=complex))
+
+
+def test_stacked_bound_matches_the_kron_form_bit_for_bit(chain_config):
+    # Each trial of a stacked bound is the bound of its draw alone, and
+    # that is the np.kron form of the Hadamard factor, to the last bit.
+    cfg = chain_config
+    context = build_context(cfg)
+    amps = np.stack([synthesize_trial(context, 0, t)[1] for t in range(4)])
+    stacked = crb(context.bound, cfg.plan, cfg.noise.variance, amps)
+    assert stacked.matrix.shape[0] == stacked.theta_bounds.shape[0] == 4
+    for t, draw in enumerate(amps):
+        alone = crb(context.bound, cfg.plan, cfg.noise.variance, draw)
+        want = kron_crb(context.bound, cfg.plan, cfg.noise.variance, draw)
+        assert stacked.matrix[t].tobytes() == alone.matrix.tobytes() == want.tobytes()
+        assert stacked.theta_bounds[t].tobytes() == alone.theta_bounds.tobytes()
+
+
+def test_a_singular_draw_raises_in_a_stack_as_it_does_alone():
+    cfg, plan, _, _ = _tiny_setup()
+    scene = SourceScene((Doa.from_degrees(22.0, 70.0), Doa.from_degrees(-30.0, 50.0)),
+                        (1.0, 1.0))
+    core = crb_core(cfg, scene, harmonic_matrix(3, cfg))
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    amps[1, 1] = 0.0  # the second source is silent: its angles carry nothing
+    amps[3] = 0.0
+    with pytest.raises(UnidentifiableParameterError) as alone:
+        crb(core, plan, 0.3, amps[1])
+    with pytest.raises(UnidentifiableParameterError) as stacked:
+        crb(core, plan, 0.3, amps)
+    assert str(stacked.value) == str(alone.value)
+    # The first singular trial is the one reported.
+    assert "0.000e+00 .. 0.000e+00" not in str(stacked.value)
 
 
 def test_in_plane_sources_need_known_elevations(table1_cfg):

@@ -17,6 +17,7 @@ from msdoa import (
     NearSingularWhitenerError,
     NoiseSpec,
     NoNoiseSubspaceError,
+    PsWeightSet,
     SamplingPlan,
     SourceScene,
     SurfaceConfig,
@@ -42,7 +43,7 @@ from msdoa import (
     synthesize_received,
     whiten,
 )
-from msdoa.estimator import inclusive_grid, whitener_inv_sqrt
+from msdoa.estimator import inclusive_grid, smoothing_windows, whitener_inv_sqrt
 from msdoa.harness import synthesize_trial
 from msdoa.surface import element_positions, receiver_delays
 
@@ -52,6 +53,12 @@ TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 def _estimate_one(snapshots, setup, weight_seed):
     """The estimate of one trial: a batch of one."""
     return estimate_doa([snapshots], setup, [weight_seed]).results[0]
+
+
+def _whitener(weights, comp, um, cfg):
+    """The smoothing whitener of one weight bank, from the recovery windows."""
+    return smoothing_whitener(
+        weights, smoothing_windows(um.pseudo_inverse, comp, cfg, weights.width))
 
 
 def _search_one(whitened, w_inv_sqrt, setup):
@@ -105,7 +112,7 @@ def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
     series, amps = synthesize_received(signal_model(cfg, scene, plan, mode, um), noise, rng_seed)
     snaps = extract_snapshots(series, plan, um)
     comp = compensation_matrix(cfg)
-    wh = smoothing_whitener(weights, comp, um, cfg)
+    wh = _whitener(weights, comp, um, cfg)
     smoothed = smooth(recover_channels(snaps.matrix, um), comp, weights, cfg)
     return smoothed, amps, wh
 
@@ -137,7 +144,7 @@ def test_whitener_is_hermitian_psd(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
     comp = compensation_matrix(table1_cfg)
     weights = make_ps_weights(5, 6, 1)
-    wh = smoothing_whitener(weights, comp, um, table1_cfg)
+    wh = _whitener(weights, comp, um, table1_cfg)
     assert np.allclose(wh, wh.conj().T)
     assert np.min(np.linalg.eigvalsh(wh)) > 0
 
@@ -146,7 +153,7 @@ def test_whiten_self_is_identity(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
     comp = compensation_matrix(table1_cfg)
     weights = make_ps_weights(2, 6, 1)
-    wh = smoothing_whitener(weights, comp, um, table1_cfg)
+    wh = _whitener(weights, comp, um, table1_cfg)
     assert np.max(np.abs(whiten(wh, whitener_inv_sqrt(wh)) - np.eye(5))) < 1e-10
 
 
@@ -154,6 +161,32 @@ def test_whiten_rejects_singular():
     singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
     with pytest.raises(NearSingularWhitenerError):
         whitener_inv_sqrt(singular)
+
+
+def test_a_singular_whitener_raises_in_a_stack_as_it_does_alone():
+    good = np.eye(3, dtype=complex)
+    first = np.diag([2.0, 1.0, 1e-15]).astype(complex)
+    second = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    with pytest.raises(NearSingularWhitenerError) as alone:
+        whitener_inv_sqrt(first)
+    with pytest.raises(NearSingularWhitenerError) as stacked:
+        whitener_inv_sqrt(np.stack([good, first, good, second]))
+    assert str(stacked.value) == str(alone.value)
+    # Good whiteners of a stack come out as they would alone.
+    pair = whitener_inv_sqrt(np.stack([good, 4.0 * good]))
+    assert pair.tobytes() == np.stack([whitener_inv_sqrt(good),
+                                       whitener_inv_sqrt(4.0 * good)]).tobytes()
+
+
+def test_weights_must_have_unit_modulus_within_1e9():
+    PsWeightSet(np.full((2, 3), 1.0 + 5e-10, dtype=complex))
+    for modulus in (1.0 + 1e-6, 1.0 - 1e-6, np.nan):
+        with pytest.raises(ValidationError, match="unit modulus"):
+            PsWeightSet(np.full((2, 3), modulus, dtype=complex))
+    stack = np.ones((3, 2, 3), dtype=complex)
+    stack[2, 1, 0] = 1.0 + 1e-6
+    with pytest.raises(ValidationError, match="unit modulus"):
+        PsWeightSet(stack)
 
 
 def _noise_only_whitened_cov(num_weights, draws, sigma2):
@@ -166,7 +199,7 @@ def _noise_only_whitened_cov(num_weights, draws, sigma2):
     um = harmonic_matrix(15, cfg)
     comp = compensation_matrix(cfg)
     weights = make_ps_weights(num_weights, 6, 11)
-    wh = smoothing_whitener(weights, comp, um, cfg)
+    wh = _whitener(weights, comp, um, cfg)
     idx = frequency_indices(plan, 15)
     q_len = plan.points_per_snapshot
 
@@ -232,7 +265,7 @@ def _search_noiseless(table1_cfg, table1_plan, scene, params, weight_seed):
     model = signal_model(table1_cfg, scene, table1_plan, "ideal", um)
     series, _ = synthesize_received(model, NoiseSpec.quiet(), 5)
     snaps = extract_snapshots(series, table1_plan, um)
-    return _estimate_one(snaps, search_setup(table1_cfg, params), weight_seed)
+    return _estimate_one(snaps, search_setup(table1_cfg, params, um), weight_seed)
 
 
 def test_music_noiseless_1d(table1_cfg, table1_plan):
@@ -254,7 +287,7 @@ def test_music_noiseless_1d_full_mode(table1_cfg, table1_plan):
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
     params = EstimatorParams(num_sources=2, num_weights=5)
-    result = _estimate_one(snaps, search_setup(table1_cfg, params), 2)
+    result = _estimate_one(snaps, search_setup(table1_cfg, params, um), 2)
     got = sorted(est.theta_deg for est in result.estimates)
     assert got == pytest.approx([-22.0, 12.0], abs=0.15)
 
@@ -290,7 +323,8 @@ def test_music_scale_equivariance(table1_cfg, table1_plan):
                              noise=NoiseSpec(variance=0.3))
     cov = ps_covariance(smoothed)
     w = whitener_inv_sqrt(wh)
-    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
+    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5),
+                         harmonic_matrix(15, table1_cfg))
     a = _search_one(whiten(cov, w), w, setup)
     b = _search_one(whiten(7.3 * cov, w), w, setup)
     assert [e.theta_deg for e in a.estimates] == [e.theta_deg for e in b.estimates]
@@ -300,7 +334,8 @@ def test_music_scale_equivariance(table1_cfg, table1_plan):
 
 
 def _setup_1d(cfg, num_sources=1):
-    return search_setup(cfg, EstimatorParams(num_sources=num_sources, num_weights=5))
+    return search_setup(cfg, EstimatorParams(num_sources=num_sources, num_weights=5),
+                        harmonic_matrix(15, cfg))
 
 
 def test_music_no_noise_subspace(table1_cfg):
@@ -315,7 +350,8 @@ def test_music_dimension_checks(table1_cfg):
                     _setup_1d(table1_cfg))  # full width expects rows = 5
     with pytest.raises(ValidationError):
         search_setup(table1_cfg, EstimatorParams(
-            num_sources=1, num_weights=5, kind="2d", subarray_width=7))  # wider than cols
+            num_sources=1, num_weights=5, kind="2d", subarray_width=7),
+            harmonic_matrix(15, table1_cfg))  # wider than cols
 
 
 def test_estimator_params_validation():
@@ -343,12 +379,12 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     series, _ = synthesize_received(model, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
-    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
+    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
     auto = _estimate_one(snaps, setup, 17)
 
     comp = compensation_matrix(table1_cfg)
     weights = make_ps_weights(5, 6, 17)
-    w = whitener_inv_sqrt(smoothing_whitener(weights, comp, um, table1_cfg))
+    w = whitener_inv_sqrt(_whitener(weights, comp, um, table1_cfg))
     smoothed = smooth(recover_channels(snaps.matrix, um), comp, weights, table1_cfg)
     manual = _search_one(whiten(ps_covariance(smoothed), w), w, setup)
     assert np.array_equal(auto.spectrum, manual.spectrum)
@@ -412,7 +448,7 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     # mixes where they still hold 1e-10.
     assume(np.linalg.cond(um.entries) < 1e2)
     want = oracles.gram_whitener(weights.weights, comp, um.entries, cfg)
-    assert _rel_err(smoothing_whitener(weights, comp, um, cfg), want) < 1e-10
+    assert _rel_err(_whitener(weights, comp, um, cfg), want) < 1e-10
 
 
 def _trial_zero(name, **estimator):
@@ -453,9 +489,9 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     series, _ = synthesize_received(model, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
     snaps = extract_snapshots(series, table1_plan, um)
-    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5))
-    whitener = smoothing_whitener(make_ps_weights(5, 6, 17),
-                                  compensation_matrix(table1_cfg), um, table1_cfg)
+    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
+    whitener = _whitener(make_ps_weights(5, 6, 17),
+                         compensation_matrix(table1_cfg), um, table1_cfg)
     inputs = []
     eigh = np.linalg.eigh
 
@@ -466,7 +502,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     _estimate_one(snaps, setup, 17)
     assert len(inputs) == 2
-    assert sum(np.array_equal(a, whitener) for a in inputs) == 1
+    assert sum(np.array_equal(a, whitener[None]) for a in inputs) == 1
 
 
 @st.composite

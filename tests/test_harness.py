@@ -3,6 +3,7 @@
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from msdoa import (
     resolve_experiment,
     run_single,
     run_sweep,
+    run_batch,
     run_chunk,
     run_trials,
     search_setup,
@@ -173,7 +175,7 @@ def test_run_single_outputs(tmp_path):
     for path in paths.values():
         assert os.path.exists(path)
     q_len = cfg.plan.points_per_snapshot
-    lines = open(paths["frequency"]).read().splitlines()
+    lines = Path(paths["frequency"]).read_text().splitlines()
     assert lines[0] == "bin_index,freq_hz,magnitude,selected"
     assert len(lines) == 1 + q_len
     selected = sum(int(line.split(",")[3]) for line in lines[1:])
@@ -188,7 +190,7 @@ def test_run_single_noise_only(tmp_path):
     out = run_single(parse_config(text), str(tmp_path / "quiet"))
     assert "spatial" not in out["paths"]
     assert out["result"] is None
-    lines = open(out["paths"]["frequency"]).read().splitlines()
+    lines = Path(out["paths"]["frequency"]).read_text().splitlines()
     mags = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert np.all(np.isfinite(mags))
     assert mags.max() > 0.0
@@ -327,7 +329,7 @@ def test_run_single_is_trial_zero(tmp_path):
     series, _ = synthesize_received(model, resolved.noise, synth_seed)
     snapshots = extract_snapshots(series, resolved.plan, harmonics)
     (result,) = estimate_doa(
-        [snapshots], search_setup(resolved.surface, resolved.estimator), [weight_seed]
+        [snapshots], search_setup(resolved.surface, resolved.estimator, harmonics), [weight_seed]
     ).results
     ref = str(tmp_path / "ref")
     write_time_series(series, resolved.plan, f"{ref}_series.f64", seed=resolved.seed)
@@ -435,18 +437,62 @@ def test_batching_never_moves_a_bit(case, slack):
         assert batch * trial_bytes <= budget
         assert _result_or_error(run_trials, cfg) == unbatched
 
-    drawn = [msdoa.harness._draw(context, 0, t) for t in range(cfg.trials)]
-    together = _result_or_error(
-        estimate_doa, [d[2] for d in drawn], context.search, [d[3] for d in drawn])
-    for t, (_, _, snapshots, seed) in enumerate(drawn):
-        alone = _result_or_error(estimate_doa, [snapshots], single.search, [seed])
-        if isinstance(alone, tuple) or isinstance(together, tuple):
-            assert alone == together
-            continue
-        got, want = together.results[t], alone.results[0]
-        assert np.array_equal(got.spectrum, want.spectrum)
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert got.estimates == want.estimates
+    drawn = [msdoa.harness._draw(context, 0, t)[1:] for t in range(cfg.trials)]
+    together = _spied_batch(context, drawn)
+    alone = [_spied_batch(single, [trial]) for trial in drawn]
+    errors = [a for a in alone if isinstance(a[0], type)]
+    if errors or isinstance(together[0], type):
+        # A stage raises for the first of the batch's trials it fails
+        # on, with the error that trial raises alone.
+        assert together in errors
+        return
+    for t, trial in enumerate(alone):
+        for got, want in zip(_trial_arrays(together, t), _trial_arrays(trial, 0)):
+            assert got.tobytes() == want.tobytes()
+        assert together[0][t].estimates == trial[0][0].estimates
+
+
+def _spied_batch(context, drawn):
+    """:func:`run_batch` of a batch, with the whitened covariances and
+    whitening transforms its search was handed; or its typed error."""
+    seen = []
+    search = msdoa.estimator.music_search
+
+    def spy(whitened, w_inv_sqrt, setup):
+        seen.append((whitened, w_inv_sqrt))
+        return search(whitened, w_inv_sqrt, setup)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(msdoa.estimator, "music_search", spy)
+        outcome = _result_or_error(run_batch, context, drawn)
+    if isinstance(outcome[0], type):
+        return outcome
+    (stacks,) = seen
+    return (*outcome, *stacks)
+
+
+def _trial_arrays(batch, t):
+    """Spectrum, eigenvalues, bound, azimuth bounds, whitened covariance
+    and whitening transform of trial ``t`` of a :func:`_spied_batch`."""
+    results, bound, whitened, w_inv_sqrt = batch
+    return (results[t].spectrum, results[t].eigenvalues, bound.matrix[t],
+            bound.theta_bounds[t], whitened[t], w_inv_sqrt[t])
+
+
+def test_a_singular_draw_raises_in_a_batch_as_it_does_alone():
+    context = build_context(resolve_experiment(parse_config(COHERENT)))
+    drawn = [msdoa.harness._draw(context, 0, t)[1:] for t in range(4)]
+    for t, source in ((1, 1), (3, slice(None))):
+        amplitudes, snapshots, seed = drawn[t]
+        amplitudes = amplitudes.copy()
+        amplitudes[source] = 0.0  # no bound exists for a silent source
+        drawn[t] = (amplitudes, snapshots, seed)
+    with pytest.raises(UnidentifiableParameterError) as alone:
+        run_batch(context, [drawn[1]])
+    with pytest.raises(UnidentifiableParameterError) as batch:
+        run_batch(context, drawn)
+    assert str(batch.value) == str(alone.value)
+    assert "0.000e+00 .. 0.000e+00" not in str(batch.value)
 
 
 def test_context_belongs_to_its_config():
@@ -454,7 +500,8 @@ def test_context_belongs_to_its_config():
     # Trials share these arrays, so none of them may be written.
     for arr in (context.harmonics.pseudo_inverse, context.harmonics.gram_inverse,
                 context.signal.patterns, context.search.manifold,
-                context.search.compensation, context.bound.core):
+                context.search.compensation, context.search.whitener_windows,
+                context.bound.core):
         assert not arr.flags.writeable
 
 
@@ -512,8 +559,8 @@ def _degenerate_harmonics(max_harmonic, surface):
     return HarmonicMatrix(max_harmonic, np.ones((2 * max_harmonic + 1, surface.size)))
 
 
-def _singular_whitener(weights, compensation, harmonics, cfg):
-    dim = cfg.rows * (cfg.cols - weights.width + 1)
+def _singular_whitener(weights, windows):
+    dim = windows.shape[-4] * windows.shape[-3]
     return np.zeros((dim, dim), dtype=complex)
 
 

@@ -24,7 +24,9 @@ from msdoa import (
     synthesize_received,
     write_time_series,
 )
+from msdoa.harness import build_context, trial_seed_sequence
 from msdoa.waveform import _slot_indices
+from oracles import repeat_synthesis
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
@@ -171,6 +173,22 @@ def test_synthesis_deterministic(table1_cfg, table1_plan):
     c, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), 43)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
+
+
+def test_synthesis_matches_the_repeat_form_bit_for_bit(chain_config):
+    # Broadcast amplitudes and one in-place noise buffer change no bit
+    # of the series or of the amplitudes it drew.
+    cfg = chain_config
+    model = build_context(cfg).signal
+    for trial in range(3):
+        # A seed sequence counts its spawns, so each call gets a fresh one.
+        def seed():
+            return trial_seed_sequence(cfg.seed, 0, trial).spawn(2)[0]
+
+        series, amplitudes = synthesize_received(model, cfg.noise, seed())
+        samples, want = repeat_synthesis(model, cfg.noise, seed())
+        assert series.samples.tobytes() == samples.tobytes()
+        assert amplitudes.tobytes() == want.tobytes()
 
 
 def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
