@@ -27,9 +27,10 @@ decomposition makes the same BLAS or LAPACK call per trial as a batch
 of one would, so no bit of a result depends on the batch. A single
 product of all the trials stacked as rows would not keep that: a
 one-row operand goes to a matrix-vector kernel and several rows to a
-matrix-matrix kernel, which round differently. The search builds each
-elevation's manifold once per batch and projects every trial's
-whitened noise basis onto it in one stacked product.
+matrix-matrix kernel, which round differently. The search folds each
+trial's whitened noise projector onto the lags of the smoothed grid and
+evaluates the null spectrum as a trigonometric polynomial in the row
+and column phases, with each elevation's basis built once per batch.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 WHITENER_RTOL = 1e-12
 # Largest distance of a smoothing weight's modulus from 1.
 UNIT_MODULUS_ATOL = 1e-9
-# Bytes a search batch may hold: its trials' spectra plus the projection
-# of all their noise bases onto one elevation's manifold, complex, with
-# its squared magnitude. 2.5 MiB lets the 361 x 181 grid of table1_2d
-# search 4 trials per manifold build.
+# Bytes a search batch may hold, per trial its spectrum with one
+# elevation's denominators and its largest stack in the chain, the
+# whitener's collapsed windows (complex) with the copy the collapse
+# makes. 2.5 MiB gives 4 trials on table1_2d, 32 on table2 and 48 on
+# table1.
 SEARCH_BATCH_BYTES = 5 * 2**19
 
 
@@ -239,19 +241,71 @@ def whiten(covariance: np.ndarray, w_inv_sqrt: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
-def _manifold(theta_rad, phi_rad, out_cols: int, cfg: SurfaceConfig) -> np.ndarray:
-    """Smoothed-domain steering over an azimuth grid at one elevation.
+def _half_plane_lags(rows: int, out_cols: int) -> np.ndarray:
+    """(row, column) lags q - p of the smoothed grid: (0, 0), then one of each +- pair.
 
-    Row phases exp(j*w0*(m - (M+1)/2)*d*sin(phi)*sin(theta)/c) times the
-    window ramp exp(j*w0*r*d*sin(phi)*cos(theta)/c), r = 0..out_cols-1,
-    in :func:`smooth`'s (row, window) order; shape (M*out_cols, thetas).
+    The kept half is (0, 1 .. out_cols-1), then for each row lag
+    1 .. rows-1 the column lags -(out_cols-1) .. out_cols-1; shape
+    (1 + H, 2) with H = ((2*rows - 1)*(2*out_cols - 1) - 1) / 2.
     """
-    m = np.arange(1, cfg.rows + 1) - (cfg.rows + 1) / 2.0
-    r = np.arange(out_cols)
-    scale = cfg.omega0 * cfg.spacing_m * np.sin(phi_rad)
-    rows = np.exp(1j * np.outer(m, scale * np.sin(theta_rad) / cfg.wave_speed))
-    ramp = np.exp(1j * np.outer(r, scale * np.cos(theta_rad) / cfg.wave_speed))
-    return (rows[:, None, :] * ramp[None, :, :]).reshape(-1, theta_rad.size)
+    cols = range(1 - out_cols, out_cols)
+    half = [(0, r) for r in range(1, out_cols)] + [(m, r) for m in range(1, rows) for r in cols]
+    return np.array([(0, 0), *half], dtype=int).reshape(-1, 2)
+
+
+def _lag_fold(rows: int, out_cols: int) -> np.ndarray:
+    """Flat indices of the Gram entries Q[p, q] at each :func:`_half_plane_lags` lag.
+
+    Row h lists, in row-major (p, q) order, the entries of a
+    (rows*out_cols)-square matrix whose lag q - p is lag h, padded with
+    the index one past its last entry, where the search appends a zero.
+    """
+    dim = rows * out_cols
+    m, r = np.divmod(np.arange(dim), out_cols)
+    row_lag, col_lag = m[None, :] - m[:, None], r[None, :] - r[:, None]
+    members = [
+        np.flatnonzero((row_lag == a) & (col_lag == b)) for a, b in _half_plane_lags(rows, out_cols)
+    ]
+    fold = np.full((len(members), max(idx.size for idx in members)), dim * dim)
+    for h, idx in enumerate(members):
+        fold[h, : idx.size] = idx
+    return fold
+
+
+def _lag_basis(rows: int, out_cols: int, directions: np.ndarray, phase_scale: float) -> np.ndarray:
+    """Rows [1; cos psi_h; sin psi_h] over an azimuth grid at one elevation.
+
+    ``directions`` is [sin(theta); cos(theta)] over the grid and
+    phase_scale = w0*d*sin(phi)/c. For each :func:`_half_plane_lags` lag
+    (dm_h, dr_h) after (0, 0), psi_h = phase_scale*(dm_h*sin(theta) +
+    dr_h*cos(theta)); shape (2H+1, thetas). exp(j*psi_h) is the product
+    of the dm_h-th power of exp(j*phase_scale*sin(theta)) and the
+    dr_h-th power of exp(j*phase_scale*cos(theta)), each power taken by
+    repeated multiplication and a negative one by conjugation.
+    """
+    thetas = directions.shape[1]
+    half = ((2 * rows - 1) * (2 * out_cols - 1) - 1) // 2
+    count = max(rows, out_cols)
+    # powers[i] = [exp(j*i*u); exp(j*i*v)], u and v the row and column phases.
+    powers = np.empty((count, 2, thetas), dtype=complex)
+    powers[0] = 1.0
+    if count > 1:
+        phase = phase_scale * directions
+        np.cos(phase, out=powers[1].real)
+        np.sin(phase, out=powers[1].imag)
+    for i in range(2, count):
+        np.multiply(powers[i - 1], powers[1], out=powers[i])
+    row, col = powers[:rows, 0], powers[:out_cols, 1]
+    terms = np.empty((half, thetas), dtype=complex)
+    terms[: out_cols - 1] = col[1:]
+    grid = terms[out_cols - 1 :].reshape(rows - 1, 2 * out_cols - 1, thetas)
+    np.multiply(row[1:, None], col[None, :], out=grid[:, out_cols - 1 :])
+    np.multiply(row[1:, None], col[None, :0:-1].conj(), out=grid[:, : out_cols - 1])
+    basis = np.empty((2 * half + 1, thetas))
+    basis[0] = 1.0
+    basis[1 : half + 1] = terms.real
+    basis[half + 1 :] = terms.imag
+    return basis
 
 
 def _local_maxima(values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -361,14 +415,15 @@ class SearchSetup:
     matrix the snapshots are recovered with, the phase compensation, the
     smoothing window width, the :func:`smoothing_windows` of the
     recovery left inverse (every weight bank's whitener is summed from
-    them), the azimuth and elevation grids, the search batch size and,
-    when there is one elevation, the manifold over the azimuth grid.
-    With an elevation grid the manifolds are built per elevation during
-    the search instead: holding all of them would cost megabytes
-    (15.7 MB on table1_2d), while one serves every trial of a batch. ``batch_size`` is the most trials whose
-    spectra plus one elevation's projection and its squared magnitude
-    fit in ``SEARCH_BATCH_BYTES``, and at least 1. Arrays are
-    read-only: trials share them.
+    them), the azimuth and elevation grids, the sines and cosines of the
+    azimuths, the table that folds a Gram matrix onto the half-plane
+    lags of the smoothed grid, and the search batch size. When
+    there is one elevation it also holds the search's lag basis over the
+    azimuth grid; with an elevation grid the search builds each
+    elevation's basis once per batch instead. ``batch_size`` is the most
+    trials whose spectra and largest chain stacks fit in
+    ``SEARCH_BATCH_BYTES``, and at least 1. Arrays are read-only:
+    trials share them.
     """
 
     surface: SurfaceConfig
@@ -380,8 +435,15 @@ class SearchSetup:
     whitener_windows: np.ndarray
     theta_grid_deg: np.ndarray
     elevation_grid_deg: np.ndarray
-    manifold: np.ndarray | None
+    directions: np.ndarray
+    fold: np.ndarray
+    basis: np.ndarray | None
     batch_size: int
+
+
+def _phase_scale(cfg: SurfaceConfig, phi_rad: float) -> float:
+    """w0*d*sin(phi)/c: the phase per element step at unit direction cosine."""
+    return cfg.omega0 * cfg.spacing_m * np.sin(phi_rad) / cfg.wave_speed
 
 
 def search_setup(
@@ -402,13 +464,20 @@ def search_setup(
     comp = compensation_matrix(cfg)
     windows = smoothing_windows(harmonics.pseudo_inverse, comp, cfg, width)
     out_cols = cfg.cols - width + 1
-    manifold = None
+    theta_rad = np.deg2rad(theta_grid)
+    directions = np.stack([np.sin(theta_rad), np.cos(theta_rad)])
+    fold = _lag_fold(cfg.rows, out_cols)
+    basis = None
     if elevations.size == 1:
-        manifold = _manifold(np.deg2rad(theta_grid), np.deg2rad(elevations[0]), out_cols, cfg)
-    noise_dim = max(cfg.rows * out_cols - params.num_sources, 0)
-    trial_bytes = theta_grid.size * (8 * elevations.size + 24 * noise_dim)
+        scale = _phase_scale(cfg, np.deg2rad(elevations[0]))
+        basis = _lag_basis(cfg.rows, out_cols, directions, scale)
+    lines = 2 * harmonics.max_harmonic + 1
+    trial_bytes = (
+        8 * theta_grid.size * (elevations.size + 1)
+        + 32 * lines * params.num_weights * cfg.rows * out_cols
+    )
     batch_size = max(1, SEARCH_BATCH_BYTES // trial_bytes)
-    for arr in (comp, theta_grid, elevations, manifold):
+    for arr in (comp, theta_grid, elevations, directions, fold, basis):
         if arr is not None:
             arr.flags.writeable = False
     return SearchSetup(
@@ -421,7 +490,9 @@ def search_setup(
         windows,
         theta_grid,
         elevations,
-        manifold,
+        directions,
+        fold,
+        basis,
         batch_size,
     )
 
@@ -436,8 +507,16 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     subspace; its spectrum is the reciprocal projection of the whitened
     manifold W^-1/2 a onto it, and its estimates are the
     ``num_sources`` largest strict local maxima (fewer if the spectrum
-    has fewer peaks). Each elevation's manifold is built once and all
-    trials' noise bases are projected onto it in one stacked product.
+    has fewer peaks).
+
+    With B the whitened noise basis, the projection is a^H Q a for the
+    Gram matrix Q = B^H B, which depends on a only through the lag sums
+    c_h of Q. Each trial's spectrum denominator is therefore its row
+    [tr Q, 2 Re c_h, -2 Im c_h] times the lag basis [1; cos psi_h;
+    sin psi_h] (see :func:`_lag_basis`), a trigonometric polynomial in
+    the row and column phases. Each elevation's basis is built once per
+    batch. The polynomial can round to zero or below at an exact null,
+    where the spectrum takes 1 over the smallest normal float.
     """
     cfg, num_sources = setup.surface, setup.num_sources
     trials, dim = whitened.shape[0], whitened.shape[-1]
@@ -459,20 +538,26 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     eigenvalues = np.take_along_axis(vals, order, axis=1)
     noise = np.take_along_axis(vecs, order[:, None, num_sources:], axis=2)
     basis_w = noise.conj().transpose(0, 2, 1) @ w_inv_sqrt
+    gram = basis_w.conj().transpose(0, 2, 1) @ basis_w
+    # One zero after each flat Gram matrix pads the fold's short lags.
+    flat = np.concatenate([gram.reshape(trials, -1), np.zeros((trials, 1))], axis=1)
+    # take() lays each trial's gathered lags out contiguously, so each
+    # trial's sums run in the order they run alone.
+    lag_sums = np.take(flat, setup.fold, axis=1).sum(axis=-1)
+    coef = np.concatenate(
+        [lag_sums[:, :1].real, 2.0 * lag_sums[:, 1:].real, -2.0 * lag_sums[:, 1:].imag], axis=1
+    )[:, None, :]
 
     theta_grid, elevations = setup.theta_grid_deg, setup.elevation_grid_deg
-    theta_rad = np.deg2rad(theta_grid)
     tiny = np.finfo(float).tiny
     spectrum = np.empty((trials, theta_grid.size, elevations.size))
-    # |projection|^2, squared in place so that an elevation holds only
-    # the complex projection and this buffer (see SEARCH_BATCH_BYTES).
-    power = np.empty((trials, dim - num_sources, theta_grid.size))
     for j, phi in enumerate(np.deg2rad(elevations)):
-        manifold = setup.manifold
-        if manifold is None:
-            manifold = _manifold(theta_rad, phi, out_cols, cfg)
-        np.square(np.abs(basis_w @ manifold, out=power), out=power)
-        spectrum[:, :, j] = 1.0 / np.maximum(np.sum(power, axis=1), tiny)
+        basis = setup.basis
+        if basis is None:
+            scale = _phase_scale(cfg, phi)
+            basis = _lag_basis(cfg.rows, out_cols, setup.directions, scale)
+        denominator = (coef @ basis)[:, 0]
+        np.divide(1.0, np.maximum(denominator, tiny, out=denominator), out=spectrum[:, :, j])
 
     results = []
     for values, eigs in zip(spectrum, eigenvalues):

@@ -7,10 +7,10 @@ its rank check and pseudo-inverse; the phase compensation; the signal
 model (the scene steering with the full-mode switched patterns or the
 ideal-mode phase table); the smoothing window width, the windows of
 the compensated pseudo-inverse that every whitener is summed from, the
-search grids, the search batch size and, at one known elevation, the
-search manifold; and the bound's rank-checked projected core. Each
-stage takes its piece of the context and the trials' own draws,
-nothing the piece was built from.
+search grids, the lag fold table, the search batch size and, at one
+known elevation, the search's lag basis; and the bound's rank-checked
+projected core. Each stage takes its piece of the context and the
+trials' own draws, nothing the piece was built from.
 
 :func:`run_chunk` walks its trials in batches of the setup's
 ``batch_size``. The draws stay per trial: each trial derives its own
@@ -20,16 +20,17 @@ snapshots are taken. :func:`run_batch` then runs every later stage
 once per batch, on arrays with a leading trial axis: the smoothing
 weights with their whiteners and inverse square roots, recovery and
 smoothing of every snapshot, the covariances and their whitening, the
-search (which builds each elevation's manifold once per batch rather
+search (which builds each elevation's lag basis once per batch rather
 than once per trial), and the bound's amplitude-dependent product and
 inverse. Each stacked call makes, per trial, the BLAS or LAPACK call a
 batch of one makes, so every result is bitwise the same for every
 batch size, and a trial that fails a check raises the error it raises
 alone. :func:`run_trial` then scores each trial. The batch size
-follows from the grid sizes and the noise dimension under a fixed byte
-budget (see ``msdoa.estimator.SEARCH_BATCH_BYTES``). ``single`` and
-``crb`` run trial (0, 0) as a batch of one through the same
-:func:`run_batch`, with BLAS held to one thread as in a sweep.
+follows from the grid sizes and the chain's per-trial stacks under a
+fixed byte budget (see ``msdoa.estimator.SEARCH_BATCH_BYTES``).
+``single`` runs trial (0, 0) as a batch of one through the same
+:func:`run_batch`, and ``crb`` bounds the amplitudes of that same draw
+without the search, both with BLAS held to one thread as in a sweep.
 
 A chunk of trials is the unit of work: :func:`run_trials` runs a
 point's trials as one chunk, or, with several workers, as contiguous
@@ -405,21 +406,30 @@ def _trial_zero(cfg: ExperimentConfig):
 
     BLAS is held to one thread, as in a sweep's trial chunks. Returns
     the resolved config, the trial's series and snapshots, and its
-    search result and stacked bound from :func:`run_batch`.
+    search result from :func:`run_batch`.
     """
     cfg = resolve_experiment(cfg)
     with _single_threaded_blas():
         context = build_context(cfg)
         series, amplitudes, snapshots, smoothing_seed = _draw(context, 0, 0)
-        (result,), bound = run_batch(context, [(amplitudes, snapshots, smoothing_seed)])
-    return cfg, series, snapshots, result, bound
+        (result,), _ = run_batch(context, [(amplitudes, snapshots, smoothing_seed)])
+    return cfg, series, snapshots, result
 
 
 def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
-    """The angle bound of the amplitudes trial (0, 0) draws, the run ``single`` makes."""
-    *_, bound = _trial_zero(cfg)
-    if bound is None:
-        raise ValidationError("the bound needs at least one configured source")
+    """The angle bound of the amplitudes trial (0, 0) draws, the run ``single`` makes.
+
+    The trial is drawn as a sweep draws it and its amplitudes are
+    bounded as :func:`run_batch` bounds a batch of one; the estimator
+    and the search do not run.
+    """
+    cfg = resolve_experiment(cfg)
+    with _single_threaded_blas():
+        context = build_context(cfg)
+        if context.bound is None:
+            raise ValidationError("the bound needs at least one configured source")
+        _, amplitudes, _ = synthesize_trial(context, 0, 0)
+        bound = crb(context.bound, cfg.plan, cfg.noise.variance, amplitudes[None])
     return CrbResult(bound.matrix[0], bound.theta_bounds[0], bound.noise_fisher)
 
 
@@ -433,7 +443,7 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     search spectrum and peak estimates. Also dumps the raw series and
     the snapshot matrix for downstream tools.
     """
-    cfg, series, snapshots, result, _ = _trial_zero(cfg)
+    cfg, series, snapshots, result = _trial_zero(cfg)
     prefix = out_prefix if out_prefix is not None else cfg.output
 
     q_len = cfg.plan.points_per_snapshot

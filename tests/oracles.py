@@ -190,6 +190,56 @@ def separate_chain(snapshots, cfg, params, compensation, weights):
         Doa.from_degrees(thetas[ri[i]], phis[ci[i]]) for i in best)
 
 
+def manifold(theta_rad, phi_rad, out_cols, cfg):
+    """Smoothed-domain steering over an azimuth grid at one elevation.
+
+    Row phases exp(j*w0*(m - (M+1)/2)*d*sin(phi)*sin(theta)/c) times the
+    window ramp exp(j*w0*r*d*sin(phi)*cos(theta)/c), r = 0..out_cols-1,
+    in ``smooth``'s (row, window) order; shape (M*out_cols, thetas).
+    """
+    m = np.arange(1, cfg.rows + 1) - (cfg.rows + 1) / 2.0
+    r = np.arange(out_cols)
+    scale = cfg.omega0 * cfg.spacing_m * np.sin(phi_rad)
+    rows = np.exp(1j * np.outer(m, scale * np.sin(theta_rad) / cfg.wave_speed))
+    ramp = np.exp(1j * np.outer(r, scale * np.cos(theta_rad) / cfg.wave_speed))
+    return (rows[:, None, :] * ramp[None, :, :]).reshape(-1, theta_rad.size)
+
+
+def projection_search(whitened, w_inv_sqrt, setup):
+    """Spectra and estimates of a batch by projecting onto the manifold.
+
+    The spectrum is 1 / sum |B a|^2, B = noise^H W^-1/2 the whitened
+    noise basis of each trial and a the :func:`manifold` of each
+    elevation; the estimates are its ``num_sources`` largest strict
+    local maxima. This is the form ``music_search`` had before it
+    evaluated the lag polynomial. Returns the (trials, azimuths,
+    elevations) spectra and one tuple of :class:`Doa` per trial.
+    """
+    cfg, num_sources = setup.surface, setup.num_sources
+    out_cols = cfg.cols - setup.width + 1
+    thetas, phis = setup.theta_grid_deg, setup.elevation_grid_deg
+    spectra, estimates = [], []
+    for cov, w in zip(whitened, w_inv_sqrt):
+        vals, vecs = np.linalg.eigh(cov)
+        noise = vecs[:, np.argsort(-vals, kind="stable")[num_sources:]]
+        basis = noise.conj().T @ w
+        spectrum = np.empty((thetas.size, phis.size))
+        for j, phi in enumerate(np.deg2rad(phis)):
+            a = manifold(np.deg2rad(thetas), phi, out_cols, cfg)
+            power = np.sum(np.abs(basis @ a) ** 2, axis=0)
+            spectrum[:, j] = 1.0 / np.maximum(power, np.finfo(float).tiny)
+        if phis.size == 1:
+            ti = _maxima_1d(spectrum[:, 0])
+            pi = np.zeros_like(ti)
+        else:
+            ti, pi = _maxima_2d(spectrum)
+        best = np.argsort(-spectrum[ti, pi], kind="stable")[:num_sources]
+        spectra.append(spectrum)
+        estimates.append(tuple(Doa.from_degrees(float(thetas[ti[i]]), float(phis[pi[i]]))
+                               for i in best))
+    return np.array(spectra), estimates
+
+
 def fftshift_snapshots(series, plan, max_harmonic):
     """Snapshot matrix from the whole centered spectrum of every window.
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -43,7 +43,13 @@ from msdoa import (
     synthesize_received,
     whiten,
 )
-from msdoa.estimator import inclusive_grid, smoothing_windows, whitener_inv_sqrt
+from msdoa.estimator import (
+    _lag_basis,
+    _lag_fold,
+    inclusive_grid,
+    smoothing_windows,
+    whitener_inv_sqrt,
+)
 from msdoa.harness import synthesize_trial
 from msdoa.surface import element_positions, receiver_delays
 
@@ -538,3 +544,127 @@ def test_estimates_invariant_under_source_permutation(table1_cfg, table1_plan, c
         return set(result.estimates)
 
     assert estimates([sources[i] for i in order]) == estimates(sources)
+
+
+@st.composite
+def _search_cases(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    width = draw(st.integers(1, cols))
+    dim = rows * (cols - width + 1)
+    two_d = draw(st.booleans())
+    start = draw(st.sampled_from([-90.0, -75.0, -40.0]))
+    theta_grid = (start, draw(st.sampled_from([30.0, 60.0, 90.0])),
+                  draw(st.sampled_from([2.5, 3.0, 5.0, 7.0])))
+    params = EstimatorParams(
+        num_sources=draw(st.integers(0, dim - 1)), num_weights=2,
+        kind="2d" if two_d else "1d", subarray_width=width if two_d else None,
+        elevation_deg=draw(st.sampled_from([20.0, 55.0, 90.0])),
+        theta_grid_deg=theta_grid,
+        phi_grid_deg=(draw(st.sampled_from([0.0, 5.0])), 90.0,
+                      draw(st.sampled_from([5.0, 7.5, 15.0]))))
+    if not two_d:  # full-width windows: one window position per row
+        dim = rows
+        params = replace(params, num_sources=min(params.num_sources, dim - 1))
+    trials = draw(st.integers(1, 3))
+    return rows, cols, params, dim, trials, draw(st.integers(0, 2**16))
+
+
+def _random_hermitian(rng, trials, dim, extra):
+    x = rng.standard_normal((trials, dim, dim + extra)) + 1j * rng.standard_normal(
+        (trials, dim, dim + extra))
+    h = x @ np.swapaxes(x.conj(), -1, -2)
+    return 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
+
+
+def _surface_setup(rows, cols, params):
+    cfg = SurfaceConfig(rows, cols, 1e9, 1.6e-5, 0.3)
+    harmonics = harmonic_matrix(rows * cols, cfg)
+    try:
+        harmonics.decompose()
+    except DegenerateCodingError:
+        assume(False)
+    return search_setup(cfg, params, harmonics)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_search_cases())
+@example((1, 1, EstimatorParams(num_sources=0, num_weights=2), 1, 2, 0))
+@example((1, 3, EstimatorParams(num_sources=1, num_weights=2, kind="2d", subarray_width=1,
+                                theta_grid_deg=(-90.0, 90.0, 5.0),
+                                phi_grid_deg=(0.0, 90.0, 15.0)), 3, 2, 1))
+@example((3, 2, EstimatorParams(num_sources=1, num_weights=2, kind="2d", subarray_width=2,
+                                theta_grid_deg=(-90.0, 90.0, 5.0),
+                                phi_grid_deg=(0.0, 90.0, 15.0)), 3, 2, 2))
+def test_lag_polynomial_matches_the_projection_search(case):
+    # The lag polynomial moves spectra in the last bits only, and no
+    # estimate: covers one element (no lags), one row (column lags
+    # only) and full-width windows (row lags only).
+    rows, cols, params, dim, trials, seed = case
+    setup = _surface_setup(rows, cols, params)
+    rng = np.random.default_rng(seed)
+    whitened = _random_hermitian(rng, trials, dim, 2)
+    w_inv_sqrt = _random_hermitian(rng, trials, dim, 1) + np.eye(dim)
+    got = music_search(whitened, w_inv_sqrt, setup)
+    spectra, estimates = oracles.projection_search(whitened, w_inv_sqrt, setup)
+    assert got.spectrum.shape == spectra.shape
+    assert np.max(np.abs(got.spectrum - spectra) / spectra) < 1e-9
+    for result, spectrum, want in zip(got.results, spectra, estimates):
+        _assert_same_estimates(result.estimates, want, spectrum, setup)
+
+
+def _assert_same_estimates(got, want, spectrum, setup):
+    """Equal estimates, except that peaks whose spectrum values tie within
+    1e-9 may rank in either order. A one-row or full-width surface under
+    a 2-D search sees only cos(theta)*sin(phi) or sin(theta)*sin(phi),
+    so distinct grid points there tie exactly in exact arithmetic."""
+    thetas, phis = setup.theta_grid_deg, setup.elevation_grid_deg
+
+    def value(doa):
+        return spectrum[np.flatnonzero(thetas == doa.theta_deg)[0],
+                        np.flatnonzero(phis == doa.phi_deg)[0]]
+
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w or abs(value(g) - value(w)) <= 1e-9 * value(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**16))
+def test_lag_fold_evaluates_the_hermitian_form(rows, out_cols, seed):
+    # [tr Q, 2 Re c_h, -2 Im c_h] times the lag basis is a^H Q a.
+    cfg = SurfaceConfig(rows, out_cols, 1e9, 1.6e-5, 0.3)
+    dim = rows * out_cols
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q = q + q.conj().T  # Hermitian, not definite
+    sums = np.append(q.ravel(), 0.0)[_lag_fold(rows, out_cols)].sum(axis=1)
+    coef = np.concatenate([sums[:1].real, 2.0 * sums[1:].real, -2.0 * sums[1:].imag])
+    thetas = np.deg2rad(rng.uniform(-90.0, 90.0, 17))
+    phi = np.deg2rad(rng.uniform(0.0, 90.0))
+    scale = cfg.omega0 * cfg.spacing_m * np.sin(phi) / cfg.wave_speed
+    basis = _lag_basis(rows, out_cols, np.stack([np.sin(thetas), np.cos(thetas)]), scale)
+    a = oracles.manifold(thetas, phi, out_cols, cfg)
+    want = np.einsum("pt,pq,qt->t", a.conj(), q, a)
+    assert np.max(np.abs(coef @ basis - want)) < 1e-12 * np.sum(np.abs(q))
+
+
+@pytest.mark.parametrize("params, source", [
+    (EstimatorParams(num_sources=1, num_weights=5, theta_grid_deg=(-90.0, 90.0, 0.5)),
+     (-22.0, 90.0)),
+    (EstimatorParams(num_sources=1, num_weights=5, kind="2d", subarray_width=4,
+                     theta_grid_deg=(-90.0, 90.0, 1.0), phi_grid_deg=(0.0, 90.0, 1.0)),
+     (-36.0, 20.0)),
+])
+def test_noiseless_source_on_a_grid_point_is_found(table1_cfg, params, source):
+    # The null of a noiseless on-grid source is zero up to rounding,
+    # where the polynomial may land at or below zero: the spectrum stays
+    # finite and positive, and the peak is the source.
+    setup = search_setup(table1_cfg, params, harmonic_matrix(15, table1_cfg))
+    out_cols = table1_cfg.cols - setup.width + 1
+    a = oracles.manifold(np.deg2rad([source[0]]), np.deg2rad(source[1]), out_cols, table1_cfg)
+    whitened = (a @ a.conj().T)[None]
+    w_inv_sqrt = np.eye(a.shape[0], dtype=complex)[None]
+    got = music_search(whitened, w_inv_sqrt, setup)
+    assert np.all(np.isfinite(got.spectrum)) and np.all(got.spectrum > 0)
+    _, estimates = oracles.projection_search(whitened, w_inv_sqrt, setup)
+    assert got.results[0].estimates == estimates[0] == (Doa.from_degrees(*source),)

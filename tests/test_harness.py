@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeding, worker equivalence, outputs, CLI."""
 
 import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -314,6 +315,33 @@ def test_cli_crb_bounds_the_amplitudes_of_trial_zero(tmp_path, capsys):
     assert printed == [f"{b:.6g}" for b in bound]
 
 
+def test_cli_crb_runs_no_search(tmp_path, capsys, monkeypatch):
+    # The bound needs trial (0, 0)'s amplitudes only, never its estimate.
+    printed = {}
+    for name in ("table1", "table1_2d"):
+        assert main(["crb", "-c", builtin_config_path(name), "-o", str(tmp_path / name)]) == 0
+        printed[name] = capsys.readouterr().out
+
+    def no_search(*args):
+        raise AssertionError("crb ran the search")
+
+    monkeypatch.setattr(msdoa.estimator, "music_search", no_search)
+    for name in ("table1", "table1_2d"):
+        assert main(["crb", "-c", builtin_config_path(name), "-o", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().out == printed[name]
+
+
+def test_module_runs_from_a_source_checkout():
+    src = str(Path(msdoa.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "msdoa", "validate", "-c", builtin_config_path("table1")],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("OK config_sha256=")
+
+
 def test_run_single_is_trial_zero(tmp_path):
     cfg = parse_config(COHERENT)
     out = run_single(cfg, str(tmp_path / "run"))
@@ -410,11 +438,14 @@ def _batched_runs(draw):
 
 
 def _search_bytes(setup):
-    """Bytes one trial adds to a search batch: its spectrum, and its
-    projection (complex) with the projection's squared magnitude."""
+    """Bytes one trial adds to a search batch: its spectrum with one
+    elevation's denominators, and its whitener's collapsed windows
+    (complex) with the copy the collapse makes."""
     surface, elevations = setup.surface, setup.elevation_grid_deg.size
-    noise_dim = surface.rows * (surface.cols - setup.width + 1) - setup.num_sources
-    return setup.theta_grid_deg.size * (8 * elevations + 24 * noise_dim)
+    dim = surface.rows * (surface.cols - setup.width + 1)
+    lines = 2 * setup.harmonics.max_harmonic + 1
+    return (8 * setup.theta_grid_deg.size * (elevations + 1)
+            + 32 * lines * setup.num_weights * dim)
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,7 +530,7 @@ def test_context_belongs_to_its_config():
     context = build_context(parse_config(SMALL))
     # Trials share these arrays, so none of them may be written.
     for arr in (context.harmonics.pseudo_inverse, context.harmonics.gram_inverse,
-                context.signal.patterns, context.search.manifold,
+                context.signal.patterns, context.search.basis,
                 context.search.compensation, context.search.whitener_windows,
                 context.bound.core):
         assert not arr.flags.writeable
