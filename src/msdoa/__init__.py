@@ -65,7 +65,6 @@ from .harness import (
 )
 from .metrics import (
     AggregateResult,
-    ResolutionPolicy,
     TrialOutcome,
     aggregate,
     resolve_and_score,

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .estimator import EstimatorParams, search_grids
+from .estimator import KINDS, EstimatorParams, search_grids
 from .snapshot import frequency_indices
 from .surface import Doa, SurfaceConfig
-from .waveform import NoiseSpec, SamplingPlan, SourceScene
+from .waveform import AMPLITUDE_MODELS, COHERENCE, MODES, NoiseSpec, SamplingPlan, SourceScene
 
 SWEEP_VARIABLES = ("I", "k0", "snr_db", "P", "L", "fs_mult", "mode")
 _INT_SWEEPS = ("I", "k0", "P", "L")
@@ -169,7 +169,7 @@ def _parse_sweep(value: str) -> SweepSpec | None:
     items = [v.strip() for v in rest.split(",") if v.strip()]
     if var == "mode":
         for item in items:
-            if item not in ("full", "ideal"):
+            if item not in MODES:
                 raise ValidationError(f"sweep mode values must be full/ideal; got {item!r}")
         return SweepSpec(var, tuple(items))
     # Convert before constructing so SweepSpec's own errors (it is a
@@ -214,7 +214,7 @@ def _build(raw: dict) -> ExperimentConfig:
         cols=_get_int(raw, "cols"),
         carrier_hz=_get_float(raw, "carrier_hz"),
         coding_period_s=_get_float(raw, "coding_period_s"),
-        wave_speed=_get_float(raw, "wave_speed", 2.99792458e8),
+        wave_speed=_get_float(raw, "wave_speed", SurfaceConfig.wave_speed),
     )
     if spacing != "auto":
         surface_kwargs["spacing_m"] = _get_float(raw, "spacing_m")
@@ -227,8 +227,8 @@ def _build(raw: dict) -> ExperimentConfig:
         offset_m = _get_float(raw, "receiver_offset_m")
     surface = SurfaceConfig(receiver_offset_m=offset_m, **surface_kwargs)
 
-    kind = _get_choice(raw, "estimator", ("1d", "2d"), "1d")
-    elevation_deg = _get_float(raw, "elevation_deg", 90.0)
+    kind = _get_choice(raw, "estimator", KINDS, EstimatorParams.kind)
+    elevation_deg = _get_float(raw, "elevation_deg", EstimatorParams.elevation_deg)
     if "angles_deg" not in raw:
         raise ValidationError("missing required config key 'angles_deg'")
     angles = _parse_angles(raw["angles_deg"])
@@ -255,9 +255,9 @@ def _build(raw: dict) -> ExperimentConfig:
     scene = SourceScene(
         doas=doas,
         powers=power_list,
-        coherence=_get_choice(raw, "coherence", ("incoherent", "coherent"), "incoherent"),
+        coherence=_get_choice(raw, "coherence", COHERENCE, SourceScene.coherence),
         amplitude_model=_get_choice(
-            raw, "amplitude_model", ("gaussian", "constant_modulus"), "gaussian"
+            raw, "amplitude_model", AMPLITUDE_MODELS, SourceScene.amplitude_model
         ),
     )
 
@@ -282,8 +282,8 @@ def _build(raw: dict) -> ExperimentConfig:
         kind=kind,
         elevation_deg=elevation_deg,
         subarray_width=_get_int(raw, "subarray_width") if "subarray_width" in raw else None,
-        theta_grid_deg=_parse_grid(raw, "theta_grid_deg", (-90.0, 90.0, 0.1)),
-        phi_grid_deg=_parse_grid(raw, "phi_grid_deg", (0.0, 90.0, 0.5)),
+        theta_grid_deg=_parse_grid(raw, "theta_grid_deg", EstimatorParams.theta_grid_deg),
+        phi_grid_deg=_parse_grid(raw, "phi_grid_deg", EstimatorParams.phi_grid_deg),
     )
 
     cfg = ExperimentConfig(
@@ -293,7 +293,7 @@ def _build(raw: dict) -> ExperimentConfig:
         noise=noise,
         max_harmonic=_get_int(raw, "max_harmonic"),
         estimator=estimator,
-        mode=_get_choice(raw, "mode", ("full", "ideal"), "full"),
+        mode=_get_choice(raw, "mode", MODES, "full"),
         trials=_get_int(raw, "trials", 100),
         seed=_get_int(raw, "seed", 1),
         sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
@@ -316,14 +316,8 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     frequency_indices(plan, cfg.max_harmonic)
     if abs(plan.coding_period_s - surface.coding_period_s) > 1e-12 * surface.coding_period_s:
         raise ConfigurationError("plan and surface disagree on the coding period")
-    if est.kind == "2d":
-        if not 1 <= est.subarray_width <= surface.cols:
-            raise ConfigurationError(
-                f"subarray_width={est.subarray_width} must lie in [1, {surface.cols}]"
-            )
-        dim = surface.rows * (surface.cols - est.subarray_width + 1)
-    else:
-        dim = surface.rows
+    width, theta_grid, elevations = search_grids(est, surface)
+    dim = surface.rows * (surface.cols - width + 1)
     if est.num_sources >= dim:
         raise ConfigurationError(
             f"{est.num_sources} sources need a search dimension above "
@@ -331,9 +325,8 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         )
     # The peak search reports strict interior maxima only, so a source
     # on or beyond a grid end point could never be found.
-    theta_grid, elevations = search_grids(est)
     axes = [("theta", "theta_grid_deg", theta_grid)]
-    if est.kind == "2d":
+    if elevations.size > 1:
         axes.append(("phi", "phi_grid_deg", elevations))
         # The manifold sees the elevation only through sin(phi), so phi
         # and 180 - phi cannot be told apart.
@@ -355,7 +348,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         raise ValidationError("trials must be at least 1")
     if cfg.seed < 0:
         raise ValidationError("seed must be nonnegative")
-    if cfg.mode not in ("full", "ideal"):
+    if cfg.mode not in MODES:
         raise ValidationError("mode must be full or ideal")
     if cfg.sweep is not None:
         for value in cfg.sweep.values:

@@ -6,9 +6,11 @@ known element-to-receiver phases are canceled, and a bank of
 random-phase weight rows collapses every sliding ``width``-column
 window of each surface row to a scalar. Averaging the outer products of
 the collapsed vectors over snapshots and weights restores rank for
-coherent sources. The azimuth-only (1-D) search is the window as wide
-as the surface, searched at the one known elevation; the 2-D search
-slides narrower windows and also scans an elevation grid.
+coherent sources. The azimuth-only (1-D) search is the one-elevation
+case of the same search: the window as wide as the surface, at the one
+known elevation. The 2-D search slides narrower windows over an
+elevation grid. :func:`search_grids` is the one place the estimator
+``kind`` picks the width and the grids.
 
 The weight bank colors the noise. Bin noise e reaches the smoothed
 vectors as smooth(B e), with B the recovery left inverse, so the
@@ -58,6 +60,8 @@ UNIT_MODULUS_ATOL = 1e-9
 # makes. 2.5 MiB gives 4 trials on table1_2d, 32 on table2 and 48 on
 # table1.
 SEARCH_BATCH_BYTES = 5 * 2**19
+# Estimator kinds: azimuth only, or azimuth and elevation.
+KINDS = ("1d", "2d")
 
 
 def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
@@ -374,7 +378,7 @@ class EstimatorParams:
             raise ValidationError("num_sources must be nonnegative")
         if self.num_weights < 1:
             raise ValidationError("num_weights must be at least 1")
-        if self.kind not in ("1d", "2d"):
+        if self.kind not in KINDS:
             raise ValidationError("kind must be '1d' or '2d'")
         if self.kind == "2d" and self.subarray_width is None:
             raise ValidationError("2-D estimation needs subarray_width")
@@ -388,23 +392,29 @@ def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(count + 1)
 
 
-def search_grids(params: EstimatorParams) -> tuple[np.ndarray, np.ndarray]:
-    """The azimuth grid and the elevation grid a search scans, in degrees.
+def search_grids(
+    params: EstimatorParams, surface: SurfaceConfig
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The window width, the azimuth grid and the elevation grid of a search.
 
-    The estimator ``kind`` picks the elevations: "1d" searches at the
-    single elevation ``elevation_deg``, "2d" over the ``phi_grid_deg``
-    grid. The peak search needs a neighbor on each side of a point, so
-    a searched grid (every azimuth grid, and an elevation grid of more
-    than one point) must have at least 3 points.
+    This is the one place the estimator ``kind`` takes effect. "1d" is
+    the window as wide as the surface at the single elevation
+    ``elevation_deg``; "2d" the ``subarray_width`` window over the
+    ``phi_grid_deg`` grid. The elevation is searched exactly when the
+    grid has more than one point. The peak search needs a neighbor on
+    each side of a point, so the azimuth grid, and under "2d" the
+    elevation grid, must have at least 3 points. Grids are in degrees.
     """
     theta_grid = inclusive_grid(*params.theta_grid_deg)
     if params.kind == "1d":
-        elevations = np.array([float(params.elevation_deg)])
+        width, elevations = surface.cols, np.array([float(params.elevation_deg)])
     else:
-        elevations = inclusive_grid(*params.phi_grid_deg)
-    if theta_grid.size < 3 or elevations.size == 2:
+        width, elevations = params.subarray_width, inclusive_grid(*params.phi_grid_deg)
+    if not 1 <= width <= surface.cols:
+        raise ConfigurationError(f"subarray_width={width} must lie in [1, {surface.cols}]")
+    if theta_grid.size < 3 or (params.kind == "2d" and elevations.size < 3):
         raise ValidationError("a searched angle grid needs at least 3 points")
-    return theta_grid, elevations
+    return width, theta_grid, elevations
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,10 +427,9 @@ class SearchSetup:
     recovery left inverse (every weight bank's whitener is summed from
     them), the azimuth and elevation grids, the sines and cosines of the
     azimuths, the table that folds a Gram matrix onto the half-plane
-    lags of the smoothed grid, and the search batch size. When
-    there is one elevation it also holds the search's lag basis over the
-    azimuth grid; with an elevation grid the search builds each
-    elevation's basis once per batch instead. ``batch_size`` is the most
+    lags of the smoothed grid, and the search batch size. The search
+    builds each elevation's lag basis once per batch, the one elevation
+    of an azimuth-only search included. ``batch_size`` is the most
     trials whose spectra and largest chain stacks fit in
     ``SEARCH_BATCH_BYTES``, and at least 1. Arrays are read-only:
     trials share them.
@@ -437,7 +446,6 @@ class SearchSetup:
     elevation_grid_deg: np.ndarray
     directions: np.ndarray
     fold: np.ndarray
-    basis: np.ndarray | None
     batch_size: int
 
 
@@ -452,34 +460,24 @@ def search_setup(
     """Precompute the trial-invariant part of :func:`estimate_doa`.
 
     ``harmonics`` is the harmonic matrix the snapshots will be
-    extracted with; its rank is checked here. The estimator ``kind``
-    only picks the window width and the elevation grid: "1d" is the
-    full-width window at one elevation, "2d" the ``subarray_width``
-    window over an elevation grid (see :func:`search_grids`).
+    extracted with; its rank is checked here. The window width and the
+    grids come from :func:`search_grids`.
     """
-    width = cfg.cols if params.kind == "1d" else params.subarray_width
-    if not 1 <= width <= cfg.cols:
-        raise ValidationError(f"window width {width} must lie in [1, {cfg.cols}]")
-    theta_grid, elevations = search_grids(params)
+    width, theta_grid, elevations = search_grids(params, cfg)
     comp = compensation_matrix(cfg)
     windows = smoothing_windows(harmonics.pseudo_inverse, comp, cfg, width)
     out_cols = cfg.cols - width + 1
     theta_rad = np.deg2rad(theta_grid)
     directions = np.stack([np.sin(theta_rad), np.cos(theta_rad)])
     fold = _lag_fold(cfg.rows, out_cols)
-    basis = None
-    if elevations.size == 1:
-        scale = _phase_scale(cfg, np.deg2rad(elevations[0]))
-        basis = _lag_basis(cfg.rows, out_cols, directions, scale)
     lines = 2 * harmonics.max_harmonic + 1
     trial_bytes = (
         8 * theta_grid.size * (elevations.size + 1)
         + 32 * lines * params.num_weights * cfg.rows * out_cols
     )
     batch_size = max(1, SEARCH_BATCH_BYTES // trial_bytes)
-    for arr in (comp, theta_grid, elevations, directions, fold, basis):
-        if arr is not None:
-            arr.flags.writeable = False
+    for arr in (comp, theta_grid, elevations, directions, fold):
+        arr.flags.writeable = False
     return SearchSetup(
         cfg,
         params.num_sources,
@@ -492,7 +490,6 @@ def search_setup(
         elevations,
         directions,
         fold,
-        basis,
         batch_size,
     )
 
@@ -552,10 +549,7 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     tiny = np.finfo(float).tiny
     spectrum = np.empty((trials, theta_grid.size, elevations.size))
     for j, phi in enumerate(np.deg2rad(elevations)):
-        basis = setup.basis
-        if basis is None:
-            scale = _phase_scale(cfg, phi)
-            basis = _lag_basis(cfg.rows, out_cols, setup.directions, scale)
+        basis = _lag_basis(cfg.rows, out_cols, setup.directions, _phase_scale(cfg, phi))
         denominator = (coef @ basis)[:, 0]
         np.divide(1.0, np.maximum(denominator, tiny, out=denominator), out=spectrum[:, :, j])
 
@@ -620,8 +614,11 @@ def write_spectrum_csv(result: MusicResult, path: str) -> None:
                 fh.write(f"# estimate,{est.theta_deg:.10g}\n")
         else:
             fh.write("theta_deg,phi_deg,value\n")
-            for i, t in enumerate(result.theta_grid_deg):
-                for j, p in enumerate(result.phi_grid_deg):
-                    fh.write(f"{t:.10g},{p:.10g},{result.spectrum[i, j]:.10g}\n")
+            # Each coordinate is formatted once and each azimuth's row
+            # written in one call; the grid has tens of thousands of points.
+            phis = [f"{p:.10g}" for p in result.phi_grid_deg]
+            for t, values in zip(result.theta_grid_deg, result.spectrum):
+                theta = f"{t:.10g}"
+                fh.write("".join(f"{theta},{p},{v:.10g}\n" for p, v in zip(phis, values)))
             for est in result.estimates:
                 fh.write(f"# estimate,{est.theta_deg:.10g},{est.phi_deg:.10g}\n")

@@ -7,10 +7,10 @@ its rank check and pseudo-inverse; the phase compensation; the signal
 model (the scene steering with the full-mode switched patterns or the
 ideal-mode phase table); the smoothing window width, the windows of
 the compensated pseudo-inverse that every whitener is summed from, the
-search grids, the lag fold table, the search batch size and, at one
-known elevation, the search's lag basis; and the bound's rank-checked
-projected core. Each stage takes its piece of the context and the
-trials' own draws, nothing the piece was built from.
+search grids, the lag fold table and the search batch size; and the
+bound's rank-checked projected core, which treats the elevation as
+known when the search has one. Each stage takes its piece of the
+context and the trials' own draws, nothing the piece was built from.
 
 :func:`run_chunk` walks its trials in batches of the setup's
 ``batch_size``. The draws stay per trial: each trial derives its own
@@ -121,9 +121,9 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
     search = search_setup(cfg.surface, cfg.estimator, harmonics)
     bound = None
     if cfg.scene.num_sources > 0:
-        # The azimuth-only search treats elevation as given; bounding it
+        # A search at one elevation treats it as given; bounding it
         # jointly would be singular for in-plane scenes.
-        known_elevations = cfg.estimator.kind == "1d"
+        known_elevations = search.elevation_grid_deg.size == 1
         bound = crb_core(cfg.surface, cfg.scene, harmonics, known_elevations)
     return TrialContext(cfg, harmonics, signal, search, bound)
 

@@ -1,4 +1,10 @@
-"""Trial scoring: peak-to-truth matching, resolution, and aggregates."""
+"""Trial scoring: peak-to-truth matching, resolution, and aggregates.
+
+One rule scores every search: the error of an estimate is the larger of
+its azimuth and elevation errors. An azimuth-only search reports the
+elevation it searched at, which its sources share, so its elevation
+error is exactly 0.
+"""
 
 from __future__ import annotations
 
@@ -11,27 +17,8 @@ from .estimator import MusicResult
 from .surface import Doa
 
 UNMATCHED_ERROR_DEG = 180.0
-
-
-@dataclass(frozen=True)
-class ResolutionPolicy:
-    """How a trial counts as resolved.
-
-    A trial resolves when the search produced exactly as many peaks as
-    sources and every matched error is at most the threshold: half the
-    minimum pairwise true separation for multiple sources, or
-    ``single_source_threshold_deg`` for one source. A fixed
-    ``threshold_deg`` overrides both.
-    """
-
-    single_source_threshold_deg: float = 2.0
-    threshold_deg: float | None = None
-
-    def __post_init__(self):
-        if self.single_source_threshold_deg <= 0:
-            raise ValidationError("single_source_threshold_deg must be positive")
-        if self.threshold_deg is not None and self.threshold_deg <= 0:
-            raise ValidationError("threshold_deg must be positive when given")
+# Largest error at which a trial with one source counts as resolved.
+SINGLE_SOURCE_THRESHOLD_DEG = 2.0
 
 
 @dataclass(frozen=True)
@@ -44,31 +31,28 @@ class TrialOutcome:
     resolved: bool
 
 
-def _distance_deg(est: Doa, truth: Doa, two_d: bool) -> float:
-    d_theta = abs(est.theta_deg - truth.theta_deg)
-    if not two_d:
-        return d_theta
-    return max(d_theta, abs(est.phi_deg - truth.phi_deg))
+def _distance_deg(est: Doa, truth: Doa) -> float:
+    return max(abs(est.theta_deg - truth.theta_deg), abs(est.phi_deg - truth.phi_deg))
 
 
-def resolve_and_score(
-    result: MusicResult, truth, policy: ResolutionPolicy = ResolutionPolicy()
-) -> TrialOutcome:
+def resolve_and_score(result: MusicResult, truth) -> TrialOutcome:
     """Match estimates to true directions and score the trial.
 
-    Matching is greedy one-to-one nearest neighbor on the angle error
-    (the larger of the per-axis errors when elevation is searched too).
-    Unmatched sources score 180 degrees.
+    Matching is greedy one-to-one nearest neighbor on the angle error,
+    the larger of the azimuth and elevation errors. A trial resolves
+    when the search produced exactly as many peaks as sources and every
+    matched error is at most half the minimum pairwise true separation,
+    or ``SINGLE_SOURCE_THRESHOLD_DEG`` for one source. Unmatched sources
+    score 180 degrees.
     """
     truth = tuple(truth)
     k = len(truth)
     if k < 1:
         raise ValidationError("need at least one true source to score against")
-    two_d = result.phi_grid_deg is not None
     estimates = tuple(result.estimates)
 
     pairs = sorted(
-        ((_distance_deg(e, t, two_d), ei, ti)
+        ((_distance_deg(e, t), ei, ti)
          for ei, e in enumerate(estimates)
          for ti, t in enumerate(truth)),
         key=lambda item: (item[0], item[1], item[2]),
@@ -80,13 +64,11 @@ def resolve_and_score(
             est_free[ei] = False
             truth_err[ti] = dist
 
-    if policy.threshold_deg is not None:
-        tau = policy.threshold_deg
-    elif k == 1:
-        tau = policy.single_source_threshold_deg
+    if k == 1:
+        tau = SINGLE_SOURCE_THRESHOLD_DEG
     else:
         tau = 0.5 * min(
-            _distance_deg(truth[i], truth[j], two_d)
+            _distance_deg(truth[i], truth[j])
             for i in range(k)
             for j in range(i + 1, k)
         )

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import ValidationError
 from .surface import Doa, HarmonicMatrix, SurfaceConfig, steering_matrix
 
-_MODES = ("full", "ideal")
-_AMPLITUDE_MODELS = ("gaussian", "constant_modulus")
-_COHERENCE = ("incoherent", "coherent")
+MODES = ("full", "ideal")
+AMPLITUDE_MODELS = ("gaussian", "constant_modulus")
+COHERENCE = ("incoherent", "coherent")
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,10 @@ class SourceScene:
             raise ValidationError("powers must match the number of sources")
         if any(p <= 0 for p in self.powers):
             raise ValidationError("source powers must be positive")
-        if self.coherence not in _COHERENCE:
-            raise ValidationError(f"coherence must be one of {_COHERENCE}")
-        if self.amplitude_model not in _AMPLITUDE_MODELS:
-            raise ValidationError(f"amplitude_model must be one of {_AMPLITUDE_MODELS}")
+        if self.coherence not in COHERENCE:
+            raise ValidationError(f"coherence must be one of {COHERENCE}")
+        if self.amplitude_model not in AMPLITUDE_MODELS:
+            raise ValidationError(f"amplitude_model must be one of {AMPLITUDE_MODELS}")
         if self.coherent_gains is not None:
             if self.coherence != "coherent":
                 raise ValidationError("coherent_gains require coherence='coherent'")
@@ -250,8 +250,8 @@ def signal_model(
     the coding harmonics of ``harmonics``, which it requires. The plan's
     coding period must match ``cfg``.
     """
-    if mode not in _MODES:
-        raise ValidationError(f"mode must be one of {_MODES}")
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}")
     if mode == "ideal" and harmonics is None:
         raise ValidationError("ideal mode needs the harmonic matrix")
     if abs(plan.coding_period_s - cfg.coding_period_s) > 1e-12 * cfg.coding_period_s:

@@ -252,3 +252,25 @@ def fftshift_snapshots(series, plan, max_harmonic):
     spectra = np.fft.fftshift(np.fft.fft(windows, axis=1), axes=1) / q_len
     orders = np.arange(-max_harmonic, max_harmonic + 1)
     return spectra[:, q_len // 2 + plan.periods_per_snapshot * orders].T.copy()
+
+
+def write_spectrum_csv_per_point(result, path):
+    """The spatial spectrum CSV written one formatted line per grid point.
+
+    Formats every coordinate again at each point and writes each line
+    on its own. ``write_spectrum_csv`` must write the same bytes.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if result.phi_grid_deg is None:
+            fh.write("theta_deg,value\n")
+            for t, v in zip(result.theta_grid_deg, result.spectrum):
+                fh.write(f"{t:.10g},{v:.10g}\n")
+            for est in result.estimates:
+                fh.write(f"# estimate,{est.theta_deg:.10g}\n")
+        else:
+            fh.write("theta_deg,phi_deg,value\n")
+            for i, t in enumerate(result.theta_grid_deg):
+                for j, p in enumerate(result.phi_grid_deg):
+                    fh.write(f"{t:.10g},{p:.10g},{result.spectrum[i, j]:.10g}\n")
+            for est in result.estimates:
+                fh.write(f"# estimate,{est.theta_deg:.10g},{est.phi_deg:.10g}\n")

@@ -42,6 +42,7 @@ from msdoa import (
     steering_vector,
     synthesize_received,
     whiten,
+    write_spectrum_csv,
 )
 from msdoa.estimator import (
     _lag_basis,
@@ -485,6 +486,17 @@ def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
     assert got.spectrum.shape == spectrum.shape
     assert np.max(np.abs(got.spectrum - spectrum) / spectrum) < 1e-9
     assert got.estimates == estimates
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_2d"])
+def test_spectrum_csv_matches_the_per_point_writer(tmp_path, name):
+    _, setup, weight_seed, snaps = _trial_zero(name)
+    result = _estimate_one(snaps, setup, weight_seed)
+    write_spectrum_csv(result, str(tmp_path / "got.csv"))
+    oracles.write_spectrum_csv_per_point(result, str(tmp_path / "want.csv"))
+    got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"# estimate,") == len(result.estimates) > 0
+    assert got == want
 
 
 def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypatch):

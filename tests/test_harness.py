@@ -235,10 +235,12 @@ def test_cli_invalid_config(tmp_path, capsys):
 @pytest.mark.parametrize("name, grid", [
     ("table1", "theta_grid_deg=-90, 90, 180"),
     ("table1_2d", "phi_grid_deg=0, 90, 90"),
+    ("table1_2d", "phi_grid_deg=45, 46, 5"),
 ])
 def test_cli_rejects_two_point_search_grid(capsys, name, grid):
     # The peak search needs a neighbor on each side, so a searched grid
-    # of 2 points is refused when the config is loaded.
+    # of 2 points, or a 2-D elevation grid of 1, is refused when the
+    # config is loaded.
     assert main(["validate", "-c", builtin_config_path(name), "--set", grid]) == 2
     assert "at least 3 points" in capsys.readouterr().err
 
@@ -530,9 +532,10 @@ def test_context_belongs_to_its_config():
     context = build_context(parse_config(SMALL))
     # Trials share these arrays, so none of them may be written.
     for arr in (context.harmonics.pseudo_inverse, context.harmonics.gram_inverse,
-                context.signal.patterns, context.search.basis,
-                context.search.compensation, context.search.whitener_windows,
-                context.bound.core):
+                context.signal.patterns, context.search.compensation,
+                context.search.whitener_windows, context.search.theta_grid_deg,
+                context.search.elevation_grid_deg, context.search.directions,
+                context.search.fold, context.bound.core):
         assert not arr.flags.writeable
 
 

@@ -7,7 +7,6 @@ from msdoa import (
     AggregateResult,
     Doa,
     MusicResult,
-    ResolutionPolicy,
     TrialOutcome,
     ValidationError,
     aggregate,
@@ -62,14 +61,6 @@ def test_threshold_from_separation():
     assert near_miss.resolved
     too_far = resolve_and_score(_result_1d([-22.0 + 17.1, 12.0]), TRUTH)
     assert not too_far.resolved
-
-
-def test_fixed_threshold_override():
-    policy = ResolutionPolicy(threshold_deg=1.0)
-    ok = resolve_and_score(_result_1d([-21.5, 12.5]), TRUTH, policy)
-    assert ok.resolved
-    bad = resolve_and_score(_result_1d([-20.8, 12.0]), TRUTH, policy)
-    assert not bad.resolved
 
 
 def test_single_source_threshold():
@@ -133,10 +124,3 @@ def test_aggregate_zero_resolution_is_180():
 def test_aggregate_empty_raises():
     with pytest.raises(ValidationError):
         aggregate([], TRUTH)
-
-
-def test_policy_validation():
-    with pytest.raises(ValidationError):
-        ResolutionPolicy(threshold_deg=0.0)
-    with pytest.raises(ValidationError):
-        ResolutionPolicy(single_source_threshold_deg=-1.0)
