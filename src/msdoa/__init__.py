@@ -79,7 +79,6 @@ from .surface import (
     Doa,
     HarmonicMatrix,
     SurfaceConfig,
-    coding_waveform,
     element_positions,
     fourier_coefficient,
     harmonic_matrix,

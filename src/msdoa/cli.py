@@ -21,7 +21,6 @@ from .errors import (
 )
 from .harness import (
     build_context,
-    resolve_experiment,
     run_single,
     run_sweep,
     trial_zero_bound,
@@ -73,9 +72,8 @@ def _cmd_validate(cfg, args) -> int:
     # Building each point's context runs the checks that need the
     # harmonic matrix's SVD, such as its rank, and the check that every
     # bounded angle is identifiable.
-    resolved = resolve_experiment(cfg)
-    points = [resolved] if cfg.sweep is None else [
-        apply_sweep_value(resolved, value) for value in cfg.sweep.values
+    points = [cfg] if cfg.sweep is None else [
+        apply_sweep_value(cfg, value) for value in cfg.sweep.values
     ]
     try:
         for point in points:

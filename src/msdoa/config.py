@@ -213,9 +213,11 @@ def _build(raw: dict) -> ExperimentConfig:
         rows=_get_int(raw, "rows"),
         cols=_get_int(raw, "cols"),
         carrier_hz=_get_float(raw, "carrier_hz"),
-        coding_period_s=_get_float(raw, "coding_period_s"),
-        wave_speed=_get_float(raw, "wave_speed", SurfaceConfig.wave_speed),
     )
+    # The period goes to the plan below; it is read among the surface
+    # keys so errors for missing or malformed keys keep their order.
+    coding_period_s = _get_float(raw, "coding_period_s")
+    surface_kwargs["wave_speed"] = _get_float(raw, "wave_speed", SurfaceConfig.wave_speed)
     if spacing != "auto":
         surface_kwargs["spacing_m"] = _get_float(raw, "spacing_m")
     # Resolve spacing first so an 'auto' receiver offset (twice the
@@ -265,7 +267,7 @@ def _build(raw: dict) -> ExperimentConfig:
         sample_rate_hz=_get_float(raw, "sampling_rate_hz"),
         periods_per_snapshot=_get_int(raw, "periods_per_snapshot"),
         num_snapshots=_get_int(raw, "snapshots"),
-        coding_period_s=surface.coding_period_s,
+        coding_period_s=coding_period_s,
     )
 
     if "snr_db" in raw and "noise_variance" in raw:
@@ -314,8 +316,6 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         )
     # Also enforces even Q and that harmonic k0*P fits below Q/2.
     frequency_indices(plan, cfg.max_harmonic)
-    if abs(plan.coding_period_s - surface.coding_period_s) > 1e-12 * surface.coding_period_s:
-        raise ConfigurationError("plan and surface disagree on the coding period")
     width, theta_grid, elevations = search_grids(est, surface)
     dim = surface.rows * (surface.cols - width + 1)
     if est.num_sources >= dim:
@@ -401,7 +401,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
         f"rows = {cfg.surface.rows}",
         f"cols = {cfg.surface.cols}",
         f"carrier_hz = {_fmt(cfg.surface.carrier_hz)}",
-        f"coding_period_s = {_fmt(cfg.surface.coding_period_s)}",
+        f"coding_period_s = {_fmt(cfg.plan.coding_period_s)}",
         f"spacing_m = {_fmt(cfg.surface.spacing_m)}",
         f"receiver_offset_m = {_fmt(cfg.surface.receiver_offset_m)}",
         f"wave_speed = {_fmt(cfg.surface.wave_speed)}",

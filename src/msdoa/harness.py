@@ -2,15 +2,17 @@
 
 How a sweep runs: each sweep value gives one config point, and
 :func:`run_trials` builds that point's :class:`TrialContext` once. The
-context holds everything no trial changes: the harmonic matrix with
-its rank check and pseudo-inverse; the phase compensation; the signal
-model (the scene steering with the full-mode switched patterns or the
-ideal-mode phase table); the smoothing window width, the windows of
-the compensated pseudo-inverse that every whitener is summed from, the
-search grids, the lag fold table and the search batch size; and the
-bound's rank-checked projected core, which treats the elevation as
-known when the search has one. Each stage takes its piece of the
-context and the trials' own draws, nothing the piece was built from.
+context holds everything no trial changes: the config with its
+coherent gains resolved from the seed; the harmonic matrix with its
+rank check and pseudo-inverse; the phase compensation; the signal
+model (one coding period of the full-mode switched patterns, which
+the record repeats, or the ideal-mode phase table); the smoothing
+window width, the windows of the compensated pseudo-inverse that every
+whitener is summed from, the search grids, the lag fold table and the
+search batch size; and the bound's rank-checked projected core, which
+treats the elevation as known when the search has one. Each stage
+takes its piece of the context and the trials' own draws, nothing the
+piece was built from.
 
 :func:`run_chunk` walks its trials in batches of the setup's
 ``batch_size``. The draws stay per trial: each trial derives its own
@@ -113,9 +115,12 @@ class TrialContext:
 def build_context(cfg: ExperimentConfig) -> TrialContext:
     """Build the trial-invariant state of one config point.
 
+    Unset coherent gains are resolved from the experiment seed first
+    (:func:`resolve_experiment`), so the context's config is resolved.
     Every check that no draw can change runs here, so a rank-deficient
     harmonic matrix or mixed steering fails before the first trial.
     """
+    cfg = resolve_experiment(cfg)
     harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface).decompose()
     signal = signal_model(cfg.surface, cfg.scene, cfg.plan, cfg.mode, harmonics)
     search = search_setup(cfg.surface, cfg.estimator, harmonics)
@@ -335,8 +340,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run every sweep point and aggregate (PR, RMSE, mean bound)."""
     if cfg.sweep is None:
         raise ValidationError("config has no sweep; use run_single instead")
-    cfg = resolve_experiment(cfg)
-    digest = config_digest(replace(cfg, scene=replace(cfg.scene, coherent_gains=None)))
+    digest = config_digest(cfg)
     rows = []
     with _point_runner(cfg, workers) as run_point:
         for sweep_index, value in enumerate(cfg.sweep.values):
@@ -401,34 +405,29 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
             )
 
 
+@contextlib.contextmanager
 def _trial_zero(cfg: ExperimentConfig):
-    """Trial (0, 0) of a config, run as a sweep runs it, as a batch of one.
+    """Scope holding the context of ``cfg`` and the draws of its trial (0, 0).
 
-    BLAS is held to one thread, as in a sweep's trial chunks. Returns
-    the resolved config, the trial's series and snapshots, and its
-    search result from :func:`run_batch`.
+    Yields the context and the trial's series, amplitudes, snapshots
+    and smoothing seed, drawn as a sweep draws them. BLAS is held to
+    one thread inside the scope, as in a sweep's trial chunks.
     """
-    cfg = resolve_experiment(cfg)
     with _single_threaded_blas():
         context = build_context(cfg)
-        series, amplitudes, snapshots, smoothing_seed = _draw(context, 0, 0)
-        (result,), _ = run_batch(context, [(amplitudes, snapshots, smoothing_seed)])
-    return cfg, series, snapshots, result
+        yield context, _draw(context, 0, 0)
 
 
 def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
     """The angle bound of the amplitudes trial (0, 0) draws, the run ``single`` makes.
 
-    The trial is drawn as a sweep draws it and its amplitudes are
-    bounded as :func:`run_batch` bounds a batch of one; the estimator
-    and the search do not run.
+    The amplitudes are bounded as :func:`run_batch` bounds a batch of
+    one; the estimator and the search do not run.
     """
-    cfg = resolve_experiment(cfg)
-    with _single_threaded_blas():
-        context = build_context(cfg)
+    with _trial_zero(cfg) as (context, (_, amplitudes, _, _)):
         if context.bound is None:
             raise ValidationError("the bound needs at least one configured source")
-        _, amplitudes, _ = synthesize_trial(context, 0, 0)
+        cfg = context.config
         bound = crb(context.bound, cfg.plan, cfg.noise.variance, amplitudes[None])
     return CrbResult(bound.matrix[0], bound.theta_bounds[0], bound.noise_fisher)
 
@@ -443,7 +442,9 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     search spectrum and peak estimates. Also dumps the raw series and
     the snapshot matrix for downstream tools.
     """
-    cfg, series, snapshots, result = _trial_zero(cfg)
+    with _trial_zero(cfg) as (context, (series, amplitudes, snapshots, smoothing_seed)):
+        (result,), _ = run_batch(context, [(amplitudes, snapshots, smoothing_seed)])
+    cfg = context.config
     prefix = out_prefix if out_prefix is not None else cfg.output
 
     q_len = cfg.plan.points_per_snapshot

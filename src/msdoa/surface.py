@@ -5,9 +5,11 @@ incident field by a periodic +/-1 schedule: each coding period is split
 into M*N equal slots, swept in row-major element order, and exactly one
 element is flipped to +1 during its own slot. A single receiver sits on
 the -z axis below the surface center. This module provides element
-positions, the coding waveform and its Fourier-series coefficients,
+positions, the Fourier-series coefficients of the coding schedule,
 steering vectors that include the element-to-receiver path, and the
 stacked harmonic matrix that maps element signals to frequency lines.
+The coefficients are per period; the period itself belongs to the
+sampling plan (:class:`msdoa.waveform.SamplingPlan`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class SurfaceConfig:
-    """Surface geometry, carrier, and coding-period parameters.
+    """Surface geometry and carrier parameters.
 
     Columns run along x and rows along y; the receiver sits at
     ``(0, 0, -receiver_offset_m)``. ``spacing_m`` of ``None`` resolves
@@ -37,7 +39,6 @@ class SurfaceConfig:
     rows: int
     cols: int
     carrier_hz: float
-    coding_period_s: float
     receiver_offset_m: float
     spacing_m: float | None = None
     wave_speed: float = SPEED_OF_LIGHT
@@ -47,7 +48,7 @@ class SurfaceConfig:
             raise ValidationError("rows and cols must be integers")
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("surface needs at least one row and one column")
-        for name in ("carrier_hz", "coding_period_s", "receiver_offset_m", "wave_speed"):
+        for name in ("carrier_hz", "receiver_offset_m", "wave_speed"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
         if self.spacing_m is None:
@@ -120,28 +121,6 @@ def wave_vector(doa: Doa) -> np.ndarray:
     st, ct = np.sin(doa.theta), np.cos(doa.theta)
     sp, cp = np.sin(doa.phi), np.cos(doa.phi)
     return np.array([sp * ct, sp * st, cp])
-
-
-def coding_waveform(m: int, n: int, t, cfg: SurfaceConfig):
-    """Evaluate the +/-1 coding schedule of element (m, n) at time ``t``.
-
-    The schedule is periodic with period ``cfg.coding_period_s`` for all
-    t, negative included. Each period splits into M*N equal slots swept
-    in row-major order; the element is +1 exactly during its own slot.
-    Slots are half-open on the left, (lower, upper], with the period
-    phase mapped into (0, 1]; values exactly on slot boundaries are
-    measure-zero and sampled time grids should not rely on them.
-    """
-    _check_element(m, n, cfg)
-    frac = np.mod(np.asarray(t, dtype=float) / cfg.coding_period_s, 1.0)
-    frac = np.where(frac == 0.0, 1.0, frac)
-    # Boundaries as single divisions of integers, so adjacent slots share
-    # the exact same float and the last upper bound is exactly 1.0.
-    slot = (m - 1) * cfg.cols + (n - 1)
-    lower = slot / cfg.size
-    upper = (slot + 1) / cfg.size
-    out = np.where((frac > lower) & (frac <= upper), 1.0, -1.0)
-    return float(out) if np.ndim(t) == 0 else out
 
 
 def _sa(x):

@@ -219,10 +219,12 @@ class SignalModel:
     """The part of the noiseless received signal no amplitude draw changes.
 
     Holds the scene and plan it was built for and the element count
-    that scales the receiver noise. In full mode ``patterns`` holds,
-    per source, the switched surface sum over the whole record: at each
-    sample the active element's steering entry counts +1 and every
-    other entry -1, i.e. ``2*a[slot] - sum(a)``. In ideal mode
+    that scales the receiver noise. In full mode ``patterns`` is the
+    (K, points_per_period) switched surface sum over one coding period
+    per source: at each sample the active element's steering entry
+    counts +1 and every other entry -1, i.e. ``2*a[slot] - sum(a)``.
+    The record repeats it period after period, since the active slot
+    depends only on the sample's phase within its period. In ideal mode
     ``mixed_steering`` is the (2P+1, K) harmonic mixture of the
     steering and ``phase_table`` the Q x (2P+1) table of sample phases,
     which repeats exactly from snapshot to snapshot because snapshots
@@ -246,23 +248,21 @@ def signal_model(
 ) -> SignalModel:
     """Precompute the trial-invariant part of :func:`synthesize_received`.
 
-    ``mode`` "full" evaluates the exact +/-1 schedule; "ideal" keeps
-    the coding harmonics of ``harmonics``, which it requires. The plan's
-    coding period must match ``cfg``.
+    ``mode`` "full" evaluates the exact +/-1 schedule over one coding
+    period of ``plan``; "ideal" keeps the coding harmonics of
+    ``harmonics``, which it requires.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}")
     if mode == "ideal" and harmonics is None:
         raise ValidationError("ideal mode needs the harmonic matrix")
-    if abs(plan.coding_period_s - cfg.coding_period_s) > 1e-12 * cfg.coding_period_s:
-        raise ValidationError("plan and surface disagree on the coding period")
     k = scene.num_sources
     if k == 0:
         return SignalModel(scene, plan, cfg.size)
     steering = steering_matrix(scene.doas, cfg)
     z = plan.points_per_period
     if mode == "full":
-        slots = _slot_indices(np.arange(plan.total_points), z, cfg.size)
+        slots = _slot_indices(np.arange(z), z, cfg.size)
         col_sums = steering.sum(axis=0)
         patterns = np.stack([2.0 * steering[slots, j] - col_sums[j] for j in range(k)])
         patterns.flags.writeable = False
@@ -281,13 +281,14 @@ def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
     if model.scene.num_sources == 0:
         return np.zeros(model.plan.total_points, dtype=complex)
     if model.patterns is not None:
-        # Snapshot i of pattern k scales by amplitude (k, i): broadcast
-        # over (I, Q) rather than repeating each amplitude Q times.
+        # Snapshot i of pattern k scales by amplitude (k, i). Every
+        # period of a snapshot is the same sum, so sum one period per
+        # snapshot, (I, 1, z), and repeat it k0 times.
         plan = model.plan
-        out = np.zeros((plan.num_snapshots, plan.points_per_snapshot), dtype=complex)
+        out = np.zeros((plan.num_snapshots, 1, plan.points_per_period), dtype=complex)
         for k in range(model.scene.num_sources):
-            out += model.patterns[k].reshape(out.shape) * amplitudes[k][:, None]
-        return out.ravel()
+            out += model.patterns[k] * amplitudes[k][:, None, None]
+        return np.repeat(out, plan.periods_per_snapshot, axis=1).ravel()
     # Band-limited model: truncated harmonic sum, one phase-table
     # product per snapshot column.
     coeffs = model.mixed_steering @ amplitudes  # (2P+1, I)

@@ -25,7 +25,6 @@ def table1_cfg() -> SurfaceConfig:
         rows=5,
         cols=6,
         carrier_hz=1e9,
-        coding_period_s=1.6e-5,
         receiver_offset_m=2 * C0 / 2e9,
     )
 
@@ -48,7 +47,6 @@ def small_cfg() -> SurfaceConfig:
         rows=2,
         cols=3,
         carrier_hz=1e9,
-        coding_period_s=1.6e-5,
         receiver_offset_m=2 * C0 / 2e9,
     )
 

@@ -8,7 +8,29 @@ purpose and live here rather than in the package.
 import numpy as np
 
 from msdoa import Doa, draw_source_amplitudes, harmonic_matrix, steering_derivatives
-from msdoa.surface import steering_matrix
+from msdoa.surface import _check_element, steering_matrix
+
+
+def coding_waveform(m, n, t, cfg, coding_period_s):
+    """Evaluate the +/-1 coding schedule of element (m, n) at time ``t``.
+
+    The schedule is periodic with period ``coding_period_s`` for all t,
+    negative included. Each period splits into M*N equal slots swept
+    in row-major order; the element is +1 exactly during its own slot.
+    Slots are half-open on the left, (lower, upper], with the period
+    phase mapped into (0, 1]; values exactly on slot boundaries are
+    measure-zero and sampled time grids should not rely on them.
+    """
+    _check_element(m, n, cfg)
+    frac = np.mod(np.asarray(t, dtype=float) / coding_period_s, 1.0)
+    frac = np.where(frac == 0.0, 1.0, frac)
+    # Boundaries as single divisions of integers, so adjacent slots share
+    # the exact same float and the last upper bound is exactly 1.0.
+    slot = (m - 1) * cfg.cols + (n - 1)
+    lower = slot / cfg.size
+    upper = (slot + 1) / cfg.size
+    out = np.where((frac > lower) & (frac <= upper), 1.0, -1.0)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def stacked_crb(cfg, scene, plan, max_harmonic, noise_variance, amplitudes,
@@ -63,10 +85,11 @@ def kron_crb(core, plan, noise_variance, amplitudes):
 def repeat_synthesis(model, noise, rng_seed):
     """Received samples and amplitudes with each amplitude repeated per sample.
 
-    Full mode adds every source's switched pattern times its amplitudes
-    repeated Q times; the noise is ``samples + scale*(re + 1j*im)`` from
-    two separate draws. This is the form ``synthesize_received`` had
-    before it broadcast over (I, Q) and drew the noise into one buffer;
+    Full mode tiles every source's one-period switched pattern to the
+    record length and adds it times its amplitudes repeated Q times;
+    the noise is ``samples + scale*(re + 1j*im)`` from two separate
+    draws. This is the form ``synthesize_received`` had before it
+    summed one period per snapshot and drew the noise into one buffer;
     the two must agree bit for bit.
     """
     amp_rng, noise_rng = np.random.default_rng(rng_seed).spawn(2)
@@ -74,8 +97,16 @@ def repeat_synthesis(model, noise, rng_seed):
     amplitudes = draw_source_amplitudes(model.scene, plan.num_snapshots, amp_rng)
     samples = np.zeros(plan.total_points, dtype=complex)
     if model.patterns is not None:
+        periods = plan.total_points // plan.points_per_period
         for k in range(model.scene.num_sources):
-            samples += model.patterns[k] * np.repeat(amplitudes[k], plan.points_per_snapshot)
+            # np.multiply rather than ``*``: on a large record numpy
+            # reuses a temporary right operand in place and swaps the
+            # factors, and a complex product formed with fused
+            # multiply-adds is not bitwise commutative.
+            samples += np.multiply(
+                np.tile(model.patterns[k], periods),
+                np.repeat(amplitudes[k], plan.points_per_snapshot),
+            )
     elif model.phase_table is not None:
         coeffs = model.mixed_steering @ amplitudes
         samples = (model.phase_table @ coeffs).ravel(order="F")

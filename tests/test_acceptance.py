@@ -19,7 +19,6 @@ from msdoa import (
     SurfaceConfig,
     aggregate,
     builtin_config_path,
-    coding_waveform,
     compensation_matrix,
     crb,
     crb_core,
@@ -46,7 +45,7 @@ from msdoa import (
     write_sweep_csv,
 )
 from msdoa.estimator import smoothing_windows, whitener_inv_sqrt
-from oracles import stacked_crb
+from oracles import coding_waveform, stacked_crb
 
 C0 = 299792458.0
 
@@ -285,27 +284,25 @@ def test_criterion_8(capsys):
     checks = []
 
     wavelength_half = C0 / 2e9
-    small = SurfaceConfig(2, 3, 1e9, 1.6e-5,
-                          receiver_offset_m=2 * wavelength_half)
-    surface = SurfaceConfig(5, 6, 1e9, 1.6e-5,
-                            receiver_offset_m=2 * wavelength_half)
+    small = SurfaceConfig(2, 3, 1e9, receiver_offset_m=2 * wavelength_half)
+    surface = SurfaceConfig(5, 6, 1e9, receiver_offset_m=2 * wavelength_half)
     plan = SamplingPlan(5e7, 2, 5, 1.6e-5)
 
     # Closed-form coding coefficients vs numerical integration of the
     # defining integral (discontinuous at the slot edges, so the
     # quadrature gets those breakpoints).
-    period = small.coding_period_s
+    period = plan.coding_period_s
     worst = 0.0
     for m, n in ((1, 1), (2, 3)):
         slot = (m - 1) * 3 + (n - 1)
         edges = [slot / 6 * period, (slot + 1) / 6 * period]
         for p in (-17, 0, 1, 3, 29):
             re = quad(
-                lambda t: coding_waveform(m, n, np.array([t]), small)[0]
+                lambda t: coding_waveform(m, n, np.array([t]), small, period)[0]
                 * np.cos(2 * np.pi * p * t / period),
                 0.0, period, points=edges, limit=400)[0]
             im = quad(
-                lambda t: coding_waveform(m, n, np.array([t]), small)[0]
+                lambda t: coding_waveform(m, n, np.array([t]), small, period)[0]
                 * -np.sin(2 * np.pi * p * t / period),
                 0.0, period, points=edges, limit=400)[0]
             got = fourier_coefficient(m, n, p, small)
@@ -356,7 +353,7 @@ def test_criterion_8(capsys):
     checks.append(("smoothing factorization", factor, 1e-9))
 
     # Whitened pure-noise covariance is white at the predicted level.
-    cfg_nz = SurfaceConfig(5, 6, 1e9, 1.6e-5, 0.3)
+    cfg_nz = SurfaceConfig(5, 6, 1e9, 0.3)
     plan_nz = SamplingPlan(4e6, 1, 1, 1.6e-5)
     lines_nz = harmonic_matrix(15, cfg_nz)
     comp_nz = compensation_matrix(cfg_nz)
@@ -381,7 +378,7 @@ def test_criterion_8(capsys):
     checks.append(("whitened noise covariance", white, 0.1))
 
     # Per-snapshot and stacked-observation bound forms agree.
-    tiny = SurfaceConfig(2, 2, 1e9, 1.6e-5, 2 * wavelength_half)
+    tiny = SurfaceConfig(2, 2, 1e9, 2 * wavelength_half)
     tiny_plan = SamplingPlan(1e6, 1, 2, 1.6e-5)
     tiny_scene = SourceScene((Doa.from_degrees(22.0, 70.0),), (1.0,))
     rng = np.random.default_rng(17)

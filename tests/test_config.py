@@ -36,7 +36,7 @@ def test_builtin_table1():
     s = cfg.surface
     assert (s.rows, s.cols) == (5, 6)
     assert s.carrier_hz == 1.0e9
-    assert s.coding_period_s == 1.6e-5
+    assert cfg.plan.coding_period_s == 1.6e-5
     assert cfg.plan.sample_rate_hz == 5.0e7
     assert cfg.plan.periods_per_snapshot == 2
     assert cfg.plan.num_snapshots == 5

@@ -24,7 +24,7 @@ C0 = 299792458.0
 
 def _tiny_setup():
     d = C0 / 2e9
-    cfg = SurfaceConfig(2, 2, 1e9, 1.6e-5, 2 * d)
+    cfg = SurfaceConfig(2, 2, 1e9, 2 * d)
     plan = SamplingPlan(1e6, 1, 2, 1.6e-5)  # 16 points per snapshot
     scene = SourceScene((Doa.from_degrees(22.0, 70.0),), (1.0,))
     rng = np.random.default_rng(17)

@@ -201,7 +201,7 @@ def _noise_only_whitened_cov(num_weights, draws, sigma2):
     # Monte Carlo the post-chain noise covariance.
     from msdoa import SurfaceConfig
 
-    cfg = SurfaceConfig(5, 6, 1e9, 1.6e-5, 0.3)
+    cfg = SurfaceConfig(5, 6, 1e9, 0.3)
     plan = SamplingPlan(4e6, 1, 1, 1.6e-5)
     um = harmonic_matrix(15, cfg)
     comp = compensation_matrix(cfg)
@@ -429,7 +429,7 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     # the dense I_M kron band matrix; the whitener built from the
     # smoothed recovery matrix is C G C^H with G = (U^H U)^-1 smoothed.
     rows, cols, width, count, max_harmonic, num_columns, seed = case
-    cfg = SurfaceConfig(rows, cols, 1e9, 1.6e-5, 0.3)
+    cfg = SurfaceConfig(rows, cols, 1e9, 0.3)
     comp = compensation_matrix(cfg)
     weights = make_ps_weights(count, width, seed)
     rng = np.random.default_rng(seed)
@@ -589,7 +589,7 @@ def _random_hermitian(rng, trials, dim, extra):
 
 
 def _surface_setup(rows, cols, params):
-    cfg = SurfaceConfig(rows, cols, 1e9, 1.6e-5, 0.3)
+    cfg = SurfaceConfig(rows, cols, 1e9, 0.3)
     harmonics = harmonic_matrix(rows * cols, cfg)
     try:
         harmonics.decompose()
@@ -644,7 +644,7 @@ def _assert_same_estimates(got, want, spectrum, setup):
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**16))
 def test_lag_fold_evaluates_the_hermitian_form(rows, out_cols, seed):
     # [tr Q, 2 Re c_h, -2 Im c_h] times the lag basis is a^H Q a.
-    cfg = SurfaceConfig(rows, out_cols, 1e9, 1.6e-5, 0.3)
+    cfg = SurfaceConfig(rows, out_cols, 1e9, 0.3)
     dim = rows * out_cols
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

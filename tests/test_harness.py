@@ -161,6 +161,12 @@ def test_resolve_experiment_gains():
     assert resolve_experiment(plain) == plain
 
 
+def test_run_trials_resolves_coherent_gains():
+    # The context resolves unset gains from the seed, as a caller would.
+    cfg = parse_config(COHERENT)
+    assert run_trials(cfg) == run_trials(resolve_experiment(cfg))
+
+
 def test_coherent_sweep_runs(tmp_path):
     cfg = parse_config(COHERENT + "sweep = L: 1, 2\n")
     result = run_sweep(cfg)

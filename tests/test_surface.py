@@ -12,7 +12,6 @@ from msdoa import (
     HarmonicMatrix,
     SurfaceConfig,
     ValidationError,
-    coding_waveform,
     element_positions,
     fourier_coefficient,
     harmonic_matrix,
@@ -20,8 +19,12 @@ from msdoa import (
     wave_vector,
 )
 from msdoa.surface import arrival_delays, receiver_delays
+from oracles import coding_waveform
 
 C0 = 299792458.0
+# Coding period, s, of the schedule oracle; the coefficients are per
+# period and do not depend on it.
+PERIOD = 1.6e-5
 
 
 def element_position(m, n, cfg):
@@ -31,7 +34,7 @@ def element_position(m, n, cfg):
 
 
 def test_element_position_example():
-    cfg = SurfaceConfig(5, 6, 1e9, 1.6e-5, receiver_offset_m=0.3, spacing_m=0.15)
+    cfg = SurfaceConfig(5, 6, 1e9, receiver_offset_m=0.3, spacing_m=0.15)
     pos = element_positions(cfg)
     # First element sits at the lower-left corner of the centred grid.
     assert np.allclose(pos[0], [-0.375, -0.3, 0.0])
@@ -63,9 +66,9 @@ def test_wave_vector_directions():
 
 def test_waveform_one_hot_schedule(small_cfg):
     # At any instant exactly one element is +1, so the sum is 2 - MN.
-    t = np.linspace(0.0, 2 * small_cfg.coding_period_s, 977)
+    t = np.linspace(0.0, 2 * PERIOD, 977)
     total = sum(
-        coding_waveform(m, n, t, small_cfg)
+        coding_waveform(m, n, t, small_cfg, PERIOD)
         for m in range(1, 3)
         for n in range(1, 4)
     )
@@ -76,25 +79,25 @@ def test_waveform_slot_duty(small_cfg):
     # Midpoint sampling never touches slot edges, so the mean is exact
     # when the grid size is a multiple of the slot count.
     z = 600
-    t = (np.arange(z) + 0.5) / z * small_cfg.coding_period_s
+    t = (np.arange(z) + 0.5) / z * PERIOD
     for m in range(1, 3):
         for n in range(1, 4):
-            u = coding_waveform(m, n, t, small_cfg)
+            u = coding_waveform(m, n, t, small_cfg, PERIOD)
             assert np.mean(u) == pytest.approx(2.0 / 6.0 - 1.0, abs=1e-12)
 
 
 def test_waveform_periodicity(small_cfg):
-    t = np.linspace(0.0, small_cfg.coding_period_s, 401)
+    t = np.linspace(0.0, PERIOD, 401)
     for m, n in ((1, 1), (2, 3)):
-        a = coding_waveform(m, n, t, small_cfg)
-        b = coding_waveform(m, n, t + 7 * small_cfg.coding_period_s, small_cfg)
+        a = coding_waveform(m, n, t, small_cfg, PERIOD)
+        b = coding_waveform(m, n, t + 7 * PERIOD, small_cfg, PERIOD)
         assert np.array_equal(a, b)
 
 
 def test_fourier_coefficient_matches_quadrature(small_cfg):
     # Independent oracle: numerical integration of the defining integral.
     quad = pytest.importorskip("scipy.integrate").quad
-    dT = small_cfg.coding_period_s
+    dT = PERIOD
 
     def oracle(m, n, p):
         # The integrand is discontinuous at the slot edges; hand those
@@ -102,7 +105,7 @@ def test_fourier_coefficient_matches_quadrature(small_cfg):
         slot = (m - 1) * 3 + (n - 1)
         edges = [slot / 6 * dT, (slot + 1) / 6 * dT]
         re = quad(
-            lambda t: coding_waveform(m, n, np.array([t]), small_cfg)[0]
+            lambda t: coding_waveform(m, n, np.array([t]), small_cfg, PERIOD)[0]
             * np.cos(2 * np.pi * p * t / dT),
             0.0,
             dT,
@@ -110,7 +113,7 @@ def test_fourier_coefficient_matches_quadrature(small_cfg):
             limit=400,
         )[0]
         im = quad(
-            lambda t: coding_waveform(m, n, np.array([t]), small_cfg)[0]
+            lambda t: coding_waveform(m, n, np.array([t]), small_cfg, PERIOD)[0]
             * -np.sin(2 * np.pi * p * t / dT),
             0.0,
             dT,
@@ -145,7 +148,7 @@ def test_fourier_coefficient_conjugate_symmetry(small_cfg):
 
 def test_fourier_series_reconstruction(small_cfg):
     # Truncated series converges to the square wave away from slot edges.
-    dT = small_cfg.coding_period_s
+    dT = PERIOD
     p = np.arange(-2000, 2001)
     t = np.linspace(0.0, dT, 3001)
     edges = np.arange(7) / 6 * dT
@@ -153,7 +156,7 @@ def test_fourier_series_reconstruction(small_cfg):
     basis = np.exp(2j * np.pi * np.outer(t, p) / dT)
     for m, n in ((1, 1), (2, 3)):
         series = (basis @ fourier_coefficient(m, n, p, small_cfg)).real
-        exact = coding_waveform(m, n, t, small_cfg)
+        exact = coding_waveform(m, n, t, small_cfg, PERIOD)
         assert np.max(np.abs(series[keep] - exact[keep])) < 0.05
 
 
@@ -210,8 +213,7 @@ def test_harmonic_matrix_conjugate_rows_any_surface(rows, cols, max_harmonic):
     # The coding waveform is real for every surface, so the row of
     # order -p is the conjugate of the row of order +p and the mean row
     # is real.
-    cfg = SurfaceConfig(rows=rows, cols=cols, carrier_hz=1e9,
-                        coding_period_s=1.6e-5, receiver_offset_m=0.6)
+    cfg = SurfaceConfig(rows=rows, cols=cols, carrier_hz=1e9, receiver_offset_m=0.6)
     entries = harmonic_matrix(max_harmonic, cfg).entries
     assert np.allclose(entries[::-1], np.conj(entries), rtol=0.0, atol=1e-14)
     assert np.all(entries[max_harmonic].imag == 0.0)
@@ -256,15 +258,13 @@ def test_degenerate_coding_detection():
 
 def test_surface_validation():
     with pytest.raises(ValidationError):
-        SurfaceConfig(0, 6, 1e9, 1.6e-5, 0.3)
+        SurfaceConfig(0, 6, 1e9, 0.3)
     with pytest.raises(ValidationError):
-        SurfaceConfig(5, 6, -1e9, 1.6e-5, 0.3)
+        SurfaceConfig(5, 6, -1e9, 0.3)
     with pytest.raises(ValidationError):
-        SurfaceConfig(5, 6, 1e9, 0.0, 0.3)
+        SurfaceConfig(5, 6, 1e9, -0.3)
     with pytest.raises(ValidationError):
-        SurfaceConfig(5, 6, 1e9, 1.6e-5, -0.3)
-    with pytest.raises(ValidationError):
-        SurfaceConfig(5, 6, 1e9, 1.6e-5, 0.3, spacing_m=0.0)
+        SurfaceConfig(5, 6, 1e9, 0.3, spacing_m=0.0)
 
 
 def test_element_index_bounds(small_cfg):
@@ -273,4 +273,4 @@ def test_element_index_bounds(small_cfg):
     with pytest.raises(ValidationError):
         fourier_coefficient(3, 1, 0, small_cfg)
     with pytest.raises(ValidationError):
-        coding_waveform(1, 4, np.array([0.0]), small_cfg)
+        coding_waveform(1, 4, np.array([0.0]), small_cfg, PERIOD)

@@ -25,8 +25,9 @@ from msdoa import (
     write_time_series,
 )
 from msdoa.harness import build_context, trial_seed_sequence
+from msdoa.surface import steering_matrix
 from msdoa.waveform import _slot_indices
-from oracles import repeat_synthesis
+from oracles import coding_waveform, repeat_synthesis
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
@@ -120,6 +121,8 @@ def test_sampling_plan_validation():
         SamplingPlan(50e6, 0, 5, 1.6e-5)
     with pytest.raises(ValidationError):
         SamplingPlan(50e6, 2, 0, 1.6e-5)
+    with pytest.raises(ValidationError):
+        SamplingPlan(50e6, 2, 5, 0.0)  # zero coding period
 
 
 def test_slot_indices_partition():
@@ -148,16 +151,15 @@ def test_slot_indices_match_exact_reference(data, size):
     assert _slot_indices(q, z, size).tolist() == want
 
 
-def test_slot_indices_match_waveform(small_cfg):
+def test_slot_indices_match_waveform(small_cfg, table1_plan):
     # The synthesis slot table agrees with the continuous-time schedule.
-    from msdoa import coding_waveform
-
     z = 48
-    t = np.arange(z) / z * small_cfg.coding_period_s
+    period = table1_plan.coding_period_s
+    t = np.arange(z) / z * period
     slots = _slot_indices(np.arange(z), z, small_cfg.size)
     for m in range(1, 3):
         for n in range(1, 4):
-            u = coding_waveform(m, n, t, small_cfg)
+            u = coding_waveform(m, n, t, small_cfg, period)
             k = (m - 1) * 3 + (n - 1)
             assert np.array_equal(u == 1.0, slots == k)
 
@@ -187,6 +189,32 @@ def test_synthesis_matches_the_repeat_form_bit_for_bit(chain_config):
 
         series, amplitudes = synthesize_received(model, cfg.noise, seed())
         samples, want = repeat_synthesis(model, cfg.noise, seed())
+        assert series.samples.tobytes() == samples.tobytes()
+        assert amplitudes.tobytes() == want.tobytes()
+
+
+def test_full_mode_holds_one_period_per_source(table1_cfg):
+    # The active slot depends only on a sample's phase within its
+    # period, so one period per source stands for the whole record:
+    # tiled, it is the pattern built sample by sample over the record,
+    # and synthesis over a long record matches the tiled form bitwise.
+    scene = _table1_scene()
+    # 16 800 samples, past the 256 KiB at which numpy reuses temporaries.
+    plan = SamplingPlan(50e6, 3, 7, 1.6e-5)
+    model = signal_model(table1_cfg, scene, plan, "full")
+    z = plan.points_per_period
+    assert model.patterns.shape == (2, z)
+
+    steering = steering_matrix(scene.doas, table1_cfg)
+    slots = _slot_indices(np.arange(plan.total_points), z, table1_cfg.size)
+    col_sums = steering.sum(axis=0)
+    record = np.stack([2.0 * steering[slots, j] - col_sums[j] for j in range(2)])
+    assert np.tile(model.patterns, plan.total_points // z).tobytes() == record.tobytes()
+
+    noise = NoiseSpec(variance=0.5)
+    for seed in (5, 6):
+        series, amplitudes = synthesize_received(model, noise, seed)
+        samples, want = repeat_synthesis(model, noise, seed)
         assert series.samples.tobytes() == samples.tobytes()
         assert amplitudes.tobytes() == want.tobytes()
 
@@ -257,9 +285,6 @@ def test_folding_residue_shrinks_with_oversampling(table1_cfg):
 def test_mode_and_plan_validation(table1_cfg, table1_plan):
     with pytest.raises(ValidationError):
         signal_model(table1_cfg, _table1_scene(), table1_plan, "approximate")
-    bad_plan = SamplingPlan(50e6, 2, 5, 3.2e-5)  # wrong coding period
-    with pytest.raises(ValidationError):
-        signal_model(table1_cfg, _table1_scene(), bad_plan, "full")
     with pytest.raises(ValidationError):
         signal_model(table1_cfg, _table1_scene(), table1_plan, "ideal")  # needs budget
 
