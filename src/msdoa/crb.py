@@ -55,15 +55,12 @@ class CrbResult:
 
     Parameter order is all azimuths then all elevations (azimuths only
     when the elevations were declared known). ``theta_bounds`` are the
-    azimuth diagonal entries. ``noise_fisher`` is the decoupled Fisher
-    information of the noise variance, (2P+1)*I/sigma^4, reported for
-    completeness. The bound of a stack of draws stacks ``matrix`` and
-    ``theta_bounds`` along a leading trial axis.
+    azimuth diagonal entries. The bound of a stack of draws stacks
+    ``matrix`` and ``theta_bounds`` along a leading trial axis.
     """
 
     matrix: np.ndarray
     theta_bounds: np.ndarray
-    noise_fisher: float
 
 
 def _guarded_inverse(real_matrix: np.ndarray) -> np.ndarray:
@@ -92,13 +89,12 @@ class CrbCore:
     projector onto the orthogonal complement of the mixed steering.
     Only the sample covariance of the amplitudes changes from one draw
     to the next. The other fields are what :func:`crb` needs of the
-    model: the source count, whether elevations are known, the number
-    of frequency lines 2P+1 and the element count. Arrays are read-only.
+    model: the source count, whether elevations are known and the
+    element count. Arrays are read-only.
     """
 
     num_sources: int
     known_elevations: bool
-    lines: int
     num_elements: int
     core: np.ndarray
 
@@ -160,7 +156,7 @@ def crb_core(
             f"against {diag.max():.3e}) for any amplitudes"
         )
     core.flags.writeable = False
-    return CrbCore(scene.num_sources, bool(known_elevations), lines, cfg.size, core)
+    return CrbCore(scene.num_sources, bool(known_elevations), cfg.size, core)
 
 
 def crb(
@@ -207,5 +203,4 @@ def crb(
     prefactor = core.num_elements * noise_variance / (2.0 * q_len * num_snap)
     bound = prefactor * _guarded_inverse(fisher_core)
     bound = 0.5 * (bound + np.swapaxes(bound, -1, -2))
-    noise_fisher = np.inf if noise_variance == 0 else core.lines * num_snap / noise_variance**2
-    return CrbResult(bound, bound.diagonal(axis1=-2, axis2=-1)[..., :k].copy(), noise_fisher)
+    return CrbResult(bound, bound.diagonal(axis1=-2, axis2=-1)[..., :k].copy())

@@ -7,10 +7,10 @@ random-phase weight rows collapses every sliding ``width``-column
 window of each surface row to a scalar. Averaging the outer products of
 the collapsed vectors over snapshots and weights restores rank for
 coherent sources. The azimuth-only (1-D) search is the one-elevation
-case of the same search: the window as wide as the surface, at the one
-known elevation. The 2-D search slides narrower windows over an
-elevation grid. :func:`search_grids` is the one place the estimator
-``kind`` picks the width and the grids.
+case of the same search; the 2-D search runs over an elevation grid.
+Both slide ``subarray_width``-column windows, as wide as the surface
+when that is unset. :func:`search_grids` is the one place the width
+and the grids are read.
 
 The weight bank colors the noise. Bin noise e reaches the smoothed
 vectors as smooth(B e), with B the recovery left inverse, so the
@@ -397,21 +397,22 @@ def search_grids(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """The window width, the azimuth grid and the elevation grid of a search.
 
-    This is the one place the estimator ``kind`` takes effect. "1d" is
-    the window as wide as the surface at the single elevation
-    ``elevation_deg``; "2d" the ``subarray_width`` window over the
+    The window is ``subarray_width`` columns wide, the full width when
+    that is unset. The estimator ``kind`` picks only the elevation grid:
+    "1d" the single elevation ``elevation_deg``, "2d" the
     ``phi_grid_deg`` grid. The elevation is searched exactly when the
     grid has more than one point. The peak search needs a neighbor on
     each side of a point, so the azimuth grid, and under "2d" the
     elevation grid, must have at least 3 points. Grids are in degrees.
     """
     theta_grid = inclusive_grid(*params.theta_grid_deg)
-    if params.kind == "1d":
-        width, elevations = surface.cols, np.array([float(params.elevation_deg)])
-    else:
-        width, elevations = params.subarray_width, inclusive_grid(*params.phi_grid_deg)
+    width = surface.cols if params.subarray_width is None else params.subarray_width
     if not 1 <= width <= surface.cols:
         raise ConfigurationError(f"subarray_width={width} must lie in [1, {surface.cols}]")
+    if params.kind == "1d":
+        elevations = np.array([float(params.elevation_deg)])
+    else:
+        elevations = inclusive_grid(*params.phi_grid_deg)
     if theta_grid.size < 3 or (params.kind == "2d" and elevations.size < 3):
         raise ValidationError("a searched angle grid needs at least 3 points")
     return width, theta_grid, elevations

@@ -5,8 +5,8 @@ How a sweep runs: each sweep value gives one config point, and
 context holds everything no trial changes: the config with its
 coherent gains resolved from the seed; the harmonic matrix with its
 rank check and pseudo-inverse; the phase compensation; the signal
-model (one coding period of the full-mode switched patterns, which
-the record repeats, or the ideal-mode phase table); the smoothing
+model (one coding period of the switched patterns, full or
+band-limited, which the record repeats); the smoothing
 window width, the windows of the compensated pseudo-inverse that every
 whitener is summed from, the search grids, the lag fold table and the
 search batch size; and the bound's rank-checked projected core, which
@@ -32,7 +32,8 @@ follows from the grid sizes and the chain's per-trial stacks under a
 fixed byte budget (see ``msdoa.estimator.SEARCH_BATCH_BYTES``).
 ``single`` runs trial (0, 0) as a batch of one through the same
 :func:`run_batch`, and ``crb`` bounds the amplitudes of that same draw
-without the search, both with BLAS held to one thread as in a sweep.
+without extracting its snapshots or searching, both with BLAS held to
+one thread as in a sweep.
 
 A chunk of trials is the unit of work: :func:`run_trials` runs a
 point's trials as one chunk, or, with several workers, as contiguous
@@ -407,29 +408,28 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 
 @contextlib.contextmanager
 def _trial_zero(cfg: ExperimentConfig):
-    """Scope holding the context of ``cfg`` and the draws of its trial (0, 0).
+    """Scope holding the context of ``cfg``, in which trial (0, 0) is drawn.
 
-    Yields the context and the trial's series, amplitudes, snapshots
-    and smoothing seed, drawn as a sweep draws them. BLAS is held to
-    one thread inside the scope, as in a sweep's trial chunks.
+    BLAS is held to one thread inside the scope, as in a sweep's trial
+    chunks.
     """
     with _single_threaded_blas():
-        context = build_context(cfg)
-        yield context, _draw(context, 0, 0)
+        yield build_context(cfg)
 
 
 def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
     """The angle bound of the amplitudes trial (0, 0) draws, the run ``single`` makes.
 
     The amplitudes are bounded as :func:`run_batch` bounds a batch of
-    one; the estimator and the search do not run.
+    one; no snapshots are extracted and the search does not run.
     """
-    with _trial_zero(cfg) as (context, (_, amplitudes, _, _)):
+    with _trial_zero(cfg) as context:
         if context.bound is None:
             raise ValidationError("the bound needs at least one configured source")
+        _, amplitudes, _ = synthesize_trial(context, 0, 0)
         cfg = context.config
         bound = crb(context.bound, cfg.plan, cfg.noise.variance, amplitudes[None])
-    return CrbResult(bound.matrix[0], bound.theta_bounds[0], bound.noise_fisher)
+    return CrbResult(bound.matrix[0], bound.theta_bounds[0])
 
 
 def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
@@ -442,7 +442,8 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     search spectrum and peak estimates. Also dumps the raw series and
     the snapshot matrix for downstream tools.
     """
-    with _trial_zero(cfg) as (context, (series, amplitudes, snapshots, smoothing_seed)):
+    with _trial_zero(cfg) as context:
+        series, amplitudes, snapshots, smoothing_seed = _draw(context, 0, 0)
         (result,), _ = run_batch(context, [(amplitudes, snapshots, smoothing_seed)])
     cfg = context.config
     prefix = out_prefix if out_prefix is not None else cfg.output

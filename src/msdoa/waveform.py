@@ -219,16 +219,17 @@ class SignalModel:
     """The part of the noiseless received signal no amplitude draw changes.
 
     Holds the scene and plan it was built for and the element count
-    that scales the receiver noise. In full mode ``patterns`` is the
-    (K, points_per_period) switched surface sum over one coding period
-    per source: at each sample the active element's steering entry
+    that scales the receiver noise. Both modes hold one coding period
+    of the signal, which the record repeats, since the switching
+    repeats with the period and snapshots span whole periods. In full
+    mode ``patterns`` is the (K, points_per_period) switched surface
+    sum per source: at each sample the active element's steering entry
     counts +1 and every other entry -1, i.e. ``2*a[slot] - sum(a)``.
-    The record repeats it period after period, since the active slot
-    depends only on the sample's phase within its period. In ideal mode
-    ``mixed_steering`` is the (2P+1, K) harmonic mixture of the
-    steering and ``phase_table`` the Q x (2P+1) table of sample phases,
-    which repeats exactly from snapshot to snapshot because snapshots
-    span whole coding periods. Arrays are read-only: trials share them.
+    In ideal mode ``mixed_steering`` is the (2P+1, K) harmonic mixture
+    of the steering and ``phase_table`` the (points_per_period, 2P+1)
+    table of sample phases. Without sources ``patterns`` is an empty
+    (0, points_per_period) stack in either mode. Arrays are read-only:
+    trials share them.
     """
 
     scene: SourceScene
@@ -248,19 +249,22 @@ def signal_model(
 ) -> SignalModel:
     """Precompute the trial-invariant part of :func:`synthesize_received`.
 
-    ``mode`` "full" evaluates the exact +/-1 schedule over one coding
-    period of ``plan``; "ideal" keeps the coding harmonics of
-    ``harmonics``, which it requires.
+    ``mode`` "full" evaluates the exact +/-1 schedule and "ideal" keeps
+    the coding harmonics of ``harmonics``, which it requires, both over
+    one coding period of ``plan``. Without sources either mode holds an
+    empty stack of patterns.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}")
     if mode == "ideal" and harmonics is None:
         raise ValidationError("ideal mode needs the harmonic matrix")
     k = scene.num_sources
-    if k == 0:
-        return SignalModel(scene, plan, cfg.size)
-    steering = steering_matrix(scene.doas, cfg)
     z = plan.points_per_period
+    if k == 0:
+        patterns = np.zeros((0, z), dtype=complex)
+        patterns.flags.writeable = False
+        return SignalModel(scene, plan, cfg.size, patterns=patterns)
+    steering = steering_matrix(scene.doas, cfg)
     if mode == "full":
         slots = _slot_indices(np.arange(z), z, cfg.size)
         col_sums = steering.sum(axis=0)
@@ -270,7 +274,7 @@ def signal_model(
     # Phases are reduced with integer arithmetic before exp to stay
     # exact for large p*q.
     mixed = harmonics.entries @ steering
-    reduced = np.mod(np.outer(np.arange(plan.points_per_snapshot), harmonics.harmonic_orders), z)
+    reduced = np.mod(np.outer(np.arange(z), harmonics.harmonic_orders), z)
     table = np.exp(2j * np.pi * reduced / z)
     mixed.flags.writeable = False
     table.flags.writeable = False
@@ -278,21 +282,18 @@ def signal_model(
 
 
 def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
-    if model.scene.num_sources == 0:
-        return np.zeros(model.plan.total_points, dtype=complex)
+    # Snapshot i scales by the amplitudes of column i, and every period
+    # of a snapshot is the same sum, so form one period per snapshot,
+    # (I, z), and repeat it k0 times.
+    plan = model.plan
     if model.patterns is not None:
-        # Snapshot i of pattern k scales by amplitude (k, i). Every
-        # period of a snapshot is the same sum, so sum one period per
-        # snapshot, (I, 1, z), and repeat it k0 times.
-        plan = model.plan
-        out = np.zeros((plan.num_snapshots, 1, plan.points_per_period), dtype=complex)
-        for k in range(model.scene.num_sources):
-            out += model.patterns[k] * amplitudes[k][:, None, None]
-        return np.repeat(out, plan.periods_per_snapshot, axis=1).ravel()
-    # Band-limited model: truncated harmonic sum, one phase-table
-    # product per snapshot column.
-    coeffs = model.mixed_steering @ amplitudes  # (2P+1, I)
-    return (model.phase_table @ coeffs).ravel(order="F")
+        period = np.zeros((plan.num_snapshots, plan.points_per_period), dtype=complex)
+        for pattern, amplitude in zip(model.patterns, amplitudes):
+            period += pattern * amplitude[:, None]
+    else:
+        # Band-limited model: truncated harmonic sum.
+        period = (model.phase_table @ (model.mixed_steering @ amplitudes)).T
+    return np.repeat(period[:, None, :], plan.periods_per_snapshot, axis=1).ravel()
 
 
 def synthesize_received(model: SignalModel, noise: NoiseSpec, rng_seed):

@@ -86,11 +86,13 @@ def repeat_synthesis(model, noise, rng_seed):
     """Received samples and amplitudes with each amplitude repeated per sample.
 
     Full mode tiles every source's one-period switched pattern to the
-    record length and adds it times its amplitudes repeated Q times;
-    the noise is ``samples + scale*(re + 1j*im)`` from two separate
-    draws. This is the form ``synthesize_received`` had before it
-    summed one period per snapshot and drew the noise into one buffer;
-    the two must agree bit for bit.
+    record length and adds it times its amplitudes repeated Q times.
+    Ideal mode builds the phase table of a whole snapshot, Q x (2P+1),
+    and multiplies it by the mixed amplitudes of every snapshot. The
+    noise is ``samples + scale*(re + 1j*im)`` from two separate draws.
+    This is the form ``synthesize_received`` had before it formed one
+    period per snapshot and drew the noise into one buffer; the two
+    must agree bit for bit.
     """
     amp_rng, noise_rng = np.random.default_rng(rng_seed).spawn(2)
     plan = model.plan
@@ -107,9 +109,14 @@ def repeat_synthesis(model, noise, rng_seed):
                 np.tile(model.patterns[k], periods),
                 np.repeat(amplitudes[k], plan.points_per_snapshot),
             )
-    elif model.phase_table is not None:
+    else:
+        z = plan.points_per_period
+        order = (model.mixed_steering.shape[0] - 1) // 2
+        reduced = np.mod(np.outer(np.arange(plan.points_per_snapshot),
+                                  np.arange(-order, order + 1)), z)
+        table = np.exp(2j * np.pi * reduced / z)
         coeffs = model.mixed_steering @ amplitudes
-        samples = (model.phase_table @ coeffs).ravel(order="F")
+        samples = (table @ coeffs).ravel(order="F")
     if noise.variance > 0:
         scale = np.sqrt(model.num_elements * noise.variance / 2.0)
         samples = samples + scale * (

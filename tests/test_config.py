@@ -232,11 +232,14 @@ def test_too_many_sources_for_search():
 
 
 def test_subarray_width_bounds():
-    path = builtin_config_path("table1_2d")
-    with pytest.raises(ConfigurationError, match="subarray_width"):
-        load_config(path, overrides=["subarray_width=7"])
-    with pytest.raises(ConfigurationError, match="subarray_width"):
-        load_config(path, overrides=["subarray_width=0"])
+    # Both estimator kinds read the width, so both reject one that does
+    # not fit the surface.
+    for name in ("table1_2d", "table1"):
+        path = builtin_config_path(name)
+        with pytest.raises(ConfigurationError, match="subarray_width"):
+            load_config(path, overrides=["subarray_width=7"])
+        with pytest.raises(ConfigurationError, match="subarray_width"):
+            load_config(path, overrides=["subarray_width=0"])
 
 
 def test_trials_seed_grid_validation():

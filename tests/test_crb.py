@@ -114,7 +114,6 @@ def test_bound_symmetric_psd():
     assert np.array_equal(res.matrix, res.matrix.T)
     assert np.all(np.linalg.eigvalsh(res.matrix) > 0)
     assert res.theta_bounds[0] == res.matrix[0, 0]
-    assert res.noise_fisher == pytest.approx(5 * 2 / 0.3**2)
 
 
 def test_common_phase_invariance():

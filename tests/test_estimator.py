@@ -361,6 +361,17 @@ def test_music_dimension_checks(table1_cfg):
             harmonic_matrix(15, table1_cfg))  # wider than cols
 
 
+def test_1d_search_honours_subarray_width():
+    # The azimuth-only search slides windows of the configured width:
+    # 2 of the 6 columns leave 5 window positions on each of 5 rows.
+    cfg = load_config(builtin_config_path("table1"), ["subarray_width=2"])
+    setup = search_setup(cfg.surface, cfg.estimator, harmonic_matrix(cfg.max_harmonic, cfg.surface))
+    assert setup.width == 2
+    assert setup.elevation_grid_deg.tolist() == [90.0]
+    _, rows, out_cols, _ = setup.whitener_windows.shape
+    assert rows * out_cols == 25
+
+
 def test_estimator_params_validation():
     with pytest.raises(ValidationError):
         EstimatorParams(num_sources=-1, num_weights=5)
@@ -475,7 +486,7 @@ def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
     cfg, setup, weight_seed, snaps = _trial_zero(name, **grids)
     got = _estimate_one(snaps, setup, weight_seed)
     params = cfg.estimator
-    width = cfg.surface.cols if params.kind == "1d" else params.subarray_width
+    width = cfg.surface.cols if params.subarray_width is None else params.subarray_width
     weights = make_ps_weights(params.num_weights, width, weight_seed)
     thetas, phis, spectrum, estimates = oracles.separate_chain(
         snaps, cfg.surface, params, compensation_matrix(cfg.surface), weights.weights)
@@ -561,22 +572,21 @@ def test_estimates_invariant_under_source_permutation(table1_cfg, table1_plan, c
 @st.composite
 def _search_cases(draw):
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    width = draw(st.integers(1, cols))
-    dim = rows * (cols - width + 1)
     two_d = draw(st.booleans())
+    # An unset width, allowed under "1d" only, is the full surface width.
+    unset = not two_d and draw(st.booleans())
+    width = cols if unset else draw(st.integers(1, cols))
+    dim = rows * (cols - width + 1)
     start = draw(st.sampled_from([-90.0, -75.0, -40.0]))
     theta_grid = (start, draw(st.sampled_from([30.0, 60.0, 90.0])),
                   draw(st.sampled_from([2.5, 3.0, 5.0, 7.0])))
     params = EstimatorParams(
         num_sources=draw(st.integers(0, dim - 1)), num_weights=2,
-        kind="2d" if two_d else "1d", subarray_width=width if two_d else None,
+        kind="2d" if two_d else "1d", subarray_width=None if unset else width,
         elevation_deg=draw(st.sampled_from([20.0, 55.0, 90.0])),
         theta_grid_deg=theta_grid,
         phi_grid_deg=(draw(st.sampled_from([0.0, 5.0])), 90.0,
                       draw(st.sampled_from([5.0, 7.5, 15.0]))))
-    if not two_d:  # full-width windows: one window position per row
-        dim = rows
-        params = replace(params, num_sources=min(params.num_sources, dim - 1))
     trials = draw(st.integers(1, 3))
     return rows, cols, params, dim, trials, draw(st.integers(0, 2**16))
 

@@ -324,7 +324,8 @@ def test_cli_crb_bounds_the_amplitudes_of_trial_zero(tmp_path, capsys):
 
 
 def test_cli_crb_runs_no_search(tmp_path, capsys, monkeypatch):
-    # The bound needs trial (0, 0)'s amplitudes only, never its estimate.
+    # The bound needs trial (0, 0)'s amplitudes only, never its
+    # snapshots or its estimate.
     printed = {}
     for name in ("table1", "table1_2d"):
         assert main(["crb", "-c", builtin_config_path(name), "-o", str(tmp_path / name)]) == 0
@@ -333,7 +334,11 @@ def test_cli_crb_runs_no_search(tmp_path, capsys, monkeypatch):
     def no_search(*args):
         raise AssertionError("crb ran the search")
 
+    def no_snapshots(*args):
+        raise AssertionError("crb extracted snapshots")
+
     monkeypatch.setattr(msdoa.estimator, "music_search", no_search)
+    monkeypatch.setattr(msdoa.harness, "extract_snapshots", no_snapshots)
     for name in ("table1", "table1_2d"):
         assert main(["crb", "-c", builtin_config_path(name), "-o", str(tmp_path / name)]) == 0
         assert capsys.readouterr().out == printed[name]

@@ -15,10 +15,12 @@ from msdoa import (
     SourceScene,
     SurfaceConfig,
     ValidationError,
+    builtin_config_path,
     draw_source_amplitudes,
     make_coherent_gains,
     read_time_series,
     harmonic_matrix,
+    load_config,
     resolve_gains,
     signal_model,
     synthesize_received,
@@ -217,6 +219,44 @@ def test_full_mode_holds_one_period_per_source(table1_cfg):
         samples, want = repeat_synthesis(model, noise, seed)
         assert series.samples.tobytes() == samples.tobytes()
         assert amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_harmonic", [15, 40])
+def test_ideal_mode_holds_one_period(max_harmonic):
+    # Like the full-mode patterns, the phase table spans one coding
+    # period, not a whole snapshot.
+    cfg = load_config(builtin_config_path("table1"), ["mode=ideal"])
+    model = signal_model(cfg.surface, cfg.scene, cfg.plan, "ideal",
+                         harmonic_matrix(max_harmonic, cfg.surface))
+    assert model.phase_table.shape == (cfg.plan.points_per_period, 2 * max_harmonic + 1)
+    assert model.patterns is None
+
+
+@pytest.mark.parametrize("mode", ["full", "ideal"])
+@pytest.mark.parametrize("periods", [1, 3])
+def test_one_period_synthesis_matches_the_record_form(table1_cfg, mode, periods):
+    # One period per snapshot, repeated k0 times, is bitwise the record
+    # the oracle forms over whole snapshots, in either mode.
+    plan = SamplingPlan(50e6, periods, 5, 1.6e-5)
+    model = signal_model(table1_cfg, _table1_scene(), plan, mode, harmonic_matrix(15, table1_cfg))
+    noise = NoiseSpec(variance=0.5)
+    for seed in (5, 6):
+        series, amplitudes = synthesize_received(model, noise, seed)
+        samples, want = repeat_synthesis(model, noise, seed)
+        assert series.samples.tobytes() == samples.tobytes()
+        assert amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["full", "ideal"])
+def test_no_source_model_holds_an_empty_pattern_stack(table1_cfg, table1_plan, mode):
+    model = signal_model(table1_cfg, SourceScene((), ()), table1_plan, mode,
+                         harmonic_matrix(15, table1_cfg))
+    assert model.patterns.shape == (0, table1_plan.points_per_period)
+    assert not model.patterns.flags.writeable
+    assert model.phase_table is None
+    series, amplitudes = synthesize_received(model, NoiseSpec.quiet(), 9)
+    assert amplitudes.shape == (0, table1_plan.num_snapshots)
+    assert series.samples.tobytes() == np.zeros(table1_plan.total_points, complex).tobytes()
 
 
 def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
