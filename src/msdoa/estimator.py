@@ -32,12 +32,17 @@ one-row operand goes to a matrix-vector kernel and several rows to a
 matrix-matrix kernel, which round differently. The search folds each
 trial's whitened noise projector onto the lags of the smoothed grid and
 evaluates the null spectrum as a trigonometric polynomial in the row
-and column phases, with each elevation's basis built once per batch.
+and column phases, one elevation at a time with each elevation's basis
+built once per batch. It holds three elevation rows of the batch's
+spectra and finds the peaks from them; a trial's full spectrum is
+evaluated from its polynomial only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,11 +59,11 @@ from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 WHITENER_RTOL = 1e-12
 # Largest distance of a smoothing weight's modulus from 1.
 UNIT_MODULUS_ATOL = 1e-9
-# Bytes a search batch may hold, per trial its spectrum with one
-# elevation's denominators and its largest stack in the chain, the
-# whitener's collapsed windows (complex) with the copy the collapse
-# makes. 2.5 MiB gives 4 trials on table1_2d, 32 on table2 and 48 on
-# table1.
+# Bytes a search batch may hold, per trial the spectrum rows the peak
+# search keeps (three elevations at most) with one elevation's
+# denominators, and its largest stack in the chain, the whitener's
+# collapsed windows (complex) with the copy the collapse makes. 2.5 MiB
+# gives 30 trials on table1_2d, 32 on table2 and 48 on table1.
 SEARCH_BATCH_BYTES = 5 * 2**19
 # Estimator kinds: azimuth only, or azimuth and elevation.
 KINDS = ("1d", "2d")
@@ -312,48 +317,50 @@ def _lag_basis(rows: int, out_cols: int, directions: np.ndarray, phase_scale: fl
     return basis
 
 
-def _local_maxima(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Indices of strict local maxima along every axis longer than one point.
+class _SpectrumOnRead:
+    """A ``spectrum`` given as an array or as a function that evaluates it.
 
-    End points of a searched axis are never reported.
+    The function runs on the first read of ``spectrum``, and every later
+    read returns the array it made.
     """
-    searched = [axis for axis, n in enumerate(values.shape) if n > 1]
-    inner = tuple(slice(1, -1) if axis in searched else slice(None) for axis in range(values.ndim))
-    core = values[inner]
-    mask = np.ones(core.shape, dtype=bool)
-    for axis in searched:
-        below, above = list(inner), list(inner)
-        below[axis], above[axis] = slice(None, -2), slice(2, None)
-        mask &= (core > values[tuple(below)]) & (core > values[tuple(above)])
-    return tuple(idx + (axis in searched) for axis, idx in enumerate(np.nonzero(mask)))
+
+    _spectrum: np.ndarray | Callable[[], np.ndarray]
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        if callable(self._spectrum):
+            self._spectrum = self._spectrum()
+        return self._spectrum
 
 
 @dataclass(eq=False)
-class MusicResult:
+class MusicResult(_SpectrumOnRead):
     """Spatial spectrum, its grid, peak estimates, and eigenvalues.
 
     A search at one known elevation has ``phi_grid_deg`` of ``None`` and
     a spectrum over azimuth only; otherwise the spectrum is
-    (azimuths, elevations).
+    (azimuths, elevations). :func:`music_search` passes the spectrum as
+    a function, evaluated on first read.
     """
 
     theta_grid_deg: np.ndarray
     phi_grid_deg: np.ndarray | None
-    spectrum: np.ndarray
+    _spectrum: np.ndarray | Callable[[], np.ndarray]
     estimates: tuple[Doa, ...]
     eigenvalues: np.ndarray
 
 
 @dataclass(eq=False)
-class MusicBatch:
+class MusicBatch(_SpectrumOnRead):
     """The searches of a batch of trials over one grid.
 
     ``spectrum`` is (trials, azimuths, elevations), every grid point of
-    every trial; ``results`` holds each trial's :class:`MusicResult`,
-    whose spectrum is a view into it.
+    every trial, evaluated on its first read like a
+    :class:`MusicResult`'s; ``results`` holds each trial's
+    :class:`MusicResult`, whose spectrum is evaluated on its own.
     """
 
-    spectrum: np.ndarray
+    _spectrum: np.ndarray | Callable[[], np.ndarray]
     results: tuple[MusicResult, ...]
 
 
@@ -431,7 +438,8 @@ class SearchSetup:
     lags of the smoothed grid, and the search batch size. The search
     builds each elevation's lag basis once per batch, the one elevation
     of an azimuth-only search included. ``batch_size`` is the most
-    trials whose spectra and largest chain stacks fit in
+    trials whose held spectrum rows (three elevations at most, plus one
+    of denominators) and largest chain stacks fit in
     ``SEARCH_BATCH_BYTES``, and at least 1. Arrays are read-only:
     trials share them.
     """
@@ -473,7 +481,7 @@ def search_setup(
     fold = _lag_fold(cfg.rows, out_cols)
     lines = 2 * harmonics.max_harmonic + 1
     trial_bytes = (
-        8 * theta_grid.size * (elevations.size + 1)
+        8 * theta_grid.size * (min(elevations.size, 3) + 1)
         + 32 * lines * params.num_weights * cfg.rows * out_cols
     )
     batch_size = max(1, SEARCH_BATCH_BYTES // trial_bytes)
@@ -493,6 +501,89 @@ def search_setup(
         fold,
         batch_size,
     )
+
+
+def _spectrum_rows(coef: np.ndarray, setup: SearchSetup) -> Iterator[np.ndarray]:
+    """Each elevation's (trials, azimuths) spectrum row, in grid order.
+
+    ``coef`` stacks one lag-polynomial row per trial, (trials, 1, 2H+1)
+    (see :func:`music_search`). The stacked product makes one
+    matrix-vector product per trial, so a trial's row has the same bits
+    in any batch. Each elevation's basis is built once per call.
+    """
+    cfg = setup.surface
+    out_cols = cfg.cols - setup.width + 1
+    tiny = np.finfo(float).tiny
+    for phi in np.deg2rad(setup.elevation_grid_deg):
+        basis = _lag_basis(cfg.rows, out_cols, setup.directions, _phase_scale(cfg, phi))
+        denominator = (coef @ basis)[:, 0]
+        yield np.divide(1.0, np.maximum(denominator, tiny, out=denominator), out=denominator)
+
+
+def _spectrum(coef: np.ndarray, setup: SearchSetup) -> np.ndarray:
+    """The (trials, azimuths, elevations) spectra of a stack of polynomial rows."""
+    shape = (coef.shape[0], setup.theta_grid_deg.size, setup.elevation_grid_deg.size)
+    spectrum = np.empty(shape)
+    for j, row in enumerate(_spectrum_rows(coef, setup)):
+        spectrum[:, :, j] = row
+    return spectrum
+
+
+def _trial_spectrum(coef: np.ndarray, setup: SearchSetup) -> np.ndarray:
+    """One trial's spectrum from its (1, 1, 2H+1) row, over azimuth alone at one elevation."""
+    spectrum = _spectrum(coef, setup)[0]
+    return spectrum[:, 0] if spectrum.shape[1] == 1 else spectrum
+
+
+def _row_peaks(row: np.ndarray, below=None, above=None):
+    """Trial indices, azimuth indices and values of a row's strict local maxima.
+
+    ``row`` is (trials, azimuths). A point must exceed both azimuth
+    neighbors and, when the adjacent elevation rows ``below`` and
+    ``above`` are given, both elevation neighbors. The end azimuths are
+    never reported.
+    """
+    core = row[:, 1:-1]
+    mask = (core > row[:, :-2]) & (core > row[:, 2:])
+    if below is not None:
+        mask &= (core > below[:, 1:-1]) & (core > above[:, 1:-1])
+    trial, theta = np.nonzero(mask)
+    return trial, theta + 1, core[trial, theta]
+
+
+def _ranked_peaks(rows: Iterator[np.ndarray], count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``count`` largest strict local maxima of each trial, from a stream of rows.
+
+    ``rows`` yields one (trials, azimuths) spectrum row per elevation,
+    in grid order. At most three rows are held: row j is tested once
+    row j+1 has arrived. A single row is searched along azimuth alone;
+    otherwise the first and last rows, like the end azimuths, hold no
+    peaks. Peaks rank by value, largest first, exact ties to the lower
+    azimuth index and then the lower elevation index: the order of a
+    stable descending sort over the peaks of the (azimuths, elevations)
+    grid in row-major order. Returns, per trial, the azimuth and the
+    elevation indices of its peaks, best first (fewer than ``count`` if
+    it has fewer).
+    """
+    below, row = next(rows), next(rows, None)
+    trials = below.shape[0]
+    if row is None:
+        found = [(0, *_row_peaks(below))]
+    else:
+        found = []
+        for j, above in enumerate(rows, start=1):
+            found.append((j, *_row_peaks(row, below, above)))
+            below, row = row, above
+    if not found:  # two rows, neither of them inside the grid
+        return [(np.empty(0, dtype=int),) * 2] * trials
+    phi = np.concatenate([np.full(f[1].size, f[0]) for f in found])
+    trial, theta, value = (np.concatenate([f[i] for f in found]) for i in (1, 2, 3))
+    order = np.lexsort((phi, theta, -value, trial))
+    bounds = np.searchsorted(trial[order], np.arange(trials + 1))
+    return [
+        (theta[best], phi[best])
+        for best in (order[lo:hi][:count] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    ]
 
 
 def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetup) -> MusicBatch:
@@ -515,6 +606,12 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     the row and column phases. Each elevation's basis is built once per
     batch. The polynomial can round to zero or below at an exact null,
     where the spectrum takes 1 over the smallest normal float.
+
+    The peaks are found from the batch's spectrum rows as they are
+    evaluated, one elevation at a time, holding three rows (see
+    :func:`_ranked_peaks`). No full spectrum is kept: the returned
+    spectra are evaluated again from the trials' polynomial rows, with
+    the same bits, when first read.
     """
     cfg, num_sources = setup.surface, setup.num_sources
     trials, dim = whitened.shape[0], whitened.shape[-1]
@@ -547,27 +644,18 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     )[:, None, :]
 
     theta_grid, elevations = setup.theta_grid_deg, setup.elevation_grid_deg
-    tiny = np.finfo(float).tiny
-    spectrum = np.empty((trials, theta_grid.size, elevations.size))
-    for j, phi in enumerate(np.deg2rad(elevations)):
-        basis = _lag_basis(cfg.rows, out_cols, setup.directions, _phase_scale(cfg, phi))
-        denominator = (coef @ basis)[:, 0]
-        np.divide(1.0, np.maximum(denominator, tiny, out=denominator), out=spectrum[:, :, j])
-
+    phi_grid = None if elevations.size == 1 else elevations
+    peaks = _ranked_peaks(_spectrum_rows(coef, setup), num_sources)
     results = []
-    for values, eigs in zip(spectrum, eigenvalues):
-        peaks = _local_maxima(values)
-        ranked = np.argsort(-values[peaks], kind="stable")[:num_sources]
+    for t, ((thetas, phis), eigs) in enumerate(zip(peaks, eigenvalues)):
         # Estimates carry the exact grid degrees, not a radian round trip.
         estimates = tuple(
-            Doa.from_degrees(float(theta_grid[peaks[0][i]]), float(elevations[peaks[1][i]]))
-            for i in ranked
+            Doa.from_degrees(float(theta_grid[i]), float(elevations[j]))
+            for i, j in zip(thetas, phis)
         )
-        if elevations.size == 1:
-            results.append(MusicResult(theta_grid, None, values[:, 0], estimates, eigs))
-        else:
-            results.append(MusicResult(theta_grid, elevations, values, estimates, eigs))
-    return MusicBatch(spectrum, tuple(results))
+        spectrum = partial(_trial_spectrum, coef[t : t + 1], setup)
+        results.append(MusicResult(theta_grid, phi_grid, spectrum, estimates, eigs))
+    return MusicBatch(partial(_spectrum, coef, setup), tuple(results))
 
 
 def estimate_doa(snapshots, setup: SearchSetup, rng_seeds) -> MusicBatch:

@@ -205,8 +205,6 @@ def run_chunk(context: TrialContext, sweep_index: int, trial_indices):
         results, bound = run_batch(context, drawn)
         theta_bounds = [()] * len(drawn) if bound is None else bound.theta_bounds
         out.extend(run_trial(context, r, b) for r, b in zip(results, theta_bounds))
-        # Free the batch's spectra before the next batch is searched.
-        del results
     return out
 
 

@@ -172,15 +172,33 @@ def _window_ramp(theta_rad, phi_rad, out_cols, cfg):
     return np.exp(1j * np.outer(np.arange(out_cols), k))
 
 
-def _maxima_1d(v):
-    return np.nonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))[0] + 1
+def local_maxima(values):
+    """Indices of strict local maxima along every axis longer than one point.
+
+    Tests the whole grid at once. End points of a searched axis are
+    never reported. Returns one index array per axis, in row-major
+    order of the grid.
+    """
+    searched = [axis for axis, n in enumerate(values.shape) if n > 1]
+    inner = tuple(slice(1, -1) if axis in searched else slice(None) for axis in range(values.ndim))
+    core = values[inner]
+    mask = np.ones(core.shape, dtype=bool)
+    for axis in searched:
+        below, above = list(inner), list(inner)
+        below[axis], above[axis] = slice(None, -2), slice(2, None)
+        mask &= (core > values[tuple(below)]) & (core > values[tuple(above)])
+    return tuple(idx + (axis in searched) for axis, idx in enumerate(np.nonzero(mask)))
 
 
-def _maxima_2d(v):
-    c = v[1:-1, 1:-1]
-    inner = (c > v[:-2, 1:-1]) & (c > v[2:, 1:-1]) & (c > v[1:-1, :-2]) & (c > v[1:-1, 2:])
-    rows, cols = np.nonzero(inner)
-    return rows + 1, cols + 1
+def ranked_peaks(values, count):
+    """The ``count`` largest :func:`local_maxima`, best first.
+
+    A stable descending sort of the maxima in row-major order, so exact
+    ties go to the earlier grid point. Returns one index array per axis.
+    """
+    peaks = local_maxima(values)
+    best = np.argsort(-values[peaks], kind="stable")[:count]
+    return tuple(idx[best] for idx in peaks)
 
 
 def separate_chain(snapshots, cfg, params, compensation, weights):
@@ -208,8 +226,7 @@ def separate_chain(snapshots, cfg, params, compensation, weights):
     if params.kind == "1d":
         a = _row_manifold(theta_rad, np.deg2rad(params.elevation_deg), cfg)
         spectrum = 1.0 / np.sum(np.abs(noise.conj().T @ w @ a) ** 2, axis=0)
-        peaks = _maxima_1d(spectrum)
-        best = peaks[np.argsort(-spectrum[peaks], kind="stable")][:params.num_sources]
+        (best,) = ranked_peaks(spectrum, params.num_sources)
         return thetas, None, spectrum, tuple(
             Doa.from_degrees(thetas[i], params.elevation_deg) for i in best)
 
@@ -222,10 +239,9 @@ def separate_chain(snapshots, cfg, params, compensation, weights):
         ramp = _window_ramp(theta_rad, phi, out_cols, cfg)
         a = np.einsum("mt,rt->mrt", rows_m, ramp).reshape(-1, thetas.size)
         spectrum[:, j] = 1.0 / np.sum(np.abs(noise.conj().T @ w @ a) ** 2, axis=0)
-    ri, ci = _maxima_2d(spectrum)
-    best = np.argsort(-spectrum[ri, ci], kind="stable")[:params.num_sources]
+    ri, ci = ranked_peaks(spectrum, params.num_sources)
     return thetas, phis, spectrum, tuple(
-        Doa.from_degrees(thetas[ri[i]], phis[ci[i]]) for i in best)
+        Doa.from_degrees(thetas[i], phis[j]) for i, j in zip(ri, ci))
 
 
 def manifold(theta_rad, phi_rad, out_cols, cfg):
@@ -266,15 +282,11 @@ def projection_search(whitened, w_inv_sqrt, setup):
             a = manifold(np.deg2rad(thetas), phi, out_cols, cfg)
             power = np.sum(np.abs(basis @ a) ** 2, axis=0)
             spectrum[:, j] = 1.0 / np.maximum(power, np.finfo(float).tiny)
-        if phis.size == 1:
-            ti = _maxima_1d(spectrum[:, 0])
-            pi = np.zeros_like(ti)
-        else:
-            ti, pi = _maxima_2d(spectrum)
-        best = np.argsort(-spectrum[ti, pi], kind="stable")[:num_sources]
+        # A one-elevation grid is searched along azimuth alone.
+        ti, pi = ranked_peaks(spectrum, num_sources)
         spectra.append(spectrum)
-        estimates.append(tuple(Doa.from_degrees(float(thetas[ti[i]]), float(phis[pi[i]]))
-                               for i in best))
+        estimates.append(tuple(Doa.from_degrees(float(thetas[i]), float(phis[j]))
+                               for i, j in zip(ti, pi)))
     return np.array(spectra), estimates
 
 

@@ -1,5 +1,6 @@
 """Channel recovery, pattern smoothing, whitening, and the MUSIC search."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,7 @@ from msdoa import (
 from msdoa.estimator import (
     _lag_basis,
     _lag_fold,
+    _ranked_peaks,
     inclusive_grid,
     smoothing_windows,
     whitener_inv_sqrt,
@@ -690,3 +692,70 @@ def test_noiseless_source_on_a_grid_point_is_found(table1_cfg, params, source):
     assert np.all(np.isfinite(got.spectrum)) and np.all(got.spectrum > 0)
     _, estimates = oracles.projection_search(whitened, w_inv_sqrt, setup)
     assert got.results[0].estimates == estimates[0] == (Doa.from_degrees(*source),)
+
+
+@st.composite
+def _spectrum_grids(draw):
+    """Random (trials, azimuths, elevations) spectra and a peak count.
+
+    Few value levels give exact ties between peaks and plateaus; many
+    give distinct values.
+    """
+    shape = (draw(st.integers(1, 4)), draw(st.integers(3, 9)),
+             draw(st.sampled_from([1, 2, 3, 4, 7])))
+    levels = draw(st.sampled_from([2, 3, 4, 10**6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return rng.integers(0, levels, shape).astype(float), draw(st.integers(0, 8))
+
+
+def _grid(trials, thetas, phis, points):
+    values = np.zeros((trials, thetas, phis))
+    for t, i, j, v in points:
+        values[t, i, j] = v
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectrum_grids())
+# Two equal peaks, the one streamed first at the higher azimuth.
+@example((_grid(1, 5, 5, [(0, 3, 1, 1.0), (0, 1, 3, 1.0)]), 2))
+# A plateau of two equal neighbors is no strict maximum; one peak left.
+@example((_grid(2, 6, 3, [(0, 2, 1, 2.0), (0, 3, 1, 2.0), (1, 4, 1, 1.0)]), 3))
+# One elevation: the lone row is both first and last, and is searched
+# along azimuth alone, so its interior maximum is a peak.
+@example((_grid(1, 5, 1, [(0, 2, 0, 1.0), (0, 3, 0, 1.0)]), 1))
+def test_streamed_peaks_match_the_full_grid_oracle(case):
+    values, count = case
+    # One (trials, azimuths) row per elevation, as the search streams them.
+    got = _ranked_peaks(iter(np.moveaxis(values, -1, 0)), count)
+    assert len(got) == values.shape[0]
+    for spectrum, (thetas, phis) in zip(values, got):
+        want_thetas, want_phis = oracles.ranked_peaks(spectrum, count)
+        assert np.array_equal(thetas, want_thetas)
+        assert np.array_equal(phis, want_phis)
+
+
+def test_search_holds_rows_and_evaluates_a_spectrum_once():
+    # The full spectra of 30 table1_2d trials would take 15.7 MB; the
+    # streamed search holds three elevation rows of them.
+    setup = build_context(load_config(builtin_config_path("table1_2d"))).search
+    trials, thetas, phis = 30, setup.theta_grid_deg.size, setup.elevation_grid_deg.size
+    assert 8 * trials * thetas * phis > 15e6
+    dim = setup.surface.rows * (setup.surface.cols - setup.width + 1)
+    rng = np.random.default_rng(11)
+    whitened = _random_hermitian(rng, trials, dim, 2)
+    w_inv_sqrt = _random_hermitian(rng, trials, dim, 1) + np.eye(dim)
+    tracemalloc.start()
+    try:
+        got = music_search(whitened, w_inv_sqrt, setup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    result = got.results[7]
+    spectrum = result.spectrum
+    assert spectrum.shape == (thetas, phis)
+    assert result.spectrum is spectrum
+    # The batch's spectra, evaluated together, have the trial's bits.
+    assert got.spectrum is got.spectrum
+    assert got.spectrum[7].tobytes() == spectrum.tobytes()

@@ -451,14 +451,23 @@ def _batched_runs(draw):
 
 
 def _search_bytes(setup):
-    """Bytes one trial adds to a search batch: its spectrum with one
-    elevation's denominators, and its whitener's collapsed windows
-    (complex) with the copy the collapse makes."""
+    """Bytes one trial adds to a search batch: the spectrum rows its
+    peak search holds (three elevations at most) with one elevation's
+    denominators, and its whitener's collapsed windows (complex) with
+    the copy the collapse makes."""
     surface, elevations = setup.surface, setup.elevation_grid_deg.size
     dim = surface.rows * (surface.cols - setup.width + 1)
     lines = 2 * setup.harmonics.max_harmonic + 1
-    return (8 * setup.theta_grid_deg.size * (elevations + 1)
+    return (8 * setup.theta_grid_deg.size * (min(elevations, 3) + 1)
             + 32 * lines * setup.num_weights * dim)
+
+
+@pytest.mark.parametrize("name, smallest", [("table1_2d", 25), ("table2", 32), ("table1", 48)])
+def test_shipped_configs_search_large_batches(name, smallest):
+    # The budget counts the rows the streamed search holds, not whole
+    # spectra: one table1_2d spectrum alone would leave room for 4.
+    context = build_context(load_config(builtin_config_path(name)))
+    assert context.search.batch_size >= smallest
 
 
 @settings(max_examples=60, deadline=None)
