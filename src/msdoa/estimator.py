@@ -1,41 +1,42 @@
 """Pattern-smoothing MUSIC on recovered element channels.
 
-One chain serves every search. The harmonic bins of all snapshots are
-inverted at once to one complex value per element and snapshot, the
-known element-to-receiver phases are canceled, and a bank of
-random-phase weight rows collapses every sliding ``width``-column
-window of each surface row to a scalar. Averaging the outer products of
-the collapsed vectors over snapshots and weights restores rank for
-coherent sources. The azimuth-only (1-D) search is the one-elevation
-case of the same search; the 2-D search runs over an elevation grid.
-Both slide ``subarray_width``-column windows, as wide as the surface
-when that is unset. :func:`search_grids` is the one place the width
-and the grids are read.
+One chain serves every search. Each snapshot's harmonic bins are
+inverted to one complex value per element, the known
+element-to-receiver phases are canceled, and a bank of random-phase
+weight rows collapses every sliding ``width``-column window of each
+surface row to a scalar. Averaging the outer products of the collapsed
+vectors over snapshots and weights restores rank for coherent sources.
+The azimuth-only (1-D) search is the one-elevation case of the same
+search; the 2-D search runs over an elevation grid. Both slide
+``subarray_width``-column windows, as wide as the surface when that is
+unset. :func:`search_grids` is the one place the width and the grids
+are read.
 
-The weight bank colors the noise. Bin noise e reaches the smoothed
-vectors as smooth(B e), with B the recovery left inverse, so the
-whitener is the outer-product sum of the smoothed recovery matrix
-itself. The windows of the compensated B are built once per search
-setup; each trial's weight bank collapses them into its whitener,
-whose inverse square root whitens both the covariance and the search
-manifold.
+Recovery, compensation and smoothing are linear, so the chain smooths
+once per trial, in bin space: V = smooth(B), with B the recovery left
+inverse, has one (L, dim) slice V_i per harmonic bin, and a snapshot
+with bins b smooths to smooth(B b) = sum_i b_i V_i. The same V gives
+the whitener. The weight bank colors the noise, and bin noise e reaches
+the smoothed vectors as smooth(B e), so the whitener is the
+outer-product sum of V itself. Its inverse square root whitens both the
+covariance and the search manifold.
 
 :func:`estimate_doa` runs a batch of trials. Every stage after the
 per-trial weight draws takes arrays with a leading trial axis:
-:func:`smoothing_whitener`, :func:`whitener_inv_sqrt`,
-:func:`recover_channels`, :func:`smooth`, :func:`ps_covariance`,
-:func:`whiten` and :func:`music_search`. A stacked product or
-decomposition makes the same BLAS or LAPACK call per trial as a batch
-of one would, so no bit of a result depends on the batch. A single
-product of all the trials stacked as rows would not keep that: a
-one-row operand goes to a matrix-vector kernel and several rows to a
-matrix-matrix kernel, which round differently. The search folds each
-trial's whitened noise projector onto the lags of the smoothed grid and
-evaluates the null spectrum as a trigonometric polynomial in the row
-and column phases, one elevation at a time with each elevation's basis
-built once per batch. It holds three elevation rows of the batch's
-spectra and finds the peaks from them; a trial's full spectrum is
-evaluated from its polynomial only when it is read.
+:func:`smooth`, :func:`smoothing_whitener`, :func:`whitener_inv_sqrt`,
+the product of the bins with V, :func:`ps_covariance`, :func:`whiten`
+and :func:`music_search`. A stacked product or decomposition makes the
+same BLAS or LAPACK call per trial as a batch of one would, so no bit
+of a result depends on the batch. A single product of all the trials
+stacked as rows would not keep that: a one-row operand goes to a
+matrix-vector kernel and several rows to a matrix-matrix kernel, which
+round differently. The search folds each trial's whitened noise
+projector onto the lags of the smoothed grid and evaluates the null
+spectrum as a trigonometric polynomial in the row and column phases,
+one elevation at a time with each elevation's basis built once per
+batch. It holds three elevation rows of the batch's spectra and finds
+the peaks from them; a trial's full spectrum is evaluated from its
+polynomial only when it is read.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ WHITENER_RTOL = 1e-12
 UNIT_MODULUS_ATOL = 1e-9
 # Bytes a search batch may hold, per trial the spectrum rows the peak
 # search keeps (three elevations at most) with one elevation's
-# denominators, and its largest stack in the chain, the whitener's
-# collapsed windows (complex) with the copy the collapse makes. 2.5 MiB
+# denominators, and its largest stack in the chain, the smoothed
+# recovery matrix V (complex) with the copy its collapse makes. 2.5 MiB
 # gives 30 trials on table1_2d, 32 on table2 and 48 on table1.
 SEARCH_BATCH_BYTES = 5 * 2**19
 # Estimator kinds: azimuth only, or azimuth and elevation.
@@ -76,6 +77,9 @@ def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
     (trials, 2P+1, snapshots). Solves the overdetermined mixing system
     with the cached SVD left inverse; requires at least M*N frequency
     lines and a numerically full-rank harmonic matrix.
+
+    Off the trial path, which smooths the left inverse itself; kept for
+    the recovery checks and because ``bench/tracing.py`` wraps it.
     """
     bins = np.asarray(bins, dtype=complex)
     lines = 2 * harmonics.max_harmonic + 1
@@ -134,44 +138,6 @@ def make_ps_weights(count: int, width: int, rng_seed) -> PsWeightSet:
     return PsWeightSet(_weight_rows(count, width, rng_seed))
 
 
-def smoothing_windows(
-    columns: np.ndarray, compensation: np.ndarray, cfg: SurfaceConfig, width: int
-) -> np.ndarray:
-    """Every ``width``-column window of a compensated stack of element vectors.
-
-    ``columns`` is (..., M*N, K), one row-major element vector per
-    column. Returns a read-only view of shape (..., K, M, N-width+1,
-    width): entry [..., k, m, r] is the window of surface row m that
-    starts at column r, after the phase compensation.
-    """
-    columns = np.asarray(columns, dtype=complex)
-    if columns.ndim < 2 or columns.shape[-2] != cfg.size:
-        raise ValidationError(
-            f"element stack must have shape (..., {cfg.size}, K); got {columns.shape}"
-        )
-    if width > cfg.cols:
-        raise ConfigurationError(f"weight width {width} exceeds the {cfg.cols} surface columns")
-    compensated = np.diagonal(compensation)[:, None] * columns
-    grid = np.swapaxes(compensated, -1, -2).reshape(
-        *columns.shape[:-2], columns.shape[-1], cfg.rows, cfg.cols
-    )
-    return sliding_window_view(grid, width, axis=-1)
-
-
-def _collapse(windows: np.ndarray, weights: PsWeightSet) -> np.ndarray:
-    """Sum every window against every weight row: (..., K, M, W, width) -> (..., K, L, M*W).
-
-    Leading axes of the windows and of a stack of weight banks broadcast.
-    """
-    if windows.shape[-1] != weights.width:
-        raise ConfigurationError(
-            f"{windows.shape[-1]}-column windows cannot take {weights.width}-wide weight rows"
-        )
-    banks = np.swapaxes(weights.weights, -1, -2)[..., None, None, :, :]
-    collapsed = windows @ banks  # (..., K, M, W, L)
-    return np.moveaxis(collapsed, -1, -3).reshape(*collapsed.shape[:-3], weights.count, -1)
-
-
 def smooth(
     columns: np.ndarray,
     compensation: np.ndarray,
@@ -183,29 +149,53 @@ def smooth(
     ``columns`` is (M*N, K), one row-major element vector per column.
     Returns (K, L, M*(N-width+1)): entry [k, l] holds, for each surface
     row and window position (row-major), the compensated window of
-    column k weighted by row l and summed. A batch of trials passes
-    (trials, M*N, K) columns with a (trials, L, width) stack of banks
-    and gets (trials, K, L, M*(N-width+1)).
+    column k weighted by row l and summed. Leading axes of the columns
+    and of a (..., L, width) stack of banks broadcast: a batch of trials
+    passes (trials, M*N, K) columns or one shared (M*N, K) stack with a
+    (trials, L, width) stack of banks and gets (trials, K, L,
+    M*(N-width+1)). The result is C-contiguous, so reshaping it merges
+    axes without a copy.
     """
-    return _collapse(smoothing_windows(columns, compensation, cfg, weights.width), weights)
+    columns = np.asarray(columns, dtype=complex)
+    if columns.ndim < 2 or columns.shape[-2] != cfg.size:
+        raise ValidationError(
+            f"element stack must have shape (..., {cfg.size}, K); got {columns.shape}"
+        )
+    if weights.width > cfg.cols:
+        raise ConfigurationError(
+            f"weight width {weights.width} exceeds the {cfg.cols} surface columns"
+        )
+    compensated = np.diagonal(compensation)[:, None] * columns
+    grid = np.swapaxes(compensated, -1, -2).reshape(
+        *columns.shape[:-2], columns.shape[-1], cfg.rows, cfg.cols
+    )
+    windows = sliding_window_view(grid, weights.width, axis=-1)  # (..., K, M, W, width)
+    banks = np.swapaxes(weights.weights, -1, -2)[..., None, None, :, :]
+    collapsed = windows @ banks  # (..., K, M, W, L)
+    smoothed = np.moveaxis(collapsed, -1, -3)
+    return np.ascontiguousarray(smoothed.reshape(*smoothed.shape[:-2], -1))
 
 
-def smoothing_whitener(weights: PsWeightSet, windows: np.ndarray) -> np.ndarray:
+def _outer_sum(smoothed: np.ndarray) -> np.ndarray:
+    """Sum over the (K, L) axes of a (..., K, L, dim) stack of the outer products x x^H."""
+    rows = smoothed.reshape(*smoothed.shape[:-3], -1, smoothed.shape[-1])
+    return np.swapaxes(rows, -1, -2) @ rows.conj()
+
+
+def smoothing_whitener(vectors: np.ndarray) -> np.ndarray:
     """Noise-shaping matrix of the recover/compensate/smooth chain.
 
     White bin noise e reaches the smoothed vectors as smooth(B e), with
     B the recovery left inverse, so this is the sum over every column of
-    B and every weight row of the smoothed outer products. ``windows``
-    are the :func:`smoothing_windows` of B, which no trial changes (see
-    :class:`SearchSetup`). The result equals the sum of
+    B and every weight row of the smoothed outer products. ``vectors``
+    is the :func:`smooth` of B with the trial's weight bank, shape
+    (2P+1, L, dim), or a stack of them, (trials, 2P+1, L, dim), which
+    gives a stack of whiteners. The result equals the sum of
     J_l C G C^H J_l^H over the weight bank (J_l the smoothing operator,
     C the compensation, G = B B^H the inverse Gram matrix of the
-    mixing), the per-bin covariance of the smoothed noise. A stack of
-    banks gives a stack of whiteners.
+    mixing), the per-bin covariance of the smoothed noise.
     """
-    vectors = _collapse(windows, weights)
-    rows = vectors.reshape(*vectors.shape[:-3], -1, vectors.shape[-1])
-    total = np.swapaxes(rows, -1, -2) @ rows.conj()
+    total = _outer_sum(vectors)
     return 0.5 * (total + np.swapaxes(total.conj(), -1, -2))
 
 
@@ -217,8 +207,7 @@ def ps_covariance(smoothed: np.ndarray) -> np.ndarray:
     smoothed = np.asarray(smoothed)
     if smoothed.ndim not in (3, 4) or smoothed.shape[-3] * smoothed.shape[-2] == 0:
         raise ValidationError("need at least one smoothed snapshot")
-    rows = smoothed.reshape(*smoothed.shape[:-3], -1, smoothed.shape[-1])
-    return np.swapaxes(rows, -1, -2) @ rows.conj() / rows.shape[-2]
+    return _outer_sum(smoothed) / (smoothed.shape[-3] * smoothed.shape[-2])
 
 
 def whitener_inv_sqrt(whitener: np.ndarray) -> np.ndarray:
@@ -430,10 +419,9 @@ class SearchSetup:
     """The part of :func:`estimate_doa` that no trial changes.
 
     Holds the surface, the source count, the weight count, the harmonic
-    matrix the snapshots are recovered with, the phase compensation, the
-    smoothing window width, the :func:`smoothing_windows` of the
-    recovery left inverse (every weight bank's whitener is summed from
-    them), the azimuth and elevation grids, the sines and cosines of the
+    matrix the snapshots were extracted with (each trial smooths its
+    left inverse), the phase compensation, the smoothing window width,
+    the azimuth and elevation grids, the sines and cosines of the
     azimuths, the table that folds a Gram matrix onto the half-plane
     lags of the smoothed grid, and the search batch size. The search
     builds each elevation's lag basis once per batch, the one elevation
@@ -450,7 +438,6 @@ class SearchSetup:
     harmonics: HarmonicMatrix
     compensation: np.ndarray
     width: int
-    whitener_windows: np.ndarray
     theta_grid_deg: np.ndarray
     elevation_grid_deg: np.ndarray
     directions: np.ndarray
@@ -474,7 +461,6 @@ def search_setup(
     """
     width, theta_grid, elevations = search_grids(params, cfg)
     comp = compensation_matrix(cfg)
-    windows = smoothing_windows(harmonics.pseudo_inverse, comp, cfg, width)
     out_cols = cfg.cols - width + 1
     theta_rad = np.deg2rad(theta_grid)
     directions = np.stack([np.sin(theta_rad), np.cos(theta_rad)])
@@ -494,7 +480,6 @@ def search_setup(
         harmonics,
         comp,
         width,
-        windows,
         theta_grid,
         elevations,
         directions,
@@ -665,9 +650,11 @@ def estimate_doa(snapshots, setup: SearchSetup, rng_seeds) -> MusicBatch:
     with the setup's harmonic matrix, and ``rng_seeds`` the seeds of
     its smoothing weight rows, in the same order; ``setup`` is the
     :func:`search_setup` of the surface and estimator. Each trial draws
-    its own weight bank. Every stage then runs once on arrays with a
-    leading trial axis and makes, per trial, the call a batch of one
-    makes, so no bit of a result depends on the batch.
+    its own weight bank and smooths the recovery left inverse with it
+    once; the result serves both its whitener and its snapshots. Every
+    stage runs once on arrays with a leading trial axis and makes, per
+    trial, the call a batch of one makes, so no bit of a result depends
+    on the batch.
     """
     if len(snapshots) != len(rng_seeds):
         raise ValidationError(
@@ -682,13 +669,16 @@ def estimate_doa(snapshots, setup: SearchSetup, rng_seeds) -> MusicBatch:
         raise ValidationError(
             "snapshots must be extracted with the search setup's harmonic matrix"
         )
-    cfg = setup.surface
     weights = PsWeightSet(
         np.stack([_weight_rows(setup.num_weights, setup.width, seed) for seed in rng_seeds])
     )
-    w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(weights, setup.whitener_windows))
-    recovered = recover_channels(np.stack([snaps.matrix for snaps in snapshots]), setup.harmonics)
-    covariance = ps_covariance(smooth(recovered, setup.compensation, weights, cfg))
+    vectors = smooth(setup.harmonics.pseudo_inverse, setup.compensation, weights, setup.surface)
+    w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(vectors))
+    # smooth(B b) = sum_i b_i V_i: bins^T times V with its (L, dim) axes merged.
+    bins = np.stack([snaps.matrix for snaps in snapshots])
+    smoothed = np.swapaxes(bins, -1, -2) @ vectors.reshape(*vectors.shape[:2], -1)
+    covariance = ps_covariance(smoothed.reshape(*smoothed.shape[:2], *vectors.shape[2:]))
+    del vectors, bins, smoothed  # so they add nothing to the search's peak
     return music_search(whiten(covariance, w_inv_sqrt), w_inv_sqrt, setup)
 
 

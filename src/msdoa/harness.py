@@ -6,13 +6,11 @@ context holds everything no trial changes: the config with its
 coherent gains resolved from the seed; the harmonic matrix with its
 rank check and pseudo-inverse; the phase compensation; the signal
 model (one coding period of the switched patterns, full or
-band-limited, which the record repeats); the smoothing
-window width, the windows of the compensated pseudo-inverse that every
-whitener is summed from, the search grids, the lag fold table and the
-search batch size; and the bound's rank-checked projected core, which
-treats the elevation as known when the search has one. Each stage
-takes its piece of the context and the trials' own draws, nothing the
-piece was built from.
+band-limited, which the record repeats); the smoothing window width,
+the search grids, the lag fold table and the search batch size; and
+the bound's rank-checked projected core, which treats the elevation as
+known when the search has one. Each stage takes its piece of the
+context and the trials' own draws, nothing the piece was built from.
 
 :func:`run_chunk` walks its trials in batches of the setup's
 ``batch_size``. The draws stay per trial: each trial derives its own
@@ -20,10 +18,11 @@ seed streams, draws its amplitudes and noise, synthesizes its series
 and extracts its snapshots, and the series is dropped as soon as the
 snapshots are taken. :func:`run_batch` then runs every later stage
 once per batch, on arrays with a leading trial axis: the smoothing
-weights with their whiteners and inverse square roots, recovery and
-smoothing of every snapshot, the covariances and their whitening, the
-search (which builds each elevation's lag basis once per batch rather
-than once per trial), and the bound's amplitude-dependent product and
+weights, each trial's smoothed recovery matrix with its whitener and
+inverse square root, the smoothed snapshots as products of the bins
+with that matrix, the covariances and their whitening, the search
+(which builds each elevation's lag basis once per batch rather than
+once per trial), and the bound's amplitude-dependent product and
 inverse. Each stacked call makes, per trial, the BLAS or LAPACK call a
 batch of one makes, so every result is bitwise the same for every
 batch size, and a trial that fails a check raises the error it raises

@@ -266,7 +266,7 @@ class HarmonicMatrix:
 
     @property
     def gram_inverse(self) -> np.ndarray:
-        """(U^H U)^-1, shared by the smoothing whitener; computed once via SVD."""
+        """(U^H U)^-1, computed once via SVD; no stage reads it, ``bench/tracing.py`` times it."""
         return self.decompose()._inverses[1]
 
 

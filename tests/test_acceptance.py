@@ -44,7 +44,7 @@ from msdoa import (
     whiten,
     write_sweep_csv,
 )
-from msdoa.estimator import smoothing_windows, whitener_inv_sqrt
+from msdoa.estimator import whitener_inv_sqrt
 from oracles import coding_waveform, stacked_crb
 
 C0 = 299792458.0
@@ -358,8 +358,8 @@ def test_criterion_8(capsys):
     lines_nz = harmonic_matrix(15, cfg_nz)
     comp_nz = compensation_matrix(cfg_nz)
     weights_nz = make_ps_weights(1, 6, 11)
-    wh_nz = smoothing_whitener(weights_nz, smoothing_windows(
-        lines_nz.pseudo_inverse, comp_nz, cfg_nz, weights_nz.width))
+    wh_nz = smoothing_whitener(smooth(lines_nz.pseudo_inverse, comp_nz,
+                                      weights_nz, cfg_nz))
     idx = frequency_indices(plan_nz, 15)
     q_len = plan_nz.points_per_snapshot
     sigma2 = 0.8

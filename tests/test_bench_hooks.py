@@ -62,3 +62,11 @@ def test_tracer_reads_the_batched_sweep():
     # Each point's trials fit one batch: one search serves all of them.
     assert calls["estimator.search"] == points
     assert tracer.counts["grid_points"] == trials * points * grid
+    # Layer times sum every span of a name, so no estimator stage may
+    # run inside another: each one's parent is the estimator span.
+    nested = {
+        (name, tracer.spans[parent][0])
+        for name, _, _, parent, _ in tracer.spans
+        if name.startswith("estimator.") and tracer.spans[parent][0] != "estimator"
+    }
+    assert not nested, f"estimator stages traced inside another stage: {nested}"

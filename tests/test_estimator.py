@@ -50,7 +50,6 @@ from msdoa.estimator import (
     _lag_fold,
     _ranked_peaks,
     inclusive_grid,
-    smoothing_windows,
     whitener_inv_sqrt,
 )
 from msdoa.harness import synthesize_trial
@@ -65,9 +64,8 @@ def _estimate_one(snapshots, setup, weight_seed):
 
 
 def _whitener(weights, comp, um, cfg):
-    """The smoothing whitener of one weight bank, from the recovery windows."""
-    return smoothing_whitener(
-        weights, smoothing_windows(um.pseudo_inverse, comp, cfg, weights.width))
+    """The smoothing whitener of one weight bank, from the smoothed recovery matrix."""
+    return smoothing_whitener(smooth(um.pseudo_inverse, comp, weights, cfg))
 
 
 def _search_one(whitened, w_inv_sqrt, setup):
@@ -370,8 +368,9 @@ def test_1d_search_honours_subarray_width():
     setup = search_setup(cfg.surface, cfg.estimator, harmonic_matrix(cfg.max_harmonic, cfg.surface))
     assert setup.width == 2
     assert setup.elevation_grid_deg.tolist() == [90.0]
-    _, rows, out_cols, _ = setup.whitener_windows.shape
-    assert rows * out_cols == 25
+    weights = make_ps_weights(cfg.estimator.num_weights, setup.width, 0)
+    vectors = smooth(setup.harmonics.pseudo_inverse, setup.compensation, weights, setup.surface)
+    assert vectors.shape[-1] == 25
 
 
 def test_estimator_params_validation():
@@ -402,10 +401,14 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
     auto = _estimate_one(snaps, setup, 17)
 
+    # The chain's stages by hand: smooth the recovery matrix, sum its
+    # whitener, and smooth the snapshots by projecting their bins on it.
     comp = compensation_matrix(table1_cfg)
     weights = make_ps_weights(5, 6, 17)
-    w = whitener_inv_sqrt(_whitener(weights, comp, um, table1_cfg))
-    smoothed = smooth(recover_channels(snaps.matrix, um), comp, weights, table1_cfg)
+    vectors = smooth(um.pseudo_inverse, comp, weights, table1_cfg)
+    w = whitener_inv_sqrt(smoothing_whitener(vectors))
+    lines, count, dim = vectors.shape
+    smoothed = (snaps.matrix.T @ vectors.reshape(lines, -1)).reshape(-1, count, dim)
     manual = _search_one(whiten(ps_covariance(smoothed), w), w, setup)
     assert np.array_equal(auto.spectrum, manual.spectrum)
     assert auto.estimates == manual.estimates
@@ -469,6 +472,33 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     assume(np.linalg.cond(um.entries) < 1e2)
     want = oracles.gram_whitener(weights.weights, comp, um.entries, cfg)
     assert _rel_err(_whitener(weights, comp, um, cfg), want) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(_smoothing_cases(), st.integers(1, 3))
+def test_bins_times_smoothed_recovery_matrix_smooth_the_recovered_snapshots(case, trials):
+    # Recovery, compensation and smoothing are linear, so smoothing the
+    # recovered snapshots equals projecting their bins on V = smooth(B):
+    # smooth(B b) = sum_i b_i V_i, for each trial's own weight bank.
+    rows, cols, width, count, max_harmonic, snapshots, seed = case
+    cfg = SurfaceConfig(rows, cols, 1e9, 0.3)
+    um = harmonic_matrix(max_harmonic, cfg)
+    try:
+        um.decompose()
+    except DegenerateCodingError:
+        assume(False)
+    comp = compensation_matrix(cfg)
+    rng = np.random.default_rng(seed)
+    weights = PsWeightSet(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (trials, count, width))))
+    lines = 2 * max_harmonic + 1
+    bins = rng.standard_normal((trials, lines, snapshots)) + 1j * rng.standard_normal(
+        (trials, lines, snapshots))
+    vectors = smooth(um.pseudo_inverse, comp, weights, cfg)
+    assert vectors.shape == (trials, lines, count, rows * (cols - width + 1))
+    assert vectors.flags.c_contiguous
+    got = np.swapaxes(bins, -1, -2) @ vectors.reshape(trials, lines, -1)
+    want = smooth(recover_channels(bins, um), comp, weights, cfg)
+    assert _rel_err(got.reshape(want.shape), want) < 1e-12
 
 
 def _trial_zero(name, **estimator):
@@ -759,3 +789,30 @@ def test_search_holds_rows_and_evaluates_a_spectrum_once():
     # The batch's spectra, evaluated together, have the trial's bits.
     assert got.spectrum is got.spectrum
     assert got.spectrum[7].tobytes() == spectrum.tobytes()
+
+
+# tracemalloc peaks of one estimate_doa call on a full shipped batch,
+# recorded before the smoothed recovery matrix served the snapshots
+# (numpy 2.4 on x86-64 Linux).
+CHAIN_PEAK_BYTES = {"table1_2d": 2_352_560, "table2": 1_727_248, "table1": 1_276_089}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PEAK_BYTES))
+def test_estimate_doa_peak_memory_holds(name):
+    # The chain's stacks are dropped before the search, so a full batch
+    # peaks no higher than the recorded chain did.
+    cfg = resolve_experiment(load_config(builtin_config_path(name)))
+    context = build_context(cfg)
+    setup = context.search
+    snaps, seeds = [], []
+    for t in range(setup.batch_size):
+        series, _, seed = synthesize_trial(context, 0, t)
+        snaps.append(extract_snapshots(series, cfg.plan, context.harmonics))
+        seeds.append(seed)
+    tracemalloc.start()
+    try:
+        estimate_doa(snaps, setup, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * CHAIN_PEAK_BYTES[name]

@@ -453,8 +453,8 @@ def _batched_runs(draw):
 def _search_bytes(setup):
     """Bytes one trial adds to a search batch: the spectrum rows its
     peak search holds (three elevations at most) with one elevation's
-    denominators, and its whitener's collapsed windows (complex) with
-    the copy the collapse makes."""
+    denominators, and its smoothed recovery matrix (complex) with the
+    copy its collapse makes."""
     surface, elevations = setup.surface, setup.elevation_grid_deg.size
     dim = surface.rows * (surface.cols - setup.width + 1)
     lines = 2 * setup.harmonics.max_harmonic + 1
@@ -553,9 +553,8 @@ def test_context_belongs_to_its_config():
     # Trials share these arrays, so none of them may be written.
     for arr in (context.harmonics.pseudo_inverse, context.harmonics.gram_inverse,
                 context.signal.patterns, context.search.compensation,
-                context.search.whitener_windows, context.search.theta_grid_deg,
-                context.search.elevation_grid_deg, context.search.directions,
-                context.search.fold, context.bound.core):
+                context.search.theta_grid_deg, context.search.elevation_grid_deg,
+                context.search.directions, context.search.fold, context.bound.core):
         assert not arr.flags.writeable
 
 
@@ -613,8 +612,8 @@ def _degenerate_harmonics(max_harmonic, surface):
     return HarmonicMatrix(max_harmonic, np.ones((2 * max_harmonic + 1, surface.size)))
 
 
-def _singular_whitener(weights, windows):
-    dim = windows.shape[-4] * windows.shape[-3]
+def _singular_whitener(vectors):
+    dim = vectors.shape[-1]
     return np.zeros((dim, dim), dtype=complex)
 
 
