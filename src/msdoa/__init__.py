@@ -36,7 +36,6 @@ from .estimator import (
     EstimatorParams,
     MusicBatch,
     MusicResult,
-    PsWeightSet,
     compensation_matrix,
     estimate_doa,
     make_ps_weights,
@@ -70,7 +69,6 @@ from .metrics import (
     resolve_and_score,
 )
 from .snapshot import (
-    MultiSnapshot,
     extract_snapshots,
     frequency_indices,
     write_snapshots_csv,

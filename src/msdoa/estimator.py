@@ -21,16 +21,17 @@ the smoothed vectors as smooth(B e), so the whitener is the
 outer-product sum of V itself. Its inverse square root whitens both the
 covariance and the search manifold.
 
-:func:`estimate_doa` runs a batch of trials. Every stage after the
-per-trial weight draws takes arrays with a leading trial axis:
-:func:`smooth`, :func:`smoothing_whitener`, :func:`whitener_inv_sqrt`,
-the product of the bins with V, :func:`ps_covariance`, :func:`whiten`
-and :func:`music_search`. A stacked product or decomposition makes the
-same BLAS or LAPACK call per trial as a batch of one would, so no bit
-of a result depends on the batch. A single product of all the trials
-stacked as rows would not keep that: a one-row operand goes to a
-matrix-vector kernel and several rows to a matrix-matrix kernel, which
-round differently. The search folds each trial's whitened noise
+:func:`estimate_doa` runs a batch of trials, given their (2P+1, I)
+snapshot bin matrices stacked as one (trials, 2P+1, I) array. Every
+stage after the per-trial weight draws takes arrays with a leading
+trial axis: :func:`smooth`, :func:`smoothing_whitener`,
+:func:`whitener_inv_sqrt`, the product of the bins with V,
+:func:`ps_covariance`, :func:`whiten` and :func:`music_search`. A
+stacked product or decomposition makes the same BLAS or LAPACK call
+per trial as a batch of one would, so no bit of a result depends on
+the batch. A single product of all the trials stacked as rows would
+not keep that: a one-row operand goes to a matrix-vector kernel and
+several rows to a matrix-matrix kernel, which round differently. The search folds each trial's whitened noise
 projector onto the lags of the smoothed grid and evaluates the null
 spectrum as a trigonometric polynomial in the row and column phases,
 one elevation at a time with each elevation's basis built once per
@@ -96,52 +97,24 @@ def compensation_matrix(cfg: SurfaceConfig) -> np.ndarray:
     return np.diag(np.exp(-1j * cfg.omega0 * receiver_delays(cfg)))
 
 
-@dataclass(eq=False)
-class PsWeightSet:
-    """Bank of unit-modulus smoothing weight rows, shape (count, width).
+def make_ps_weights(count: int, width: int, rng_seed) -> np.ndarray:
+    """Draw ``count`` unit-modulus weight rows with random phases, shape (count, width).
 
-    A stack of banks, one per trial, has shape (trials, count, width).
     Each row collapses a ``width``-column window; a row as wide as the
-    surface collapses whole surface rows. Every modulus must lie within
-    ``UNIT_MODULUS_ATOL`` of 1.
+    surface collapses whole surface rows.
     """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=complex)
-        if self.weights.ndim not in (2, 3):
-            raise ValidationError("weights must be a (count, width) array or a stack of them")
-        if not np.all(np.abs(np.abs(self.weights) - 1.0) <= UNIT_MODULUS_ATOL):
-            raise ValidationError("smoothing weights must have unit modulus")
-
-    @property
-    def count(self) -> int:
-        return self.weights.shape[-2]
-
-    @property
-    def width(self) -> int:
-        return self.weights.shape[-1]
-
-
-def _weight_rows(count: int, width: int, rng_seed) -> np.ndarray:
-    rng = np.random.default_rng(rng_seed)
-    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, width)))
-
-
-def make_ps_weights(count: int, width: int, rng_seed) -> PsWeightSet:
-    """Draw ``count`` unit-modulus weight rows with random phases."""
     if count < 1:
         raise ValidationError("need at least one weight vector")
     if width < 1:
         raise ValidationError("weight width must be at least 1")
-    return PsWeightSet(_weight_rows(count, width, rng_seed))
+    rng = np.random.default_rng(rng_seed)
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, width)))
 
 
 def smooth(
     columns: np.ndarray,
     compensation: np.ndarray,
-    weights: PsWeightSet,
+    weights: np.ndarray,
     cfg: SurfaceConfig,
 ) -> np.ndarray:
     """Compensate a stack of element vectors and collapse it with every weight row.
@@ -153,24 +126,29 @@ def smooth(
     and of a (..., L, width) stack of banks broadcast: a batch of trials
     passes (trials, M*N, K) columns or one shared (M*N, K) stack with a
     (trials, L, width) stack of banks and gets (trials, K, L,
-    M*(N-width+1)). The result is C-contiguous, so reshaping it merges
-    axes without a copy.
+    M*(N-width+1)). Every weight's modulus must lie within
+    ``UNIT_MODULUS_ATOL`` of 1. The result is C-contiguous, so reshaping
+    it merges axes without a copy.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim < 2 or columns.shape[-2] != cfg.size:
         raise ValidationError(
             f"element stack must have shape (..., {cfg.size}, K); got {columns.shape}"
         )
-    if weights.width > cfg.cols:
-        raise ConfigurationError(
-            f"weight width {weights.width} exceeds the {cfg.cols} surface columns"
-        )
+    weights = np.asarray(weights, dtype=complex)
+    if weights.ndim < 2:
+        raise ValidationError("weights must be a (..., count, width) array")
+    if not np.all(np.abs(np.abs(weights) - 1.0) <= UNIT_MODULUS_ATOL):
+        raise ValidationError("smoothing weights must have unit modulus")
+    width = weights.shape[-1]
+    if width > cfg.cols:
+        raise ConfigurationError(f"weight width {width} exceeds the {cfg.cols} surface columns")
     compensated = np.diagonal(compensation)[:, None] * columns
     grid = np.swapaxes(compensated, -1, -2).reshape(
         *columns.shape[:-2], columns.shape[-1], cfg.rows, cfg.cols
     )
-    windows = sliding_window_view(grid, weights.width, axis=-1)  # (..., K, M, W, width)
-    banks = np.swapaxes(weights.weights, -1, -2)[..., None, None, :, :]
+    windows = sliding_window_view(grid, width, axis=-1)  # (..., K, M, W, width)
+    banks = np.swapaxes(weights, -1, -2)[..., None, None, :, :]
     collapsed = windows @ banks  # (..., K, M, W, L)
     smoothed = np.moveaxis(collapsed, -1, -3)
     return np.ascontiguousarray(smoothed.reshape(*smoothed.shape[:-2], -1))
@@ -419,8 +397,8 @@ class SearchSetup:
     """The part of :func:`estimate_doa` that no trial changes.
 
     Holds the surface, the source count, the weight count, the harmonic
-    matrix the snapshots were extracted with (each trial smooths its
-    left inverse), the phase compensation, the smoothing window width,
+    matrix that mixed the snapshot bins (each trial smooths its left
+    inverse), the phase compensation, the smoothing window width,
     the azimuth and elevation grids, the sines and cosines of the
     azimuths, the table that folds a Gram matrix onto the half-plane
     lags of the smoothed grid, and the search batch size. The search
@@ -455,9 +433,9 @@ def search_setup(
 ) -> SearchSetup:
     """Precompute the trial-invariant part of :func:`estimate_doa`.
 
-    ``harmonics`` is the harmonic matrix the snapshots will be
-    extracted with; its rank is checked here. The window width and the
-    grids come from :func:`search_grids`.
+    ``harmonics`` is the harmonic matrix that mixes the element
+    channels into the snapshot bins; its rank is checked here. The
+    window width and the grids come from :func:`search_grids`.
     """
     width, theta_grid, elevations = search_grids(params, cfg)
     comp = compensation_matrix(cfg)
@@ -643,39 +621,32 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     return MusicBatch(partial(_spectrum, coef, setup), tuple(results))
 
 
-def estimate_doa(snapshots, setup: SearchSetup, rng_seeds) -> MusicBatch:
+def estimate_doa(bins: np.ndarray, setup: SearchSetup, rng_seeds) -> MusicBatch:
     """Run the recover/compensate/smooth/whiten chain and the search on a batch of trials.
 
-    ``snapshots`` holds each trial's :class:`MultiSnapshot`, extracted
-    with the setup's harmonic matrix, and ``rng_seeds`` the seeds of
-    its smoothing weight rows, in the same order; ``setup`` is the
-    :func:`search_setup` of the surface and estimator. Each trial draws
-    its own weight bank and smooths the recovery left inverse with it
-    once; the result serves both its whitener and its snapshots. Every
-    stage runs once on arrays with a leading trial axis and makes, per
-    trial, the call a batch of one makes, so no bit of a result depends
-    on the batch.
+    ``bins`` stacks each trial's (2P+1, I) harmonic-bin matrix from
+    :func:`~msdoa.snapshot.extract_snapshots`, shape (trials, 2P+1, I),
+    and ``rng_seeds`` holds the seeds of their smoothing weight rows, in
+    the same order; ``setup`` is the :func:`search_setup` of the surface
+    and estimator. Each trial draws its own weight bank and smooths the
+    recovery left inverse with it once; the result serves both its
+    whitener and its snapshots. Every stage runs once on arrays with a
+    leading trial axis and makes, per trial, the call a batch of one
+    makes, so no bit of a result depends on the batch.
     """
-    if len(snapshots) != len(rng_seeds):
+    lines = 2 * setup.harmonics.max_harmonic + 1
+    if bins.ndim != 3 or bins.shape[1] != lines:
         raise ValidationError(
-            f"{len(snapshots)} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
+            f"snapshot bins have shape {bins.shape}; expected (trials, {lines}, snapshots)"
         )
-    entries = setup.harmonics.entries
-    if any(
-        snaps.harmonics is not setup.harmonics
-        and not np.array_equal(snaps.harmonics.entries, entries)
-        for snaps in snapshots
-    ):
+    if bins.shape[0] != len(rng_seeds):
         raise ValidationError(
-            "snapshots must be extracted with the search setup's harmonic matrix"
+            f"{bins.shape[0]} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
         )
-    weights = PsWeightSet(
-        np.stack([_weight_rows(setup.num_weights, setup.width, seed) for seed in rng_seeds])
-    )
+    weights = np.stack([make_ps_weights(setup.num_weights, setup.width, s) for s in rng_seeds])
     vectors = smooth(setup.harmonics.pseudo_inverse, setup.compensation, weights, setup.surface)
     w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(vectors))
     # smooth(B b) = sum_i b_i V_i: bins^T times V with its (L, dim) axes merged.
-    bins = np.stack([snaps.matrix for snaps in snapshots])
     smoothed = np.swapaxes(bins, -1, -2) @ vectors.reshape(*vectors.shape[:2], -1)
     covariance = ps_covariance(smoothed.reshape(*smoothed.shape[:2], *vectors.shape[2:]))
     del vectors, bins, smoothed  # so they add nothing to the search's peak

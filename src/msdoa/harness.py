@@ -2,33 +2,35 @@
 
 How a sweep runs: each sweep value gives one config point, and
 :func:`run_trials` builds that point's :class:`TrialContext` once. The
-context holds everything no trial changes: the config with its
-coherent gains resolved from the seed; the harmonic matrix with its
-rank check and pseudo-inverse; the phase compensation; the signal
-model (one coding period of the switched patterns, full or
-band-limited, which the record repeats); the smoothing window width,
-the search grids, the lag fold table and the search batch size; and
-the bound's rank-checked projected core, which treats the elevation as
-known when the search has one. Each stage takes its piece of the
-context and the trials' own draws, nothing the piece was built from.
+context holds everything no trial changes, in four fields: the config
+with its coherent gains resolved from the seed; the signal model (one
+coding period of the switched patterns, full or band-limited, which
+the record repeats); the search setup, which holds the harmonic matrix
+with its rank check and pseudo-inverse, the phase compensation, the
+smoothing window width, the search grids, the lag fold table and the
+search batch size; and the bound's rank-checked projected core, which
+treats the elevation as known when the search has one. Each stage
+takes its piece of the context and the trials' own draws, nothing the
+piece was built from.
 
 :func:`run_chunk` walks its trials in batches of the setup's
 ``batch_size``. The draws stay per trial: each trial derives its own
 seed streams, draws its amplitudes and noise, synthesizes its series
-and extracts its snapshots, and the series is dropped as soon as the
-snapshots are taken. :func:`run_batch` then runs every later stage
-once per batch, on arrays with a leading trial axis: the smoothing
-weights, each trial's smoothed recovery matrix with its whitener and
-inverse square root, the smoothed snapshots as products of the bins
-with that matrix, the covariances and their whitening, the search
-(which builds each elevation's lag basis once per batch rather than
-once per trial), and the bound's amplitude-dependent product and
-inverse. Each stacked call makes, per trial, the BLAS or LAPACK call a
-batch of one makes, so every result is bitwise the same for every
-batch size, and a trial that fails a check raises the error it raises
-alone. :func:`run_trial` then scores each trial. The batch size
-follows from the grid sizes and the chain's per-trial stacks under a
-fixed byte budget (see ``msdoa.estimator.SEARCH_BATCH_BYTES``).
+and extracts its (2P+1, I) matrix of snapshot bins, and the series is
+dropped as soon as the bins are taken. :func:`run_batch` stacks the
+batch's bins and runs every later stage once per batch, on arrays with
+a leading trial axis: the smoothing weights, each trial's smoothed
+recovery matrix with its whitener and inverse square root, the
+smoothed snapshots as products of the bins with that matrix, the
+covariances and their whitening, the search (which builds each
+elevation's lag basis once per batch rather than once per trial), and
+the bound's amplitude-dependent product and inverse. Each stacked call
+makes, per trial, the BLAS or LAPACK call a batch of one makes, so
+every result is bitwise the same for every batch size, and a trial
+that fails a check raises the error it raises alone. :func:`run_trial`
+then scores each trial. The batch size follows from the grid sizes and
+the chain's per-trial stacks under a fixed byte budget (see
+``msdoa.estimator.SEARCH_BATCH_BYTES``).
 ``single`` runs trial (0, 0) as a batch of one through the same
 :func:`run_batch`, and ``crb`` bounds the amplitudes of that same draw
 without extracting its snapshots or searching, both with BLAS held to
@@ -71,7 +73,7 @@ from .errors import MsdoaError, ValidationError
 from .estimator import SearchSetup, estimate_doa, search_setup, write_spectrum_csv
 from .metrics import TrialOutcome, aggregate, resolve_and_score
 from .snapshot import extract_snapshots, frequency_indices, write_snapshots_csv
-from .surface import HarmonicMatrix, harmonic_matrix
+from .surface import harmonic_matrix
 from .waveform import (
     SignalModel,
     resolve_gains,
@@ -106,7 +108,6 @@ class TrialContext:
     """
 
     config: ExperimentConfig
-    harmonics: HarmonicMatrix
     signal: SignalModel
     search: SearchSetup
     bound: CrbCore | None
@@ -130,7 +131,7 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
         # jointly would be singular for in-plane scenes.
         known_elevations = search.elevation_grid_deg.size == 1
         bound = crb_core(cfg.surface, cfg.scene, harmonics, known_elevations)
-    return TrialContext(cfg, harmonics, signal, search, bound)
+    return TrialContext(cfg, signal, search, bound)
 
 
 def synthesize_trial(context: TrialContext, sweep_index: int, trial_index: int):
@@ -147,27 +148,28 @@ def synthesize_trial(context: TrialContext, sweep_index: int, trial_index: int):
 
 
 def _draw(context: TrialContext, sweep_index: int, trial_index: int):
-    """Series, amplitudes, snapshots and smoothing seed of one trial."""
+    """Series, amplitudes, snapshot bins and smoothing seed of one trial."""
     series, amplitudes, smoothing_seed = synthesize_trial(context, sweep_index, trial_index)
-    snapshots = extract_snapshots(series, context.config.plan, context.harmonics)
-    return series, amplitudes, snapshots, smoothing_seed
+    cfg = context.config
+    bins = extract_snapshots(series, cfg.plan, cfg.max_harmonic)
+    return series, amplitudes, bins, smoothing_seed
 
 
 def run_batch(context: TrialContext, drawn) -> tuple:
     """Search results and stacked bound of a batch of drawn trials.
 
-    ``drawn`` holds one (amplitudes, snapshots, smoothing seed) triple
-    per trial, from that trial's own draws. The estimator
-    chain and the bound each run once on arrays with a leading trial
-    axis. Returns the trials' :class:`MusicResult`s and one
-    :class:`CrbResult` whose arrays stack theirs; without sources the
-    results are ``None`` each and the bound is ``None``.
+    ``drawn`` holds one (amplitudes, snapshot bins, smoothing seed)
+    triple per trial, from that trial's own draws. The estimator chain
+    and the bound each run once on arrays with a leading trial axis.
+    Returns the trials' :class:`MusicResult`s and one :class:`CrbResult`
+    whose arrays stack theirs; without sources the results are ``None``
+    each and the bound is ``None``.
     """
     if context.bound is None:
         return (None,) * len(drawn), None
-    amplitudes, snapshots, seeds = zip(*drawn)
+    amplitudes, bins, seeds = zip(*drawn)
     cfg = context.config
-    results = estimate_doa(snapshots, context.search, seeds).results
+    results = estimate_doa(np.stack(bins), context.search, seeds).results
     bound = crb(context.bound, cfg.plan, cfg.noise.variance, np.stack(amplitudes))
     return results, bound
 
@@ -199,7 +201,7 @@ def run_chunk(context: TrialContext, sweep_index: int, trial_indices):
     size = context.search.batch_size
     out = []
     for start in range(0, len(trial_indices), size):
-        # Each series is dropped as soon as its snapshots are taken.
+        # Each series is dropped as soon as its bins are taken.
         drawn = [_draw(context, sweep_index, t)[1:] for t in trial_indices[start : start + size]]
         results, bound = run_batch(context, drawn)
         theta_bounds = [()] * len(drawn) if bound is None else bound.theta_bounds
@@ -385,16 +387,13 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
     if not result.rows:
         raise ValidationError("sweep result has no rows")
     num_sources = len(result.rows[0].sqrt_crb_deg)
-    crb_cols = ",".join(f"sqrt_crb_deg_{k + 1}" for k in range(num_sources))
+    crb_cols = "".join(f",sqrt_crb_deg_{k + 1}" for k in range(num_sources))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# schema=msdoa-sweep-v1\n")
         fh.write(f"# version={result.version}\n")
         fh.write(f"# config_sha256={result.config_sha256}\n")
         fh.write(f"# seed={result.seed}\n")
-        if num_sources:
-            fh.write(f"sweep_var,value,pr,rmse_deg,{crb_cols}\n")
-        else:
-            fh.write("sweep_var,value,pr,rmse_deg\n")
+        fh.write(f"sweep_var,value,pr,rmse_deg{crb_cols}\n")
         for row in result.rows:
             crb_vals = "".join(f",{b:.10g}" for b in row.sqrt_crb_deg)
             fh.write(
@@ -440,8 +439,8 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     the snapshot matrix for downstream tools.
     """
     with _trial_zero(cfg) as context:
-        series, amplitudes, snapshots, smoothing_seed = _draw(context, 0, 0)
-        (result,), _ = run_batch(context, [(amplitudes, snapshots, smoothing_seed)])
+        series, amplitudes, bins, smoothing_seed = _draw(context, 0, 0)
+        (result,), _ = run_batch(context, [(amplitudes, bins, smoothing_seed)])
     cfg = context.config
     prefix = out_prefix if out_prefix is not None else cfg.output
 
@@ -461,7 +460,7 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     paths["series"] = f"{prefix}_series.f64"
     write_time_series(series, cfg.plan, paths["series"], seed=cfg.seed)
     paths["snapshots"] = f"{prefix}_snapshots.csv"
-    write_snapshots_csv(snapshots, paths["snapshots"])
+    write_snapshots_csv(bins, paths["snapshots"])
 
     if result is not None:
         paths["spatial"] = f"{prefix}_spatial.csv"

@@ -52,10 +52,9 @@ def resolve_and_score(result: MusicResult, truth) -> TrialOutcome:
     estimates = tuple(result.estimates)
 
     pairs = sorted(
-        ((_distance_deg(e, t), ei, ti)
-         for ei, e in enumerate(estimates)
-         for ti, t in enumerate(truth)),
-        key=lambda item: (item[0], item[1], item[2]),
+        (_distance_deg(e, t), ei, ti)
+        for ei, e in enumerate(estimates)
+        for ti, t in enumerate(truth)
     )
     est_free = [True] * len(estimates)
     truth_err = [None] * k

@@ -9,12 +9,9 @@ giving one (2P+1)-vector per snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .surface import HarmonicMatrix
 from .waveform import SamplingPlan, TimeSeries
 
 
@@ -45,30 +42,12 @@ def frequency_indices(plan: SamplingPlan, max_harmonic: int) -> np.ndarray:
     return q_len // 2 + k0 * orders
 
 
-@dataclass(eq=False)
-class MultiSnapshot:
-    """Harmonic-bin values of all snapshot windows, columns = snapshots."""
-
-    matrix: np.ndarray
-    harmonics: HarmonicMatrix
-    plan: SamplingPlan
-
-    def __post_init__(self):
-        rows = 2 * self.harmonics.max_harmonic + 1
-        if self.matrix.shape != (rows, self.plan.num_snapshots):
-            raise ValidationError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"({rows}, {self.plan.num_snapshots})"
-            )
-
-
-def extract_snapshots(
-    series: TimeSeries, plan: SamplingPlan, harmonics: HarmonicMatrix
-) -> MultiSnapshot:
+def extract_snapshots(series: TimeSeries, plan: SamplingPlan, max_harmonic: int) -> np.ndarray:
     """Slice the series into snapshots and sample their harmonic bins.
 
-    Uses the first Q*I samples; the series must be at least that long
-    and carry the plan's sample rate.
+    Returns the (2P+1, I) bin matrix: row p+P holds harmonic p, column i
+    snapshot i. Uses the first Q*I samples; the series must be at least
+    that long and carry the plan's sample rate.
     """
     if abs(series.sample_rate_hz - plan.sample_rate_hz) > 1e-9 * plan.sample_rate_hz:
         raise ValidationError(
@@ -81,20 +60,21 @@ def extract_snapshots(
         raise ValidationError(
             f"series has {series.samples.size} samples but the plan needs {needed}"
         )
-    idx = frequency_indices(plan, harmonics.max_harmonic)
+    idx = frequency_indices(plan, max_harmonic)
     windows = series.samples[:needed].reshape(plan.num_snapshots, q_len)
     # Centered bin b is unshifted bin (b + Q/2) mod Q; only the sampled
     # bins are scaled.
     bins = np.fft.fft(windows, axis=1)[:, (idx + q_len // 2) % q_len] / q_len
-    return MultiSnapshot(bins.T.copy(), harmonics, plan)
+    return bins.T.copy()
 
 
-def write_snapshots_csv(snapshots: MultiSnapshot, path: str) -> None:
-    """Write snapshots as CSV rows (snapshot_index, p, re, im)."""
-    orders = snapshots.harmonics.harmonic_orders
+def write_snapshots_csv(bins: np.ndarray, path: str) -> None:
+    """Write a (2P+1, I) bin matrix as CSV rows (snapshot_index, p, re, im)."""
+    max_harmonic = bins.shape[0] // 2
+    orders = range(-max_harmonic, max_harmonic + 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("snapshot_index,p,re,im\n")
-        for i in range(snapshots.plan.num_snapshots):
+        for i in range(bins.shape[1]):
             for row, p in enumerate(orders):
-                v = snapshots.matrix[row, i]
+                v = bins[row, i]
                 fh.write(f"{i},{p},{v.real:.10g},{v.imag:.10g}\n")

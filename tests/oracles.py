@@ -201,19 +201,20 @@ def ranked_peaks(values, count):
     return tuple(idx[best] for idx in peaks)
 
 
-def separate_chain(snapshots, cfg, params, compensation, weights):
+def separate_chain(bins, entries, cfg, params, compensation, weights):
     """The estimate through separate 1-D and 2-D formulas.
 
-    Per-snapshot recovery through the normal equations, loop smoothing,
+    ``bins`` is the (2P+1, I) snapshot bin matrix and ``entries`` the
+    (2P+1, M*N) harmonic matrix that mixed it. Per-snapshot recovery
+    through the normal equations, loop smoothing,
     the Gram-form whitener, and the spectrum 1 / |noise^H W^-1/2 a|^2
     with the row manifold at the known elevation (1-D) or the row
     manifold times the window ramp over the elevation grid (2-D).
     Returns (theta grid, phi grid or None, spectrum, estimates).
     """
-    entries = snapshots.harmonics.entries
     left = np.linalg.inv(entries.conj().T @ entries) @ entries.conj().T
-    rows = np.vstack([loop_smooth(left @ snapshots.matrix[:, i], compensation, weights, cfg)
-                      for i in range(snapshots.matrix.shape[1])])
+    rows = np.vstack([loop_smooth(left @ bins[:, i], compensation, weights, cfg)
+                      for i in range(bins.shape[1])])
     cov = rows.T @ rows.conj() / rows.shape[0]
     w = _inv_sqrt(gram_whitener(weights, compensation, entries, cfg))
     whitened = w @ cov @ w.conj().T

@@ -316,11 +316,11 @@ def test_criterion_8(capsys):
     lines = harmonic_matrix(15, surface)
     series, amps = synthesize_received(
         signal_model(surface, scene, plan, "ideal", lines), NoiseSpec.quiet(), 5)
-    snaps = extract_snapshots(series, plan, lines)
+    bins = extract_snapshots(series, plan, lines.max_harmonic)
     steer = np.column_stack(
         [steering_vector(doa, surface) for doa in scene.doas])
     closure = float(np.max(np.abs(
-        snaps.matrix - lines.entries @ steer @ amps)))
+        bins - lines.entries @ steer @ amps)))
     checks.append(("snapshot closure", closure, 1e-9))
 
     # The pseudo-inverse is an exact left inverse on the column space.
@@ -334,18 +334,18 @@ def test_criterion_8(capsys):
     # window gain per source.
     weights = make_ps_weights(3, 6, 7)
     comp = compensation_matrix(surface)
-    smoothed = smooth(recover_channels(snaps.matrix, lines), comp, weights, surface)
+    smoothed = smooth(recover_channels(bins, lines), comp, weights, surface)
     pos = element_positions(surface)
     xs, ys = pos[:6, 0], pos[::6, 1]
     k_scale = surface.omega0 / surface.wave_speed
     factor = 0.0
     for i in range(plan.num_snapshots):
-        for l in range(weights.count):
+        for l in range(weights.shape[0]):
             want = np.zeros(5, dtype=complex)
             for k, doa in enumerate(scene.doas):
                 alpha = np.sin(doa.phi) * np.cos(doa.theta)
                 beta = np.sin(doa.phi) * np.sin(doa.theta)
-                gain = np.sum(weights.weights[l]
+                gain = np.sum(weights[l]
                               * np.exp(1j * k_scale * xs * alpha))
                 want += amps[k, i] * gain * np.exp(1j * k_scale * ys * beta)
             factor = max(factor, float(np.max(np.abs(
@@ -368,9 +368,9 @@ def test_criterion_8(capsys):
     scale = np.sqrt(cfg_nz.size * sigma2 / 2.0)
     noise = scale * (rng.standard_normal((draws, q_len))
                      + 1j * rng.standard_normal((draws, q_len)))
-    bins = (np.fft.fftshift(np.fft.fft(noise, axis=1), axes=1)
-            / q_len)[:, idx]
-    smoothed_nz = smooth(recover_channels(bins.T, lines_nz), comp_nz,
+    bins_nz = (np.fft.fftshift(np.fft.fft(noise, axis=1), axes=1)
+               / q_len)[:, idx]
+    smoothed_nz = smooth(recover_channels(bins_nz.T, lines_nz), comp_nz,
                          weights_nz, cfg_nz)
     cov = whiten(ps_covariance(smoothed_nz), whitener_inv_sqrt(wh_nz))
     target = cfg_nz.size * sigma2 / q_len

@@ -18,7 +18,6 @@ from msdoa import (
     NearSingularWhitenerError,
     NoiseSpec,
     NoNoiseSubspaceError,
-    PsWeightSet,
     SamplingPlan,
     SourceScene,
     SurfaceConfig,
@@ -58,9 +57,9 @@ from msdoa.surface import element_positions, receiver_delays
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
 
-def _estimate_one(snapshots, setup, weight_seed):
+def _estimate_one(bins, setup, weight_seed):
     """The estimate of one trial: a batch of one."""
-    return estimate_doa([snapshots], setup, [weight_seed]).results[0]
+    return estimate_doa(bins[None], setup, [weight_seed]).results[0]
 
 
 def _whitener(weights, comp, um, cfg):
@@ -103,10 +102,10 @@ def test_compensation_matrix(table1_cfg):
 
 def test_make_ps_weights():
     ws = make_ps_weights(4, 6, 3)
-    assert ws.count == 4 and ws.width == 6
-    assert np.allclose(np.abs(ws.weights), 1.0)
-    assert np.array_equal(ws.weights, make_ps_weights(4, 6, 3).weights)
-    assert not np.array_equal(ws.weights, make_ps_weights(4, 6, 4).weights)
+    assert ws.shape == (4, 6)
+    assert np.allclose(np.abs(ws), 1.0)
+    assert np.array_equal(ws, make_ps_weights(4, 6, 3))
+    assert not np.array_equal(ws, make_ps_weights(4, 6, 4))
     with pytest.raises(ValidationError):
         make_ps_weights(0, 6, 3)
     with pytest.raises(ValidationError):
@@ -117,10 +116,10 @@ def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
     noise = NoiseSpec.quiet() if noise is None else noise
     um = harmonic_matrix(15, cfg)
     series, amps = synthesize_received(signal_model(cfg, scene, plan, mode, um), noise, rng_seed)
-    snaps = extract_snapshots(series, plan, um)
+    bins = extract_snapshots(series, plan, um.max_harmonic)
     comp = compensation_matrix(cfg)
     wh = _whitener(weights, comp, um, cfg)
-    smoothed = smooth(recover_channels(snaps.matrix, um), comp, weights, cfg)
+    smoothed = smooth(recover_channels(bins, um), comp, weights, cfg)
     return smoothed, amps, wh
 
 
@@ -136,13 +135,13 @@ def test_smoothing_factorization_oracle(table1_cfg, table1_plan):
     ys = pos[::6, 1]         # row ordinates
     k_scale = table1_cfg.omega0 / table1_cfg.wave_speed
     for i in range(table1_plan.num_snapshots):
-        for l in range(weights.count):
+        for l in range(weights.shape[0]):
             want = np.zeros(5, dtype=complex)
             for k, doa in enumerate(scene.doas):
                 alpha = np.sin(doa.phi) * np.cos(doa.theta)
                 beta = np.sin(doa.phi) * np.sin(doa.theta)
                 row_phase = np.exp(1j * k_scale * ys * beta)
-                gain = np.sum(weights.weights[l] * np.exp(1j * k_scale * xs * alpha))
+                gain = np.sum(weights[l] * np.exp(1j * k_scale * xs * alpha))
                 want += amps[k, i] * gain * row_phase
             assert np.max(np.abs(smoothed[i, l] - want)) < 1e-9
 
@@ -186,14 +185,17 @@ def test_a_singular_whitener_raises_in_a_stack_as_it_does_alone():
 
 
 def test_weights_must_have_unit_modulus_within_1e9():
-    PsWeightSet(np.full((2, 3), 1.0 + 5e-10, dtype=complex))
+    cfg = SurfaceConfig(2, 3, 1e9, 0.3)
+    comp = compensation_matrix(cfg)
+    columns = np.ones((cfg.size, 1), dtype=complex)
+    smooth(columns, comp, np.full((2, 3), 1.0 + 5e-10, dtype=complex), cfg)
     for modulus in (1.0 + 1e-6, 1.0 - 1e-6, np.nan):
         with pytest.raises(ValidationError, match="unit modulus"):
-            PsWeightSet(np.full((2, 3), modulus, dtype=complex))
+            smooth(columns, comp, np.full((2, 3), modulus, dtype=complex), cfg)
     stack = np.ones((3, 2, 3), dtype=complex)
     stack[2, 1, 0] = 1.0 + 1e-6
     with pytest.raises(ValidationError, match="unit modulus"):
-        PsWeightSet(stack)
+        smooth(columns, comp, stack, cfg)
 
 
 def _noise_only_whitened_cov(num_weights, draws, sigma2):
@@ -271,8 +273,8 @@ def _search_noiseless(table1_cfg, table1_plan, scene, params, weight_seed):
     um = harmonic_matrix(15, table1_cfg)
     model = signal_model(table1_cfg, scene, table1_plan, "ideal", um)
     series, _ = synthesize_received(model, NoiseSpec.quiet(), 5)
-    snaps = extract_snapshots(series, table1_plan, um)
-    return _estimate_one(snaps, search_setup(table1_cfg, params, um), weight_seed)
+    bins = extract_snapshots(series, table1_plan, um.max_harmonic)
+    return _estimate_one(bins, search_setup(table1_cfg, params, um), weight_seed)
 
 
 def test_music_noiseless_1d(table1_cfg, table1_plan):
@@ -292,9 +294,9 @@ def test_music_noiseless_1d_full_mode(table1_cfg, table1_plan):
     model = signal_model(table1_cfg, scene, table1_plan, "full")
     series, _ = synthesize_received(model, NoiseSpec.quiet(), 5)
     um = harmonic_matrix(15, table1_cfg)
-    snaps = extract_snapshots(series, table1_plan, um)
+    bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     params = EstimatorParams(num_sources=2, num_weights=5)
-    result = _estimate_one(snaps, search_setup(table1_cfg, params, um), 2)
+    result = _estimate_one(bins, search_setup(table1_cfg, params, um), 2)
     got = sorted(est.theta_deg for est in result.estimates)
     assert got == pytest.approx([-22.0, 12.0], abs=0.15)
 
@@ -397,9 +399,9 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     model = signal_model(table1_cfg, scene, table1_plan, "full")
     series, _ = synthesize_received(model, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
-    snaps = extract_snapshots(series, table1_plan, um)
+    bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
-    auto = _estimate_one(snaps, setup, 17)
+    auto = _estimate_one(bins, setup, 17)
 
     # The chain's stages by hand: smooth the recovery matrix, sum its
     # whitener, and smooth the snapshots by projecting their bins on it.
@@ -408,7 +410,7 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     vectors = smooth(um.pseudo_inverse, comp, weights, table1_cfg)
     w = whitener_inv_sqrt(smoothing_whitener(vectors))
     lines, count, dim = vectors.shape
-    smoothed = (snaps.matrix.T @ vectors.reshape(lines, -1)).reshape(-1, count, dim)
+    smoothed = (bins.T @ vectors.reshape(lines, -1)).reshape(-1, count, dim)
     manual = _search_one(whiten(ps_covariance(smoothed), w), w, setup)
     assert np.array_equal(auto.spectrum, manual.spectrum)
     assert auto.estimates == manual.estimates
@@ -420,6 +422,16 @@ def test_estimate_doa_single_source(table1_cfg, table1_plan):
     result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
     assert len(result.estimates) == 1
     assert result.estimates[0].theta_deg == pytest.approx(22.0, abs=0.05)
+
+
+def test_estimate_doa_checks_the_bin_stack(table1_cfg):
+    setup = _setup_1d(table1_cfg)
+    bins = np.zeros((2, 31, 5), dtype=complex)
+    for wrong in (bins[:, :30], bins[0]):
+        with pytest.raises(ValidationError, match=r"expected \(trials, 31, snapshots\)"):
+            estimate_doa(wrong, setup, [1, 2])
+    with pytest.raises(ValidationError, match="2 snapshot sets need as many weight seeds"):
+        estimate_doa(bins, setup, [1])
 
 
 @st.composite
@@ -454,9 +466,9 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     got = smooth(columns, comp, weights, cfg)
     assert got.shape == (num_columns, count, rows * (cols - width + 1))
     for k in range(num_columns):
-        loop = oracles.loop_smooth(columns[:, k], comp, weights.weights, cfg)
+        loop = oracles.loop_smooth(columns[:, k], comp, weights, cfg)
         dense = np.array([oracles.dense_smoothing(row, cfg) @ comp @ columns[:, k]
-                          for row in weights.weights])
+                          for row in weights])
         assert _rel_err(got[k], loop) < 1e-10
         assert _rel_err(got[k], dense) < 1e-10
     with pytest.raises(ConfigurationError):
@@ -470,7 +482,7 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     # The explicit normal equations lose cond(U)^2 digits; compare on
     # mixes where they still hold 1e-10.
     assume(np.linalg.cond(um.entries) < 1e2)
-    want = oracles.gram_whitener(weights.weights, comp, um.entries, cfg)
+    want = oracles.gram_whitener(weights, comp, um.entries, cfg)
     assert _rel_err(_whitener(weights, comp, um, cfg), want) < 1e-10
 
 
@@ -489,7 +501,7 @@ def test_bins_times_smoothed_recovery_matrix_smooth_the_recovered_snapshots(case
         assume(False)
     comp = compensation_matrix(cfg)
     rng = np.random.default_rng(seed)
-    weights = PsWeightSet(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (trials, count, width))))
+    weights = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (trials, count, width)))
     lines = 2 * max_harmonic + 1
     bins = rng.standard_normal((trials, lines, snapshots)) + 1j * rng.standard_normal(
         (trials, lines, snapshots))
@@ -506,8 +518,8 @@ def _trial_zero(name, **estimator):
     cfg = replace(cfg, estimator=replace(cfg.estimator, **estimator))
     context = build_context(cfg)
     series, _, weight_seed = synthesize_trial(context, 0, 0)
-    snaps = extract_snapshots(series, cfg.plan, context.harmonics)
-    return cfg, context.search, weight_seed, snaps
+    bins = extract_snapshots(series, cfg.plan, cfg.max_harmonic)
+    return cfg, context.search, weight_seed, bins
 
 
 @pytest.mark.parametrize("name, grids", [
@@ -515,13 +527,14 @@ def _trial_zero(name, **estimator):
     ("table1_2d", {"theta_grid_deg": (-90.0, 90.0, 1.0), "phi_grid_deg": (0.0, 90.0, 1.0)}),
 ])
 def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
-    cfg, setup, weight_seed, snaps = _trial_zero(name, **grids)
-    got = _estimate_one(snaps, setup, weight_seed)
+    cfg, setup, weight_seed, bins = _trial_zero(name, **grids)
+    got = _estimate_one(bins, setup, weight_seed)
     params = cfg.estimator
     width = cfg.surface.cols if params.subarray_width is None else params.subarray_width
     weights = make_ps_weights(params.num_weights, width, weight_seed)
     thetas, phis, spectrum, estimates = oracles.separate_chain(
-        snaps, cfg.surface, params, compensation_matrix(cfg.surface), weights.weights)
+        bins, setup.harmonics.entries, cfg.surface, params, compensation_matrix(cfg.surface),
+        weights)
     assert np.array_equal(got.theta_grid_deg, thetas)
     assert (got.phi_grid_deg is None) == (phis is None)
     if phis is not None:
@@ -533,8 +546,8 @@ def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
 
 @pytest.mark.parametrize("name", ["table1", "table1_2d"])
 def test_spectrum_csv_matches_the_per_point_writer(tmp_path, name):
-    _, setup, weight_seed, snaps = _trial_zero(name)
-    result = _estimate_one(snaps, setup, weight_seed)
+    _, setup, weight_seed, bins = _trial_zero(name)
+    result = _estimate_one(bins, setup, weight_seed)
     write_spectrum_csv(result, str(tmp_path / "got.csv"))
     oracles.write_spectrum_csv_per_point(result, str(tmp_path / "want.csv"))
     got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
@@ -549,7 +562,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     model = signal_model(table1_cfg, scene, table1_plan, "full")
     series, _ = synthesize_received(model, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
-    snaps = extract_snapshots(series, table1_plan, um)
+    bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
     whitener = _whitener(make_ps_weights(5, 6, 17),
                          compensation_matrix(table1_cfg), um, table1_cfg)
@@ -561,7 +574,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    _estimate_one(snaps, setup, 17)
+    _estimate_one(bins, setup, 17)
     assert len(inputs) == 2
     assert sum(np.array_equal(a, whitener[None]) for a in inputs) == 1
 
@@ -800,18 +813,20 @@ CHAIN_PEAK_BYTES = {"table1_2d": 2_352_560, "table2": 1_727_248, "table1": 1_276
 @pytest.mark.parametrize("name", sorted(CHAIN_PEAK_BYTES))
 def test_estimate_doa_peak_memory_holds(name):
     # The chain's stacks are dropped before the search, so a full batch
-    # peaks no higher than the recorded chain did.
+    # peaks no higher than the recorded chain did. The bin stack is the
+    # call's input, built by the caller before tracing starts.
     cfg = resolve_experiment(load_config(builtin_config_path(name)))
     context = build_context(cfg)
     setup = context.search
-    snaps, seeds = [], []
+    bins, seeds = [], []
     for t in range(setup.batch_size):
         series, _, seed = synthesize_trial(context, 0, t)
-        snaps.append(extract_snapshots(series, cfg.plan, context.harmonics))
+        bins.append(extract_snapshots(series, cfg.plan, cfg.max_harmonic))
         seeds.append(seed)
+    stack = np.stack(bins)
     tracemalloc.start()
     try:
-        estimate_doa(snaps, setup, seeds)
+        estimate_doa(stack, setup, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

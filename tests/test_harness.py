@@ -303,6 +303,23 @@ def test_cli_crb_needs_sources(tmp_path, capsys):
     assert "at least one" in capsys.readouterr().err
 
 
+def test_cli_sweep_needs_sources(tmp_path, capsys):
+    # Every sweep point is scored against the true sources, so `validate`
+    # and `sweep` reject a source-free sweep alike, before any trial runs.
+    text = SMALL.replace("angles_deg = -20", "angles_deg = none") + "sweep = snr_db: 0, 10\n"
+    path = _write_cfg(tmp_path, text)
+    prefix = str(tmp_path / "x")
+    errors = []
+    for command in ("validate", "sweep"):
+        assert main([command, "-c", path, "-o", prefix]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "a sweep needs at least one true source" in errors[0]
+    assert not os.path.exists(f"{prefix}_sweep.csv")
+
+
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
     # A single zenith source is a valid config, but its azimuth carries
     # no information, so the bound computation fails at runtime.
@@ -368,13 +385,13 @@ def test_run_single_is_trial_zero(tmp_path):
     harmonics = harmonic_matrix(resolved.max_harmonic, resolved.surface)
     model = signal_model(resolved.surface, resolved.scene, resolved.plan, resolved.mode, harmonics)
     series, _ = synthesize_received(model, resolved.noise, synth_seed)
-    snapshots = extract_snapshots(series, resolved.plan, harmonics)
+    bins = extract_snapshots(series, resolved.plan, resolved.max_harmonic)
     (result,) = estimate_doa(
-        [snapshots], search_setup(resolved.surface, resolved.estimator, harmonics), [weight_seed]
+        bins[None], search_setup(resolved.surface, resolved.estimator, harmonics), [weight_seed]
     ).results
     ref = str(tmp_path / "ref")
     write_time_series(series, resolved.plan, f"{ref}_series.f64", seed=resolved.seed)
-    write_snapshots_csv(snapshots, f"{ref}_snapshots.csv")
+    write_snapshots_csv(bins, f"{ref}_snapshots.csv")
     write_spectrum_csv(result, f"{ref}_spatial.csv")
     for got, want in (
         (out["paths"]["series"], f"{ref}_series.f64"),
@@ -536,10 +553,10 @@ def test_a_singular_draw_raises_in_a_batch_as_it_does_alone():
     context = build_context(resolve_experiment(parse_config(COHERENT)))
     drawn = [msdoa.harness._draw(context, 0, t)[1:] for t in range(4)]
     for t, source in ((1, 1), (3, slice(None))):
-        amplitudes, snapshots, seed = drawn[t]
+        amplitudes, bins, seed = drawn[t]
         amplitudes = amplitudes.copy()
         amplitudes[source] = 0.0  # no bound exists for a silent source
-        drawn[t] = (amplitudes, snapshots, seed)
+        drawn[t] = (amplitudes, bins, seed)
     with pytest.raises(UnidentifiableParameterError) as alone:
         run_batch(context, [drawn[1]])
     with pytest.raises(UnidentifiableParameterError) as batch:
@@ -551,7 +568,7 @@ def test_a_singular_draw_raises_in_a_batch_as_it_does_alone():
 def test_context_belongs_to_its_config():
     context = build_context(parse_config(SMALL))
     # Trials share these arrays, so none of them may be written.
-    for arr in (context.harmonics.pseudo_inverse, context.harmonics.gram_inverse,
+    for arr in (context.search.harmonics.pseudo_inverse, context.search.harmonics.gram_inverse,
                 context.signal.patterns, context.search.compensation,
                 context.search.theta_grid_deg, context.search.elevation_grid_deg,
                 context.search.directions, context.search.fold, context.bound.core):
