@@ -21,6 +21,7 @@ from .errors import (
 )
 from .harness import (
     build_context,
+    check_sweep,
     run_single,
     run_sweep,
     trial_zero_bound,
@@ -71,7 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_validate(cfg, args) -> int:
     # Building each point's context runs the checks that need the
     # harmonic matrix's SVD, such as its rank, and the check that every
-    # bounded angle is identifiable.
+    # bounded angle is identifiable. A sweep is checked as `sweep`
+    # checks it before its first trial.
+    if cfg.sweep is not None:
+        check_sweep(cfg)
     points = [cfg] if cfg.sweep is None else [
         apply_sweep_value(cfg, value) for value in cfg.sweep.values
     ]

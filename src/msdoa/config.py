@@ -351,9 +351,6 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     if cfg.mode not in MODES:
         raise ValidationError("mode must be full or ideal")
     if cfg.sweep is not None:
-        # Every sweep point is scored against the true sources.
-        if not cfg.scene.doas:
-            raise ValidationError("a sweep needs at least one true source to score against")
         for value in cfg.sweep.values:
             apply_sweep_value(cfg, value)
 

@@ -22,7 +22,8 @@ outer-product sum of V itself. Its inverse square root whitens both the
 covariance and the search manifold.
 
 :func:`estimate_doa` runs a batch of trials, given their (2P+1, I)
-snapshot bin matrices stacked as one (trials, 2P+1, I) array. Every
+snapshot bin matrices, which it stacks as one (trials, 2P+1, I) array
+once the trials' recovery matrices are smoothed. Every
 stage after the per-trial weight draws takes arrays with a leading
 trial axis: :func:`smooth`, :func:`smoothing_whitener`,
 :func:`whitener_inv_sqrt`, the product of the bins with V,
@@ -621,35 +622,38 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     return MusicBatch(partial(_spectrum, coef, setup), tuple(results))
 
 
-def estimate_doa(bins: np.ndarray, setup: SearchSetup, rng_seeds) -> MusicBatch:
+def estimate_doa(bins, setup: SearchSetup, rng_seeds) -> MusicBatch:
     """Run the recover/compensate/smooth/whiten chain and the search on a batch of trials.
 
-    ``bins`` stacks each trial's (2P+1, I) harmonic-bin matrix from
-    :func:`~msdoa.snapshot.extract_snapshots`, shape (trials, 2P+1, I),
-    and ``rng_seeds`` holds the seeds of their smoothing weight rows, in
-    the same order; ``setup`` is the :func:`search_setup` of the surface
-    and estimator. Each trial draws its own weight bank and smooths the
-    recovery left inverse with it once; the result serves both its
-    whitener and its snapshots. Every stage runs once on arrays with a
-    leading trial axis and makes, per trial, the call a batch of one
-    makes, so no bit of a result depends on the batch.
+    ``bins`` holds each trial's (2P+1, I) harmonic-bin matrix from
+    :func:`~msdoa.snapshot.extract_snapshots`, and ``rng_seeds`` the
+    seeds of their smoothing weight rows, in the same order; ``setup``
+    is the :func:`search_setup` of the surface and estimator. Each trial
+    draws its own weight bank and smooths the recovery left inverse with
+    it once; the result serves both its whitener and its snapshots. The
+    bins are stacked only after that smoothing, and the stack is dropped
+    before the search, so it adds to neither stage's peak. Every stage
+    runs once on arrays with a leading trial axis and makes, per trial,
+    the call a batch of one makes, so no bit of a result depends on the
+    batch.
     """
-    lines = 2 * setup.harmonics.max_harmonic + 1
-    if bins.ndim != 3 or bins.shape[1] != lines:
+    if len(bins) != len(rng_seeds):
         raise ValidationError(
-            f"snapshot bins have shape {bins.shape}; expected (trials, {lines}, snapshots)"
-        )
-    if bins.shape[0] != len(rng_seeds):
-        raise ValidationError(
-            f"{bins.shape[0]} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
+            f"{len(bins)} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
         )
     weights = np.stack([make_ps_weights(setup.num_weights, setup.width, s) for s in rng_seeds])
     vectors = smooth(setup.harmonics.pseudo_inverse, setup.compensation, weights, setup.surface)
     w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(vectors))
+    stack = np.stack(bins)
+    lines = 2 * setup.harmonics.max_harmonic + 1
+    if stack.ndim != 3 or stack.shape[1] != lines:
+        raise ValidationError(
+            f"snapshot bins have shape {stack.shape}; expected (trials, {lines}, snapshots)"
+        )
     # smooth(B b) = sum_i b_i V_i: bins^T times V with its (L, dim) axes merged.
-    smoothed = np.swapaxes(bins, -1, -2) @ vectors.reshape(*vectors.shape[:2], -1)
+    smoothed = np.swapaxes(stack, -1, -2) @ vectors.reshape(*vectors.shape[:2], -1)
     covariance = ps_covariance(smoothed.reshape(*smoothed.shape[:2], *vectors.shape[2:]))
-    del vectors, bins, smoothed  # so they add nothing to the search's peak
+    del vectors, stack, smoothed  # so they add nothing to the search's peak
     return music_search(whiten(covariance, w_inv_sqrt), w_inv_sqrt, setup)
 
 

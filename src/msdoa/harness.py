@@ -17,9 +17,9 @@ piece was built from.
 ``batch_size``. The draws stay per trial: each trial derives its own
 seed streams, draws its amplitudes and noise, synthesizes its series
 and extracts its (2P+1, I) matrix of snapshot bins, and the series is
-dropped as soon as the bins are taken. :func:`run_batch` stacks the
-batch's bins and runs every later stage once per batch, on arrays with
-a leading trial axis: the smoothing weights, each trial's smoothed
+dropped as soon as the bins are taken. :func:`run_batch` hands the
+batch's bins to :func:`estimate_doa`, which stacks them, and runs
+every later stage once per batch, on arrays with a leading trial axis: the smoothing weights, each trial's smoothed
 recovery matrix with its whitener and inverse square root, the
 smoothed snapshots as products of the bins with that matrix, the
 covariances and their whitening, the search (which builds each
@@ -169,7 +169,7 @@ def run_batch(context: TrialContext, drawn) -> tuple:
         return (None,) * len(drawn), None
     amplitudes, bins, seeds = zip(*drawn)
     cfg = context.config
-    results = estimate_doa(np.stack(bins), context.search, seeds).results
+    results = estimate_doa(bins, context.search, seeds).results
     bound = crb(context.bound, cfg.plan, cfg.noise.variance, np.stack(amplitudes))
     return results, bound
 
@@ -336,10 +336,21 @@ class SweepResult:
     version: str
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Run every sweep point and aggregate (PR, RMSE, mean bound)."""
+def check_sweep(cfg: ExperimentConfig) -> None:
+    """Raise :class:`ValidationError` unless ``cfg`` has a sweep that can be scored.
+
+    Every sweep point is scored against the true sources, so a sweep
+    needs at least one; ``single`` ignores the sweep and needs none.
+    """
     if cfg.sweep is None:
         raise ValidationError("config has no sweep; use run_single instead")
+    if not cfg.scene.doas:
+        raise ValidationError("a sweep needs at least one true source to score against")
+
+
+def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
+    """Run every sweep point and aggregate (PR, RMSE, mean bound)."""
+    check_sweep(cfg)
     digest = config_digest(cfg)
     rows = []
     with _point_runner(cfg, workers) as run_point:

@@ -337,10 +337,8 @@ def _config_texts(draw):
         lines.append(f"subarray_width = {width}")
     if draw(st.booleans()):
         lines.append(f"theta_grid_deg = -90, 90, {draw(st.sampled_from([0.1, 0.25, 1.0]))}")
-    # A sweep is scored against the true sources, so only a scene with
-    # sources may have one.
-    sweep = "none" if not thetas else draw(st.sampled_from([
-        "none", "snr_db: -10, 0.5, 20", "L: 1, 3", "mode: full, ideal", "I: 2, 4", "k0: 1, 2"]))
+    sweep = draw(st.sampled_from(["none", "snr_db: -10, 0.5, 20", "L: 1, 3",
+                                  "mode: full, ideal", "I: 2, 4", "k0: 1, 2"]))
     lines.append(f"sweep = {sweep}")
     return "\n".join(lines) + "\n"
 

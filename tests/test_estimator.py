@@ -59,7 +59,7 @@ TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
 def _estimate_one(bins, setup, weight_seed):
     """The estimate of one trial: a batch of one."""
-    return estimate_doa(bins[None], setup, [weight_seed]).results[0]
+    return estimate_doa([bins], setup, [weight_seed]).results[0]
 
 
 def _whitener(weights, comp, um, cfg):
@@ -426,8 +426,9 @@ def test_estimate_doa_single_source(table1_cfg, table1_plan):
 
 def test_estimate_doa_checks_the_bin_stack(table1_cfg):
     setup = _setup_1d(table1_cfg)
-    bins = np.zeros((2, 31, 5), dtype=complex)
-    for wrong in (bins[:, :30], bins[0]):
+    bins = [np.zeros((31, 5), dtype=complex)] * 2
+    # Too few lines, and one bin row per trial instead of a matrix.
+    for wrong in ([b[:30] for b in bins], [b[0] for b in bins]):
         with pytest.raises(ValidationError, match=r"expected \(trials, 31, snapshots\)"):
             estimate_doa(wrong, setup, [1, 2])
     with pytest.raises(ValidationError, match="2 snapshot sets need as many weight seeds"):
@@ -813,8 +814,7 @@ CHAIN_PEAK_BYTES = {"table1_2d": 2_352_560, "table2": 1_727_248, "table1": 1_276
 @pytest.mark.parametrize("name", sorted(CHAIN_PEAK_BYTES))
 def test_estimate_doa_peak_memory_holds(name):
     # The chain's stacks are dropped before the search, so a full batch
-    # peaks no higher than the recorded chain did. The bin stack is the
-    # call's input, built by the caller before tracing starts.
+    # peaks no higher than the recorded chain did.
     cfg = resolve_experiment(load_config(builtin_config_path(name)))
     context = build_context(cfg)
     setup = context.search
@@ -823,10 +823,9 @@ def test_estimate_doa_peak_memory_holds(name):
         series, _, seed = synthesize_trial(context, 0, t)
         bins.append(extract_snapshots(series, cfg.plan, cfg.max_harmonic))
         seeds.append(seed)
-    stack = np.stack(bins)
     tracemalloc.start()
     try:
-        estimate_doa(stack, setup, seeds)
+        estimate_doa(bins, setup, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -306,7 +306,9 @@ def test_cli_crb_needs_sources(tmp_path, capsys):
 def test_cli_sweep_needs_sources(tmp_path, capsys):
     # Every sweep point is scored against the true sources, so `validate`
     # and `sweep` reject a source-free sweep alike, before any trial runs.
-    text = SMALL.replace("angles_deg = -20", "angles_deg = none") + "sweep = snr_db: 0, 10\n"
+    # `single` ignores the sweep and still dumps the noise-only trial.
+    text = SMALL.replace("angles_deg = -20", "angles_deg = none")
+    text = text.replace("snr_db = 10", "noise_variance = 1.0") + "sweep = I: 2, 4\n"
     path = _write_cfg(tmp_path, text)
     prefix = str(tmp_path / "x")
     errors = []
@@ -318,6 +320,8 @@ def test_cli_sweep_needs_sources(tmp_path, capsys):
     assert errors[0] == errors[1]
     assert "a sweep needs at least one true source" in errors[0]
     assert not os.path.exists(f"{prefix}_sweep.csv")
+    assert main(["single", "-c", path, "-o", prefix]) == 0
+    assert os.path.exists(f"{prefix}_frequency.csv")
 
 
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
@@ -387,7 +391,7 @@ def test_run_single_is_trial_zero(tmp_path):
     series, _ = synthesize_received(model, resolved.noise, synth_seed)
     bins = extract_snapshots(series, resolved.plan, resolved.max_harmonic)
     (result,) = estimate_doa(
-        bins[None], search_setup(resolved.surface, resolved.estimator, harmonics), [weight_seed]
+        [bins], search_setup(resolved.surface, resolved.estimator, harmonics), [weight_seed]
     ).results
     ref = str(tmp_path / "ref")
     write_time_series(series, resolved.plan, f"{ref}_series.f64", seed=resolved.seed)
