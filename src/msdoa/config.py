@@ -14,8 +14,6 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ConfigurationError, ValidationError
 from .estimator import KINDS, EstimatorParams, search_grids
 from .snapshot import frequency_indices

@@ -22,23 +22,28 @@ outer-product sum of V itself. Its inverse square root whitens both the
 covariance and the search manifold.
 
 :func:`estimate_doa` runs a batch of trials, given their (2P+1, I)
-snapshot bin matrices, which it stacks as one (trials, 2P+1, I) array
-once the trials' recovery matrices are smoothed. Every
-stage after the per-trial weight draws takes arrays with a leading
-trial axis: :func:`smooth`, :func:`smoothing_whitener`,
-:func:`whitener_inv_sqrt`, the product of the bins with V,
-:func:`ps_covariance`, :func:`whiten` and :func:`music_search`. A
-stacked product or decomposition makes the same BLAS or LAPACK call
-per trial as a batch of one would, so no bit of a result depends on
-the batch. A single product of all the trials stacked as rows would
-not keep that: a one-row operand goes to a matrix-vector kernel and
-several rows to a matrix-matrix kernel, which round differently. The search folds each trial's whitened noise
-projector onto the lags of the smoothed grid and evaluates the null
-spectrum as a trigonometric polynomial in the row and column phases,
-one elevation at a time with each elevation's basis built once per
-batch. It holds three elevation rows of the batch's spectra and finds
-the peaks from them; a trial's full spectrum is evaluated from its
-polynomial only when it is read.
+snapshot bin matrices. It runs the chain in sub-batches sized by the
+chain's own stacks: each sub-batch's recovery matrices are smoothed
+before its bins are stacked as one (trials, 2P+1, I) array, and only
+its whitened covariances and whitening transforms outlive it. The
+whole batch then goes through one search. Every stage after the
+per-trial weight draws takes arrays with a leading trial axis:
+:func:`smooth`, :func:`smoothing_whitener`, :func:`whitener_inv_sqrt`,
+the product of the bins with V, :func:`ps_covariance`, :func:`whiten`
+and :func:`music_search`. A stacked product or decomposition makes the
+same BLAS or LAPACK call per trial as a batch of one would, so no bit
+of a result depends on the batch or the sub-batch. A single product of
+all the trials stacked as rows would not keep that: a one-row operand
+goes to a matrix-vector kernel and several rows to a matrix-matrix
+kernel, which round differently. The search folds each trial's whitened
+noise projector onto the lags of the smoothed grid and evaluates the
+null spectrum as a trigonometric polynomial in the row and column
+phases, one elevation at a time with each elevation's basis built once
+per batch; a 2-D batch holds a whole 100-trial point of the shipped
+configs, so each basis is built once per point. The search holds three
+elevation rows of the batch's spectra and finds the peaks from them; a
+trial's full spectrum is evaluated from its polynomial only when it is
+read.
 """
 
 from __future__ import annotations
@@ -62,11 +67,17 @@ from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 WHITENER_RTOL = 1e-12
 # Largest distance of a smoothing weight's modulus from 1.
 UNIT_MODULUS_ATOL = 1e-9
-# Bytes a search batch may hold, per trial the spectrum rows the peak
-# search keeps (three elevations at most) with one elevation's
-# denominators, and its largest stack in the chain, the smoothed
-# recovery matrix V (complex) with the copy its collapse makes. 2.5 MiB
-# gives 30 trials on table1_2d, 32 on table2 and 48 on table1.
+# Bytes a chain sub-batch may hold, per trial its largest stack, the
+# smoothed recovery matrix V (complex) with the copy its collapse makes,
+# and the spectrum rows its search keeps (three elevations at most) with
+# one elevation's denominators: a one-elevation batch is one sub-batch
+# and holds both in turn. 2.5 MiB gives 30 trials on table1_2d, 32 on
+# table2 and 48 on table1.
+CHAIN_BATCH_BYTES = 5 * 2**19
+# Bytes a 2-D search batch may hold, per trial the whitened covariance
+# and whitening transform it is handed (complex) and the same spectrum
+# rows. 2.5 MiB gives 139 trials on table1_2d, so a 100-trial point is
+# one batch.
 SEARCH_BATCH_BYTES = 5 * 2**19
 # Estimator kinds: azimuth only, or azimuth and elevation.
 KINDS = ("1d", "2d")
@@ -402,13 +413,17 @@ class SearchSetup:
     inverse), the phase compensation, the smoothing window width,
     the azimuth and elevation grids, the sines and cosines of the
     azimuths, the table that folds a Gram matrix onto the half-plane
-    lags of the smoothed grid, and the search batch size. The search
-    builds each elevation's lag basis once per batch, the one elevation
-    of an azimuth-only search included. ``batch_size`` is the most
-    trials whose held spectrum rows (three elevations at most, plus one
-    of denominators) and largest chain stacks fit in
-    ``SEARCH_BATCH_BYTES``, and at least 1. Arrays are read-only:
-    trials share them.
+    lags of the smoothed grid, and two batch sizes, each at least 1.
+    ``chain_batch_size`` is the most trials whose chain stacks and
+    search rows fit in ``CHAIN_BATCH_BYTES``; :func:`estimate_doa` runs
+    the chain in sub-batches of it. ``batch_size`` is the most trials one
+    search takes, and the harness batches trials by it. The search
+    builds each elevation's lag basis once per batch, so a 2-D search's
+    batch is the most trials whose handed-in stacks and search rows fit
+    in ``SEARCH_BATCH_BYTES``. A one-elevation search builds one small
+    basis per batch and gains nothing from a batch larger than one chain
+    sub-batch, so its batch is ``chain_batch_size``. Arrays are
+    read-only: trials share them.
     """
 
     surface: SurfaceConfig
@@ -421,6 +436,7 @@ class SearchSetup:
     elevation_grid_deg: np.ndarray
     directions: np.ndarray
     fold: np.ndarray
+    chain_batch_size: int
     batch_size: int
 
 
@@ -444,12 +460,13 @@ def search_setup(
     theta_rad = np.deg2rad(theta_grid)
     directions = np.stack([np.sin(theta_rad), np.cos(theta_rad)])
     fold = _lag_fold(cfg.rows, out_cols)
-    lines = 2 * harmonics.max_harmonic + 1
-    trial_bytes = (
-        8 * theta_grid.size * (min(elevations.size, 3) + 1)
-        + 32 * lines * params.num_weights * cfg.rows * out_cols
-    )
-    batch_size = max(1, SEARCH_BATCH_BYTES // trial_bytes)
+    dim = cfg.rows * out_cols
+    rows = 8 * theta_grid.size * (min(elevations.size, 3) + 1)
+    chain_bytes = 32 * (2 * harmonics.max_harmonic + 1) * params.num_weights * dim + rows
+    chain_batch_size = max(1, CHAIN_BATCH_BYTES // chain_bytes)
+    batch_size = max(1, SEARCH_BATCH_BYTES // (32 * dim * dim + rows))
+    if elevations.size == 1:
+        batch_size = chain_batch_size
     for arr in (comp, theta_grid, elevations, directions, fold):
         arr.flags.writeable = False
     return SearchSetup(
@@ -463,6 +480,7 @@ def search_setup(
         elevations,
         directions,
         fold,
+        chain_batch_size,
         batch_size,
     )
 
@@ -505,14 +523,21 @@ def _row_peaks(row: np.ndarray, below=None, above=None):
     ``row`` is (trials, azimuths). A point must exceed both azimuth
     neighbors and, when the adjacent elevation rows ``below`` and
     ``above`` are given, both elevation neighbors. The end azimuths are
-    never reported.
+    never reported. The azimuth test runs over the whole row and yields
+    flat indices in row-major order; the elevation test runs on those
+    candidates alone, which keeps their order.
     """
     core = row[:, 1:-1]
-    mask = (core > row[:, :-2]) & (core > row[:, 2:])
+    mask = core > row[:, :-2]
+    mask &= core > row[:, 2:]
+    trial, theta = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    value = core[trial, theta]
+    theta += 1
     if below is not None:
-        mask &= (core > below[:, 1:-1]) & (core > above[:, 1:-1])
-    trial, theta = np.nonzero(mask)
-    return trial, theta + 1, core[trial, theta]
+        keep = value > below[trial, theta]
+        keep &= value > above[trial, theta]
+        trial, theta, value = trial[keep], theta[keep], value[keep]
+    return trial, theta, value
 
 
 def _ranked_peaks(rows: Iterator[np.ndarray], count: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -596,13 +621,20 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     order = np.argsort(-vals, axis=1, kind="stable")
     eigenvalues = np.take_along_axis(vals, order, axis=1)
     noise = np.take_along_axis(vecs, order[:, None, num_sources:], axis=2)
+    # Each stack is dropped once the next is formed, so none of them
+    # adds to the peak of the row evaluation below.
+    del vecs
     basis_w = noise.conj().transpose(0, 2, 1) @ w_inv_sqrt
+    del noise
     gram = basis_w.conj().transpose(0, 2, 1) @ basis_w
+    del basis_w
     # One zero after each flat Gram matrix pads the fold's short lags.
     flat = np.concatenate([gram.reshape(trials, -1), np.zeros((trials, 1))], axis=1)
+    del gram
     # take() lays each trial's gathered lags out contiguously, so each
     # trial's sums run in the order they run alone.
     lag_sums = np.take(flat, setup.fold, axis=1).sum(axis=-1)
+    del flat
     coef = np.concatenate(
         [lag_sums[:, :1].real, 2.0 * lag_sums[:, 1:].real, -2.0 * lag_sums[:, 1:].imag], axis=1
     )[:, None, :]
@@ -628,19 +660,39 @@ def estimate_doa(bins, setup: SearchSetup, rng_seeds) -> MusicBatch:
     ``bins`` holds each trial's (2P+1, I) harmonic-bin matrix from
     :func:`~msdoa.snapshot.extract_snapshots`, and ``rng_seeds`` the
     seeds of their smoothing weight rows, in the same order; ``setup``
-    is the :func:`search_setup` of the surface and estimator. Each trial
-    draws its own weight bank and smooths the recovery left inverse with
-    it once; the result serves both its whitener and its snapshots. The
-    bins are stacked only after that smoothing, and the stack is dropped
-    before the search, so it adds to neither stage's peak. Every stage
-    runs once on arrays with a leading trial axis and makes, per trial,
-    the call a batch of one makes, so no bit of a result depends on the
-    batch.
+    is the :func:`search_setup` of the surface and estimator. The chain
+    runs in sub-batches of ``setup.chain_batch_size`` trials (see
+    :func:`_whitened_chain`), each of which leaves only its whitened
+    covariances and whitening transforms behind; one
+    :func:`music_search` then takes the whole batch. Every stage runs on
+    arrays with a leading trial axis and makes, per trial, the call a
+    batch of one makes, so no bit of a result depends on the batch or
+    the sub-batch.
     """
     if len(bins) != len(rng_seeds):
         raise ValidationError(
             f"{len(bins)} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
         )
+    size = setup.chain_batch_size
+    parts = [
+        _whitened_chain(bins[start : start + size], setup, rng_seeds[start : start + size])
+        for start in range(0, len(bins), size)
+    ]
+    # A lone sub-batch's stacks are the batch's; copying them would only
+    # move them up the heap (about 1 MB more peak RSS on p_sweep_ideal).
+    whitened, w_inv_sqrt = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    del parts  # so the sub-batches' stacks add nothing to the search's peak
+    return music_search(whitened, w_inv_sqrt, setup)
+
+
+def _whitened_chain(bins, setup: SearchSetup, rng_seeds):
+    """Whitened covariances and whitening transforms of one chain sub-batch.
+
+    Each trial draws its own weight bank and smooths the recovery left
+    inverse with it once; the result serves both its whitener and its
+    snapshots. The bins are stacked only after that smoothing, so the
+    stack adds nothing to the smoothing's peak.
+    """
     weights = np.stack([make_ps_weights(setup.num_weights, setup.width, s) for s in rng_seeds])
     vectors = smooth(setup.harmonics.pseudo_inverse, setup.compensation, weights, setup.surface)
     w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(vectors))
@@ -653,8 +705,7 @@ def estimate_doa(bins, setup: SearchSetup, rng_seeds) -> MusicBatch:
     # smooth(B b) = sum_i b_i V_i: bins^T times V with its (L, dim) axes merged.
     smoothed = np.swapaxes(stack, -1, -2) @ vectors.reshape(*vectors.shape[:2], -1)
     covariance = ps_covariance(smoothed.reshape(*smoothed.shape[:2], *vectors.shape[2:]))
-    del vectors, stack, smoothed  # so they add nothing to the search's peak
-    return music_search(whiten(covariance, w_inv_sqrt), w_inv_sqrt, setup)
+    return whiten(covariance, w_inv_sqrt), w_inv_sqrt
 
 
 def write_spectrum_csv(result: MusicResult, path: str) -> None:

@@ -8,8 +8,8 @@ coding period of the switched patterns, full or band-limited, which
 the record repeats); the search setup, which holds the harmonic matrix
 with its rank check and pseudo-inverse, the phase compensation, the
 smoothing window width, the search grids, the lag fold table and the
-search batch size; and the bound's rank-checked projected core, which
-treats the elevation as known when the search has one. Each stage
+chain and search batch sizes; and the bound's rank-checked projected
+core, which treats the elevation as known when the search has one. Each stage
 takes its piece of the context and the trials' own draws, nothing the
 piece was built from.
 
@@ -18,19 +18,24 @@ piece was built from.
 seed streams, draws its amplitudes and noise, synthesizes its series
 and extracts its (2P+1, I) matrix of snapshot bins, and the series is
 dropped as soon as the bins are taken. :func:`run_batch` hands the
-batch's bins to :func:`estimate_doa`, which stacks them, and runs
-every later stage once per batch, on arrays with a leading trial axis: the smoothing weights, each trial's smoothed
-recovery matrix with its whitener and inverse square root, the
-smoothed snapshots as products of the bins with that matrix, the
-covariances and their whitening, the search (which builds each
-elevation's lag basis once per batch rather than once per trial), and
-the bound's amplitude-dependent product and inverse. Each stacked call
-makes, per trial, the BLAS or LAPACK call a batch of one makes, so
-every result is bitwise the same for every batch size, and a trial
-that fails a check raises the error it raises alone. :func:`run_trial`
-then scores each trial. The batch size follows from the grid sizes and
-the chain's per-trial stacks under a fixed byte budget (see
-``msdoa.estimator.SEARCH_BATCH_BYTES``).
+batch's bins to :func:`estimate_doa`, and every later stage runs on
+arrays with a leading trial axis. The estimator chain runs in
+sub-batches of the setup's ``chain_batch_size``: the smoothing
+weights, each trial's smoothed recovery matrix with its whitener and
+inverse square root, the smoothed snapshots as products of the bins
+with that matrix, and the covariances and their whitening. One search
+then takes the whole batch, building each elevation's lag basis once
+per batch rather than once per trial, and the bound's
+amplitude-dependent product and inverse run once per batch. Each
+stacked call makes, per trial, the BLAS or LAPACK call a batch of one
+makes, so every result is bitwise the same for every batch and
+sub-batch size, and a trial that fails a check raises the error it
+raises alone. :func:`run_trial` then scores each trial. Both sizes
+follow from fixed byte budgets (see ``msdoa.estimator.SearchSetup``):
+the chain's from its per-trial stacks, the search's from its spectrum
+rows. A 2-D batch holds a whole 100-trial point of the shipped
+configs, so each elevation's basis is built once per point; a 1-D
+batch is one chain sub-batch.
 ``single`` runs trial (0, 0) as a batch of one through the same
 :func:`run_batch`, and ``crb`` bounds the amplitudes of that same draw
 without extracting its snapshots or searching, both with BLAS held to
@@ -194,9 +199,9 @@ def run_chunk(context: TrialContext, sweep_index: int, trial_indices):
     """Outcome and square-root bound of each listed trial of one config point.
 
     ``context`` is the point's :func:`build_context`. The trials run in
-    batches of the search setup's ``batch_size``: each trial of a batch
-    is drawn on its own, :func:`run_batch` estimates and bounds the
-    batch, and :func:`run_trial` scores each trial.
+    batches of the search setup's ``batch_size``, one search each: each
+    trial of a batch is drawn on its own, :func:`run_batch` estimates
+    and bounds the batch, and :func:`run_trial` scores each trial.
     """
     size = context.search.batch_size
     out = []

@@ -201,6 +201,20 @@ def ranked_peaks(values, count):
     return tuple(idx[best] for idx in peaks)
 
 
+def nonzero_row_peaks(row, below=None, above=None):
+    """Trial indices, azimuth indices and values of a row's strict local maxima.
+
+    The form ``estimator._row_peaks`` had before it took flat indices:
+    the mask formed out of place and indexed by 2-D ``np.nonzero``.
+    """
+    core = row[:, 1:-1]
+    mask = (core > row[:, :-2]) & (core > row[:, 2:])
+    if below is not None:
+        mask &= (core > below[:, 1:-1]) & (core > above[:, 1:-1])
+    trial, theta = np.nonzero(mask)
+    return trial, theta + 1, core[trial, theta]
+
+
 def separate_chain(bins, entries, cfg, params, compensation, weights):
     """The estimate through separate 1-D and 2-D formulas.
 

@@ -39,7 +39,6 @@ from msdoa import (
     signal_model,
     smooth,
     smoothing_whitener,
-    steering_vector,
     synthesize_received,
     whiten,
     write_spectrum_csv,
@@ -48,6 +47,7 @@ from msdoa.estimator import (
     _lag_basis,
     _lag_fold,
     _ranked_peaks,
+    _row_peaks,
     inclusive_grid,
     whitener_inv_sqrt,
 )
@@ -779,6 +779,40 @@ def test_streamed_peaks_match_the_full_grid_oracle(case):
         assert np.array_equal(phis, want_phis)
 
 
+@st.composite
+def _peak_rows(draw):
+    """A (trials, azimuths) row with its two neighbor rows, or alone.
+
+    Few value levels give ties and plateaus. The neighbors may be the
+    grid's edge rows: constant at the bottom level, so no point of the
+    row is below them, or at the top level, so none beats them.
+    """
+    trials, thetas = draw(st.integers(1, 5)), draw(st.integers(3, 12))
+    levels = draw(st.sampled_from([2, 3, 5, 10**6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = rng.integers(0, levels, (3, trials, thetas)).astype(float)
+    edge = draw(st.sampled_from([None, 0.0, float(levels)]))
+    if edge is not None:
+        rows[draw(st.sampled_from([0, 2]))] = edge
+    return rows[1], *((None, None) if draw(st.booleans()) else (rows[0], rows[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_peak_rows())
+# A plateau of two equal neighbors in the middle row is no strict maximum.
+@example((np.array([[0.0, 2.0, 2.0, 0.0, 1.0, 0.0]]), None, None))
+# Exact ties between trials and the end azimuths.
+@example((np.array([[3.0, 1.0, 3.0, 1.0, 3.0], [3.0, 1.0, 3.0, 1.0, 3.0]]),
+          np.zeros((2, 5)), np.zeros((2, 5))))
+def test_flat_index_peak_scan_matches_the_2d_nonzero_scan(case):
+    row, below, above = case
+    got = _row_peaks(row, below, above)
+    want = oracles.nonzero_row_peaks(row, below, above)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
 def test_search_holds_rows_and_evaluates_a_spectrum_once():
     # The full spectra of 30 table1_2d trials would take 15.7 MB; the
     # streamed search holds three elevation rows of them.
@@ -805,28 +839,67 @@ def test_search_holds_rows_and_evaluates_a_spectrum_once():
     assert got.spectrum[7].tobytes() == spectrum.tobytes()
 
 
+def test_search_footprint_fits_its_byte_model():
+    # Beyond its handed-in stacks, each trial a table1_2d search takes
+    # may add no more than the spectrum rows that size its batch (three
+    # elevations with one elevation's denominators): the eigenvector,
+    # noise-basis and Gram stacks are dropped before rows are evaluated.
+    setup = build_context(load_config(builtin_config_path("table1_2d"))).search
+    dim = setup.surface.rows * (setup.surface.cols - setup.width + 1)
+    peaks = []
+    for trials in (10, 100):
+        rng = np.random.default_rng(11)
+        whitened = _random_hermitian(rng, trials, dim, 2)
+        w_inv_sqrt = _random_hermitian(rng, trials, dim, 1) + np.eye(dim)
+        tracemalloc.start()
+        try:
+            music_search(whitened, w_inv_sqrt, setup)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 90 <= 8 * 4 * setup.theta_grid_deg.size
+
+
 # tracemalloc peaks of one estimate_doa call on a full shipped batch,
-# recorded before the smoothed recovery matrix served the snapshots
-# (numpy 2.4 on x86-64 Linux).
-CHAIN_PEAK_BYTES = {"table1_2d": 2_352_560, "table2": 1_727_248, "table1": 1_276_089}
+# recorded before the smoothed recovery matrix served the snapshots,
+# when one budget sized the chain and the search together: 30, 32 and
+# 48 trials (numpy 2.4 on x86-64 Linux).
+CHAIN_PEAK_BYTES = {"table1_2d": (30, 2_352_560), "table2": (32, 1_727_248),
+                    "table1": (48, 1_276_089)}
+# The same for a whole 100-trial table1_2d point, one search batch,
+# recorded when the chain first ran in sub-batches of its own.
+POINT_PEAK_BYTES = 2_786_107
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_PEAK_BYTES))
-def test_estimate_doa_peak_memory_holds(name):
-    # The chain's stacks are dropped before the search, so a full batch
-    # peaks no higher than the recorded chain did.
+def _estimate_doa_peak(name, trials):
+    """tracemalloc peak of one estimate_doa call on the first ``trials`` trials."""
     cfg = resolve_experiment(load_config(builtin_config_path(name)))
     context = build_context(cfg)
-    setup = context.search
     bins, seeds = [], []
-    for t in range(setup.batch_size):
+    for t in range(trials):
         series, _, seed = synthesize_trial(context, 0, t)
         bins.append(extract_snapshots(series, cfg.plan, cfg.max_harmonic))
         seeds.append(seed)
     tracemalloc.start()
     try:
-        estimate_doa(bins, setup, seeds)
-        peak = tracemalloc.get_traced_memory()[1]
+        estimate_doa(bins, context.search, seeds)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.02 * CHAIN_PEAK_BYTES[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PEAK_BYTES))
+def test_estimate_doa_peak_memory_holds(name):
+    # The chain's stacks are dropped before the search, so a batch of the
+    # size the bound was recorded at peaks no higher than it did.
+    trials, peak = CHAIN_PEAK_BYTES[name]
+    assert _estimate_doa_peak(name, trials) <= 1.02 * peak
+
+
+def test_a_whole_2d_point_peak_memory_holds():
+    # The chain runs in 30-trial sub-batches and hands on only the
+    # whitened stacks, and the search holds rows, so all 100 trials of a
+    # point in one search hold little more than one 30-trial batch.
+    setup = build_context(load_config(builtin_config_path("table1_2d"))).search
+    assert setup.batch_size >= 100
+    assert _estimate_doa_peak("table1_2d", 100) <= 1.02 * POINT_PEAK_BYTES

@@ -468,47 +468,76 @@ def _batched_runs(draw):
         phi_grid_deg=(0.0, 90.0, float(draw(st.sampled_from([2, 3, 5, 9, 10])))),
     )
     trials = draw(st.integers(1, 6))
-    return replace(cfg, estimator=est, trials=trials), draw(st.integers(1, trials + 1))
+    # The search batch and the chain sub-batch are drawn independently.
+    batch, chain = draw(st.integers(1, trials + 1)), draw(st.integers(1, trials + 1))
+    return replace(cfg, estimator=est, trials=trials), batch, chain
 
 
-def _search_bytes(setup):
-    """Bytes one trial adds to a search batch: the spectrum rows its
-    peak search holds (three elevations at most) with one elevation's
-    denominators, and its smoothed recovery matrix (complex) with the
-    copy its collapse makes."""
+def _batch_bytes(setup):
+    """Bytes one trial adds to a chain sub-batch and to a 2-D search batch.
+
+    Both count the spectrum rows its peak search keeps (three elevations
+    at most) with one elevation's denominators. The chain adds its
+    smoothed recovery matrix (complex) with the copy its collapse makes,
+    the search the whitened covariance and whitening transform it is
+    handed (complex).
+    """
     surface, elevations = setup.surface, setup.elevation_grid_deg.size
     dim = surface.rows * (surface.cols - setup.width + 1)
     lines = 2 * setup.harmonics.max_harmonic + 1
-    return (8 * setup.theta_grid_deg.size * (min(elevations, 3) + 1)
-            + 32 * lines * setup.num_weights * dim)
+    rows = 8 * setup.theta_grid_deg.size * (min(elevations, 3) + 1)
+    return 32 * lines * setup.num_weights * dim + rows, 32 * dim * dim + rows
 
 
-@pytest.mark.parametrize("name, smallest", [("table1_2d", 25), ("table2", 32), ("table1", 48)])
-def test_shipped_configs_search_large_batches(name, smallest):
-    # The budget counts the rows the streamed search holds, not whole
-    # spectra: one table1_2d spectrum alone would leave room for 4.
+@pytest.mark.parametrize("name, chain, batch", [
+    ("table1_2d", 30, 139), ("table2", 32, 32), ("table1", 48, 48),
+])
+def test_shipped_configs_batch_sizes(name, chain, batch):
+    # A 2-D batch holds a whole 100-trial point, so each elevation's lag
+    # basis is built once per point. A 1-D batch is one chain sub-batch.
+    # The chain sub-batches are the batches of the single budget that
+    # once sized the chain and the search together.
     context = build_context(load_config(builtin_config_path(name)))
-    assert context.search.batch_size >= smallest
+    assert context.search.chain_batch_size == chain
+    assert context.search.batch_size == batch
+
+
+def test_a_2d_point_is_one_search(monkeypatch):
+    # One music_search call takes all 100 trials of a table1_2d point,
+    # and each of its 181 elevations' lag bases is built once.
+    cfg = load_config(builtin_config_path("table1_2d"))
+    searches = _count_calls(monkeypatch, msdoa.estimator, "music_search")
+    bases = _count_calls(monkeypatch, msdoa.estimator, "_lag_basis")
+    assert len(run_trials(cfg)) == cfg.trials == 100
+    assert [args[0].shape[0] for args in searches] == [100]
+    assert len(bases) == 181
 
 
 @settings(max_examples=60, deadline=None)
-@given(_batched_runs(), st.floats(0.0, 0.999))
-def test_batching_never_moves_a_bit(case, slack):
-    cfg, batch = case
+@given(_batched_runs(), st.floats(0.0, 0.999), st.floats(0.0, 0.999))
+def test_batching_never_moves_a_bit(case, slack, chain_slack):
+    cfg, batch, chain = case
     with pytest.MonkeyPatch.context() as mp:
-        # A budget below one trial's spectrum still searches one trial.
+        # A budget below one trial's stacks still runs one trial.
+        mp.setattr(msdoa.estimator, "CHAIN_BATCH_BYTES", 1)
         mp.setattr(msdoa.estimator, "SEARCH_BATCH_BYTES", 1)
         single = _result_or_error(build_context, cfg)
         assume(not isinstance(single, tuple))
-        assert single.search.batch_size == 1
+        assert single.search.chain_batch_size == single.search.batch_size == 1
         unbatched = _result_or_error(run_trials, cfg)
 
-        trial_bytes = _search_bytes(single.search)
-        budget = int((batch + slack) * trial_bytes)
+        chain_bytes, search_bytes = _batch_bytes(single.search)
+        chain_budget = int((chain + chain_slack) * chain_bytes)
+        budget = int((batch + slack) * search_bytes)
+        mp.setattr(msdoa.estimator, "CHAIN_BATCH_BYTES", chain_budget)
         mp.setattr(msdoa.estimator, "SEARCH_BATCH_BYTES", budget)
         context = build_context(cfg)
-        assert context.search.batch_size == batch
-        assert batch * trial_bytes <= budget
+        assert context.search.chain_batch_size == chain
+        assert chain * chain_bytes <= chain_budget
+        # A one-elevation search batches one chain sub-batch.
+        one_elevation = context.search.elevation_grid_deg.size == 1
+        assert context.search.batch_size == (chain if one_elevation else batch)
+        assert batch * search_bytes <= budget
         assert _result_or_error(run_trials, cfg) == unbatched
 
     drawn = [msdoa.harness._draw(context, 0, t)[1:] for t in range(cfg.trials)]

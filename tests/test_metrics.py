@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from msdoa import (
-    AggregateResult,
     Doa,
     MusicResult,
-    TrialOutcome,
     ValidationError,
     aggregate,
     resolve_and_score,

@@ -13,7 +13,6 @@ from msdoa import (
     NoiseSpec,
     SamplingPlan,
     SourceScene,
-    SurfaceConfig,
     ValidationError,
     builtin_config_path,
     draw_source_amplitudes,
