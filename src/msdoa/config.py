@@ -229,6 +229,10 @@ def _build(raw: dict) -> ExperimentConfig:
 
     kind = _get_choice(raw, "estimator", KINDS, EstimatorParams.kind)
     elevation_deg = _get_float(raw, "elevation_deg", EstimatorParams.elevation_deg)
+    if kind == "2d":
+        # The 2-D search reads no fixed elevation: the value is checked
+        # and dropped, so it moves neither the config nor its digest.
+        elevation_deg = EstimatorParams.elevation_deg
     if "angles_deg" not in raw:
         raise ValidationError("missing required config key 'angles_deg'")
     angles = _parse_angles(raw["angles_deg"])
@@ -420,8 +424,9 @@ def emit_config(cfg: ExperimentConfig) -> str:
         f"max_harmonic = {cfg.max_harmonic}",
         f"num_weights = {est.num_weights}",
         f"estimator = {est.kind}",
-        f"elevation_deg = {_fmt(est.elevation_deg)}",
     ]
+    if est.kind == "1d":
+        lines.append(f"elevation_deg = {_fmt(est.elevation_deg)}")
     if est.subarray_width is not None:
         lines.append(f"subarray_width = {est.subarray_width}")
     lines += [

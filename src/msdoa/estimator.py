@@ -32,18 +32,22 @@ per-trial weight draws takes arrays with a leading trial axis:
 the product of the bins with V, :func:`ps_covariance`, :func:`whiten`
 and :func:`music_search`. A stacked product or decomposition makes the
 same BLAS or LAPACK call per trial as a batch of one would, so no bit
-of a result depends on the batch or the sub-batch. A single product of
-all the trials stacked as rows would not keep that: a one-row operand
-goes to a matrix-vector kernel and several rows to a matrix-matrix
-kernel, which round differently. The search folds each trial's whitened
-noise projector onto the lags of the smoothed grid and evaluates the
-null spectrum as a trigonometric polynomial in the row and column
-phases, one elevation at a time with each elevation's basis built once
-per batch; a 2-D batch holds a whole 100-trial point of the shipped
-configs, so each basis is built once per point. The search holds three
-elevation rows of the batch's spectra and finds the peaks from them; a
-trial's full spectrum is evaluated from its polynomial only when it is
-read.
+of a result depends on the batch or the sub-batch. The search folds
+each trial's whitened noise projector onto the lags of the smoothed
+grid and evaluates the spectrum denominator as a trigonometric
+polynomial in the row and column phases, one elevation at a time with
+each elevation's basis built once per batch; a 2-D batch holds a whole
+100-trial point of the shipped configs, so each basis is built once per
+point. The trials' polynomial rows are zero-padded into blocks of
+``GEMM_ROWS`` rows, and each elevation's denominators are one
+matrix-matrix product per block. Every block has the same shape, so
+every product takes the same BLAS path and a trial's denominators have
+the same bits at any position of any batch, a batch of one included.
+The search holds three elevation rows of denominators and finds the
+peaks from them: the azimuth minima of the denominators are the only
+candidates, and the spectrum is formed at those and their neighbors
+alone. A trial's full spectrum is evaluated from its polynomial only
+when it is read.
 """
 
 from __future__ import annotations
@@ -69,18 +73,24 @@ WHITENER_RTOL = 1e-12
 UNIT_MODULUS_ATOL = 1e-9
 # Bytes a chain sub-batch may hold, per trial its largest stack, the
 # smoothed recovery matrix V (complex) with the copy its collapse makes,
-# and the spectrum rows its search keeps (three elevations at most) with
-# one elevation's denominators: a one-elevation batch is one sub-batch
+# and the denominator rows its search keeps (three elevations at most)
+# with the next elevation's: a one-elevation batch is one sub-batch
 # and holds both in turn. 2.5 MiB gives 30 trials on table1_2d, 32 on
 # table2 and 48 on table1.
 CHAIN_BATCH_BYTES = 5 * 2**19
 # Bytes a 2-D search batch may hold, per trial the whitened covariance
-# and whitening transform it is handed (complex) and the same spectrum
-# rows. 2.5 MiB gives 139 trials on table1_2d, so a 100-trial point is
-# one batch.
+# and whitening transform it is handed (complex) and the same
+# denominator rows. 2.5 MiB gives 139 trials on table1_2d, so a
+# 100-trial point is one batch.
 SEARCH_BATCH_BYTES = 5 * 2**19
+# Rows of each product that evaluates spectrum denominators. Every
+# product has the same shape, so no bit of a trial's row depends on
+# where in a batch it sits.
+GEMM_ROWS = 8
 # Estimator kinds: azimuth only, or azimuth and elevation.
 KINDS = ("1d", "2d")
+# Floor of a spectrum denominator: the smallest normal float.
+_TINY = np.finfo(float).tiny
 
 
 def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
@@ -486,20 +496,34 @@ def search_setup(
 
 
 def _spectrum_rows(coef: np.ndarray, setup: SearchSetup) -> Iterator[np.ndarray]:
-    """Each elevation's (trials, azimuths) spectrum row, in grid order.
+    """Each elevation's (trials, azimuths) spectrum denominators, in grid order.
 
-    ``coef`` stacks one lag-polynomial row per trial, (trials, 1, 2H+1)
-    (see :func:`music_search`). The stacked product makes one
-    matrix-vector product per trial, so a trial's row has the same bits
-    in any batch. Each elevation's basis is built once per call.
+    ``coef`` stacks one lag-polynomial row per trial, (trials, 2H+1)
+    (see :func:`music_search`). The rows are zero-padded to whole blocks
+    of ``GEMM_ROWS`` once per call, and each elevation's denominators
+    are the (blocks, GEMM_ROWS, 2H+1) stack times its lag basis: one
+    matrix-matrix product of the same shape per block, so a trial's row
+    has the same bits at any position of any batch, a batch of one
+    included. Each elevation's basis is built once per call. The
+    yielded rows are C-contiguous.
     """
     cfg = setup.surface
     out_cols = cfg.cols - setup.width + 1
-    tiny = np.finfo(float).tiny
+    trials, terms = coef.shape
+    blocks = np.zeros((-(-trials // GEMM_ROWS), GEMM_ROWS, terms))
+    blocks.reshape(-1, terms)[:trials] = coef
     for phi in np.deg2rad(setup.elevation_grid_deg):
         basis = _lag_basis(cfg.rows, out_cols, setup.directions, _phase_scale(cfg, phi))
-        denominator = (coef @ basis)[:, 0]
-        yield np.divide(1.0, np.maximum(denominator, tiny, out=denominator), out=denominator)
+        yield (blocks @ basis).reshape(-1, basis.shape[1])[:trials]
+
+
+def _reciprocal(denominator: np.ndarray, out=None) -> np.ndarray:
+    """The spectrum 1/max(d, tiny) of denominators d.
+
+    A denominator rounded to zero or below at an exact null takes 1 over
+    the smallest normal float; a NaN stays NaN.
+    """
+    return np.divide(1.0, np.maximum(denominator, _TINY), out=out)
 
 
 def _spectrum(coef: np.ndarray, setup: SearchSetup) -> np.ndarray:
@@ -507,52 +531,65 @@ def _spectrum(coef: np.ndarray, setup: SearchSetup) -> np.ndarray:
     shape = (coef.shape[0], setup.theta_grid_deg.size, setup.elevation_grid_deg.size)
     spectrum = np.empty(shape)
     for j, row in enumerate(_spectrum_rows(coef, setup)):
-        spectrum[:, :, j] = row
+        _reciprocal(row, out=spectrum[:, :, j])
     return spectrum
 
 
 def _trial_spectrum(coef: np.ndarray, setup: SearchSetup) -> np.ndarray:
-    """One trial's spectrum from its (1, 1, 2H+1) row, over azimuth alone at one elevation."""
+    """One trial's spectrum from its (1, 2H+1) row, over azimuth alone at one elevation."""
     spectrum = _spectrum(coef, setup)[0]
     return spectrum[:, 0] if spectrum.shape[1] == 1 else spectrum
 
 
 def _row_peaks(row: np.ndarray, below=None, above=None):
-    """Trial indices, azimuth indices and values of a row's strict local maxima.
+    """Trial indices, azimuth indices and spectrum values of a row's strict local maxima.
 
-    ``row`` is (trials, azimuths). A point must exceed both azimuth
-    neighbors and, when the adjacent elevation rows ``below`` and
-    ``above`` are given, both elevation neighbors. The end azimuths are
-    never reported. The azimuth test runs over the whole row and yields
-    flat indices in row-major order; the elevation test runs on those
-    candidates alone, which keeps their order.
+    ``row`` is a (trials, azimuths) row of spectrum denominators d, and
+    ``below`` and ``above``, when given, the adjacent elevation rows. A
+    point's spectrum value s = 1/max(d, tiny) (:func:`_reciprocal`) must
+    exceed that of both azimuth neighbors and, when the elevation rows
+    are given, both elevation neighbors. The end azimuths are never
+    reported.
+
+    For x >= y > 0, fl(1/x) <= fl(1/y), so a strict maximum of s is a
+    strict minimum of d along azimuth, and a NaN is neither. The azimuth
+    minima of d, taken over the flat row with the end azimuths of every
+    trial cleared, are the candidates, in row-major order. s is formed
+    at the candidates and their four neighbors alone, and the strict
+    tests run on s, since adjacent denominators can share a reciprocal.
     """
-    core = row[:, 1:-1]
-    mask = core > row[:, :-2]
-    mask &= core > row[:, 2:]
-    trial, theta = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    value = core[trial, theta]
-    theta += 1
+    width = row.shape[1]
+    flat = row.reshape(-1)
+    core = flat[1:-1]
+    mask = core < flat[:-2]
+    mask &= core < flat[2:]
+    # core[k] is flat point k+1: an end azimuth when k+1 is width-1 or 0 mod width.
+    mask[width - 2 :: width] = False
+    mask[width - 1 :: width] = False
+    index = np.flatnonzero(mask) + 1
+    trial, theta = np.divmod(index, width)
+    value = _reciprocal(flat[index])
+    keep = value > _reciprocal(flat[index - 1])
+    keep &= value > _reciprocal(flat[index + 1])
     if below is not None:
-        keep = value > below[trial, theta]
-        keep &= value > above[trial, theta]
-        trial, theta, value = trial[keep], theta[keep], value[keep]
-    return trial, theta, value
+        keep &= value > _reciprocal(below[trial, theta])
+        keep &= value > _reciprocal(above[trial, theta])
+    return trial[keep], theta[keep], value[keep]
 
 
 def _ranked_peaks(rows: Iterator[np.ndarray], count: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``count`` largest strict local maxima of each trial, from a stream of rows.
+    """The ``count`` largest strict spectrum maxima of each trial, from a stream of rows.
 
-    ``rows`` yields one (trials, azimuths) spectrum row per elevation,
-    in grid order. At most three rows are held: row j is tested once
-    row j+1 has arrived. A single row is searched along azimuth alone;
-    otherwise the first and last rows, like the end azimuths, hold no
-    peaks. Peaks rank by value, largest first, exact ties to the lower
-    azimuth index and then the lower elevation index: the order of a
-    stable descending sort over the peaks of the (azimuths, elevations)
-    grid in row-major order. Returns, per trial, the azimuth and the
-    elevation indices of its peaks, best first (fewer than ``count`` if
-    it has fewer).
+    ``rows`` yields one (trials, azimuths) row of spectrum denominators
+    per elevation, in grid order (see :func:`_row_peaks`). At most three
+    rows are held: row j is tested once row j+1 has arrived. A single row
+    is searched along azimuth alone; otherwise the first and last rows,
+    like the end azimuths, hold no peaks. Peaks rank by spectrum value,
+    largest first, exact ties to the lower azimuth index and then the
+    lower elevation index: the order of a stable descending sort over
+    the peaks of the (azimuths, elevations) grid in row-major order.
+    Returns, per trial, the azimuth and the elevation indices of its
+    peaks, best first (fewer than ``count`` if it has fewer).
     """
     below, row = next(rows), next(rows, None)
     trials = below.shape[0]
@@ -592,15 +629,19 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     c_h of Q. Each trial's spectrum denominator is therefore its row
     [tr Q, 2 Re c_h, -2 Im c_h] times the lag basis [1; cos psi_h;
     sin psi_h] (see :func:`_lag_basis`), a trigonometric polynomial in
-    the row and column phases. Each elevation's basis is built once per
+    the row and column phases. The rows are evaluated in fixed blocks of
+    ``GEMM_ROWS`` trials, one product per block and elevation (see
+    :func:`_spectrum_rows`), and each elevation's basis is built once per
     batch. The polynomial can round to zero or below at an exact null,
     where the spectrum takes 1 over the smallest normal float.
 
-    The peaks are found from the batch's spectrum rows as they are
+    The peaks are found from the batch's denominator rows as they are
     evaluated, one elevation at a time, holding three rows (see
-    :func:`_ranked_peaks`). No full spectrum is kept: the returned
-    spectra are evaluated again from the trials' polynomial rows, with
-    the same bits, when first read.
+    :func:`_ranked_peaks`). The spectrum is formed only at the azimuth
+    minima of the denominators and their neighbors (see
+    :func:`_row_peaks`). No full spectrum is kept: the returned spectra
+    are evaluated again from the trials' polynomial rows, with the same
+    bits, when first read.
     """
     cfg, num_sources = setup.surface, setup.num_sources
     trials, dim = whitened.shape[0], whitened.shape[-1]
@@ -637,7 +678,7 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     del flat
     coef = np.concatenate(
         [lag_sums[:, :1].real, 2.0 * lag_sums[:, 1:].real, -2.0 * lag_sums[:, 1:].imag], axis=1
-    )[:, None, :]
+    )
 
     theta_grid, elevations = setup.theta_grid_deg, setup.elevation_grid_deg
     phi_grid = None if elevations.size == 1 else elevations

@@ -202,10 +202,11 @@ def ranked_peaks(values, count):
 
 
 def nonzero_row_peaks(row, below=None, above=None):
-    """Trial indices, azimuth indices and values of a row's strict local maxima.
+    """Trial indices, azimuth indices and values of a spectrum row's strict local maxima.
 
-    The form ``estimator._row_peaks`` had before it took flat indices:
-    the mask formed out of place and indexed by 2-D ``np.nonzero``.
+    The form ``estimator._row_peaks`` had before it took flat indices
+    and denominators: the mask formed out of place on spectrum values
+    and indexed by 2-D ``np.nonzero``.
     """
     core = row[:, 1:-1]
     mask = (core > row[:, :-2]) & (core > row[:, 2:])

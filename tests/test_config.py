@@ -259,6 +259,20 @@ def test_elevation_applies_to_all_sources():
     assert cfg.estimator.elevation_deg == 70.0
 
 
+def test_elevation_deg_leaves_a_2d_config_and_its_digest_alone():
+    # The 2-D search reads its elevation grid, not elevation_deg.
+    cfg = load_config(builtin_config_path("table1_2d"))
+    moved = load_config(builtin_config_path("table1_2d"), overrides=["elevation_deg=30"])
+    assert moved == cfg
+    assert config_digest(moved) == config_digest(cfg)
+    assert "elevation_deg" not in emit_config(cfg)
+    with pytest.raises(ValidationError):
+        load_config(builtin_config_path("table1_2d"), overrides=["elevation_deg=high"])
+    # The 1-D form keeps the line.
+    table1 = load_config(builtin_config_path("table1"))
+    assert "elevation_deg = 90.0\n" in emit_config(table1)
+
+
 def test_builtin_path_unknown():
     with pytest.raises(ValidationError, match="bundled"):
         builtin_config_path("nope")

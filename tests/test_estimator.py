@@ -1,5 +1,6 @@
 """Channel recovery, pattern smoothing, whitening, and the MUSIC search."""
 
+import functools
 import tracemalloc
 from dataclasses import replace
 
@@ -48,6 +49,7 @@ from msdoa.estimator import (
     _lag_fold,
     _ranked_peaks,
     _row_peaks,
+    _spectrum_rows,
     inclusive_grid,
     whitener_inv_sqrt,
 )
@@ -738,42 +740,74 @@ def test_noiseless_source_on_a_grid_point_is_found(table1_cfg, params, source):
     assert got.results[0].estimates == estimates[0] == (Doa.from_degrees(*source),)
 
 
-@st.composite
-def _spectrum_grids(draw):
-    """Random (trials, azimuths, elevations) spectra and a peak count.
+# Adjacent doubles with one reciprocal: TWIN_NEXT is the double after
+# TWIN, so a strict minimum of the denominators can tie in the spectrum.
+TWIN = 1.8132702392002724
+TWIN_NEXT = float(np.nextafter(TWIN, 2.0))
+# Denominators that map to few spectrum values: -1 and 0 both clamp to
+# 1/tiny, the twins share a reciprocal, and NaN is no extremum.
+SPECIAL_DENOMINATORS = np.array([-1.0, 0.0, TWIN, TWIN_NEXT, np.nan])
 
-    Few value levels give exact ties between peaks and plateaus; many
-    give distinct values.
+
+def _spectra(denominators):
+    """The spectrum the search forms from its denominators: 1/max(d, tiny)."""
+    return 1.0 / np.maximum(denominators, np.finfo(float).tiny)
+
+
+def _denominators(draw, rng, shape, levels):
+    """Denominators at ``levels`` positive levels, some swapped for special values.
+
+    Few levels give exact ties between peaks and plateaus; many give
+    distinct values.
     """
+    values = rng.integers(1, levels + 1, shape).astype(float)
+    swap = rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.4]))
+    values[swap] = rng.choice(SPECIAL_DENOMINATORS, np.count_nonzero(swap))
+    return values
+
+
+@st.composite
+def _denominator_grids(draw):
+    """Random (trials, azimuths, elevations) spectrum denominators and a peak count."""
     shape = (draw(st.integers(1, 4)), draw(st.integers(3, 9)),
              draw(st.sampled_from([1, 2, 3, 4, 7])))
     levels = draw(st.sampled_from([2, 3, 4, 10**6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    return rng.integers(0, levels, shape).astype(float), draw(st.integers(0, 8))
+    return _denominators(draw, rng, shape, levels), draw(st.integers(0, 8))
 
 
 def _grid(trials, thetas, phis, points):
-    values = np.zeros((trials, thetas, phis))
+    """Denominators of a zero spectrum (d = inf) with the given points set."""
+    values = np.full((trials, thetas, phis), np.inf)
     for t, i, j, v in points:
         values[t, i, j] = v
     return values
 
 
 @settings(max_examples=300, deadline=None)
-@given(_spectrum_grids())
+@given(_denominator_grids())
 # Two equal peaks, the one streamed first at the higher azimuth.
 @example((_grid(1, 5, 5, [(0, 3, 1, 1.0), (0, 1, 3, 1.0)]), 2))
 # A plateau of two equal neighbors is no strict maximum; one peak left.
-@example((_grid(2, 6, 3, [(0, 2, 1, 2.0), (0, 3, 1, 2.0), (1, 4, 1, 1.0)]), 3))
+@example((_grid(2, 6, 3, [(0, 2, 1, 0.5), (0, 3, 1, 0.5), (1, 4, 1, 1.0)]), 3))
 # One elevation: the lone row is both first and last, and is searched
 # along azimuth alone, so its interior maximum is a peak.
 @example((_grid(1, 5, 1, [(0, 2, 0, 1.0), (0, 3, 0, 1.0)]), 1))
+# A strict minimum of the denominators whose elevation neighbor has the
+# same reciprocal is no peak.
+@example((_grid(1, 3, 3, [(0, 1, 1, TWIN), (0, 1, 2, TWIN_NEXT)]), 1))
+# Denominators at or below zero clamp to one spectrum value: -1 is a
+# strict minimum of d beside 0 but no peak; the lone -1 is.
+@example((_grid(1, 7, 3, [(0, 2, 1, -1.0), (0, 3, 1, 0.0), (0, 5, 1, -1.0)]), 2))
+# A NaN is no peak, and its neighbors fail their test against it.
+@example((_grid(1, 6, 3, [(0, 1, 1, np.nan), (0, 2, 1, 1.0), (0, 4, 1, 2.0)]), 2))
 def test_streamed_peaks_match_the_full_grid_oracle(case):
     values, count = case
-    # One (trials, azimuths) row per elevation, as the search streams them.
+    # One (trials, azimuths) row of denominators per elevation, as the
+    # search streams them; the oracle ranks the spectrum they give.
     got = _ranked_peaks(iter(np.moveaxis(values, -1, 0)), count)
     assert len(got) == values.shape[0]
-    for spectrum, (thetas, phis) in zip(values, got):
+    for spectrum, (thetas, phis) in zip(_spectra(values), got):
         want_thetas, want_phis = oracles.ranked_peaks(spectrum, count)
         assert np.array_equal(thetas, want_thetas)
         assert np.array_equal(phis, want_phis)
@@ -781,16 +815,16 @@ def test_streamed_peaks_match_the_full_grid_oracle(case):
 
 @st.composite
 def _peak_rows(draw):
-    """A (trials, azimuths) row with its two neighbor rows, or alone.
+    """A (trials, azimuths) row of denominators with its two neighbor rows, or alone.
 
     Few value levels give ties and plateaus. The neighbors may be the
-    grid's edge rows: constant at the bottom level, so no point of the
-    row is below them, or at the top level, so none beats them.
+    grid's edge rows: constant at zero, whose clamped spectrum no point
+    of the row beats, or at the top level, whose spectrum none is below.
     """
     trials, thetas = draw(st.integers(1, 5)), draw(st.integers(3, 12))
     levels = draw(st.sampled_from([2, 3, 5, 10**6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    rows = rng.integers(0, levels, (3, trials, thetas)).astype(float)
+    rows = _denominators(draw, rng, (3, trials, thetas), levels)
     edge = draw(st.sampled_from([None, 0.0, float(levels)]))
     if edge is not None:
         rows[draw(st.sampled_from([0, 2]))] = edge
@@ -800,17 +834,50 @@ def _peak_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(_peak_rows())
 # A plateau of two equal neighbors in the middle row is no strict maximum.
-@example((np.array([[0.0, 2.0, 2.0, 0.0, 1.0, 0.0]]), None, None))
+@example((np.array([[2.0, 0.5, 0.5, 2.0, 1.0, 2.0]]), None, None))
 # Exact ties between trials and the end azimuths.
-@example((np.array([[3.0, 1.0, 3.0, 1.0, 3.0], [3.0, 1.0, 3.0, 1.0, 3.0]]),
-          np.zeros((2, 5)), np.zeros((2, 5))))
+@example((np.array([[1.0, 3.0, 1.0, 3.0, 1.0], [1.0, 3.0, 1.0, 3.0, 1.0]]),
+          np.full((2, 5), 4.0), np.full((2, 5), 4.0)))
+# Adjacent denominators with one reciprocal, along azimuth and along
+# elevation: each middle point is a strict minimum of d and no peak.
+@example((np.array([[2.0, TWIN_NEXT, TWIN, 2.0, 3.0]]), None, None))
+@example((np.array([[3.0, TWIN, 3.0]]), np.array([[3.0, TWIN_NEXT, 3.0]]), np.full((1, 3), 3.0)))
+# Values at or below zero clamp to one spectrum value.
+@example((np.array([[1.0, -1.0, 0.0, 1.0, -1.0, 1.0]]), None, None))
+# NaN, at a candidate and beside one.
+@example((np.array([[1.0, np.nan, 1.0, 0.5, 1.0], [np.nan, 0.5, 1.0, 0.5, 1.0]]),
+          None, None))
 def test_flat_index_peak_scan_matches_the_2d_nonzero_scan(case):
     row, below, above = case
     got = _row_peaks(row, below, above)
-    want = oracles.nonzero_row_peaks(row, below, above)
+    want = oracles.nonzero_row_peaks(
+        _spectra(row), *((None, None) if below is None else (_spectra(below), _spectra(above))))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+
+
+@functools.cache
+def _coarse_setup(name):
+    """A shipped config's search setup, on every 30th elevation of its grid."""
+    setup = build_context(load_config(builtin_config_path(name))).search
+    return replace(setup, elevation_grid_deg=setup.elevation_grid_deg[::30])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["table1_2d", "table2"]), st.integers(1, 20), st.integers(0, 2**16))
+def test_blocked_denominators_do_not_depend_on_the_batch(name, trials, seed):
+    # Every product has the same (GEMM_ROWS, 2H+1, azimuths) shape, so a
+    # trial's rows have the same bits alone and at any position of a batch.
+    setup = _coarse_setup(name)
+    terms = 2 * setup.fold.shape[0] - 1
+    coef = np.random.default_rng(seed).standard_normal((trials, terms))
+    batch = list(_spectrum_rows(coef, setup))
+    assert len(batch) == setup.elevation_grid_deg.size
+    for t in range(trials):
+        alone = list(_spectrum_rows(coef[t : t + 1], setup))
+        for got, want in zip(batch, alone, strict=True):
+            assert got[t].tobytes() == want[0].tobytes()
 
 
 def test_search_holds_rows_and_evaluates_a_spectrum_once():
@@ -841,8 +908,8 @@ def test_search_holds_rows_and_evaluates_a_spectrum_once():
 
 def test_search_footprint_fits_its_byte_model():
     # Beyond its handed-in stacks, each trial a table1_2d search takes
-    # may add no more than the spectrum rows that size its batch (three
-    # elevations with one elevation's denominators): the eigenvector,
+    # may add no more than the denominator rows that size its batch (three
+    # elevations with the next elevation's): the eigenvector,
     # noise-basis and Gram stacks are dropped before rows are evaluated.
     setup = build_context(load_config(builtin_config_path("table1_2d"))).search
     dim = setup.surface.rows * (setup.surface.cols - setup.width + 1)

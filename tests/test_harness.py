@@ -476,8 +476,8 @@ def _batched_runs(draw):
 def _batch_bytes(setup):
     """Bytes one trial adds to a chain sub-batch and to a 2-D search batch.
 
-    Both count the spectrum rows its peak search keeps (three elevations
-    at most) with one elevation's denominators. The chain adds its
+    Both count the denominator rows its peak search keeps (three
+    elevations at most) with the next elevation's. The chain adds its
     smoothed recovery matrix (complex) with the copy its collapse makes,
     the search the whitened covariance and whitening transform it is
     handed (complex).
