@@ -11,16 +11,13 @@ Monte Carlo harness.
 __version__ = "0.1.0"
 
 from .config import (
-    SWEEP_VARIABLES,
     ExperimentConfig,
-    SweepSpec,
     apply_sweep_value,
     builtin_config_path,
     config_digest,
     emit_config,
     load_config,
     parse_config,
-    validate_experiment,
 )
 from .crb import CrbResult, crb, crb_core, steering_derivatives
 from .errors import (
@@ -34,9 +31,7 @@ from .errors import (
 )
 from .estimator import (
     EstimatorParams,
-    MusicBatch,
-    MusicResult,
-    compensation_matrix,
+    compensation,
     estimate_doa,
     make_ps_weights,
     music_search,
@@ -49,9 +44,6 @@ from .estimator import (
     write_spectrum_csv,
 )
 from .harness import (
-    PointRow,
-    SweepResult,
-    TrialContext,
     build_context,
     resolve_experiment,
     run_batch,
@@ -59,12 +51,10 @@ from .harness import (
     run_single,
     run_sweep,
     run_trials,
-    trial_seed_sequence,
+    trial_seeds,
     write_sweep_csv,
 )
 from .metrics import (
-    AggregateResult,
-    TrialOutcome,
     aggregate,
     resolve_and_score,
 )

@@ -93,10 +93,11 @@ def _cmd_single(cfg, args) -> int:
     out = run_single(cfg, args.output)
     for name, path in out["paths"].items():
         print(f"{name}: {path}")
-    result = out["result"]
-    if result is not None:
-        for est in result.estimates:
-            if result.phi_grid_deg is None:
+    batch = out["result"]
+    if batch is not None:
+        one_elevation = batch.setup.elevation_grid_deg.size == 1
+        for est in batch.estimates[0]:
+            if one_elevation:
                 print(f"estimate theta_deg={est.theta_deg:.4f}")
             else:
                 print(f"estimate theta_deg={est.theta_deg:.4f} phi_deg={est.phi_deg:.4f}")

@@ -46,15 +46,16 @@ the same bits at any position of any batch, a batch of one included.
 The search holds three elevation rows of denominators and finds the
 peaks from them: the azimuth minima of the denominators are the only
 candidates, and the spectrum is formed at those and their neighbors
-alone. A trial's full spectrum is evaluated from its polynomial only
-when it is read.
+alone. The search returns one :class:`MusicBatch` of arrays: the
+trials' polynomial rows, estimates and eigenvalues. No spectrum is
+kept; each read of the batch's ``spectrum`` evaluates it from the rows,
+with the bits the peaks were found on.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -114,9 +115,9 @@ def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
     return harmonics.pseudo_inverse @ bins
 
 
-def compensation_matrix(cfg: SurfaceConfig) -> np.ndarray:
-    """Diagonal matrix canceling the element-to-receiver phases."""
-    return np.diag(np.exp(-1j * cfg.omega0 * receiver_delays(cfg)))
+def compensation(cfg: SurfaceConfig) -> np.ndarray:
+    """Phase factors canceling the element-to-receiver delays, one per element, (M*N,)."""
+    return np.exp(-1j * cfg.omega0 * receiver_delays(cfg))
 
 
 def make_ps_weights(count: int, width: int, rng_seed) -> np.ndarray:
@@ -141,7 +142,8 @@ def smooth(
 ) -> np.ndarray:
     """Compensate a stack of element vectors and collapse it with every weight row.
 
-    ``columns`` is (M*N, K), one row-major element vector per column.
+    ``columns`` is (M*N, K), one row-major element vector per column,
+    and ``compensation`` the (M*N,) phase factors of :func:`compensation`.
     Returns (K, L, M*(N-width+1)): entry [k, l] holds, for each surface
     row and window position (row-major), the compensated window of
     column k weighted by row l and summed. Leading axes of the columns
@@ -165,7 +167,7 @@ def smooth(
     width = weights.shape[-1]
     if width > cfg.cols:
         raise ConfigurationError(f"weight width {width} exceeds the {cfg.cols} surface columns")
-    compensated = np.diagonal(compensation)[:, None] * columns
+    compensated = compensation[:, None] * columns
     grid = np.swapaxes(compensated, -1, -2).reshape(
         *columns.shape[:-2], columns.shape[-1], cfg.rows, cfg.cols
     )
@@ -306,53 +308,6 @@ def _lag_basis(rows: int, out_cols: int, directions: np.ndarray, phase_scale: fl
     return basis
 
 
-class _SpectrumOnRead:
-    """A ``spectrum`` given as an array or as a function that evaluates it.
-
-    The function runs on the first read of ``spectrum``, and every later
-    read returns the array it made.
-    """
-
-    _spectrum: np.ndarray | Callable[[], np.ndarray]
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        if callable(self._spectrum):
-            self._spectrum = self._spectrum()
-        return self._spectrum
-
-
-@dataclass(eq=False)
-class MusicResult(_SpectrumOnRead):
-    """Spatial spectrum, its grid, peak estimates, and eigenvalues.
-
-    A search at one known elevation has ``phi_grid_deg`` of ``None`` and
-    a spectrum over azimuth only; otherwise the spectrum is
-    (azimuths, elevations). :func:`music_search` passes the spectrum as
-    a function, evaluated on first read.
-    """
-
-    theta_grid_deg: np.ndarray
-    phi_grid_deg: np.ndarray | None
-    _spectrum: np.ndarray | Callable[[], np.ndarray]
-    estimates: tuple[Doa, ...]
-    eigenvalues: np.ndarray
-
-
-@dataclass(eq=False)
-class MusicBatch(_SpectrumOnRead):
-    """The searches of a batch of trials over one grid.
-
-    ``spectrum`` is (trials, azimuths, elevations), every grid point of
-    every trial, evaluated on its first read like a
-    :class:`MusicResult`'s; ``results`` holds each trial's
-    :class:`MusicResult`, whose spectrum is evaluated on its own.
-    """
-
-    _spectrum: np.ndarray | Callable[[], np.ndarray]
-    results: tuple[MusicResult, ...]
-
-
 @dataclass(frozen=True)
 class EstimatorParams:
     """Knobs of the end-to-end estimator.
@@ -450,6 +405,28 @@ class SearchSetup:
     batch_size: int
 
 
+@dataclass(frozen=True, eq=False)
+class MusicBatch:
+    """The searches of a batch of trials over one setup's grid.
+
+    ``coef`` holds each trial's spectrum-denominator polynomial row,
+    read-only, shape (trials, 2H+1) (see :func:`music_search`);
+    ``estimates`` one tuple of :class:`Doa` per trial, best first; and
+    ``eigenvalues`` each trial's whitened-covariance eigenvalues in
+    descending order, shape (trials, dim).
+    """
+
+    setup: SearchSetup
+    coef: np.ndarray
+    estimates: tuple[tuple[Doa, ...], ...]
+    eigenvalues: np.ndarray
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The (trials, azimuths, elevations) spectra, evaluated from ``coef`` on every read."""
+        return _spectrum(self.coef, self.setup)
+
+
 def _phase_scale(cfg: SurfaceConfig, phi_rad: float) -> float:
     """w0*d*sin(phi)/c: the phase per element step at unit direction cosine."""
     return cfg.omega0 * cfg.spacing_m * np.sin(phi_rad) / cfg.wave_speed
@@ -465,7 +442,7 @@ def search_setup(
     window width and the grids come from :func:`search_grids`.
     """
     width, theta_grid, elevations = search_grids(params, cfg)
-    comp = compensation_matrix(cfg)
+    comp = compensation(cfg)
     out_cols = cfg.cols - width + 1
     theta_rad = np.deg2rad(theta_grid)
     directions = np.stack([np.sin(theta_rad), np.cos(theta_rad)])
@@ -533,12 +510,6 @@ def _spectrum(coef: np.ndarray, setup: SearchSetup) -> np.ndarray:
     for j, row in enumerate(_spectrum_rows(coef, setup)):
         _reciprocal(row, out=spectrum[:, :, j])
     return spectrum
-
-
-def _trial_spectrum(coef: np.ndarray, setup: SearchSetup) -> np.ndarray:
-    """One trial's spectrum from its (1, 2H+1) row, over azimuth alone at one elevation."""
-    spectrum = _spectrum(coef, setup)[0]
-    return spectrum[:, 0] if spectrum.shape[1] == 1 else spectrum
 
 
 def _row_peaks(row: np.ndarray, below=None, above=None):
@@ -639,9 +610,9 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     evaluated, one elevation at a time, holding three rows (see
     :func:`_ranked_peaks`). The spectrum is formed only at the azimuth
     minima of the denominators and their neighbors (see
-    :func:`_row_peaks`). No full spectrum is kept: the returned spectra
-    are evaluated again from the trials' polynomial rows, with the same
-    bits, when first read.
+    :func:`_row_peaks`). No full spectrum is kept: the returned batch
+    holds the polynomial rows, and its spectra are evaluated again from
+    them, with the same bits, on each read.
     """
     cfg, num_sources = setup.surface, setup.num_sources
     trials, dim = whitened.shape[0], whitened.shape[-1]
@@ -680,19 +651,17 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
         [lag_sums[:, :1].real, 2.0 * lag_sums[:, 1:].real, -2.0 * lag_sums[:, 1:].imag], axis=1
     )
 
+    coef.flags.writeable = False
     theta_grid, elevations = setup.theta_grid_deg, setup.elevation_grid_deg
-    phi_grid = None if elevations.size == 1 else elevations
-    peaks = _ranked_peaks(_spectrum_rows(coef, setup), num_sources)
-    results = []
-    for t, ((thetas, phis), eigs) in enumerate(zip(peaks, eigenvalues)):
-        # Estimates carry the exact grid degrees, not a radian round trip.
-        estimates = tuple(
+    # Estimates carry the exact grid degrees, not a radian round trip.
+    estimates = tuple(
+        tuple(
             Doa.from_degrees(float(theta_grid[i]), float(elevations[j]))
             for i, j in zip(thetas, phis)
         )
-        spectrum = partial(_trial_spectrum, coef[t : t + 1], setup)
-        results.append(MusicResult(theta_grid, phi_grid, spectrum, estimates, eigs))
-    return MusicBatch(partial(_spectrum, coef, setup), tuple(results))
+        for thetas, phis in _ranked_peaks(_spectrum_rows(coef, setup), num_sources)
+    )
+    return MusicBatch(setup, coef, estimates, eigenvalues)
 
 
 def estimate_doa(bins, setup: SearchSetup, rng_seeds) -> MusicBatch:
@@ -749,22 +718,28 @@ def _whitened_chain(bins, setup: SearchSetup, rng_seeds):
     return whiten(covariance, w_inv_sqrt), w_inv_sqrt
 
 
-def write_spectrum_csv(result: MusicResult, path: str) -> None:
-    """Write the spatial spectrum as CSV with estimates as footer comments."""
+def write_spectrum_csv(batch: MusicBatch, path: str) -> None:
+    """Write the spatial spectrum of a one-trial batch as CSV, estimates as footer comments.
+
+    A one-elevation search writes the spectrum over azimuth alone. The
+    spectrum is evaluated once.
+    """
+    (spectrum,), (estimates,) = batch.spectrum, batch.estimates
+    thetas, phis = batch.setup.theta_grid_deg, batch.setup.elevation_grid_deg
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if result.phi_grid_deg is None:
+        if phis.size == 1:
             fh.write("theta_deg,value\n")
-            for t, v in zip(result.theta_grid_deg, result.spectrum):
+            for t, v in zip(thetas, spectrum[:, 0]):
                 fh.write(f"{t:.10g},{v:.10g}\n")
-            for est in result.estimates:
+            for est in estimates:
                 fh.write(f"# estimate,{est.theta_deg:.10g}\n")
         else:
             fh.write("theta_deg,phi_deg,value\n")
             # Each coordinate is formatted once and each azimuth's row
             # written in one call; the grid has tens of thousands of points.
-            phis = [f"{p:.10g}" for p in result.phi_grid_deg]
-            for t, values in zip(result.theta_grid_deg, result.spectrum):
+            phis = [f"{p:.10g}" for p in phis]
+            for t, values in zip(thetas, spectrum):
                 theta = f"{t:.10g}"
                 fh.write("".join(f"{theta},{p},{v:.10g}\n" for p, v in zip(phis, values)))
-            for est in result.estimates:
+            for est in estimates:
                 fh.write(f"# estimate,{est.theta_deg:.10g},{est.phi_deg:.10g}\n")

@@ -54,8 +54,12 @@ has trials.
 
 Per-trial seeds derive from (experiment seed, sweep index, trial index)
 alone, so results are identical for identical configs regardless of how
-trials are distributed over workers. Trials fail fast: any estimator
-error aborts the sweep with context rather than emitting partial rows.
+trials are distributed over workers. :func:`trial_seeds` is the one
+place a trial's three streams (amplitudes, noise and smoothing weights)
+are laid out, and each stage is handed its seed sequence, not a
+generator, so a seed passed twice draws the same values. Trials fail
+fast: any estimator error aborts the sweep with context rather than
+emitting partial rows.
 """
 
 from __future__ import annotations
@@ -92,9 +96,18 @@ from .waveform import (
 _GAIN_SEED_TAG = 0x6761696E
 
 
-def trial_seed_sequence(seed: int, sweep_index: int, trial_index: int) -> np.random.SeedSequence:
-    """Counter-based seed for one trial; independent of worker layout."""
-    return np.random.SeedSequence(entropy=(int(seed), int(sweep_index), int(trial_index)))
+def trial_seeds(
+    seed: int, sweep_index: int, trial_index: int
+) -> tuple[np.random.SeedSequence, ...]:
+    """Amplitude, noise and smoothing-weight seeds of one trial; independent of worker layout.
+
+    The three are leaves of the counter-based root (seed, sweep index,
+    trial index), at spawn keys (0, 0), (0, 1) and (1,).
+    """
+    entropy = (int(seed), int(sweep_index), int(trial_index))
+    return tuple(
+        np.random.SeedSequence(entropy, spawn_key=key) for key in ((0, 0), (0, 1), (1,))
+    )
 
 
 def resolve_experiment(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -142,13 +155,11 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
 def synthesize_trial(context: TrialContext, sweep_index: int, trial_index: int):
     """Received series of one trial, the amplitudes it drew, and its smoothing seed.
 
-    This is the one place a trial's random streams are derived, shared
-    by sweeps, ``single`` and ``crb``.
+    Sweeps, ``single`` and ``crb`` all synthesize a trial here.
     """
     cfg = context.config
-    seq = trial_seed_sequence(cfg.seed, sweep_index, trial_index)
-    synth_seed, smoothing_seed = seq.spawn(2)
-    series, amplitudes = synthesize_received(context.signal, cfg.noise, synth_seed)
+    amplitude_seed, noise_seed, smoothing_seed = trial_seeds(cfg.seed, sweep_index, trial_index)
+    series, amplitudes = synthesize_received(context.signal, cfg.noise, amplitude_seed, noise_seed)
     return series, amplitudes, smoothing_seed
 
 
@@ -161,36 +172,36 @@ def _draw(context: TrialContext, sweep_index: int, trial_index: int):
 
 
 def run_batch(context: TrialContext, drawn) -> tuple:
-    """Search results and stacked bound of a batch of drawn trials.
+    """Search and stacked bound of a batch of drawn trials.
 
     ``drawn`` holds one (amplitudes, snapshot bins, smoothing seed)
     triple per trial, from that trial's own draws. The estimator chain
     and the bound each run once on arrays with a leading trial axis.
-    Returns the trials' :class:`MusicResult`s and one :class:`CrbResult`
-    whose arrays stack theirs; without sources the results are ``None``
-    each and the bound is ``None``.
+    Returns the batch's :class:`~msdoa.estimator.MusicBatch` and one
+    :class:`CrbResult` whose arrays stack the trials'; without sources
+    both are ``None``.
     """
     if context.bound is None:
-        return (None,) * len(drawn), None
+        return None, None
     amplitudes, bins, seeds = zip(*drawn)
     cfg = context.config
-    results = estimate_doa(bins, context.search, seeds).results
+    batch = estimate_doa(bins, context.search, seeds)
     bound = crb(context.bound, cfg.plan, cfg.noise.variance, np.stack(amplitudes))
-    return results, bound
+    return batch, bound
 
 
 def run_trial(
-    context: TrialContext, result, theta_bounds
+    context: TrialContext, estimates, theta_bounds
 ) -> tuple[TrialOutcome, tuple[float, ...]]:
-    """Score one trial's estimate and convert its azimuth bounds.
+    """Score one trial's estimates and convert its azimuth bounds.
 
-    ``result`` is the trial's search result and ``theta_bounds`` its
-    row of the batch bound's azimuth diagonal, both from
-    :func:`run_batch`. Returns the trial outcome and the per-source
+    ``estimates`` is the trial's tuple of search estimates and
+    ``theta_bounds`` its row of the batch bound's azimuth diagonal, both
+    from :func:`run_batch`. Returns the trial outcome and the per-source
     square-root bound in degrees.
     """
     # Scoring rejects a scene without sources before reading the bound.
-    outcome = resolve_and_score(result, context.config.scene.doas)
+    outcome = resolve_and_score(estimates, context.config.scene.doas)
     sqrt_crb_deg = tuple(float(np.rad2deg(np.sqrt(b))) for b in theta_bounds)
     return outcome, sqrt_crb_deg
 
@@ -208,9 +219,10 @@ def run_chunk(context: TrialContext, sweep_index: int, trial_indices):
     for start in range(0, len(trial_indices), size):
         # Each series is dropped as soon as its bins are taken.
         drawn = [_draw(context, sweep_index, t)[1:] for t in trial_indices[start : start + size]]
-        results, bound = run_batch(context, drawn)
+        batch, bound = run_batch(context, drawn)
+        estimates = [()] * len(drawn) if batch is None else batch.estimates
         theta_bounds = [()] * len(drawn) if bound is None else bound.theta_bounds
-        out.extend(run_trial(context, r, b) for r, b in zip(results, theta_bounds))
+        out.extend(run_trial(context, e, b) for e, b in zip(estimates, theta_bounds))
     return out
 
 
@@ -452,11 +464,13 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     magnitude averaged over snapshots, selected harmonic bins flagged),
     and, when sources are configured, ``<prefix>_spatial.csv`` with the
     search spectrum and peak estimates. Also dumps the raw series and
-    the snapshot matrix for downstream tools.
+    the snapshot matrix for downstream tools. Returns the paths and the
+    trial's one-trial :class:`~msdoa.estimator.MusicBatch`, ``None``
+    without sources.
     """
     with _trial_zero(cfg) as context:
         series, amplitudes, bins, smoothing_seed = _draw(context, 0, 0)
-        (result,), _ = run_batch(context, [(amplitudes, bins, smoothing_seed)])
+        batch, _ = run_batch(context, [(amplitudes, bins, smoothing_seed)])
     cfg = context.config
     prefix = out_prefix if out_prefix is not None else cfg.output
 
@@ -478,7 +492,7 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     paths["snapshots"] = f"{prefix}_snapshots.csv"
     write_snapshots_csv(bins, paths["snapshots"])
 
-    if result is not None:
+    if batch is not None:
         paths["spatial"] = f"{prefix}_spatial.csv"
-        write_spectrum_csv(result, paths["spatial"])
-    return {"paths": paths, "result": result}
+        write_spectrum_csv(batch, paths["spatial"])
+    return {"paths": paths, "result": batch}

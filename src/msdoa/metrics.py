@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import MusicResult
 from .surface import Doa
 
 UNMATCHED_ERROR_DEG = 180.0
@@ -35,8 +34,8 @@ def _distance_deg(est: Doa, truth: Doa) -> float:
     return max(abs(est.theta_deg - truth.theta_deg), abs(est.phi_deg - truth.phi_deg))
 
 
-def resolve_and_score(result: MusicResult, truth) -> TrialOutcome:
-    """Match estimates to true directions and score the trial.
+def resolve_and_score(estimates, truth) -> TrialOutcome:
+    """Match a trial's estimates to the true directions and score the trial.
 
     Matching is greedy one-to-one nearest neighbor on the angle error,
     the larger of the azimuth and elevation errors. A trial resolves
@@ -49,7 +48,7 @@ def resolve_and_score(result: MusicResult, truth) -> TrialOutcome:
     k = len(truth)
     if k < 1:
         raise ValidationError("need at least one true source to score against")
-    estimates = tuple(result.estimates)
+    estimates = tuple(estimates)
 
     pairs = sorted(
         (_distance_deg(e, t), ei, ti)

@@ -296,29 +296,27 @@ def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
     return np.repeat(period[:, None, :], plan.periods_per_snapshot, axis=1).ravel()
 
 
-def synthesize_received(model: SignalModel, noise: NoiseSpec, rng_seed):
+def synthesize_received(model: SignalModel, noise: NoiseSpec, amplitude_seed, noise_seed):
     """Synthesize the receiver time series of one run of a :func:`signal_model`.
 
     Samples sit at t_q = q / sample_rate_hz with the coding phase
-    continuous across snapshot boundaries (time origin 0). The seed is
-    split once for amplitudes and once for noise, so a given seed
-    reproduces the run exactly. Coherent scenes must have resolved
-    gains.
+    continuous across snapshot boundaries (time origin 0). The
+    amplitudes are drawn from ``amplitude_seed`` and the noise from
+    ``noise_seed``, so given seeds reproduce the run exactly. Coherent
+    scenes must have resolved gains.
 
     Returns
     -------
     (TimeSeries, np.ndarray)
         The series and the (K, I) source amplitudes it drew.
     """
-    rng = np.random.default_rng(rng_seed)
-    amp_rng, noise_rng = rng.spawn(2)
-    amplitudes = draw_source_amplitudes(model.scene, model.plan.num_snapshots, amp_rng)
+    amplitudes = draw_source_amplitudes(model.scene, model.plan.num_snapshots, amplitude_seed)
     samples = _signal_samples(model, amplitudes)
     if noise.variance > 0:
         # Real parts first, then imaginary parts, from one buffer, added
         # in place.
         scale = np.sqrt(model.num_elements * noise.variance / 2.0)
-        draws = noise_rng.standard_normal((2, samples.size))
+        draws = np.random.default_rng(noise_seed).standard_normal((2, samples.size))
         draws *= scale
         samples.real += draws[0]
         samples.imag += draws[1]

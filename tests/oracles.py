@@ -82,7 +82,31 @@ def kron_crb(core, plan, noise_variance, amplitudes):
     return 0.5 * (bound + bound.T)
 
 
-def repeat_synthesis(model, noise, rng_seed):
+def split_seed(seed):
+    """The amplitude and noise seeds one integer seed once split into.
+
+    ``synthesize_received`` took one seed and spawned these two from it;
+    tests that pass an integer pass them, so they draw what they drew.
+    """
+    return np.random.SeedSequence(seed).spawn(2)
+
+
+def nested_trial_streams(seed, sweep_index, trial_index):
+    """A trial's amplitude, noise and weight generators, by nested spawns.
+
+    The root ``SeedSequence((seed, sweep_index, trial_index))`` spawns a
+    synthesis and a weight child, and a generator on the synthesis child
+    spawns the amplitude and noise generators. This is how the harness
+    derived a trial's streams before ``trial_seeds`` named the three
+    leaves; the two must draw the same values.
+    """
+    root = np.random.SeedSequence((int(seed), int(sweep_index), int(trial_index)))
+    synthesis, weights = root.spawn(2)
+    amplitudes, noise = np.random.default_rng(synthesis).spawn(2)
+    return amplitudes, noise, np.random.default_rng(weights)
+
+
+def repeat_synthesis(model, noise, amplitude_seed, noise_seed):
     """Received samples and amplitudes with each amplitude repeated per sample.
 
     Full mode tiles every source's one-period switched pattern to the
@@ -94,7 +118,7 @@ def repeat_synthesis(model, noise, rng_seed):
     period per snapshot and drew the noise into one buffer; the two
     must agree bit for bit.
     """
-    amp_rng, noise_rng = np.random.default_rng(rng_seed).spawn(2)
+    amp_rng, noise_rng = np.random.default_rng(amplitude_seed), np.random.default_rng(noise_seed)
     plan = model.plan
     amplitudes = draw_source_amplitudes(model.scene, plan.num_snapshots, amp_rng)
     samples = np.zeros(plan.total_points, dtype=complex)
@@ -137,9 +161,10 @@ def dense_smoothing(weight_row, cfg):
 
 
 def gram_whitener(weights, compensation, entries, cfg):
-    """Sum over weight rows of J_l C G C^H J_l^H with G = (U^H U)^-1."""
+    """Sum over weight rows of J_l C G C^H J_l^H with G = (U^H U)^-1, C = diag(compensation)."""
     gram = np.linalg.inv(entries.conj().T @ entries)
-    shaped = compensation @ gram @ compensation.conj().T
+    c = np.diag(compensation)
+    shaped = c @ gram @ c.conj().T
     total = sum(dense_smoothing(row, cfg) @ shaped @ dense_smoothing(row, cfg).conj().T
                 for row in weights)
     return 0.5 * (total + total.conj().T)
@@ -147,7 +172,7 @@ def gram_whitener(weights, compensation, entries, cfg):
 
 def loop_smooth(recovered, compensation, weights, cfg):
     """Smoothed vectors of one element vector, (weights, rows * windows), by loops."""
-    grid = (np.diagonal(compensation) * recovered).reshape(cfg.rows, cfg.cols)
+    grid = (np.diag(compensation) @ recovered).reshape(cfg.rows, cfg.cols)
     width = weights.shape[1]
     out = []
     for row in weights:
@@ -320,23 +345,25 @@ def fftshift_snapshots(series, plan, max_harmonic):
     return spectra[:, q_len // 2 + plan.periods_per_snapshot * orders].T.copy()
 
 
-def write_spectrum_csv_per_point(result, path):
-    """The spatial spectrum CSV written one formatted line per grid point.
+def write_spectrum_csv_per_point(batch, path):
+    """The spatial spectrum CSV of a one-trial batch written one formatted line per grid point.
 
     Formats every coordinate again at each point and writes each line
     on its own. ``write_spectrum_csv`` must write the same bytes.
     """
+    (spectrum,), (estimates,) = batch.spectrum, batch.estimates
+    thetas, phis = batch.setup.theta_grid_deg, batch.setup.elevation_grid_deg
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if result.phi_grid_deg is None:
+        if phis.size == 1:
             fh.write("theta_deg,value\n")
-            for t, v in zip(result.theta_grid_deg, result.spectrum):
-                fh.write(f"{t:.10g},{v:.10g}\n")
-            for est in result.estimates:
+            for i, t in enumerate(thetas):
+                fh.write(f"{t:.10g},{spectrum[i, 0]:.10g}\n")
+            for est in estimates:
                 fh.write(f"# estimate,{est.theta_deg:.10g}\n")
         else:
             fh.write("theta_deg,phi_deg,value\n")
-            for i, t in enumerate(result.theta_grid_deg):
-                for j, p in enumerate(result.phi_grid_deg):
-                    fh.write(f"{t:.10g},{p:.10g},{result.spectrum[i, j]:.10g}\n")
-            for est in result.estimates:
+            for i, t in enumerate(thetas):
+                for j, p in enumerate(phis):
+                    fh.write(f"{t:.10g},{p:.10g},{spectrum[i, j]:.10g}\n")
+            for est in estimates:
                 fh.write(f"# estimate,{est.theta_deg:.10g},{est.phi_deg:.10g}\n")

@@ -19,7 +19,7 @@ from msdoa import (
     SurfaceConfig,
     aggregate,
     builtin_config_path,
-    compensation_matrix,
+    compensation,
     crb,
     crb_core,
     element_positions,
@@ -40,12 +40,12 @@ from msdoa import (
     steering_derivatives,
     steering_vector,
     synthesize_received,
-    trial_seed_sequence,
+    trial_seeds,
     whiten,
     write_sweep_csv,
 )
 from msdoa.estimator import whitener_inv_sqrt
-from oracles import coding_waveform, stacked_crb
+from oracles import coding_waveform, split_seed, stacked_crb
 
 C0 = 299792458.0
 
@@ -135,10 +135,10 @@ def test_criterion_3(capsys):
     # at SNR 0 dB at least 90% of them are strict local maxima of the
     # snapshot-averaged centered FFT magnitude.
     cfg = load_config(builtin_config_path("table1"))
-    synth_seed, _ = trial_seed_sequence(cfg.seed, 0, 0).spawn(2)
+    amplitude_seed, noise_seed, _ = trial_seeds(cfg.seed, 0, 0)
     harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface)
     model = signal_model(cfg.surface, cfg.scene, cfg.plan, cfg.mode, harmonics)
-    series, _ = synthesize_received(model, cfg.noise, synth_seed)
+    series, _ = synthesize_received(model, cfg.noise, amplitude_seed, noise_seed)
     q_len = cfg.plan.points_per_snapshot
     windows = series.samples[:cfg.plan.total_points].reshape(
         cfg.plan.num_snapshots, q_len)
@@ -315,7 +315,8 @@ def test_criterion_8(capsys):
                         (1.0, 1.0))
     lines = harmonic_matrix(15, surface)
     series, amps = synthesize_received(
-        signal_model(surface, scene, plan, "ideal", lines), NoiseSpec.quiet(), 5)
+        signal_model(surface, scene, plan, "ideal", lines), NoiseSpec.quiet(),
+        *split_seed(5))
     bins = extract_snapshots(series, plan, lines.max_harmonic)
     steer = np.column_stack(
         [steering_vector(doa, surface) for doa in scene.doas])
@@ -333,7 +334,7 @@ def test_criterion_8(capsys):
     # Smoothed vectors factor into per-row steering times a scalar
     # window gain per source.
     weights = make_ps_weights(3, 6, 7)
-    comp = compensation_matrix(surface)
+    comp = compensation(surface)
     smoothed = smooth(recover_channels(bins, lines), comp, weights, surface)
     pos = element_positions(surface)
     xs, ys = pos[:6, 0], pos[::6, 1]
@@ -356,7 +357,7 @@ def test_criterion_8(capsys):
     cfg_nz = SurfaceConfig(5, 6, 1e9, 0.3)
     plan_nz = SamplingPlan(4e6, 1, 1, 1.6e-5)
     lines_nz = harmonic_matrix(15, cfg_nz)
-    comp_nz = compensation_matrix(cfg_nz)
+    comp_nz = compensation(cfg_nz)
     weights_nz = make_ps_weights(1, 6, 11)
     wh_nz = smoothing_whitener(smooth(lines_nz.pseudo_inverse, comp_nz,
                                       weights_nz, cfg_nz))

@@ -25,7 +25,7 @@ from msdoa import (
     ValidationError,
     builtin_config_path,
     build_context,
-    compensation_matrix,
+    compensation,
     estimate_doa,
     extract_snapshots,
     frequency_indices,
@@ -60,8 +60,8 @@ TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
 
 def _estimate_one(bins, setup, weight_seed):
-    """The estimate of one trial: a batch of one."""
-    return estimate_doa([bins], setup, [weight_seed]).results[0]
+    """The search of one trial: a batch of one."""
+    return estimate_doa([bins], setup, [weight_seed])
 
 
 def _whitener(weights, comp, um, cfg):
@@ -71,7 +71,7 @@ def _whitener(weights, comp, um, cfg):
 
 def _search_one(whitened, w_inv_sqrt, setup):
     """The search of one whitened covariance: a batch of one."""
-    return music_search(whitened[None], w_inv_sqrt[None], setup).results[0]
+    return music_search(whitened[None], w_inv_sqrt[None], setup)
 
 
 def test_recover_channels_left_inverse(table1_cfg, rng):
@@ -93,13 +93,13 @@ def test_recover_channels_degenerate():
         recover_channels(np.zeros(7, dtype=complex), HarmonicMatrix(3, entries))
 
 
-def test_compensation_matrix(table1_cfg):
-    comp = compensation_matrix(table1_cfg)
-    diag = np.diagonal(comp)
-    assert np.allclose(np.abs(diag), 1.0)
+def test_compensation(table1_cfg):
+    comp = compensation(table1_cfg)
+    assert comp.shape == (30,)
+    assert np.allclose(np.abs(comp), 1.0)
     want = np.exp(-1j * table1_cfg.omega0 * receiver_delays(table1_cfg))
-    assert np.allclose(diag, want)
-    assert np.allclose(comp @ comp.conj(), np.eye(30))
+    assert np.allclose(comp, want)
+    assert np.allclose(comp * comp.conj(), 1.0)
 
 
 def test_make_ps_weights():
@@ -117,9 +117,10 @@ def test_make_ps_weights():
 def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
     noise = NoiseSpec.quiet() if noise is None else noise
     um = harmonic_matrix(15, cfg)
-    series, amps = synthesize_received(signal_model(cfg, scene, plan, mode, um), noise, rng_seed)
+    model = signal_model(cfg, scene, plan, mode, um)
+    series, amps = synthesize_received(model, noise, *oracles.split_seed(rng_seed))
     bins = extract_snapshots(series, plan, um.max_harmonic)
-    comp = compensation_matrix(cfg)
+    comp = compensation(cfg)
     wh = _whitener(weights, comp, um, cfg)
     smoothed = smooth(recover_channels(bins, um), comp, weights, cfg)
     return smoothed, amps, wh
@@ -150,7 +151,7 @@ def test_smoothing_factorization_oracle(table1_cfg, table1_plan):
 
 def test_whitener_is_hermitian_psd(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
-    comp = compensation_matrix(table1_cfg)
+    comp = compensation(table1_cfg)
     weights = make_ps_weights(5, 6, 1)
     wh = _whitener(weights, comp, um, table1_cfg)
     assert np.allclose(wh, wh.conj().T)
@@ -159,7 +160,7 @@ def test_whitener_is_hermitian_psd(table1_cfg):
 
 def test_whiten_self_is_identity(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
-    comp = compensation_matrix(table1_cfg)
+    comp = compensation(table1_cfg)
     weights = make_ps_weights(2, 6, 1)
     wh = _whitener(weights, comp, um, table1_cfg)
     assert np.max(np.abs(whiten(wh, whitener_inv_sqrt(wh)) - np.eye(5))) < 1e-10
@@ -188,7 +189,7 @@ def test_a_singular_whitener_raises_in_a_stack_as_it_does_alone():
 
 def test_weights_must_have_unit_modulus_within_1e9():
     cfg = SurfaceConfig(2, 3, 1e9, 0.3)
-    comp = compensation_matrix(cfg)
+    comp = compensation(cfg)
     columns = np.ones((cfg.size, 1), dtype=complex)
     smooth(columns, comp, np.full((2, 3), 1.0 + 5e-10, dtype=complex), cfg)
     for modulus in (1.0 + 1e-6, 1.0 - 1e-6, np.nan):
@@ -208,7 +209,7 @@ def _noise_only_whitened_cov(num_weights, draws, sigma2):
     cfg = SurfaceConfig(5, 6, 1e9, 0.3)
     plan = SamplingPlan(4e6, 1, 1, 1.6e-5)
     um = harmonic_matrix(15, cfg)
-    comp = compensation_matrix(cfg)
+    comp = compensation(cfg)
     weights = make_ps_weights(num_weights, 6, 11)
     wh = _whitener(weights, comp, um, cfg)
     idx = frequency_indices(plan, 15)
@@ -274,7 +275,7 @@ def test_weight_bank_recovers_rank(table1_cfg, table1_plan):
 def _search_noiseless(table1_cfg, table1_plan, scene, params, weight_seed):
     um = harmonic_matrix(15, table1_cfg)
     model = signal_model(table1_cfg, scene, table1_plan, "ideal", um)
-    series, _ = synthesize_received(model, NoiseSpec.quiet(), 5)
+    series, _ = synthesize_received(model, NoiseSpec.quiet(), *oracles.split_seed(5))
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     return _estimate_one(bins, search_setup(table1_cfg, params, um), weight_seed)
 
@@ -283,23 +284,23 @@ def test_music_noiseless_1d(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     params = EstimatorParams(num_sources=2, num_weights=5)
     result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
-    got = sorted(est.theta_deg for est in result.estimates)
+    got = sorted(est.theta_deg for est in result.estimates[0])
     assert got == pytest.approx([-22.0, 12.0], abs=0.05)
-    assert all(est.phi_deg == pytest.approx(90.0) for est in result.estimates)
+    assert all(est.phi_deg == pytest.approx(90.0) for est in result.estimates[0])
     # Eigenvalues are reported in descending order.
-    assert np.all(np.diff(result.eigenvalues) <= 1e-12)
+    assert np.all(np.diff(result.eigenvalues[0]) <= 1e-12)
 
 
 def test_music_noiseless_1d_full_mode(table1_cfg, table1_plan):
     # Spectral folding in full synthesis may shift peaks one grid step.
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec.quiet(), 5)
+    series, _ = synthesize_received(model, NoiseSpec.quiet(), *oracles.split_seed(5))
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     params = EstimatorParams(num_sources=2, num_weights=5)
     result = _estimate_one(bins, search_setup(table1_cfg, params, um), 2)
-    got = sorted(est.theta_deg for est in result.estimates)
+    got = sorted(est.theta_deg for est in result.estimates[0])
     assert got == pytest.approx([-22.0, 12.0], abs=0.15)
 
 
@@ -310,7 +311,7 @@ def test_music_noiseless_2d(table1_cfg, table1_plan):
     params = EstimatorParams(num_sources=2, num_weights=5, kind="2d",
                              subarray_width=4, theta_grid_deg=(-90.0, 90.0, 0.5))
     result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
-    got = sorted(((e.theta_deg, e.phi_deg) for e in result.estimates))
+    got = sorted(((e.theta_deg, e.phi_deg) for e in result.estimates[0]))
     assert got[0] == pytest.approx((-36.0, 20.0), abs=0.5)
     assert got[1] == pytest.approx((42.0, 45.0), abs=0.5)
 
@@ -323,7 +324,7 @@ def test_music_coherent_pair_needs_weights(table1_cfg, table1_plan):
     good = _search_noiseless(
         table1_cfg, table1_plan, scene,
         EstimatorParams(num_sources=2, num_weights=5), 3)
-    got = sorted(est.theta_deg for est in good.estimates)
+    got = sorted(est.theta_deg for est in good.estimates[0])
     assert got == pytest.approx([-22.0, 12.0], abs=0.2)
 
 
@@ -338,7 +339,7 @@ def test_music_scale_equivariance(table1_cfg, table1_plan):
                          harmonic_matrix(15, table1_cfg))
     a = _search_one(whiten(cov, w), w, setup)
     b = _search_one(whiten(7.3 * cov, w), w, setup)
-    assert [e.theta_deg for e in a.estimates] == [e.theta_deg for e in b.estimates]
+    assert [e.theta_deg for e in a.estimates[0]] == [e.theta_deg for e in b.estimates[0]]
     # Scaling only scales eigenvalues; the subspaces and spectrum stay put.
     assert np.allclose(b.spectrum, a.spectrum, rtol=1e-9)
     assert np.allclose(b.eigenvalues, 7.3 * a.eigenvalues, rtol=1e-9)
@@ -399,7 +400,7 @@ def test_inclusive_grid():
 def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec(variance=0.5), 31)
+    series, _ = synthesize_received(model, NoiseSpec(variance=0.5), *oracles.split_seed(31))
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
@@ -407,7 +408,7 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
 
     # The chain's stages by hand: smooth the recovery matrix, sum its
     # whitener, and smooth the snapshots by projecting their bins on it.
-    comp = compensation_matrix(table1_cfg)
+    comp = compensation(table1_cfg)
     weights = make_ps_weights(5, 6, 17)
     vectors = smooth(um.pseudo_inverse, comp, weights, table1_cfg)
     w = whitener_inv_sqrt(smoothing_whitener(vectors))
@@ -422,8 +423,8 @@ def test_estimate_doa_single_source(table1_cfg, table1_plan):
     scene = SourceScene((Doa.from_degrees(22.0, 90.0),), (1.0,))
     params = EstimatorParams(num_sources=1, num_weights=5)
     result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
-    assert len(result.estimates) == 1
-    assert result.estimates[0].theta_deg == pytest.approx(22.0, abs=0.05)
+    (estimate,) = result.estimates[0]
+    assert estimate.theta_deg == pytest.approx(22.0, abs=0.05)
 
 
 def test_estimate_doa_checks_the_bin_stack(table1_cfg):
@@ -461,7 +462,7 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     # smoothed recovery matrix is C G C^H with G = (U^H U)^-1 smoothed.
     rows, cols, width, count, max_harmonic, num_columns, seed = case
     cfg = SurfaceConfig(rows, cols, 1e9, 0.3)
-    comp = compensation_matrix(cfg)
+    comp = compensation(cfg)
     weights = make_ps_weights(count, width, seed)
     rng = np.random.default_rng(seed)
     columns = rng.standard_normal((cfg.size, num_columns)) + 1j * rng.standard_normal(
@@ -470,7 +471,7 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     assert got.shape == (num_columns, count, rows * (cols - width + 1))
     for k in range(num_columns):
         loop = oracles.loop_smooth(columns[:, k], comp, weights, cfg)
-        dense = np.array([oracles.dense_smoothing(row, cfg) @ comp @ columns[:, k]
+        dense = np.array([oracles.dense_smoothing(row, cfg) @ np.diag(comp) @ columns[:, k]
                           for row in weights])
         assert _rel_err(got[k], loop) < 1e-10
         assert _rel_err(got[k], dense) < 1e-10
@@ -502,7 +503,7 @@ def test_bins_times_smoothed_recovery_matrix_smooth_the_recovered_snapshots(case
         um.decompose()
     except DegenerateCodingError:
         assume(False)
-    comp = compensation_matrix(cfg)
+    comp = compensation(cfg)
     rng = np.random.default_rng(seed)
     weights = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (trials, count, width)))
     lines = 2 * max_harmonic + 1
@@ -536,15 +537,17 @@ def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
     width = cfg.surface.cols if params.subarray_width is None else params.subarray_width
     weights = make_ps_weights(params.num_weights, width, weight_seed)
     thetas, phis, spectrum, estimates = oracles.separate_chain(
-        bins, setup.harmonics.entries, cfg.surface, params, compensation_matrix(cfg.surface),
+        bins, setup.harmonics.entries, cfg.surface, params, compensation(cfg.surface),
         weights)
-    assert np.array_equal(got.theta_grid_deg, thetas)
-    assert (got.phi_grid_deg is None) == (phis is None)
+    assert np.array_equal(setup.theta_grid_deg, thetas)
+    assert (setup.elevation_grid_deg.size == 1) == (phis is None)
     if phis is not None:
-        assert np.array_equal(got.phi_grid_deg, phis)
-    assert got.spectrum.shape == spectrum.shape
-    assert np.max(np.abs(got.spectrum - spectrum) / spectrum) < 1e-9
-    assert got.estimates == estimates
+        assert np.array_equal(setup.elevation_grid_deg, phis)
+    # The oracle's azimuth-only spectrum is the one-elevation column.
+    want = spectrum.reshape(thetas.size, -1)
+    assert got.spectrum.shape == (1, *want.shape)
+    assert np.max(np.abs(got.spectrum[0] - want) / want) < 1e-9
+    assert got.estimates == (estimates,)
 
 
 @pytest.mark.parametrize("name", ["table1", "table1_2d"])
@@ -554,7 +557,7 @@ def test_spectrum_csv_matches_the_per_point_writer(tmp_path, name):
     write_spectrum_csv(result, str(tmp_path / "got.csv"))
     oracles.write_spectrum_csv_per_point(result, str(tmp_path / "want.csv"))
     got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
-    assert got.count(b"# estimate,") == len(result.estimates) > 0
+    assert got.count(b"# estimate,") == len(result.estimates[0]) > 0
     assert got == want
 
 
@@ -563,12 +566,12 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     # the search) and one of the whitened covariance.
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec(variance=0.5), 31)
+    series, _ = synthesize_received(model, NoiseSpec(variance=0.5), *oracles.split_seed(31))
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
     whitener = _whitener(make_ps_weights(5, 6, 17),
-                         compensation_matrix(table1_cfg), um, table1_cfg)
+                         compensation(table1_cfg), um, table1_cfg)
     inputs = []
     eigh = np.linalg.eigh
 
@@ -612,7 +615,7 @@ def test_estimates_invariant_under_source_permutation(table1_cfg, table1_plan, c
         scene = SourceScene(tuple(Doa.from_degrees(t, p) for t, p, _ in srcs),
                             tuple(w for _, _, w in srcs))
         result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
-        return set(result.estimates)
+        return set(result.estimates[0])
 
     assert estimates([sources[i] for i in order]) == estimates(sources)
 
@@ -678,8 +681,8 @@ def test_lag_polynomial_matches_the_projection_search(case):
     spectra, estimates = oracles.projection_search(whitened, w_inv_sqrt, setup)
     assert got.spectrum.shape == spectra.shape
     assert np.max(np.abs(got.spectrum - spectra) / spectra) < 1e-9
-    for result, spectrum, want in zip(got.results, spectra, estimates):
-        _assert_same_estimates(result.estimates, want, spectrum, setup)
+    for trial_estimates, spectrum, want in zip(got.estimates, spectra, estimates, strict=True):
+        _assert_same_estimates(trial_estimates, want, spectrum, setup)
 
 
 def _assert_same_estimates(got, want, spectrum, setup):
@@ -737,7 +740,7 @@ def test_noiseless_source_on_a_grid_point_is_found(table1_cfg, params, source):
     got = music_search(whitened, w_inv_sqrt, setup)
     assert np.all(np.isfinite(got.spectrum)) and np.all(got.spectrum > 0)
     _, estimates = oracles.projection_search(whitened, w_inv_sqrt, setup)
-    assert got.results[0].estimates == estimates[0] == (Doa.from_degrees(*source),)
+    assert got.estimates[0] == estimates[0] == (Doa.from_degrees(*source),)
 
 
 # Adjacent doubles with one reciprocal: TWIN_NEXT is the double after
@@ -897,13 +900,10 @@ def test_search_holds_rows_and_evaluates_a_spectrum_once():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
-    result = got.results[7]
-    spectrum = result.spectrum
-    assert spectrum.shape == (thetas, phis)
-    assert result.spectrum is spectrum
+    spectrum = music_search(whitened[7:8], w_inv_sqrt[7:8], setup).spectrum
+    assert spectrum.shape == (1, thetas, phis)
     # The batch's spectra, evaluated together, have the trial's bits.
-    assert got.spectrum is got.spectrum
-    assert got.spectrum[7].tobytes() == spectrum.tobytes()
+    assert got.spectrum[7].tobytes() == spectrum[0].tobytes()
 
 
 def test_search_footprint_fits_its_byte_model():

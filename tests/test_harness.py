@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import msdoa.estimator
 import msdoa.harness
 import msdoa.surface
+import oracles
 from msdoa import (
     ConfigurationError,
     DegenerateCodingError,
@@ -40,7 +41,7 @@ from msdoa import (
     search_setup,
     signal_model,
     synthesize_received,
-    trial_seed_sequence,
+    trial_seeds,
     write_snapshots_csv,
     write_spectrum_csv,
     write_sweep_csv,
@@ -72,14 +73,25 @@ COHERENT = COHERENT.replace("angles_deg = -20",
                             "angles_deg = -30, 25\ncoherence = coherent")
 
 
-def test_trial_seed_sequence():
-    base = trial_seed_sequence(7, 0, 0)
-    assert trial_seed_sequence(7, 0, 0).entropy == base.entropy
+def test_trial_seeds():
+    base = [seq.generate_state(2).tobytes() for seq in trial_seeds(7, 0, 0)]
+    assert [seq.generate_state(2).tobytes() for seq in trial_seeds(7, 0, 0)] == base
     states = {
-        trial_seed_sequence(s, i, t).generate_state(2).tobytes()
-        for s in (7, 8) for i in (0, 1) for t in (0, 1)
+        seq.generate_state(2).tobytes()
+        for s in (7, 8) for i in (0, 1) for t in (0, 1) for seq in trial_seeds(s, i, t)
     }
-    assert len(states) == 8
+    assert len(states) == 24
+
+
+@pytest.mark.parametrize("seed", [7, 20260814, 2**40 + 3])
+def test_trial_seeds_draw_the_nested_spawn_streams(seed):
+    # The three leaves draw what the nested spawns drew before them.
+    for sweep_index in (0, 1, 4):
+        for trial in range(20):
+            want = oracles.nested_trial_streams(seed, sweep_index, trial)
+            for got, ref in zip(trial_seeds(seed, sweep_index, trial), want, strict=True):
+                draws = np.random.default_rng(got).standard_normal(8)
+                assert draws.tobytes() == ref.standard_normal(8).tobytes()
 
 
 def test_run_trial_deterministic():
@@ -189,6 +201,7 @@ def test_run_single_outputs(tmp_path):
     assert selected == 2 * cfg.max_harmonic + 1
     assert out["result"] is not None
     assert len(out["result"].estimates) == 1
+    assert len(out["result"].estimates[0]) == 1
 
 
 def test_run_single_noise_only(tmp_path):
@@ -381,22 +394,22 @@ def test_run_single_is_trial_zero(tmp_path):
     out = run_single(cfg, str(tmp_path / "run"))
     resolved = resolve_experiment(cfg)
     (outcome, _), = run_chunk(build_context(resolved), 0, [0])
-    assert out["result"].estimates == outcome.estimates
+    assert out["result"].estimates[0] == outcome.estimates
 
     # Reference: trial (0, 0) composed from the public stages and the
     # builders of their pieces, without a trial context.
-    synth_seed, weight_seed = trial_seed_sequence(resolved.seed, 0, 0).spawn(2)
+    amplitude_seed, noise_seed, weight_seed = trial_seeds(resolved.seed, 0, 0)
     harmonics = harmonic_matrix(resolved.max_harmonic, resolved.surface)
     model = signal_model(resolved.surface, resolved.scene, resolved.plan, resolved.mode, harmonics)
-    series, _ = synthesize_received(model, resolved.noise, synth_seed)
+    series, _ = synthesize_received(model, resolved.noise, amplitude_seed, noise_seed)
     bins = extract_snapshots(series, resolved.plan, resolved.max_harmonic)
-    (result,) = estimate_doa(
+    batch = estimate_doa(
         [bins], search_setup(resolved.surface, resolved.estimator, harmonics), [weight_seed]
-    ).results
+    )
     ref = str(tmp_path / "ref")
     write_time_series(series, resolved.plan, f"{ref}_series.f64", seed=resolved.seed)
     write_snapshots_csv(bins, f"{ref}_snapshots.csv")
-    write_spectrum_csv(result, f"{ref}_spatial.csv")
+    write_spectrum_csv(batch, f"{ref}_spatial.csv")
     for got, want in (
         (out["paths"]["series"], f"{ref}_series.f64"),
         (out["paths"]["series"] + ".hdr", f"{ref}_series.f64.hdr"),
@@ -552,7 +565,7 @@ def test_batching_never_moves_a_bit(case, slack, chain_slack):
     for t, trial in enumerate(alone):
         for got, want in zip(_trial_arrays(together, t), _trial_arrays(trial, 0)):
             assert got.tobytes() == want.tobytes()
-        assert together[0][t].estimates == trial[0][0].estimates
+        assert together[0].estimates[t] == trial[0].estimates[0]
 
 
 def _spied_batch(context, drawn):
@@ -577,8 +590,8 @@ def _spied_batch(context, drawn):
 def _trial_arrays(batch, t):
     """Spectrum, eigenvalues, bound, azimuth bounds, whitened covariance
     and whitening transform of trial ``t`` of a :func:`_spied_batch`."""
-    results, bound, whitened, w_inv_sqrt = batch
-    return (results[t].spectrum, results[t].eigenvalues, bound.matrix[t],
+    search, bound, whitened, w_inv_sqrt = batch
+    return (search.spectrum[t], search.eigenvalues[t], bound.matrix[t],
             bound.theta_bounds[t], whitened[t], w_inv_sqrt[t])
 
 

@@ -24,7 +24,7 @@ from msdoa import (
     write_snapshots_csv,
 )
 from msdoa.harness import synthesize_trial
-from oracles import fftshift_snapshots
+from oracles import fftshift_snapshots, split_seed
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
@@ -59,7 +59,8 @@ def test_noiseless_snapshots_equal_mixture(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     um = harmonic_matrix(15, table1_cfg)
     series, amps = synthesize_received(
-        signal_model(table1_cfg, scene, table1_plan, "ideal", um), NoiseSpec.quiet(), 5)
+        signal_model(table1_cfg, scene, table1_plan, "ideal", um), NoiseSpec.quiet(),
+        *split_seed(5))
     bins = extract_snapshots(series, table1_plan, 15)
     steer = np.column_stack([steering_vector(d, table1_cfg) for d in scene.doas])
     want = um.entries @ steer @ amps
@@ -117,7 +118,7 @@ def test_extraction_validation(table1_plan):
 def test_snapshots_csv(tmp_path, table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     series, _ = synthesize_received(signal_model(table1_cfg, scene, table1_plan, "full"),
-                                    NoiseSpec.quiet(), 5)
+                                    NoiseSpec.quiet(), *split_seed(5))
     bins = extract_snapshots(series, table1_plan, 15)
     path = tmp_path / "snaps.csv"
     write_snapshots_csv(bins, str(path))

@@ -25,10 +25,10 @@ from msdoa import (
     synthesize_received,
     write_time_series,
 )
-from msdoa.harness import build_context, trial_seed_sequence
+from msdoa.harness import build_context, trial_seeds
 from msdoa.surface import steering_matrix
 from msdoa.waveform import _slot_indices
-from oracles import coding_waveform, repeat_synthesis
+from oracles import coding_waveform, repeat_synthesis, split_seed
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
@@ -171,9 +171,9 @@ def _table1_scene():
 
 def test_synthesis_deterministic(table1_cfg, table1_plan):
     model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
-    a, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), 42)
-    b, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), 42)
-    c, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), 43)
+    a, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), *split_seed(42))
+    b, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), *split_seed(42))
+    c, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), *split_seed(43))
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
@@ -184,12 +184,9 @@ def test_synthesis_matches_the_repeat_form_bit_for_bit(chain_config):
     cfg = chain_config
     model = build_context(cfg).signal
     for trial in range(3):
-        # A seed sequence counts its spawns, so each call gets a fresh one.
-        def seed():
-            return trial_seed_sequence(cfg.seed, 0, trial).spawn(2)[0]
-
-        series, amplitudes = synthesize_received(model, cfg.noise, seed())
-        samples, want = repeat_synthesis(model, cfg.noise, seed())
+        seeds = trial_seeds(cfg.seed, 0, trial)[:2]
+        series, amplitudes = synthesize_received(model, cfg.noise, *seeds)
+        samples, want = repeat_synthesis(model, cfg.noise, *seeds)
         assert series.samples.tobytes() == samples.tobytes()
         assert amplitudes.tobytes() == want.tobytes()
 
@@ -214,8 +211,8 @@ def test_full_mode_holds_one_period_per_source(table1_cfg):
 
     noise = NoiseSpec(variance=0.5)
     for seed in (5, 6):
-        series, amplitudes = synthesize_received(model, noise, seed)
-        samples, want = repeat_synthesis(model, noise, seed)
+        series, amplitudes = synthesize_received(model, noise, *split_seed(seed))
+        samples, want = repeat_synthesis(model, noise, *split_seed(seed))
         assert series.samples.tobytes() == samples.tobytes()
         assert amplitudes.tobytes() == want.tobytes()
 
@@ -240,8 +237,8 @@ def test_one_period_synthesis_matches_the_record_form(table1_cfg, mode, periods)
     model = signal_model(table1_cfg, _table1_scene(), plan, mode, harmonic_matrix(15, table1_cfg))
     noise = NoiseSpec(variance=0.5)
     for seed in (5, 6):
-        series, amplitudes = synthesize_received(model, noise, seed)
-        samples, want = repeat_synthesis(model, noise, seed)
+        series, amplitudes = synthesize_received(model, noise, *split_seed(seed))
+        samples, want = repeat_synthesis(model, noise, *split_seed(seed))
         assert series.samples.tobytes() == samples.tobytes()
         assert amplitudes.tobytes() == want.tobytes()
 
@@ -253,7 +250,7 @@ def test_no_source_model_holds_an_empty_pattern_stack(table1_cfg, table1_plan, m
     assert model.patterns.shape == (0, table1_plan.points_per_period)
     assert not model.patterns.flags.writeable
     assert model.phase_table is None
-    series, amplitudes = synthesize_received(model, NoiseSpec.quiet(), 9)
+    series, amplitudes = synthesize_received(model, NoiseSpec.quiet(), *split_seed(9))
     assert amplitudes.shape == (0, table1_plan.num_snapshots)
     assert series.samples.tobytes() == np.zeros(table1_plan.total_points, complex).tobytes()
 
@@ -261,8 +258,8 @@ def test_no_source_model_holds_an_empty_pattern_stack(table1_cfg, table1_plan, m
 def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
     # Same seed, noiseless vs noisy: the signal part is unchanged.
     model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
-    quiet, _ = synthesize_received(model, NoiseSpec.quiet(), 42)
-    noisy, _ = synthesize_received(model, NoiseSpec(variance=0.5), 42)
+    quiet, _ = synthesize_received(model, NoiseSpec.quiet(), *split_seed(42))
+    noisy, _ = synthesize_received(model, NoiseSpec(variance=0.5), *split_seed(42))
     diff = noisy.samples - quiet.samples
     assert np.std(diff) > 0
     # Residual is exactly the additive noise: variance M*N*sigma^2.
@@ -272,9 +269,9 @@ def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
 def test_noise_variance_scaling(table1_cfg, table1_plan):
     # K = 0 leaves pure noise with per-sample variance M*N*sigma^2.
     model = signal_model(table1_cfg, SourceScene((), ()), table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec(variance=2.0), 9)
+    series, _ = synthesize_received(model, NoiseSpec(variance=2.0), *split_seed(9))
     assert np.mean(np.abs(series.samples) ** 2) == pytest.approx(60.0, rel=0.05)
-    quiet, _ = synthesize_received(model, NoiseSpec.quiet(), 9)
+    quiet, _ = synthesize_received(model, NoiseSpec.quiet(), *split_seed(9))
     assert np.array_equal(quiet.samples, np.zeros(table1_plan.total_points))
 
 
@@ -292,11 +289,11 @@ def test_full_vs_ideal_folding(table1_cfg):
     scene = _table1_scene()
     plan = SamplingPlan(50e6, 2, 2, 1.6e-5)
     full, _ = synthesize_received(signal_model(table1_cfg, scene, plan, "full"),
-                                  NoiseSpec.quiet(), 4)
+                                  NoiseSpec.quiet(), *split_seed(4))
 
     def rel(cap):
         model = signal_model(table1_cfg, scene, plan, "ideal", harmonic_matrix(cap, table1_cfg))
-        ideal, _ = synthesize_received(model, NoiseSpec.quiet(), 4)
+        ideal, _ = synthesize_received(model, NoiseSpec.quiet(), *split_seed(4))
         return (np.linalg.norm(full.samples - ideal.samples)
                 / np.linalg.norm(full.samples))
 
@@ -312,9 +309,9 @@ def test_folding_residue_shrinks_with_oversampling(table1_cfg):
         plan = SamplingPlan(50e6 * fs_mult, 2, 2, 1.6e-5)
         cap = plan.points_per_period // 2 - 1
         full, _ = synthesize_received(signal_model(table1_cfg, scene, plan, "full"),
-                                      NoiseSpec.quiet(), 4)
+                                      NoiseSpec.quiet(), *split_seed(4))
         model = signal_model(table1_cfg, scene, plan, "ideal", harmonic_matrix(cap, table1_cfg))
-        ideal, _ = synthesize_received(model, NoiseSpec.quiet(), 4)
+        ideal, _ = synthesize_received(model, NoiseSpec.quiet(), *split_seed(4))
         return (np.linalg.norm(full.samples - ideal.samples)
                 / np.linalg.norm(full.samples))
 
@@ -330,16 +327,16 @@ def test_mode_and_plan_validation(table1_cfg, table1_plan):
 
 def test_return_amplitudes(table1_cfg, table1_plan):
     model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
-    series, amps = synthesize_received(model, NoiseSpec.quiet(), 21)
+    series, amps = synthesize_received(model, NoiseSpec.quiet(), *split_seed(21))
     assert amps.shape == (2, 5)
-    again, again_amps = synthesize_received(model, NoiseSpec.quiet(), 21)
+    again, again_amps = synthesize_received(model, NoiseSpec.quiet(), *split_seed(21))
     assert np.array_equal(series.samples, again.samples)
     assert np.array_equal(amps, again_amps)
 
 
 def test_series_roundtrip(tmp_path, table1_cfg, table1_plan):
     model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec(variance=0.3), 8)
+    series, _ = synthesize_received(model, NoiseSpec(variance=0.3), *split_seed(8))
     path = str(tmp_path / "rx.bin")
     write_time_series(series, table1_plan, path, seed=8)
     back = read_time_series(path)
