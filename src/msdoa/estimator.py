@@ -22,11 +22,11 @@ outer-product sum of V itself. Its inverse square root whitens both the
 covariance and the search manifold.
 
 :func:`estimate_doa` runs a batch of trials, given their (2P+1, I)
-snapshot bin matrices. It runs the chain in sub-batches sized by the
-chain's own stacks: each sub-batch's recovery matrices are smoothed
-before its bins are stacked as one (trials, 2P+1, I) array, and only
-its whitened covariances and whitening transforms outlive it. The
-whole batch then goes through one search. Every stage after the
+snapshot bin matrices. It runs the chain in sub-batches of
+``CHAIN_TRIALS`` trials: each sub-batch's recovery matrices are
+smoothed before its bins are stacked as one (trials, 2P+1, I) array,
+and only its whitened covariances and whitening transforms outlive it.
+The whole batch then goes through one search. Every stage after the
 per-trial weight draws takes arrays with a leading trial axis:
 :func:`smooth`, :func:`smoothing_whitener`, :func:`whitener_inv_sqrt`,
 the product of the bins with V, :func:`ps_covariance`, :func:`whiten`
@@ -36,10 +36,10 @@ of a result depends on the batch or the sub-batch. The search folds
 each trial's whitened noise projector onto the lags of the smoothed
 grid and evaluates the spectrum denominator as a trigonometric
 polynomial in the row and column phases, one elevation at a time with
-each elevation's basis built once per batch; a 2-D batch holds a whole
-100-trial point of the shipped configs, so each basis is built once per
-point. The trials' polynomial rows are zero-padded into blocks of
-``GEMM_ROWS`` rows, and each elevation's denominators are one
+each elevation's basis built once per batch; the harness's batch holds
+a whole 100-trial point of the shipped configs, so each basis is built
+once per point. The trials' polynomial rows are zero-padded into
+blocks of ``GEMM_ROWS`` rows, and each elevation's denominators are one
 matrix-matrix product per block. Every block has the same shape, so
 every product takes the same BLAS path and a trial's denominators have
 the same bits at any position of any batch, a batch of one included.
@@ -72,18 +72,10 @@ from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 WHITENER_RTOL = 1e-12
 # Largest distance of a smoothing weight's modulus from 1.
 UNIT_MODULUS_ATOL = 1e-9
-# Bytes a chain sub-batch may hold, per trial its largest stack, the
-# smoothed recovery matrix V (complex) with the copy its collapse makes,
-# and the denominator rows its search keeps (three elevations at most)
-# with the next elevation's: a one-elevation batch is one sub-batch
-# and holds both in turn. 2.5 MiB gives 30 trials on table1_2d, 32 on
-# table2 and 48 on table1.
-CHAIN_BATCH_BYTES = 5 * 2**19
-# Bytes a 2-D search batch may hold, per trial the whitened covariance
-# and whitening transform it is handed (complex) and the same
-# denominator rows. 2.5 MiB gives 139 trials on table1_2d, so a
-# 100-trial point is one batch.
-SEARCH_BATCH_BYTES = 5 * 2**19
+# Trials per chain sub-batch of estimate_doa. The cost per trial is
+# about flat from 8 to 48 trials on the shipped configs; at 32 a whole
+# 100-trial table1_2d point outgrows its recorded memory peak.
+CHAIN_TRIALS = 30
 # Rows of each product that evaluates spectrum denominators. Every
 # product has the same shape, so no bit of a trial's row depends on
 # where in a batch it sits.
@@ -377,18 +369,8 @@ class SearchSetup:
     matrix that mixed the snapshot bins (each trial smooths its left
     inverse), the phase compensation, the smoothing window width,
     the azimuth and elevation grids, the sines and cosines of the
-    azimuths, the table that folds a Gram matrix onto the half-plane
-    lags of the smoothed grid, and two batch sizes, each at least 1.
-    ``chain_batch_size`` is the most trials whose chain stacks and
-    search rows fit in ``CHAIN_BATCH_BYTES``; :func:`estimate_doa` runs
-    the chain in sub-batches of it. ``batch_size`` is the most trials one
-    search takes, and the harness batches trials by it. The search
-    builds each elevation's lag basis once per batch, so a 2-D search's
-    batch is the most trials whose handed-in stacks and search rows fit
-    in ``SEARCH_BATCH_BYTES``. A one-elevation search builds one small
-    basis per batch and gains nothing from a batch larger than one chain
-    sub-batch, so its batch is ``chain_batch_size``. Arrays are
-    read-only: trials share them.
+    azimuths, and the table that folds a Gram matrix onto the half-plane
+    lags of the smoothed grid. Arrays are read-only: trials share them.
     """
 
     surface: SurfaceConfig
@@ -401,8 +383,6 @@ class SearchSetup:
     elevation_grid_deg: np.ndarray
     directions: np.ndarray
     fold: np.ndarray
-    chain_batch_size: int
-    batch_size: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,13 +427,6 @@ def search_setup(
     theta_rad = np.deg2rad(theta_grid)
     directions = np.stack([np.sin(theta_rad), np.cos(theta_rad)])
     fold = _lag_fold(cfg.rows, out_cols)
-    dim = cfg.rows * out_cols
-    rows = 8 * theta_grid.size * (min(elevations.size, 3) + 1)
-    chain_bytes = 32 * (2 * harmonics.max_harmonic + 1) * params.num_weights * dim + rows
-    chain_batch_size = max(1, CHAIN_BATCH_BYTES // chain_bytes)
-    batch_size = max(1, SEARCH_BATCH_BYTES // (32 * dim * dim + rows))
-    if elevations.size == 1:
-        batch_size = chain_batch_size
     for arr in (comp, theta_grid, elevations, directions, fold):
         arr.flags.writeable = False
     return SearchSetup(
@@ -467,8 +440,6 @@ def search_setup(
         elevations,
         directions,
         fold,
-        chain_batch_size,
-        batch_size,
     )
 
 
@@ -671,26 +642,26 @@ def estimate_doa(bins, setup: SearchSetup, rng_seeds) -> MusicBatch:
     :func:`~msdoa.snapshot.extract_snapshots`, and ``rng_seeds`` the
     seeds of their smoothing weight rows, in the same order; ``setup``
     is the :func:`search_setup` of the surface and estimator. The chain
-    runs in sub-batches of ``setup.chain_batch_size`` trials (see
+    runs in sub-batches of ``CHAIN_TRIALS`` trials (see
     :func:`_whitened_chain`), each of which leaves only its whitened
     covariances and whitening transforms behind; one
-    :func:`music_search` then takes the whole batch. Every stage runs on
-    arrays with a leading trial axis and makes, per trial, the call a
-    batch of one makes, so no bit of a result depends on the batch or
-    the sub-batch.
+    :func:`music_search` then takes them all, joined into the batch's
+    stacks. Every stage runs on arrays with a leading trial axis and
+    makes, per trial, the call a batch of one makes, so no bit of a
+    result depends on the batch or the sub-batch.
     """
     if len(bins) != len(rng_seeds):
         raise ValidationError(
             f"{len(bins)} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
         )
-    size = setup.chain_batch_size
+    size = CHAIN_TRIALS
     parts = [
         _whitened_chain(bins[start : start + size], setup, rng_seeds[start : start + size])
         for start in range(0, len(bins), size)
     ]
-    # A lone sub-batch's stacks are the batch's; copying them would only
-    # move them up the heap (about 1 MB more peak RSS on p_sweep_ideal).
-    whitened, w_inv_sqrt = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    # Joined once the chain is done: stacks for the whole batch held
+    # through every sub-batch would raise the chain's peak.
+    whitened, w_inv_sqrt = map(np.concatenate, zip(*parts))
     del parts  # so the sub-batches' stacks add nothing to the search's peak
     return music_search(whitened, w_inv_sqrt, setup)
 

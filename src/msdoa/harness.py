@@ -7,39 +7,36 @@ with its coherent gains resolved from the seed; the signal model (one
 coding period of the switched patterns, full or band-limited, which
 the record repeats); the search setup, which holds the harmonic matrix
 with its rank check and pseudo-inverse, the phase compensation, the
-smoothing window width, the search grids, the lag fold table and the
-chain and search batch sizes; and the bound's rank-checked projected
-core, which treats the elevation as known when the search has one. Each stage
-takes its piece of the context and the trials' own draws, nothing the
-piece was built from.
+smoothing window width, the search grids and the lag fold table; and
+the bound's rank-checked projected core, which treats the elevation as
+known when the search has one. Each stage takes its piece of the
+context and the trials' own draws, nothing the piece was built from.
 
-:func:`run_chunk` walks its trials in batches of the setup's
-``batch_size``. The draws stay per trial: each trial derives its own
-seed streams, draws its amplitudes and noise, synthesizes its series
-and extracts its (2P+1, I) matrix of snapshot bins, and the series is
-dropped as soon as the bins are taken. :func:`run_batch` hands the
-batch's bins to :func:`estimate_doa`, and every later stage runs on
-arrays with a leading trial axis. The estimator chain runs in
-sub-batches of the setup's ``chain_batch_size``: the smoothing
-weights, each trial's smoothed recovery matrix with its whitener and
-inverse square root, the smoothed snapshots as products of the bins
-with that matrix, and the covariances and their whitening. One search
-then takes the whole batch, building each elevation's lag basis once
-per batch rather than once per trial, and the bound's
-amplitude-dependent product and inverse run once per batch. Each
-stacked call makes, per trial, the BLAS or LAPACK call a batch of one
-makes, so every result is bitwise the same for every batch and
-sub-batch size, and a trial that fails a check raises the error it
-raises alone. :func:`run_trial` then scores each trial. Both sizes
-follow from fixed byte budgets (see ``msdoa.estimator.SearchSetup``):
-the chain's from its per-trial stacks, the search's from its spectrum
-rows. A 2-D batch holds a whole 100-trial point of the shipped
-configs, so each elevation's basis is built once per point; a 1-D
-batch is one chain sub-batch.
+:func:`run_chunk` walks its trials in batches of ``BATCH_TRIALS``.
+The draws stay per trial: each trial derives its own seed streams,
+draws its amplitudes and noise, synthesizes its series and extracts
+its (2P+1, I) matrix of snapshot bins, and the series is dropped as
+soon as the bins are taken. :func:`run_batch` hands the batch's bins
+to :func:`estimate_doa`, and every later stage runs on arrays with a
+leading trial axis. The estimator chain runs in sub-batches of
+``msdoa.estimator.CHAIN_TRIALS``: the smoothing weights, each trial's
+smoothed recovery matrix with its whitener and inverse square root,
+the smoothed snapshots as products of the bins with that matrix, and
+the covariances and their whitening. One search then takes the whole
+batch, building each elevation's lag basis once per batch rather than
+once per trial, and the bound's amplitude-dependent product and
+inverse run once per batch. Each stacked call makes, per trial, the
+BLAS or LAPACK call a batch of one makes, so every result is bitwise
+the same for every batch and sub-batch size, and a trial that fails a
+check raises the error it raises alone. :func:`run_trial` then scores
+each trial. A batch holds a whole 100-trial point of the shipped
+configs, 1-D or 2-D, so each point is one search and each elevation's
+basis is built once per point. Trials are scored against the true
+sources, so a chunk of a source-free config raises before it draws.
 ``single`` runs trial (0, 0) as a batch of one through the same
-:func:`run_batch`, and ``crb`` bounds the amplitudes of that same draw
-without extracting its snapshots or searching, both with BLAS held to
-one thread as in a sweep.
+:func:`run_batch`, and skips the search without sources; ``crb``
+bounds the amplitudes of that same draw without synthesizing its
+series. Both hold BLAS to one thread as a sweep does.
 
 A chunk of trials is the unit of work: :func:`run_trials` runs a
 point's trials as one chunk, or, with several workers, as contiguous
@@ -85,6 +82,7 @@ from .snapshot import extract_snapshots, frequency_indices, write_snapshots_csv
 from .surface import harmonic_matrix
 from .waveform import (
     SignalModel,
+    draw_source_amplitudes,
     resolve_gains,
     signal_model,
     synthesize_received,
@@ -94,6 +92,11 @@ from .waveform import (
 # Fixed tag mixed into the seed stream for experiment-level draws
 # (coherent gains), distinct from any (sweep, trial) pair.
 _GAIN_SEED_TAG = 0x6761696E
+# Trials per search batch of run_chunk. Each elevation's lag basis is
+# built once per batch, and a 1-D search's fixed cost per call is about
+# half a millisecond, so at least 100 makes every shipped point, and
+# each 50-trial chunk of two workers, one search.
+BATCH_TRIALS = 128
 
 
 def trial_seeds(
@@ -152,21 +155,14 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
     return TrialContext(cfg, signal, search, bound)
 
 
-def synthesize_trial(context: TrialContext, sweep_index: int, trial_index: int):
-    """Received series of one trial, the amplitudes it drew, and its smoothing seed.
+def draw_trial(context: TrialContext, sweep_index: int, trial_index: int):
+    """Received series, amplitudes, snapshot bins and smoothing seed of one trial.
 
-    Sweeps, ``single`` and ``crb`` all synthesize a trial here.
+    Sweeps and ``single`` draw a trial here.
     """
     cfg = context.config
     amplitude_seed, noise_seed, smoothing_seed = trial_seeds(cfg.seed, sweep_index, trial_index)
     series, amplitudes = synthesize_received(context.signal, cfg.noise, amplitude_seed, noise_seed)
-    return series, amplitudes, smoothing_seed
-
-
-def _draw(context: TrialContext, sweep_index: int, trial_index: int):
-    """Series, amplitudes, snapshot bins and smoothing seed of one trial."""
-    series, amplitudes, smoothing_seed = synthesize_trial(context, sweep_index, trial_index)
-    cfg = context.config
     bins = extract_snapshots(series, cfg.plan, cfg.max_harmonic)
     return series, amplitudes, bins, smoothing_seed
 
@@ -177,12 +173,10 @@ def run_batch(context: TrialContext, drawn) -> tuple:
     ``drawn`` holds one (amplitudes, snapshot bins, smoothing seed)
     triple per trial, from that trial's own draws. The estimator chain
     and the bound each run once on arrays with a leading trial axis.
-    Returns the batch's :class:`~msdoa.estimator.MusicBatch` and one
-    :class:`CrbResult` whose arrays stack the trials'; without sources
-    both are ``None``.
+    The context must have sources. Returns the batch's
+    :class:`~msdoa.estimator.MusicBatch` and one :class:`CrbResult`
+    whose arrays stack the trials'.
     """
-    if context.bound is None:
-        return None, None
     amplitudes, bins, seeds = zip(*drawn)
     cfg = context.config
     batch = estimate_doa(bins, context.search, seeds)
@@ -200,7 +194,6 @@ def run_trial(
     from :func:`run_batch`. Returns the trial outcome and the per-source
     square-root bound in degrees.
     """
-    # Scoring rejects a scene without sources before reading the bound.
     outcome = resolve_and_score(estimates, context.config.scene.doas)
     sqrt_crb_deg = tuple(float(np.rad2deg(np.sqrt(b))) for b in theta_bounds)
     return outcome, sqrt_crb_deg
@@ -210,19 +203,21 @@ def run_chunk(context: TrialContext, sweep_index: int, trial_indices):
     """Outcome and square-root bound of each listed trial of one config point.
 
     ``context`` is the point's :func:`build_context`. The trials run in
-    batches of the search setup's ``batch_size``, one search each: each
-    trial of a batch is drawn on its own, :func:`run_batch` estimates
-    and bounds the batch, and :func:`run_trial` scores each trial.
+    batches of ``BATCH_TRIALS``, one search each: each trial of a batch
+    is drawn on its own, :func:`run_batch` estimates and bounds the
+    batch, and :func:`run_trial` scores each trial. Trials are scored
+    against the true sources, so a context without them raises
+    :class:`ValidationError` before any trial is drawn.
     """
-    size = context.search.batch_size
+    if context.bound is None:
+        raise ValidationError("trials need at least one true source to score against")
     out = []
-    for start in range(0, len(trial_indices), size):
+    for start in range(0, len(trial_indices), BATCH_TRIALS):
+        indices = trial_indices[start : start + BATCH_TRIALS]
         # Each series is dropped as soon as its bins are taken.
-        drawn = [_draw(context, sweep_index, t)[1:] for t in trial_indices[start : start + size]]
+        drawn = [draw_trial(context, sweep_index, t)[1:] for t in indices]
         batch, bound = run_batch(context, drawn)
-        estimates = [()] * len(drawn) if batch is None else batch.estimates
-        theta_bounds = [()] * len(drawn) if bound is None else bound.theta_bounds
-        out.extend(run_trial(context, e, b) for e, b in zip(estimates, theta_bounds))
+        out.extend(run_trial(context, e, b) for e, b in zip(batch.estimates, bound.theta_bounds))
     return out
 
 
@@ -445,13 +440,15 @@ def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
     """The angle bound of the amplitudes trial (0, 0) draws, the run ``single`` makes.
 
     The amplitudes are bounded as :func:`run_batch` bounds a batch of
-    one; no snapshots are extracted and the search does not run.
+    one; they are drawn alone, so no series is synthesized and the
+    search does not run.
     """
     with _trial_zero(cfg) as context:
         if context.bound is None:
             raise ValidationError("the bound needs at least one configured source")
-        _, amplitudes, _ = synthesize_trial(context, 0, 0)
         cfg = context.config
+        amplitude_seed = trial_seeds(cfg.seed, 0, 0)[0]
+        amplitudes = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
         bound = crb(context.bound, cfg.plan, cfg.noise.variance, amplitudes[None])
     return CrbResult(bound.matrix[0], bound.theta_bounds[0])
 
@@ -469,8 +466,10 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     without sources.
     """
     with _trial_zero(cfg) as context:
-        series, amplitudes, bins, smoothing_seed = _draw(context, 0, 0)
-        batch, _ = run_batch(context, [(amplitudes, bins, smoothing_seed)])
+        series, amplitudes, bins, smoothing_seed = draw_trial(context, 0, 0)
+        batch = None
+        if context.bound is not None:
+            batch, _ = run_batch(context, [(amplitudes, bins, smoothing_seed)])
     cfg = context.config
     prefix = out_prefix if out_prefix is not None else cfg.output
 

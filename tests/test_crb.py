@@ -16,7 +16,7 @@ from msdoa import (
     steering_derivatives,
     steering_vector,
 )
-from msdoa.harness import build_context, synthesize_trial
+from msdoa.harness import build_context, draw_trial
 from oracles import kron_crb, stacked_crb
 
 C0 = 299792458.0
@@ -172,7 +172,7 @@ def test_stacked_bound_matches_the_kron_form_bit_for_bit(chain_config):
     # that is the np.kron form of the Hadamard factor, to the last bit.
     cfg = chain_config
     context = build_context(cfg)
-    amps = np.stack([synthesize_trial(context, 0, t)[1] for t in range(4)])
+    amps = np.stack([draw_trial(context, 0, t)[1] for t in range(4)])
     stacked = crb(context.bound, cfg.plan, cfg.noise.variance, amps)
     assert stacked.matrix.shape[0] == stacked.theta_bounds.shape[0] == 4
     for t, draw in enumerate(amps):

@@ -53,7 +53,7 @@ from msdoa.estimator import (
     inclusive_grid,
     whitener_inv_sqrt,
 )
-from msdoa.harness import synthesize_trial
+from msdoa.harness import BATCH_TRIALS, draw_trial
 from msdoa.surface import element_positions, receiver_delays
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
@@ -521,8 +521,7 @@ def _trial_zero(name, **estimator):
     cfg = resolve_experiment(load_config(builtin_config_path(name)))
     cfg = replace(cfg, estimator=replace(cfg.estimator, **estimator))
     context = build_context(cfg)
-    series, _, weight_seed = synthesize_trial(context, 0, 0)
-    bins = extract_snapshots(series, cfg.plan, cfg.max_harmonic)
+    _, _, bins, weight_seed = draw_trial(context, 0, 0)
     return cfg, context.search, weight_seed, bins
 
 
@@ -908,7 +907,7 @@ def test_search_holds_rows_and_evaluates_a_spectrum_once():
 
 def test_search_footprint_fits_its_byte_model():
     # Beyond its handed-in stacks, each trial a table1_2d search takes
-    # may add no more than the denominator rows that size its batch (three
+    # may add no more than the denominator rows it holds (three
     # elevations with the next elevation's): the eigenvector,
     # noise-basis and Gram stacks are dropped before rows are evaluated.
     setup = build_context(load_config(builtin_config_path("table1_2d"))).search
@@ -944,8 +943,8 @@ def _estimate_doa_peak(name, trials):
     context = build_context(cfg)
     bins, seeds = [], []
     for t in range(trials):
-        series, _, seed = synthesize_trial(context, 0, t)
-        bins.append(extract_snapshots(series, cfg.plan, cfg.max_harmonic))
+        _, _, trial_bins, seed = draw_trial(context, 0, t)
+        bins.append(trial_bins)
         seeds.append(seed)
     tracemalloc.start()
     try:
@@ -967,6 +966,5 @@ def test_a_whole_2d_point_peak_memory_holds():
     # The chain runs in 30-trial sub-batches and hands on only the
     # whitened stacks, and the search holds rows, so all 100 trials of a
     # point in one search hold little more than one 30-trial batch.
-    setup = build_context(load_config(builtin_config_path("table1_2d"))).search
-    assert setup.batch_size >= 100
+    assert BATCH_TRIALS >= 100
     assert _estimate_doa_peak("table1_2d", 100) <= 1.02 * POINT_PEAK_BYTES

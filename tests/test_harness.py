@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import msdoa.estimator
 import msdoa.harness
 import msdoa.surface
+import msdoa.waveform
 import oracles
 from msdoa import (
     ConfigurationError,
@@ -337,6 +338,17 @@ def test_cli_sweep_needs_sources(tmp_path, capsys):
     assert os.path.exists(f"{prefix}_frequency.csv")
 
 
+def test_source_free_trials_raise_before_any_draw(monkeypatch):
+    # Trials are scored against the true sources, so a point without
+    # them fails before a single trial is synthesized.
+    calls = _count_calls(monkeypatch, msdoa.waveform, "synthesize_received")
+    text = SMALL.replace("angles_deg = -20", "angles_deg = none")
+    text = text.replace("snr_db = 10", "noise_variance = 1.0")
+    with pytest.raises(ValidationError, match="at least one true source"):
+        run_trials(parse_config(text))
+    assert calls == []
+
+
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
     # A single zenith source is a valid config, but its azimuth carries
     # no information, so the bound computation fails at runtime.
@@ -358,8 +370,8 @@ def test_cli_crb_bounds_the_amplitudes_of_trial_zero(tmp_path, capsys):
 
 
 def test_cli_crb_runs_no_search(tmp_path, capsys, monkeypatch):
-    # The bound needs trial (0, 0)'s amplitudes only, never its
-    # snapshots or its estimate.
+    # The bound needs trial (0, 0)'s amplitudes only, never its series,
+    # its snapshots or its estimate.
     printed = {}
     for name in ("table1", "table1_2d"):
         assert main(["crb", "-c", builtin_config_path(name), "-o", str(tmp_path / name)]) == 0
@@ -371,8 +383,12 @@ def test_cli_crb_runs_no_search(tmp_path, capsys, monkeypatch):
     def no_snapshots(*args):
         raise AssertionError("crb extracted snapshots")
 
+    def no_series(*args):
+        raise AssertionError("crb synthesized a series")
+
     monkeypatch.setattr(msdoa.estimator, "music_search", no_search)
     monkeypatch.setattr(msdoa.harness, "extract_snapshots", no_snapshots)
+    monkeypatch.setattr(msdoa.harness, "synthesize_received", no_series)
     for name in ("table1", "table1_2d"):
         assert main(["crb", "-c", builtin_config_path(name), "-o", str(tmp_path / name)]) == 0
         assert capsys.readouterr().out == printed[name]
@@ -486,76 +502,35 @@ def _batched_runs(draw):
     return replace(cfg, estimator=est, trials=trials), batch, chain
 
 
-def _batch_bytes(setup):
-    """Bytes one trial adds to a chain sub-batch and to a 2-D search batch.
-
-    Both count the denominator rows its peak search keeps (three
-    elevations at most) with the next elevation's. The chain adds its
-    smoothed recovery matrix (complex) with the copy its collapse makes,
-    the search the whitened covariance and whitening transform it is
-    handed (complex).
-    """
-    surface, elevations = setup.surface, setup.elevation_grid_deg.size
-    dim = surface.rows * (surface.cols - setup.width + 1)
-    lines = 2 * setup.harmonics.max_harmonic + 1
-    rows = 8 * setup.theta_grid_deg.size * (min(elevations, 3) + 1)
-    return 32 * lines * setup.num_weights * dim + rows, 32 * dim * dim + rows
-
-
-@pytest.mark.parametrize("name, chain, batch", [
-    ("table1_2d", 30, 139), ("table2", 32, 32), ("table1", 48, 48),
-])
-def test_shipped_configs_batch_sizes(name, chain, batch):
-    # A 2-D batch holds a whole 100-trial point, so each elevation's lag
-    # basis is built once per point. A 1-D batch is one chain sub-batch.
-    # The chain sub-batches are the batches of the single budget that
-    # once sized the chain and the search together.
-    context = build_context(load_config(builtin_config_path(name)))
-    assert context.search.chain_batch_size == chain
-    assert context.search.batch_size == batch
-
-
-def test_a_2d_point_is_one_search(monkeypatch):
-    # One music_search call takes all 100 trials of a table1_2d point,
-    # and each of its 181 elevations' lag bases is built once.
-    cfg = load_config(builtin_config_path("table1_2d"))
+@pytest.mark.parametrize("name, elevations", [("table1_2d", 181), ("table2", 1), ("table1", 1)])
+def test_a_point_is_one_search(monkeypatch, name, elevations):
+    # One music_search call takes all 100 trials of a point, 1-D or 2-D,
+    # and each elevation's lag basis is built once.
+    cfg = load_config(builtin_config_path(name))
     searches = _count_calls(monkeypatch, msdoa.estimator, "music_search")
     bases = _count_calls(monkeypatch, msdoa.estimator, "_lag_basis")
     assert len(run_trials(cfg)) == cfg.trials == 100
     assert [args[0].shape[0] for args in searches] == [100]
-    assert len(bases) == 181
+    assert len(bases) == elevations
 
 
 @settings(max_examples=60, deadline=None)
-@given(_batched_runs(), st.floats(0.0, 0.999), st.floats(0.0, 0.999))
-def test_batching_never_moves_a_bit(case, slack, chain_slack):
+@given(_batched_runs())
+def test_batching_never_moves_a_bit(case):
     cfg, batch, chain = case
+    context = _result_or_error(build_context, cfg)
+    assume(not isinstance(context, tuple))
+    drawn = [msdoa.harness.draw_trial(context, 0, t)[1:] for t in range(cfg.trials)]
+    alone = [_spied_batch(context, [trial]) for trial in drawn]
     with pytest.MonkeyPatch.context() as mp:
-        # A budget below one trial's stacks still runs one trial.
-        mp.setattr(msdoa.estimator, "CHAIN_BATCH_BYTES", 1)
-        mp.setattr(msdoa.estimator, "SEARCH_BATCH_BYTES", 1)
-        single = _result_or_error(build_context, cfg)
-        assume(not isinstance(single, tuple))
-        assert single.search.chain_batch_size == single.search.batch_size == 1
+        mp.setattr(msdoa.harness, "BATCH_TRIALS", 1)
+        mp.setattr(msdoa.estimator, "CHAIN_TRIALS", 1)
         unbatched = _result_or_error(run_trials, cfg)
-
-        chain_bytes, search_bytes = _batch_bytes(single.search)
-        chain_budget = int((chain + chain_slack) * chain_bytes)
-        budget = int((batch + slack) * search_bytes)
-        mp.setattr(msdoa.estimator, "CHAIN_BATCH_BYTES", chain_budget)
-        mp.setattr(msdoa.estimator, "SEARCH_BATCH_BYTES", budget)
-        context = build_context(cfg)
-        assert context.search.chain_batch_size == chain
-        assert chain * chain_bytes <= chain_budget
-        # A one-elevation search batches one chain sub-batch.
-        one_elevation = context.search.elevation_grid_deg.size == 1
-        assert context.search.batch_size == (chain if one_elevation else batch)
-        assert batch * search_bytes <= budget
+        mp.setattr(msdoa.harness, "BATCH_TRIALS", batch)
+        mp.setattr(msdoa.estimator, "CHAIN_TRIALS", chain)
         assert _result_or_error(run_trials, cfg) == unbatched
+        together = _spied_batch(context, drawn)
 
-    drawn = [msdoa.harness._draw(context, 0, t)[1:] for t in range(cfg.trials)]
-    together = _spied_batch(context, drawn)
-    alone = [_spied_batch(single, [trial]) for trial in drawn]
     errors = [a for a in alone if isinstance(a[0], type)]
     if errors or isinstance(together[0], type):
         # A stage raises for the first of the batch's trials it fails
@@ -597,7 +572,7 @@ def _trial_arrays(batch, t):
 
 def test_a_singular_draw_raises_in_a_batch_as_it_does_alone():
     context = build_context(resolve_experiment(parse_config(COHERENT)))
-    drawn = [msdoa.harness._draw(context, 0, t)[1:] for t in range(4)]
+    drawn = [msdoa.harness.draw_trial(context, 0, t)[1:] for t in range(4)]
     for t, source in ((1, 1), (3, slice(None))):
         amplitudes, bins, seed = drawn[t]
         amplitudes = amplitudes.copy()

@@ -23,7 +23,7 @@ from msdoa import (
     synthesize_received,
     write_snapshots_csv,
 )
-from msdoa.harness import synthesize_trial
+from msdoa.harness import draw_trial
 from oracles import fftshift_snapshots, split_seed
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
@@ -143,8 +143,7 @@ def test_extraction_equals_fftshift_oracle(name, overrides):
     cfg = resolve_experiment(load_config(builtin_config_path(name), overrides))
     context = build_context(cfg)
     for trial in range(20):
-        series, _, _ = synthesize_trial(context, 0, trial)
-        got = extract_snapshots(series, cfg.plan, cfg.max_harmonic)
+        series, _, got, _ = draw_trial(context, 0, trial)
         want = fftshift_snapshots(series, cfg.plan, cfg.max_harmonic)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
