@@ -1,7 +1,8 @@
 """Command-line harness.
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 runtime or
-numerical failure.
+Exit codes: 0 success, 2 invalid config or arguments (a config path
+that cannot be read or an output path that cannot be written included),
+3 runtime or numerical failure.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ def _cmd_single(cfg, args) -> int:
 
 def _cmd_sweep(cfg, args) -> int:
     result = run_sweep(cfg, workers=args.workers)
-    prefix = args.output if args.output is not None else cfg.output
-    path = f"{prefix}_sweep.csv"
+    path = f"{args.output}_sweep.csv"
     write_sweep_csv(result, path)
     print(f"sweep: {path}")
     for row in result.rows:
@@ -122,8 +122,7 @@ def _cmd_crb(cfg, args) -> int:
     bound = trial_zero_bound(cfg)
     for k, b in enumerate(bound.theta_bounds, 1):
         print(f"source {k}: sqrt_crb_deg={np.rad2deg(np.sqrt(b)):.6g}")
-    prefix = args.output if args.output is not None else cfg.output
-    path = f"{prefix}_crb.csv"
+    path = f"{args.output}_crb.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# angle covariance floor, radians^2; azimuths then elevations\n")
         for row in bound.matrix:
@@ -144,16 +143,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValidationError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
+        if args.output is None:
+            args.output = cfg.output
         return _COMMANDS[args.command](cfg, args)
     except ValidationError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        # A config that cannot be read or an output that cannot be written.
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (MsdoaError, np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -20,8 +20,31 @@ from .snapshot import frequency_indices
 from .surface import Doa, SurfaceConfig
 from .waveform import AMPLITUDE_MODELS, COHERENCE, MODES, NoiseSpec, SamplingPlan, SourceScene
 
-SWEEP_VARIABLES = ("I", "k0", "snr_db", "P", "L", "fs_mult", "mode")
-_INT_SWEEPS = ("I", "k0", "P", "L")
+
+def _sweep_mode(value) -> str:
+    if value not in MODES:
+        raise ValidationError(f"sweep mode values must be full/ideal; got {value!r}")
+    return value
+
+
+def _snr_noise(snr_db: float, scene: SourceScene) -> NoiseSpec:
+    """Noise at ``snr_db`` relative to the first source's power (1 without sources)."""
+    return NoiseSpec.from_snr_db(snr_db, scene.powers[0] if scene.powers else 1.0)
+
+
+# Each sweep variable: the type its values parse to, and the config of
+# the point one (parsed) value gives.
+_SWEEPS = {
+    "I": (int, lambda cfg, v: replace(cfg, plan=replace(cfg.plan, num_snapshots=v))),
+    "k0": (int, lambda cfg, v: replace(cfg, plan=replace(cfg.plan, periods_per_snapshot=v))),
+    "snr_db": (float, lambda cfg, v: replace(cfg, noise=_snr_noise(v, cfg.scene))),
+    "P": (int, lambda cfg, v: replace(cfg, max_harmonic=v)),
+    "L": (int, lambda cfg, v: replace(cfg, estimator=replace(cfg.estimator, num_weights=v))),
+    "fs_mult": (float, lambda cfg, v: replace(
+        cfg, plan=replace(cfg.plan, sample_rate_hz=cfg.plan.sample_rate_hz * v))),
+    "mode": (_sweep_mode, lambda cfg, v: replace(cfg, mode=v)),
+}
+SWEEP_VARIABLES = tuple(_SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -71,6 +94,20 @@ _KEYS = (
 _PAIR_RE = re.compile(r"\(\s*([^(),]+)\s*,\s*([^(),]+)\s*\)")
 
 
+def _key_value(pair: str, where: str) -> tuple[str, str]:
+    """Split ``key = value`` (the caller checked the ``=``) and check both sides."""
+    key, value = (part.strip() for part in pair.split("=", 1))
+    if key not in _KEYS:
+        raise ValidationError(f"{where}: unknown key {key!r}")
+    if not value:
+        raise ValidationError(f"{where}: empty value for {key!r}")
+    # A file line cannot hold either, so the canonical text of a config
+    # with one would not parse back to it.
+    if "#" in value or len(value.splitlines()) > 1:
+        raise ValidationError(f"{where}: the value of {key!r} may not hold '#' or a line break")
+    return key, value
+
+
 def _parse_lines(text: str) -> dict:
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -79,38 +116,24 @@ def _parse_lines(text: str) -> dict:
             continue
         if "=" not in body:
             raise ValidationError(f"config line {lineno}: expected 'key = value'")
-        key, value = body.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key not in _KEYS:
-            raise ValidationError(f"config line {lineno}: unknown key {key!r}")
+        key, value = _key_value(body, f"config line {lineno}")
         if key in raw:
             raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
-        if not value:
-            raise ValidationError(f"config line {lineno}: empty value for {key!r}")
         raw[key] = value
     return raw
 
 
-def _get_float(raw, key, default=None):
+def _get_number(raw, key, kind=float, default=None):
+    """``raw[key]`` as ``kind`` (``float`` or ``int``); required unless a default is given."""
     if key not in raw:
         if default is None:
             raise ValidationError(f"missing required config key {key!r}")
         return default
     try:
-        return float(raw[key])
+        return kind(raw[key])
     except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: not a number: {raw[key]!r}") from exc
-
-
-def _get_int(raw, key, default=None):
-    if key not in raw:
-        if default is None:
-            raise ValidationError(f"missing required config key {key!r}")
-        return default
-    try:
-        return int(raw[key])
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: not an integer: {raw[key]!r}") from exc
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"config key {key!r}: not {what}: {raw[key]!r}") from exc
 
 
 def _get_choice(raw, key, choices, default):
@@ -135,10 +158,7 @@ def _parse_angles(value: str):
             return [(float(a), float(b)) for a, b in pairs]
         except ValueError as exc:
             raise ValidationError(f"angles_deg: non-numeric pair in {value!r}") from exc
-    try:
-        return [float(v) for v in value.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"angles_deg: not a number list: {value!r}") from exc
+    return _parse_float_list(value, "angles_deg")
 
 
 def _parse_float_list(value: str, key: str):
@@ -163,26 +183,18 @@ def _parse_sweep(value: str) -> SweepSpec | None:
     if ":" not in value:
         raise ValidationError("sweep must be 'none' or 'variable: v1, v2, ...'")
     var, _, rest = value.partition(":")
-    var = var.strip()
-    items = [v.strip() for v in rest.split(",") if v.strip()]
-    if var == "mode":
-        for item in items:
-            if item not in MODES:
-                raise ValidationError(f"sweep mode values must be full/ideal; got {item!r}")
-        return SweepSpec(var, tuple(items))
-    # Convert before constructing so SweepSpec's own errors (it is a
-    # ValueError subclass) are not swallowed and relabeled here.
-    if var in _INT_SWEEPS:
-        try:
-            values = tuple(int(v) for v in items)
-        except ValueError as exc:
-            raise ValidationError(f"sweep {var}: integer values required") from exc
-    else:
-        try:
-            values = tuple(float(v) for v in items)
-        except ValueError as exc:
-            raise ValidationError(f"sweep {var}: numeric values required") from exc
-    return SweepSpec(var, values)
+    # SweepSpec checks the name and the count on the text before any
+    # value is parsed.
+    spec = SweepSpec(var.strip(), tuple(v.strip() for v in rest.split(",") if v.strip()))
+    kind = _SWEEPS[spec.variable][0]
+    try:
+        values = tuple(kind(v) for v in spec.values)
+    except ValidationError:
+        raise  # the mode check's own message, not relabeled below
+    except ValueError as exc:
+        required = "integer" if kind is int else "numeric"
+        raise ValidationError(f"sweep {spec.variable}: {required} values required") from exc
+    return replace(spec, values=values)
 
 
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
@@ -191,10 +203,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
     for item in overrides or ():
         if "=" not in item:
             raise ValidationError(f"override {item!r} must look like key=value")
-        key, value = item.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key not in _KEYS:
-            raise ValidationError(f"override: unknown key {key!r}")
+        key, value = _key_value(item, "override")
         raw[key] = value
     return _build(raw)
 
@@ -208,27 +217,27 @@ def _build(raw: dict) -> ExperimentConfig:
     spacing = raw.get("spacing_m", "auto")
     offset = raw.get("receiver_offset_m", "auto")
     surface_kwargs = dict(
-        rows=_get_int(raw, "rows"),
-        cols=_get_int(raw, "cols"),
-        carrier_hz=_get_float(raw, "carrier_hz"),
+        rows=_get_number(raw, "rows", int),
+        cols=_get_number(raw, "cols", int),
+        carrier_hz=_get_number(raw, "carrier_hz"),
     )
     # The period goes to the plan below; it is read among the surface
     # keys so errors for missing or malformed keys keep their order.
-    coding_period_s = _get_float(raw, "coding_period_s")
-    surface_kwargs["wave_speed"] = _get_float(raw, "wave_speed", SurfaceConfig.wave_speed)
+    coding_period_s = _get_number(raw, "coding_period_s")
+    surface_kwargs["wave_speed"] = _get_number(raw, "wave_speed", float, SurfaceConfig.wave_speed)
     if spacing != "auto":
-        surface_kwargs["spacing_m"] = _get_float(raw, "spacing_m")
+        surface_kwargs["spacing_m"] = _get_number(raw, "spacing_m")
     # Resolve spacing first so an 'auto' receiver offset (twice the
     # spacing) sees the final value.
     probe = SurfaceConfig(receiver_offset_m=1.0, **surface_kwargs)
     if offset == "auto":
         offset_m = 2.0 * probe.spacing_m
     else:
-        offset_m = _get_float(raw, "receiver_offset_m")
+        offset_m = _get_number(raw, "receiver_offset_m")
     surface = SurfaceConfig(receiver_offset_m=offset_m, **surface_kwargs)
 
     kind = _get_choice(raw, "estimator", KINDS, EstimatorParams.kind)
-    elevation_deg = _get_float(raw, "elevation_deg", EstimatorParams.elevation_deg)
+    elevation_deg = _get_number(raw, "elevation_deg", float, EstimatorParams.elevation_deg)
     if kind == "2d":
         # The 2-D search reads no fixed elevation: the value is checked
         # and dropped, so it moves neither the config nor its digest.
@@ -266,26 +275,25 @@ def _build(raw: dict) -> ExperimentConfig:
     )
 
     plan = SamplingPlan(
-        sample_rate_hz=_get_float(raw, "sampling_rate_hz"),
-        periods_per_snapshot=_get_int(raw, "periods_per_snapshot"),
-        num_snapshots=_get_int(raw, "snapshots"),
+        sample_rate_hz=_get_number(raw, "sampling_rate_hz"),
+        periods_per_snapshot=_get_number(raw, "periods_per_snapshot", int),
+        num_snapshots=_get_number(raw, "snapshots", int),
         coding_period_s=coding_period_s,
     )
 
     if "snr_db" in raw and "noise_variance" in raw:
         raise ValidationError("give either snr_db or noise_variance, not both")
     if "noise_variance" in raw:
-        noise = NoiseSpec(_get_float(raw, "noise_variance"))
+        noise = NoiseSpec(_get_number(raw, "noise_variance"))
     else:
-        reference = scene.powers[0] if scene.powers else 1.0
-        noise = NoiseSpec.from_snr_db(_get_float(raw, "snr_db"), reference)
+        noise = _snr_noise(_get_number(raw, "snr_db"), scene)
 
     estimator = EstimatorParams(
         num_sources=len(doas),
-        num_weights=_get_int(raw, "num_weights"),
+        num_weights=_get_number(raw, "num_weights", int),
         kind=kind,
         elevation_deg=elevation_deg,
-        subarray_width=_get_int(raw, "subarray_width") if "subarray_width" in raw else None,
+        subarray_width=_get_number(raw, "subarray_width", int) if "subarray_width" in raw else None,
         theta_grid_deg=_parse_grid(raw, "theta_grid_deg", EstimatorParams.theta_grid_deg),
         phi_grid_deg=_parse_grid(raw, "phi_grid_deg", EstimatorParams.phi_grid_deg),
     )
@@ -295,11 +303,11 @@ def _build(raw: dict) -> ExperimentConfig:
         scene=scene,
         plan=plan,
         noise=noise,
-        max_harmonic=_get_int(raw, "max_harmonic"),
+        max_harmonic=_get_number(raw, "max_harmonic", int),
         estimator=estimator,
         mode=_get_choice(raw, "mode", MODES, "full"),
-        trials=_get_int(raw, "trials", 100),
-        seed=_get_int(raw, "seed", 1),
+        trials=_get_number(raw, "trials", int, 100),
+        seed=_get_number(raw, "seed", int, 1),
         sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
         output=raw.get("output", "results"),
     )
@@ -361,27 +369,8 @@ def apply_sweep_value(cfg: ExperimentConfig, value) -> ExperimentConfig:
     """Config for one sweep point (requires a sweep to be configured)."""
     if cfg.sweep is None:
         raise ValidationError("config has no sweep")
-    var = cfg.sweep.variable
-    if var == "I":
-        out = replace(cfg, plan=replace(cfg.plan, num_snapshots=int(value)))
-    elif var == "k0":
-        out = replace(cfg, plan=replace(cfg.plan, periods_per_snapshot=int(value)))
-    elif var == "snr_db":
-        reference = cfg.scene.powers[0] if cfg.scene.powers else 1.0
-        out = replace(cfg, noise=NoiseSpec.from_snr_db(float(value), reference))
-    elif var == "P":
-        out = replace(cfg, max_harmonic=int(value))
-    elif var == "L":
-        out = replace(cfg, estimator=replace(cfg.estimator, num_weights=int(value)))
-    elif var == "fs_mult":
-        out = replace(
-            cfg,
-            plan=replace(cfg.plan, sample_rate_hz=cfg.plan.sample_rate_hz * float(value)),
-        )
-    elif var == "mode":
-        out = replace(cfg, mode=str(value))
-    else:  # pragma: no cover - SweepSpec already rejects unknown names
-        raise ValidationError(f"unknown sweep variable {var!r}")
+    kind, point = _SWEEPS[cfg.sweep.variable]
+    out = point(cfg, kind(value))
     validate_experiment(replace(out, sweep=None))
     return out
 

@@ -7,49 +7,20 @@ weight rows collapses every sliding ``width``-column window of each
 surface row to a scalar. Averaging the outer products of the collapsed
 vectors over snapshots and weights restores rank for coherent sources.
 The azimuth-only (1-D) search is the one-elevation case of the same
-search; the 2-D search runs over an elevation grid. Both slide
-``subarray_width``-column windows, as wide as the surface when that is
-unset. :func:`search_grids` is the one place the width and the grids
-are read.
+search; the 2-D search runs over an elevation grid. :func:`search_grids`
+is the one place the window width and the grids are read.
 
 Recovery, compensation and smoothing are linear, so the chain smooths
 once per trial, in bin space: V = smooth(B), with B the recovery left
 inverse, has one (L, dim) slice V_i per harmonic bin, and a snapshot
-with bins b smooths to smooth(B b) = sum_i b_i V_i. The same V gives
-the whitener. The weight bank colors the noise, and bin noise e reaches
-the smoothed vectors as smooth(B e), so the whitener is the
-outer-product sum of V itself. Its inverse square root whitens both the
-covariance and the search manifold.
+with bins b smooths to sum_i b_i V_i. The same V gives the whitener
+(:func:`smoothing_whitener`), whose inverse square root whitens both
+the covariance and the search manifold.
 
-:func:`estimate_doa` runs a batch of trials, given their (2P+1, I)
-snapshot bin matrices. It runs the chain in sub-batches of
-``CHAIN_TRIALS`` trials: each sub-batch's recovery matrices are
-smoothed before its bins are stacked as one (trials, 2P+1, I) array,
-and only its whitened covariances and whitening transforms outlive it.
-The whole batch then goes through one search. Every stage after the
-per-trial weight draws takes arrays with a leading trial axis:
-:func:`smooth`, :func:`smoothing_whitener`, :func:`whitener_inv_sqrt`,
-the product of the bins with V, :func:`ps_covariance`, :func:`whiten`
-and :func:`music_search`. A stacked product or decomposition makes the
-same BLAS or LAPACK call per trial as a batch of one would, so no bit
-of a result depends on the batch or the sub-batch. The search folds
-each trial's whitened noise projector onto the lags of the smoothed
-grid and evaluates the spectrum denominator as a trigonometric
-polynomial in the row and column phases, one elevation at a time with
-each elevation's basis built once per batch; the harness's batch holds
-a whole 100-trial point of the shipped configs, so each basis is built
-once per point. The trials' polynomial rows are zero-padded into
-blocks of ``GEMM_ROWS`` rows, and each elevation's denominators are one
-matrix-matrix product per block. Every block has the same shape, so
-every product takes the same BLAS path and a trial's denominators have
-the same bits at any position of any batch, a batch of one included.
-The search holds three elevation rows of denominators and finds the
-peaks from them: the azimuth minima of the denominators are the only
-candidates, and the spectrum is formed at those and their neighbors
-alone. The search returns one :class:`MusicBatch` of arrays: the
-trials' polynomial rows, estimates and eigenvalues. No spectrum is
-kept; each read of the batch's ``spectrum`` evaluates it from the rows,
-with the bits the peaks were found on.
+:func:`estimate_doa` runs the chain and :func:`music_search` on a batch
+of trials. Every stage takes arrays with a leading trial axis and makes,
+per trial, the BLAS or LAPACK call a batch of one makes, so no bit of a
+result depends on the batch size.
 """
 
 from __future__ import annotations
@@ -418,8 +389,11 @@ def search_setup(
     """Precompute the trial-invariant part of :func:`estimate_doa`.
 
     ``harmonics`` is the harmonic matrix that mixes the element
-    channels into the snapshot bins; its rank is checked here. The
-    window width and the grids come from :func:`search_grids`.
+    channels into the snapshot bins. Its rank is not checked here:
+    :meth:`~msdoa.surface.HarmonicMatrix.decompose` checks it, called by
+    :func:`~msdoa.harness.build_context` before this, or else on the
+    chain's first read of the pseudo-inverse. The window width and the
+    grids come from :func:`search_grids`.
     """
     width, theta_grid, elevations = search_grids(params, cfg)
     comp = compensation(cfg)

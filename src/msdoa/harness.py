@@ -1,62 +1,24 @@
 """Seeded Monte Carlo harness over experiment configs.
 
-How a sweep runs: each sweep value gives one config point, and
-:func:`run_trials` builds that point's :class:`TrialContext` once. The
-context holds everything no trial changes, in four fields: the config
-with its coherent gains resolved from the seed; the signal model (one
-coding period of the switched patterns, full or band-limited, which
-the record repeats); the search setup, which holds the harmonic matrix
-with its rank check and pseudo-inverse, the phase compensation, the
-smoothing window width, the search grids and the lag fold table; and
-the bound's rank-checked projected core, which treats the elevation as
-known when the search has one. Each stage takes its piece of the
-context and the trials' own draws, nothing the piece was built from.
+The trials of one config point share a :class:`TrialContext`, built
+once per point, or once per chunk in each worker, by
+:func:`build_context`. :func:`run_chunk` draws each trial on its own
+(:func:`draw_trial`) and estimates, bounds and scores the trials in
+batches of ``BATCH_TRIALS``. :func:`run_trials` runs a point's trials
+as one chunk, or as one contiguous chunk per worker process, and
+:func:`run_sweep` runs every point of a sweep on one pool. ``single``
+(:func:`run_single`) and ``crb`` (:func:`trial_zero_bound`) take trial
+(0, 0) of the same path. Every chunk holds BLAS to one thread
+(:func:`_single_threaded_blas`): a trial's matrices are too small for
+BLAS threads to pay, and parallelism comes from worker processes.
 
-:func:`run_chunk` walks its trials in batches of ``BATCH_TRIALS``.
-The draws stay per trial: each trial derives its own seed streams,
-draws its amplitudes and noise, synthesizes its series and extracts
-its (2P+1, I) matrix of snapshot bins, and the series is dropped as
-soon as the bins are taken. :func:`run_batch` hands the batch's bins
-to :func:`estimate_doa`, and every later stage runs on arrays with a
-leading trial axis. The estimator chain runs in sub-batches of
-``msdoa.estimator.CHAIN_TRIALS``: the smoothing weights, each trial's
-smoothed recovery matrix with its whitener and inverse square root,
-the smoothed snapshots as products of the bins with that matrix, and
-the covariances and their whitening. One search then takes the whole
-batch, building each elevation's lag basis once per batch rather than
-once per trial, and the bound's amplitude-dependent product and
-inverse run once per batch. Each stacked call makes, per trial, the
-BLAS or LAPACK call a batch of one makes, so every result is bitwise
-the same for every batch and sub-batch size, and a trial that fails a
-check raises the error it raises alone. :func:`run_trial` then scores
-each trial. A batch holds a whole 100-trial point of the shipped
-configs, 1-D or 2-D, so each point is one search and each elevation's
-basis is built once per point. Trials are scored against the true
-sources, so a chunk of a source-free config raises before it draws.
-``single`` runs trial (0, 0) as a batch of one through the same
-:func:`run_batch`, and skips the search without sources; ``crb``
-bounds the amplitudes of that same draw without synthesizing its
-series. Both hold BLAS to one thread as a sweep does.
-
-A chunk of trials is the unit of work: :func:`run_trials` runs a
-point's trials as one chunk, or, with several workers, as contiguous
-chunks, one per worker, each of which builds the context once. Every
-chunk runs with BLAS held to one thread (:func:`_single_threaded_blas`),
-in the serial path and in each pool worker alike. The trial's matrices
-are too small for BLAS threads to pay: they cost twice the CPU and save
-no wall time, and next to pool workers they oversubscribe the cores.
-Parallelism comes from ``workers`` processes instead. A sweep holds one
-process pool for all its points, with no more processes than a point
-has trials.
-
-Per-trial seeds derive from (experiment seed, sweep index, trial index)
-alone, so results are identical for identical configs regardless of how
-trials are distributed over workers. :func:`trial_seeds` is the one
-place a trial's three streams (amplitudes, noise and smoothing weights)
-are laid out, and each stage is handed its seed sequence, not a
-generator, so a seed passed twice draws the same values. Trials fail
-fast: any estimator error aborts the sweep with context rather than
-emitting partial rows.
+No result depends on how the trials are laid out: a trial's seeds
+derive from (experiment seed, sweep index, trial index) alone
+(:func:`trial_seeds`), and every batched stage makes, per trial, the
+call a batch of one makes, so every output is bitwise the same for any
+batch size or worker count. Trials fail fast: any estimator error
+aborts the sweep with context rather than emitting partial rows.
+README's "How a sweep runs" tells the whole path.
 """
 
 from __future__ import annotations

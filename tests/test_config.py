@@ -148,8 +148,10 @@ def test_sweep_values_validated_up_front():
 def test_sweep_syntax_errors():
     with pytest.raises(ValidationError, match="sweep"):
         parse_config(BASE + "sweep = snr_db\n")
-    with pytest.raises(ValidationError, match="sweep variable"):
-        parse_config(BASE + "sweep = gain: 1, 2\n")
+    # The variable name is checked before any value is parsed.
+    for values in ("1, 2", "a, b"):
+        with pytest.raises(ValidationError, match="sweep variable"):
+            parse_config(BASE + f"sweep = gain: {values}\n")
     with pytest.raises(ValidationError, match="integer"):
         parse_config(BASE + "sweep = I: 1.5, 2\n")
     with pytest.raises(ValidationError, match="full/ideal"):
@@ -173,6 +175,8 @@ def test_apply_sweep_value():
     assert apply_sweep_value(fs, 10).plan.sample_rate_hz == pytest.approx(5.0e8)
     mode = parse_config(BASE + "sweep = mode: full, ideal\n")
     assert apply_sweep_value(mode, "ideal").mode == "ideal"
+    with pytest.raises(ValidationError, match="full/ideal"):
+        apply_sweep_value(mode, "broken")
     with pytest.raises(ValidationError, match="no sweep"):
         apply_sweep_value(parse_config(BASE), 1)
 
@@ -185,6 +189,16 @@ def test_overrides():
         parse_config(BASE, overrides=["snr_db"])
     with pytest.raises(ValidationError, match="unknown key"):
         parse_config(BASE, overrides=["volume=11"])
+    # An override passes the checks a file line passes: an empty value
+    # is refused, not read as an absent key or an empty string.
+    for key in ("powers", "output", "angles_deg"):
+        with pytest.raises(ValidationError, match="empty value"):
+            parse_config(BASE, overrides=[f"{key}="])
+    # Nor can it hold what no file line holds, which the canonical text
+    # would write out as a comment or as a line of its own.
+    for item in ("output=run#1", "output=a\nrows = 9"):
+        with pytest.raises(ValidationError, match="may not hold"):
+            parse_config(BASE, overrides=[item])
 
 
 def test_angles_none_is_noise_only():

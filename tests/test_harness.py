@@ -239,9 +239,17 @@ def test_cli_validate_ok(capsys):
     assert out.strip() == f"OK config_sha256={digest}"
 
 
-def test_cli_missing_file(capsys):
-    assert main(["validate", "-c", "/no/such/file.cfg"]) == 2
-    assert "error" in capsys.readouterr().err
+def test_cli_missing_file(tmp_path, capsys):
+    # A path that cannot be read or written is an invalid argument (exit
+    # 2) with an "error:" line, not a traceback.
+    sweep = _write_cfg(tmp_path, SMALL + "sweep = I: 1\n")
+    for args in (
+        ["validate", "-c", "/no/such/file.cfg"],
+        ["validate", "-c", str(tmp_path)],
+        ["sweep", "-c", sweep, "-o", str(tmp_path / "missing" / "x")],
+    ):
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_invalid_config(tmp_path, capsys):
