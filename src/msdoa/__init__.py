@@ -19,7 +19,7 @@ from .config import (
     load_config,
     parse_config,
 )
-from .crb import CrbResult, crb, crb_core, steering_derivatives
+from .crb import CrbResult, crb_core, steering_derivatives
 from .errors import (
     ConfigurationError,
     DegenerateCodingError,

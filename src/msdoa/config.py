@@ -11,6 +11,7 @@ degrees in files and radians inside the library.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -21,9 +22,29 @@ from .surface import Doa, SurfaceConfig
 from .waveform import AMPLITUDE_MODELS, COHERENCE, MODES, NoiseSpec, SamplingPlan, SourceScene
 
 
-def _sweep_mode(value) -> str:
-    if value not in MODES:
-        raise ValidationError(f"sweep mode values must be full/ideal; got {value!r}")
+def _number(text, kind, where: str):
+    """``text``, or a number already parsed, as a finite ``kind`` (``int`` or ``float``).
+
+    Every failure is a ``ValidationError`` reading ``<where>: not a
+    number``, ``not an integer`` or ``not finite``, then ``text``.
+    """
+    try:
+        value = kind(text)
+    except (ValueError, OverflowError):
+        value = None
+    # A parsed number must convert exactly: int(2.5) is 2.
+    if value is None or (not isinstance(text, str) and value != text):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{where}: not {what}: {text!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: not finite: {text!r}")
+    return value
+
+
+def _choice(value, choices, where: str):
+    """``value`` if it is one of ``choices``, else a ``ValidationError``."""
+    if value not in choices:
+        raise ValidationError(f"{where}: not one of {'/'.join(choices)}: {value!r}")
     return value
 
 
@@ -32,8 +53,8 @@ def _snr_noise(snr_db: float, scene: SourceScene) -> NoiseSpec:
     return NoiseSpec.from_snr_db(snr_db, scene.powers[0] if scene.powers else 1.0)
 
 
-# Each sweep variable: the type its values parse to, and the config of
-# the point one (parsed) value gives.
+# Each sweep variable: the kind of its values (``int``, ``float`` or
+# the tuple of choices), and the config of the point one value gives.
 _SWEEPS = {
     "I": (int, lambda cfg, v: replace(cfg, plan=replace(cfg.plan, num_snapshots=v))),
     "k0": (int, lambda cfg, v: replace(cfg, plan=replace(cfg.plan, periods_per_snapshot=v))),
@@ -42,9 +63,15 @@ _SWEEPS = {
     "L": (int, lambda cfg, v: replace(cfg, estimator=replace(cfg.estimator, num_weights=v))),
     "fs_mult": (float, lambda cfg, v: replace(
         cfg, plan=replace(cfg.plan, sample_rate_hz=cfg.plan.sample_rate_hz * v))),
-    "mode": (_sweep_mode, lambda cfg, v: replace(cfg, mode=v)),
+    "mode": (MODES, lambda cfg, v: replace(cfg, mode=v)),
 }
 SWEEP_VARIABLES = tuple(_SWEEPS)
+
+
+def _sweep_value(variable: str, value):
+    """One value of ``variable`` (text or already parsed) as its kind."""
+    kind, where = _SWEEPS[variable][0], f"sweep {variable}"
+    return _choice(value, kind, where) if kind is MODES else _number(value, kind, where)
 
 
 @dataclass(frozen=True)
@@ -80,24 +107,72 @@ class ExperimentConfig:
     output: str
 
 
-_KEYS = (
-    "rows", "cols", "carrier_hz", "coding_period_s", "spacing_m",
-    "receiver_offset_m", "wave_speed",
-    "angles_deg", "coherence", "powers", "amplitude_model",
-    "sampling_rate_hz", "periods_per_snapshot", "snapshots",
-    "snr_db", "noise_variance",
-    "max_harmonic", "num_weights", "estimator", "elevation_deg",
-    "subarray_width", "theta_grid_deg", "phi_grid_deg",
-    "mode", "trials", "seed", "sweep", "output",
-)
+def _fmt(x: float) -> str:
+    return repr(float(x))
 
-_PAIR_RE = re.compile(r"\(\s*([^(),]+)\s*,\s*([^(),]+)\s*\)")
+
+def _floats(values) -> str:
+    return ", ".join(_fmt(v) for v in values)
+
+
+def _angles_text(cfg: ExperimentConfig) -> str:
+    doas = cfg.scene.doas
+    if not doas:
+        return "none"
+    if cfg.estimator.kind == "1d":
+        return _floats(d.theta_deg for d in doas)
+    return ", ".join(f"({_fmt(d.theta_deg)}, {_fmt(d.phi_deg)})" for d in doas)
+
+
+def _sweep_text(cfg: ExperimentConfig) -> str:
+    if cfg.sweep is None:
+        return "none"
+    return f"{cfg.sweep.variable}: {', '.join(str(v) for v in cfg.sweep.values)}"
+
+
+# Every config key in canonical order, mapped to the value a config
+# writes for it, or to None where the canonical text leaves it out.
+_CANONICAL = {
+    "rows": lambda c: c.surface.rows,
+    "cols": lambda c: c.surface.cols,
+    "carrier_hz": lambda c: _fmt(c.surface.carrier_hz),
+    "coding_period_s": lambda c: _fmt(c.plan.coding_period_s),
+    "spacing_m": lambda c: _fmt(c.surface.spacing_m),
+    "receiver_offset_m": lambda c: _fmt(c.surface.receiver_offset_m),
+    "wave_speed": lambda c: _fmt(c.surface.wave_speed),
+    "angles_deg": _angles_text,
+    "coherence": lambda c: c.scene.coherence,
+    # A scene without sources has no powers line to write.
+    "powers": lambda c: _floats(c.scene.powers) or None,
+    "amplitude_model": lambda c: c.scene.amplitude_model,
+    "sampling_rate_hz": lambda c: _fmt(c.plan.sample_rate_hz),
+    "periods_per_snapshot": lambda c: c.plan.periods_per_snapshot,
+    "snapshots": lambda c: c.plan.num_snapshots,
+    "snr_db": lambda c: None if c.noise.snr_db is None else _fmt(c.noise.snr_db),
+    "noise_variance": lambda c: None if c.noise.snr_db is not None else _fmt(c.noise.variance),
+    "max_harmonic": lambda c: c.max_harmonic,
+    "num_weights": lambda c: c.estimator.num_weights,
+    "estimator": lambda c: c.estimator.kind,
+    # The 2-D search reads no fixed elevation.
+    "elevation_deg": lambda c: (
+        _fmt(c.estimator.elevation_deg) if c.estimator.kind == "1d" else None),
+    "subarray_width": lambda c: c.estimator.subarray_width,
+    "theta_grid_deg": lambda c: _floats(c.estimator.theta_grid_deg),
+    "phi_grid_deg": lambda c: _floats(c.estimator.phi_grid_deg),
+    "mode": lambda c: c.mode,
+    "trials": lambda c: c.trials,
+    "seed": lambda c: c.seed,
+    "sweep": _sweep_text,
+    "output": lambda c: c.output,
+}
+
+_PAIR_RE = re.compile(r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)")
 
 
 def _key_value(pair: str, where: str) -> tuple[str, str]:
     """Split ``key = value`` (the caller checked the ``=``) and check both sides."""
     key, value = (part.strip() for part in pair.split("=", 1))
-    if key not in _KEYS:
+    if key not in _CANONICAL:
         raise ValidationError(f"{where}: unknown key {key!r}")
     if not value:
         raise ValidationError(f"{where}: empty value for {key!r}")
@@ -129,49 +204,34 @@ def _get_number(raw, key, kind=float, default=None):
         if default is None:
             raise ValidationError(f"missing required config key {key!r}")
         return default
-    try:
-        return kind(raw[key])
-    except ValueError as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"config key {key!r}: not {what}: {raw[key]!r}") from exc
+    return _number(raw[key], kind, f"config key {key!r}")
 
 
-def _get_choice(raw, key, choices, default):
-    value = raw.get(key, default)
-    if value not in choices:
-        raise ValidationError(f"config key {key!r} must be one of {choices}; got {value!r}")
-    return value
+def _numbers(text: str, where: str) -> list[float]:
+    """A comma-separated list of finite floats."""
+    return [_number(v.strip(), float, where) for v in text.split(",") if v.strip()]
 
 
 def _parse_angles(value: str):
     """Return a list of floats (1-D) or (theta, phi) float pairs (2-D)."""
     if value == "none":
         return []
+    where = "config key 'angles_deg'"
     if "(" in value:
         pairs = _PAIR_RE.findall(value)
         stripped = _PAIR_RE.sub("", value).replace(",", "").strip()
         if not pairs or stripped:
             raise ValidationError(
-                f"angles_deg: expected '(theta, phi), (theta, phi), ...'; got {value!r}"
+                f"{where}: expected '(theta, phi), (theta, phi), ...'; got {value!r}"
             )
-        try:
-            return [(float(a), float(b)) for a, b in pairs]
-        except ValueError as exc:
-            raise ValidationError(f"angles_deg: non-numeric pair in {value!r}") from exc
-    return _parse_float_list(value, "angles_deg")
-
-
-def _parse_float_list(value: str, key: str):
-    try:
-        return [float(v) for v in value.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: not a number list: {value!r}") from exc
+        return [(_number(a, float, where), _number(b, float, where)) for a, b in pairs]
+    return _numbers(value, where)
 
 
 def _parse_grid(raw, key, default):
     if key not in raw:
         return default
-    vals = _parse_float_list(raw[key], key)
+    vals = _numbers(raw[key], f"config key {key!r}")
     if len(vals) != 3:
         raise ValidationError(f"config key {key!r} must be 'start, stop, step'")
     return tuple(vals)
@@ -186,15 +246,7 @@ def _parse_sweep(value: str) -> SweepSpec | None:
     # SweepSpec checks the name and the count on the text before any
     # value is parsed.
     spec = SweepSpec(var.strip(), tuple(v.strip() for v in rest.split(",") if v.strip()))
-    kind = _SWEEPS[spec.variable][0]
-    try:
-        values = tuple(kind(v) for v in spec.values)
-    except ValidationError:
-        raise  # the mode check's own message, not relabeled below
-    except ValueError as exc:
-        required = "integer" if kind is int else "numeric"
-        raise ValidationError(f"sweep {spec.variable}: {required} values required") from exc
-    return replace(spec, values=values)
+    return replace(spec, values=tuple(_sweep_value(spec.variable, v) for v in spec.values))
 
 
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
@@ -236,7 +288,7 @@ def _build(raw: dict) -> ExperimentConfig:
         offset_m = _get_number(raw, "receiver_offset_m")
     surface = SurfaceConfig(receiver_offset_m=offset_m, **surface_kwargs)
 
-    kind = _get_choice(raw, "estimator", KINDS, EstimatorParams.kind)
+    kind = _choice(raw.get("estimator", EstimatorParams.kind), KINDS, "config key 'estimator'")
     elevation_deg = _get_number(raw, "elevation_deg", float, EstimatorParams.elevation_deg)
     if kind == "2d":
         # The 2-D search reads no fixed elevation: the value is checked
@@ -262,15 +314,16 @@ def _build(raw: dict) -> ExperimentConfig:
         doas = tuple(Doa.from_degrees(t, p) for t, p in angles)
 
     powers = raw.get("powers")
-    power_list = (
-        tuple(_parse_float_list(powers, "powers")) if powers else tuple([1.0] * len(doas))
-    )
     scene = SourceScene(
         doas=doas,
-        powers=power_list,
-        coherence=_get_choice(raw, "coherence", COHERENCE, SourceScene.coherence),
-        amplitude_model=_get_choice(
-            raw, "amplitude_model", AMPLITUDE_MODELS, SourceScene.amplitude_model
+        powers=tuple(_numbers(powers, "config key 'powers'")) if powers else (1.0,) * len(doas),
+        coherence=_choice(
+            raw.get("coherence", SourceScene.coherence), COHERENCE, "config key 'coherence'"
+        ),
+        amplitude_model=_choice(
+            raw.get("amplitude_model", SourceScene.amplitude_model),
+            AMPLITUDE_MODELS,
+            "config key 'amplitude_model'",
         ),
     )
 
@@ -305,7 +358,7 @@ def _build(raw: dict) -> ExperimentConfig:
         noise=noise,
         max_harmonic=_get_number(raw, "max_harmonic", int),
         estimator=estimator,
-        mode=_get_choice(raw, "mode", MODES, "full"),
+        mode=_choice(raw.get("mode", "full"), MODES, "config key 'mode'"),
         trials=_get_number(raw, "trials", int, 100),
         seed=_get_number(raw, "seed", int, 1),
         sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
@@ -358,8 +411,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         raise ValidationError("trials must be at least 1")
     if cfg.seed < 0:
         raise ValidationError("seed must be nonnegative")
-    if cfg.mode not in MODES:
-        raise ValidationError("mode must be full or ideal")
+    _choice(cfg.mode, MODES, "mode")
     if cfg.sweep is not None:
         for value in cfg.sweep.values:
             apply_sweep_value(cfg, value)
@@ -369,69 +421,15 @@ def apply_sweep_value(cfg: ExperimentConfig, value) -> ExperimentConfig:
     """Config for one sweep point (requires a sweep to be configured)."""
     if cfg.sweep is None:
         raise ValidationError("config has no sweep")
-    kind, point = _SWEEPS[cfg.sweep.variable]
-    out = point(cfg, kind(value))
+    out = _SWEEPS[cfg.sweep.variable][1](cfg, _sweep_value(cfg.sweep.variable, value))
     validate_experiment(replace(out, sweep=None))
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it reproduces an equal config."""
-    est, scene = cfg.estimator, cfg.scene
-    if not scene.doas:
-        angles = "none"
-    elif est.kind == "1d":
-        angles = ", ".join(_fmt(d.theta_deg) for d in scene.doas)
-    else:
-        angles = ", ".join(f"({_fmt(d.theta_deg)}, {_fmt(d.phi_deg)})" for d in scene.doas)
-    lines = [
-        f"rows = {cfg.surface.rows}",
-        f"cols = {cfg.surface.cols}",
-        f"carrier_hz = {_fmt(cfg.surface.carrier_hz)}",
-        f"coding_period_s = {_fmt(cfg.plan.coding_period_s)}",
-        f"spacing_m = {_fmt(cfg.surface.spacing_m)}",
-        f"receiver_offset_m = {_fmt(cfg.surface.receiver_offset_m)}",
-        f"wave_speed = {_fmt(cfg.surface.wave_speed)}",
-        f"angles_deg = {angles}",
-        f"coherence = {scene.coherence}",
-        # A scene without sources has no powers line to write.
-        *([f"powers = {', '.join(_fmt(p) for p in scene.powers)}"] if scene.powers else []),
-        f"amplitude_model = {scene.amplitude_model}",
-        f"sampling_rate_hz = {_fmt(cfg.plan.sample_rate_hz)}",
-        f"periods_per_snapshot = {cfg.plan.periods_per_snapshot}",
-        f"snapshots = {cfg.plan.num_snapshots}",
-    ]
-    if cfg.noise.snr_db is not None:
-        lines.append(f"snr_db = {_fmt(cfg.noise.snr_db)}")
-    else:
-        lines.append(f"noise_variance = {_fmt(cfg.noise.variance)}")
-    lines += [
-        f"max_harmonic = {cfg.max_harmonic}",
-        f"num_weights = {est.num_weights}",
-        f"estimator = {est.kind}",
-    ]
-    if est.kind == "1d":
-        lines.append(f"elevation_deg = {_fmt(est.elevation_deg)}")
-    if est.subarray_width is not None:
-        lines.append(f"subarray_width = {est.subarray_width}")
-    lines += [
-        f"theta_grid_deg = {', '.join(_fmt(v) for v in est.theta_grid_deg)}",
-        f"phi_grid_deg = {', '.join(_fmt(v) for v in est.phi_grid_deg)}",
-        f"mode = {cfg.mode}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.seed}",
-    ]
-    if cfg.sweep is not None:
-        values = ", ".join(str(v) for v in cfg.sweep.values)
-        lines.append(f"sweep = {cfg.sweep.variable}: {values}")
-    else:
-        lines.append("sweep = none")
-    lines.append(f"output = {cfg.output}")
-    return "\n".join(lines) + "\n"
+    texts = ((key, text(cfg)) for key, text in _CANONICAL.items())
+    return "".join(f"{key} = {value}\n" for key, value in texts if value is not None)
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

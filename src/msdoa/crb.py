@@ -192,8 +192,8 @@ def crb(
         raise ValidationError(
             f"amplitudes must be ({k}, {num_snap}) or a stack of them; got {amps.shape}"
         )
-    if noise_variance < 0:
-        raise ValidationError("noise_variance must be nonnegative")
+    if not 0 <= noise_variance < np.inf:
+        raise ValidationError("noise_variance must be nonnegative and finite")
     groups = 1 if core.known_elevations else 2
     q_len = plan.points_per_snapshot
     sample_cov = amps @ np.swapaxes(amps.conj(), -1, -2) / num_snap

@@ -300,8 +300,8 @@ class EstimatorParams:
 
 def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Uniform grid including both endpoints."""
-    if step <= 0 or stop <= start:
-        raise ValidationError("grid needs stop > start and step > 0")
+    if not (-np.inf < start < stop < np.inf and 0 < step < np.inf):
+        raise ValidationError("grid needs finite values with stop > start and step > 0")
     count = int(round((stop - start) / step))
     return start + step * np.arange(count + 1)
 

@@ -49,12 +49,12 @@ class SurfaceConfig:
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("surface needs at least one row and one column")
         for name in ("carrier_hz", "receiver_offset_m", "wave_speed"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be positive and finite")
         if self.spacing_m is None:
             object.__setattr__(self, "spacing_m", self.wave_speed / (2.0 * self.carrier_hz))
-        elif not self.spacing_m > 0:
-            raise ValidationError("spacing_m must be positive")
+        if not 0 < self.spacing_m < np.inf:
+            raise ValidationError("spacing_m must be positive and finite")
 
     @property
     def size(self) -> int:

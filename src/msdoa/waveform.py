@@ -44,8 +44,8 @@ class SourceScene:
         object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
         if len(self.powers) != len(self.doas):
             raise ValidationError("powers must match the number of sources")
-        if any(p <= 0 for p in self.powers):
-            raise ValidationError("source powers must be positive")
+        if not all(0 < p < np.inf for p in self.powers):
+            raise ValidationError("source powers must be positive and finite")
         if self.coherence not in COHERENCE:
             raise ValidationError(f"coherence must be one of {COHERENCE}")
         if self.amplitude_model not in AMPLITUDE_MODELS:
@@ -100,8 +100,8 @@ class SamplingPlan:
     coding_period_s: float
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0 or self.coding_period_s <= 0:
-            raise ValidationError("sample_rate_hz and coding_period_s must be positive")
+        if not (0 < self.sample_rate_hz < np.inf and 0 < self.coding_period_s < np.inf):
+            raise ValidationError("sample_rate_hz and coding_period_s must be positive and finite")
         if self.periods_per_snapshot < 1:
             raise ValidationError("periods_per_snapshot must be at least 1")
         if self.num_snapshots < 1:
@@ -140,14 +140,14 @@ class NoiseSpec:
     snr_db: float | None = None
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValidationError("noise variance must be nonnegative")
+        if not 0 <= self.variance < np.inf:
+            raise ValidationError("noise variance must be nonnegative and finite")
 
     @classmethod
     def from_snr_db(cls, snr_db: float, reference_power: float = 1.0) -> "NoiseSpec":
         """Variance giving ``snr_db = 10*log10(reference_power/variance)``."""
-        if reference_power <= 0:
-            raise ValidationError("reference_power must be positive")
+        if not 0 < reference_power < np.inf:
+            raise ValidationError("reference_power must be positive and finite")
         return cls(reference_power * 10.0 ** (-snr_db / 10.0), snr_db=float(snr_db))
 
     @classmethod

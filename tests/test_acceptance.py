@@ -20,7 +20,6 @@ from msdoa import (
     aggregate,
     builtin_config_path,
     compensation,
-    crb,
     crb_core,
     element_positions,
     extract_snapshots,
@@ -44,6 +43,7 @@ from msdoa import (
     whiten,
     write_sweep_csv,
 )
+from msdoa.crb import crb
 from msdoa.estimator import whitener_inv_sqrt
 from oracles import coding_waveform, split_seed, stacked_crb
 

@@ -1,5 +1,8 @@
 """Config parsing, validation, round-trip, and sweep expansion."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,8 @@ from msdoa import (
     load_config,
     parse_config,
 )
+from msdoa.cli import main
+from msdoa.config import _CANONICAL, SWEEP_VARIABLES
 
 # Minimal valid config; everything else exercises the defaults.
 BASE = """\
@@ -109,6 +114,46 @@ def test_malformed_lines():
         parse_config(BASE.replace("snr_db = 0", "snr_db = loud"))
 
 
+# Each number a config holds is finite. Every one of these overrides is
+# refused when the config is loaded, naming its key or sweep variable.
+NON_FINITE = [
+    (["snr_db=nan"], "config key 'snr_db'"),
+    (["snr_db=-inf"], "config key 'snr_db'"),
+    (["powers=nan, 1"], "config key 'powers'"),
+    (["carrier_hz=inf"], "config key 'carrier_hz'"),
+    (["carrier_hz=1e999"], "config key 'carrier_hz'"),
+    (["sampling_rate_hz=inf"], "config key 'sampling_rate_hz'"),
+    (["coding_period_s=nan"], "config key 'coding_period_s'"),
+    (["theta_grid_deg=-90, 90, nan"], "config key 'theta_grid_deg'"),
+    (["elevation_deg=nan"], "config key 'elevation_deg'"),
+    (["spacing_m=inf"], "config key 'spacing_m'"),
+    (["wave_speed=inf"], "config key 'wave_speed'"),
+    (["receiver_offset_m=inf"], "config key 'receiver_offset_m'"),
+    (["angles_deg=-22, inf"], "config key 'angles_deg'"),
+    (["estimator=2d", "subarray_width=4", "angles_deg=(-22, nan), (12, 40)"],
+     "config key 'angles_deg'"),
+    (["sweep=snr_db: 0, nan"], "sweep snr_db"),
+    (["sweep=fs_mult: 1, inf"], "sweep fs_mult"),
+]
+
+
+@pytest.mark.parametrize("overrides, where", NON_FINITE)
+def test_non_finite_numbers_are_refused(overrides, where):
+    with pytest.raises(ValidationError, match=f"^{re.escape(where)}: not finite: "):
+        parse_config(BASE, overrides=overrides)
+
+
+@pytest.mark.parametrize("overrides, where", NON_FINITE)
+def test_cli_validate_refuses_non_finite_numbers(tmp_path, capsys, overrides, where):
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE)
+    args = ["validate", "-c", str(path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"invalid config: {where}: not finite: ")
+
+
 def test_comments_and_blanks_ignored():
     noisy = "# leading comment\n\n" + BASE.replace(
         "rows = 5", "rows = 5  # trailing comment"
@@ -177,6 +222,11 @@ def test_apply_sweep_value():
     assert apply_sweep_value(mode, "ideal").mode == "ideal"
     with pytest.raises(ValidationError, match="full/ideal"):
         apply_sweep_value(mode, "broken")
+    # A value the library passes already parsed is not truncated.
+    with pytest.raises(ValidationError, match="sweep I: not an integer: 2.5"):
+        apply_sweep_value(cfg, 2.5)
+    with pytest.raises(ValidationError, match="sweep snr_db: not finite: inf"):
+        apply_sweep_value(snr, float("inf"))
     with pytest.raises(ValidationError, match="no sweep"):
         apply_sweep_value(parse_config(BASE), 1)
 
@@ -285,6 +335,17 @@ def test_elevation_deg_leaves_a_2d_config_and_its_digest_alone():
     # The 1-D form keeps the line.
     table1 = load_config(builtin_config_path("table1"))
     assert "elevation_deg = 90.0\n" in emit_config(table1)
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
+    assert keys == list(_CANONICAL)
+    sweep_row = next(row for row in rows if row.startswith("| `sweep` |"))
+    listed = re.search(r"one of `([^`]+)`", sweep_row).group(1)
+    assert tuple(name.strip() for name in listed.split(",")) == SWEEP_VARIABLES
 
 
 def test_builtin_path_unknown():

@@ -10,12 +10,13 @@ from msdoa import (
     SourceScene,
     SurfaceConfig,
     UnidentifiableParameterError,
-    crb,
+    ValidationError,
     crb_core,
     harmonic_matrix,
     steering_derivatives,
     steering_vector,
 )
+from msdoa.crb import crb
 from msdoa.harness import build_context, draw_trial
 from oracles import kron_crb, stacked_crb
 
@@ -159,6 +160,23 @@ def test_core_rejects_an_angle_no_draw_can_bound(table1_cfg):
     with pytest.raises(UnidentifiableParameterError, match="elevation of source"):
         _core(table1_cfg, in_plane, 15)
     assert _core(table1_cfg, in_plane, 15, known_elevations=True).core.shape == (2, 2)
+
+
+def test_msdoa_crb_is_the_module():
+    # The package re-exports the bound's builders, not the function that
+    # shares the module's name, so the import binds the module.
+    import msdoa.crb as module
+
+    assert hasattr(module, "crb_core")
+
+
+def test_bound_input_checks():
+    cfg, plan, scene, amps = _tiny_setup()
+    with pytest.raises(ValidationError, match="at least one source"):
+        crb_core(cfg, SourceScene((), ()), harmonic_matrix(2, cfg))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="noise_variance"):
+            crb(_core(cfg, scene), plan, bad, amps)
 
 
 def test_amplitude_shape_check():

@@ -201,6 +201,16 @@ def test_weights_must_have_unit_modulus_within_1e9():
         smooth(columns, comp, stack, cfg)
 
 
+def test_smooth_shape_checks():
+    cfg = SurfaceConfig(2, 3, 1e9, 0.3)
+    comp = compensation(cfg)
+    weights = np.ones((2, 3), dtype=complex)
+    with pytest.raises(ValidationError, match="element stack"):
+        smooth(np.ones((cfg.size + 1, 1), dtype=complex), comp, weights, cfg)
+    with pytest.raises(ValidationError, match="weights must be"):
+        smooth(np.ones((cfg.size, 1), dtype=complex), comp, weights[0], cfg)
+
+
 def _noise_only_whitened_cov(num_weights, draws, sigma2):
     # 5x6 surface, one 64-point period per snapshot: cheap enough to
     # Monte Carlo the post-chain noise covariance.
@@ -360,6 +370,9 @@ def test_music_dimension_checks(table1_cfg):
     with pytest.raises(ConfigurationError):
         _search_one(np.eye(4, dtype=complex), np.eye(4, dtype=complex),
                     _setup_1d(table1_cfg))  # full width expects rows = 5
+    with pytest.raises(ValidationError, match="matching square stacks"):
+        music_search(np.eye(5, dtype=complex)[None], np.eye(4, dtype=complex)[None],
+                     _setup_1d(table1_cfg))
     with pytest.raises(ValidationError):
         search_setup(table1_cfg, EstimatorParams(
             num_sources=1, num_weights=5, kind="2d", subarray_width=7),
@@ -385,6 +398,8 @@ def test_estimator_params_validation():
         EstimatorParams(num_sources=2, num_weights=0)
     with pytest.raises(ValidationError):
         EstimatorParams(num_sources=2, num_weights=5, kind="2d")
+    with pytest.raises(ValidationError, match="kind"):
+        EstimatorParams(num_sources=2, num_weights=5, kind="3d")
 
 
 def test_inclusive_grid():
@@ -395,6 +410,10 @@ def test_inclusive_grid():
         inclusive_grid(10.0, 0.0, 0.1)
     with pytest.raises(ValidationError):
         inclusive_grid(0.0, 10.0, -1.0)
+    for bad in ((np.nan, 10.0, 0.1), (0.0, np.inf, 0.1), (-np.inf, 0.0, 0.1),
+                (0.0, 10.0, np.nan), (0.0, 10.0, np.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            inclusive_grid(*bad)
 
 
 def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):

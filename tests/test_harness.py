@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeding, worker equivalence, outputs, CLI."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -137,6 +138,14 @@ def test_run_sweep_rows_and_csv(tmp_path):
     assert lines[4] == "sweep_var,value,pr,rmse_deg,sqrt_crb_deg_1"
     assert len(lines) == 5 + 2
     assert "wall" not in text
+
+
+def test_mode_sweep_csv_writes_each_mode_as_text(tmp_path):
+    cfg = parse_config(SMALL + "sweep = mode: full, ideal\n")
+    path = tmp_path / "modes.csv"
+    write_sweep_csv(run_sweep(cfg), str(path))
+    rows = path.read_text().splitlines()[5:]
+    assert [row.split(",")[:2] for row in rows] == [["mode", "full"], ["mode", "ideal"]]
 
 
 def test_sweep_csv_byte_identical_across_workers(tmp_path):
@@ -307,6 +316,18 @@ def test_cli_single_and_sweep(tmp_path, capsys):
     assert f"sweep: {prefix}_sweep.csv" in out
     assert "wall_s=" in out
     assert os.path.exists(f"{prefix}_sweep.csv")
+
+
+def test_cli_single_2d_prints_both_angles(tmp_path, capsys):
+    # Coarse grids keep the one-trial 2-D search and its CSV small.
+    args = ["single", "-c", builtin_config_path("table1_2d"), "-o", str(tmp_path / "two"),
+            "--set", "theta_grid_deg=-60, 60, 2", "--set", "phi_grid_deg=0, 60, 2"]
+    assert main(args) == 0
+    estimates = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("estimate ")]
+    assert len(estimates) == 2
+    for line in estimates:
+        assert re.fullmatch(r"estimate theta_deg=-?\d+\.\d{4} phi_deg=\d+\.\d{4}", line)
 
 
 def test_cli_crb(tmp_path, capsys):

@@ -116,3 +116,11 @@ def test_aggregate_zero_resolution_is_180():
 def test_aggregate_empty_raises():
     with pytest.raises(ValidationError):
         aggregate([], TRUTH)
+
+
+def test_scoring_needs_matching_truth():
+    with pytest.raises(ValidationError, match="at least one true source"):
+        resolve_and_score(_estimates_1d([-22.0]), ())
+    one_source = resolve_and_score(_estimates_1d([-22.0]), TRUTH[:1])
+    with pytest.raises(ValidationError, match="source count"):
+        aggregate([one_source], TRUTH)

@@ -265,6 +265,26 @@ def test_surface_validation():
         SurfaceConfig(5, 6, 1e9, -0.3)
     with pytest.raises(ValidationError):
         SurfaceConfig(5, 6, 1e9, 0.3, spacing_m=0.0)
+    with pytest.raises(ValidationError, match="integers"):
+        SurfaceConfig(5.5, 6, 1e9, 0.3)
+    # Each range is finite: an infinite carrier would otherwise give a
+    # zero spacing, and NaN fails no comparison.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="carrier_hz"):
+            SurfaceConfig(5, 6, bad, 0.3)
+        with pytest.raises(ValidationError, match="receiver_offset_m"):
+            SurfaceConfig(5, 6, 1e9, bad)
+        with pytest.raises(ValidationError, match="wave_speed"):
+            SurfaceConfig(5, 6, 1e9, 0.3, wave_speed=bad)
+        with pytest.raises(ValidationError, match="spacing_m"):
+            SurfaceConfig(5, 6, 1e9, 0.3, spacing_m=bad)
+
+
+def test_harmonic_matrix_input_checks(small_cfg):
+    with pytest.raises(ValidationError, match="entries must be"):
+        HarmonicMatrix(2, np.ones((4, 6)))
+    with pytest.raises(ValidationError, match="max_harmonic"):
+        harmonic_matrix(-1, small_cfg)
 
 
 def test_element_index_bounds(small_cfg):

@@ -13,6 +13,7 @@ from msdoa import (
     NoiseSpec,
     SamplingPlan,
     SourceScene,
+    TimeSeries,
     ValidationError,
     builtin_config_path,
     draw_source_amplitudes,
@@ -51,6 +52,11 @@ def test_scene_validation():
                     coherent_gains=(1.0, 1.0))
     with pytest.raises(ValidationError):
         SourceScene(TWO, (1.0, 1.0), amplitude_model="laplace")
+    with pytest.raises(ValidationError, match="coherent_gains must match"):
+        SourceScene(TWO, (1.0, 1.0), coherence="coherent", coherent_gains=(1.0,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="powers"):
+            SourceScene(TWO, (1.0, bad))
 
 
 def test_make_coherent_gains():
@@ -109,6 +115,15 @@ def test_constant_modulus_model():
     assert np.allclose(np.abs(amps[1]), 1.0)
 
 
+def test_amplitude_and_series_input_checks():
+    with pytest.raises(ValidationError, match="num_snapshots"):
+        draw_source_amplitudes(SourceScene(TWO, (1.0, 1.0)), 0, 7)
+    with pytest.raises(ValidationError, match="resolve_gains"):
+        draw_source_amplitudes(SourceScene(TWO, (1.0, 1.0), coherence="coherent"), 5, 7)
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        TimeSeries(np.zeros((2, 3)), 1e6)
+
+
 def test_sampling_plan_table1(table1_plan):
     assert table1_plan.points_per_period == 800
     assert table1_plan.points_per_snapshot == 1600
@@ -124,6 +139,11 @@ def test_sampling_plan_validation():
         SamplingPlan(50e6, 2, 0, 1.6e-5)
     with pytest.raises(ValidationError):
         SamplingPlan(50e6, 2, 5, 0.0)  # zero coding period
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            SamplingPlan(bad, 2, 5, 1.6e-5)
+        with pytest.raises(ValidationError, match="finite"):
+            SamplingPlan(50e6, 2, 5, bad)
 
 
 def test_slot_indices_partition():
@@ -281,6 +301,12 @@ def test_snr_noise_spec():
     assert spec.snr_db == 10.0
     with pytest.raises(ValidationError):
         NoiseSpec(variance=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="noise variance"):
+            NoiseSpec(variance=bad)
+    for reference in (0.0, -1.0, np.nan):
+        with pytest.raises(ValidationError, match="reference_power"):
+            NoiseSpec.from_snr_db(10.0, reference)
 
 
 def test_full_vs_ideal_folding(table1_cfg):
