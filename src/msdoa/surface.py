@@ -97,8 +97,9 @@ class Doa:
         return float(np.deg2rad(self.phi_deg))
 
 
-def _check_element(m: int, n: int, cfg: SurfaceConfig) -> None:
-    if not (1 <= m <= cfg.rows and 1 <= n <= cfg.cols):
+def _check_element(m, n, cfg: SurfaceConfig) -> None:
+    m, n = np.asarray(m), np.asarray(n)
+    if np.any((m < 1) | (m > cfg.rows) | (n < 1) | (n > cfg.cols)):
         raise ValidationError(
             f"element index (m={m}, n={n}) outside the "
             f"{cfg.rows} x {cfg.cols} grid (indices are 1-based)"
@@ -128,7 +129,7 @@ def _sa(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def fourier_coefficient(m: int, n: int, p, cfg: SurfaceConfig):
+def fourier_coefficient(m, n, p, cfg: SurfaceConfig):
     """Fourier-series coefficient of order ``p`` for element (m, n).
 
     Coefficients are defined by w(t) = sum_p u_p exp(j*2*pi*p*t/T) with
@@ -142,11 +143,12 @@ def fourier_coefficient(m: int, n: int, p, cfg: SurfaceConfig):
     where a is the slot start, h = 1/(M*N) the slot width, b = 1 - a - h
     the trailing length (all as fractions of the period), and
     Sa(x) = sin(x)/x. The order-0 coefficient is the duty-cycle mean
-    2/(M*N) - 1. ``p`` may be a scalar or an integer array.
+    2/(M*N) - 1. Element indices and orders broadcast against each
+    other, and each entry is computed as a scalar call would compute it.
 
     Parameters
     ----------
-    m, n : int
+    m, n : int or array_like of int
         1-based element indices.
     p : int or array_like of int
         Harmonic order(s).
@@ -155,13 +157,14 @@ def fourier_coefficient(m: int, n: int, p, cfg: SurfaceConfig):
     Returns
     -------
     complex or np.ndarray
+        A complex for all-scalar arguments, else an array of their
+        broadcast shape.
     """
     _check_element(m, n, cfg)
-    big_m, big_n = cfg.rows, cfg.cols
     size = cfg.size
     p_arr = np.asarray(p)
 
-    slot = (m - 1) * big_n + (n - 1)
+    slot = (np.asarray(m) - 1) * cfg.cols + (np.asarray(n) - 1)
     start = slot / size
     width = 1.0 / size
     mid_phase = (2 * slot + 1) / size
@@ -175,7 +178,7 @@ def fourier_coefficient(m: int, n: int, p, cfg: SurfaceConfig):
         - tail * _sa(x * tail) * np.exp(-1j * x * tail_phase)
     )
     val = np.where(p_arr == 0, 2.0 / size - 1.0 + 0.0j, val)
-    return complex(val) if np.ndim(p) == 0 else val
+    return complex(val) if val.ndim == 0 else val
 
 
 def receiver_delays(cfg: SurfaceConfig) -> np.ndarray:
@@ -275,10 +278,6 @@ def harmonic_matrix(max_harmonic: int, cfg: SurfaceConfig) -> HarmonicMatrix:
     if max_harmonic < 0:
         raise ValidationError("max_harmonic must be nonnegative")
     orders = np.arange(-max_harmonic, max_harmonic + 1)
-    entries = np.empty((orders.size, cfg.size), dtype=complex)
-    col = 0
-    for m in range(1, cfg.rows + 1):
-        for n in range(1, cfg.cols + 1):
-            entries[:, col] = fourier_coefficient(m, n, orders, cfg)
-            col += 1
+    m, n = np.divmod(np.arange(cfg.size), cfg.cols)
+    entries = fourier_coefficient(m + 1, n + 1, orders[:, None], cfg)
     return HarmonicMatrix(max_harmonic, entries)

@@ -107,7 +107,8 @@ class SamplingPlan:
         if self.num_snapshots < 1:
             raise ValidationError("num_snapshots must be at least 1")
         ratio = self.sample_rate_hz * self.coding_period_s
-        if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio) or round(ratio) < 1:
+        whole = round(ratio) if ratio < np.inf else 0
+        if abs(ratio - whole) > 1e-6 * max(1.0, ratio) or whole < 1:
             raise ValidationError(
                 "sample_rate_hz times coding_period_s must be a positive "
                 f"integer so coding harmonics fall on FFT bins; got {ratio!r}"
@@ -148,7 +149,15 @@ class NoiseSpec:
         """Variance giving ``snr_db = 10*log10(reference_power/variance)``."""
         if not 0 < reference_power < np.inf:
             raise ValidationError("reference_power must be positive and finite")
-        return cls(reference_power * 10.0 ** (-snr_db / 10.0), snr_db=float(snr_db))
+        try:
+            variance = reference_power * 10.0 ** (-snr_db / 10.0)
+        except OverflowError:
+            variance = np.inf
+        if not variance < np.inf:
+            raise ValidationError(
+                f"snr_db: {snr_db!r} dB puts the noise variance out of float range"
+            )
+        return cls(variance, snr_db=float(snr_db))
 
     @classmethod
     def quiet(cls) -> "NoiseSpec":
@@ -218,26 +227,22 @@ def _slot_indices(sample_indices: np.ndarray, points_per_period: int, size: int)
 class SignalModel:
     """The part of the noiseless received signal no amplitude draw changes.
 
-    Holds the scene and plan it was built for and the element count
-    that scales the receiver noise. Both modes hold one coding period
-    of the signal, which the record repeats, since the switching
-    repeats with the period and snapshots span whole periods. In full
-    mode ``patterns`` is the (K, points_per_period) switched surface
-    sum per source: at each sample the active element's steering entry
-    counts +1 and every other entry -1, i.e. ``2*a[slot] - sum(a)``.
-    In ideal mode ``mixed_steering`` is the (2P+1, K) harmonic mixture
-    of the steering and ``phase_table`` the (points_per_period, 2P+1)
-    table of sample phases. Without sources ``patterns`` is an empty
-    (0, points_per_period) stack in either mode. Arrays are read-only:
-    trials share them.
+    Holds the scene and plan it was built for, the element count that
+    scales the receiver noise, and ``patterns``: one coding period of
+    each source's noiseless signal at unit amplitude, a read-only
+    (K, points_per_period) array that trials share. The record repeats
+    it, since the coding repeats with the period and snapshots span
+    whole periods. In full mode a pattern is the switched surface sum:
+    at each sample the active element's steering entry counts +1 and
+    every other entry -1, i.e. ``2*a[slot] - sum(a)``. In ideal mode it
+    is the coding harmonics' sum over the period. Without sources the
+    stack is empty, (0, points_per_period).
     """
 
     scene: SourceScene
     plan: SamplingPlan
     num_elements: int
-    patterns: np.ndarray | None = None
-    mixed_steering: np.ndarray | None = None
-    phase_table: np.ndarray | None = None
+    patterns: np.ndarray
 
 
 def signal_model(
@@ -250,35 +255,32 @@ def signal_model(
     """Precompute the trial-invariant part of :func:`synthesize_received`.
 
     ``mode`` "full" evaluates the exact +/-1 schedule and "ideal" keeps
-    the coding harmonics of ``harmonics``, which it requires, both over
-    one coding period of ``plan``. Without sources either mode holds an
-    empty stack of patterns.
+    the coding harmonics of ``harmonics``, which it requires: source k's
+    pattern at sample q is sum_p (U a_k)_p exp(2j*pi*p*q/z) over the
+    orders p of U, with a_k its steering vector and z the points per
+    period. Either mode forms its patterns here, once.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}")
     if mode == "ideal" and harmonics is None:
         raise ValidationError("ideal mode needs the harmonic matrix")
-    k = scene.num_sources
     z = plan.points_per_period
-    if k == 0:
+    if scene.num_sources == 0:
         patterns = np.zeros((0, z), dtype=complex)
-        patterns.flags.writeable = False
-        return SignalModel(scene, plan, cfg.size, patterns=patterns)
-    steering = steering_matrix(scene.doas, cfg)
-    if mode == "full":
-        slots = _slot_indices(np.arange(z), z, cfg.size)
-        col_sums = steering.sum(axis=0)
-        patterns = np.stack([2.0 * steering[slots, j] - col_sums[j] for j in range(k)])
-        patterns.flags.writeable = False
-        return SignalModel(scene, plan, cfg.size, patterns=patterns)
-    # Phases are reduced with integer arithmetic before exp to stay
-    # exact for large p*q.
-    mixed = harmonics.entries @ steering
-    reduced = np.mod(np.outer(np.arange(z), harmonics.harmonic_orders), z)
-    table = np.exp(2j * np.pi * reduced / z)
-    mixed.flags.writeable = False
-    table.flags.writeable = False
-    return SignalModel(scene, plan, cfg.size, mixed_steering=mixed, phase_table=table)
+    else:
+        steering = steering_matrix(scene.doas, cfg)
+        if mode == "full":
+            slots = _slot_indices(np.arange(z), z, cfg.size)
+            period = 2.0 * steering[slots] - steering.sum(axis=0)
+        else:
+            # The phase p*q/z is reduced to an integer index into the z
+            # roots of unity, which keeps it exact for large p*q.
+            roots = np.exp(2j * np.pi * np.arange(z) / z)
+            table = roots[np.mod(np.outer(np.arange(z), harmonics.harmonic_orders), z)]
+            period = table @ (harmonics.entries @ steering)
+        patterns = np.ascontiguousarray(period.T)
+    patterns.flags.writeable = False
+    return SignalModel(scene, plan, cfg.size, patterns)
 
 
 def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
@@ -286,13 +288,9 @@ def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
     # of a snapshot is the same sum, so form one period per snapshot,
     # (I, z), and repeat it k0 times.
     plan = model.plan
-    if model.patterns is not None:
-        period = np.zeros((plan.num_snapshots, plan.points_per_period), dtype=complex)
-        for pattern, amplitude in zip(model.patterns, amplitudes):
-            period += pattern * amplitude[:, None]
-    else:
-        # Band-limited model: truncated harmonic sum.
-        period = (model.phase_table @ (model.mixed_steering @ amplitudes)).T
+    period = np.zeros((plan.num_snapshots, plan.points_per_period), dtype=complex)
+    for pattern, amplitude in zip(model.patterns, amplitudes):
+        period += pattern * amplitude[:, None]
     return np.repeat(period[:, None, :], plan.periods_per_snapshot, axis=1).ravel()
 
 

@@ -7,7 +7,8 @@ purpose and live here rather than in the package.
 
 import numpy as np
 
-from msdoa import Doa, draw_source_amplitudes, harmonic_matrix, steering_derivatives
+from msdoa import (Doa, draw_source_amplitudes, fourier_coefficient, harmonic_matrix,
+                   steering_derivatives)
 from msdoa.surface import _check_element, steering_matrix
 
 
@@ -31,6 +32,24 @@ def coding_waveform(m, n, t, cfg, coding_period_s):
     upper = (slot + 1) / cfg.size
     out = np.where((frac > lower) & (frac <= upper), 1.0, -1.0)
     return float(out) if np.ndim(t) == 0 else out
+
+
+def harmonic_entries(max_harmonic, cfg):
+    """Harmonic matrix entries filled one element column at a time.
+
+    Each column is one call of ``fourier_coefficient`` for element
+    (m, n) over the orders -P..P, in row-major element order. This is
+    how ``harmonic_matrix`` filled its entries before it made one
+    broadcast call; the two must agree bit for bit.
+    """
+    orders = np.arange(-max_harmonic, max_harmonic + 1)
+    entries = np.empty((orders.size, cfg.size), dtype=complex)
+    col = 0
+    for m in range(1, cfg.rows + 1):
+        for n in range(1, cfg.cols + 1):
+            entries[:, col] = fourier_coefficient(m, n, orders, cfg)
+            col += 1
+    return entries
 
 
 def stacked_crb(cfg, scene, plan, max_harmonic, noise_variance, amplitudes,
@@ -109,38 +128,27 @@ def nested_trial_streams(seed, sweep_index, trial_index):
 def repeat_synthesis(model, noise, amplitude_seed, noise_seed):
     """Received samples and amplitudes with each amplitude repeated per sample.
 
-    Full mode tiles every source's one-period switched pattern to the
-    record length and adds it times its amplitudes repeated Q times.
-    Ideal mode builds the phase table of a whole snapshot, Q x (2P+1),
-    and multiplies it by the mixed amplitudes of every snapshot. The
-    noise is ``samples + scale*(re + 1j*im)`` from two separate draws.
-    This is the form ``synthesize_received`` had before it formed one
-    period per snapshot and drew the noise into one buffer; the two
-    must agree bit for bit.
+    Tiles every source's one-period pattern to the record length and
+    adds it times its amplitudes repeated Q times. The noise is
+    ``samples + scale*(re + 1j*im)`` from two separate draws. This is
+    the form ``synthesize_received`` had before it formed one period
+    per snapshot and drew the noise into one buffer; the two must agree
+    bit for bit.
     """
     amp_rng, noise_rng = np.random.default_rng(amplitude_seed), np.random.default_rng(noise_seed)
     plan = model.plan
     amplitudes = draw_source_amplitudes(model.scene, plan.num_snapshots, amp_rng)
     samples = np.zeros(plan.total_points, dtype=complex)
-    if model.patterns is not None:
-        periods = plan.total_points // plan.points_per_period
-        for k in range(model.scene.num_sources):
-            # np.multiply rather than ``*``: on a large record numpy
-            # reuses a temporary right operand in place and swaps the
-            # factors, and a complex product formed with fused
-            # multiply-adds is not bitwise commutative.
-            samples += np.multiply(
-                np.tile(model.patterns[k], periods),
-                np.repeat(amplitudes[k], plan.points_per_snapshot),
-            )
-    else:
-        z = plan.points_per_period
-        order = (model.mixed_steering.shape[0] - 1) // 2
-        reduced = np.mod(np.outer(np.arange(plan.points_per_snapshot),
-                                  np.arange(-order, order + 1)), z)
-        table = np.exp(2j * np.pi * reduced / z)
-        coeffs = model.mixed_steering @ amplitudes
-        samples = (table @ coeffs).ravel(order="F")
+    periods = plan.total_points // plan.points_per_period
+    for pattern, amplitude in zip(model.patterns, amplitudes):
+        # np.multiply rather than ``*``: on a large record numpy reuses
+        # a temporary right operand in place and swaps the factors, and
+        # a complex product formed with fused multiply-adds is not
+        # bitwise commutative.
+        samples += np.multiply(
+            np.tile(pattern, periods),
+            np.repeat(amplitude, plan.points_per_snapshot),
+        )
     if noise.variance > 0:
         scale = np.sqrt(model.num_elements * noise.variance / 2.0)
         samples = samples + scale * (

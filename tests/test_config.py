@@ -154,6 +154,21 @@ def test_cli_validate_refuses_non_finite_numbers(tmp_path, capsys, overrides, wh
     assert capsys.readouterr().err.startswith(f"invalid config: {where}: not finite: ")
 
 
+@pytest.mark.parametrize("overrides", [
+    ["snr_db=-4000"],
+    ["sweep=snr_db: 0, -4000"],
+    ["sampling_rate_hz=1e200", "coding_period_s=1e200"],
+])
+def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, overrides):
+    path = tmp_path / "exp.cfg"
+    path.write_text(BASE)
+    args = ["validate", "-c", str(path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("invalid config: ")
+
+
 def test_comments_and_blanks_ignored():
     noisy = "# leading comment\n\n" + BASE.replace(
         "rows = 5", "rows = 5  # trailing comment"
@@ -249,6 +264,12 @@ def test_overrides():
     for item in ("output=run#1", "output=a\nrows = 9"):
         with pytest.raises(ValidationError, match="may not hold"):
             parse_config(BASE, overrides=[item])
+    # A finite value whose derived quantity leaves the float range is
+    # refused by name, not met with an OverflowError.
+    with pytest.raises(ValidationError, match="^snr_db: "):
+        parse_config(BASE, overrides=["snr_db=-4000"])
+    with pytest.raises(ValidationError, match="positive integer"):
+        parse_config(BASE, overrides=["sampling_rate_hz=1e200", "coding_period_s=1e200"])
 
 
 def test_angles_none_is_noise_only():

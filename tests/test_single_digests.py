@@ -53,7 +53,7 @@ DIGESTS = {
     },
     "table1_ideal": {
         "frequency.csv": "e8eefe7b0a1ff25f0046206ec6ac297eac7b996202c978bab8f40223a86abb55",
-        "series.f64": "3e0b4dd5d91c2f486c178ff60d2162d6691360e47cb73cf61a93e2ff5e623d4d",
+        "series.f64": "cb38c42174321b7d06c5e0cb7eb42ec06e6e2d2ff0ad7ad93ad8fe8e9d270c88",
         "snapshots.csv": "ba298352b7ab5f42720be056c116afc45e57619c97eee015916ab0f3db86f51b",
         "spatial.csv": "8044e4a541a29254be7b3af6297de20bd145a4d95302bb12beeb72a6b8880057",
     },

@@ -12,14 +12,16 @@ from msdoa import (
     HarmonicMatrix,
     SurfaceConfig,
     ValidationError,
+    builtin_config_path,
     element_positions,
     fourier_coefficient,
     harmonic_matrix,
+    load_config,
     steering_vector,
     wave_vector,
 )
 from msdoa.surface import arrival_delays, receiver_delays
-from oracles import coding_waveform
+from oracles import coding_waveform, harmonic_entries
 
 C0 = 299792458.0
 # Coding period, s, of the schedule oracle; the coefficients are per
@@ -219,6 +221,37 @@ def test_harmonic_matrix_conjugate_rows_any_surface(rows, cols, max_harmonic):
     assert np.all(entries[max_harmonic].imag == 0.0)
 
 
+@pytest.mark.parametrize("name", ["table1", "table1_2d", "table2"])
+@pytest.mark.parametrize("max_harmonic", [15, 20, 30, 40])
+def test_harmonic_matrix_matches_the_per_element_oracle(name, max_harmonic):
+    # One broadcast coefficient call fills the matrix with the bits the
+    # per-element loop wrote.
+    surface = load_config(builtin_config_path(name)).surface
+    entries = harmonic_matrix(max_harmonic, surface).entries
+    assert entries.tobytes() == harmonic_entries(max_harmonic, surface).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 8), cols=st.integers(1, 8), max_harmonic=st.integers(0, 60))
+def test_harmonic_matrix_matches_the_per_element_oracle_any_surface(rows, cols, max_harmonic):
+    cfg = SurfaceConfig(rows=rows, cols=cols, carrier_hz=1e9, receiver_offset_m=0.6)
+    entries = harmonic_matrix(max_harmonic, cfg).entries
+    assert entries.tobytes() == harmonic_entries(max_harmonic, cfg).tobytes()
+
+
+def test_fourier_coefficient_array_call_matches_scalar_calls(small_cfg):
+    # Indices and orders broadcast; each entry is the scalar call's value.
+    m = np.array([1, 2, 2, 1])[:, None, None]
+    n = np.array([3, 1, 2])[None, :, None]
+    p = np.array([-29, -3, 0, 1, 7, 50])
+    got = fourier_coefficient(m, n, p, small_cfg)
+    assert got.shape == (4, 3, 6)
+    for i, j, k in np.ndindex(got.shape):
+        want = fourier_coefficient(int(m[i, 0, 0]), int(n[0, j, 0]), int(p[k]), small_cfg)
+        assert isinstance(want, complex)
+        assert got[i, j, k].tobytes() == np.complex128(want).tobytes()
+
+
 def test_pseudo_inverse_identity(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
     eye = um.pseudo_inverse @ um.entries
@@ -292,5 +325,8 @@ def test_element_index_bounds(small_cfg):
         fourier_coefficient(0, 1, 0, small_cfg)
     with pytest.raises(ValidationError):
         fourier_coefficient(3, 1, 0, small_cfg)
+    # An array of indices is refused if any one of them is outside.
+    with pytest.raises(ValidationError):
+        fourier_coefficient(np.array([1, 2]), np.array([3, 4]), 0, small_cfg)
     with pytest.raises(ValidationError):
         coding_waveform(1, 4, np.array([0.0]), small_cfg, PERIOD)

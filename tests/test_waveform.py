@@ -144,6 +144,9 @@ def test_sampling_plan_validation():
             SamplingPlan(bad, 2, 5, 1.6e-5)
         with pytest.raises(ValidationError, match="finite"):
             SamplingPlan(50e6, 2, 5, bad)
+    # Finite factors whose product is not.
+    with pytest.raises(ValidationError, match="positive integer"):
+        SamplingPlan(1e200, 2, 5, 1e200)
 
 
 def test_slot_indices_partition():
@@ -222,6 +225,7 @@ def test_full_mode_holds_one_period_per_source(table1_cfg):
     model = signal_model(table1_cfg, scene, plan, "full")
     z = plan.points_per_period
     assert model.patterns.shape == (2, z)
+    assert not model.patterns.flags.writeable
 
     steering = steering_matrix(scene.doas, table1_cfg)
     slots = _slot_indices(np.arange(plan.total_points), z, table1_cfg.size)
@@ -239,13 +243,22 @@ def test_full_mode_holds_one_period_per_source(table1_cfg):
 
 @pytest.mark.parametrize("max_harmonic", [15, 40])
 def test_ideal_mode_holds_one_period(max_harmonic):
-    # Like the full-mode patterns, the phase table spans one coding
-    # period, not a whole snapshot.
+    # Like the full-mode patterns, the ideal ones span one coding
+    # period per source. Checked against the band-limited sum
+    # sum_p c_p exp(2j*pi*p*q/z) formed by an inverse FFT, which puts
+    # each mixed coefficient c_p in bin p mod z.
     cfg = load_config(builtin_config_path("table1"), ["mode=ideal"])
-    model = signal_model(cfg.surface, cfg.scene, cfg.plan, "ideal",
-                         harmonic_matrix(max_harmonic, cfg.surface))
-    assert model.phase_table.shape == (cfg.plan.points_per_period, 2 * max_harmonic + 1)
-    assert model.patterns is None
+    harmonics = harmonic_matrix(max_harmonic, cfg.surface)
+    model = signal_model(cfg.surface, cfg.scene, cfg.plan, "ideal", harmonics)
+    z = cfg.plan.points_per_period
+    assert model.patterns.shape == (2, z)
+    assert not model.patterns.flags.writeable
+
+    coeffs = harmonics.entries @ steering_matrix(cfg.scene.doas, cfg.surface)
+    spectrum = np.zeros((2, z), dtype=complex)
+    spectrum[:, np.mod(harmonics.harmonic_orders, z)] = coeffs.T
+    want = z * np.fft.ifft(spectrum, axis=1)
+    assert np.max(np.abs(model.patterns - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mode", ["full", "ideal"])
@@ -269,7 +282,6 @@ def test_no_source_model_holds_an_empty_pattern_stack(table1_cfg, table1_plan, m
                          harmonic_matrix(15, table1_cfg))
     assert model.patterns.shape == (0, table1_plan.points_per_period)
     assert not model.patterns.flags.writeable
-    assert model.phase_table is None
     series, amplitudes = synthesize_received(model, NoiseSpec.quiet(), *split_seed(9))
     assert amplitudes.shape == (0, table1_plan.num_snapshots)
     assert series.samples.tobytes() == np.zeros(table1_plan.total_points, complex).tobytes()
@@ -307,6 +319,11 @@ def test_snr_noise_spec():
     for reference in (0.0, -1.0, np.nan):
         with pytest.raises(ValidationError, match="reference_power"):
             NoiseSpec.from_snr_db(10.0, reference)
+    # A finite SNR whose variance is past the float range, alone or
+    # times the reference power.
+    for snr_db, reference in ((-4000.0, 1.0), (-3000.0, 1e10)):
+        with pytest.raises(ValidationError, match="^snr_db: "):
+            NoiseSpec.from_snr_db(snr_db, reference)
 
 
 def test_full_vs_ideal_folding(table1_cfg):
