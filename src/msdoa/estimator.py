@@ -667,8 +667,12 @@ def write_spectrum_csv(batch: MusicBatch, path: str) -> None:
     """Write the spatial spectrum of a one-trial batch as CSV, estimates as footer comments.
 
     A one-elevation search writes the spectrum over azimuth alone. The
-    spectrum is evaluated once.
+    spectrum is evaluated once; a batch of several trials raises
+    :class:`ValidationError` before any is evaluated.
     """
+    trials = len(batch.estimates)
+    if trials != 1:
+        raise ValidationError(f"a spectrum CSV holds one trial; the batch has {trials}")
     (spectrum,), (estimates,) = batch.spectrum, batch.estimates
     thetas, phis = batch.setup.theta_grid_deg, batch.setup.elevation_grid_deg
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

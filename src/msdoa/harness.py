@@ -4,13 +4,14 @@ The trials of one config point share a :class:`TrialContext`, built
 once per point, or once per chunk in each worker, by
 :func:`build_context`. :func:`run_chunk` draws each trial on its own
 (:func:`draw_trial`) and estimates, bounds and scores the trials in
-batches of ``BATCH_TRIALS``. :func:`run_trials` runs a point's trials
-as one chunk, or as one contiguous chunk per worker process, and
-:func:`run_sweep` runs every point of a sweep on one pool. ``single``
-(:func:`run_single`) and ``crb`` (:func:`trial_zero_bound`) take trial
-(0, 0) of the same path. Every chunk holds BLAS to one thread
-(:func:`_single_threaded_blas`): a trial's matrices are too small for
-BLAS threads to pay, and parallelism comes from worker processes.
+batches of ``BATCH_TRIALS``. :func:`run_trials` (one point) and
+:func:`run_sweep` (every point) cut each point into one contiguous
+chunk per worker process and hand all chunks to one map
+(:func:`_point_results`). ``single`` (:func:`run_single`) and ``crb``
+(:func:`trial_zero_bound`) take trial (0, 0) of the same path. Every
+chunk holds BLAS to one thread (:func:`_single_threaded_blas`): a
+trial's matrices are too small for BLAS threads to pay, and
+parallelism comes from worker processes.
 
 No result depends on how the trials are laid out: a trial's seeds
 derive from (experiment seed, sweep index, trial index) alone
@@ -247,34 +248,28 @@ def _trial_chunk(args):
 
 
 @contextlib.contextmanager
-def _point_runner(cfg: ExperimentConfig, workers: int):
-    """Scope of a function that runs all trials of one of ``cfg``'s points.
+def _point_results(points, workers: int):
+    """Scope of an iterator over each point's trial results, in trial order.
 
-    The function takes the point's config and sweep index and returns
-    the trials' results in trial order. With one worker it runs them
-    as one chunk in this process. With more, one process pool serves
-    every point of the scope, and each point's trials go out to it in
-    contiguous chunks, one per process. No sweep variable changes the
-    trial count, and a point never has more chunks than trials, so the
-    pool holds at most ``cfg.trials`` processes.
+    ``points`` lists (config, sweep index) pairs, which share one trial
+    count. Each point is cut into the same contiguous chunks, one per
+    process, and the run's chunks go to one ``map``: the builtin lazy
+    one with one chunk per point, so a point runs when its results are
+    read, else a process pool's, which queues every chunk at once. A
+    point's error is raised when its results are read; the pool then
+    runs only the chunks it has already handed to a process.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1; got {workers}")
-    processes = min(workers, cfg.trials)
-    if processes == 1:
-        yield lambda point, sweep_index: _trial_chunk((point, sweep_index, range(point.trials)))
-        return
-    size = -(-cfg.trials // processes)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-
-        def run_point(point, sweep_index):
-            tasks = [
-                (point, sweep_index, range(start, min(start + size, point.trials)))
-                for start in range(0, point.trials, size)
-            ]
-            return [r for chunk in pool.map(_trial_chunk, tasks) for r in chunk]
-
-        yield run_point
+    trials = points[0][0].trials
+    processes = min(workers, trials)
+    size = -(-trials // processes)
+    starts = range(0, trials, size)
+    tasks = [(p, i, range(s, min(s + size, trials))) for p, i in points for s in starts]
+    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
+    with pool or contextlib.nullcontext():
+        chunks = (pool.map if pool else map)(_trial_chunk, tasks)
+        yield ([r for _ in starts for r in next(chunks)] for _ in points)
 
 
 def run_trials(cfg: ExperimentConfig, sweep_index: int = 0, workers: int = 1):
@@ -284,13 +279,17 @@ def run_trials(cfg: ExperimentConfig, sweep_index: int = 0, workers: int = 1):
     builds the point's context once; the serial path is one chunk.
     With several workers the call opens a process pool of its own.
     """
-    with _point_runner(cfg, workers) as run_point:
-        return run_point(cfg, sweep_index)
+    with _point_results([(cfg, sweep_index)], workers) as results:
+        return next(results)
 
 
 @dataclass(frozen=True)
 class PointRow:
-    """Aggregated results of one sweep value."""
+    """Aggregated results of one sweep value.
+
+    ``wall_s`` is the wall time from the previous point's results, or
+    the sweep's start, to this point's; the rows' times sum to the sweep's.
+    """
 
     variable: str
     value: object
@@ -326,31 +325,24 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run every sweep point and aggregate (PR, RMSE, mean bound)."""
     check_sweep(cfg)
     digest = config_digest(cfg)
+    points = [(apply_sweep_value(cfg, v), index) for index, v in enumerate(cfg.sweep.values)]
     rows = []
-    with _point_runner(cfg, workers) as run_point:
+    start = time.perf_counter()
+    with _point_results(points, workers) as results:
         for sweep_index, value in enumerate(cfg.sweep.values):
-            point = apply_sweep_value(cfg, value)
-            start = time.perf_counter()
             try:
-                results = run_point(point, sweep_index)
+                point_results = next(results)
             except (MsdoaError, np.linalg.LinAlgError) as exc:
                 raise type(exc)(
                     f"sweep {cfg.sweep.variable}={value} (index {sweep_index}): {exc}"
                 ) from exc
-            wall = time.perf_counter() - start
-            outcomes = [r[0] for r in results]
-            bounds = np.array([r[1] for r in results])
+            now = time.perf_counter()
+            wall, start = now - start, now
+            outcomes = [r[0] for r in point_results]
+            bounds = np.array([r[1] for r in point_results])
             agg = aggregate(outcomes, cfg.scene.doas)
-            rows.append(
-                PointRow(
-                    cfg.sweep.variable,
-                    value,
-                    agg.pr,
-                    agg.rmse_deg,
-                    tuple(float(b) for b in bounds.mean(axis=0)),
-                    wall,
-                )
-            )
+            mean_bound = tuple(float(b) for b in bounds.mean(axis=0))
+            rows.append(PointRow(cfg.sweep.variable, value, agg.pr, agg.rmse_deg, mean_bound, wall))
     return SweepResult(rows, digest, cfg.seed, __version__)
 
 

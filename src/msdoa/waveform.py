@@ -339,11 +339,29 @@ def write_time_series(series: TimeSeries, plan: SamplingPlan, path: str, seed=No
 
 
 def read_time_series(path: str) -> TimeSeries:
-    """Read a series written by :func:`write_time_series`."""
+    """Read a series written by :func:`write_time_series`.
+
+    Raises :class:`ValidationError`, naming the file, when the sidecar
+    lacks a numeric sample rate, points per snapshot or snapshot count,
+    or when the data is not one (re, im) pair per sample the sidecar
+    counts.
+    """
     header = {}
     with open(f"{path}.hdr", "r", encoding="utf-8") as fh:
         for line in fh:
             key, _, value = line.strip().partition("=")
             header[key] = value
+    try:
+        rate = float(header["sample_rate_hz"])
+        samples = int(header["points_per_snapshot"]) * int(header["num_snapshots"])
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(
+            f"{path}.hdr: needs numeric sample_rate_hz, points_per_snapshot and "
+            f"num_snapshots; {exc!r}"
+        ) from exc
     raw = np.fromfile(path, dtype="<f8")
-    return TimeSeries(raw[0::2] + 1j * raw[1::2], float(header["sample_rate_hz"]))
+    if raw.size != 2 * samples:
+        raise ValidationError(
+            f"{path}: {raw.size} float64 values, not the (re, im) pairs of {samples} samples"
+        )
+    return TimeSeries(raw[0::2] + 1j * raw[1::2], rate)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import msdoa.estimator
 import oracles
 from msdoa import (
     ConfigurationError,
@@ -577,6 +578,19 @@ def test_spectrum_csv_matches_the_per_point_writer(tmp_path, name):
     got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
     assert got.count(b"# estimate,") == len(result.estimates[0]) > 0
     assert got == want
+
+
+def test_spectrum_csv_refuses_a_batch_before_evaluating_its_spectrum(tmp_path, monkeypatch):
+    _, setup, weight_seed, bins = _trial_zero("table1")
+    batch = estimate_doa([bins] * 3, setup, [weight_seed] * 3)
+
+    def unexpected(*args):
+        raise AssertionError("the spectrum was evaluated")
+
+    monkeypatch.setattr(msdoa.estimator, "_spectrum", unexpected)
+    with pytest.raises(ValidationError, match="one trial; the batch has 3"):
+        write_spectrum_csv(batch, str(tmp_path / "got.csv"))
+    assert not (tmp_path / "got.csv").exists()
 
 
 def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypatch):

@@ -1,9 +1,11 @@
 """Monte Carlo harness: seeding, worker equivalence, outputs, CLI."""
 
+import concurrent.futures.process
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -765,21 +767,57 @@ def test_blas_threads_never_move_a_bit(monkeypatch, blas_threads, name, trials):
 
 
 def test_sweep_holds_one_pool(monkeypatch, tmp_path):
-    pools = []
+    # One pool and one map of every (point, chunk) task: 3 points of
+    # 3 trials over 2 workers are 3 x 2 chunks.
+    pools, maps = [], []
 
     class CountingPool(msdoa.harness.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             pools.append(self)
 
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            maps.append(len(tasks))
+            return super().map(fn, tasks)
+
     monkeypatch.setattr(msdoa.harness, "ProcessPoolExecutor", CountingPool)
     cfg = parse_config(SMALL + "sweep = I: 1, 2, 3\n")
     p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     write_sweep_csv(run_sweep(cfg, workers=2), str(p2))
     assert len(pools) == 1
+    assert maps == [3 * 2]
     write_sweep_csv(run_sweep(cfg, workers=1), str(p1))
     assert len(pools) == 1
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _first_point_fails(args):
+    """Chunk stand-in: point 0 fails at once; a later chunk marks its start, then sleeps."""
+    cfg, sweep_index, trial_indices = args
+    if sweep_index == 0:
+        raise ConfigurationError("first point fails")
+    Path(f"{cfg.output}-{sweep_index}-{trial_indices.start}").touch()
+    time.sleep(0.4)
+    return []
+
+
+def test_failing_pooled_sweep_runs_only_the_chunks_handed_out(monkeypatch, tmp_path):
+    # Every chunk of the sweep is queued at once. Point 0's failure
+    # cancels the chunks not yet handed to a process: at most one
+    # running per process and a full call queue (processes plus
+    # EXTRA_QUEUED_CALLS) still start, as the later chunks outlast the
+    # failure's way back to this process.
+    monkeypatch.setattr(msdoa.harness, "_trial_chunk", _first_point_fails)
+    workers, points = 2, 9
+    values = ", ".join(str(i) for i in range(1, points + 1))
+    cfg = parse_config(SMALL + f"sweep = I: {values}\n")
+    cfg = replace(cfg, output=str(tmp_path / "chunk"))
+    with pytest.raises(ConfigurationError, match=r"^sweep I=1 \(index 0\): first point fails"):
+        run_sweep(cfg, workers=workers)
+    started = len(list(tmp_path.iterdir()))
+    handed_out = 2 * workers + concurrent.futures.process.EXTRA_QUEUED_CALLS
+    assert started <= handed_out < (points - 1) * 2
 
 
 @pytest.mark.parametrize("workers, trials, processes", [

@@ -388,3 +388,21 @@ def test_series_roundtrip(tmp_path, table1_cfg, table1_plan):
     hdr = (tmp_path / "rx.bin.hdr").read_text()
     assert "seed=8" in hdr
     assert "points_per_snapshot=1600" in hdr
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda data, hdr: (np.append(data, 0.0), hdr), r"rx\.bin: 16001 float64 values"),
+    (lambda data, hdr: (data, hdr.replace("sample_rate_hz=", "rate=")),
+     r"rx\.bin\.hdr: needs numeric sample_rate_hz"),
+    (lambda data, hdr: (data[:-2], hdr), r"rx\.bin: 15998 float64 values"),
+], ids=["odd-value-count", "no-sample-rate", "one-sample-short"])
+def test_series_reader_refuses_files_that_disagree(tmp_path, table1_plan, corrupt, match):
+    series = TimeSeries(np.arange(table1_plan.total_points) * (1 + 2j), table1_plan.sample_rate_hz)
+    path = tmp_path / "rx.bin"
+    hdr_path = tmp_path / "rx.bin.hdr"
+    write_time_series(series, table1_plan, str(path))
+    data, hdr = corrupt(np.fromfile(path, dtype="<f8"), hdr_path.read_text())
+    data.tofile(path)
+    hdr_path.write_text(hdr)
+    with pytest.raises(ValidationError, match=match):
+        read_time_series(str(path))
