@@ -8,6 +8,7 @@ that cannot be read or an output path that cannot be written included),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from .harness import (
     check_sweep,
     run_single,
     run_sweep,
+    sweep_point,
     trial_zero_bound,
     write_sweep_csv,
 )
@@ -74,15 +76,14 @@ def _cmd_validate(cfg, args) -> int:
     # Building each point's context runs the checks that need the
     # harmonic matrix's SVD, such as its rank, and the check that every
     # bounded angle is identifiable. A sweep is checked as `sweep`
-    # checks it before its first trial.
+    # checks it before its first trial, and an error names its point.
     if cfg.sweep is not None:
         check_sweep(cfg)
-    points = [cfg] if cfg.sweep is None else [
-        apply_sweep_value(cfg, value) for value in cfg.sweep.values
-    ]
+    points = [cfg] if cfg.sweep is None else [apply_sweep_value(cfg, v) for v in cfg.sweep.values]
     try:
-        for point in points:
-            build_context(point)
+        for index, point in enumerate(points):
+            with sweep_point(cfg, index) if cfg.sweep is not None else contextlib.nullcontext():
+                build_context(point)
     except (DegenerateCodingError, UnidentifiableParameterError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -96,12 +97,10 @@ def _cmd_single(cfg, args) -> int:
         print(f"{name}: {path}")
     batch = out["result"]
     if batch is not None:
-        one_elevation = batch.setup.elevation_grid_deg.size == 1
+        two_angles = batch.setup.elevation_grid_deg.size > 1
         for est in batch.estimates[0]:
-            if one_elevation:
-                print(f"estimate theta_deg={est.theta_deg:.4f}")
-            else:
-                print(f"estimate theta_deg={est.theta_deg:.4f} phi_deg={est.phi_deg:.4f}")
+            phi = f" phi_deg={est.phi_deg:.4f}" if two_angles else ""
+            print(f"estimate theta_deg={est.theta_deg:.4f}{phi}")
     return EXIT_OK
 
 

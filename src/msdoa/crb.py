@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UnidentifiableParameterError, ValidationError
+from .errors import (
+    ConfigurationError,
+    UnidentifiableParameterError,
+    ValidationError,
+    refuse_degenerate,
+)
 from .surface import (
     Doa,
     HarmonicMatrix,
@@ -26,6 +31,7 @@ from .surface import (
 )
 from .waveform import SamplingPlan, SourceScene
 
+_STEERING_RTOL = 1e-10
 _SINGULAR_RTOL = 1e-12
 
 
@@ -61,23 +67,6 @@ class CrbResult:
 
     matrix: np.ndarray
     theta_bounds: np.ndarray
-
-
-def _guarded_inverse(real_matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric matrix or of each of a stack; the first singular one raises."""
-    sym = 0.5 * (real_matrix + np.swapaxes(real_matrix, -1, -2))
-    vals = np.linalg.eigvalsh(sym)
-    low, high = vals[..., 0], vals[..., -1]
-    singular = np.flatnonzero((high <= 0) | (low <= _SINGULAR_RTOL * high))
-    if singular.size:
-        low, high = low.flat[singular[0]], high.flat[singular[0]]
-        raise UnidentifiableParameterError(
-            "projected Fisher information is singular "
-            f"(eigenvalues {low:.3e} .. {high:.3e}); at least one "
-            "angle is unidentifiable in this geometry (for example azimuth "
-            "at zero elevation)"
-        )
-    return np.linalg.inv(sym)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +122,11 @@ def crb_core(
     mixed_sens = harmonics.entries @ sens  # (2P+1, groups*K)
 
     sing = np.linalg.svd(mixed_steer, compute_uv=False)
-    if sing[-1] <= 1e-10 * sing[0]:
-        raise ConfigurationError(
-            "mixed steering matrix is rank deficient; amplitude nuisance "
-            "directions are not separable (coincident sources?)"
-        )
+    refuse_degenerate(
+        sing[-1], sing[0], _STEERING_RTOL, ConfigurationError,
+        "mixed steering matrix is rank deficient; amplitude nuisance directions "
+        "are not separable (coincident sources?); singular values",
+    )
 
     lines = 2 * harmonics.max_harmonic + 1
     proj = np.eye(lines) - mixed_steer @ np.linalg.pinv(mixed_steer)
@@ -199,8 +188,15 @@ def crb(
     sample_cov = amps @ np.swapaxes(amps.conj(), -1, -2) / num_snap
     # One copy of the sample covariance per (angle, angle) group block.
     hadamard = np.swapaxes(np.tile(sample_cov, (groups, groups)), -1, -2)
-    fisher_core = np.real(core.core * hadamard)
+    fisher = np.real(core.core * hadamard)
+    fisher = 0.5 * (fisher + np.swapaxes(fisher, -1, -2))
+    vals = np.linalg.eigvalsh(fisher)
+    refuse_degenerate(
+        vals[..., 0], vals[..., -1], _SINGULAR_RTOL, UnidentifiableParameterError,
+        "projected Fisher information is singular (an angle is unidentifiable in this geometry, "
+        "for example azimuth at zero elevation) or not finite; eigenvalues",
+    )
     prefactor = core.num_elements * noise_variance / (2.0 * q_len * num_snap)
-    bound = prefactor * _guarded_inverse(fisher_core)
+    bound = prefactor * np.linalg.inv(fisher)
     bound = 0.5 * (bound + np.swapaxes(bound, -1, -2))
     return CrbResult(bound, bound.diagonal(axis1=-2, axis2=-1)[..., :k].copy())

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one near-singularity check."""
 
 
 class MsdoaError(Exception):
@@ -27,3 +27,11 @@ class NoNoiseSubspaceError(MsdoaError):
 
 class UnidentifiableParameterError(MsdoaError):
     """Fisher information for the requested angles is singular."""
+
+
+def refuse_degenerate(low, high, rtol: float, error: type, what: str) -> None:
+    """Raise ``error`` at the first (low, high) pair of a stack where ``low > rtol * high``
+    fails, as a NaN does; the message is ``what`` and that pair."""
+    for lo, hi in zip(low.flat, high.flat):
+        if not lo > rtol * hi:
+            raise error(f"{what} {lo:.3e} .. {hi:.3e} (relative floor {rtol:.0e})")

@@ -36,6 +36,7 @@ from .errors import (
     NearSingularWhitenerError,
     NoNoiseSubspaceError,
     ValidationError,
+    refuse_degenerate,
 )
 from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 
@@ -183,15 +184,10 @@ def whitener_inv_sqrt(whitener: np.ndarray) -> np.ndarray:
     """
     sym = 0.5 * (whitener + np.swapaxes(whitener.conj(), -1, -2))
     vals, vecs = np.linalg.eigh(sym)
-    low, high = vals[..., 0], vals[..., -1]
-    singular = np.flatnonzero((high <= 0) | (low <= WHITENER_RTOL * high))
-    if singular.size:
-        low, high = low.flat[singular[0]], high.flat[singular[0]]
-        raise NearSingularWhitenerError(
-            "whitener eigenvalues span more than "
-            f"{1 / WHITENER_RTOL:.0e} (min {low:.3e}, max {high:.3e}); "
-            "inverse square root would amplify noise unboundedly"
-        )
+    refuse_degenerate(
+        vals[..., 0], vals[..., -1], WHITENER_RTOL, NearSingularWhitenerError,
+        "whitener is near-singular; its inverse square root would amplify noise; eigenvalues",
+    )
     return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
@@ -299,7 +295,7 @@ class EstimatorParams:
 
 
 def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Uniform grid including both endpoints."""
+    """Grid of round((stop - start) / step) whole steps from start, ending within step/2 of stop."""
     if not (-np.inf < start < stop < np.inf and 0 < step < np.inf):
         raise ValidationError("grid needs finite values with stop > start and step > 0")
     count = int(round((stop - start) / step))
@@ -675,20 +671,15 @@ def write_spectrum_csv(batch: MusicBatch, path: str) -> None:
         raise ValidationError(f"a spectrum CSV holds one trial; the batch has {trials}")
     (spectrum,), (estimates,) = batch.spectrum, batch.estimates
     thetas, phis = batch.setup.theta_grid_deg, batch.setup.elevation_grid_deg
+    two_angles = phis.size > 1
+    # Each coordinate is formatted once and each azimuth's row written in
+    # one call; a 2-D grid has tens of thousands of points.
+    phis = [f",{p:.10g}" for p in phis] if two_angles else [""]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if phis.size == 1:
-            fh.write("theta_deg,value\n")
-            for t, v in zip(thetas, spectrum[:, 0]):
-                fh.write(f"{t:.10g},{v:.10g}\n")
-            for est in estimates:
-                fh.write(f"# estimate,{est.theta_deg:.10g}\n")
-        else:
-            fh.write("theta_deg,phi_deg,value\n")
-            # Each coordinate is formatted once and each azimuth's row
-            # written in one call; the grid has tens of thousands of points.
-            phis = [f"{p:.10g}" for p in phis]
-            for t, values in zip(thetas, spectrum):
-                theta = f"{t:.10g}"
-                fh.write("".join(f"{theta},{p},{v:.10g}\n" for p, v in zip(phis, values)))
-            for est in estimates:
-                fh.write(f"# estimate,{est.theta_deg:.10g},{est.phi_deg:.10g}\n")
+        fh.write("theta_deg,phi_deg,value\n" if two_angles else "theta_deg,value\n")
+        for t, values in zip(thetas, spectrum):
+            theta = f"{t:.10g}"
+            fh.write("".join(f"{theta}{p},{v:.10g}\n" for p, v in zip(phis, values)))
+        for est in estimates:
+            phi = f",{est.phi_deg:.10g}" if two_angles else ""
+            fh.write(f"# estimate,{est.theta_deg:.10g}{phi}\n")

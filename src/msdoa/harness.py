@@ -321,6 +321,16 @@ def check_sweep(cfg: ExperimentConfig) -> None:
         raise ValidationError("a sweep needs at least one true source to score against")
 
 
+@contextlib.contextmanager
+def sweep_point(cfg: ExperimentConfig, index: int):
+    """Scope that prefixes a library error with ``sweep <var>=<value> (index <i>): ``, type kept."""
+    try:
+        yield
+    except (MsdoaError, np.linalg.LinAlgError) as exc:
+        value = cfg.sweep.values[index]
+        raise type(exc)(f"sweep {cfg.sweep.variable}={value} (index {index}): {exc}") from exc
+
+
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run every sweep point and aggregate (PR, RMSE, mean bound)."""
     check_sweep(cfg)
@@ -330,12 +340,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     start = time.perf_counter()
     with _point_results(points, workers) as results:
         for sweep_index, value in enumerate(cfg.sweep.values):
-            try:
+            with sweep_point(cfg, sweep_index):
                 point_results = next(results)
-            except (MsdoaError, np.linalg.LinAlgError) as exc:
-                raise type(exc)(
-                    f"sweep {cfg.sweep.variable}={value} (index {sweep_index}): {exc}"
-                ) from exc
             now = time.perf_counter()
             wall, start = now - start, now
             outcomes = [r[0] for r in point_results]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateCodingError, ValidationError
+from .errors import ConfigurationError, DegenerateCodingError, ValidationError, refuse_degenerate
 
 SPEED_OF_LIGHT = 2.99792458e8
 
@@ -249,12 +249,11 @@ class HarmonicMatrix:
                     "as elements (increase max_harmonic)"
                 )
             u, s, vh = np.linalg.svd(self.entries, full_matrices=False)
-            if s[-1] < RANK_RTOL * s[0]:
-                raise DegenerateCodingError(
-                    "harmonic matrix is numerically rank deficient "
-                    f"(singular value ratio {s[-1] / s[0]:.3e}); the coding "
-                    "schedule does not separate the element channels"
-                )
+            refuse_degenerate(
+                s[-1], s[0], RANK_RTOL, DegenerateCodingError,
+                "harmonic matrix is numerically rank deficient; the coding schedule "
+                "does not separate the element channels; singular values",
+            )
             pseudo = (vh.conj().T / s) @ u.conj().T
             gram = (vh.conj().T / s**2) @ vh
             pseudo.flags.writeable = False

@@ -200,18 +200,26 @@ def test_stacked_bound_matches_the_kron_form_bit_for_bit(chain_config):
         assert stacked.theta_bounds[t].tobytes() == alone.theta_bounds.tobytes()
 
 
-def test_a_singular_draw_raises_in_a_stack_as_it_does_alone():
+@pytest.mark.parametrize(
+    ("known_elevations", "first", "scale"),
+    [(False, 1, 0.0), (True, 0, 1e155)],
+    ids=["silent", "overflowing"],
+)
+def test_a_singular_draw_raises_in_a_stack_as_it_does_alone(known_elevations, first, scale):
     cfg, plan, _, _ = _tiny_setup()
     scene = SourceScene((Doa.from_degrees(22.0, 70.0), Doa.from_degrees(-30.0, 50.0)),
                         (1.0, 1.0))
-    core = crb_core(cfg, scene, harmonic_matrix(3, cfg))
+    core = crb_core(cfg, scene, harmonic_matrix(3, cfg), known_elevations)
     rng = np.random.default_rng(5)
     amps = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-    amps[1, 1] = 0.0  # the second source is silent: its angles carry nothing
+    # Silenced, the second source's angles carry nothing. Scaled past the
+    # float range, both sources' powers overflow the Fisher matrix, whose
+    # eigenvalues are then NaN.
+    amps[1, first:] *= scale
     amps[3] = 0.0
-    with pytest.raises(UnidentifiableParameterError) as alone:
+    with pytest.raises(UnidentifiableParameterError) as alone, np.errstate(all="ignore"):
         crb(core, plan, 0.3, amps[1])
-    with pytest.raises(UnidentifiableParameterError) as stacked:
+    with pytest.raises(UnidentifiableParameterError) as stacked, np.errstate(all="ignore"):
         crb(core, plan, 0.3, amps)
     assert str(stacked.value) == str(alone.value)
     # The first singular trial is the one reported.

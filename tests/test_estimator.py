@@ -167,8 +167,9 @@ def test_whiten_self_is_identity(table1_cfg):
     assert np.max(np.abs(whiten(wh, whitener_inv_sqrt(wh)) - np.eye(5))) < 1e-10
 
 
-def test_whiten_rejects_singular():
-    singular = np.diag([1.0, 1.0, 0.0]).astype(complex)
+@pytest.mark.parametrize("entry", [0.0, np.nan], ids=["zero", "nan"])
+def test_whiten_rejects_singular(entry):
+    singular = np.diag([1.0, 1.0, entry]).astype(complex)
     with pytest.raises(NearSingularWhitenerError):
         whitener_inv_sqrt(singular)
 

@@ -304,6 +304,21 @@ def test_cli_validate_rejects_rank_deficient_surface(capsys, sweep):
     assert "rank deficient" in capsys.readouterr().err
 
 
+def test_cli_validate_names_a_failing_sweep_point_as_sweep_does(tmp_path, capsys):
+    # Sources at zero elevation share one steering vector, which only the
+    # context of a point can tell; both commands name that point alike.
+    args = ["-c", builtin_config_path("table1"), "--set", "elevation_deg=0",
+            "--set", "sweep=I: 5, 6", "-o", str(tmp_path / "x")]
+    errors = []
+    for command in ("validate", "sweep"):
+        assert main([command, *args]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(
+        "invalid config: sweep I=5 (index 0): mixed steering matrix is rank deficient"
+    )
+
+
 def test_cli_single_and_sweep(tmp_path, capsys):
     path = _write_cfg(tmp_path, SMALL)
     prefix = str(tmp_path / "cli")
@@ -388,6 +403,26 @@ def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
                  "-o", str(tmp_path / "x")])
     assert code == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("power", ["1e306", "1e307"])
+def test_cli_crb_refuses_a_fisher_matrix_that_is_not_finite(tmp_path, capsys, power):
+    # At 1e306 the Fisher matrix is finite but symmetrizing it overflows;
+    # at 1e307 forming it does. Its eigenvalues are NaN either way.
+    prefix = str(tmp_path / "bound")
+    args = ["crb", "-c", builtin_config_path("table1"), "--set", f"powers={power}, {power}"]
+    with np.errstate(over="ignore"):
+        assert main([*args, "-o", prefix]) == 3
+    out, err = capsys.readouterr()
+    assert "sqrt_crb_deg" not in out
+    assert err.startswith("runtime error: projected Fisher information is singular")
+    assert "eigenvalues nan .. nan" in err
+    assert not os.path.exists(f"{prefix}_crb.csv")
+    # One decade lower the bound is finite and reported.
+    assert main(["crb", "-c", builtin_config_path("table1"), "--set", "powers=1e305, 1e305",
+                 "-o", prefix]) == 0
+    out = capsys.readouterr().out
+    assert "sqrt_crb_deg=0.205728" in out and "sqrt_crb_deg=0.236092" in out
 
 
 def test_cli_crb_bounds_the_amplitudes_of_trial_zero(tmp_path, capsys):
