@@ -190,7 +190,10 @@ def crb(
     hadamard = np.swapaxes(np.tile(sample_cov, (groups, groups)), -1, -2)
     fisher = np.real(core.core * hadamard)
     fisher = 0.5 * (fisher + np.swapaxes(fisher, -1, -2))
-    vals = np.linalg.eigvalsh(fisher)
+    # LAPACK need not converge on a matrix that is not finite; its eigenvalues are NaN.
+    finite = np.isfinite(fisher).all(axis=(-2, -1))
+    vals = np.full(fisher.shape[:-1], np.nan)
+    vals[finite] = np.linalg.eigvalsh(fisher[finite])
     refuse_degenerate(
         vals[..., 0], vals[..., -1], _SINGULAR_RTOL, UnidentifiableParameterError,
         "projected Fisher information is singular (an angle is unidentifiable in this geometry, "

@@ -10,12 +10,12 @@ The azimuth-only (1-D) search is the one-elevation case of the same
 search; the 2-D search runs over an elevation grid. :func:`search_grids`
 is the one place the window width and the grids are read.
 
-Recovery, compensation and smoothing are linear, so the chain smooths
-once per trial, in bin space: V = smooth(B), with B the recovery left
-inverse, has one (L, dim) slice V_i per harmonic bin, and a snapshot
-with bins b smooths to sum_i b_i V_i. The same V gives the whitener
-(:func:`smoothing_whitener`), whose inverse square root whitens both
-the covariance and the search manifold.
+The smoothed noise of a weight bank has a covariance linear in the
+bank's Gram matrix, so :func:`search_setup` tabulates its coefficients
+once, as ``window_gram``, and each trial's whitener
+(:func:`smoothing_whitener`) is one product of its bank's Gram matrix
+with that table. The whitener's inverse square root whitens both the
+covariance and the search manifold.
 
 :func:`estimate_doa` runs the chain and :func:`music_search` on a batch
 of trials. Every stage takes arrays with a leading trial axis and makes,
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,10 +45,6 @@ from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
 WHITENER_RTOL = 1e-12
 # Largest distance of a smoothing weight's modulus from 1.
 UNIT_MODULUS_ATOL = 1e-9
-# Trials per chain sub-batch of estimate_doa. The cost per trial is
-# about flat from 8 to 48 trials on the shipped configs; at 32 a whole
-# 100-trial table1_2d point outgrows its recorded memory peak.
-CHAIN_TRIALS = 30
 # Rows of each product that evaluates spectrum denominators. Every
 # product has the same shape, so no bit of a trial's row depends on
 # where in a batch it sits.
@@ -65,9 +62,6 @@ def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
     (trials, 2P+1, snapshots). Solves the overdetermined mixing system
     with the cached SVD left inverse; requires at least M*N frequency
     lines and a numerically full-rank harmonic matrix.
-
-    Off the trial path, which smooths the left inverse itself; kept for
-    the recovery checks and because ``bench/tracing.py`` wraps it.
     """
     bins = np.asarray(bins, dtype=complex)
     lines = 2 * harmonics.max_harmonic + 1
@@ -142,26 +136,22 @@ def smooth(
     return np.ascontiguousarray(smoothed.reshape(*smoothed.shape[:-2], -1))
 
 
-def _outer_sum(smoothed: np.ndarray) -> np.ndarray:
-    """Sum over the (K, L) axes of a (..., K, L, dim) stack of the outer products x x^H."""
-    rows = smoothed.reshape(*smoothed.shape[:-3], -1, smoothed.shape[-1])
-    return np.swapaxes(rows, -1, -2) @ rows.conj()
-
-
-def smoothing_whitener(vectors: np.ndarray) -> np.ndarray:
+def smoothing_whitener(weights: np.ndarray, window_gram: np.ndarray) -> np.ndarray:
     """Noise-shaping matrix of the recover/compensate/smooth chain.
 
-    White bin noise e reaches the smoothed vectors as smooth(B e), with
-    B the recovery left inverse, so this is the sum over every column of
-    B and every weight row of the smoothed outer products. ``vectors``
-    is the :func:`smooth` of B with the trial's weight bank, shape
-    (2P+1, L, dim), or a stack of them, (trials, 2P+1, L, dim), which
-    gives a stack of whiteners. The result equals the sum of
-    J_l C G C^H J_l^H over the weight bank (J_l the smoothing operator,
-    C the compensation, G = B B^H the inverse Gram matrix of the
-    mixing), the per-bin covariance of the smoothed noise.
+    White bin noise reaches the smoothed vectors with covariance
+    sum_l J_l C G C^H J_l^H over the weight bank (J_l the smoothing
+    operator of row w_l, C the compensation, G the inverse Gram matrix
+    of the mixing). Entry (a, b) of that sum is the sum over window
+    offsets c, c' of K[c, c'] (C G C^H)[a + c, b + c'], with
+    K = sum_l w_l w_l^H the bank's Gram matrix: K's flat row times the
+    :func:`search_setup` table ``window_gram``. ``weights`` is one
+    (L, width) bank or a (trials, L, width) stack of them, which gives a
+    stack of whiteners, each from a product of the same shape.
     """
-    total = _outer_sum(vectors)
+    bank = np.swapaxes(weights, -1, -2) @ np.conj(weights)
+    lead, dim = bank.shape[:-2], isqrt(window_gram.shape[1])
+    total = (bank.reshape(*lead, 1, -1) @ window_gram).reshape(*lead, dim, dim)
     return 0.5 * (total + np.swapaxes(total.conj(), -1, -2))
 
 
@@ -173,7 +163,8 @@ def ps_covariance(smoothed: np.ndarray) -> np.ndarray:
     smoothed = np.asarray(smoothed)
     if smoothed.ndim not in (3, 4) or smoothed.shape[-3] * smoothed.shape[-2] == 0:
         raise ValidationError("need at least one smoothed snapshot")
-    return _outer_sum(smoothed) / (smoothed.shape[-3] * smoothed.shape[-2])
+    rows = smoothed.reshape(*smoothed.shape[:-3], -1, smoothed.shape[-1])
+    return np.swapaxes(rows, -1, -2) @ rows.conj() / (smoothed.shape[-3] * smoothed.shape[-2])
 
 
 def whitener_inv_sqrt(whitener: np.ndarray) -> np.ndarray:
@@ -333,11 +324,12 @@ class SearchSetup:
     """The part of :func:`estimate_doa` that no trial changes.
 
     Holds the surface, the source count, the weight count, the harmonic
-    matrix that mixed the snapshot bins (each trial smooths its left
-    inverse), the phase compensation, the smoothing window width,
-    the azimuth and elevation grids, the sines and cosines of the
-    azimuths, and the table that folds a Gram matrix onto the half-plane
-    lags of the smoothed grid. Arrays are read-only: trials share them.
+    matrix that mixed the snapshot bins, the phase compensation, the
+    smoothing window width, the table from which each trial's whitener
+    is formed (see :func:`smoothing_whitener`), the azimuth and
+    elevation grids, the sines and cosines of the azimuths, and the
+    table that folds a Gram matrix onto the half-plane lags of the
+    smoothed grid. Arrays are read-only: trials share them.
     """
 
     surface: SurfaceConfig
@@ -346,6 +338,7 @@ class SearchSetup:
     harmonics: HarmonicMatrix
     compensation: np.ndarray
     width: int
+    window_gram: np.ndarray
     theta_grid_deg: np.ndarray
     elevation_grid_deg: np.ndarray
     directions: np.ndarray
@@ -385,19 +378,25 @@ def search_setup(
     """Precompute the trial-invariant part of :func:`estimate_doa`.
 
     ``harmonics`` is the harmonic matrix that mixes the element
-    channels into the snapshot bins. Its rank is not checked here:
-    :meth:`~msdoa.surface.HarmonicMatrix.decompose` checks it, called by
-    :func:`~msdoa.harness.build_context` before this, or else on the
-    chain's first read of the pseudo-inverse. The window width and the
-    grids come from :func:`search_grids`.
+    channels into the snapshot bins; reading its inverse Gram matrix
+    for the whitener table checks its rank
+    (:meth:`~msdoa.surface.HarmonicMatrix.decompose`). The window width
+    and the grids come from :func:`search_grids`.
     """
     width, theta_grid, elevations = search_grids(params, cfg)
     comp = compensation(cfg)
     out_cols = cfg.cols - width + 1
+    # Entry (c*width + c', a*dim + b) is (C G C^H)[a + c, b + c'], with a
+    # and b the elements that start two smoothed points' windows and c, c'
+    # window offsets (see smoothing_whitener).
+    shaped = comp[:, None] * harmonics.gram_inverse * comp.conj()
+    m, r = np.divmod(np.arange(cfg.rows * out_cols), out_cols)
+    members = m * cfg.cols + r + np.arange(width)[:, None]
+    window_gram = shaped[members[:, None, :, None], members[None, :, None, :]].reshape(width**2, -1)
     theta_rad = np.deg2rad(theta_grid)
     directions = np.stack([np.sin(theta_rad), np.cos(theta_rad)])
     fold = _lag_fold(cfg.rows, out_cols)
-    for arr in (comp, theta_grid, elevations, directions, fold):
+    for arr in (comp, window_gram, theta_grid, elevations, directions, fold):
         arr.flags.writeable = False
     return SearchSetup(
         cfg,
@@ -406,6 +405,7 @@ def search_setup(
         harmonics,
         comp,
         width,
+        window_gram,
         theta_grid,
         elevations,
         directions,
@@ -612,50 +612,38 @@ def estimate_doa(bins, setup: SearchSetup, rng_seeds) -> MusicBatch:
     :func:`~msdoa.snapshot.extract_snapshots`, and ``rng_seeds`` the
     seeds of their smoothing weight rows, in the same order; ``setup``
     is the :func:`search_setup` of the surface and estimator. The chain
-    runs in sub-batches of ``CHAIN_TRIALS`` trials (see
-    :func:`_whitened_chain`), each of which leaves only its whitened
-    covariances and whitening transforms behind; one
-    :func:`music_search` then takes them all, joined into the batch's
-    stacks. Every stage runs on arrays with a leading trial axis and
-    makes, per trial, the call a batch of one makes, so no bit of a
-    result depends on the batch or the sub-batch.
+    (:func:`_whitened_chain`) runs once on the whole batch and leaves
+    only its whitened covariances and whitening transforms behind, which
+    one :func:`music_search` takes. Every stage runs on arrays with a
+    leading trial axis and makes, per trial, the call a batch of one
+    makes, so no bit of a result depends on the batch.
     """
     if len(bins) != len(rng_seeds):
         raise ValidationError(
             f"{len(bins)} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
         )
-    size = CHAIN_TRIALS
-    parts = [
-        _whitened_chain(bins[start : start + size], setup, rng_seeds[start : start + size])
-        for start in range(0, len(bins), size)
-    ]
-    # Joined once the chain is done: stacks for the whole batch held
-    # through every sub-batch would raise the chain's peak.
-    whitened, w_inv_sqrt = map(np.concatenate, zip(*parts))
-    del parts  # so the sub-batches' stacks add nothing to the search's peak
+    whitened, w_inv_sqrt = _whitened_chain(bins, setup, rng_seeds)
     return music_search(whitened, w_inv_sqrt, setup)
 
 
 def _whitened_chain(bins, setup: SearchSetup, rng_seeds):
-    """Whitened covariances and whitening transforms of one chain sub-batch.
+    """Whitened covariances and whitening transforms of a batch of trials.
 
-    Each trial draws its own weight bank and smooths the recovery left
-    inverse with it once; the result serves both its whitener and its
-    snapshots. The bins are stacked only after that smoothing, so the
-    stack adds nothing to the smoothing's peak.
+    Each trial draws its own weight bank, which forms its whitener from
+    the setup's ``window_gram`` and smooths its recovered snapshots. The
+    whitener is decomposed before the bins are stacked, so its workspace
+    adds nothing to the smoothing's peak.
     """
     weights = np.stack([make_ps_weights(setup.num_weights, setup.width, s) for s in rng_seeds])
-    vectors = smooth(setup.harmonics.pseudo_inverse, setup.compensation, weights, setup.surface)
-    w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(vectors))
+    w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(weights, setup.window_gram))
     stack = np.stack(bins)
     lines = 2 * setup.harmonics.max_harmonic + 1
     if stack.ndim != 3 or stack.shape[1] != lines:
         raise ValidationError(
             f"snapshot bins have shape {stack.shape}; expected (trials, {lines}, snapshots)"
         )
-    # smooth(B b) = sum_i b_i V_i: bins^T times V with its (L, dim) axes merged.
-    smoothed = np.swapaxes(stack, -1, -2) @ vectors.reshape(*vectors.shape[:2], -1)
-    covariance = ps_covariance(smoothed.reshape(*smoothed.shape[:2], *vectors.shape[2:]))
+    recovered = recover_channels(stack, setup.harmonics)
+    covariance = ps_covariance(smooth(recovered, setup.compensation, weights, setup.surface))
     return whiten(covariance, w_inv_sqrt), w_inv_sqrt
 
 

@@ -268,7 +268,7 @@ class HarmonicMatrix:
 
     @property
     def gram_inverse(self) -> np.ndarray:
-        """(U^H U)^-1, computed once via SVD; no stage reads it, ``bench/tracing.py`` times it."""
+        """(U^H U)^-1, computed once via SVD."""
         return self.decompose()._inverses[1]
 
 

@@ -113,6 +113,11 @@ class SamplingPlan:
                 "sample_rate_hz times coding_period_s must be a positive "
                 f"integer so coding harmonics fall on FFT bins; got {ratio!r}"
             )
+        if whole * self.periods_per_snapshot * self.num_snapshots > np.iinfo(np.int64).max:
+            raise ValidationError(
+                f"sample_rate_hz times coding_period_s is {ratio!r} samples per coding period; "
+                "the run's sample count must fit a 64-bit integer"
+            )
 
     @property
     def points_per_period(self) -> int:

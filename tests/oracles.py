@@ -7,7 +7,7 @@ purpose and live here rather than in the package.
 
 import numpy as np
 
-from msdoa import (Doa, draw_source_amplitudes, fourier_coefficient, harmonic_matrix,
+from msdoa import (Doa, draw_source_amplitudes, fourier_coefficient, harmonic_matrix, smooth,
                    steering_derivatives)
 from msdoa.surface import _check_element, steering_matrix
 
@@ -176,6 +176,31 @@ def gram_whitener(weights, compensation, entries, cfg):
     total = sum(dense_smoothing(row, cfg) @ shaped @ dense_smoothing(row, cfg).conj().T
                 for row in weights)
     return 0.5 * (total + total.conj().T)
+
+
+def smoothed_recovery(harmonics, compensation, weights, cfg):
+    """V = smooth(B) of the recovery left inverse B, one (L, dim) slice per harmonic bin.
+
+    Recovery, compensation and smoothing are linear, so a snapshot with
+    bins b smooths to sum_i b_i V_i. A stack of weight banks gives a
+    stack of V.
+    """
+    return smooth(harmonics.pseudo_inverse, compensation, weights, cfg)
+
+
+def bin_space_whitener(weights, compensation, harmonics, cfg):
+    """The whitener as the sum, over every bin and weight row, of the outer products of V.
+
+    White bin noise e reaches the smoothed vectors as smooth(B e), so
+    the outer products of :func:`smoothed_recovery` sum to the smoothed
+    noise covariance. This is how the estimator formed each trial's
+    whitener before it contracted a per-point table with the bank's
+    Gram matrix; the two agree to rounding.
+    """
+    vectors = smoothed_recovery(harmonics, compensation, weights, cfg)
+    rows = vectors.reshape(*vectors.shape[:-3], -1, vectors.shape[-1])
+    total = np.swapaxes(rows, -1, -2) @ rows.conj()
+    return 0.5 * (total + np.swapaxes(total.conj(), -1, -2))
 
 
 def loop_smooth(recovered, compensation, weights, cfg):

@@ -13,6 +13,7 @@ import pytest
 
 from msdoa import (
     Doa,
+    EstimatorParams,
     NoiseSpec,
     SamplingPlan,
     SourceScene,
@@ -33,6 +34,7 @@ from msdoa import (
     resolve_experiment,
     run_sweep,
     run_trials,
+    search_setup,
     signal_model,
     smooth,
     smoothing_whitener,
@@ -359,8 +361,8 @@ def test_criterion_8(capsys):
     lines_nz = harmonic_matrix(15, cfg_nz)
     comp_nz = compensation(cfg_nz)
     weights_nz = make_ps_weights(1, 6, 11)
-    wh_nz = smoothing_whitener(smooth(lines_nz.pseudo_inverse, comp_nz,
-                                      weights_nz, cfg_nz))
+    setup_nz = search_setup(cfg_nz, EstimatorParams(num_sources=0, num_weights=1), lines_nz)
+    wh_nz = smoothing_whitener(weights_nz, setup_nz.window_gram)
     idx = frequency_indices(plan_nz, 15)
     q_len = plan_nz.points_per_snapshot
     sigma2 = 0.8

@@ -169,6 +169,16 @@ def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, over
     assert capsys.readouterr().err.startswith("invalid config: ")
 
 
+@pytest.mark.parametrize("key", ["coding_period_s", "sampling_rate_hz"])
+def test_cli_validate_refuses_a_sample_count_past_int64(capsys, key):
+    # The rate times the period is a finite float, but the run's sample
+    # count would overflow the integers that index its samples.
+    assert main(["validate", "-c", builtin_config_path("table1"), "--set", f"{key}=1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: sample_rate_hz times coding_period_s is ")
+    assert "must fit a 64-bit integer" in err
+
+
 def test_comments_and_blanks_ignored():
     noisy = "# leading comment\n\n" + BASE.replace(
         "rows = 5", "rows = 5  # trailing comment"

@@ -65,9 +65,10 @@ def _estimate_one(bins, setup, weight_seed):
     return estimate_doa([bins], setup, [weight_seed])
 
 
-def _whitener(weights, comp, um, cfg):
-    """The smoothing whitener of one weight bank, from the smoothed recovery matrix."""
-    return smoothing_whitener(smooth(um.pseudo_inverse, comp, weights, cfg))
+def _whitener(weights, um, cfg):
+    """The smoothing whitener of one weight bank, from the search setup's table."""
+    params = EstimatorParams(num_sources=0, num_weights=1, subarray_width=weights.shape[-1])
+    return smoothing_whitener(weights, search_setup(cfg, params, um).window_gram)
 
 
 def _search_one(whitened, w_inv_sqrt, setup):
@@ -122,7 +123,7 @@ def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
     series, amps = synthesize_received(model, noise, *oracles.split_seed(rng_seed))
     bins = extract_snapshots(series, plan, um.max_harmonic)
     comp = compensation(cfg)
-    wh = _whitener(weights, comp, um, cfg)
+    wh = _whitener(weights, um, cfg)
     smoothed = smooth(recover_channels(bins, um), comp, weights, cfg)
     return smoothed, amps, wh
 
@@ -154,7 +155,7 @@ def test_whitener_is_hermitian_psd(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
     comp = compensation(table1_cfg)
     weights = make_ps_weights(5, 6, 1)
-    wh = _whitener(weights, comp, um, table1_cfg)
+    wh = _whitener(weights, um, table1_cfg)
     assert np.allclose(wh, wh.conj().T)
     assert np.min(np.linalg.eigvalsh(wh)) > 0
 
@@ -163,7 +164,7 @@ def test_whiten_self_is_identity(table1_cfg):
     um = harmonic_matrix(15, table1_cfg)
     comp = compensation(table1_cfg)
     weights = make_ps_weights(2, 6, 1)
-    wh = _whitener(weights, comp, um, table1_cfg)
+    wh = _whitener(weights, um, table1_cfg)
     assert np.max(np.abs(whiten(wh, whitener_inv_sqrt(wh)) - np.eye(5))) < 1e-10
 
 
@@ -223,7 +224,7 @@ def _noise_only_whitened_cov(num_weights, draws, sigma2):
     um = harmonic_matrix(15, cfg)
     comp = compensation(cfg)
     weights = make_ps_weights(num_weights, 6, 11)
-    wh = _whitener(weights, comp, um, cfg)
+    wh = _whitener(weights, um, cfg)
     idx = frequency_indices(plan, 15)
     q_len = plan.points_per_snapshot
 
@@ -389,8 +390,8 @@ def test_1d_search_honours_subarray_width():
     assert setup.width == 2
     assert setup.elevation_grid_deg.tolist() == [90.0]
     weights = make_ps_weights(cfg.estimator.num_weights, setup.width, 0)
-    vectors = smooth(setup.harmonics.pseudo_inverse, setup.compensation, weights, setup.surface)
-    assert vectors.shape[-1] == 25
+    assert setup.window_gram.shape == (2 * 2, 25 * 25)
+    assert smoothing_whitener(weights, setup.window_gram).shape == (25, 25)
 
 
 def test_estimator_params_validation():
@@ -427,14 +428,11 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
     auto = _estimate_one(bins, setup, 17)
 
-    # The chain's stages by hand: smooth the recovery matrix, sum its
-    # whitener, and smooth the snapshots by projecting their bins on it.
-    comp = compensation(table1_cfg)
+    # The chain's stages by hand: recover, smooth and average the
+    # snapshots, and whiten them with the weight bank's whitener.
     weights = make_ps_weights(5, 6, 17)
-    vectors = smooth(um.pseudo_inverse, comp, weights, table1_cfg)
-    w = whitener_inv_sqrt(smoothing_whitener(vectors))
-    lines, count, dim = vectors.shape
-    smoothed = (bins.T @ vectors.reshape(lines, -1)).reshape(-1, count, dim)
+    smoothed = smooth(recover_channels(bins, um), compensation(table1_cfg), weights, table1_cfg)
+    w = whitener_inv_sqrt(smoothing_whitener(weights, setup.window_gram))
     manual = _search_one(whiten(ps_covariance(smoothed), w), w, setup)
     assert np.array_equal(auto.spectrum, manual.spectrum)
     assert auto.estimates == manual.estimates
@@ -479,8 +477,9 @@ def _rel_err(got, want):
 @given(_smoothing_cases())
 def test_smooth_and_whitener_match_dense_oracles(case):
     # The stacked smoothing operator is the per-snapshot window loop and
-    # the dense I_M kron band matrix; the whitener built from the
-    # smoothed recovery matrix is C G C^H with G = (U^H U)^-1 smoothed.
+    # the dense I_M kron band matrix; the whitener, from the setup's table
+    # and from the smoothed recovery matrix alike, is C G C^H with
+    # G = (U^H U)^-1 smoothed.
     rows, cols, width, count, max_harmonic, num_columns, seed = case
     cfg = SurfaceConfig(rows, cols, 1e9, 0.3)
     comp = compensation(cfg)
@@ -508,7 +507,11 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     # mixes where they still hold 1e-10.
     assume(np.linalg.cond(um.entries) < 1e2)
     want = oracles.gram_whitener(weights, comp, um.entries, cfg)
-    assert _rel_err(_whitener(weights, comp, um, cfg), want) < 1e-10
+    bin_space = oracles.bin_space_whitener(weights, comp, um, cfg)
+    got = _whitener(weights, um, cfg)
+    assert _rel_err(bin_space, want) < 1e-10
+    assert _rel_err(got, want) < 1e-10
+    assert _rel_err(got, bin_space) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,7 +533,7 @@ def test_bins_times_smoothed_recovery_matrix_smooth_the_recovered_snapshots(case
     lines = 2 * max_harmonic + 1
     bins = rng.standard_normal((trials, lines, snapshots)) + 1j * rng.standard_normal(
         (trials, lines, snapshots))
-    vectors = smooth(um.pseudo_inverse, comp, weights, cfg)
+    vectors = oracles.smoothed_recovery(um, comp, weights, cfg)
     assert vectors.shape == (trials, lines, count, rows * (cols - width + 1))
     assert vectors.flags.c_contiguous
     got = np.swapaxes(bins, -1, -2) @ vectors.reshape(trials, lines, -1)
@@ -603,8 +606,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
-    whitener = _whitener(make_ps_weights(5, 6, 17),
-                         compensation(table1_cfg), um, table1_cfg)
+    whitener = _whitener(make_ps_weights(5, 6, 17), um, table1_cfg)
     inputs = []
     eigh = np.linalg.eigh
 
@@ -960,12 +962,11 @@ def test_search_footprint_fits_its_byte_model():
     assert (peaks[1] - peaks[0]) / 90 <= 8 * 4 * setup.theta_grid_deg.size
 
 
-# tracemalloc peaks of one estimate_doa call on a full shipped batch,
-# recorded before the smoothed recovery matrix served the snapshots,
-# when one budget sized the chain and the search together: 30, 32 and
-# 48 trials (numpy 2.4 on x86-64 Linux).
-CHAIN_PEAK_BYTES = {"table1_2d": (30, 2_352_560), "table2": (32, 1_727_248),
-                    "table1": (48, 1_276_089)}
+# tracemalloc peaks of one estimate_doa call on 30, 32 and 48 trials,
+# recorded once each trial's whitener came from the setup's table and
+# the chain ran once per batch (numpy 2.4 on x86-64 Linux).
+CHAIN_PEAK_BYTES = {"table1_2d": (30, 1_060_165), "table2": (32, 1_012_170),
+                    "table1": (48, 920_814)}
 # The same for a whole 100-trial table1_2d point, one search batch,
 # recorded when the chain first ran in sub-batches of its own.
 POINT_PEAK_BYTES = 2_786_107
@@ -997,8 +998,8 @@ def test_estimate_doa_peak_memory_holds(name):
 
 
 def test_a_whole_2d_point_peak_memory_holds():
-    # The chain runs in 30-trial sub-batches and hands on only the
-    # whitened stacks, and the search holds rows, so all 100 trials of a
-    # point in one search hold little more than one 30-trial batch.
+    # The chain holds no per-trial copy of the recovery matrix and hands
+    # on only the whitened stacks, and the search holds rows, so all 100
+    # trials of a point fit the peak once recorded for 30-trial sub-batches.
     assert BATCH_TRIALS >= 100
     assert _estimate_doa_peak("table1_2d", 100) <= 1.02 * POINT_PEAK_BYTES

@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeding, worker equivalence, outputs, CLI."""
 
 import concurrent.futures.process
+import math
 import os
 import re
 import subprocess
@@ -408,21 +409,25 @@ def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("power", ["1e306", "1e307"])
 def test_cli_crb_refuses_a_fisher_matrix_that_is_not_finite(tmp_path, capsys, power):
     # At 1e306 the Fisher matrix is finite but symmetrizing it overflows;
-    # at 1e307 forming it does. Its eigenvalues are NaN either way.
+    # at 1e307 forming it does. Its eigenvalues are NaN either way, for
+    # the azimuth-only bound of table1 and the joint 4 x 4 one of table1_2d.
     prefix = str(tmp_path / "bound")
-    args = ["crb", "-c", builtin_config_path("table1"), "--set", f"powers={power}, {power}"]
-    with np.errstate(over="ignore"):
-        assert main([*args, "-o", prefix]) == 3
-    out, err = capsys.readouterr()
-    assert "sqrt_crb_deg" not in out
-    assert err.startswith("runtime error: projected Fisher information is singular")
-    assert "eigenvalues nan .. nan" in err
-    assert not os.path.exists(f"{prefix}_crb.csv")
-    # One decade lower the bound is finite and reported.
-    assert main(["crb", "-c", builtin_config_path("table1"), "--set", "powers=1e305, 1e305",
-                 "-o", prefix]) == 0
-    out = capsys.readouterr().out
-    assert "sqrt_crb_deg=0.205728" in out and "sqrt_crb_deg=0.236092" in out
+    for name, bounds in (("table1", ("0.205728", "0.236092")),
+                         ("table1_2d", ("0.736363", "0.338394"))):
+        args = ["crb", "-c", builtin_config_path(name), "--set", f"powers={power}, {power}"]
+        with np.errstate(over="ignore"):
+            assert main([*args, "-o", prefix]) == 3
+        out, err = capsys.readouterr()
+        assert "sqrt_crb_deg" not in out
+        assert err.startswith("runtime error: projected Fisher information is singular")
+        assert "eigenvalues nan .. nan" in err
+        assert not os.path.exists(f"{prefix}_crb.csv")
+        # One decade lower the bound is finite and reported.
+        assert main(["crb", "-c", builtin_config_path(name), "--set", "powers=1e305, 1e305",
+                     "-o", prefix]) == 0
+        out = capsys.readouterr().out
+        assert all(f"sqrt_crb_deg={bound}" in out for bound in bounds)
+        os.remove(f"{prefix}_crb.csv")
 
 
 def test_cli_crb_bounds_the_amplitudes_of_trial_zero(tmp_path, capsys):
@@ -563,9 +568,7 @@ def _batched_runs(draw):
         phi_grid_deg=(0.0, 90.0, float(draw(st.sampled_from([2, 3, 5, 9, 10])))),
     )
     trials = draw(st.integers(1, 6))
-    # The search batch and the chain sub-batch are drawn independently.
-    batch, chain = draw(st.integers(1, trials + 1)), draw(st.integers(1, trials + 1))
-    return replace(cfg, estimator=est, trials=trials), batch, chain
+    return replace(cfg, estimator=est, trials=trials), draw(st.integers(1, trials + 1))
 
 
 @pytest.mark.parametrize("name, elevations", [("table1_2d", 181), ("table2", 1), ("table1", 1)])
@@ -583,17 +586,15 @@ def test_a_point_is_one_search(monkeypatch, name, elevations):
 @settings(max_examples=60, deadline=None)
 @given(_batched_runs())
 def test_batching_never_moves_a_bit(case):
-    cfg, batch, chain = case
+    cfg, batch = case
     context = _result_or_error(build_context, cfg)
     assume(not isinstance(context, tuple))
     drawn = [msdoa.harness.draw_trial(context, 0, t)[1:] for t in range(cfg.trials)]
     alone = [_spied_batch(context, [trial]) for trial in drawn]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(msdoa.harness, "BATCH_TRIALS", 1)
-        mp.setattr(msdoa.estimator, "CHAIN_TRIALS", 1)
         unbatched = _result_or_error(run_trials, cfg)
         mp.setattr(msdoa.harness, "BATCH_TRIALS", batch)
-        mp.setattr(msdoa.estimator, "CHAIN_TRIALS", chain)
         assert _result_or_error(run_trials, cfg) == unbatched
         together = _spied_batch(context, drawn)
 
@@ -716,8 +717,8 @@ def _degenerate_harmonics(max_harmonic, surface):
     return HarmonicMatrix(max_harmonic, np.ones((2 * max_harmonic + 1, surface.size)))
 
 
-def _singular_whitener(vectors):
-    dim = vectors.shape[-1]
+def _singular_whitener(weights, window_gram):
+    dim = math.isqrt(window_gram.shape[1])
     return np.zeros((dim, dim), dtype=complex)
 
 
