@@ -48,6 +48,11 @@ def _choice(value, choices, where: str):
     return value
 
 
+# Most complex values one trial's series, or the one-period signal
+# model, may hold (160 MB); see validate_experiment.
+MAX_POINTS = 10_000_000
+
+
 def _snr_noise(snr_db: float, scene: SourceScene) -> NoiseSpec:
     """Noise at ``snr_db`` relative to the first source's power (1 without sources)."""
     return NoiseSpec.from_snr_db(snr_db, scene.powers[0] if scene.powers else 1.0)
@@ -371,6 +376,15 @@ def _build(raw: dict) -> ExperimentConfig:
 def validate_experiment(cfg: ExperimentConfig) -> None:
     """Eager cross-field checks; raises on the first violation."""
     surface, plan, est = cfg.surface, cfg.plan, cfg.estimator
+    # Checked before anything is allocated: a trial's series, and the one-period
+    # signal model, one row per source or, in ideal mode, per harmonic.
+    terms = 2 * cfg.max_harmonic + 1 if cfg.mode == "ideal" else cfg.scene.num_sources
+    for what, points in (("a trial's series", plan.total_points),
+                         ("the one-period signal model", plan.points_per_period * terms)):
+        if points > MAX_POINTS:
+            raise ValidationError(
+                f"{what} would hold {points:.3g} complex values, past the limit of {MAX_POINTS:.0e}"
+            )
     if 2 * cfg.max_harmonic + 1 < surface.size:
         raise ConfigurationError(
             f"max_harmonic={cfg.max_harmonic} keeps {2 * cfg.max_harmonic + 1} "

@@ -121,11 +121,14 @@ def crb_core(
     mixed_steer = harmonics.entries @ steer  # (2P+1, K)
     mixed_sens = harmonics.entries @ sens  # (2P+1, groups*K)
 
-    sing = np.linalg.svd(mixed_steer, compute_uv=False)
+    # LAPACK need not converge on a matrix that is not finite, such as the
+    # steering of delays past the float range; its singular values are NaN.
+    finite = np.isfinite(mixed_steer).all()
+    sing = np.linalg.svd(mixed_steer, compute_uv=False) if finite else np.full(1, np.nan)
     refuse_degenerate(
         sing[-1], sing[0], _STEERING_RTOL, ConfigurationError,
-        "mixed steering matrix is rank deficient; amplitude nuisance directions "
-        "are not separable (coincident sources?); singular values",
+        "mixed steering matrix is rank deficient or not finite; amplitude nuisance "
+        "directions are not separable (coincident sources?); singular values",
     )
 
     lines = 2 * harmonics.max_harmonic + 1
@@ -134,16 +137,16 @@ def crb_core(
     # The Fisher matrix is this core times a positive semidefinite
     # amplitude covariance, entry by entry, so a vanishing diagonal
     # entry vanishes in it too (Schur product theorem): that angle is
-    # unidentifiable whatever the amplitudes.
+    # unidentifiable whatever the amplitudes. A sensitivity that is not
+    # finite leaves a NaN or infinite diagonal, which argmin and max name.
     diag = np.real(np.diagonal(core))
-    if diag.min() <= _SINGULAR_RTOL * diag.max():
-        k = int(np.argmin(diag))
-        angle = "azimuth" if k < scene.num_sources else "elevation"
-        raise UnidentifiableParameterError(
-            f"the {angle} of source {k % scene.num_sources + 1} carries no "
-            f"first-order information (projected sensitivity {diag[k]:.3e} "
-            f"against {diag.max():.3e}) for any amplitudes"
-        )
+    k = int(np.argmin(diag))
+    angle = "azimuth" if k < scene.num_sources else "elevation"
+    refuse_degenerate(
+        diag[k], diag.max(), _SINGULAR_RTOL, UnidentifiableParameterError,
+        f"the {angle} of source {k % scene.num_sources + 1} carries no first-order "
+        "information for any amplitudes, or its bound is not finite; projected sensitivity",
+    )
     core.flags.writeable = False
     return CrbCore(scene.num_sources, bool(known_elevations), cfg.size, core)
 

@@ -18,9 +18,10 @@ with that table. The whitener's inverse square root whitens both the
 covariance and the search manifold.
 
 :func:`estimate_doa` runs the chain and :func:`music_search` on a batch
-of trials. Every stage takes arrays with a leading trial axis and makes,
-per trial, the BLAS or LAPACK call a batch of one makes, so no bit of a
-result depends on the batch size.
+of trials, each with the weight bank it is given. Every stage takes
+arrays with a leading trial axis and makes, per trial, the BLAS or
+LAPACK call a batch of one makes, so no bit of a result depends on the
+batch size.
 """
 
 from __future__ import annotations
@@ -323,18 +324,17 @@ def search_grids(
 class SearchSetup:
     """The part of :func:`estimate_doa` that no trial changes.
 
-    Holds the surface, the source count, the weight count, the harmonic
-    matrix that mixed the snapshot bins, the phase compensation, the
-    smoothing window width, the table from which each trial's whitener
-    is formed (see :func:`smoothing_whitener`), the azimuth and
-    elevation grids, the sines and cosines of the azimuths, and the
-    table that folds a Gram matrix onto the half-plane lags of the
-    smoothed grid. Arrays are read-only: trials share them.
+    Holds the surface, the source count, the harmonic matrix that mixed
+    the snapshot bins, the phase compensation, the smoothing window
+    width that every trial's weight rows span, the table from which each
+    trial's whitener is formed (see :func:`smoothing_whitener`), the
+    azimuth and elevation grids, the sines and cosines of the azimuths,
+    and the table that folds a Gram matrix onto the half-plane lags of
+    the smoothed grid. Arrays are read-only: trials share them.
     """
 
     surface: SurfaceConfig
     num_sources: int
-    num_weights: int
     harmonics: HarmonicMatrix
     compensation: np.ndarray
     width: int
@@ -401,7 +401,6 @@ def search_setup(
     return SearchSetup(
         cfg,
         params.num_sources,
-        params.num_weights,
         harmonics,
         comp,
         width,
@@ -605,36 +604,37 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     return MusicBatch(setup, coef, estimates, eigenvalues)
 
 
-def estimate_doa(bins, setup: SearchSetup, rng_seeds) -> MusicBatch:
+def estimate_doa(bins, setup: SearchSetup, weights) -> MusicBatch:
     """Run the recover/compensate/smooth/whiten chain and the search on a batch of trials.
 
     ``bins`` holds each trial's (2P+1, I) harmonic-bin matrix from
-    :func:`~msdoa.snapshot.extract_snapshots`, and ``rng_seeds`` the
-    seeds of their smoothing weight rows, in the same order; ``setup``
-    is the :func:`search_setup` of the surface and estimator. The chain
+    :func:`~msdoa.snapshot.extract_snapshots`, and ``weights`` each
+    trial's (L, ``setup.width``) weight bank, in the same order; a bank
+    stack of another shape raises :class:`ValidationError`. ``setup`` is
+    the :func:`search_setup` of the surface and estimator. The chain
     (:func:`_whitened_chain`) runs once on the whole batch and leaves
     only its whitened covariances and whitening transforms behind, which
     one :func:`music_search` takes. Every stage runs on arrays with a
     leading trial axis and makes, per trial, the call a batch of one
     makes, so no bit of a result depends on the batch.
     """
-    if len(bins) != len(rng_seeds):
-        raise ValidationError(
-            f"{len(bins)} snapshot sets need as many weight seeds; got {len(rng_seeds)}"
-        )
-    whitened, w_inv_sqrt = _whitened_chain(bins, setup, rng_seeds)
+    whitened, w_inv_sqrt = _whitened_chain(bins, setup, weights)
     return music_search(whitened, w_inv_sqrt, setup)
 
 
-def _whitened_chain(bins, setup: SearchSetup, rng_seeds):
+def _whitened_chain(bins, setup: SearchSetup, weights):
     """Whitened covariances and whitening transforms of a batch of trials.
 
-    Each trial draws its own weight bank, which forms its whitener from
-    the setup's ``window_gram`` and smooths its recovered snapshots. The
-    whitener is decomposed before the bins are stacked, so its workspace
-    adds nothing to the smoothing's peak.
+    Each trial's bank forms its whitener from the setup's
+    ``window_gram`` and smooths its recovered snapshots. The whitener is
+    decomposed before the bins are stacked, so its workspace adds
+    nothing to the smoothing's peak, and no stack outlives the chain.
     """
-    weights = np.stack([make_ps_weights(setup.num_weights, setup.width, s) for s in rng_seeds])
+    weights = np.asarray(weights, dtype=complex)
+    if weights.ndim != 3 or weights.shape[0] != len(bins) or weights.shape[2] != setup.width:
+        raise ValidationError(
+            f"weight banks have shape {weights.shape}; expected ({len(bins)}, L, {setup.width})"
+        )
     w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(weights, setup.window_gram))
     stack = np.stack(bins)
     lines = 2 * setup.harmonics.max_harmonic + 1

@@ -39,7 +39,7 @@ from . import __version__
 from .config import ExperimentConfig, apply_sweep_value, config_digest
 from .crb import CrbCore, CrbResult, crb, crb_core
 from .errors import MsdoaError, ValidationError
-from .estimator import SearchSetup, estimate_doa, search_setup, write_spectrum_csv
+from .estimator import SearchSetup, estimate_doa, make_ps_weights, search_setup, write_spectrum_csv
 from .metrics import TrialOutcome, aggregate, resolve_and_score
 from .snapshot import extract_snapshots, frequency_indices, write_snapshots_csv
 from .surface import harmonic_matrix
@@ -119,30 +119,32 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
 
 
 def draw_trial(context: TrialContext, sweep_index: int, trial_index: int):
-    """Received series, amplitudes, snapshot bins and smoothing seed of one trial.
+    """Received series, (K, I) amplitudes, snapshot bins and (L, width) weight bank of one trial.
 
-    Sweeps and ``single`` draw a trial here.
+    Sweeps and ``single`` draw every trial here, from :func:`trial_seeds`.
     """
     cfg = context.config
-    amplitude_seed, noise_seed, smoothing_seed = trial_seeds(cfg.seed, sweep_index, trial_index)
-    series, amplitudes = synthesize_received(context.signal, cfg.noise, amplitude_seed, noise_seed)
+    amplitude_seed, noise_seed, weight_seed = trial_seeds(cfg.seed, sweep_index, trial_index)
+    amplitudes = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
+    series = synthesize_received(context.signal, cfg.noise, amplitudes, noise_seed)
     bins = extract_snapshots(series, cfg.plan, cfg.max_harmonic)
-    return series, amplitudes, bins, smoothing_seed
+    weights = make_ps_weights(cfg.estimator.num_weights, context.search.width, weight_seed)
+    return series, amplitudes, bins, weights
 
 
 def run_batch(context: TrialContext, drawn) -> tuple:
     """Search and stacked bound of a batch of drawn trials.
 
-    ``drawn`` holds one (amplitudes, snapshot bins, smoothing seed)
-    triple per trial, from that trial's own draws. The estimator chain
+    ``drawn`` holds one (amplitudes, snapshot bins, weight bank) triple
+    per trial, as :func:`draw_trial` draws them. The estimator chain
     and the bound each run once on arrays with a leading trial axis.
     The context must have sources. Returns the batch's
     :class:`~msdoa.estimator.MusicBatch` and one :class:`CrbResult`
     whose arrays stack the trials'.
     """
-    amplitudes, bins, seeds = zip(*drawn)
+    amplitudes, bins, weights = zip(*drawn)
     cfg = context.config
-    batch = estimate_doa(bins, context.search, seeds)
+    batch = estimate_doa(bins, context.search, weights)
     bound = crb(context.bound, cfg.plan, cfg.noise.variance, np.stack(amplitudes))
     return batch, bound
 
@@ -426,10 +428,10 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     without sources.
     """
     with _trial_zero(cfg) as context:
-        series, amplitudes, bins, smoothing_seed = draw_trial(context, 0, 0)
+        series, amplitudes, bins, weights = draw_trial(context, 0, 0)
         batch = None
         if context.bound is not None:
-            batch, _ = run_batch(context, [(amplitudes, bins, smoothing_seed)])
+            batch, _ = run_batch(context, [(amplitudes, bins, weights)])
     cfg = context.config
     prefix = out_prefix if out_prefix is not None else cfg.output
 

@@ -232,7 +232,7 @@ def _slot_indices(sample_indices: np.ndarray, points_per_period: int, size: int)
 class SignalModel:
     """The part of the noiseless received signal no amplitude draw changes.
 
-    Holds the scene and plan it was built for, the element count that
+    Holds the plan it was built for, the element count that
     scales the receiver noise, and ``patterns``: one coding period of
     each source's noiseless signal at unit amplitude, a read-only
     (K, points_per_period) array that trials share. The record repeats
@@ -244,7 +244,6 @@ class SignalModel:
     stack is empty, (0, points_per_period).
     """
 
-    scene: SourceScene
     plan: SamplingPlan
     num_elements: int
     patterns: np.ndarray
@@ -285,7 +284,7 @@ def signal_model(
             period = table @ (harmonics.entries @ steering)
         patterns = np.ascontiguousarray(period.T)
     patterns.flags.writeable = False
-    return SignalModel(scene, plan, cfg.size, patterns)
+    return SignalModel(plan, cfg.size, patterns)
 
 
 def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
@@ -299,21 +298,19 @@ def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
     return np.repeat(period[:, None, :], plan.periods_per_snapshot, axis=1).ravel()
 
 
-def synthesize_received(model: SignalModel, noise: NoiseSpec, amplitude_seed, noise_seed):
+def synthesize_received(model: SignalModel, noise: NoiseSpec, amplitudes, noise_seed):
     """Synthesize the receiver time series of one run of a :func:`signal_model`.
 
     Samples sit at t_q = q / sample_rate_hz with the coding phase
-    continuous across snapshot boundaries (time origin 0). The
-    amplitudes are drawn from ``amplitude_seed`` and the noise from
-    ``noise_seed``, so given seeds reproduce the run exactly. Coherent
-    scenes must have resolved gains.
-
-    Returns
-    -------
-    (TimeSeries, np.ndarray)
-        The series and the (K, I) source amplitudes it drew.
+    continuous across snapshot boundaries (time origin 0). The signal
+    is scaled by the (K, I) source amplitudes ``amplitudes`` (see
+    :func:`draw_source_amplitudes`) and the noise drawn from
+    ``noise_seed``, so given amplitudes and seed reproduce the series.
     """
-    amplitudes = draw_source_amplitudes(model.scene, model.plan.num_snapshots, amplitude_seed)
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    shape = (model.patterns.shape[0], model.plan.num_snapshots)
+    if amplitudes.shape != shape:
+        raise ValidationError(f"amplitudes have shape {amplitudes.shape}; expected {shape}")
     samples = _signal_samples(model, amplitudes)
     if noise.variance > 0:
         # Real parts first, then imaginary parts, from one buffer, added
@@ -323,7 +320,7 @@ def synthesize_received(model: SignalModel, noise: NoiseSpec, amplitude_seed, no
         draws *= scale
         samples.real += draws[0]
         samples.imag += draws[1]
-    return TimeSeries(samples, model.plan.sample_rate_hz), amplitudes
+    return TimeSeries(samples, model.plan.sample_rate_hz)
 
 
 def write_time_series(series: TimeSeries, plan: SamplingPlan, path: str, seed=None) -> None:

@@ -8,7 +8,7 @@ purpose and live here rather than in the package.
 import numpy as np
 
 from msdoa import (Doa, draw_source_amplitudes, fourier_coefficient, harmonic_matrix, smooth,
-                   steering_derivatives)
+                   steering_derivatives, synthesize_received)
 from msdoa.surface import _check_element, steering_matrix
 
 
@@ -110,6 +110,17 @@ def split_seed(seed):
     return np.random.SeedSequence(seed).spawn(2)
 
 
+def seeded_synthesis(model, scene, noise, seed):
+    """The series and the (K, I) amplitudes of ``scene`` that one integer seed draws.
+
+    The amplitudes come from the first seed of :func:`split_seed` and the
+    noise from the second, as when synthesis drew both.
+    """
+    amplitude_seed, noise_seed = split_seed(seed)
+    amplitudes = draw_source_amplitudes(scene, model.plan.num_snapshots, amplitude_seed)
+    return synthesize_received(model, noise, amplitudes, noise_seed), amplitudes
+
+
 def nested_trial_streams(seed, sweep_index, trial_index):
     """A trial's amplitude, noise and weight generators, by nested spawns.
 
@@ -125,8 +136,8 @@ def nested_trial_streams(seed, sweep_index, trial_index):
     return amplitudes, noise, np.random.default_rng(weights)
 
 
-def repeat_synthesis(model, noise, amplitude_seed, noise_seed):
-    """Received samples and amplitudes with each amplitude repeated per sample.
+def repeat_synthesis(model, noise, amplitudes, noise_seed):
+    """Received samples with each of the (K, I) amplitudes repeated per sample.
 
     Tiles every source's one-period pattern to the record length and
     adds it times its amplitudes repeated Q times. The noise is
@@ -135,9 +146,8 @@ def repeat_synthesis(model, noise, amplitude_seed, noise_seed):
     per snapshot and drew the noise into one buffer; the two must agree
     bit for bit.
     """
-    amp_rng, noise_rng = np.random.default_rng(amplitude_seed), np.random.default_rng(noise_seed)
+    noise_rng = np.random.default_rng(noise_seed)
     plan = model.plan
-    amplitudes = draw_source_amplitudes(model.scene, plan.num_snapshots, amp_rng)
     samples = np.zeros(plan.total_points, dtype=complex)
     periods = plan.total_points // plan.points_per_period
     for pattern, amplitude in zip(model.patterns, amplitudes):
@@ -155,7 +165,7 @@ def repeat_synthesis(model, noise, amplitude_seed, noise_seed):
             noise_rng.standard_normal(samples.size)
             + 1j * noise_rng.standard_normal(samples.size)
         )
-    return samples, amplitudes
+    return samples
 
 
 def dense_smoothing(weight_row, cfg):

@@ -22,6 +22,7 @@ from msdoa import (
     builtin_config_path,
     compensation,
     crb_core,
+    draw_source_amplitudes,
     element_positions,
     extract_snapshots,
     fourier_coefficient,
@@ -47,7 +48,7 @@ from msdoa import (
 )
 from msdoa.crb import crb
 from msdoa.estimator import whitener_inv_sqrt
-from oracles import coding_waveform, split_seed, stacked_crb
+from oracles import coding_waveform, seeded_synthesis, stacked_crb
 
 C0 = 299792458.0
 
@@ -140,7 +141,8 @@ def test_criterion_3(capsys):
     amplitude_seed, noise_seed, _ = trial_seeds(cfg.seed, 0, 0)
     harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface)
     model = signal_model(cfg.surface, cfg.scene, cfg.plan, cfg.mode, harmonics)
-    series, _ = synthesize_received(model, cfg.noise, amplitude_seed, noise_seed)
+    amplitudes = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
+    series = synthesize_received(model, cfg.noise, amplitudes, noise_seed)
     q_len = cfg.plan.points_per_snapshot
     windows = series.samples[:cfg.plan.total_points].reshape(
         cfg.plan.num_snapshots, q_len)
@@ -316,9 +318,8 @@ def test_criterion_8(capsys):
     scene = SourceScene((Doa.from_degrees(-22.0), Doa.from_degrees(12.0)),
                         (1.0, 1.0))
     lines = harmonic_matrix(15, surface)
-    series, amps = synthesize_received(
-        signal_model(surface, scene, plan, "ideal", lines), NoiseSpec.quiet(),
-        *split_seed(5))
+    series, amps = seeded_synthesis(
+        signal_model(surface, scene, plan, "ideal", lines), scene, NoiseSpec.quiet(), 5)
     bins = extract_snapshots(series, plan, lines.max_harmonic)
     steer = np.column_stack(
         [steering_vector(doa, surface) for doa in scene.doas])

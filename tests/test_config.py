@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from msdoa import (
     parse_config,
 )
 from msdoa.cli import main
-from msdoa.config import _CANONICAL, SWEEP_VARIABLES
+from msdoa.config import _CANONICAL, MAX_POINTS, SWEEP_VARIABLES
 
 # Minimal valid config; everything else exercises the defaults.
 BASE = """\
@@ -154,10 +155,21 @@ def test_cli_validate_refuses_non_finite_numbers(tmp_path, capsys, overrides, wh
     assert capsys.readouterr().err.startswith(f"invalid config: {where}: not finite: ")
 
 
+TWO_ANGLES = ["estimator=2d", "subarray_width=4", "angles_deg=(-36, 20), (42, 45)"]
+
+
 @pytest.mark.parametrize("overrides", [
     ["snr_db=-4000"],
     ["sweep=snr_db: 0, -4000"],
     ["sampling_rate_hz=1e200", "coding_period_s=1e200"],
+    # Steering phases or sensitivities past the float range, which the
+    # bound's checks refuse before any decomposition.
+    ["wave_speed=1e-300"],
+    ["wave_speed=1e300"],
+    ["spacing_m=1e300"],
+    ["receiver_offset_m=1e300"],
+    [*TWO_ANGLES, "wave_speed=1e-300"],
+    [*TWO_ANGLES, "receiver_offset_m=1e300"],
 ])
 def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, overrides):
     path = tmp_path / "exp.cfg"
@@ -165,8 +177,44 @@ def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, over
     args = ["validate", "-c", str(path)]
     for item in overrides:
         args += ["--set", item]
-    assert main(args) == 2
+    with np.errstate(all="ignore"):
+        assert main(args) == 2
     assert capsys.readouterr().err.startswith("invalid config: ")
+
+
+@pytest.mark.parametrize("name, overrides, what", [
+    ("table1", ["coding_period_s=1e10"], "a trial's series"),
+    ("table1", ["coding_period_s=1"], "a trial's series"),
+    ("table1_2d", ["sampling_rate_hz=1e12"], "a trial's series"),
+    ("table2", ["periods_per_snapshot=1000", "snapshots=200"], "a trial's series"),
+    ("table2", ["sweep=k0: 2, 20000"], "a trial's series"),
+    ("table1", ["sampling_rate_hz=5e8", "periods_per_snapshot=1", "snapshots=1", "mode=ideal",
+                "max_harmonic=3999"], "the one-period signal model"),
+])
+def test_cli_validate_refuses_work_past_the_size_limit(capsys, name, overrides, what):
+    # Refused from the config alone, before any array is allocated.
+    args = ["validate", "-c", builtin_config_path(name)]
+    for item in overrides:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: {what} would hold ")
+    assert err.rstrip().endswith(f"past the limit of {MAX_POINTS:.0e}")
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("table1", []),
+    ("table1_2d", []),
+    ("table2", []),
+    ("table1", ["mode=ideal", "max_harmonic=40"]),
+])
+def test_size_limit_admits_the_shipped_runs_a_hundred_times_over(name, overrides):
+    # A hundredfold sample rate makes the series and the one-period
+    # model a hundredfold larger; both still fit.
+    cfg = load_config(builtin_config_path(name), overrides)
+    rate = f"sampling_rate_hz={100 * cfg.plan.sample_rate_hz!r}"
+    assert load_config(builtin_config_path(name), [*overrides, rate]).plan.total_points == (
+        100 * cfg.plan.total_points)
 
 
 @pytest.mark.parametrize("key", ["coding_period_s", "sampling_rate_hz"])

@@ -41,7 +41,6 @@ from msdoa import (
     signal_model,
     smooth,
     smoothing_whitener,
-    synthesize_received,
     whiten,
     write_spectrum_csv,
 )
@@ -54,15 +53,15 @@ from msdoa.estimator import (
     inclusive_grid,
     whitener_inv_sqrt,
 )
-from msdoa.harness import BATCH_TRIALS, draw_trial
+from msdoa.harness import BATCH_TRIALS, draw_trial, trial_seeds
 from msdoa.surface import element_positions, receiver_delays
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
 
-def _estimate_one(bins, setup, weight_seed):
-    """The search of one trial: a batch of one."""
-    return estimate_doa([bins], setup, [weight_seed])
+def _estimate_one(bins, setup, weights):
+    """The search of one trial, with its (L, width) weight bank: a batch of one."""
+    return estimate_doa([bins], setup, [weights])
 
 
 def _whitener(weights, um, cfg):
@@ -120,7 +119,7 @@ def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
     noise = NoiseSpec.quiet() if noise is None else noise
     um = harmonic_matrix(15, cfg)
     model = signal_model(cfg, scene, plan, mode, um)
-    series, amps = synthesize_received(model, noise, *oracles.split_seed(rng_seed))
+    series, amps = oracles.seeded_synthesis(model, scene, noise, rng_seed)
     bins = extract_snapshots(series, plan, um.max_harmonic)
     comp = compensation(cfg)
     wh = _whitener(weights, um, cfg)
@@ -288,9 +287,10 @@ def test_weight_bank_recovers_rank(table1_cfg, table1_plan):
 def _search_noiseless(table1_cfg, table1_plan, scene, params, weight_seed):
     um = harmonic_matrix(15, table1_cfg)
     model = signal_model(table1_cfg, scene, table1_plan, "ideal", um)
-    series, _ = synthesize_received(model, NoiseSpec.quiet(), *oracles.split_seed(5))
+    series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec.quiet(), 5)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
-    return _estimate_one(bins, search_setup(table1_cfg, params, um), weight_seed)
+    setup = search_setup(table1_cfg, params, um)
+    return _estimate_one(bins, setup, make_ps_weights(params.num_weights, setup.width, weight_seed))
 
 
 def test_music_noiseless_1d(table1_cfg, table1_plan):
@@ -308,11 +308,11 @@ def test_music_noiseless_1d_full_mode(table1_cfg, table1_plan):
     # Spectral folding in full synthesis may shift peaks one grid step.
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec.quiet(), *oracles.split_seed(5))
+    series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec.quiet(), 5)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     params = EstimatorParams(num_sources=2, num_weights=5)
-    result = _estimate_one(bins, search_setup(table1_cfg, params, um), 2)
+    result = _estimate_one(bins, search_setup(table1_cfg, params, um), make_ps_weights(5, 6, 2))
     got = sorted(est.theta_deg for est in result.estimates[0])
     assert got == pytest.approx([-22.0, 12.0], abs=0.15)
 
@@ -422,15 +422,15 @@ def test_inclusive_grid():
 def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec(variance=0.5), *oracles.split_seed(31))
+    series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
-    auto = _estimate_one(bins, setup, 17)
+    weights = make_ps_weights(5, 6, 17)
+    auto = _estimate_one(bins, setup, weights)
 
     # The chain's stages by hand: recover, smooth and average the
     # snapshots, and whiten them with the weight bank's whitener.
-    weights = make_ps_weights(5, 6, 17)
     smoothed = smooth(recover_channels(bins, um), compensation(table1_cfg), weights, table1_cfg)
     w = whitener_inv_sqrt(smoothing_whitener(weights, setup.window_gram))
     manual = _search_one(whiten(ps_covariance(smoothed), w), w, setup)
@@ -449,12 +449,49 @@ def test_estimate_doa_single_source(table1_cfg, table1_plan):
 def test_estimate_doa_checks_the_bin_stack(table1_cfg):
     setup = _setup_1d(table1_cfg)
     bins = [np.zeros((31, 5), dtype=complex)] * 2
+    banks = [make_ps_weights(5, 6, 1), make_ps_weights(5, 6, 2)]
     # Too few lines, and one bin row per trial instead of a matrix.
     for wrong in ([b[:30] for b in bins], [b[0] for b in bins]):
         with pytest.raises(ValidationError, match=r"expected \(trials, 31, snapshots\)"):
-            estimate_doa(wrong, setup, [1, 2])
-    with pytest.raises(ValidationError, match="2 snapshot sets need as many weight seeds"):
-        estimate_doa(bins, setup, [1])
+            estimate_doa(wrong, setup, banks)
+    with pytest.raises(ValidationError, match=r"shape \(1, 5, 6\); expected \(2, L, 6\)"):
+        estimate_doa(bins, setup, banks[:1])
+
+
+def test_estimate_doa_refuses_banks_of_another_width_or_rank(table1_cfg):
+    # Each trial's bank is (L, width) at the setup's window width; a
+    # bank of any other width or rank is refused before the chain runs.
+    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5,
+                                                     subarray_width=4),
+                         harmonic_matrix(15, table1_cfg))
+    bins = [np.ones((31, 5), dtype=complex)] * 2
+    bank = make_ps_weights(5, 4, 1)
+    estimate_doa(bins, setup, [bank, bank])
+    for wrong in ([make_ps_weights(5, 6, 1)] * 2, [make_ps_weights(5, 3, 1)] * 2,
+                  [bank[0], bank[0]], [bank[None], bank[None]], bank):
+        with pytest.raises(ValidationError, match=r"banks have shape .*; expected \(2, L, 4\)"):
+            estimate_doa(bins, setup, wrong)
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_2d"])
+def test_estimate_doa_draws_nothing(monkeypatch, name):
+    # Given bins and banks, the estimator returns the same batch with
+    # every random generator refused.
+    bins, banks = [], []
+    for trial in range(3):
+        _, setup, weights, trial_bins = _trial_zero(name, trial)
+        bins.append(trial_bins)
+        banks.append(weights)
+    want = estimate_doa(bins, setup, banks)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the estimator drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    got = estimate_doa(bins, setup, banks)
+    assert got.coef.tobytes() == want.coef.tobytes()
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.estimates == want.estimates
 
 
 @st.composite
@@ -541,12 +578,13 @@ def test_bins_times_smoothed_recovery_matrix_smooth_the_recovered_snapshots(case
     assert _rel_err(got.reshape(want.shape), want) < 1e-12
 
 
-def _trial_zero(name, **estimator):
+def _trial_zero(name, trial=0, **estimator):
+    """Config, search setup, weight bank and snapshot bins of a shipped point's trial (0, trial)."""
     cfg = resolve_experiment(load_config(builtin_config_path(name)))
     cfg = replace(cfg, estimator=replace(cfg.estimator, **estimator))
     context = build_context(cfg)
-    _, _, bins, weight_seed = draw_trial(context, 0, 0)
-    return cfg, context.search, weight_seed, bins
+    _, _, bins, weights = draw_trial(context, 0, trial)
+    return cfg, context.search, weights, bins
 
 
 @pytest.mark.parametrize("name, grids", [
@@ -554,11 +592,12 @@ def _trial_zero(name, **estimator):
     ("table1_2d", {"theta_grid_deg": (-90.0, 90.0, 1.0), "phi_grid_deg": (0.0, 90.0, 1.0)}),
 ])
 def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
-    cfg, setup, weight_seed, bins = _trial_zero(name, **grids)
-    got = _estimate_one(bins, setup, weight_seed)
+    cfg, setup, drawn, bins = _trial_zero(name, **grids)
+    got = _estimate_one(bins, setup, drawn)
     params = cfg.estimator
     width = cfg.surface.cols if params.subarray_width is None else params.subarray_width
-    weights = make_ps_weights(params.num_weights, width, weight_seed)
+    weights = make_ps_weights(params.num_weights, width, trial_seeds(cfg.seed, 0, 0)[2])
+    assert drawn.tobytes() == weights.tobytes()
     thetas, phis, spectrum, estimates = oracles.separate_chain(
         bins, setup.harmonics.entries, cfg.surface, params, compensation(cfg.surface),
         weights)
@@ -575,8 +614,8 @@ def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
 
 @pytest.mark.parametrize("name", ["table1", "table1_2d"])
 def test_spectrum_csv_matches_the_per_point_writer(tmp_path, name):
-    _, setup, weight_seed, bins = _trial_zero(name)
-    result = _estimate_one(bins, setup, weight_seed)
+    _, setup, weights, bins = _trial_zero(name)
+    result = _estimate_one(bins, setup, weights)
     write_spectrum_csv(result, str(tmp_path / "got.csv"))
     oracles.write_spectrum_csv_per_point(result, str(tmp_path / "want.csv"))
     got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
@@ -585,8 +624,8 @@ def test_spectrum_csv_matches_the_per_point_writer(tmp_path, name):
 
 
 def test_spectrum_csv_refuses_a_batch_before_evaluating_its_spectrum(tmp_path, monkeypatch):
-    _, setup, weight_seed, bins = _trial_zero("table1")
-    batch = estimate_doa([bins] * 3, setup, [weight_seed] * 3)
+    _, setup, weights, bins = _trial_zero("table1")
+    batch = estimate_doa([bins] * 3, setup, [weights] * 3)
 
     def unexpected(*args):
         raise AssertionError("the spectrum was evaluated")
@@ -602,11 +641,12 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     # the search) and one of the whitened covariance.
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec(variance=0.5), *oracles.split_seed(31))
+    series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
-    whitener = _whitener(make_ps_weights(5, 6, 17), um, table1_cfg)
+    weights = make_ps_weights(5, 6, 17)
+    whitener = _whitener(weights, um, table1_cfg)
     inputs = []
     eigh = np.linalg.eigh
 
@@ -615,7 +655,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    _estimate_one(bins, setup, 17)
+    _estimate_one(bins, setup, weights)
     assert len(inputs) == 2
     assert sum(np.array_equal(a, whitener[None]) for a in inputs) == 1
 
@@ -976,14 +1016,14 @@ def _estimate_doa_peak(name, trials):
     """tracemalloc peak of one estimate_doa call on the first ``trials`` trials."""
     cfg = resolve_experiment(load_config(builtin_config_path(name)))
     context = build_context(cfg)
-    bins, seeds = [], []
+    bins, banks = [], []
     for t in range(trials):
-        _, _, trial_bins, seed = draw_trial(context, 0, t)
+        _, _, trial_bins, weights = draw_trial(context, 0, t)
         bins.append(trial_bins)
-        seeds.append(seed)
+        banks.append(weights)
     tracemalloc.start()
     try:
-        estimate_doa(bins, context.search, seeds)
+        estimate_doa(bins, context.search, banks)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

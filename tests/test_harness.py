@@ -32,10 +32,12 @@ from msdoa import (
     build_context,
     builtin_config_path,
     config_digest,
+    draw_source_amplitudes,
     estimate_doa,
     extract_snapshots,
     harmonic_matrix,
     load_config,
+    make_ps_weights,
     parse_config,
     resolve_experiment,
     run_single,
@@ -488,11 +490,13 @@ def test_run_single_is_trial_zero(tmp_path):
     amplitude_seed, noise_seed, weight_seed = trial_seeds(resolved.seed, 0, 0)
     harmonics = harmonic_matrix(resolved.max_harmonic, resolved.surface)
     model = signal_model(resolved.surface, resolved.scene, resolved.plan, resolved.mode, harmonics)
-    series, _ = synthesize_received(model, resolved.noise, amplitude_seed, noise_seed)
-    bins = extract_snapshots(series, resolved.plan, resolved.max_harmonic)
-    batch = estimate_doa(
-        [bins], search_setup(resolved.surface, resolved.estimator, harmonics), [weight_seed]
-    )
+    plan, params = resolved.plan, resolved.estimator
+    amplitudes = draw_source_amplitudes(resolved.scene, plan.num_snapshots, amplitude_seed)
+    series = synthesize_received(model, resolved.noise, amplitudes, noise_seed)
+    bins = extract_snapshots(series, plan, resolved.max_harmonic)
+    setup = search_setup(resolved.surface, params, harmonics)
+    weights = make_ps_weights(params.num_weights, setup.width, weight_seed)
+    batch = estimate_doa([bins], setup, [weights])
     ref = str(tmp_path / "ref")
     write_time_series(series, resolved.plan, f"{ref}_series.f64", seed=resolved.seed)
     write_snapshots_csv(bins, f"{ref}_snapshots.csv")
@@ -641,10 +645,10 @@ def test_a_singular_draw_raises_in_a_batch_as_it_does_alone():
     context = build_context(resolve_experiment(parse_config(COHERENT)))
     drawn = [msdoa.harness.draw_trial(context, 0, t)[1:] for t in range(4)]
     for t, source in ((1, 1), (3, slice(None))):
-        amplitudes, bins, seed = drawn[t]
+        amplitudes, bins, weights = drawn[t]
         amplitudes = amplitudes.copy()
         amplitudes[source] = 0.0  # no bound exists for a silent source
-        drawn[t] = (amplitudes, bins, seed)
+        drawn[t] = (amplitudes, bins, weights)
     with pytest.raises(UnidentifiableParameterError) as alone:
         run_batch(context, [drawn[1]])
     with pytest.raises(UnidentifiableParameterError) as batch:
@@ -896,6 +900,30 @@ def test_workers_below_one_are_rejected(tmp_path, capsys, workers):
     args = ["sweep", "-c", path, "--workers", str(workers), "-o", str(tmp_path / "x")]
     assert main(args) == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_2d"])
+def test_cli_refuses_a_model_that_is_not_finite(tmp_path, capsys, name):
+    # Sensitivities past the float range leave the bound's projected core
+    # NaN, and delays past it the mixed steering; each is refused by the
+    # check of its degenerate form, before any decomposition of it.
+    prefix = str(tmp_path / "x")
+    rank = "mixed steering matrix is rank deficient or not finite"
+    for override, crb_code, message in (
+        ("wave_speed=1e-300", 3, "the azimuth of source 1 carries no first-order information"),
+        ("wave_speed=1e300", 2, rank),
+        ("spacing_m=1e300", 2, rank),
+        ("receiver_offset_m=1e300", 2, rank),
+    ):
+        args = ["-c", builtin_config_path(name), "--set", override, "-o", prefix]
+        with np.errstate(all="ignore"):
+            assert main(["validate", *args]) == 2
+            assert capsys.readouterr().err.startswith(f"invalid config: {message}")
+            for command in ("crb", "single"):
+                assert main([command, *args]) == crb_code
+                err = capsys.readouterr().err
+                assert message in err and "nan .. nan" in err
+        assert not os.listdir(tmp_path)
 
 
 def test_cli_validate_rejects_an_azimuth_no_draw_can_bound(tmp_path, capsys):

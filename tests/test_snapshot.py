@@ -20,11 +20,10 @@ from msdoa import (
     resolve_experiment,
     signal_model,
     steering_vector,
-    synthesize_received,
     write_snapshots_csv,
 )
 from msdoa.harness import draw_trial
-from oracles import fftshift_snapshots, split_seed
+from oracles import fftshift_snapshots, seeded_synthesis
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
@@ -58,9 +57,8 @@ def test_noiseless_snapshots_equal_mixture(table1_cfg, table1_plan):
     # mixture exactly: snapshot matrix = U A S.
     scene = SourceScene(TWO, (1.0, 1.0))
     um = harmonic_matrix(15, table1_cfg)
-    series, amps = synthesize_received(
-        signal_model(table1_cfg, scene, table1_plan, "ideal", um), NoiseSpec.quiet(),
-        *split_seed(5))
+    series, amps = seeded_synthesis(
+        signal_model(table1_cfg, scene, table1_plan, "ideal", um), scene, NoiseSpec.quiet(), 5)
     bins = extract_snapshots(series, table1_plan, 15)
     steer = np.column_stack([steering_vector(d, table1_cfg) for d in scene.doas])
     want = um.entries @ steer @ amps
@@ -117,8 +115,8 @@ def test_extraction_validation(table1_plan):
 
 def test_snapshots_csv(tmp_path, table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
-    series, _ = synthesize_received(signal_model(table1_cfg, scene, table1_plan, "full"),
-                                    NoiseSpec.quiet(), *split_seed(5))
+    series, _ = seeded_synthesis(signal_model(table1_cfg, scene, table1_plan, "full"), scene,
+                                 NoiseSpec.quiet(), 5)
     bins = extract_snapshots(series, table1_plan, 15)
     path = tmp_path / "snaps.csv"
     write_snapshots_csv(bins, str(path))

@@ -21,15 +21,16 @@ from msdoa import (
     read_time_series,
     harmonic_matrix,
     load_config,
+    resolve_experiment,
     resolve_gains,
     signal_model,
     synthesize_received,
     write_time_series,
 )
-from msdoa.harness import build_context, trial_seeds
+from msdoa.harness import build_context, draw_trial, trial_seeds
 from msdoa.surface import steering_matrix
 from msdoa.waveform import _slot_indices
-from oracles import coding_waveform, repeat_synthesis, split_seed
+from oracles import coding_waveform, repeat_synthesis, seeded_synthesis, split_seed
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
@@ -193,23 +194,26 @@ def _table1_scene():
 
 
 def test_synthesis_deterministic(table1_cfg, table1_plan):
-    model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
-    a, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), *split_seed(42))
-    b, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), *split_seed(42))
-    c, _ = synthesize_received(model, NoiseSpec.from_snr_db(0.0, 1.0), *split_seed(43))
+    scene = _table1_scene()
+    model = signal_model(table1_cfg, scene, table1_plan, "full")
+    a, _ = seeded_synthesis(model, scene, NoiseSpec.from_snr_db(0.0, 1.0), 42)
+    b, _ = seeded_synthesis(model, scene, NoiseSpec.from_snr_db(0.0, 1.0), 42)
+    c, _ = seeded_synthesis(model, scene, NoiseSpec.from_snr_db(0.0, 1.0), 43)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_synthesis_matches_the_repeat_form_bit_for_bit(chain_config):
     # Broadcast amplitudes and one in-place noise buffer change no bit
-    # of the series or of the amplitudes it drew.
+    # of a trial's series, and the trial's amplitudes are its amplitude
+    # seed's draw.
     cfg = chain_config
-    model = build_context(cfg).signal
+    context = build_context(cfg)
     for trial in range(3):
-        seeds = trial_seeds(cfg.seed, 0, trial)[:2]
-        series, amplitudes = synthesize_received(model, cfg.noise, *seeds)
-        samples, want = repeat_synthesis(model, cfg.noise, *seeds)
+        amplitude_seed, noise_seed, _ = trial_seeds(cfg.seed, 0, trial)
+        series, amplitudes, _, _ = draw_trial(context, 0, trial)
+        want = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
+        samples = repeat_synthesis(context.signal, cfg.noise, want, noise_seed)
         assert series.samples.tobytes() == samples.tobytes()
         assert amplitudes.tobytes() == want.tobytes()
 
@@ -235,10 +239,9 @@ def test_full_mode_holds_one_period_per_source(table1_cfg):
 
     noise = NoiseSpec(variance=0.5)
     for seed in (5, 6):
-        series, amplitudes = synthesize_received(model, noise, *split_seed(seed))
-        samples, want = repeat_synthesis(model, noise, *split_seed(seed))
+        series, amplitudes = seeded_synthesis(model, scene, noise, seed)
+        samples = repeat_synthesis(model, noise, amplitudes, split_seed(seed)[1])
         assert series.samples.tobytes() == samples.tobytes()
-        assert amplitudes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("max_harmonic", [15, 40])
@@ -267,31 +270,32 @@ def test_one_period_synthesis_matches_the_record_form(table1_cfg, mode, periods)
     # One period per snapshot, repeated k0 times, is bitwise the record
     # the oracle forms over whole snapshots, in either mode.
     plan = SamplingPlan(50e6, periods, 5, 1.6e-5)
-    model = signal_model(table1_cfg, _table1_scene(), plan, mode, harmonic_matrix(15, table1_cfg))
+    scene = _table1_scene()
+    model = signal_model(table1_cfg, scene, plan, mode, harmonic_matrix(15, table1_cfg))
     noise = NoiseSpec(variance=0.5)
     for seed in (5, 6):
-        series, amplitudes = synthesize_received(model, noise, *split_seed(seed))
-        samples, want = repeat_synthesis(model, noise, *split_seed(seed))
+        series, amplitudes = seeded_synthesis(model, scene, noise, seed)
+        samples = repeat_synthesis(model, noise, amplitudes, split_seed(seed)[1])
         assert series.samples.tobytes() == samples.tobytes()
-        assert amplitudes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["full", "ideal"])
 def test_no_source_model_holds_an_empty_pattern_stack(table1_cfg, table1_plan, mode):
-    model = signal_model(table1_cfg, SourceScene((), ()), table1_plan, mode,
-                         harmonic_matrix(15, table1_cfg))
+    scene = SourceScene((), ())
+    model = signal_model(table1_cfg, scene, table1_plan, mode, harmonic_matrix(15, table1_cfg))
     assert model.patterns.shape == (0, table1_plan.points_per_period)
     assert not model.patterns.flags.writeable
-    series, amplitudes = synthesize_received(model, NoiseSpec.quiet(), *split_seed(9))
+    series, amplitudes = seeded_synthesis(model, scene, NoiseSpec.quiet(), 9)
     assert amplitudes.shape == (0, table1_plan.num_snapshots)
     assert series.samples.tobytes() == np.zeros(table1_plan.total_points, complex).tobytes()
 
 
 def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
     # Same seed, noiseless vs noisy: the signal part is unchanged.
-    model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
-    quiet, _ = synthesize_received(model, NoiseSpec.quiet(), *split_seed(42))
-    noisy, _ = synthesize_received(model, NoiseSpec(variance=0.5), *split_seed(42))
+    scene = _table1_scene()
+    model = signal_model(table1_cfg, scene, table1_plan, "full")
+    quiet, _ = seeded_synthesis(model, scene, NoiseSpec.quiet(), 42)
+    noisy, _ = seeded_synthesis(model, scene, NoiseSpec(variance=0.5), 42)
     diff = noisy.samples - quiet.samples
     assert np.std(diff) > 0
     # Residual is exactly the additive noise: variance M*N*sigma^2.
@@ -300,10 +304,11 @@ def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
 
 def test_noise_variance_scaling(table1_cfg, table1_plan):
     # K = 0 leaves pure noise with per-sample variance M*N*sigma^2.
-    model = signal_model(table1_cfg, SourceScene((), ()), table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec(variance=2.0), *split_seed(9))
+    scene = SourceScene((), ())
+    model = signal_model(table1_cfg, scene, table1_plan, "full")
+    series, _ = seeded_synthesis(model, scene, NoiseSpec(variance=2.0), 9)
     assert np.mean(np.abs(series.samples) ** 2) == pytest.approx(60.0, rel=0.05)
-    quiet, _ = synthesize_received(model, NoiseSpec.quiet(), *split_seed(9))
+    quiet, _ = seeded_synthesis(model, scene, NoiseSpec.quiet(), 9)
     assert np.array_equal(quiet.samples, np.zeros(table1_plan.total_points))
 
 
@@ -331,12 +336,12 @@ def test_full_vs_ideal_folding(table1_cfg):
     # full one; the residue is spectral content beyond the budget.
     scene = _table1_scene()
     plan = SamplingPlan(50e6, 2, 2, 1.6e-5)
-    full, _ = synthesize_received(signal_model(table1_cfg, scene, plan, "full"),
-                                  NoiseSpec.quiet(), *split_seed(4))
+    full, _ = seeded_synthesis(signal_model(table1_cfg, scene, plan, "full"), scene,
+                               NoiseSpec.quiet(), 4)
 
     def rel(cap):
         model = signal_model(table1_cfg, scene, plan, "ideal", harmonic_matrix(cap, table1_cfg))
-        ideal, _ = synthesize_received(model, NoiseSpec.quiet(), *split_seed(4))
+        ideal, _ = seeded_synthesis(model, scene, NoiseSpec.quiet(), 4)
         return (np.linalg.norm(full.samples - ideal.samples)
                 / np.linalg.norm(full.samples))
 
@@ -351,10 +356,10 @@ def test_folding_residue_shrinks_with_oversampling(table1_cfg):
     def residue(fs_mult):
         plan = SamplingPlan(50e6 * fs_mult, 2, 2, 1.6e-5)
         cap = plan.points_per_period // 2 - 1
-        full, _ = synthesize_received(signal_model(table1_cfg, scene, plan, "full"),
-                                      NoiseSpec.quiet(), *split_seed(4))
+        full, _ = seeded_synthesis(signal_model(table1_cfg, scene, plan, "full"), scene,
+                                   NoiseSpec.quiet(), 4)
         model = signal_model(table1_cfg, scene, plan, "ideal", harmonic_matrix(cap, table1_cfg))
-        ideal, _ = synthesize_received(model, NoiseSpec.quiet(), *split_seed(4))
+        ideal, _ = seeded_synthesis(model, scene, NoiseSpec.quiet(), 4)
         return (np.linalg.norm(full.samples - ideal.samples)
                 / np.linalg.norm(full.samples))
 
@@ -368,18 +373,37 @@ def test_mode_and_plan_validation(table1_cfg, table1_plan):
         signal_model(table1_cfg, _table1_scene(), table1_plan, "ideal")  # needs budget
 
 
-def test_return_amplitudes(table1_cfg, table1_plan):
+def test_return_amplitudes():
+    # draw_trial returns the amplitudes its series was synthesized from:
+    # its amplitude seed's draw. Other amplitudes under the same noise
+    # give another series.
+    for overrides in ([], ["coherence=coherent", "mode=ideal"]):
+        cfg = resolve_experiment(load_config(builtin_config_path("table1"), overrides))
+        context = build_context(cfg)
+        amplitude_seed, noise_seed, _ = trial_seeds(cfg.seed, 0, 21)
+        series, amplitudes, _, _ = draw_trial(context, 0, 21)
+        assert amplitudes.shape == (2, 5)
+        want = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
+        assert amplitudes.tobytes() == want.tobytes()
+        again = synthesize_received(context.signal, cfg.noise, amplitudes, noise_seed)
+        assert series.samples.tobytes() == again.samples.tobytes()
+        other = synthesize_received(context.signal, cfg.noise, amplitudes[::-1], noise_seed)
+        assert not np.array_equal(series.samples, other.samples)
+
+
+def test_synthesis_refuses_amplitudes_of_another_shape(table1_cfg, table1_plan):
+    # One row per source and one column per snapshot: a missing or an
+    # extra source row is not dropped silently.
     model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
-    series, amps = synthesize_received(model, NoiseSpec.quiet(), *split_seed(21))
-    assert amps.shape == (2, 5)
-    again, again_amps = synthesize_received(model, NoiseSpec.quiet(), *split_seed(21))
-    assert np.array_equal(series.samples, again.samples)
-    assert np.array_equal(amps, again_amps)
+    for shape in ((1, 5), (3, 5), (2, 4), (10,)):
+        with pytest.raises(ValidationError, match=r"amplitudes have shape .*; expected \(2, 5\)"):
+            synthesize_received(model, NoiseSpec.quiet(), np.ones(shape, complex), 1)
 
 
 def test_series_roundtrip(tmp_path, table1_cfg, table1_plan):
-    model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
-    series, _ = synthesize_received(model, NoiseSpec(variance=0.3), *split_seed(8))
+    scene = _table1_scene()
+    model = signal_model(table1_cfg, scene, table1_plan, "full")
+    series, _ = seeded_synthesis(model, scene, NoiseSpec(variance=0.3), 8)
     path = str(tmp_path / "rx.bin")
     write_time_series(series, table1_plan, path, seed=8)
     back = read_time_series(path)
