@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError, ValidationError
-from .estimator import KINDS, EstimatorParams, search_grids
+from .estimator import KINDS, EstimatorParams, grid_points, search_grids
 from .snapshot import frequency_indices
 from .surface import Doa, SurfaceConfig
 from .waveform import AMPLITUDE_MODELS, COHERENCE, MODES, NoiseSpec, SamplingPlan, SourceScene
@@ -48,9 +48,15 @@ def _choice(value, choices, where: str):
     return value
 
 
-# Most complex values one trial's series, or the one-period signal
-# model, may hold (160 MB); see validate_experiment.
+# Most values one trial's series, the one-period signal model, one
+# spectrum or one search batch's denominator row may hold (160 MB of
+# complex values); see validate_experiment.
 MAX_POINTS = 10_000_000
+# Trials per search batch of harness.run_chunk. Each elevation's lag
+# basis is built once per batch, and a 1-D search's fixed cost per call
+# is about half a millisecond, so at least 100 makes every shipped
+# point, and each 50-trial chunk of two workers, one search.
+BATCH_TRIALS = 128
 
 
 def _snr_noise(snr_db: float, scene: SourceScene) -> NoiseSpec:
@@ -271,27 +277,18 @@ def load_config(path: str, overrides=None) -> ExperimentConfig:
 
 
 def _build(raw: dict) -> ExperimentConfig:
-    spacing = raw.get("spacing_m", "auto")
-    offset = raw.get("receiver_offset_m", "auto")
-    surface_kwargs = dict(
-        rows=_get_number(raw, "rows", int),
-        cols=_get_number(raw, "cols", int),
-        carrier_hz=_get_number(raw, "carrier_hz"),
-    )
+    rows, cols = _get_number(raw, "rows", int), _get_number(raw, "cols", int)
+    carrier_hz = _get_number(raw, "carrier_hz")
     # The period goes to the plan below; it is read among the surface
     # keys so errors for missing or malformed keys keep their order.
     coding_period_s = _get_number(raw, "coding_period_s")
-    surface_kwargs["wave_speed"] = _get_number(raw, "wave_speed", float, SurfaceConfig.wave_speed)
-    if spacing != "auto":
-        surface_kwargs["spacing_m"] = _get_number(raw, "spacing_m")
-    # Resolve spacing first so an 'auto' receiver offset (twice the
-    # spacing) sees the final value.
-    probe = SurfaceConfig(receiver_offset_m=1.0, **surface_kwargs)
-    if offset == "auto":
-        offset_m = 2.0 * probe.spacing_m
-    else:
-        offset_m = _get_number(raw, "receiver_offset_m")
-    surface = SurfaceConfig(receiver_offset_m=offset_m, **surface_kwargs)
+    # An 'auto' length is left unset, for the surface to resolve.
+    surface = SurfaceConfig(
+        rows, cols, carrier_hz,
+        wave_speed=_get_number(raw, "wave_speed", float, SurfaceConfig.wave_speed),
+        **{key: _get_number(raw, key) for key in ("spacing_m", "receiver_offset_m")
+           if raw.get(key, "auto") != "auto"},
+    )
 
     kind = _choice(raw.get("estimator", EstimatorParams.kind), KINDS, "config key 'estimator'")
     elevation_deg = _get_number(raw, "elevation_deg", float, EstimatorParams.elevation_deg)
@@ -376,14 +373,20 @@ def _build(raw: dict) -> ExperimentConfig:
 def validate_experiment(cfg: ExperimentConfig) -> None:
     """Eager cross-field checks; raises on the first violation."""
     surface, plan, est = cfg.surface, cfg.plan, cfg.estimator
-    # Checked before anything is allocated: a trial's series, and the one-period
-    # signal model, one row per source or, in ideal mode, per harmonic.
+    # Checked before anything is allocated: a trial's series; the one-period
+    # signal model, one row per source or, in ideal mode, per harmonic; one
+    # spectrum; and one search batch's row of spectrum denominators.
     terms = 2 * cfg.max_harmonic + 1 if cfg.mode == "ideal" else cfg.scene.num_sources
+    azimuths = grid_points(*est.theta_grid_deg)
+    spectrum = azimuths * (grid_points(*est.phi_grid_deg) if est.kind == "2d" else 1)
+    batch = min(cfg.trials, BATCH_TRIALS)
     for what, points in (("a trial's series", plan.total_points),
-                         ("the one-period signal model", plan.points_per_period * terms)):
+                         ("the one-period signal model", plan.points_per_period * terms),
+                         ("one spectrum", spectrum),
+                         ("a search batch's denominator row", azimuths * batch)):
         if points > MAX_POINTS:
             raise ValidationError(
-                f"{what} would hold {points:.3g} complex values, past the limit of {MAX_POINTS:.0e}"
+                f"{what} would hold {points:.3g} values, past the limit of {MAX_POINTS:.0e}"
             )
     if 2 * cfg.max_harmonic + 1 < surface.size:
         raise ConfigurationError(

@@ -121,14 +121,11 @@ def crb_core(
     mixed_steer = harmonics.entries @ steer  # (2P+1, K)
     mixed_sens = harmonics.entries @ sens  # (2P+1, groups*K)
 
-    # LAPACK need not converge on a matrix that is not finite, such as the
-    # steering of delays past the float range; its singular values are NaN.
-    finite = np.isfinite(mixed_steer).all()
-    sing = np.linalg.svd(mixed_steer, compute_uv=False) if finite else np.full(1, np.nan)
+    sing = np.linalg.svd(mixed_steer, compute_uv=False)
     refuse_degenerate(
         sing[-1], sing[0], _STEERING_RTOL, ConfigurationError,
-        "mixed steering matrix is rank deficient or not finite; amplitude nuisance "
-        "directions are not separable (coincident sources?); singular values",
+        "mixed steering matrix is rank deficient; amplitude nuisance directions "
+        "are not separable (coincident sources?); singular values",
     )
 
     lines = 2 * harmonics.max_harmonic + 1

@@ -35,6 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigurationError,
+    MsdoaError,
     NearSingularWhitenerError,
     NoNoiseSubspaceError,
     ValidationError,
@@ -286,12 +287,16 @@ class EstimatorParams:
             raise ValidationError("2-D estimation needs subarray_width")
 
 
-def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Grid of round((stop - start) / step) whole steps from start, ending within step/2 of stop."""
+def grid_points(start: float, stop: float, step: float) -> float:
+    """Point count of :func:`inclusive_grid`, as a float: a count past any array stays a number."""
     if not (-np.inf < start < stop < np.inf and 0 < step < np.inf):
         raise ValidationError("grid needs finite values with stop > start and step > 0")
-    count = int(round((stop - start) / step))
-    return start + step * np.arange(count + 1)
+    return float(np.rint((stop - start) / step)) + 1.0
+
+
+def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Grid of round((stop - start) / step) whole steps from start, ending within step/2 of stop."""
+    return start + step * np.arange(int(grid_points(start, stop, step)))
 
 
 def search_grids(
@@ -610,7 +615,8 @@ def estimate_doa(bins, setup: SearchSetup, weights) -> MusicBatch:
     ``bins`` holds each trial's (2P+1, I) harmonic-bin matrix from
     :func:`~msdoa.snapshot.extract_snapshots`, and ``weights`` each
     trial's (L, ``setup.width``) weight bank, in the same order; a bank
-    stack of another shape raises :class:`ValidationError`. ``setup`` is
+    stack of another shape raises :class:`ValidationError`, and a trial
+    whose covariance is not finite :class:`MsdoaError`. ``setup`` is
     the :func:`search_setup` of the surface and estimator. The chain
     (:func:`_whitened_chain`) runs once on the whole batch and leaves
     only its whitened covariances and whitening transforms behind, which
@@ -630,11 +636,13 @@ def _whitened_chain(bins, setup: SearchSetup, weights):
     decomposed before the bins are stacked, so its workspace adds
     nothing to the smoothing's peak, and no stack outlives the chain.
     """
-    weights = np.asarray(weights, dtype=complex)
+    expected = f"expected ({len(bins)}, L, {setup.width})"
+    try:
+        weights = np.asarray(weights, dtype=complex)
+    except ValueError as exc:  # banks of different shapes
+        raise ValidationError(f"weight banks do not stack into one array; {expected}") from exc
     if weights.ndim != 3 or weights.shape[0] != len(bins) or weights.shape[2] != setup.width:
-        raise ValidationError(
-            f"weight banks have shape {weights.shape}; expected ({len(bins)}, L, {setup.width})"
-        )
+        raise ValidationError(f"weight banks have shape {weights.shape}; {expected}")
     w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(weights, setup.window_gram))
     stack = np.stack(bins)
     lines = 2 * setup.harmonics.max_harmonic + 1
@@ -644,6 +652,14 @@ def _whitened_chain(bins, setup: SearchSetup, weights):
         )
     recovered = recover_channels(stack, setup.harmonics)
     covariance = ps_covariance(smooth(recovered, setup.compensation, weights, setup.surface))
+    # LAPACK need not converge on a matrix that is not finite, as bins of
+    # a power past the float range make the covariance.
+    finite = np.isfinite(covariance).all(axis=(1, 2))
+    if not finite.all():
+        raise MsdoaError(
+            f"the covariance of trial {np.argmin(finite)} of the batch is not finite; "
+            "the received power is past the float range"
+        )
     return whiten(covariance, w_inv_sqrt), w_inv_sqrt
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, apply_sweep_value, config_digest
+from .config import BATCH_TRIALS, ExperimentConfig, apply_sweep_value, config_digest
 from .crb import CrbCore, CrbResult, crb, crb_core
 from .errors import MsdoaError, ValidationError
 from .estimator import SearchSetup, estimate_doa, make_ps_weights, search_setup, write_spectrum_csv
@@ -55,11 +55,6 @@ from .waveform import (
 # Fixed tag mixed into the seed stream for experiment-level draws
 # (coherent gains), distinct from any (sweep, trial) pair.
 _GAIN_SEED_TAG = 0x6761696E
-# Trials per search batch of run_chunk. Each elevation's lag basis is
-# built once per batch, and a 1-D search's fixed cost per call is about
-# half a millisecond, so at least 100 makes every shipped point, and
-# each 50-trial chunk of two workers, one search.
-BATCH_TRIALS = 128
 
 
 def trial_seeds(

@@ -14,6 +14,7 @@ sampling plan (:class:`msdoa.waveform.SamplingPlan`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,15 @@ class SurfaceConfig:
 
     Columns run along x and rows along y; the receiver sits at
     ``(0, 0, -receiver_offset_m)``. ``spacing_m`` of ``None`` resolves
-    to half a carrier wavelength.
+    to half a carrier wavelength, then ``receiver_offset_m`` of ``None``
+    to twice the spacing. A geometry whose carrier phases leave the
+    float range is refused, so every phase the package forms is finite.
     """
 
     rows: int
     cols: int
     carrier_hz: float
-    receiver_offset_m: float
+    receiver_offset_m: float | None = None
     spacing_m: float | None = None
     wave_speed: float = SPEED_OF_LIGHT
 
@@ -48,13 +51,21 @@ class SurfaceConfig:
             raise ValidationError("rows and cols must be integers")
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("surface needs at least one row and one column")
-        for name in ("carrier_hz", "receiver_offset_m", "wave_speed"):
+        unset = {"spacing_m": lambda: self.wave_speed / (2.0 * self.carrier_hz),
+                 "receiver_offset_m": lambda: 2.0 * self.spacing_m}
+        for name in ("carrier_hz", "wave_speed", "spacing_m", "receiver_offset_m"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, unset[name]())
             if not 0 < getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be positive and finite")
-        if self.spacing_m is None:
-            object.__setattr__(self, "spacing_m", self.wave_speed / (2.0 * self.carrier_hz))
-        if not 0 < self.spacing_m < np.inf:
-            raise ValidationError("spacing_m must be positive and finite")
+        # The square of the farthest element-to-receiver reach (receiver_delays
+        # forms it) and, in each order the modules form it, the carrier phase
+        # along twice that reach (across the surface, then down) must fit a float.
+        y, x = ((n - 1) / 2.0 * self.spacing_m for n in (self.rows, self.cols))
+        path = 2.0 * math.sqrt(x * x + y * y + self.receiver_offset_m * self.receiver_offset_m)
+        w, c = self.omega0, self.wave_speed
+        if not all(map(math.isfinite, (w / c * path, w * (path / c), w * path / c))):
+            raise ValidationError("the surface geometry puts a carrier phase past the float range")
 
     @property
     def size(self) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from msdoa import (
     ConfigurationError,
+    SurfaceConfig,
     ValidationError,
     apply_sweep_value,
     builtin_config_path,
@@ -68,6 +69,11 @@ def test_auto_spacing_and_offset():
     over = parse_config(BASE + "spacing_m = 0.2\nreceiver_offset_m = 0.5\n")
     assert over.surface.spacing_m == 0.2
     assert over.surface.receiver_offset_m == 0.5
+    # The surface resolves unset lengths as the reader resolves 'auto'.
+    assert SurfaceConfig(5, 6, 1.0e9) == cfg.surface
+    auto = "spacing_m = auto\nreceiver_offset_m = auto\nwave_speed = 1.5e8\n"
+    assert SurfaceConfig(5, 6, 1.0e9, wave_speed=1.5e8) == parse_config(BASE + auto).surface
+    assert SurfaceConfig(5, 6, 1.0e9, spacing_m=0.2).receiver_offset_m == 0.4
 
 
 def test_roundtrip_builtins():
@@ -162,8 +168,8 @@ TWO_ANGLES = ["estimator=2d", "subarray_width=4", "angles_deg=(-36, 20), (42, 45
     ["snr_db=-4000"],
     ["sweep=snr_db: 0, -4000"],
     ["sampling_rate_hz=1e200", "coding_period_s=1e200"],
-    # Steering phases or sensitivities past the float range, which the
-    # bound's checks refuse before any decomposition.
+    # Carrier phases past the float range, which the surface refuses as
+    # the config loads.
     ["wave_speed=1e-300"],
     ["wave_speed=1e300"],
     ["spacing_m=1e300"],
@@ -190,6 +196,9 @@ def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, over
     ("table2", ["sweep=k0: 2, 20000"], "a trial's series"),
     ("table1", ["sampling_rate_hz=5e8", "periods_per_snapshot=1", "snapshots=1", "mode=ideal",
                 "max_harmonic=3999"], "the one-period signal model"),
+    # 5626 x 1801 grid points, and 105 883 azimuths times 100 trials.
+    ("table1_2d", ["theta_grid_deg=-90, 90, 0.032", "phi_grid_deg=0, 90, 0.05"], "one spectrum"),
+    ("table1", ["theta_grid_deg=-90, 90, 0.0017"], "a search batch's denominator row"),
 ])
 def test_cli_validate_refuses_work_past_the_size_limit(capsys, name, overrides, what):
     # Refused from the config alone, before any array is allocated.

@@ -471,6 +471,9 @@ def test_estimate_doa_refuses_banks_of_another_width_or_rank(table1_cfg):
                   [bank[0], bank[0]], [bank[None], bank[None]], bank):
         with pytest.raises(ValidationError, match=r"banks have shape .*; expected \(2, L, 4\)"):
             estimate_doa(bins, setup, wrong)
+    # Banks of different row counts do not stack at all.
+    with pytest.raises(ValidationError, match=r"do not stack into one array; expected \(2, L, 4\)"):
+        estimate_doa(bins, setup, [bank, bank[:3]])
 
 
 @pytest.mark.parametrize("name", ["table1", "table1_2d"])

@@ -1,6 +1,8 @@
 """Monte Carlo harness: seeding, worker equivalence, outputs, CLI."""
 
 import concurrent.futures.process
+import contextlib
+import io
 import math
 import os
 import re
@@ -399,13 +401,26 @@ def test_source_free_trials_raise_before_any_draw(monkeypatch):
 
 
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
-    # A single zenith source is a valid config, but its azimuth carries
-    # no information, so the bound computation fails at runtime.
-    path = _write_cfg(tmp_path, SMALL)
-    code = main(["crb", "-c", path, "--set", "elevation_deg=0",
-                 "-o", str(tmp_path / "x")])
-    assert code == 3
-    assert "runtime error" in capsys.readouterr().err
+    not_finite = "the covariance of trial 0 of the batch is not finite"
+    for command, config, overrides, message in (
+        # A single zenith source is a valid config, but its azimuth carries
+        # no information, so the bound computation fails at runtime.
+        ("crb", _write_cfg(tmp_path, SMALL), ["elevation_deg=0"],
+         "the azimuth of source 1 carries no first-order"),
+        # Powers whose snapshot covariances overflow (at -20 dB the noise
+        # scale itself does) are refused before any decomposition of them.
+        *(("single", builtin_config_path(name), ["powers=1e306, 1e306"], not_finite)
+          for name in ("table1", "table1_2d", "table2")),
+        ("sweep", builtin_config_path("table2"), ["powers=1e306, 1e306", "trials=2"],
+         f"sweep snr_db=-20.0 (index 0): {not_finite}"),
+    ):
+        args = [command, "-c", config, "-o", str(tmp_path / "x")]
+        for item in overrides:
+            args += ["--set", item]
+        with np.errstate(all="ignore"):
+            assert main(args) == 3
+        assert capsys.readouterr().err.startswith(f"runtime error: {message}")
+        assert not list(tmp_path.glob("x*"))
 
 
 @pytest.mark.parametrize("power", ["1e306", "1e307"])
@@ -902,28 +917,47 @@ def test_workers_below_one_are_rejected(tmp_path, capsys, workers):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["table1", "table1_2d"])
 def test_cli_refuses_a_model_that_is_not_finite(tmp_path, capsys, name):
-    # Sensitivities past the float range leave the bound's projected core
-    # NaN, and delays past it the mixed steering; each is refused by the
-    # check of its degenerate form, before any decomposition of it.
-    prefix = str(tmp_path / "x")
-    rank = "mixed steering matrix is rank deficient or not finite"
-    for override, crb_code, message in (
-        ("wave_speed=1e-300", 3, "the azimuth of source 1 carries no first-order information"),
-        ("wave_speed=1e300", 2, rank),
-        ("spacing_m=1e300", 2, rank),
-        ("receiver_offset_m=1e300", 2, rank),
-    ):
-        args = ["-c", builtin_config_path(name), "--set", override, "-o", prefix]
-        with np.errstate(all="ignore"):
-            assert main(["validate", *args]) == 2
-            assert capsys.readouterr().err.startswith(f"invalid config: {message}")
-            for command in ("crb", "single"):
-                assert main([command, *args]) == crb_code
-                err = capsys.readouterr().err
-                assert message in err and "nan .. nan" in err
-        assert not os.listdir(tmp_path)
+    # Delays, phases or sensitivities past the float range: the surface
+    # refuses the geometry as the config loads, before numpy forms any of
+    # them, so no command warns, runs or writes.
+    for override in ("wave_speed=1e-300", "wave_speed=1e300", "spacing_m=1e300",
+                     "receiver_offset_m=1e300"):
+        for command in ("validate", "crb", "single"):
+            args = [command, "-c", builtin_config_path(name), "--set", override]
+            assert main([*args, "-o", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr() == (
+                "", "invalid config: the surface geometry puts a carrier phase past the float range\n"
+            )
+    assert not os.listdir(tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["table1", "table1_2d", "table2"]),
+       values=st.dictionaries(
+           st.sampled_from(["wave_speed", "spacing_m", "receiver_offset_m"]),
+           st.sampled_from([5e-324, 1e-300, 1e-30, 1e-3, 1.0, 1e30, 1e150, 1e300, 1.7e308]),
+           min_size=1, max_size=2))
+def test_cli_gives_a_typed_exit_for_any_geometry(tmp_path_factory, name, values):
+    # `validate` and `crb` run no trials and start no pool; whatever the
+    # geometry, from the smallest to the largest magnitude a config holds,
+    # each ends in a typed message and its exit code.
+    prefix = str(tmp_path_factory.mktemp("geometry") / "x")
+    for command in ("validate", "crb"):
+        args = [command, "-c", builtin_config_path(name), "-o", prefix]
+        for key, value in values.items():
+            args += ["--set", f"{key}={value!r}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with np.errstate(all="ignore"):
+                code = main(args)
+        prefixes = {0: "", 2: "invalid config: ", 3: "runtime error: "}
+        assert code in prefixes
+        text = err.getvalue()
+        assert text.startswith(prefixes[code]) and bool(text) == bool(code)
+        assert "Traceback" not in text
 
 
 def test_cli_validate_rejects_an_azimuth_no_draw_can_bound(tmp_path, capsys):
