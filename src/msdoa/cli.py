@@ -1,26 +1,20 @@
 """Command-line harness.
 
-Exit codes: 0 success, 2 invalid config or arguments (a config path
-that cannot be read or an output path that cannot be written included),
-3 runtime or numerical failure.
+Exit codes, set by the error's type alone: 0 success; 2 invalid config
+or arguments (``ValidationError``, checks that no draw can change
+included) or a path that cannot be read or written; 3 a failed draw.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
 import numpy as np
 
 from . import __version__
-from .config import apply_sweep_value, config_digest, load_config
-from .errors import (
-    DegenerateCodingError,
-    MsdoaError,
-    UnidentifiableParameterError,
-    ValidationError,
-)
+from .config import config_digest, load_config, point_configs
+from .errors import MsdoaError, ValidationError
 from .harness import (
     build_context,
     check_sweep,
@@ -73,20 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(cfg, args) -> int:
-    # Building each point's context runs the checks that need the
-    # harmonic matrix's SVD, such as its rank, and the check that every
-    # bounded angle is identifiable. A sweep is checked as `sweep`
-    # checks it before its first trial, and an error names its point.
+    # Building each point's context runs the checks that no draw can
+    # change, as `sweep` does before its first trial; an error names its point.
     if cfg.sweep is not None:
         check_sweep(cfg)
-    points = [cfg] if cfg.sweep is None else [apply_sweep_value(cfg, v) for v in cfg.sweep.values]
-    try:
-        for index, point in enumerate(points):
-            with sweep_point(cfg, index) if cfg.sweep is not None else contextlib.nullcontext():
-                build_context(point)
-    except (DegenerateCodingError, UnidentifiableParameterError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    for index, point in enumerate(point_configs(cfg)):
+        with sweep_point(cfg, index):
+            build_context(point)
     print(f"OK config_sha256={config_digest(cfg)}")
     return EXIT_OK
 
@@ -152,7 +139,7 @@ def main(argv=None) -> int:
         # A config that cannot be read or an output that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (MsdoaError, np.linalg.LinAlgError) as exc:
+    except MsdoaError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -49,8 +49,9 @@ def _choice(value, choices, where: str):
 
 
 # Most values one trial's series, the one-period signal model, one
-# spectrum or one search batch's denominator row may hold (160 MB of
-# complex values); see validate_experiment.
+# spectrum, one search batch's denominator row or the bound's projector
+# over the frequency lines may hold (160 MB of complex values); see
+# validate_experiment.
 MAX_POINTS = 10_000_000
 # Trials per search batch of harness.run_chunk. Each elevation's lag
 # basis is built once per batch, and a 1-D search's fixed cost per call
@@ -375,7 +376,8 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     surface, plan, est = cfg.surface, cfg.plan, cfg.estimator
     # Checked before anything is allocated: a trial's series; the one-period
     # signal model, one row per source or, in ideal mode, per harmonic; one
-    # spectrum; and one search batch's row of spectrum denominators.
+    # spectrum; one search batch's row of spectrum denominators; and the
+    # bound's (2P+1, 2P+1) projector.
     terms = 2 * cfg.max_harmonic + 1 if cfg.mode == "ideal" else cfg.scene.num_sources
     azimuths = grid_points(*est.theta_grid_deg)
     spectrum = azimuths * (grid_points(*est.phi_grid_deg) if est.kind == "2d" else 1)
@@ -383,11 +385,18 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     for what, points in (("a trial's series", plan.total_points),
                          ("the one-period signal model", plan.points_per_period * terms),
                          ("one spectrum", spectrum),
-                         ("a search batch's denominator row", azimuths * batch)):
+                         ("a search batch's denominator row", azimuths * batch),
+                         ("the bound's projector", (2 * cfg.max_harmonic + 1) ** 2)):
         if points > MAX_POINTS:
             raise ValidationError(
                 f"{what} would hold {points:.3g} values, past the limit of {MAX_POINTS:.0e}"
             )
+    # The receiver noise power M*N*sigma^2 scales the synthesized noise and the bound.
+    if not surface.size * cfg.noise.variance < math.inf:
+        raise ValidationError(
+            f"the receiver noise power, {surface.size} elements times sigma^2 = "
+            f"{cfg.noise.variance:.3g}, is past the float range"
+        )
     if 2 * cfg.max_harmonic + 1 < surface.size:
         raise ConfigurationError(
             f"max_harmonic={cfg.max_harmonic} keeps {2 * cfg.max_harmonic + 1} "
@@ -429,9 +438,14 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     if cfg.seed < 0:
         raise ValidationError("seed must be nonnegative")
     _choice(cfg.mode, MODES, "mode")
-    if cfg.sweep is not None:
-        for value in cfg.sweep.values:
-            apply_sweep_value(cfg, value)
+    point_configs(cfg)  # checks each sweep point as a config of its own
+
+
+def point_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
+    """The checked config of each sweep point, in sweep order; ``[cfg]`` without a sweep."""
+    if cfg.sweep is None:
+        return [cfg]
+    return [apply_sweep_value(cfg, value) for value in cfg.sweep.values]
 
 
 def apply_sweep_value(cfg: ExperimentConfig, value) -> ExperimentConfig:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    MsdoaError,
     UnidentifiableParameterError,
     ValidationError,
     refuse_degenerate,
@@ -96,9 +97,9 @@ def crb_core(
 ) -> CrbCore:
     """Build and rank-check the amplitude-independent part of :func:`crb`.
 
-    Raises :class:`UnidentifiableParameterError` when an angle has no
-    first-order effect on the mean once the amplitudes are projected
-    out, since then the bound does not exist for any amplitude draw.
+    Raises :class:`ConfigurationError` when an angle has no first-order
+    effect on the mean once the amplitudes are projected out, since then
+    the bound does not exist for any amplitude draw.
 
     ``known_elevations`` bounds azimuths only, treating every elevation
     as known (the azimuth-only search). It is required for in-plane
@@ -130,7 +131,9 @@ def crb_core(
 
     lines = 2 * harmonics.max_harmonic + 1
     proj = np.eye(lines) - mixed_steer @ np.linalg.pinv(mixed_steer)
-    core = mixed_sens.conj().T @ proj @ mixed_sens
+    # Sensitivities past the float range leave a diagonal the check below refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = mixed_sens.conj().T @ proj @ mixed_sens
     # The Fisher matrix is this core times a positive semidefinite
     # amplitude covariance, entry by entry, so a vanishing diagonal
     # entry vanishes in it too (Schur product theorem): that angle is
@@ -140,7 +143,7 @@ def crb_core(
     k = int(np.argmin(diag))
     angle = "azimuth" if k < scene.num_sources else "elevation"
     refuse_degenerate(
-        diag[k], diag.max(), _SINGULAR_RTOL, UnidentifiableParameterError,
+        diag[k], diag.max(), _SINGULAR_RTOL, ConfigurationError,
         f"the {angle} of source {k % scene.num_sources + 1} carries no first-order "
         "information for any amplitudes, or its bound is not finite; projected sensitivity",
     )
@@ -148,6 +151,9 @@ def crb_core(
     return CrbCore(scene.num_sources, bool(known_elevations), cfg.size, core)
 
 
+# Every Fisher matrix and bound past the float range is refused, so
+# numpy need not warn of the overflow that makes it.
+@np.errstate(over="ignore", invalid="ignore")
 def crb(
     core: CrbCore, plan: SamplingPlan, noise_variance: float, amplitudes: np.ndarray
 ) -> CrbResult:
@@ -172,7 +178,8 @@ def crb(
         known, otherwise 2K x 2K over azimuths then elevations; a stack
         of amplitudes gives a stack of matrices and a (trials, K) array
         of ``theta_bounds``. The first trial whose Fisher information is
-        singular raises as it would alone.
+        singular raises as it would alone, and then the first whose bound
+        is not finite raises :class:`MsdoaError`.
     """
     k = core.num_sources
     amps = np.asarray(amplitudes, dtype=complex)
@@ -196,10 +203,16 @@ def crb(
     vals[finite] = np.linalg.eigvalsh(fisher[finite])
     refuse_degenerate(
         vals[..., 0], vals[..., -1], _SINGULAR_RTOL, UnidentifiableParameterError,
-        "projected Fisher information is singular (an angle is unidentifiable in this geometry, "
-        "for example azimuth at zero elevation) or not finite; eigenvalues",
+        "projected Fisher information is singular (an amplitude draw leaves an angle "
+        "unidentifiable, for example a silent source) or not finite; eigenvalues",
     )
     prefactor = core.num_elements * noise_variance / (2.0 * q_len * num_snap)
     bound = prefactor * np.linalg.inv(fisher)
     bound = 0.5 * (bound + np.swapaxes(bound, -1, -2))
+    finite = np.isfinite(bound).all(axis=(-2, -1))
+    if not finite.all():
+        raise MsdoaError(
+            f"the bound of trial {np.argmin(finite)} of the batch is not finite; "
+            "the ratio of noise to source power is past the float range"
+        )
     return CrbResult(bound, bound.diagonal(axis1=-2, axis2=-1)[..., :k].copy())

@@ -13,8 +13,8 @@ class ConfigurationError(ValidationError):
     """A parameter combination is internally inconsistent."""
 
 
-class DegenerateCodingError(MsdoaError):
-    """The harmonic mixing matrix is numerically rank deficient."""
+class DegenerateCodingError(ConfigurationError):
+    """The harmonic mixing matrix is numerically rank deficient, whatever the draw."""
 
 
 class NearSingularWhitenerError(MsdoaError):
@@ -26,7 +26,7 @@ class NoNoiseSubspaceError(MsdoaError):
 
 
 class UnidentifiableParameterError(MsdoaError):
-    """Fisher information for the requested angles is singular."""
+    """Fisher information for the requested angles is singular for one amplitude draw."""
 
 
 def refuse_degenerate(low, high, rtol: float, error: type, what: str) -> None:

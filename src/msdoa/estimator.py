@@ -651,9 +651,10 @@ def _whitened_chain(bins, setup: SearchSetup, weights):
             f"snapshot bins have shape {stack.shape}; expected (trials, {lines}, snapshots)"
         )
     recovered = recover_channels(stack, setup.harmonics)
-    covariance = ps_covariance(smooth(recovered, setup.compensation, weights, setup.surface))
     # LAPACK need not converge on a matrix that is not finite, as bins of
-    # a power past the float range make the covariance.
+    # a power past the float range make the covariance; it is refused here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance = ps_covariance(smooth(recovered, setup.compensation, weights, setup.surface))
     finite = np.isfinite(covariance).all(axis=(1, 2))
     if not finite.all():
         raise MsdoaError(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import BATCH_TRIALS, ExperimentConfig, apply_sweep_value, config_digest
+from .config import BATCH_TRIALS, ExperimentConfig, config_digest, point_configs
 from .crb import CrbCore, CrbResult, crb, crb_core
 from .errors import MsdoaError, ValidationError
 from .estimator import SearchSetup, estimate_doa, make_ps_weights, search_setup, write_spectrum_csv
@@ -97,11 +97,12 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
 
     Unset coherent gains are resolved from the experiment seed first
     (:func:`resolve_experiment`), so the context's config is resolved.
-    Every check that no draw can change runs here, so a rank-deficient
-    harmonic matrix or mixed steering fails before the first trial.
+    Every check that no draw can change runs here and raises
+    ``ConfigurationError``, so a rank-deficient harmonic matrix or an
+    angle no draw can bound fails before the first trial.
     """
     cfg = resolve_experiment(cfg)
-    harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface).decompose()
+    harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface)
     signal = signal_model(cfg.surface, cfg.scene, cfg.plan, cfg.mode, harmonics)
     search = search_setup(cfg.surface, cfg.estimator, harmonics)
     bound = None
@@ -323,7 +324,9 @@ def sweep_point(cfg: ExperimentConfig, index: int):
     """Scope that prefixes a library error with ``sweep <var>=<value> (index <i>): ``, type kept."""
     try:
         yield
-    except (MsdoaError, np.linalg.LinAlgError) as exc:
+    except MsdoaError as exc:
+        if cfg.sweep is None:  # no point to name
+            raise
         value = cfg.sweep.values[index]
         raise type(exc)(f"sweep {cfg.sweep.variable}={value} (index {index}): {exc}") from exc
 
@@ -332,7 +335,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run every sweep point and aggregate (PR, RMSE, mean bound)."""
     check_sweep(cfg)
     digest = config_digest(cfg)
-    points = [(apply_sweep_value(cfg, v), index) for index, v in enumerate(cfg.sweep.values)]
+    points = [(point, index) for index, point in enumerate(point_configs(cfg))]
     rows = []
     start = time.perf_counter()
     with _point_results(points, workers) as results:
@@ -382,17 +385,6 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
             )
 
 
-@contextlib.contextmanager
-def _trial_zero(cfg: ExperimentConfig):
-    """Scope holding the context of ``cfg``, in which trial (0, 0) is drawn.
-
-    BLAS is held to one thread inside the scope, as in a sweep's trial
-    chunks.
-    """
-    with _single_threaded_blas():
-        yield build_context(cfg)
-
-
 def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
     """The angle bound of the amplitudes trial (0, 0) draws, the run ``single`` makes.
 
@@ -400,7 +392,8 @@ def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
     one; they are drawn alone, so no series is synthesized and the
     search does not run.
     """
-    with _trial_zero(cfg) as context:
+    with _single_threaded_blas():
+        context = build_context(cfg)
         if context.bound is None:
             raise ValidationError("the bound needs at least one configured source")
         cfg = context.config
@@ -422,7 +415,8 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     trial's one-trial :class:`~msdoa.estimator.MusicBatch`, ``None``
     without sources.
     """
-    with _trial_zero(cfg) as context:
+    with _single_threaded_blas():
+        context = build_context(cfg)
         series, amplitudes, bins, weights = draw_trial(context, 0, 0)
         batch = None
         if context.bound is not None:

@@ -199,6 +199,8 @@ def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, over
     # 5626 x 1801 grid points, and 105 883 azimuths times 100 trials.
     ("table1_2d", ["theta_grid_deg=-90, 90, 0.032", "phi_grid_deg=0, 90, 0.05"], "one spectrum"),
     ("table1", ["theta_grid_deg=-90, 90, 0.0017"], "a search batch's denominator row"),
+    # 20 001 frequency lines fit the 320 000-point windows of a 10 GHz rate.
+    ("table1", ["sampling_rate_hz=1e10", "max_harmonic=10000"], "the bound's projector"),
 ])
 def test_cli_validate_refuses_work_past_the_size_limit(capsys, name, overrides, what):
     # Refused from the config alone, before any array is allocated.

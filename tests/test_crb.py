@@ -6,6 +6,7 @@ import pytest
 from msdoa import (
     ConfigurationError,
     Doa,
+    MsdoaError,
     SamplingPlan,
     SourceScene,
     SurfaceConfig,
@@ -141,10 +142,11 @@ def test_two_source_bound_grows():
 
 
 def test_zenith_is_unidentifiable():
-    # At phi = 0 azimuth has no effect on the mean: singular Fisher.
+    # At phi = 0 azimuth has no effect on the mean, whatever the draw, so
+    # the bound is refused as a configuration before any Fisher matrix.
     cfg, plan, _, amps = _tiny_setup()
     scene = SourceScene((Doa.from_degrees(10.0, 0.0),), (1.0,))
-    with pytest.raises(UnidentifiableParameterError):
+    with pytest.raises(ConfigurationError):
         crb(_core(cfg, scene), plan, 0.3, amps)
 
 
@@ -153,11 +155,11 @@ def test_core_rejects_an_angle_no_draw_can_bound(table1_cfg):
     # entry by entry, so a zero on the core's diagonal is a zero in
     # every Fisher matrix: the core is rejected before any draw.
     cfg, _, _, _ = _tiny_setup()
-    with pytest.raises(UnidentifiableParameterError, match="azimuth of source 1"):
+    with pytest.raises(ConfigurationError, match="azimuth of source 1"):
         _core(cfg, SourceScene((Doa.from_degrees(10.0, 0.0),), (1.0,)))
     in_plane = SourceScene((Doa.from_degrees(-22.0, 90.0),
                             Doa.from_degrees(12.0, 90.0)), (1.0, 1.0))
-    with pytest.raises(UnidentifiableParameterError, match="elevation of source"):
+    with pytest.raises(ConfigurationError, match="elevation of source"):
         _core(table1_cfg, in_plane, 15)
     assert _core(table1_cfg, in_plane, 15, known_elevations=True).core.shape == (2, 2)
 
@@ -226,6 +228,21 @@ def test_a_singular_draw_raises_in_a_stack_as_it_does_alone(known_elevations, fi
     assert "0.000e+00 .. 0.000e+00" not in str(stacked.value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_bound_past_the_float_range_names_its_trial():
+    # The Fisher matrices are well conditioned, but a noise power this
+    # far above one trial's source power puts that trial's bound past the
+    # float range; it is refused, without a numpy warning, by its index.
+    cfg, plan, scene, _ = _tiny_setup()
+    core = _core(cfg, scene)
+    rng = np.random.default_rng(9)
+    amps = rng.standard_normal((4, 1, 2)) + 1j * rng.standard_normal((4, 1, 2))
+    assert np.isfinite(crb(core, plan, 1e290, amps).matrix).all()
+    amps[2] *= 1e-10
+    with pytest.raises(MsdoaError, match=r"^the bound of trial 2 of the batch is not finite"):
+        crb(core, plan, 1e290, amps)
+
+
 def test_in_plane_sources_need_known_elevations(table1_cfg):
     # A flat surface carries no first-order elevation information at
     # phi = 90, so the joint bound is singular there; the azimuth-only
@@ -235,7 +252,7 @@ def test_in_plane_sources_need_known_elevations(table1_cfg):
                          Doa.from_degrees(12.0, 90.0)), (1.0, 1.0))
     rng = np.random.default_rng(3)
     amps = (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
-    with pytest.raises(UnidentifiableParameterError):
+    with pytest.raises(ConfigurationError):
         crb(_core(table1_cfg, scene, 15), plan, 1.0, amps)
     res = crb(_core(table1_cfg, scene, 15, known_elevations=True), plan, 1.0, amps)
     assert res.matrix.shape == (2, 2)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import msdoa.estimator
@@ -298,30 +298,57 @@ def test_cli_rejects_elevation_grid_past_90(capsys):
     assert main(["validate", "-c", path, "--set", "phi_grid_deg=0, 90, 0.5"]) == 0
 
 
+# A 2 x 1 surface's harmonic matrix is rank deficient; only the SVD that
+# building each point's context makes can tell.
+RANK_DEFICIENT = ["rows=2", "cols=1", "max_harmonic=1", "angles_deg=-22", "powers=1"]
+
+
+def _cli_args(command, path, overrides, *extra):
+    args = [command, "-c", path, *extra]
+    for item in overrides:
+        args += ["--set", item]
+    return args
+
+
 @pytest.mark.parametrize("sweep", [[], ["--set", "sweep=I: 1, 2"]])
-def test_cli_validate_rejects_rank_deficient_surface(capsys, sweep):
-    # A 2 x 1 surface's harmonic matrix is rank deficient; only the SVD
-    # that building each point's context makes can tell.
-    args = ["validate", "-c", builtin_config_path("table1"), "--set", "rows=2",
-            "--set", "cols=1", "--set", "max_harmonic=1", "--set", "angles_deg=-22",
-            "--set", "powers=1", *sweep]
-    assert main(args) == 2
-    assert "rank deficient" in capsys.readouterr().err
+def test_cli_validate_rejects_rank_deficient_surface(tmp_path, capsys, sweep):
+    # A check that no draw can change: every command refuses it alike.
+    commands = ("validate", "sweep") if sweep else ("validate", "single", "crb")
+    errors = set()
+    for command in commands:
+        args = _cli_args(command, builtin_config_path("table1"), RANK_DEFICIENT,
+                         "-o", str(tmp_path / "x"), *sweep)
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.add(err)
+    assert len(errors) == 1
+    assert "rank deficient" in errors.pop()
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_validate_names_a_failing_sweep_point_as_sweep_does(tmp_path, capsys):
-    # Sources at zero elevation share one steering vector, which only the
-    # context of a point can tell; both commands name that point alike.
-    args = ["-c", builtin_config_path("table1"), "--set", "elevation_deg=0",
-            "--set", "sweep=I: 5, 6", "-o", str(tmp_path / "x")]
-    errors = []
-    for command in ("validate", "sweep"):
-        assert main([command, *args]) == 2
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1]
-    assert errors[0].startswith(
-        "invalid config: sweep I=5 (index 0): mixed steering matrix is rank deficient"
-    )
+    # Checks that only the context of a point can make: sources at zero
+    # elevation share one steering vector, a lone one there has an
+    # azimuth that moves nothing, and a 2 x 1 surface's coding is rank
+    # deficient. Both commands, `sweep` at one and two workers, name the
+    # failing point alike.
+    for overrides, message in (
+        (["elevation_deg=0"], "mixed steering matrix is rank deficient"),
+        (["elevation_deg=0", "angles_deg=-22", "powers=1"],
+         "the azimuth of source 1 carries no first-order information"),
+        (RANK_DEFICIENT, "harmonic matrix is numerically rank deficient"),
+    ):
+        overrides = [*overrides, "sweep=I: 5, 6", "trials=2"]
+        errors = set()
+        for command, extra in (("validate", []), ("sweep", ["--workers", "1"]),
+                               ("sweep", ["--workers", "2"])):
+            path = builtin_config_path("table1")
+            assert main(_cli_args(command, path, overrides, "-o", str(tmp_path / "x"), *extra)) == 2
+            errors.add(capsys.readouterr().err)
+        assert len(errors) == 1
+        assert errors.pop().startswith(f"invalid config: sweep I=5 (index 0): {message}")
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_single_and_sweep(tmp_path, capsys):
@@ -400,40 +427,64 @@ def test_source_free_trials_raise_before_any_draw(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
-    not_finite = "the covariance of trial 0 of the batch is not finite"
+    # Checks on a draw: each ends in its typed message, with no numpy
+    # warning before it and no file written.
+    weak = tmp_path / "weak.cfg"
+    weak.write_text(Path(builtin_config_path("table1")).read_text().replace(
+        "snr_db = 0", "noise_variance = 1e300"))
     for command, config, overrides, message in (
-        # A single zenith source is a valid config, but its azimuth carries
-        # no information, so the bound computation fails at runtime.
-        ("crb", _write_cfg(tmp_path, SMALL), ["elevation_deg=0"],
-         "the azimuth of source 1 carries no first-order"),
-        # Powers whose snapshot covariances overflow (at -20 dB the noise
-        # scale itself does) are refused before any decomposition of them.
-        *(("single", builtin_config_path(name), ["powers=1e306, 1e306"], not_finite)
-          for name in ("table1", "table1_2d", "table2")),
-        ("sweep", builtin_config_path("table2"), ["powers=1e306, 1e306", "trials=2"],
-         f"sweep snr_db=-20.0 (index 0): {not_finite}"),
+        # Powers whose snapshot covariances overflow are refused before
+        # any decomposition of them.
+        *(("single", builtin_config_path(name), ["powers=1e306, 1e306"],
+           "the covariance of trial 0 of the batch is not finite")
+          for name in ("table1", "table1_2d")),
+        # Sources this weak under this much noise have a bound past the
+        # float range, refused before it is printed or written.
+        ("crb", str(weak), ["powers=1e-300, 1e-300"],
+         "the bound of trial 0 of the batch is not finite"),
     ):
-        args = [command, "-c", config, "-o", str(tmp_path / "x")]
-        for item in overrides:
-            args += ["--set", item]
-        with np.errstate(all="ignore"):
-            assert main(args) == 3
-        assert capsys.readouterr().err.startswith(f"runtime error: {message}")
+        assert main(_cli_args(command, config, overrides, "-o", str(tmp_path / "x"))) == 3
+        out, err = capsys.readouterr()
+        assert "sqrt_crb_deg" not in out
+        assert err.startswith(f"runtime error: {message}")
         assert not list(tmp_path.glob("x*"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_refuses_a_noise_power_past_the_float_range(tmp_path, capsys):
+    # M*N*sigma^2 past the float range is refused as the config, or the
+    # sweep point that reaches it, loads: table2's -20 dB point at 1e306.
+    for command, name, overrides, elements, variance in (
+        ("crb", "table1", ["powers=1e305, 1e305", "snr_db=-20"], 30, "1e+307"),
+        ("crb", "table1_2d", ["powers=1e305, 1e305", "snr_db=-20"], 30, "1e+307"),
+        ("single", "table2", ["powers=1e306, 1e306"], 40, "1e+308"),
+        ("sweep", "table2", ["powers=1e306, 1e306"], 40, "1e+308"),
+    ):
+        path = builtin_config_path(name)
+        assert main(_cli_args(command, path, overrides, "-o", str(tmp_path / "x"))) == 2
+        assert capsys.readouterr() == ("", (
+            f"invalid config: the receiver noise power, {elements} elements times sigma^2 = "
+            f"{variance}, is past the float range\n"))
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("power", ["1e306", "1e307"])
 def test_cli_crb_refuses_a_fisher_matrix_that_is_not_finite(tmp_path, capsys, power):
     # At 1e306 the Fisher matrix is finite but symmetrizing it overflows;
     # at 1e307 forming it does. Its eigenvalues are NaN either way, for
     # the azimuth-only bound of table1 and the joint 4 x 4 one of table1_2d.
+    # At 1e307 the noise power of 0 dB is past the float range, which the
+    # config refuses, so that run is at 10 dB.
     prefix = str(tmp_path / "bound")
+    snr_db = "0" if power == "1e306" else "10"
     for name, bounds in (("table1", ("0.205728", "0.236092")),
                          ("table1_2d", ("0.736363", "0.338394"))):
-        args = ["crb", "-c", builtin_config_path(name), "--set", f"powers={power}, {power}"]
-        with np.errstate(over="ignore"):
-            assert main([*args, "-o", prefix]) == 3
+        args = ["crb", "-c", builtin_config_path(name), "--set", f"powers={power}, {power}",
+                "--set", f"snr_db={snr_db}"]
+        assert main([*args, "-o", prefix]) == 3
         out, err = capsys.readouterr()
         assert "sqrt_crb_deg" not in out
         assert err.startswith("runtime error: projected Fisher information is singular")
@@ -750,8 +801,8 @@ def _singular_whitener(weights, window_gram):
          ConfigurationError, 1),
         (COHERENT.replace("angles_deg = -30, 25", "angles_deg = 10, 10"), None,
          ConfigurationError, 2),
-        (SMALL + "elevation_deg = 0\n", None, UnidentifiableParameterError, 1),
-        (SMALL + "elevation_deg = 0\n", None, UnidentifiableParameterError, 2),
+        (SMALL + "elevation_deg = 0\n", None, ConfigurationError, 1),
+        (SMALL + "elevation_deg = 0\n", None, ConfigurationError, 2),
         (SMALL, (msdoa.estimator, "smoothing_whitener", _singular_whitener),
          NearSingularWhitenerError, 1),
     ],
@@ -934,40 +985,73 @@ def test_cli_refuses_a_model_that_is_not_finite(tmp_path, capsys, name):
     assert not os.listdir(tmp_path)
 
 
+# Values from the smallest to the largest magnitude a config holds, with
+# a few that let a large harmonic order or sample count pass the reader.
+_EXTREME = [5e-324, 1e-300, 1e-30, 1e-3, 1.0, 1e3, 1e10, 1e30, 1e150, 1e300, 1.7e308]
+_EXTREME_VALUES = {
+    **dict.fromkeys(["wave_speed", "spacing_m", "receiver_offset_m", "carrier_hz",
+                     "coding_period_s", "sampling_rate_hz"], _EXTREME),
+    "powers": [0.0, *_EXTREME[:-1], 1e305, 1e306, 1e307, 1.7e308],
+    "snr_db": [-1e300, -3000.0, -300.0, -20.0, 0.0, 20.0, 300.0, 3000.0, 1e300],
+    # Written in place of the config's snr_db line.
+    "noise_variance": [0.0, 5e-324, 1e-300, 1.0, 1e150, 1e300, 1e306, 1.7e308],
+    "max_harmonic": [0, 1, 15, 400, 10**4, 10**18],
+    "theta_grid_deg": ["-90, 90, 5e-324", "-90, 90, 0.0017", "-90, 90, 90", "-23, 13, 0.5",
+                       "0, 90, 1", "-1e300, 1e300, 1e298", "-1.7e308, 1.7e308, 1e308"],
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["table1", "table1_2d", "table2"]),
-       values=st.dictionaries(
-           st.sampled_from(["wave_speed", "spacing_m", "receiver_offset_m"]),
-           st.sampled_from([5e-324, 1e-300, 1e-30, 1e-3, 1.0, 1e30, 1e150, 1e300, 1.7e308]),
-           min_size=1, max_size=2))
+       values=st.lists(st.sampled_from(sorted(_EXTREME_VALUES)), min_size=1, max_size=2,
+                       unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                           {key: st.sampled_from(_EXTREME_VALUES[key]) for key in keys})))
+@example(name="table1", values={"noise_variance": 1e300, "powers": 1e-300})
+@example(name="table1_2d", values={"powers": 1e305, "snr_db": -20.0})
+@example(name="table1", values={"wave_speed": 1.0, "spacing_m": 1e150})
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_gives_a_typed_exit_for_any_geometry(tmp_path_factory, name, values):
     # `validate` and `crb` run no trials and start no pool; whatever the
-    # geometry, from the smallest to the largest magnitude a config holds,
-    # each ends in a typed message and its exit code.
-    prefix = str(tmp_path_factory.mktemp("geometry") / "x")
+    # geometry, sampling, powers, noise, harmonic order or grid, each ends
+    # in a typed message and its exit code, with no numpy warning, and a
+    # bound that `crb` reports is finite.
+    folder = tmp_path_factory.mktemp("extreme")
+    text = Path(builtin_config_path(name)).read_text()
+    if "noise_variance" in values:
+        text = text.replace("snr_db = 0", f"noise_variance = {values['noise_variance']!r}")
+    config = folder / "x.cfg"
+    config.write_text(text)
+    args = ["-c", str(config), "-o", str(folder / "x")]
+    for key, value in values.items():
+        if key != "noise_variance":
+            args += ["--set", f"{key}={value}, {value}" if key == "powers" else f"{key}={value}"]
     for command in ("validate", "crb"):
-        args = [command, "-c", builtin_config_path(name), "-o", prefix]
-        for key, value in values.items():
-            args += ["--set", f"{key}={value!r}"]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            with np.errstate(all="ignore"):
-                code = main(args)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *args])
         prefixes = {0: "", 2: "invalid config: ", 3: "runtime error: "}
         assert code in prefixes
         text = err.getvalue()
         assert text.startswith(prefixes[code]) and bool(text) == bool(code)
         assert "Traceback" not in text
+        bounds = re.findall(r"sqrt_crb_deg=(\S+)", out.getvalue())
+        assert len(bounds) == (2 if code == 0 and command == "crb" else 0)
+        assert all(math.isfinite(float(b)) for b in bounds)
 
 
 def test_cli_validate_rejects_an_azimuth_no_draw_can_bound(tmp_path, capsys):
     # A lone source at the zenith: its azimuth moves nothing, whatever
-    # the amplitudes, so `validate` rejects the config that `crb` fails on.
+    # the amplitudes, so every command refuses the config alike.
     path = _write_cfg(tmp_path, SMALL)
-    assert main(["validate", "-c", path, "--set", "elevation_deg=0"]) == 2
-    assert "azimuth of source 1" in capsys.readouterr().err
-    assert main(["crb", "-c", path, "--set", "elevation_deg=0",
-                 "-o", str(tmp_path / "x")]) == 3
-    assert "azimuth of source 1" in capsys.readouterr().err
+    errors = set()
+    for command in ("validate", "single", "crb"):
+        assert main([command, "-c", path, "--set", "elevation_deg=0",
+                     "-o", str(tmp_path / "x")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.add(err)
+    assert len(errors) == 1
+    assert errors.pop().startswith("invalid config: the azimuth of source 1 carries no")
+    assert not list(tmp_path.glob("x*"))
     for name in ("table1", "table1_2d", "table2"):
         assert main(["validate", "-c", builtin_config_path(name)]) == 0
