@@ -13,14 +13,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import config_digest, load_config, point_configs
+from .config import config_digest, load_config, point_configs, sweep_point
 from .errors import MsdoaError, ValidationError
 from .harness import (
     build_context,
     check_sweep,
     run_single,
     run_sweep,
-    sweep_point,
     trial_zero_bound,
     write_sweep_csv,
 )

@@ -6,16 +6,23 @@ most once. Values are plain scalars, comma-separated lists, or
 comma-separated ``(theta, phi)`` pairs for two-angle sources. Units are
 part of the key names (Hz, seconds, meters, dB, degrees); angles are
 degrees in files and radians inside the library.
+
+An :class:`ExperimentConfig` is checked whenever one is made
+(:func:`validate_experiment`), by the reader or by
+``dataclasses.replace``. Each sweep point is a checked, sweep-free
+config of its own (:func:`point_configs`), and an error of a point,
+from its checks or from any later stage, names it (:func:`sweep_point`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import re
 from dataclasses import dataclass, replace
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, MsdoaError, ValidationError
 from .estimator import KINDS, EstimatorParams, grid_points, search_grids
 from .snapshot import frequency_indices
 from .surface import Doa, SurfaceConfig
@@ -49,9 +56,9 @@ def _choice(value, choices, where: str):
 
 
 # Most values one trial's series, the one-period signal model, one
-# spectrum, one search batch's denominator row or the bound's projector
-# over the frequency lines may hold (160 MB of complex values); see
-# validate_experiment.
+# spectrum, one search batch's denominator row, the bound's projector
+# over the frequency lines or the search's whitener table may hold
+# (160 MB of complex values); see validate_experiment.
 MAX_POINTS = 10_000_000
 # Trials per search batch of harness.run_chunk. Each elevation's lag
 # basis is built once per batch, and a 1-D search's fixed cost per call
@@ -66,16 +73,16 @@ def _snr_noise(snr_db: float, scene: SourceScene) -> NoiseSpec:
 
 
 # Each sweep variable: the kind of its values (``int``, ``float`` or
-# the tuple of choices), and the config of the point one value gives.
+# the tuple of choices), and the fields one value gives its point.
 _SWEEPS = {
-    "I": (int, lambda cfg, v: replace(cfg, plan=replace(cfg.plan, num_snapshots=v))),
-    "k0": (int, lambda cfg, v: replace(cfg, plan=replace(cfg.plan, periods_per_snapshot=v))),
-    "snr_db": (float, lambda cfg, v: replace(cfg, noise=_snr_noise(v, cfg.scene))),
-    "P": (int, lambda cfg, v: replace(cfg, max_harmonic=v)),
-    "L": (int, lambda cfg, v: replace(cfg, estimator=replace(cfg.estimator, num_weights=v))),
-    "fs_mult": (float, lambda cfg, v: replace(
-        cfg, plan=replace(cfg.plan, sample_rate_hz=cfg.plan.sample_rate_hz * v))),
-    "mode": (MODES, lambda cfg, v: replace(cfg, mode=v)),
+    "I": (int, lambda cfg, v: {"plan": replace(cfg.plan, num_snapshots=v)}),
+    "k0": (int, lambda cfg, v: {"plan": replace(cfg.plan, periods_per_snapshot=v)}),
+    "snr_db": (float, lambda cfg, v: {"noise": _snr_noise(v, cfg.scene)}),
+    "P": (int, lambda cfg, v: {"max_harmonic": v}),
+    "L": (int, lambda cfg, v: {"estimator": replace(cfg.estimator, num_weights=v)}),
+    "fs_mult": (float, lambda cfg, v: {
+        "plan": replace(cfg.plan, sample_rate_hz=cfg.plan.sample_rate_hz * v)}),
+    "mode": (MODES, lambda cfg, v: {"mode": v}),
 }
 SWEEP_VARIABLES = tuple(_SWEEPS)
 
@@ -104,7 +111,12 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run or sweep needs, fully resolved and validated."""
+    """Everything one run or sweep needs, fully resolved and checked.
+
+    A config is checked however it is made, by the reader or by
+    ``dataclasses.replace``: :func:`validate_experiment` runs on every
+    instance, so an unchecked config cannot exist.
+    """
 
     surface: SurfaceConfig
     scene: SourceScene
@@ -117,6 +129,9 @@ class ExperimentConfig:
     seed: int
     sweep: SweepSpec | None
     output: str
+
+    def __post_init__(self):
+        validate_experiment(self)
 
 
 def _fmt(x: float) -> str:
@@ -354,7 +369,7 @@ def _build(raw: dict) -> ExperimentConfig:
         phi_grid_deg=_parse_grid(raw, "phi_grid_deg", EstimatorParams.phi_grid_deg),
     )
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         surface=surface,
         scene=scene,
         plan=plan,
@@ -367,17 +382,23 @@ def _build(raw: dict) -> ExperimentConfig:
         sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
         output=raw.get("output", "results"),
     )
-    validate_experiment(cfg)
-    return cfg
+
+
+def _refuse_past_limit(what: str, points: float) -> None:
+    if points > MAX_POINTS:
+        raise ValidationError(
+            f"{what} would hold {points:.3g} values, past the limit of {MAX_POINTS:.0e}"
+        )
 
 
 def validate_experiment(cfg: ExperimentConfig) -> None:
-    """Eager cross-field checks; raises on the first violation."""
+    """Eager cross-field checks of every config made; raises on the first violation."""
     surface, plan, est = cfg.surface, cfg.plan, cfg.estimator
     # Checked before anything is allocated: a trial's series; the one-period
     # signal model, one row per source or, in ideal mode, per harmonic; one
-    # spectrum; one search batch's row of spectrum denominators; and the
-    # bound's (2P+1, 2P+1) projector.
+    # spectrum; one search batch's row of spectrum denominators; the
+    # bound's (2P+1, 2P+1) projector; and, once the window width is
+    # checked, the (width^2, dim^2) whitener table of search_setup.
     terms = 2 * cfg.max_harmonic + 1 if cfg.mode == "ideal" else cfg.scene.num_sources
     azimuths = grid_points(*est.theta_grid_deg)
     spectrum = azimuths * (grid_points(*est.phi_grid_deg) if est.kind == "2d" else 1)
@@ -387,10 +408,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
                          ("one spectrum", spectrum),
                          ("a search batch's denominator row", azimuths * batch),
                          ("the bound's projector", (2 * cfg.max_harmonic + 1) ** 2)):
-        if points > MAX_POINTS:
-            raise ValidationError(
-                f"{what} would hold {points:.3g} values, past the limit of {MAX_POINTS:.0e}"
-            )
+        _refuse_past_limit(what, points)
     # The receiver noise power M*N*sigma^2 scales the synthesized noise and the bound.
     if not surface.size * cfg.noise.variance < math.inf:
         raise ValidationError(
@@ -407,6 +425,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     frequency_indices(plan, cfg.max_harmonic)
     width, theta_grid, elevations = search_grids(est, surface)
     dim = surface.rows * (surface.cols - width + 1)
+    _refuse_past_limit("the whitener table", width**2 * dim**2)
     if est.num_sources >= dim:
         raise ConfigurationError(
             f"{est.num_sources} sources need a search dimension above "
@@ -441,20 +460,38 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     point_configs(cfg)  # checks each sweep point as a config of its own
 
 
+@contextlib.contextmanager
+def sweep_point(cfg: ExperimentConfig, index: int):
+    """Scope that prefixes a library error with ``sweep <var>=<value> (index <i>): ``, type kept."""
+    try:
+        yield
+    except MsdoaError as exc:
+        if cfg.sweep is None:  # no point to name
+            raise
+        value = cfg.sweep.values[index]
+        raise type(exc)(f"sweep {cfg.sweep.variable}={value} (index {index}): {exc}") from exc
+
+
 def point_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
-    """The checked config of each sweep point, in sweep order; ``[cfg]`` without a sweep."""
+    """The config of each sweep point, in sweep order; ``[cfg]`` without a sweep.
+
+    A point that fails its checks raises with its point named (:func:`sweep_point`).
+    """
     if cfg.sweep is None:
         return [cfg]
-    return [apply_sweep_value(cfg, value) for value in cfg.sweep.values]
+    points = []
+    for index, value in enumerate(cfg.sweep.values):
+        with sweep_point(cfg, index):
+            points.append(apply_sweep_value(cfg, value))
+    return points
 
 
 def apply_sweep_value(cfg: ExperimentConfig, value) -> ExperimentConfig:
-    """Config for one sweep point (requires a sweep to be configured)."""
+    """The checked, sweep-free config of one sweep point (requires a sweep to be configured)."""
     if cfg.sweep is None:
         raise ValidationError("config has no sweep")
-    out = _SWEEPS[cfg.sweep.variable][1](cfg, _sweep_value(cfg.sweep.variable, value))
-    validate_experiment(replace(out, sweep=None))
-    return out
+    changes = _SWEEPS[cfg.sweep.variable][1](cfg, _sweep_value(cfg.sweep.variable, value))
+    return replace(cfg, sweep=None, **changes)
 
 
 def emit_config(cfg: ExperimentConfig) -> str:

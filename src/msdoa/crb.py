@@ -169,7 +169,8 @@ def crb(
         Per-element sigma^2.
     amplitudes : (K, I) or (trials, K, I) complex
         The deterministic source amplitudes of the run, or of each
-        trial of a batch.
+        trial of a batch; any other shape, or matrices that do not
+        stack, raises :class:`ValidationError`.
 
     Returns
     -------
@@ -181,13 +182,14 @@ def crb(
         singular raises as it would alone, and then the first whose bound
         is not finite raises :class:`MsdoaError`.
     """
-    k = core.num_sources
-    amps = np.asarray(amplitudes, dtype=complex)
-    num_snap = plan.num_snapshots
+    k, num_snap = core.num_sources, plan.num_snapshots
+    expected = f"expected ({k}, {num_snap}) or a stack of them"
+    try:
+        amps = np.asarray(amplitudes, dtype=complex)
+    except ValueError as exc:  # amplitude matrices of different shapes
+        raise ValidationError(f"amplitudes do not stack into one array; {expected}") from exc
     if amps.ndim not in (2, 3) or amps.shape[-2:] != (k, num_snap):
-        raise ValidationError(
-            f"amplitudes must be ({k}, {num_snap}) or a stack of them; got {amps.shape}"
-        )
+        raise ValidationError(f"amplitudes have shape {amps.shape}; {expected}")
     if not 0 <= noise_variance < np.inf:
         raise ValidationError("noise_variance must be nonnegative and finite")
     groups = 1 if core.known_elevations else 2

@@ -614,13 +614,14 @@ def estimate_doa(bins, setup: SearchSetup, weights) -> MusicBatch:
 
     ``bins`` holds each trial's (2P+1, I) harmonic-bin matrix from
     :func:`~msdoa.snapshot.extract_snapshots`, and ``weights`` each
-    trial's (L, ``setup.width``) weight bank, in the same order; a bank
-    stack of another shape raises :class:`ValidationError`, and a trial
-    whose covariance is not finite :class:`MsdoaError`. ``setup`` is
-    the :func:`search_setup` of the surface and estimator. The chain
-    (:func:`_whitened_chain`) runs once on the whole batch and leaves
-    only its whitened covariances and whitening transforms behind, which
-    one :func:`music_search` takes. Every stage runs on arrays with a
+    trial's (L, ``setup.width``) weight bank, in the same order; a bin
+    or bank stack of another shape, or matrices that do not stack,
+    raises :class:`ValidationError`, and a trial whose covariance is not
+    finite :class:`MsdoaError`. ``setup`` is the :func:`search_setup`
+    of the surface and estimator. The chain (:func:`_whitened_chain`)
+    runs once on the whole batch and leaves only its whitened
+    covariances and whitening transforms behind, which one
+    :func:`music_search` takes. Every stage runs on arrays with a
     leading trial axis and makes, per trial, the call a batch of one
     makes, so no bit of a result depends on the batch.
     """
@@ -644,12 +645,14 @@ def _whitened_chain(bins, setup: SearchSetup, weights):
     if weights.ndim != 3 or weights.shape[0] != len(bins) or weights.shape[2] != setup.width:
         raise ValidationError(f"weight banks have shape {weights.shape}; {expected}")
     w_inv_sqrt = whitener_inv_sqrt(smoothing_whitener(weights, setup.window_gram))
-    stack = np.stack(bins)
     lines = 2 * setup.harmonics.max_harmonic + 1
+    expected = f"expected (trials, {lines}, snapshots)"
+    try:
+        stack = np.stack(bins)
+    except ValueError as exc:  # bin matrices of different shapes
+        raise ValidationError(f"snapshot bins do not stack into one array; {expected}") from exc
     if stack.ndim != 3 or stack.shape[1] != lines:
-        raise ValidationError(
-            f"snapshot bins have shape {stack.shape}; expected (trials, {lines}, snapshots)"
-        )
+        raise ValidationError(f"snapshot bins have shape {stack.shape}; {expected}")
     recovered = recover_channels(stack, setup.harmonics)
     # LAPACK need not converge on a matrix that is not finite, as bins of
     # a power past the float range make the covariance; it is refused here.

@@ -1,17 +1,20 @@
 """Seeded Monte Carlo harness over experiment configs.
 
-The trials of one config point share a :class:`TrialContext`, built
-once per point, or once per chunk in each worker, by
-:func:`build_context`. :func:`run_chunk` draws each trial on its own
-(:func:`draw_trial`) and estimates, bounds and scores the trials in
-batches of ``BATCH_TRIALS``. :func:`run_trials` (one point) and
-:func:`run_sweep` (every point) cut each point into one contiguous
-chunk per worker process and hand all chunks to one map
-(:func:`_point_results`). ``single`` (:func:`run_single`) and ``crb``
-(:func:`trial_zero_bound`) take trial (0, 0) of the same path. Every
-chunk holds BLAS to one thread (:func:`_single_threaded_blas`): a
-trial's matrices are too small for BLAS threads to pay, and
-parallelism comes from worker processes.
+The points of a sweep are the checked, sweep-free configs of
+:func:`~msdoa.config.point_configs`, and
+:func:`~msdoa.config.sweep_point` names a point's error. The trials of
+one config point share a :class:`TrialContext`, built once per point,
+or once per chunk in each worker, by :func:`build_context`.
+:func:`run_chunk` draws each trial on its own (:func:`draw_trial`)
+and estimates, bounds and scores the trials in batches of
+``BATCH_TRIALS``. :func:`run_trials` (one point) and :func:`run_sweep`
+(every point) cut each point into one contiguous chunk per worker
+process and hand all chunks to one map (:func:`_point_results`).
+``single`` (:func:`run_single`) and ``crb`` (:func:`trial_zero_bound`)
+take trial (0, 0) of the same path. Every chunk holds BLAS to one
+thread (:func:`_single_threaded_blas`): a trial's matrices are too
+small for BLAS threads to pay, and parallelism comes from worker
+processes.
 
 No result depends on how the trials are laid out: a trial's seeds
 derive from (experiment seed, sweep index, trial index) alone
@@ -36,9 +39,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import BATCH_TRIALS, ExperimentConfig, config_digest, point_configs
+from .config import BATCH_TRIALS, ExperimentConfig, config_digest, point_configs, sweep_point
 from .crb import CrbCore, CrbResult, crb, crb_core
-from .errors import MsdoaError, ValidationError
+from .errors import ValidationError
 from .estimator import SearchSetup, estimate_doa, make_ps_weights, search_setup, write_spectrum_csv
 from .metrics import TrialOutcome, aggregate, resolve_and_score
 from .snapshot import extract_snapshots, frequency_indices, write_snapshots_csv
@@ -317,18 +320,6 @@ def check_sweep(cfg: ExperimentConfig) -> None:
         raise ValidationError("config has no sweep; use run_single instead")
     if not cfg.scene.doas:
         raise ValidationError("a sweep needs at least one true source to score against")
-
-
-@contextlib.contextmanager
-def sweep_point(cfg: ExperimentConfig, index: int):
-    """Scope that prefixes a library error with ``sweep <var>=<value> (index <i>): ``, type kept."""
-    try:
-        yield
-    except MsdoaError as exc:
-        if cfg.sweep is None:  # no point to name
-            raise
-        value = cfg.sweep.values[index]
-        raise type(exc)(f"sweep {cfg.sweep.variable}={value} (index {index}): {exc}") from exc
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:

@@ -95,10 +95,6 @@ class Doa:
     def from_degrees(cls, theta_deg: float, phi_deg: float = 90.0) -> "Doa":
         return cls(float(theta_deg), float(phi_deg))
 
-    @classmethod
-    def from_radians(cls, theta: float, phi: float) -> "Doa":
-        return cls(float(np.rad2deg(theta)), float(np.rad2deg(phi)))
-
     @property
     def theta(self) -> float:
         return float(np.deg2rad(self.theta_deg))

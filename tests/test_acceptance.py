@@ -400,10 +400,10 @@ def test_criterion_8(capsys):
     h = 1e-6
     fd_worst = 0.0
     for j in range(2):
-        up = Doa.from_radians(doa.theta + (h if j == 0 else 0.0),
-                              doa.phi + (h if j == 1 else 0.0))
-        dn = Doa.from_radians(doa.theta - (h if j == 0 else 0.0),
-                              doa.phi - (h if j == 1 else 0.0))
+        up = Doa(*np.rad2deg([doa.theta + (h if j == 0 else 0.0),
+                              doa.phi + (h if j == 1 else 0.0)]))
+        dn = Doa(*np.rad2deg([doa.theta - (h if j == 0 else 0.0),
+                              doa.phi - (h if j == 1 else 0.0)]))
         fd = (steering_vector(up, surface)
               - steering_vector(dn, surface)) / (2.0 * h)
         fd_worst = max(fd_worst, float(

@@ -1,6 +1,7 @@
 """Config parsing, validation, round-trip, and sweep expansion."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,8 @@ def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, over
     ("table1", ["coding_period_s=1"], "a trial's series"),
     ("table1_2d", ["sampling_rate_hz=1e12"], "a trial's series"),
     ("table2", ["periods_per_snapshot=1000", "snapshots=200"], "a trial's series"),
-    ("table2", ["sweep=k0: 2, 20000"], "a trial's series"),
+    # Refused as the config loads, with its sweep point named.
+    ("table2", ["sweep=k0: 2, 20000"], "sweep k0=20000 (index 1): a trial's series"),
     ("table1", ["sampling_rate_hz=5e8", "periods_per_snapshot=1", "snapshots=1", "mode=ideal",
                 "max_harmonic=3999"], "the one-period signal model"),
     # 5626 x 1801 grid points, and 105 883 azimuths times 100 trials.
@@ -201,6 +203,9 @@ def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, over
     ("table1", ["theta_grid_deg=-90, 90, 0.0017"], "a search batch's denominator row"),
     # 20 001 frequency lines fit the 320 000-point windows of a 10 GHz rate.
     ("table1", ["sampling_rate_hz=1e10", "max_harmonic=10000"], "the bound's projector"),
+    # 25-column windows at 60 x 26 positions: a (625, 1560^2) table, 24 GB.
+    ("table1", ["rows=60", "cols=50", "subarray_width=25", "max_harmonic=1500",
+                "sampling_rate_hz=2e8"], "the whitener table"),
 ])
 def test_cli_validate_refuses_work_past_the_size_limit(capsys, name, overrides, what):
     # Refused from the config alone, before any array is allocated.
@@ -208,9 +213,9 @@ def test_cli_validate_refuses_work_past_the_size_limit(capsys, name, overrides, 
     for item in overrides:
         args += ["--set", item]
     assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"invalid config: {what} would hold ")
-    assert err.rstrip().endswith(f"past the limit of {MAX_POINTS:.0e}")
+    assert re.fullmatch(rf"invalid config: {re.escape(what)} would hold [0-9.e+]+ values, "
+                        rf"past the limit of {re.escape(f'{MAX_POINTS:.0e}')}\n",
+                        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -291,7 +296,10 @@ def test_sweep_syntax_errors():
 
 def test_apply_sweep_value():
     cfg = parse_config(BASE + "sweep = I: 1, 5, 10\n")
-    assert apply_sweep_value(cfg, 10).plan.num_snapshots == 10
+    point = apply_sweep_value(cfg, 10)
+    # A point is a config of its own, with no sweep.
+    assert point.plan.num_snapshots == 10 and point.sweep is None
+    assert point == replace(cfg, plan=replace(cfg.plan, num_snapshots=10), sweep=None)
     k0 = parse_config(BASE + "sweep = k0: 1, 5\n")
     assert apply_sweep_value(k0, 5).plan.periods_per_snapshot == 5
     snr = parse_config(BASE + "sweep = snr_db: -10, 0\n")
@@ -405,6 +413,26 @@ def test_trials_seed_grid_validation():
         parse_config(BASE + "theta_grid_deg = -90, 90\n")
     with pytest.raises(ValidationError, match="grid"):
         parse_config(BASE + "theta_grid_deg = -90, 90, 0\n")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"trials": 0}, "trials must be at least 1"),
+    ({"seed": -1}, "seed must be nonnegative"),
+    ({"mode": "x"}, "mode: not one of full/ideal: 'x'"),
+    ({"max_harmonic": 10**5}, "the bound's projector would hold 4e+10 values"),
+], ids=["trials", "seed", "mode", "max_harmonic"])
+def test_replace_checks_the_config_it_makes(change, message):
+    # A config is checked however it is made, not only by the reader.
+    cfg = load_config(builtin_config_path("table1"))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        replace(cfg, **change)
+
+
+def test_replace_names_the_sweep_point_it_refuses():
+    cfg = load_config(builtin_config_path("table2"))
+    with pytest.raises(ValidationError, match=re.escape(
+            "sweep snr_db=-20.0 (index 0): the receiver noise power, 40 elements")):
+        replace(cfg, scene=replace(cfg.scene, powers=(1e306, 1e306)))
 
 
 def test_elevation_applies_to_all_sources():

@@ -1,5 +1,7 @@
 """Angle error bound: finite-difference oracles and scaling laws."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,10 +46,10 @@ def test_steering_derivatives_match_finite_differences(table1_cfg):
     got = steering_derivatives(doa, table1_cfg)
     h = 1e-6
     for j in range(2):
-        up = Doa.from_radians(doa.theta + (h if j == 0 else 0.0),
-                              doa.phi + (h if j == 1 else 0.0))
-        dn = Doa.from_radians(doa.theta - (h if j == 0 else 0.0),
-                              doa.phi - (h if j == 1 else 0.0))
+        up = Doa(*np.rad2deg([doa.theta + (h if j == 0 else 0.0),
+                              doa.phi + (h if j == 1 else 0.0)]))
+        dn = Doa(*np.rad2deg([doa.theta - (h if j == 0 else 0.0),
+                              doa.phi - (h if j == 1 else 0.0)]))
         fd = (steering_vector(up, table1_cfg)
               - steering_vector(dn, table1_cfg)) / (2.0 * h)
         assert np.max(np.abs(got[:, j] - fd)) / np.max(np.abs(fd)) < 1e-5
@@ -68,7 +70,7 @@ def test_bound_matches_finite_difference_fisher():
         theta, phi = params[0], params[1]
         sv = (np.array(params[2:2 + num_snap])
               + 1j * np.array(params[2 + num_snap:]))
-        a = steering_vector(Doa.from_radians(theta, phi), cfg)
+        a = steering_vector(Doa(*np.rad2deg([theta, phi])), cfg)
         return np.concatenate([um @ a * sv[i] for i in range(num_snap)])
 
     doa = scene.doas[0]
@@ -185,6 +187,15 @@ def test_amplitude_shape_check():
     cfg, plan, scene, _ = _tiny_setup()
     with pytest.raises(Exception):
         crb(_core(cfg, scene), plan, 0.3, np.ones((2, 2), dtype=complex))
+
+
+def test_amplitudes_that_do_not_stack_are_refused():
+    # Amplitude matrices of different snapshot counts are refused with a
+    # typed error rather than numpy's.
+    cfg, plan, scene, amps = _tiny_setup()
+    with pytest.raises(ValidationError, match=re.escape(
+            f"amplitudes do not stack into one array; expected {amps.shape} or a stack of them")):
+        crb(_core(cfg, scene), plan, 0.3, [amps, amps[:, :-1]])
 
 
 def test_stacked_bound_matches_the_kron_form_bit_for_bit(chain_config):

@@ -458,6 +458,17 @@ def test_estimate_doa_checks_the_bin_stack(table1_cfg):
         estimate_doa(bins, setup, banks[:1])
 
 
+def test_estimate_doa_refuses_bins_that_do_not_stack(table1_cfg):
+    # Trials of different snapshot counts give bin matrices of different
+    # shapes, refused with a typed error rather than numpy's.
+    setup = _setup_1d(table1_cfg)
+    bins = [np.zeros((31, 5), dtype=complex), np.zeros((31, 4), dtype=complex)]
+    banks = [make_ps_weights(5, 6, 1), make_ps_weights(5, 6, 2)]
+    with pytest.raises(ValidationError, match=r"snapshot bins do not stack into one array; "
+                                              r"expected \(trials, 31, snapshots\)"):
+        estimate_doa(bins, setup, banks)
+
+
 def test_estimate_doa_refuses_banks_of_another_width_or_rank(table1_cfg):
     # Each trial's bank is (L, width) at the setup's window width; a
     # bank of any other width or rank is refused before the chain runs.

@@ -455,18 +455,21 @@ def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_refuses_a_noise_power_past_the_float_range(tmp_path, capsys):
     # M*N*sigma^2 past the float range is refused as the config, or the
-    # sweep point that reaches it, loads: table2's -20 dB point at 1e306.
-    for command, name, overrides, elements, variance in (
-        ("crb", "table1", ["powers=1e305, 1e305", "snr_db=-20"], 30, "1e+307"),
-        ("crb", "table1_2d", ["powers=1e305, 1e305", "snr_db=-20"], 30, "1e+307"),
-        ("single", "table2", ["powers=1e306, 1e306"], 40, "1e+308"),
-        ("sweep", "table2", ["powers=1e306, 1e306"], 40, "1e+308"),
+    # sweep point that reaches it, loads: table2's -20 dB point at 1e306,
+    # which every command names alike.
+    point = "sweep snr_db=-20.0 (index 0): "
+    for command, name, overrides, extra, prefix, elements, variance in (
+        ("crb", "table1", ["powers=1e305, 1e305", "snr_db=-20"], [], "", 30, "1e+307"),
+        ("crb", "table1_2d", ["powers=1e305, 1e305", "snr_db=-20"], [], "", 30, "1e+307"),
+        *((command, "table2", ["powers=1e306, 1e306"], extra, point, 40, "1e+308")
+          for command, extra in (("validate", []), ("single", []), ("sweep", ["--workers", "1"]),
+                                 ("sweep", ["--workers", "2"]))),
     ):
         path = builtin_config_path(name)
-        assert main(_cli_args(command, path, overrides, "-o", str(tmp_path / "x"))) == 2
+        assert main(_cli_args(command, path, overrides, "-o", str(tmp_path / "x"), *extra)) == 2
         assert capsys.readouterr() == ("", (
-            f"invalid config: the receiver noise power, {elements} elements times sigma^2 = "
-            f"{variance}, is past the float range\n"))
+            f"invalid config: {prefix}the receiver noise power, {elements} elements times "
+            f"sigma^2 = {variance}, is past the float range\n"))
     assert not os.listdir(tmp_path)
 
 
@@ -996,6 +999,13 @@ _EXTREME_VALUES = {
     # Written in place of the config's snr_db line.
     "noise_variance": [0.0, 5e-324, 1e-300, 1.0, 1e150, 1e300, 1e306, 1.7e308],
     "max_harmonic": [0, 1, 15, 400, 10**4, 10**18],
+    # Every surface past 2P+1 elements is refused, and at the shipped
+    # rates P stays below 400, so an accepted draw builds a small context.
+    "rows": [0, 1, 3, 6, 10**4, 10**18],
+    "cols": [0, 1, 3, 7, 10**4, 10**18],
+    "subarray_width": [0, 1, 3, 6, 10**4, 10**18],
+    "num_weights": [0, 1, 5, 10**4, 10**18],
+    "snapshots": [0, 1, 5, 1000, 10**18],
     "theta_grid_deg": ["-90, 90, 5e-324", "-90, 90, 0.0017", "-90, 90, 90", "-23, 13, 0.5",
                        "0, 90, 1", "-1e300, 1e300, 1e298", "-1.7e308, 1.7e308, 1e308"],
 }
@@ -1012,7 +1022,8 @@ _EXTREME_VALUES = {
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_gives_a_typed_exit_for_any_geometry(tmp_path_factory, name, values):
     # `validate` and `crb` run no trials and start no pool; whatever the
-    # geometry, sampling, powers, noise, harmonic order or grid, each ends
+    # geometry, sampling, powers, noise, harmonic order, surface size,
+    # window, weight count, snapshot count or grid, each ends
     # in a typed message and its exit code, with no numpy warning, and a
     # bound that `crb` reports is finite.
     folder = tmp_path_factory.mktemp("extreme")
