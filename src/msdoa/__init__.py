@@ -25,7 +25,6 @@ from .errors import (
     DegenerateCodingError,
     MsdoaError,
     NearSingularWhitenerError,
-    NoNoiseSubspaceError,
     UnidentifiableParameterError,
     ValidationError,
 )

@@ -57,8 +57,9 @@ def _choice(value, choices, where: str):
 
 # Most values one trial's series, the one-period signal model, one
 # spectrum, one search batch's denominator row, the bound's projector
-# over the frequency lines or the search's whitener table may hold
-# (160 MB of complex values); see validate_experiment.
+# over the frequency lines, the search's whitener table or one search
+# batch's smoothed stack may hold (160 MB of complex values); see
+# validate_experiment.
 MAX_POINTS = 10_000_000
 # Trials per search batch of harness.run_chunk. Each elevation's lag
 # basis is built once per batch, and a 1-D search's fixed cost per call
@@ -180,9 +181,10 @@ _CANONICAL = {
     "max_harmonic": lambda c: c.max_harmonic,
     "num_weights": lambda c: c.estimator.num_weights,
     "estimator": lambda c: c.estimator.kind,
-    # The 2-D search reads no fixed elevation.
+    # The one elevation of a 1-D search's sources; the 2-D search reads none.
     "elevation_deg": lambda c: (
-        _fmt(c.estimator.elevation_deg) if c.estimator.kind == "1d" else None),
+        _fmt(c.scene.doas[0].phi_deg if c.scene.doas else 90.0)
+        if c.estimator.kind == "1d" else None),
     "subarray_width": lambda c: c.estimator.subarray_width,
     "theta_grid_deg": lambda c: _floats(c.estimator.theta_grid_deg),
     "phi_grid_deg": lambda c: _floats(c.estimator.phi_grid_deg),
@@ -307,11 +309,7 @@ def _build(raw: dict) -> ExperimentConfig:
     )
 
     kind = _choice(raw.get("estimator", EstimatorParams.kind), KINDS, "config key 'estimator'")
-    elevation_deg = _get_number(raw, "elevation_deg", float, EstimatorParams.elevation_deg)
-    if kind == "2d":
-        # The 2-D search reads no fixed elevation: the value is checked
-        # and dropped, so it moves neither the config nor its digest.
-        elevation_deg = EstimatorParams.elevation_deg
+    elevation_deg = _get_number(raw, "elevation_deg", float, 90.0)
     if "angles_deg" not in raw:
         raise ValidationError("missing required config key 'angles_deg'")
     angles = _parse_angles(raw["angles_deg"])
@@ -360,10 +358,8 @@ def _build(raw: dict) -> ExperimentConfig:
         noise = _snr_noise(_get_number(raw, "snr_db"), scene)
 
     estimator = EstimatorParams(
-        num_sources=len(doas),
         num_weights=_get_number(raw, "num_weights", int),
         kind=kind,
-        elevation_deg=elevation_deg,
         subarray_width=_get_number(raw, "subarray_width", int) if "subarray_width" in raw else None,
         theta_grid_deg=_parse_grid(raw, "theta_grid_deg", EstimatorParams.theta_grid_deg),
         phi_grid_deg=_parse_grid(raw, "phi_grid_deg", EstimatorParams.phi_grid_deg),
@@ -398,7 +394,8 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     # signal model, one row per source or, in ideal mode, per harmonic; one
     # spectrum; one search batch's row of spectrum denominators; the
     # bound's (2P+1, 2P+1) projector; and, once the window width is
-    # checked, the (width^2, dim^2) whitener table of search_setup.
+    # checked, the (width^2, dim^2) whitener table of search_setup and one
+    # search batch's (trials, I, L, dim) smoothed stack.
     terms = 2 * cfg.max_harmonic + 1 if cfg.mode == "ideal" else cfg.scene.num_sources
     azimuths = grid_points(*est.theta_grid_deg)
     spectrum = azimuths * (grid_points(*est.phi_grid_deg) if est.kind == "2d" else 1)
@@ -409,6 +406,13 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
                          ("a search batch's denominator row", azimuths * batch),
                          ("the bound's projector", (2 * cfg.max_harmonic + 1) ** 2)):
         _refuse_past_limit(what, points)
+    if cfg.noise.snr_db is not None:
+        variance = _snr_noise(cfg.noise.snr_db, cfg.scene).variance
+        if cfg.noise.variance != variance:
+            raise ConfigurationError(
+                f"snr_db={cfg.noise.snr_db:g} gives this scene a noise variance of "
+                f"{variance:.6g}, not {cfg.noise.variance:.6g}"
+            )
     # The receiver noise power M*N*sigma^2 scales the synthesized noise and the bound.
     if not surface.size * cfg.noise.variance < math.inf:
         raise ValidationError(
@@ -423,14 +427,11 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         )
     # Also enforces even Q and that harmonic k0*P fits below Q/2.
     frequency_indices(plan, cfg.max_harmonic)
-    width, theta_grid, elevations = search_grids(est, surface)
+    width, theta_grid, elevations = search_grids(est, surface, cfg.scene)
     dim = surface.rows * (surface.cols - width + 1)
     _refuse_past_limit("the whitener table", width**2 * dim**2)
-    if est.num_sources >= dim:
-        raise ConfigurationError(
-            f"{est.num_sources} sources need a search dimension above "
-            f"{est.num_sources}; this geometry gives {dim}"
-        )
+    _refuse_past_limit("a search batch's smoothed stack",
+                       batch * plan.num_snapshots * est.num_weights * dim)
     # The peak search reports strict interior maxima only, so a source
     # on or beyond a grid end point could never be found.
     axes = [("theta", "theta_grid_deg", theta_grid)]

@@ -21,10 +21,6 @@ class NearSingularWhitenerError(MsdoaError):
     """The smoothing whitener cannot be factorized reliably."""
 
 
-class NoNoiseSubspaceError(MsdoaError):
-    """The requested source count leaves no noise subspace."""
-
-
 class UnidentifiableParameterError(MsdoaError):
     """Fisher information for the requested angles is singular for one amplitude draw."""
 

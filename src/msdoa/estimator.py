@@ -8,7 +8,7 @@ surface row to a scalar. Averaging the outer products of the collapsed
 vectors over snapshots and weights restores rank for coherent sources.
 The azimuth-only (1-D) search is the one-elevation case of the same
 search; the 2-D search runs over an elevation grid. :func:`search_grids`
-is the one place the window width and the grids are read.
+is the one place the window width, the grids and the sources are read.
 
 The smoothed noise of a weight bank has a covariance linear in the
 bank's Gram matrix, so :func:`search_setup` tabulates its coefficients
@@ -37,11 +37,11 @@ from .errors import (
     ConfigurationError,
     MsdoaError,
     NearSingularWhitenerError,
-    NoNoiseSubspaceError,
     ValidationError,
     refuse_degenerate,
 )
 from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
+from .waveform import SourceScene
 
 # Relative eigenvalue floor below which the whitener is rejected.
 WHITENER_RTOL = 1e-12
@@ -265,26 +265,21 @@ class EstimatorParams:
     """Knobs of the end-to-end estimator.
 
     ``theta_grid_deg`` and ``phi_grid_deg`` are (start, stop, step)
-    triples in degrees; estimates land on the resulting grids.
+    triples in degrees; estimates land on the resulting grids. The
+    scene holds the source count and a "1d" search's elevation.
     """
 
-    num_sources: int
     num_weights: int
     kind: str = "1d"
-    elevation_deg: float = 90.0
     subarray_width: int | None = None
     theta_grid_deg: tuple[float, float, float] = (-90.0, 90.0, 0.1)
     phi_grid_deg: tuple[float, float, float] = (0.0, 90.0, 0.5)
 
     def __post_init__(self):
-        if self.num_sources < 0:
-            raise ValidationError("num_sources must be nonnegative")
         if self.num_weights < 1:
             raise ValidationError("num_weights must be at least 1")
         if self.kind not in KINDS:
             raise ValidationError("kind must be '1d' or '2d'")
-        if self.kind == "2d" and self.subarray_width is None:
-            raise ValidationError("2-D estimation needs subarray_width")
 
 
 def grid_points(start: float, stop: float, step: float) -> float:
@@ -300,28 +295,48 @@ def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def search_grids(
-    params: EstimatorParams, surface: SurfaceConfig
+    params: EstimatorParams, surface: SurfaceConfig, scene: SourceScene
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """The window width, the azimuth grid and the elevation grid of a search.
+    """The window width, the azimuth grid and the elevation grid of a search of ``scene``.
 
     The window is ``subarray_width`` columns wide, the full width when
     that is unset. The estimator ``kind`` picks only the elevation grid:
-    "1d" the single elevation ``elevation_deg``, "2d" the
-    ``phi_grid_deg`` grid. The elevation is searched exactly when the
-    grid has more than one point. The peak search needs a neighbor on
-    each side of a point, so the azimuth grid, and under "2d" the
-    elevation grid, must have at least 3 points. Grids are in degrees.
+    "1d" the one elevation of all the scene's sources (90 without any),
+    "2d" the ``phi_grid_deg`` grid. The elevation is searched exactly
+    when the grid has more than one point. The peak search needs a
+    neighbor on each side of a point, so the azimuth grid, and under
+    "2d" the elevation grid, must have at least 3 points. Under "2d",
+    rows alone see only sin(theta)*sin(phi) and window positions alone
+    only cos(theta)*sin(phi), so it needs 2 of each. The K sources must
+    leave a noise subspace: K below rows * window positions. Grids are
+    in degrees.
     """
     theta_grid = inclusive_grid(*params.theta_grid_deg)
     width = surface.cols if params.subarray_width is None else params.subarray_width
     if not 1 <= width <= surface.cols:
         raise ConfigurationError(f"subarray_width={width} must lie in [1, {surface.cols}]")
+    out_cols = surface.cols - width + 1
     if params.kind == "1d":
-        elevations = np.array([float(params.elevation_deg)])
+        phis = list(dict.fromkeys(doa.phi_deg for doa in scene.doas)) or [90.0]
+        if len(phis) > 1:
+            raise ConfigurationError(f"a 1d search needs its sources at one elevation; got {phis}")
+        elevations = np.array(phis)
+    elif surface.rows < 2 or out_cols < 2:
+        raise ConfigurationError(
+            "a 2d search needs at least 2 rows and 2 window positions to tell azimuth "
+            f"from elevation; this geometry gives {surface.rows} rows and {out_cols} "
+            f"window positions (subarray_width={width} of {surface.cols} columns)"
+        )
     else:
         elevations = inclusive_grid(*params.phi_grid_deg)
     if theta_grid.size < 3 or (params.kind == "2d" and elevations.size < 3):
         raise ValidationError("a searched angle grid needs at least 3 points")
+    dim = surface.rows * out_cols
+    if scene.num_sources >= dim:
+        raise ConfigurationError(
+            f"{scene.num_sources} sources need a search dimension above "
+            f"{scene.num_sources}; this geometry gives {dim}"
+        )
     return width, theta_grid, elevations
 
 
@@ -378,17 +393,17 @@ def _phase_scale(cfg: SurfaceConfig, phi_rad: float) -> float:
 
 
 def search_setup(
-    cfg: SurfaceConfig, params: EstimatorParams, harmonics: HarmonicMatrix
+    cfg: SurfaceConfig, scene: SourceScene, params: EstimatorParams, harmonics: HarmonicMatrix
 ) -> SearchSetup:
-    """Precompute the trial-invariant part of :func:`estimate_doa`.
+    """Precompute the trial-invariant part of :func:`estimate_doa` for a search of ``scene``.
 
     ``harmonics`` is the harmonic matrix that mixes the element
     channels into the snapshot bins; reading its inverse Gram matrix
     for the whitener table checks its rank
-    (:meth:`~msdoa.surface.HarmonicMatrix.decompose`). The window width
-    and the grids come from :func:`search_grids`.
+    (:meth:`~msdoa.surface.HarmonicMatrix.decompose`). The window width,
+    the grids and the source count come from :func:`search_grids`.
     """
-    width, theta_grid, elevations = search_grids(params, cfg)
+    width, theta_grid, elevations = search_grids(params, cfg, scene)
     comp = compensation(cfg)
     out_cols = cfg.cols - width + 1
     # Entry (c*width + c', a*dim + b) is (C G C^H)[a + c, b + c'], with a
@@ -405,7 +420,7 @@ def search_setup(
         arr.flags.writeable = False
     return SearchSetup(
         cfg,
-        params.num_sources,
+        scene.num_sources,
         harmonics,
         comp,
         width,
@@ -568,10 +583,6 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
         raise ConfigurationError(
             f"search with {setup.width}-column windows expects covariance "
             f"dimension {cfg.rows * out_cols}; got {dim}"
-        )
-    if num_sources >= dim:
-        raise NoNoiseSubspaceError(
-            f"{num_sources} sources leave no noise subspace in dimension {dim}"
         )
 
     vals, vecs = np.linalg.eigh(whitened)

@@ -107,7 +107,7 @@ def build_context(cfg: ExperimentConfig) -> TrialContext:
     cfg = resolve_experiment(cfg)
     harmonics = harmonic_matrix(cfg.max_harmonic, cfg.surface)
     signal = signal_model(cfg.surface, cfg.scene, cfg.plan, cfg.mode, harmonics)
-    search = search_setup(cfg.surface, cfg.estimator, harmonics)
+    search = search_setup(cfg.surface, cfg.scene, cfg.estimator, harmonics)
     bound = None
     if cfg.scene.num_sources > 0:
         # A search at one elevation treats it as given; bounding it

@@ -7,8 +7,8 @@ purpose and live here rather than in the package.
 
 import numpy as np
 
-from msdoa import (Doa, draw_source_amplitudes, fourier_coefficient, harmonic_matrix, smooth,
-                   steering_derivatives, synthesize_received)
+from msdoa import (Doa, SourceScene, draw_source_amplitudes, fourier_coefficient,
+                   harmonic_matrix, smooth, steering_derivatives, synthesize_received)
 from msdoa.surface import _check_element, steering_matrix
 
 
@@ -284,15 +284,21 @@ def nonzero_row_peaks(row, below=None, above=None):
     return trial, theta + 1, core[trial, theta]
 
 
-def separate_chain(bins, entries, cfg, params, compensation, weights):
-    """The estimate through separate 1-D and 2-D formulas.
+def sources(count, phi_deg=90.0):
+    """A scene of ``count`` unit-power sources 10 degrees apart in azimuth, at ``phi_deg``."""
+    return SourceScene(tuple(Doa.from_degrees(10.0 * k, phi_deg) for k in range(count)),
+                       (1.0,) * count)
+
+
+def separate_chain(bins, entries, cfg, params, scene, compensation, weights):
+    """The estimate of ``scene``'s sources through separate 1-D and 2-D formulas.
 
     ``bins`` is the (2P+1, I) snapshot bin matrix and ``entries`` the
     (2P+1, M*N) harmonic matrix that mixed it. Per-snapshot recovery
     through the normal equations, loop smoothing,
     the Gram-form whitener, and the spectrum 1 / |noise^H W^-1/2 a|^2
-    with the row manifold at the known elevation (1-D) or the row
-    manifold times the window ramp over the elevation grid (2-D).
+    with the row manifold at the sources' known elevation (1-D) or the
+    row manifold times the window ramp over the elevation grid (2-D).
     Returns (theta grid, phi grid or None, spectrum, estimates).
     """
     left = np.linalg.inv(entries.conj().T @ entries) @ entries.conj().T
@@ -302,17 +308,18 @@ def separate_chain(bins, entries, cfg, params, compensation, weights):
     w = _inv_sqrt(gram_whitener(weights, compensation, entries, cfg))
     whitened = w @ cov @ w.conj().T
     vals, vecs = np.linalg.eigh(0.5 * (whitened + whitened.conj().T))
-    noise = vecs[:, np.argsort(-vals, kind="stable")[params.num_sources:]]
+    count = scene.num_sources
+    noise = vecs[:, np.argsort(-vals, kind="stable")[count:]]
 
     start, stop, step = params.theta_grid_deg
     thetas = start + step * np.arange(int(round((stop - start) / step)) + 1)
     theta_rad = np.deg2rad(thetas)
     if params.kind == "1d":
-        a = _row_manifold(theta_rad, np.deg2rad(params.elevation_deg), cfg)
+        phi_deg = scene.doas[0].phi_deg
+        a = _row_manifold(theta_rad, np.deg2rad(phi_deg), cfg)
         spectrum = 1.0 / np.sum(np.abs(noise.conj().T @ w @ a) ** 2, axis=0)
-        (best,) = ranked_peaks(spectrum, params.num_sources)
-        return thetas, None, spectrum, tuple(
-            Doa.from_degrees(thetas[i], params.elevation_deg) for i in best)
+        (best,) = ranked_peaks(spectrum, count)
+        return thetas, None, spectrum, tuple(Doa.from_degrees(thetas[i], phi_deg) for i in best)
 
     start, stop, step = params.phi_grid_deg
     phis = start + step * np.arange(int(round((stop - start) / step)) + 1)
@@ -323,7 +330,7 @@ def separate_chain(bins, entries, cfg, params, compensation, weights):
         ramp = _window_ramp(theta_rad, phi, out_cols, cfg)
         a = np.einsum("mt,rt->mrt", rows_m, ramp).reshape(-1, thetas.size)
         spectrum[:, j] = 1.0 / np.sum(np.abs(noise.conj().T @ w @ a) ** 2, axis=0)
-    ri, ci = ranked_peaks(spectrum, params.num_sources)
+    ri, ci = ranked_peaks(spectrum, count)
     return thetas, phis, spectrum, tuple(
         Doa.from_degrees(thetas[i], phis[j]) for i, j in zip(ri, ci))
 

@@ -362,7 +362,8 @@ def test_criterion_8(capsys):
     lines_nz = harmonic_matrix(15, cfg_nz)
     comp_nz = compensation(cfg_nz)
     weights_nz = make_ps_weights(1, 6, 11)
-    setup_nz = search_setup(cfg_nz, EstimatorParams(num_sources=0, num_weights=1), lines_nz)
+    setup_nz = search_setup(cfg_nz, SourceScene((), ()), EstimatorParams(num_weights=1),
+                            lines_nz)
     wh_nz = smoothing_whitener(weights_nz, setup_nz.window_gram)
     idx = frequency_indices(plan_nz, 15)
     q_len = plan_nz.points_per_snapshot

@@ -1,7 +1,7 @@
 """Config parsing, validation, round-trip, and sweep expansion."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from msdoa import (
     ConfigurationError,
+    Doa,
+    EstimatorParams,
+    NoiseSpec,
     SurfaceConfig,
     ValidationError,
     apply_sweep_value,
@@ -206,6 +209,8 @@ def test_cli_validate_refuses_values_past_the_float_range(tmp_path, capsys, over
     # 25-column windows at 60 x 26 positions: a (625, 1560^2) table, 24 GB.
     ("table1", ["rows=60", "cols=50", "subarray_width=25", "max_harmonic=1500",
                 "sampling_rate_hz=2e8"], "the whitener table"),
+    # 100 trials x 5 snapshots x 1e18 weights x 5 window rows.
+    ("table1", ["num_weights=1000000000000000000"], "a search batch's smoothed stack"),
 ])
 def test_cli_validate_refuses_work_past_the_size_limit(capsys, name, overrides, what):
     # Refused from the config alone, before any array is allocated.
@@ -353,7 +358,8 @@ def test_angles_none_is_noise_only():
     cfg = parse_config(BASE.replace("angles_deg = -22, 12", "angles_deg = none"))
     assert cfg.scene.doas == ()
     assert cfg.scene.powers == ()
-    assert cfg.estimator.num_sources == 0
+    # Without sources a 1-D search runs in the surface plane.
+    assert "elevation_deg = 90.0\n" in emit_config(cfg)
 
 
 def test_builtin_2d():
@@ -430,15 +436,61 @@ def test_replace_checks_the_config_it_makes(change, message):
 
 def test_replace_names_the_sweep_point_it_refuses():
     cfg = load_config(builtin_config_path("table2"))
+    loud = replace(cfg.scene, powers=(1e306, 1e306))
     with pytest.raises(ValidationError, match=re.escape(
             "sweep snr_db=-20.0 (index 0): the receiver noise power, 40 elements")):
-        replace(cfg, scene=replace(cfg.scene, powers=(1e306, 1e306)))
+        replace(cfg, scene=loud, noise=NoiseSpec.from_snr_db(cfg.noise.snr_db, 1e306))
+
+
+def test_replace_refuses_a_db_noise_its_scene_no_longer_gives():
+    # snr_db is relative to the first source's power: a louder scene
+    # needs the noise that snr_db gives it, or the canonical text, which
+    # writes snr_db, would read back another variance.
+    cfg = load_config(builtin_config_path("table1"))
+    louder = replace(cfg.scene, powers=(4.0, 4.0))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "snr_db=0 gives this scene a noise variance of 4, not 1")):
+        replace(cfg, scene=louder)
+    again = replace(cfg, scene=louder, noise=NoiseSpec.from_snr_db(0.0, 4.0))
+    assert parse_config(emit_config(again)) == again
 
 
 def test_elevation_applies_to_all_sources():
     cfg = parse_config(BASE + "elevation_deg = 70\n")
     assert all(d.phi_deg == 70.0 for d in cfg.scene.doas)
-    assert cfg.estimator.elevation_deg == 70.0
+    assert "elevation_deg = 70.0\n" in emit_config(cfg)
+
+
+def test_the_scene_alone_holds_the_sources_of_a_search():
+    # The estimator keeps no source count and no elevation of its own,
+    # so replacing the scene moves the 1-D search and its canonical text.
+    assert {"num_sources", "elevation_deg"}.isdisjoint(f.name for f in fields(EstimatorParams))
+    cfg = load_config(builtin_config_path("table1"))
+    raised = replace(cfg, scene=replace(cfg.scene, doas=tuple(
+        Doa.from_degrees(d.theta_deg, 60.0) for d in cfg.scene.doas)))
+    assert "elevation_deg = 60.0\n" in emit_config(raised)
+    assert parse_config(emit_config(raised)) == raised
+
+
+def test_a_1d_search_refuses_sources_at_two_elevations():
+    cfg = load_config(builtin_config_path("table1_2d"))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "a 1d search needs its sources at one elevation; got [20.0, 45.0]")):
+        replace(cfg, estimator=replace(cfg.estimator, kind="1d"))
+
+
+@pytest.mark.parametrize("override, geometry", [
+    ("subarray_width=6", "5 rows and 1 window positions"),
+    ("rows=1", "1 rows and 3 window positions"),
+])
+def test_cli_validate_refuses_a_2d_grid_of_one_direction_cosine(capsys, override, geometry):
+    # One window position leaves only sin(theta)*sin(phi), one row only
+    # cos(theta)*sin(phi): azimuth and elevation cannot be told apart.
+    assert main(["validate", "-c", builtin_config_path("table1_2d"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: a 2d search needs at least 2 rows and 2 window "
+                          "positions to tell azimuth from elevation; ")
+    assert f"this geometry gives {geometry}" in err
 
 
 def test_elevation_deg_leaves_a_2d_config_and_its_digest_alone():
@@ -492,10 +544,12 @@ _FINITE = dict(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _config_texts(draw):
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["1d", "2d"]))
-    width = draw(st.integers(1, cols))
+    # A 2-D search needs 2 rows and 2 window positions.
+    two_d = kind == "2d"
+    rows = draw(st.integers(1 + two_d, 5))
+    cols = draw(st.integers(1 + two_d, 5))
+    width = draw(st.integers(1, cols - two_d))
     dim = rows if kind == "1d" else rows * (cols - width + 1)
     count = draw(st.integers(0, min(3, dim - 1)))
     thetas = draw(st.lists(st.floats(-89.0, 89.0, **_FINITE), min_size=count,

@@ -19,7 +19,6 @@ from msdoa import (
     HarmonicMatrix,
     NearSingularWhitenerError,
     NoiseSpec,
-    NoNoiseSubspaceError,
     SamplingPlan,
     SourceScene,
     SurfaceConfig,
@@ -51,6 +50,7 @@ from msdoa.estimator import (
     _row_peaks,
     _spectrum_rows,
     inclusive_grid,
+    search_grids,
     whitener_inv_sqrt,
 )
 from msdoa.harness import BATCH_TRIALS, draw_trial, trial_seeds
@@ -66,8 +66,9 @@ def _estimate_one(bins, setup, weights):
 
 def _whitener(weights, um, cfg):
     """The smoothing whitener of one weight bank, from the search setup's table."""
-    params = EstimatorParams(num_sources=0, num_weights=1, subarray_width=weights.shape[-1])
-    return smoothing_whitener(weights, search_setup(cfg, params, um).window_gram)
+    params = EstimatorParams(num_weights=1, subarray_width=weights.shape[-1])
+    setup = search_setup(cfg, oracles.sources(0), params, um)
+    return smoothing_whitener(weights, setup.window_gram)
 
 
 def _search_one(whitened, w_inv_sqrt, setup):
@@ -289,13 +290,13 @@ def _search_noiseless(table1_cfg, table1_plan, scene, params, weight_seed):
     model = signal_model(table1_cfg, scene, table1_plan, "ideal", um)
     series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec.quiet(), 5)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
-    setup = search_setup(table1_cfg, params, um)
+    setup = search_setup(table1_cfg, scene, params, um)
     return _estimate_one(bins, setup, make_ps_weights(params.num_weights, setup.width, weight_seed))
 
 
 def test_music_noiseless_1d(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
-    params = EstimatorParams(num_sources=2, num_weights=5)
+    params = EstimatorParams(num_weights=5)
     result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
     got = sorted(est.theta_deg for est in result.estimates[0])
     assert got == pytest.approx([-22.0, 12.0], abs=0.05)
@@ -311,8 +312,9 @@ def test_music_noiseless_1d_full_mode(table1_cfg, table1_plan):
     series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec.quiet(), 5)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
-    params = EstimatorParams(num_sources=2, num_weights=5)
-    result = _estimate_one(bins, search_setup(table1_cfg, params, um), make_ps_weights(5, 6, 2))
+    params = EstimatorParams(num_weights=5)
+    result = _estimate_one(bins, search_setup(table1_cfg, scene, params, um),
+                           make_ps_weights(5, 6, 2))
     got = sorted(est.theta_deg for est in result.estimates[0])
     assert got == pytest.approx([-22.0, 12.0], abs=0.15)
 
@@ -321,8 +323,8 @@ def test_music_noiseless_2d(table1_cfg, table1_plan):
     scene = SourceScene(
         (Doa.from_degrees(-36.0, 20.0), Doa.from_degrees(42.0, 45.0)),
         (1.0, 1.0))
-    params = EstimatorParams(num_sources=2, num_weights=5, kind="2d",
-                             subarray_width=4, theta_grid_deg=(-90.0, 90.0, 0.5))
+    params = EstimatorParams(num_weights=5, kind="2d", subarray_width=4,
+                             theta_grid_deg=(-90.0, 90.0, 0.5))
     result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
     got = sorted(((e.theta_deg, e.phi_deg) for e in result.estimates[0]))
     assert got[0] == pytest.approx((-36.0, 20.0), abs=0.5)
@@ -336,7 +338,7 @@ def test_music_coherent_pair_needs_weights(table1_cfg, table1_plan):
                         coherent_gains=(1.0, np.exp(0.9j)))
     good = _search_noiseless(
         table1_cfg, table1_plan, scene,
-        EstimatorParams(num_sources=2, num_weights=5), 3)
+        EstimatorParams(num_weights=5), 3)
     got = sorted(est.theta_deg for est in good.estimates[0])
     assert got == pytest.approx([-22.0, 12.0], abs=0.2)
 
@@ -348,7 +350,7 @@ def test_music_scale_equivariance(table1_cfg, table1_plan):
                              noise=NoiseSpec(variance=0.3))
     cov = ps_covariance(smoothed)
     w = whitener_inv_sqrt(wh)
-    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5),
+    setup = search_setup(table1_cfg, scene, EstimatorParams(num_weights=5),
                          harmonic_matrix(15, table1_cfg))
     a = _search_one(whiten(cov, w), w, setup)
     b = _search_one(whiten(7.3 * cov, w), w, setup)
@@ -359,14 +361,16 @@ def test_music_scale_equivariance(table1_cfg, table1_plan):
 
 
 def _setup_1d(cfg, num_sources=1):
-    return search_setup(cfg, EstimatorParams(num_sources=num_sources, num_weights=5),
+    return search_setup(cfg, oracles.sources(num_sources), EstimatorParams(num_weights=5),
                         harmonic_matrix(15, cfg))
 
 
 def test_music_no_noise_subspace(table1_cfg):
-    with pytest.raises(NoNoiseSubspaceError):
-        _search_one(np.eye(5, dtype=complex), np.eye(5, dtype=complex),
-                    _setup_1d(table1_cfg, 5))
+    # The search setup refuses a source count that leaves no noise
+    # subspace, before any covariance is searched.
+    with pytest.raises(ConfigurationError, match="^5 sources need a search dimension above 5; "
+                                                 "this geometry gives 5$"):
+        _setup_1d(table1_cfg, 5)
 
 
 def test_music_dimension_checks(table1_cfg):
@@ -377,8 +381,8 @@ def test_music_dimension_checks(table1_cfg):
         music_search(np.eye(5, dtype=complex)[None], np.eye(4, dtype=complex)[None],
                      _setup_1d(table1_cfg))
     with pytest.raises(ValidationError):
-        search_setup(table1_cfg, EstimatorParams(
-            num_sources=1, num_weights=5, kind="2d", subarray_width=7),
+        search_setup(table1_cfg, oracles.sources(1), EstimatorParams(
+            num_weights=5, kind="2d", subarray_width=7),
             harmonic_matrix(15, table1_cfg))  # wider than cols
 
 
@@ -386,7 +390,8 @@ def test_1d_search_honours_subarray_width():
     # The azimuth-only search slides windows of the configured width:
     # 2 of the 6 columns leave 5 window positions on each of 5 rows.
     cfg = load_config(builtin_config_path("table1"), ["subarray_width=2"])
-    setup = search_setup(cfg.surface, cfg.estimator, harmonic_matrix(cfg.max_harmonic, cfg.surface))
+    setup = search_setup(cfg.surface, cfg.scene, cfg.estimator,
+                         harmonic_matrix(cfg.max_harmonic, cfg.surface))
     assert setup.width == 2
     assert setup.elevation_grid_deg.tolist() == [90.0]
     weights = make_ps_weights(cfg.estimator.num_weights, setup.width, 0)
@@ -394,15 +399,15 @@ def test_1d_search_honours_subarray_width():
     assert smoothing_whitener(weights, setup.window_gram).shape == (25, 25)
 
 
-def test_estimator_params_validation():
+def test_estimator_params_validation(table1_cfg):
     with pytest.raises(ValidationError):
-        EstimatorParams(num_sources=-1, num_weights=5)
-    with pytest.raises(ValidationError):
-        EstimatorParams(num_sources=2, num_weights=0)
-    with pytest.raises(ValidationError):
-        EstimatorParams(num_sources=2, num_weights=5, kind="2d")
+        EstimatorParams(num_weights=0)
     with pytest.raises(ValidationError, match="kind"):
-        EstimatorParams(num_sources=2, num_weights=5, kind="3d")
+        EstimatorParams(num_weights=5, kind="3d")
+    # An unset width is the full width: one window position, which a
+    # 2-D search refuses.
+    with pytest.raises(ConfigurationError, match="5 rows and 1 window positions"):
+        search_grids(EstimatorParams(num_weights=5, kind="2d"), table1_cfg, oracles.sources(2))
 
 
 def test_inclusive_grid():
@@ -425,7 +430,7 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
-    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
+    setup = search_setup(table1_cfg, scene, EstimatorParams(num_weights=5), um)
     weights = make_ps_weights(5, 6, 17)
     auto = _estimate_one(bins, setup, weights)
 
@@ -440,7 +445,7 @@ def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
 
 def test_estimate_doa_single_source(table1_cfg, table1_plan):
     scene = SourceScene((Doa.from_degrees(22.0, 90.0),), (1.0,))
-    params = EstimatorParams(num_sources=1, num_weights=5)
+    params = EstimatorParams(num_weights=5)
     result = _search_noiseless(table1_cfg, table1_plan, scene, params, 2)
     (estimate,) = result.estimates[0]
     assert estimate.theta_deg == pytest.approx(22.0, abs=0.05)
@@ -472,8 +477,8 @@ def test_estimate_doa_refuses_bins_that_do_not_stack(table1_cfg):
 def test_estimate_doa_refuses_banks_of_another_width_or_rank(table1_cfg):
     # Each trial's bank is (L, width) at the setup's window width; a
     # bank of any other width or rank is refused before the chain runs.
-    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5,
-                                                     subarray_width=4),
+    setup = search_setup(table1_cfg, oracles.sources(2),
+                         EstimatorParams(num_weights=5, subarray_width=4),
                          harmonic_matrix(15, table1_cfg))
     bins = [np.ones((31, 5), dtype=complex)] * 2
     bank = make_ps_weights(5, 4, 1)
@@ -613,8 +618,8 @@ def test_one_chain_matches_separate_1d_and_2d_formulas(name, grids):
     weights = make_ps_weights(params.num_weights, width, trial_seeds(cfg.seed, 0, 0)[2])
     assert drawn.tobytes() == weights.tobytes()
     thetas, phis, spectrum, estimates = oracles.separate_chain(
-        bins, setup.harmonics.entries, cfg.surface, params, compensation(cfg.surface),
-        weights)
+        bins, setup.harmonics.entries, cfg.surface, params, cfg.scene,
+        compensation(cfg.surface), weights)
     assert np.array_equal(setup.theta_grid_deg, thetas)
     assert (setup.elevation_grid_deg.size == 1) == (phis is None)
     if phis is not None:
@@ -658,7 +663,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec(variance=0.5), 31)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
-    setup = search_setup(table1_cfg, EstimatorParams(num_sources=2, num_weights=5), um)
+    setup = search_setup(table1_cfg, scene, EstimatorParams(num_weights=5), um)
     weights = make_ps_weights(5, 6, 17)
     whitener = _whitener(weights, um, table1_cfg)
     inputs = []
@@ -694,11 +699,11 @@ def test_estimates_invariant_under_source_permutation(table1_cfg, table1_plan, c
     # amplitudes the reordered scene draws.
     two_d, sources, order = case
     if two_d:
-        params = EstimatorParams(num_sources=len(sources), num_weights=5, kind="2d",
-                                 subarray_width=4, theta_grid_deg=(-90.0, 90.0, 1.0),
+        params = EstimatorParams(num_weights=5, kind="2d", subarray_width=4,
+                                 theta_grid_deg=(-90.0, 90.0, 1.0),
                                  phi_grid_deg=(0.0, 90.0, 1.0))
     else:
-        params = EstimatorParams(num_sources=len(sources), num_weights=5)
+        params = EstimatorParams(num_weights=5)
 
     def estimates(srcs):
         scene = SourceScene(tuple(Doa.from_degrees(t, p) for t, p, _ in srcs),
@@ -711,24 +716,26 @@ def test_estimates_invariant_under_source_permutation(table1_cfg, table1_plan, c
 
 @st.composite
 def _search_cases(draw):
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     two_d = draw(st.booleans())
-    # An unset width, allowed under "1d" only, is the full surface width.
+    # A 2-D search needs 2 rows and 2 window positions, so one row and
+    # full-width windows come from 1-D draws alone.
+    rows, cols = draw(st.integers(1 + two_d, 4)), draw(st.integers(1 + two_d, 4))
+    # An unset width, which a 2-D search refuses, is the full surface width.
     unset = not two_d and draw(st.booleans())
-    width = cols if unset else draw(st.integers(1, cols))
+    width = cols if unset else draw(st.integers(1, cols - two_d))
     dim = rows * (cols - width + 1)
+    scene = oracles.sources(draw(st.integers(0, dim - 1)),
+                            draw(st.sampled_from([20.0, 55.0, 90.0])))
     start = draw(st.sampled_from([-90.0, -75.0, -40.0]))
     theta_grid = (start, draw(st.sampled_from([30.0, 60.0, 90.0])),
                   draw(st.sampled_from([2.5, 3.0, 5.0, 7.0])))
     params = EstimatorParams(
-        num_sources=draw(st.integers(0, dim - 1)), num_weights=2,
-        kind="2d" if two_d else "1d", subarray_width=None if unset else width,
-        elevation_deg=draw(st.sampled_from([20.0, 55.0, 90.0])),
+        num_weights=2, kind="2d" if two_d else "1d", subarray_width=None if unset else width,
         theta_grid_deg=theta_grid,
         phi_grid_deg=(draw(st.sampled_from([0.0, 5.0])), 90.0,
                       draw(st.sampled_from([5.0, 7.5, 15.0]))))
     trials = draw(st.integers(1, 3))
-    return rows, cols, params, dim, trials, draw(st.integers(0, 2**16))
+    return rows, cols, scene, params, dim, trials, draw(st.integers(0, 2**16))
 
 
 def _random_hermitian(rng, trials, dim, extra):
@@ -738,31 +745,35 @@ def _random_hermitian(rng, trials, dim, extra):
     return 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
 
 
-def _surface_setup(rows, cols, params):
+def _surface_setup(rows, cols, scene, params):
     cfg = SurfaceConfig(rows, cols, 1e9, 0.3)
     harmonics = harmonic_matrix(rows * cols, cfg)
     try:
         harmonics.decompose()
     except DegenerateCodingError:
         assume(False)
-    return search_setup(cfg, params, harmonics)
+    return search_setup(cfg, scene, params, harmonics)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_search_cases())
-@example((1, 1, EstimatorParams(num_sources=0, num_weights=2), 1, 2, 0))
-@example((1, 3, EstimatorParams(num_sources=1, num_weights=2, kind="2d", subarray_width=1,
-                                theta_grid_deg=(-90.0, 90.0, 5.0),
-                                phi_grid_deg=(0.0, 90.0, 15.0)), 3, 2, 1))
-@example((3, 2, EstimatorParams(num_sources=1, num_weights=2, kind="2d", subarray_width=2,
-                                theta_grid_deg=(-90.0, 90.0, 5.0),
-                                phi_grid_deg=(0.0, 90.0, 15.0)), 3, 2, 2))
+@example((1, 1, oracles.sources(0), EstimatorParams(num_weights=2), 1, 2, 0))
+@example((1, 3, oracles.sources(1, 55.0),
+          EstimatorParams(num_weights=2, subarray_width=1, theta_grid_deg=(-90.0, 90.0, 5.0)),
+          3, 2, 1))
+@example((3, 2, oracles.sources(1, 20.0),
+          EstimatorParams(num_weights=2, subarray_width=2, theta_grid_deg=(-90.0, 90.0, 5.0)),
+          3, 2, 2))
+@example((2, 3, oracles.sources(1), EstimatorParams(
+    num_weights=2, kind="2d", subarray_width=2, theta_grid_deg=(-90.0, 90.0, 5.0),
+    phi_grid_deg=(0.0, 90.0, 15.0)), 4, 2, 3))
 def test_lag_polynomial_matches_the_projection_search(case):
     # The lag polynomial moves spectra in the last bits only, and no
     # estimate: covers one element (no lags), one row (column lags
-    # only) and full-width windows (row lags only).
-    rows, cols, params, dim, trials, seed = case
-    setup = _surface_setup(rows, cols, params)
+    # only), full-width windows (row lags only) and the smallest 2-D
+    # grid, two rows by two window positions.
+    rows, cols, scene, params, dim, trials, seed = case
+    setup = _surface_setup(rows, cols, scene, params)
     rng = np.random.default_rng(seed)
     whitened = _random_hermitian(rng, trials, dim, 2)
     w_inv_sqrt = _random_hermitian(rng, trials, dim, 1) + np.eye(dim)
@@ -776,9 +787,8 @@ def test_lag_polynomial_matches_the_projection_search(case):
 
 def _assert_same_estimates(got, want, spectrum, setup):
     """Equal estimates, except that peaks whose spectrum values tie within
-    1e-9 may rank in either order. A one-row or full-width surface under
-    a 2-D search sees only cos(theta)*sin(phi) or sin(theta)*sin(phi),
-    so distinct grid points there tie exactly in exact arithmetic."""
+    1e-9 may rank in either order. A one-row surface sees only
+    cos(theta), so theta and -theta tie exactly in exact arithmetic."""
     thetas, phis = setup.theta_grid_deg, setup.elevation_grid_deg
 
     def value(doa):
@@ -811,9 +821,8 @@ def test_lag_fold_evaluates_the_hermitian_form(rows, out_cols, seed):
 
 
 @pytest.mark.parametrize("params, source", [
-    (EstimatorParams(num_sources=1, num_weights=5, theta_grid_deg=(-90.0, 90.0, 0.5)),
-     (-22.0, 90.0)),
-    (EstimatorParams(num_sources=1, num_weights=5, kind="2d", subarray_width=4,
+    (EstimatorParams(num_weights=5, theta_grid_deg=(-90.0, 90.0, 0.5)), (-22.0, 90.0)),
+    (EstimatorParams(num_weights=5, kind="2d", subarray_width=4,
                      theta_grid_deg=(-90.0, 90.0, 1.0), phi_grid_deg=(0.0, 90.0, 1.0)),
      (-36.0, 20.0)),
 ])
@@ -821,7 +830,8 @@ def test_noiseless_source_on_a_grid_point_is_found(table1_cfg, params, source):
     # The null of a noiseless on-grid source is zero up to rounding,
     # where the polynomial may land at or below zero: the spectrum stays
     # finite and positive, and the peak is the source.
-    setup = search_setup(table1_cfg, params, harmonic_matrix(15, table1_cfg))
+    scene = SourceScene((Doa.from_degrees(*source),), (1.0,))
+    setup = search_setup(table1_cfg, scene, params, harmonic_matrix(15, table1_cfg))
     out_cols = table1_cfg.cols - setup.width + 1
     a = oracles.manifold(np.deg2rad([source[0]]), np.deg2rad(source[1]), out_cols, table1_cfg)
     whitened = (a @ a.conj().T)[None]

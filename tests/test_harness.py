@@ -25,6 +25,7 @@ import oracles
 from msdoa import (
     ConfigurationError,
     DegenerateCodingError,
+    Doa,
     HarmonicMatrix,
     MsdoaError,
     NearSingularWhitenerError,
@@ -563,7 +564,7 @@ def test_run_single_is_trial_zero(tmp_path):
     amplitudes = draw_source_amplitudes(resolved.scene, plan.num_snapshots, amplitude_seed)
     series = synthesize_received(model, resolved.noise, amplitudes, noise_seed)
     bins = extract_snapshots(series, plan, resolved.max_harmonic)
-    setup = search_setup(resolved.surface, params, harmonics)
+    setup = search_setup(resolved.surface, resolved.scene, params, harmonics)
     weights = make_ps_weights(params.num_weights, setup.width, weight_seed)
     batch = estimate_doa([bins], setup, [weights])
     ref = str(tmp_path / "ref")
@@ -583,9 +584,11 @@ def test_run_single_is_trial_zero(tmp_path):
 @st.composite
 def _small_configs(draw):
     rows = draw(st.integers(2, 3))
-    cols = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["1d", "2d"]))
-    width = draw(st.integers(1, cols))
+    # A 2-D search needs 2 window positions.
+    two_d = kind == "2d"
+    cols = draw(st.integers(1 + two_d, 3))
+    width = draw(st.integers(1, cols - two_d))
     dim = rows if kind == "1d" else rows * (cols - width + 1)
     count = draw(st.integers(1, min(2, dim - 1)))
     thetas = draw(st.lists(st.integers(-80, 80), min_size=count, max_size=count, unique=True))
@@ -654,6 +657,21 @@ def test_a_point_is_one_search(monkeypatch, name, elevations):
     assert len(run_trials(cfg)) == cfg.trials == 100
     assert [args[0].shape[0] for args in searches] == [100]
     assert len(bases) == elevations
+
+
+def test_the_search_reads_its_sources_from_the_scene():
+    # table1 cut to its first source: one estimate a trial, resolved.
+    cfg = load_config(builtin_config_path("table1"), ["trials=3", "sweep=none"])
+    first = replace(cfg.scene, doas=cfg.scene.doas[:1], powers=cfg.scene.powers[:1])
+    outcomes = [outcome for outcome, _ in run_trials(replace(cfg, scene=first))]
+    assert [len(outcome.estimates) for outcome in outcomes] == [1, 1, 1]
+    assert all(outcome.resolved for outcome in outcomes)
+    # table1's sources at 60 degrees elevation: the 1-D search runs there.
+    raised = replace(cfg.scene, doas=tuple(
+        Doa.from_degrees(d.theta_deg, 60.0) for d in cfg.scene.doas))
+    outcomes = [outcome for outcome, _ in run_trials(replace(cfg, scene=raised))]
+    assert all(outcome.resolved and max(outcome.errors_deg) < 2.0 for outcome in outcomes)
+    assert {est.phi_deg for outcome in outcomes for est in outcome.estimates} == {60.0}
 
 
 @settings(max_examples=60, deadline=None)
