@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .config import (
     ExperimentConfig,
+    NoiseSpec,
     apply_sweep_value,
     builtin_config_path,
     config_digest,
@@ -73,7 +74,6 @@ from .surface import (
     wave_vector,
 )
 from .waveform import (
-    NoiseSpec,
     SamplingPlan,
     SourceScene,
     TimeSeries,

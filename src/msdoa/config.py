@@ -20,13 +20,13 @@ import contextlib
 import hashlib
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError, MsdoaError, ValidationError
 from .estimator import KINDS, EstimatorParams, grid_points, search_grids
 from .snapshot import frequency_indices
 from .surface import Doa, SurfaceConfig
-from .waveform import AMPLITUDE_MODELS, COHERENCE, MODES, NoiseSpec, SamplingPlan, SourceScene
+from .waveform import AMPLITUDE_MODELS, COHERENCE, MODES, SamplingPlan, SourceScene
 
 
 def _number(text, kind, where: str):
@@ -68,9 +68,27 @@ MAX_POINTS = 10_000_000
 BATCH_TRIALS = 128
 
 
-def _snr_noise(snr_db: float, scene: SourceScene) -> NoiseSpec:
-    """Noise at ``snr_db`` relative to the first source's power (1 without sources)."""
-    return NoiseSpec.from_snr_db(snr_db, scene.powers[0] if scene.powers else 1.0)
+@dataclass(frozen=True)
+class NoiseSpec:
+    """The element noise as a config states it: exactly one of ``variance`` or ``snr_db``.
+
+    ``variance`` is the per-element power sigma^2; the aggregate noise
+    added to the single receiver stream has variance M*N*sigma^2.
+    ``snr_db`` is taken against the first source's power of the config's
+    own scene (1 without sources); :class:`ExperimentConfig` derives the
+    variance as ``noise_variance``.
+    """
+
+    variance: float | None = None
+    snr_db: float | None = None
+
+    def __post_init__(self):
+        if (self.variance is None) == (self.snr_db is None):
+            raise ValidationError("give either snr_db or noise_variance, not both")
+        if self.variance is not None and not 0 <= self.variance < math.inf:
+            raise ValidationError("noise variance must be nonnegative and finite")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValidationError(f"snr_db: not finite: {self.snr_db!r}")
 
 
 # Each sweep variable: the kind of its values (``int``, ``float`` or
@@ -78,7 +96,7 @@ def _snr_noise(snr_db: float, scene: SourceScene) -> NoiseSpec:
 _SWEEPS = {
     "I": (int, lambda cfg, v: {"plan": replace(cfg.plan, num_snapshots=v)}),
     "k0": (int, lambda cfg, v: {"plan": replace(cfg.plan, periods_per_snapshot=v)}),
-    "snr_db": (float, lambda cfg, v: {"noise": _snr_noise(v, cfg.scene)}),
+    "snr_db": (float, lambda cfg, v: {"noise": NoiseSpec(snr_db=v)}),
     "P": (int, lambda cfg, v: {"max_harmonic": v}),
     "L": (int, lambda cfg, v: {"estimator": replace(cfg.estimator, num_weights=v)}),
     "fs_mult": (float, lambda cfg, v: {
@@ -116,7 +134,10 @@ class ExperimentConfig:
 
     A config is checked however it is made, by the reader or by
     ``dataclasses.replace``: :func:`validate_experiment` runs on every
-    instance, so an unchecked config cannot exist.
+    instance, so an unchecked config cannot exist. ``noise_variance``,
+    the per-element sigma^2 every stage reads, is derived from
+    ``noise`` and ``scene`` first, so a replaced scene gets the
+    variance its stated SNR gives it.
     """
 
     surface: SurfaceConfig
@@ -130,8 +151,20 @@ class ExperimentConfig:
     seed: int
     sweep: SweepSpec | None
     output: str
+    noise_variance: float = field(init=False, compare=False)
 
     def __post_init__(self):
+        variance, snr_db = self.noise.variance, self.noise.snr_db
+        if snr_db is not None:
+            reference = self.scene.powers[0] if self.scene.powers else 1.0
+            try:
+                variance = reference * 10.0 ** (-snr_db / 10.0)
+            except OverflowError:
+                variance = math.inf
+            if not variance < math.inf:
+                raise ValidationError(
+                    f"snr_db: {snr_db!r} dB puts the noise variance out of float range")
+        object.__setattr__(self, "noise_variance", variance)
         validate_experiment(self)
 
 
@@ -177,7 +210,7 @@ _CANONICAL = {
     "periods_per_snapshot": lambda c: c.plan.periods_per_snapshot,
     "snapshots": lambda c: c.plan.num_snapshots,
     "snr_db": lambda c: None if c.noise.snr_db is None else _fmt(c.noise.snr_db),
-    "noise_variance": lambda c: None if c.noise.snr_db is not None else _fmt(c.noise.variance),
+    "noise_variance": lambda c: None if c.noise.variance is None else _fmt(c.noise.variance),
     "max_harmonic": lambda c: c.max_harmonic,
     "num_weights": lambda c: c.estimator.num_weights,
     "estimator": lambda c: c.estimator.kind,
@@ -350,12 +383,9 @@ def _build(raw: dict) -> ExperimentConfig:
         coding_period_s=coding_period_s,
     )
 
-    if "snr_db" in raw and "noise_variance" in raw:
-        raise ValidationError("give either snr_db or noise_variance, not both")
-    if "noise_variance" in raw:
-        noise = NoiseSpec(_get_number(raw, "noise_variance"))
-    else:
-        noise = _snr_noise(_get_number(raw, "snr_db"), scene)
+    # NoiseSpec refuses a config that states both noise keys or neither.
+    noise = NoiseSpec(**{name: _get_number(raw, key) for name, key in
+                         (("variance", "noise_variance"), ("snr_db", "snr_db")) if key in raw})
 
     estimator = EstimatorParams(
         num_weights=_get_number(raw, "num_weights", int),
@@ -406,18 +436,11 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
                          ("a search batch's denominator row", azimuths * batch),
                          ("the bound's projector", (2 * cfg.max_harmonic + 1) ** 2)):
         _refuse_past_limit(what, points)
-    if cfg.noise.snr_db is not None:
-        variance = _snr_noise(cfg.noise.snr_db, cfg.scene).variance
-        if cfg.noise.variance != variance:
-            raise ConfigurationError(
-                f"snr_db={cfg.noise.snr_db:g} gives this scene a noise variance of "
-                f"{variance:.6g}, not {cfg.noise.variance:.6g}"
-            )
     # The receiver noise power M*N*sigma^2 scales the synthesized noise and the bound.
-    if not surface.size * cfg.noise.variance < math.inf:
+    if not surface.size * cfg.noise_variance < math.inf:
         raise ValidationError(
             f"the receiver noise power, {surface.size} elements times sigma^2 = "
-            f"{cfg.noise.variance:.3g}, is past the float range"
+            f"{cfg.noise_variance:.3g}, is past the float range"
         )
     if 2 * cfg.max_harmonic + 1 < surface.size:
         raise ConfigurationError(

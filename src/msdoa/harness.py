@@ -125,7 +125,7 @@ def draw_trial(context: TrialContext, sweep_index: int, trial_index: int):
     cfg = context.config
     amplitude_seed, noise_seed, weight_seed = trial_seeds(cfg.seed, sweep_index, trial_index)
     amplitudes = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
-    series = synthesize_received(context.signal, cfg.noise, amplitudes, noise_seed)
+    series = synthesize_received(context.signal, cfg.noise_variance, amplitudes, noise_seed)
     bins = extract_snapshots(series, cfg.plan, cfg.max_harmonic)
     weights = make_ps_weights(cfg.estimator.num_weights, context.search.width, weight_seed)
     return series, amplitudes, bins, weights
@@ -144,7 +144,7 @@ def run_batch(context: TrialContext, drawn) -> tuple:
     amplitudes, bins, weights = zip(*drawn)
     cfg = context.config
     batch = estimate_doa(bins, context.search, weights)
-    bound = crb(context.bound, cfg.plan, cfg.noise.variance, np.stack(amplitudes))
+    bound = crb(context.bound, cfg.plan, cfg.noise_variance, np.stack(amplitudes))
     return batch, bound
 
 
@@ -390,7 +390,7 @@ def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
         cfg = context.config
         amplitude_seed = trial_seeds(cfg.seed, 0, 0)[0]
         amplitudes = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
-        bound = crb(context.bound, cfg.plan, cfg.noise.variance, amplitudes[None])
+        bound = crb(context.bound, cfg.plan, cfg.noise_variance, amplitudes[None])
     return CrbResult(bound.matrix[0], bound.theta_bounds[0])
 
 

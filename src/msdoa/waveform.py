@@ -3,10 +3,11 @@
 Builds the single-channel time series seen by the receiver: each
 incident plane wave is multiplied element-wise by the +/-1 coding
 schedule, summed over the surface, scaled by per-snapshot source
-amplitudes, and buried in circular complex Gaussian noise. Two signal
-models are available: ``full`` evaluates the exact schedule sample by
-sample, ``ideal`` keeps only coding harmonics up to a chosen order
-(a band-limited idealization with no spectral folding).
+amplitudes, and buried in circular complex Gaussian noise of a given
+per-element variance. Two signal models are available: ``full``
+evaluates the exact schedule sample by sample, ``ideal`` keeps only
+coding harmonics up to a chosen order (a band-limited idealization with
+no spectral folding).
 """
 
 from __future__ import annotations
@@ -132,41 +133,6 @@ class SamplingPlan:
     @property
     def total_points(self) -> int:
         return self.points_per_snapshot * self.num_snapshots
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-element noise variance, optionally derived from an SNR.
-
-    ``variance`` is the per-element power sigma^2; the aggregate noise
-    added to the single receiver stream has variance M*N*sigma^2.
-    """
-
-    variance: float
-    snr_db: float | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.variance < np.inf:
-            raise ValidationError("noise variance must be nonnegative and finite")
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float, reference_power: float = 1.0) -> "NoiseSpec":
-        """Variance giving ``snr_db = 10*log10(reference_power/variance)``."""
-        if not 0 < reference_power < np.inf:
-            raise ValidationError("reference_power must be positive and finite")
-        try:
-            variance = reference_power * 10.0 ** (-snr_db / 10.0)
-        except OverflowError:
-            variance = np.inf
-        if not variance < np.inf:
-            raise ValidationError(
-                f"snr_db: {snr_db!r} dB puts the noise variance out of float range"
-            )
-        return cls(variance, snr_db=float(snr_db))
-
-    @classmethod
-    def quiet(cls) -> "NoiseSpec":
-        return cls(0.0)
 
 
 @dataclass(eq=False)
@@ -298,24 +264,28 @@ def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
     return np.repeat(period[:, None, :], plan.periods_per_snapshot, axis=1).ravel()
 
 
-def synthesize_received(model: SignalModel, noise: NoiseSpec, amplitudes, noise_seed):
+def synthesize_received(model: SignalModel, noise_variance: float, amplitudes, noise_seed):
     """Synthesize the receiver time series of one run of a :func:`signal_model`.
 
     Samples sit at t_q = q / sample_rate_hz with the coding phase
     continuous across snapshot boundaries (time origin 0). The signal
     is scaled by the (K, I) source amplitudes ``amplitudes`` (see
-    :func:`draw_source_amplitudes`) and the noise drawn from
-    ``noise_seed``, so given amplitudes and seed reproduce the series.
+    :func:`draw_source_amplitudes`), and circular Gaussian noise of
+    per-element variance ``noise_variance`` (M*N times that at the
+    receiver) is drawn from ``noise_seed``, so given amplitudes and seed
+    reproduce the series.
     """
+    if not 0 <= noise_variance < np.inf:
+        raise ValidationError("noise_variance must be nonnegative and finite")
     amplitudes = np.asarray(amplitudes, dtype=complex)
     shape = (model.patterns.shape[0], model.plan.num_snapshots)
     if amplitudes.shape != shape:
         raise ValidationError(f"amplitudes have shape {amplitudes.shape}; expected {shape}")
     samples = _signal_samples(model, amplitudes)
-    if noise.variance > 0:
+    if noise_variance > 0:
         # Real parts first, then imaginary parts, from one buffer, added
         # in place.
-        scale = np.sqrt(model.num_elements * noise.variance / 2.0)
+        scale = np.sqrt(model.num_elements * noise_variance / 2.0)
         draws = np.random.default_rng(noise_seed).standard_normal((2, samples.size))
         draws *= scale
         samples.real += draws[0]

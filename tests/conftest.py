@@ -73,5 +73,5 @@ def chain_config(request):
     name = "table1_2d" if request.param == "2d" else "table1"
     cfg = load_config(builtin_config_path(name), ["trials=4", *overrides])
     if request.param == "noise-free":
-        cfg = replace(cfg, noise=NoiseSpec.quiet())
+        cfg = replace(cfg, noise=NoiseSpec(variance=0.0))
     return resolve_experiment(cfg)

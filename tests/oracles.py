@@ -110,7 +110,7 @@ def split_seed(seed):
     return np.random.SeedSequence(seed).spawn(2)
 
 
-def seeded_synthesis(model, scene, noise, seed):
+def seeded_synthesis(model, scene, noise_variance, seed):
     """The series and the (K, I) amplitudes of ``scene`` that one integer seed draws.
 
     The amplitudes come from the first seed of :func:`split_seed` and the
@@ -118,7 +118,7 @@ def seeded_synthesis(model, scene, noise, seed):
     """
     amplitude_seed, noise_seed = split_seed(seed)
     amplitudes = draw_source_amplitudes(scene, model.plan.num_snapshots, amplitude_seed)
-    return synthesize_received(model, noise, amplitudes, noise_seed), amplitudes
+    return synthesize_received(model, noise_variance, amplitudes, noise_seed), amplitudes
 
 
 def nested_trial_streams(seed, sweep_index, trial_index):
@@ -136,7 +136,7 @@ def nested_trial_streams(seed, sweep_index, trial_index):
     return amplitudes, noise, np.random.default_rng(weights)
 
 
-def repeat_synthesis(model, noise, amplitudes, noise_seed):
+def repeat_synthesis(model, noise_variance, amplitudes, noise_seed):
     """Received samples with each of the (K, I) amplitudes repeated per sample.
 
     Tiles every source's one-period pattern to the record length and
@@ -159,8 +159,8 @@ def repeat_synthesis(model, noise, amplitudes, noise_seed):
             np.tile(pattern, periods),
             np.repeat(amplitude, plan.points_per_snapshot),
         )
-    if noise.variance > 0:
-        scale = np.sqrt(model.num_elements * noise.variance / 2.0)
+    if noise_variance > 0:
+        scale = np.sqrt(model.num_elements * noise_variance / 2.0)
         samples = samples + scale * (
             noise_rng.standard_normal(samples.size)
             + 1j * noise_rng.standard_normal(samples.size)

@@ -24,7 +24,7 @@ from msdoa import (
     parse_config,
 )
 from msdoa.cli import main
-from msdoa.config import _CANONICAL, MAX_POINTS, SWEEP_VARIABLES
+from msdoa.config import _CANONICAL, MAX_POINTS, SWEEP_VARIABLES, point_configs
 
 # Minimal valid config; everything else exercises the defaults.
 BASE = """\
@@ -259,14 +259,58 @@ def test_noise_spec_exclusive():
     with pytest.raises(ValidationError, match="not both"):
         parse_config(BASE + "noise_variance = 0.5\n")
     cfg = parse_config(BASE.replace("snr_db = 0", "noise_variance = 0.5"))
-    assert cfg.noise.variance == 0.5
-    assert cfg.noise.snr_db is None
+    assert cfg.noise == NoiseSpec(variance=0.5)
+    assert cfg.noise_variance == 0.5
+    # A config that states neither noise is refused as one that states both.
+    with pytest.raises(ValidationError, match="not both"):
+        parse_config(BASE.replace("snr_db = 0", ""))
+
+
+def test_noise_spec_states_exactly_one_noise():
+    for stated in ({}, {"variance": 1.0, "snr_db": 0.0}):
+        with pytest.raises(ValidationError, match=re.escape(
+                "give either snr_db or noise_variance, not both")):
+            NoiseSpec(**stated)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="noise variance"):
+            NoiseSpec(variance=bad)
+    # An infinite snr_db would give a config whose canonical text does
+    # not parse back.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match=f"^snr_db: not finite: {bad!r}$"):
+            NoiseSpec(snr_db=bad)
+    # A finite SNR whose variance is past the float range, alone or
+    # times the first source's power.
+    cfg = parse_config(BASE)
+    for snr_db, powers in ((-4000.0, (1.0, 1.0)), (-3000.0, (1e10, 1.0))):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"snr_db: {snr_db!r} dB puts the noise variance out of float range")):
+            replace(cfg, scene=replace(cfg.scene, powers=powers),
+                    noise=NoiseSpec(snr_db=snr_db))
 
 
 def test_snr_references_first_power():
     cfg = parse_config(BASE.replace("angles_deg = -22, 12",
                                     "angles_deg = -22, 12\npowers = 4, 1"))
-    assert cfg.noise.variance == pytest.approx(4.0)
+    assert cfg.noise == NoiseSpec(snr_db=0.0)
+    assert cfg.noise_variance == 4.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(snr_db=st.floats(-3000.0, 3000.0, allow_nan=False, allow_infinity=False),
+       power=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+       sources=st.booleans())
+def test_the_noise_variance_follows_the_scene_bit_for_bit(snr_db, power, sources):
+    # The variance an snr_db gives is the first source's power, or 1
+    # without sources, times 10^(-snr_db/10), stated in the text or at
+    # a sweep point (made by replace).
+    scene = f"angles_deg = -22, 12\npowers = {power!r}, 1" if sources else "angles_deg = none"
+    reference = power if sources else 1.0
+    cfg = parse_config(BASE.replace("angles_deg = -22, 12", scene),
+                       [f"snr_db={snr_db!r}", f"sweep=snr_db: {snr_db!r}, -10, 0, 25"])
+    assert cfg.noise_variance == reference * 10.0 ** (-snr_db / 10.0)
+    for value, point in zip(cfg.sweep.values, point_configs(cfg)):
+        assert point.noise_variance == reference * 10.0 ** (-value / 10.0)
 
 
 def test_sweep_parse_table2():
@@ -308,7 +352,7 @@ def test_apply_sweep_value():
     k0 = parse_config(BASE + "sweep = k0: 1, 5\n")
     assert apply_sweep_value(k0, 5).plan.periods_per_snapshot == 5
     snr = parse_config(BASE + "sweep = snr_db: -10, 0\n")
-    assert apply_sweep_value(snr, -10).noise.variance == pytest.approx(10.0)
+    assert apply_sweep_value(snr, -10).noise_variance == pytest.approx(10.0)
     p = parse_config(BASE + "sweep = P: 15, 20\n")
     assert apply_sweep_value(p, 20).max_harmonic == 20
     el = parse_config(BASE + "sweep = L: 2, 5\n")
@@ -439,20 +483,19 @@ def test_replace_names_the_sweep_point_it_refuses():
     loud = replace(cfg.scene, powers=(1e306, 1e306))
     with pytest.raises(ValidationError, match=re.escape(
             "sweep snr_db=-20.0 (index 0): the receiver noise power, 40 elements")):
-        replace(cfg, scene=loud, noise=NoiseSpec.from_snr_db(cfg.noise.snr_db, 1e306))
+        replace(cfg, scene=loud)
 
 
-def test_replace_refuses_a_db_noise_its_scene_no_longer_gives():
-    # snr_db is relative to the first source's power: a louder scene
-    # needs the noise that snr_db gives it, or the canonical text, which
-    # writes snr_db, would read back another variance.
+def test_replace_derives_the_noise_variance_of_its_new_scene():
+    # snr_db is relative to the first source's power of the config's own
+    # scene: a louder scene gets the louder noise its snr_db gives it,
+    # and the canonical text, which writes snr_db, reads it back.
     cfg = load_config(builtin_config_path("table1"))
-    louder = replace(cfg.scene, powers=(4.0, 4.0))
-    with pytest.raises(ConfigurationError, match=re.escape(
-            "snr_db=0 gives this scene a noise variance of 4, not 1")):
-        replace(cfg, scene=louder)
-    again = replace(cfg, scene=louder, noise=NoiseSpec.from_snr_db(0.0, 4.0))
-    assert parse_config(emit_config(again)) == again
+    louder = replace(cfg, scene=replace(cfg.scene, powers=(4.0, 4.0)))
+    assert louder.noise == cfg.noise == NoiseSpec(snr_db=0.0)
+    assert (cfg.noise_variance, louder.noise_variance) == (1.0, 4.0)
+    again = parse_config(emit_config(louder))
+    assert again == louder and again.noise_variance == 4.0
 
 
 def test_elevation_applies_to_all_sources():
@@ -609,5 +652,5 @@ def _config_texts(draw):
 def test_emit_parse_roundtrip_generated(text):
     cfg = parse_config(text)
     again = parse_config(emit_config(cfg))
-    assert again == cfg
+    assert again == cfg and again.noise_variance == cfg.noise_variance
     assert config_digest(again) == config_digest(cfg)

@@ -16,8 +16,10 @@ from msdoa import (
     ValidationError,
     crb_core,
     harmonic_matrix,
+    signal_model,
     steering_derivatives,
     steering_vector,
+    synthesize_received,
 )
 from msdoa.crb import crb
 from msdoa.harness import build_context, draw_trial
@@ -178,9 +180,13 @@ def test_bound_input_checks():
     cfg, plan, scene, amps = _tiny_setup()
     with pytest.raises(ValidationError, match="at least one source"):
         crb_core(cfg, SourceScene((), ()), harmonic_matrix(2, cfg))
-    for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValidationError, match="noise_variance"):
-            crb(_core(cfg, scene), plan, bad, amps)
+    # Synthesis refuses the noise variances the bound refuses.
+    model = signal_model(cfg, scene, plan, "full")
+    for stage in (lambda v: crb(_core(cfg, scene), plan, v, amps),
+                  lambda v: synthesize_received(model, v, amps, 1)):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="noise_variance"):
+                stage(bad)
 
 
 def test_amplitude_shape_check():
@@ -204,11 +210,11 @@ def test_stacked_bound_matches_the_kron_form_bit_for_bit(chain_config):
     cfg = chain_config
     context = build_context(cfg)
     amps = np.stack([draw_trial(context, 0, t)[1] for t in range(4)])
-    stacked = crb(context.bound, cfg.plan, cfg.noise.variance, amps)
+    stacked = crb(context.bound, cfg.plan, cfg.noise_variance, amps)
     assert stacked.matrix.shape[0] == stacked.theta_bounds.shape[0] == 4
     for t, draw in enumerate(amps):
-        alone = crb(context.bound, cfg.plan, cfg.noise.variance, draw)
-        want = kron_crb(context.bound, cfg.plan, cfg.noise.variance, draw)
+        alone = crb(context.bound, cfg.plan, cfg.noise_variance, draw)
+        want = kron_crb(context.bound, cfg.plan, cfg.noise_variance, draw)
         assert stacked.matrix[t].tobytes() == alone.matrix.tobytes() == want.tobytes()
         assert stacked.theta_bounds[t].tobytes() == alone.theta_bounds.tobytes()
 

@@ -18,7 +18,6 @@ from msdoa import (
     EstimatorParams,
     HarmonicMatrix,
     NearSingularWhitenerError,
-    NoiseSpec,
     SamplingPlan,
     SourceScene,
     SurfaceConfig,
@@ -116,11 +115,10 @@ def test_make_ps_weights():
         make_ps_weights(2, 0, 3)
 
 
-def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise=None):
-    noise = NoiseSpec.quiet() if noise is None else noise
+def _chain(cfg, plan, scene, weights, mode="ideal", rng_seed=5, noise_variance=0.0):
     um = harmonic_matrix(15, cfg)
     model = signal_model(cfg, scene, plan, mode, um)
-    series, amps = oracles.seeded_synthesis(model, scene, noise, rng_seed)
+    series, amps = oracles.seeded_synthesis(model, scene, noise_variance, rng_seed)
     bins = extract_snapshots(series, plan, um.max_harmonic)
     comp = compensation(cfg)
     wh = _whitener(weights, um, cfg)
@@ -256,7 +254,7 @@ def test_ps_covariance_hermitian_psd(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     weights = make_ps_weights(5, 6, 1)
     smoothed, _, _ = _chain(table1_cfg, table1_plan, scene, weights,
-                            noise=NoiseSpec(variance=0.5))
+                            noise_variance=0.5)
     cov = ps_covariance(smoothed)
     assert cov.shape == (5, 5)
     assert np.allclose(cov, cov.conj().T)
@@ -288,7 +286,7 @@ def test_weight_bank_recovers_rank(table1_cfg, table1_plan):
 def _search_noiseless(table1_cfg, table1_plan, scene, params, weight_seed):
     um = harmonic_matrix(15, table1_cfg)
     model = signal_model(table1_cfg, scene, table1_plan, "ideal", um)
-    series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec.quiet(), 5)
+    series, _ = oracles.seeded_synthesis(model, scene, 0.0, 5)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, scene, params, um)
     return _estimate_one(bins, setup, make_ps_weights(params.num_weights, setup.width, weight_seed))
@@ -309,7 +307,7 @@ def test_music_noiseless_1d_full_mode(table1_cfg, table1_plan):
     # Spectral folding in full synthesis may shift peaks one grid step.
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec.quiet(), 5)
+    series, _ = oracles.seeded_synthesis(model, scene, 0.0, 5)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     params = EstimatorParams(num_weights=5)
@@ -347,7 +345,7 @@ def test_music_scale_equivariance(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     weights = make_ps_weights(5, 6, 1)
     smoothed, _, wh = _chain(table1_cfg, table1_plan, scene, weights,
-                             noise=NoiseSpec(variance=0.3))
+                             noise_variance=0.3)
     cov = ps_covariance(smoothed)
     w = whitener_inv_sqrt(wh)
     setup = search_setup(table1_cfg, scene, EstimatorParams(num_weights=5),
@@ -427,7 +425,7 @@ def test_inclusive_grid():
 def test_estimate_doa_matches_manual_chain(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec(variance=0.5), 31)
+    series, _ = oracles.seeded_synthesis(model, scene, 0.5, 31)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, scene, EstimatorParams(num_weights=5), um)
@@ -660,7 +658,7 @@ def test_whitener_decomposed_once_per_estimate(table1_cfg, table1_plan, monkeypa
     # the search) and one of the whitened covariance.
     scene = SourceScene(TWO, (1.0, 1.0))
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = oracles.seeded_synthesis(model, scene, NoiseSpec(variance=0.5), 31)
+    series, _ = oracles.seeded_synthesis(model, scene, 0.5, 31)
     um = harmonic_matrix(15, table1_cfg)
     bins = extract_snapshots(series, table1_plan, um.max_harmonic)
     setup = search_setup(table1_cfg, scene, EstimatorParams(num_weights=5), um)

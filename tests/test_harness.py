@@ -562,7 +562,7 @@ def test_run_single_is_trial_zero(tmp_path):
     model = signal_model(resolved.surface, resolved.scene, resolved.plan, resolved.mode, harmonics)
     plan, params = resolved.plan, resolved.estimator
     amplitudes = draw_source_amplitudes(resolved.scene, plan.num_snapshots, amplitude_seed)
-    series = synthesize_received(model, resolved.noise, amplitudes, noise_seed)
+    series = synthesize_received(model, resolved.noise_variance, amplitudes, noise_seed)
     bins = extract_snapshots(series, plan, resolved.max_harmonic)
     setup = search_setup(resolved.surface, resolved.scene, params, harmonics)
     weights = make_ps_weights(params.num_weights, setup.width, weight_seed)

@@ -6,7 +6,6 @@ import pytest
 from msdoa import (
     ConfigurationError,
     Doa,
-    NoiseSpec,
     SamplingPlan,
     SourceScene,
     TimeSeries,
@@ -58,7 +57,7 @@ def test_noiseless_snapshots_equal_mixture(table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     um = harmonic_matrix(15, table1_cfg)
     series, amps = seeded_synthesis(
-        signal_model(table1_cfg, scene, table1_plan, "ideal", um), scene, NoiseSpec.quiet(), 5)
+        signal_model(table1_cfg, scene, table1_plan, "ideal", um), scene, 0.0, 5)
     bins = extract_snapshots(series, table1_plan, 15)
     steer = np.column_stack([steering_vector(d, table1_cfg) for d in scene.doas])
     want = um.entries @ steer @ amps
@@ -116,7 +115,7 @@ def test_extraction_validation(table1_plan):
 def test_snapshots_csv(tmp_path, table1_cfg, table1_plan):
     scene = SourceScene(TWO, (1.0, 1.0))
     series, _ = seeded_synthesis(signal_model(table1_cfg, scene, table1_plan, "full"), scene,
-                                 NoiseSpec.quiet(), 5)
+                                 0.0, 5)
     bins = extract_snapshots(series, table1_plan, 15)
     path = tmp_path / "snaps.csv"
     write_snapshots_csv(bins, str(path))

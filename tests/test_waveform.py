@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from msdoa import (
     Doa,
-    NoiseSpec,
     SamplingPlan,
     SourceScene,
     TimeSeries,
@@ -196,9 +195,9 @@ def _table1_scene():
 def test_synthesis_deterministic(table1_cfg, table1_plan):
     scene = _table1_scene()
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    a, _ = seeded_synthesis(model, scene, NoiseSpec.from_snr_db(0.0, 1.0), 42)
-    b, _ = seeded_synthesis(model, scene, NoiseSpec.from_snr_db(0.0, 1.0), 42)
-    c, _ = seeded_synthesis(model, scene, NoiseSpec.from_snr_db(0.0, 1.0), 43)
+    a, _ = seeded_synthesis(model, scene, 1.0, 42)
+    b, _ = seeded_synthesis(model, scene, 1.0, 42)
+    c, _ = seeded_synthesis(model, scene, 1.0, 43)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
@@ -213,7 +212,7 @@ def test_synthesis_matches_the_repeat_form_bit_for_bit(chain_config):
         amplitude_seed, noise_seed, _ = trial_seeds(cfg.seed, 0, trial)
         series, amplitudes, _, _ = draw_trial(context, 0, trial)
         want = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
-        samples = repeat_synthesis(context.signal, cfg.noise, want, noise_seed)
+        samples = repeat_synthesis(context.signal, cfg.noise_variance, want, noise_seed)
         assert series.samples.tobytes() == samples.tobytes()
         assert amplitudes.tobytes() == want.tobytes()
 
@@ -237,10 +236,9 @@ def test_full_mode_holds_one_period_per_source(table1_cfg):
     record = np.stack([2.0 * steering[slots, j] - col_sums[j] for j in range(2)])
     assert np.tile(model.patterns, plan.total_points // z).tobytes() == record.tobytes()
 
-    noise = NoiseSpec(variance=0.5)
     for seed in (5, 6):
-        series, amplitudes = seeded_synthesis(model, scene, noise, seed)
-        samples = repeat_synthesis(model, noise, amplitudes, split_seed(seed)[1])
+        series, amplitudes = seeded_synthesis(model, scene, 0.5, seed)
+        samples = repeat_synthesis(model, 0.5, amplitudes, split_seed(seed)[1])
         assert series.samples.tobytes() == samples.tobytes()
 
 
@@ -272,10 +270,9 @@ def test_one_period_synthesis_matches_the_record_form(table1_cfg, mode, periods)
     plan = SamplingPlan(50e6, periods, 5, 1.6e-5)
     scene = _table1_scene()
     model = signal_model(table1_cfg, scene, plan, mode, harmonic_matrix(15, table1_cfg))
-    noise = NoiseSpec(variance=0.5)
     for seed in (5, 6):
-        series, amplitudes = seeded_synthesis(model, scene, noise, seed)
-        samples = repeat_synthesis(model, noise, amplitudes, split_seed(seed)[1])
+        series, amplitudes = seeded_synthesis(model, scene, 0.5, seed)
+        samples = repeat_synthesis(model, 0.5, amplitudes, split_seed(seed)[1])
         assert series.samples.tobytes() == samples.tobytes()
 
 
@@ -285,7 +282,7 @@ def test_no_source_model_holds_an_empty_pattern_stack(table1_cfg, table1_plan, m
     model = signal_model(table1_cfg, scene, table1_plan, mode, harmonic_matrix(15, table1_cfg))
     assert model.patterns.shape == (0, table1_plan.points_per_period)
     assert not model.patterns.flags.writeable
-    series, amplitudes = seeded_synthesis(model, scene, NoiseSpec.quiet(), 9)
+    series, amplitudes = seeded_synthesis(model, scene, 0.0, 9)
     assert amplitudes.shape == (0, table1_plan.num_snapshots)
     assert series.samples.tobytes() == np.zeros(table1_plan.total_points, complex).tobytes()
 
@@ -294,8 +291,8 @@ def test_noise_independent_of_signal_draw(table1_cfg, table1_plan):
     # Same seed, noiseless vs noisy: the signal part is unchanged.
     scene = _table1_scene()
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    quiet, _ = seeded_synthesis(model, scene, NoiseSpec.quiet(), 42)
-    noisy, _ = seeded_synthesis(model, scene, NoiseSpec(variance=0.5), 42)
+    quiet, _ = seeded_synthesis(model, scene, 0.0, 42)
+    noisy, _ = seeded_synthesis(model, scene, 0.5, 42)
     diff = noisy.samples - quiet.samples
     assert np.std(diff) > 0
     # Residual is exactly the additive noise: variance M*N*sigma^2.
@@ -306,29 +303,10 @@ def test_noise_variance_scaling(table1_cfg, table1_plan):
     # K = 0 leaves pure noise with per-sample variance M*N*sigma^2.
     scene = SourceScene((), ())
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = seeded_synthesis(model, scene, NoiseSpec(variance=2.0), 9)
+    series, _ = seeded_synthesis(model, scene, 2.0, 9)
     assert np.mean(np.abs(series.samples) ** 2) == pytest.approx(60.0, rel=0.05)
-    quiet, _ = seeded_synthesis(model, scene, NoiseSpec.quiet(), 9)
+    quiet, _ = seeded_synthesis(model, scene, 0.0, 9)
     assert np.array_equal(quiet.samples, np.zeros(table1_plan.total_points))
-
-
-def test_snr_noise_spec():
-    spec = NoiseSpec.from_snr_db(10.0, 1.0)
-    assert spec.variance == pytest.approx(0.1)
-    assert spec.snr_db == 10.0
-    with pytest.raises(ValidationError):
-        NoiseSpec(variance=-1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="noise variance"):
-            NoiseSpec(variance=bad)
-    for reference in (0.0, -1.0, np.nan):
-        with pytest.raises(ValidationError, match="reference_power"):
-            NoiseSpec.from_snr_db(10.0, reference)
-    # A finite SNR whose variance is past the float range, alone or
-    # times the reference power.
-    for snr_db, reference in ((-4000.0, 1.0), (-3000.0, 1e10)):
-        with pytest.raises(ValidationError, match="^snr_db: "):
-            NoiseSpec.from_snr_db(snr_db, reference)
 
 
 def test_full_vs_ideal_folding(table1_cfg):
@@ -337,11 +315,11 @@ def test_full_vs_ideal_folding(table1_cfg):
     scene = _table1_scene()
     plan = SamplingPlan(50e6, 2, 2, 1.6e-5)
     full, _ = seeded_synthesis(signal_model(table1_cfg, scene, plan, "full"), scene,
-                               NoiseSpec.quiet(), 4)
+                               0.0, 4)
 
     def rel(cap):
         model = signal_model(table1_cfg, scene, plan, "ideal", harmonic_matrix(cap, table1_cfg))
-        ideal, _ = seeded_synthesis(model, scene, NoiseSpec.quiet(), 4)
+        ideal, _ = seeded_synthesis(model, scene, 0.0, 4)
         return (np.linalg.norm(full.samples - ideal.samples)
                 / np.linalg.norm(full.samples))
 
@@ -357,9 +335,9 @@ def test_folding_residue_shrinks_with_oversampling(table1_cfg):
         plan = SamplingPlan(50e6 * fs_mult, 2, 2, 1.6e-5)
         cap = plan.points_per_period // 2 - 1
         full, _ = seeded_synthesis(signal_model(table1_cfg, scene, plan, "full"), scene,
-                                   NoiseSpec.quiet(), 4)
+                                   0.0, 4)
         model = signal_model(table1_cfg, scene, plan, "ideal", harmonic_matrix(cap, table1_cfg))
-        ideal, _ = seeded_synthesis(model, scene, NoiseSpec.quiet(), 4)
+        ideal, _ = seeded_synthesis(model, scene, 0.0, 4)
         return (np.linalg.norm(full.samples - ideal.samples)
                 / np.linalg.norm(full.samples))
 
@@ -385,9 +363,9 @@ def test_return_amplitudes():
         assert amplitudes.shape == (2, 5)
         want = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
         assert amplitudes.tobytes() == want.tobytes()
-        again = synthesize_received(context.signal, cfg.noise, amplitudes, noise_seed)
+        again = synthesize_received(context.signal, cfg.noise_variance, amplitudes, noise_seed)
         assert series.samples.tobytes() == again.samples.tobytes()
-        other = synthesize_received(context.signal, cfg.noise, amplitudes[::-1], noise_seed)
+        other = synthesize_received(context.signal, cfg.noise_variance, amplitudes[::-1], noise_seed)
         assert not np.array_equal(series.samples, other.samples)
 
 
@@ -397,13 +375,13 @@ def test_synthesis_refuses_amplitudes_of_another_shape(table1_cfg, table1_plan):
     model = signal_model(table1_cfg, _table1_scene(), table1_plan, "full")
     for shape in ((1, 5), (3, 5), (2, 4), (10,)):
         with pytest.raises(ValidationError, match=r"amplitudes have shape .*; expected \(2, 5\)"):
-            synthesize_received(model, NoiseSpec.quiet(), np.ones(shape, complex), 1)
+            synthesize_received(model, 0.0, np.ones(shape, complex), 1)
 
 
 def test_series_roundtrip(tmp_path, table1_cfg, table1_plan):
     scene = _table1_scene()
     model = signal_model(table1_cfg, scene, table1_plan, "full")
-    series, _ = seeded_synthesis(model, scene, NoiseSpec(variance=0.3), 8)
+    series, _ = seeded_synthesis(model, scene, 0.3, 8)
     path = str(tmp_path / "rx.bin")
     write_time_series(series, table1_plan, path, seed=8)
     back = read_time_series(path)
