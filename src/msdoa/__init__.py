@@ -78,9 +78,7 @@ from .waveform import (
     SourceScene,
     TimeSeries,
     draw_source_amplitudes,
-    make_coherent_gains,
     read_time_series,
-    resolve_gains,
     signal_model,
     synthesize_received,
     write_time_series,

@@ -49,7 +49,6 @@ from .surface import harmonic_matrix
 from .waveform import (
     SignalModel,
     draw_source_amplitudes,
-    resolve_gains,
     signal_model,
     synthesize_received,
     write_time_series,
@@ -75,11 +74,19 @@ def trial_seeds(
 
 
 def resolve_experiment(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Resolve per-experiment randomness (coherent gains) from the seed."""
-    scene = resolve_gains(
-        cfg.scene, np.random.SeedSequence(entropy=(int(cfg.seed), _GAIN_SEED_TAG))
-    )
-    return replace(cfg, scene=scene)
+    """Draw a coherent scene's unset gains from the experiment seed.
+
+    The gains are the experiment's one draw: unit modulus, with uniform
+    phases from the seed's gain stream, and the first exactly 1. An
+    incoherent config, or one whose gains are set, is returned itself.
+    """
+    scene = cfg.scene
+    if scene.coherence != "coherent" or scene.coherent_gains is not None:
+        return cfg
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(cfg.seed), _GAIN_SEED_TAG)))
+    gains = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=scene.num_sources))
+    gains[0] = 1.0
+    return replace(cfg, scene=replace(scene, coherent_gains=tuple(gains)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -223,15 +223,17 @@ class HarmonicMatrix:
     element; columns follow row-major element order, matching
     :func:`steering_vector`. Row 0 (order ``-max_harmonic``) through the
     top are conjugate-symmetric about the center row, whose entries all
-    equal the duty-cycle mean.
+    equal the duty-cycle mean. ``entries`` is a read-only copy, so the
+    cached inverses always match it.
     """
 
     def __init__(self, max_harmonic: int, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
+        entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != 2 * max_harmonic + 1:
             raise ValidationError(
                 f"entries must be (2*max_harmonic+1, M*N); got {entries.shape}"
             )
+        entries.flags.writeable = False
         self.max_harmonic = int(max_harmonic)
         self.entries = entries
         self._inverses = None

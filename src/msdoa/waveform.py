@@ -30,8 +30,8 @@ class SourceScene:
 
     ``coherent_gains`` are the fixed unit-modulus ratios tying every
     source amplitude to the first one in coherent mode; ``None`` means
-    "draw once per experiment from the experiment seed" and is resolved
-    by :func:`resolve_gains` before synthesis.
+    "draw once per experiment from the experiment seed", which
+    :func:`msdoa.harness.resolve_experiment` does before synthesis.
     """
 
     doas: tuple[Doa, ...]
@@ -66,24 +66,6 @@ class SourceScene:
     @property
     def num_sources(self) -> int:
         return len(self.doas)
-
-
-def make_coherent_gains(num_sources: int, rng_seed) -> tuple[complex, ...]:
-    """Unit-modulus gains with seeded uniform-random phases, first = 1."""
-    rng = np.random.default_rng(rng_seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=num_sources)
-    gains = np.exp(1j * phases)
-    gains[0] = 1.0
-    return tuple(complex(g) for g in gains)
-
-
-def resolve_gains(scene: SourceScene, rng_seed) -> SourceScene:
-    """Fill in coherent gains from a seed when the scene left them unset."""
-    if scene.coherence != "coherent" or scene.coherent_gains is not None:
-        return scene
-    from dataclasses import replace
-
-    return replace(scene, coherent_gains=make_coherent_gains(scene.num_sources, rng_seed))
 
 
 @dataclass(frozen=True)
@@ -174,7 +156,7 @@ def draw_source_amplitudes(scene: SourceScene, num_snapshots: int, rng_seed) -> 
     if scene.coherence == "coherent":
         if scene.coherent_gains is None:
             raise ValidationError(
-                "coherent scene has unresolved gains; call resolve_gains first"
+                "coherent scene has unresolved gains; call resolve_experiment first"
             )
         base = _draw(num_snapshots, powers[0])
         gains = np.asarray(scene.coherent_gains)

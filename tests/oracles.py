@@ -34,6 +34,19 @@ def coding_waveform(m, n, t, cfg, coding_period_s):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def coherent_gains(num_sources, seed):
+    """Coherent gains of an experiment seed, drawn step by step.
+
+    Uniform phases from the seed's gain stream (entropy (seed,
+    0x6761696E)), as unit-modulus gains with the first set to 1.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0x6761696E)))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=num_sources)
+    gains = np.exp(1j * phases)
+    gains[0] = 1.0
+    return tuple(complex(g) for g in gains)
+
+
 def harmonic_entries(max_harmonic, cfg):
     """Harmonic matrix entries filled one element column at a time.
 

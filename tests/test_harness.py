@@ -181,6 +181,8 @@ def test_resolve_experiment_gains():
     cfg = parse_config(COHERENT)
     assert cfg.scene.coherent_gains is None
     resolved = resolve_experiment(cfg)
+    assert resolved.scene.coherent_gains[0] == 1.0 + 0.0j
+    assert np.allclose(np.abs(resolved.scene.coherent_gains), 1.0)
     again = resolve_experiment(cfg)
     assert resolved.scene.coherent_gains == again.scene.coherent_gains
     assert len(resolved.scene.coherent_gains) == 2
@@ -188,7 +190,45 @@ def test_resolve_experiment_gains():
     assert other.scene.coherent_gains != resolved.scene.coherent_gains
     # Incoherent scenes have no experiment-level randomness.
     plain = parse_config(SMALL)
-    assert resolve_experiment(plain) == plain
+    assert resolve_experiment(plain) is plain
+
+
+def _coherent_table1(num_sources, seed):
+    angles = {1: "-22", 2: "-22, 12", 5: "-60, -30, 0, 30, 60"}
+    # A 5-column window gives a search dimension of 10, above five sources.
+    return load_config(builtin_config_path("table1"), [
+        "coherence=coherent", f"angles_deg={angles[num_sources]}", "subarray_width=5",
+        "powers=" + ", ".join(["1"] * num_sources), f"seed={seed}"])
+
+
+def test_resolve_experiment_fills_gains_once():
+    full = resolve_experiment(parse_config(COHERENT))
+    assert full.scene.coherent_gains is not None
+    assert resolve_experiment(full) is full  # already resolved: untouched
+    reseeded = replace(full, seed=99)
+    assert resolve_experiment(reseeded) is reseeded
+
+
+@pytest.mark.parametrize("seed", [7, 20260814, 2**40 + 3])
+@pytest.mark.parametrize("num_sources", [1, 2, 5])
+def test_resolve_experiment_keeps_the_bits_of_the_gain_recipe(num_sources, seed):
+    gains = resolve_experiment(_coherent_table1(num_sources, seed)).scene.coherent_gains
+    assert all(type(g) is complex for g in gains)
+    want = oracles.coherent_gains(num_sources, seed)
+    assert np.array(gains).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name", ["table1", "table2", "table1_2d"])
+def test_an_incoherent_config_is_used_as_given_and_draws_nothing(monkeypatch, name):
+    cfg = load_config(builtin_config_path(name))
+    assert resolve_experiment(cfg) is cfg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an incoherent set-up drew a random number")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert build_context(cfg).config is cfg
 
 
 def test_run_trials_resolves_coherent_gains():
@@ -747,7 +787,8 @@ def test_a_singular_draw_raises_in_a_batch_as_it_does_alone():
 def test_context_belongs_to_its_config():
     context = build_context(parse_config(SMALL))
     # Trials share these arrays, so none of them may be written.
-    for arr in (context.search.harmonics.pseudo_inverse, context.search.harmonics.gram_inverse,
+    for arr in (context.search.harmonics.entries, context.search.harmonics.pseudo_inverse,
+                context.search.harmonics.gram_inverse,
                 context.signal.patterns, context.search.compensation,
                 context.search.theta_grid_deg, context.search.elevation_grid_deg,
                 context.search.directions, context.search.fold, context.bound.core):

@@ -275,6 +275,19 @@ def test_inverses_computed_once(table1_cfg):
     assert np.array_equal(gram, (vh.conj().T / s**2) @ vh)
 
 
+def test_entries_are_a_read_only_copy(table1_cfg):
+    # A write to the entries would leave the cached inverses stale.
+    entries = harmonic_matrix(15, table1_cfg).entries.copy()
+    um = HarmonicMatrix(15, entries)
+    pseudo = um.pseudo_inverse
+    with pytest.raises(ValueError, match="read-only"):
+        um.entries[0, 0] = 0.0
+    assert entries.flags.writeable
+    entries[0, 0] = 0.0  # the caller's array is not the matrix's
+    assert np.array_equal(um.entries, harmonic_matrix(15, table1_cfg).entries)
+    assert um.pseudo_inverse is pseudo
+
+
 def test_harmonic_matrix_too_few_lines(table1_cfg):
     with pytest.raises(ConfigurationError):
         harmonic_matrix(14, table1_cfg).pseudo_inverse  # 29 lines < 30 elements

@@ -16,12 +16,10 @@ from msdoa import (
     ValidationError,
     builtin_config_path,
     draw_source_amplitudes,
-    make_coherent_gains,
     read_time_series,
     harmonic_matrix,
     load_config,
     resolve_experiment,
-    resolve_gains,
     signal_model,
     synthesize_received,
     write_time_series,
@@ -57,23 +55,6 @@ def test_scene_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError, match="powers"):
             SourceScene(TWO, (1.0, bad))
-
-
-def test_make_coherent_gains():
-    gains = make_coherent_gains(4, 11)
-    assert gains[0] == 1.0 + 0.0j
-    assert np.allclose(np.abs(gains), 1.0)
-    assert gains == make_coherent_gains(4, 11)
-    assert gains != make_coherent_gains(4, 12)
-
-
-def test_resolve_gains_fills_once():
-    scene = SourceScene(TWO, (1.0, 1.0), coherence="coherent")
-    full = resolve_gains(scene, 5)
-    assert full.coherent_gains is not None
-    assert resolve_gains(full, 99) is full  # already resolved: untouched
-    inc = SourceScene(TWO, (1.0, 1.0))
-    assert resolve_gains(inc, 5) is inc
 
 
 def test_coherent_amplitudes_rank_one():
@@ -118,7 +99,7 @@ def test_constant_modulus_model():
 def test_amplitude_and_series_input_checks():
     with pytest.raises(ValidationError, match="num_snapshots"):
         draw_source_amplitudes(SourceScene(TWO, (1.0, 1.0)), 0, 7)
-    with pytest.raises(ValidationError, match="resolve_gains"):
+    with pytest.raises(ValidationError, match="resolve_experiment"):
         draw_source_amplitudes(SourceScene(TWO, (1.0, 1.0), coherence="coherent"), 5, 7)
     with pytest.raises(ValidationError, match="one-dimensional"):
         TimeSeries(np.zeros((2, 3)), 1e6)
