@@ -57,6 +57,23 @@ def test_scene_validation():
             SourceScene(TWO, (1.0, bad))
 
 
+def _four_coherent_gains(seed):
+    # A 5-column window gives a search dimension of 10, above four sources.
+    cfg = load_config(builtin_config_path("table1"), [
+        "coherence=coherent", "angles_deg=-40, -10, 20, 50", "powers=1, 1, 1, 1",
+        "subarray_width=5", f"seed={seed}"])
+    return resolve_experiment(cfg).scene.coherent_gains
+
+
+def test_make_coherent_gains():
+    gains = _four_coherent_gains(11)
+    assert len(gains) == 4
+    assert gains[0] == 1.0 + 0.0j
+    assert np.allclose(np.abs(gains), 1.0)
+    assert gains == _four_coherent_gains(11)
+    assert gains != _four_coherent_gains(12)
+
+
 def test_coherent_amplitudes_rank_one():
     scene = SourceScene(
         (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0),
