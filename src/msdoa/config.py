@@ -418,7 +418,11 @@ def _refuse_past_limit(what: str, points: float) -> None:
 
 
 def validate_experiment(cfg: ExperimentConfig) -> None:
-    """Eager cross-field checks of every config made; raises on the first violation."""
+    """Eager cross-field checks of every config made; raises on the first violation.
+
+    Which scenes the search can find is :func:`~msdoa.estimator.search_grids`'s
+    to decide; this reads only the window width from it.
+    """
     surface, plan, est = cfg.surface, cfg.plan, cfg.estimator
     # Checked before anything is allocated: a trial's series; the one-period
     # signal model, one row per source or, in ideal mode, per harmonic; one
@@ -450,32 +454,11 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         )
     # Also enforces even Q and that harmonic k0*P fits below Q/2.
     frequency_indices(plan, cfg.max_harmonic)
-    width, theta_grid, elevations = search_grids(est, surface, cfg.scene)
+    width = search_grids(est, surface, cfg.scene)[0]
     dim = surface.rows * (surface.cols - width + 1)
     _refuse_past_limit("the whitener table", width**2 * dim**2)
     _refuse_past_limit("a search batch's smoothed stack",
                        batch * plan.num_snapshots * est.num_weights * dim)
-    # The peak search reports strict interior maxima only, so a source
-    # on or beyond a grid end point could never be found.
-    axes = [("theta", "theta_grid_deg", theta_grid)]
-    if elevations.size > 1:
-        axes.append(("phi", "phi_grid_deg", elevations))
-        # The manifold sees the elevation only through sin(phi), so phi
-        # and 180 - phi cannot be told apart.
-        if elevations[-1] > 90.0:
-            raise ConfigurationError(
-                f"phi_grid_deg reaches {elevations[-1]:g} deg; elevations past 90 "
-                "mirror those below it, so the search would return mirrored pairs"
-            )
-    for k, doa in enumerate(cfg.scene.doas, 1):
-        for axis, key, grid in axes:
-            angle = getattr(doa, f"{axis}_deg")
-            if not grid[0] < angle < grid[-1]:
-                raise ConfigurationError(
-                    f"source {k} has {axis} = {angle:g} deg, on or outside the end "
-                    f"points of {key} ({grid[0]:g} .. {grid[-1]:g}); the peak "
-                    "search never reports an end point"
-                )
     if cfg.trials < 1:
         raise ValidationError("trials must be at least 1")
     if cfg.seed < 0:

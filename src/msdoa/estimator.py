@@ -8,7 +8,8 @@ surface row to a scalar. Averaging the outer products of the collapsed
 vectors over snapshots and weights restores rank for coherent sources.
 The azimuth-only (1-D) search is the one-elevation case of the same
 search; the 2-D search runs over an elevation grid. :func:`search_grids`
-is the one place the window width, the grids and the sources are read.
+is the one place the window width, the grids and the sources are read,
+and the one place a scene the search cannot find is refused.
 
 The smoothed noise of a weight bank has a covariance linear in the
 bank's Gram matrix, so :func:`search_setup` tabulates its coefficients
@@ -308,8 +309,10 @@ def search_grids(
     "2d" the elevation grid, must have at least 3 points. Under "2d",
     rows alone see only sin(theta)*sin(phi) and window positions alone
     only cos(theta)*sin(phi), so it needs 2 of each. The K sources must
-    leave a noise subspace: K below rows * window positions. Grids are
-    in degrees.
+    leave a noise subspace: K below rows * window positions. Every
+    source lies strictly inside each searched grid, and a "2d" elevation
+    grid ends at 90 at most. Grids are in degrees. These checks refuse a
+    config at load and every :func:`search_setup` alike.
     """
     theta_grid = inclusive_grid(*params.theta_grid_deg)
     width = surface.cols if params.subarray_width is None else params.subarray_width
@@ -337,6 +340,27 @@ def search_grids(
             f"{scene.num_sources} sources need a search dimension above "
             f"{scene.num_sources}; this geometry gives {dim}"
         )
+    axes = [("theta", "theta_grid_deg", theta_grid)]
+    if params.kind == "2d":
+        axes.append(("phi", "phi_grid_deg", elevations))
+        # The manifold sees the elevation only through sin(phi), so phi
+        # and 180 - phi cannot be told apart.
+        if elevations[-1] > 90.0:
+            raise ConfigurationError(
+                f"phi_grid_deg reaches {elevations[-1]:g} deg; elevations past 90 "
+                "mirror those below it, so the search would return mirrored pairs"
+            )
+    # The peak search reports strict interior maxima only, so a source
+    # on or beyond a grid end point could never be found.
+    for k, doa in enumerate(scene.doas, 1):
+        for axis, key, grid in axes:
+            angle = getattr(doa, f"{axis}_deg")
+            if not grid[0] < angle < grid[-1]:
+                raise ConfigurationError(
+                    f"source {k} has {axis} = {angle:g} deg, on or outside the end "
+                    f"points of {key} ({grid[0]:g} .. {grid[-1]:g}); the peak "
+                    "search never reports an end point"
+                )
     return width, theta_grid, elevations
 
 

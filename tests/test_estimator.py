@@ -408,6 +408,32 @@ def test_estimator_params_validation(table1_cfg):
         search_grids(EstimatorParams(num_weights=5, kind="2d"), table1_cfg, oracles.sources(2))
 
 
+@pytest.mark.parametrize("name, override, doas, grids", [
+    ("table1", "angles_deg = -90, 12", ((-90.0, 90.0), (12.0, 90.0)), {}),
+    ("table1", "angles_deg = -22, 90", ((-22.0, 90.0), (90.0, 90.0)), {}),
+    ("table1", "theta_grid_deg = -20, 20, 0.5", None, {"theta_grid_deg": (-20.0, 20.0, 0.5)}),
+    ("table1_2d", "angles_deg = (-36, 90), (42, 45)", ((-36.0, 90.0), (42.0, 45.0)), {}),
+    ("table1_2d", "phi_grid_deg = 0, 95, 0.5", None, {"phi_grid_deg": (0.0, 95.0, 0.5)}),
+], ids=["azimuth-on-start", "azimuth-on-stop", "azimuth-outside", "elevation-on-90",
+        "elevation-grid-to-95"])
+def test_the_search_alone_refuses_a_scene_it_cannot_find(name, override, doas, grids):
+    # The peak search reports strict interior maxima only and cannot
+    # tell phi from 180 - phi. A direct caller of the search gets the
+    # refusal a config gets when it is loaded, word for word.
+    with pytest.raises(ConfigurationError) as loaded:
+        load_config(builtin_config_path(name), overrides=[override])
+    cfg = load_config(builtin_config_path(name))
+    scene = cfg.scene if doas is None else replace(
+        cfg.scene, doas=tuple(Doa.from_degrees(*doa) for doa in doas))
+    params = replace(cfg.estimator, **grids)
+    with pytest.raises(ConfigurationError) as searched:
+        search_grids(params, cfg.surface, scene)
+    assert str(searched.value) == str(loaded.value)
+    with pytest.raises(ConfigurationError) as setup:
+        search_setup(cfg.surface, scene, params, harmonic_matrix(cfg.max_harmonic, cfg.surface))
+    assert str(setup.value) == str(loaded.value)
+
+
 def test_inclusive_grid():
     g = inclusive_grid(-90.0, 90.0, 0.1)
     assert g.size == 1801
@@ -722,16 +748,23 @@ def _search_cases(draw):
     unset = not two_d and draw(st.booleans())
     width = cols if unset else draw(st.integers(1, cols - two_d))
     dim = rows * (cols - width + 1)
-    scene = oracles.sources(draw(st.integers(0, dim - 1)),
-                            draw(st.sampled_from([20.0, 55.0, 90.0])))
     start = draw(st.sampled_from([-90.0, -75.0, -40.0]))
     theta_grid = (start, draw(st.sampled_from([30.0, 60.0, 90.0])),
                   draw(st.sampled_from([2.5, 3.0, 5.0, 7.0])))
+    # A 2-D search refuses an elevation grid past 90; 5, 90, 15 would reach 95.
+    phi_grid = draw(st.sampled_from([(0.0, 90.0, 5.0), (0.0, 90.0, 7.5), (0.0, 90.0, 15.0),
+                                     (5.0, 90.0, 5.0), (5.0, 90.0, 7.5)]))
     params = EstimatorParams(
         num_weights=2, kind="2d" if two_d else "1d", subarray_width=None if unset else width,
-        theta_grid_deg=theta_grid,
-        phi_grid_deg=(draw(st.sampled_from([0.0, 5.0])), 90.0,
-                      draw(st.sampled_from([5.0, 7.5, 15.0]))))
+        theta_grid_deg=theta_grid, phi_grid_deg=phi_grid)
+    # The search arithmetic depends on the source count alone, and the
+    # search refuses a source on or outside a searched grid's end points:
+    # the K azimuths are spread strictly inside the azimuth grid, and a
+    # 2-D scene's elevation lies strictly inside the elevation grid.
+    count = draw(st.integers(0, dim - 1))
+    phi = draw(st.sampled_from([20.0, 55.0] if two_d else [20.0, 55.0, 90.0]))
+    thetas = np.linspace(*inclusive_grid(*theta_grid)[[0, -1]], count + 2)[1:-1]
+    scene = SourceScene(tuple(Doa.from_degrees(t, phi) for t in thetas), (1.0,) * count)
     trials = draw(st.integers(1, 3))
     return rows, cols, scene, params, dim, trials, draw(st.integers(0, 2**16))
 
@@ -762,7 +795,7 @@ def _surface_setup(rows, cols, scene, params):
 @example((3, 2, oracles.sources(1, 20.0),
           EstimatorParams(num_weights=2, subarray_width=2, theta_grid_deg=(-90.0, 90.0, 5.0)),
           3, 2, 2))
-@example((2, 3, oracles.sources(1), EstimatorParams(
+@example((2, 3, oracles.sources(1, 55.0), EstimatorParams(
     num_weights=2, kind="2d", subarray_width=2, theta_grid_deg=(-90.0, 90.0, 5.0),
     phi_grid_deg=(0.0, 90.0, 15.0)), 4, 2, 3))
 def test_lag_polynomial_matches_the_projection_search(case):
