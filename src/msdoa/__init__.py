@@ -41,10 +41,10 @@ from .estimator import (
     smooth,
     smoothing_whitener,
     whiten,
-    write_spectrum_csv,
 )
 from .harness import (
     build_context,
+    read_time_series,
     resolve_experiment,
     run_batch,
     run_chunk,
@@ -52,7 +52,10 @@ from .harness import (
     run_sweep,
     run_trials,
     trial_seeds,
+    write_snapshots_csv,
+    write_spectrum_csv,
     write_sweep_csv,
+    write_time_series,
 )
 from .metrics import (
     aggregate,
@@ -61,7 +64,6 @@ from .metrics import (
 from .snapshot import (
     extract_snapshots,
     frequency_indices,
-    write_snapshots_csv,
 )
 from .surface import (
     Doa,
@@ -78,8 +80,6 @@ from .waveform import (
     SourceScene,
     TimeSeries,
     draw_source_amplitudes,
-    read_time_series,
     signal_model,
     synthesize_received,
-    write_time_series,
 )

@@ -21,6 +21,7 @@ from .harness import (
     run_single,
     run_sweep,
     trial_zero_bound,
+    write_crb_csv,
     write_sweep_csv,
 )
 
@@ -108,10 +109,7 @@ def _cmd_crb(cfg, args) -> int:
     for k, b in enumerate(bound.theta_bounds, 1):
         print(f"source {k}: sqrt_crb_deg={np.rad2deg(np.sqrt(b)):.6g}")
     path = f"{args.output}_crb.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# angle covariance floor, radians^2; azimuths then elevations\n")
-        for row in bound.matrix:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+    write_crb_csv(bound, path)
     print(f"crb: {path}")
     return EXIT_OK
 

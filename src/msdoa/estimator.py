@@ -700,29 +700,3 @@ def _whitened_chain(bins, setup: SearchSetup, weights):
             "the received power is past the float range"
         )
     return whiten(covariance, w_inv_sqrt), w_inv_sqrt
-
-
-def write_spectrum_csv(batch: MusicBatch, path: str) -> None:
-    """Write the spatial spectrum of a one-trial batch as CSV, estimates as footer comments.
-
-    A one-elevation search writes the spectrum over azimuth alone. The
-    spectrum is evaluated once; a batch of several trials raises
-    :class:`ValidationError` before any is evaluated.
-    """
-    trials = len(batch.estimates)
-    if trials != 1:
-        raise ValidationError(f"a spectrum CSV holds one trial; the batch has {trials}")
-    (spectrum,), (estimates,) = batch.spectrum, batch.estimates
-    thetas, phis = batch.setup.theta_grid_deg, batch.setup.elevation_grid_deg
-    two_angles = phis.size > 1
-    # Each coordinate is formatted once and each azimuth's row written in
-    # one call; a 2-D grid has tens of thousands of points.
-    phis = [f",{p:.10g}" for p in phis] if two_angles else [""]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("theta_deg,phi_deg,value\n" if two_angles else "theta_deg,value\n")
-        for t, values in zip(thetas, spectrum):
-            theta = f"{t:.10g}"
-            fh.write("".join(f"{theta}{p},{v:.10g}\n" for p, v in zip(phis, values)))
-        for est in estimates:
-            phi = f",{est.phi_deg:.10g}" if two_angles else ""
-            fh.write(f"# estimate,{est.theta_deg:.10g}{phi}\n")

@@ -42,16 +42,17 @@ from . import __version__
 from .config import BATCH_TRIALS, ExperimentConfig, config_digest, point_configs, sweep_point
 from .crb import CrbCore, CrbResult, crb, crb_core
 from .errors import ValidationError
-from .estimator import SearchSetup, estimate_doa, make_ps_weights, search_setup, write_spectrum_csv
+from .estimator import MusicBatch, SearchSetup, estimate_doa, make_ps_weights, search_setup
 from .metrics import TrialOutcome, aggregate, resolve_and_score
-from .snapshot import extract_snapshots, frequency_indices, write_snapshots_csv
+from .snapshot import extract_snapshots, frequency_indices
 from .surface import harmonic_matrix
 from .waveform import (
+    SamplingPlan,
     SignalModel,
+    TimeSeries,
     draw_source_amplitudes,
     signal_model,
     synthesize_received,
-    write_time_series,
 )
 
 # Fixed tag mixed into the seed stream for experiment-level draws
@@ -350,14 +351,6 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     return SweepResult(rows, digest, cfg.seed, __version__)
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.10g}"
-
-
 def write_sweep_csv(result: SweepResult, path: str) -> None:
     """Write sweep rows as CSV (UTF-8, LF).
 
@@ -376,11 +369,96 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
         fh.write(f"# seed={result.seed}\n")
         fh.write(f"sweep_var,value,pr,rmse_deg{crb_cols}\n")
         for row in result.rows:
+            value = row.value if isinstance(row.value, (str, int)) else f"{row.value:.10g}"
             crb_vals = "".join(f",{b:.10g}" for b in row.sqrt_crb_deg)
             fh.write(
-                f"{row.variable},{_fmt_value(row.value)},{row.pr:.10g},"
+                f"{row.variable},{value},{row.pr:.10g},"
                 f"{row.rmse_deg:.10g}{crb_vals}\n"
             )
+
+
+def write_spectrum_csv(batch: MusicBatch, path: str) -> None:
+    """Write the spatial spectrum of a one-trial batch as CSV, estimates as footer comments.
+
+    A one-elevation search writes the spectrum over azimuth alone. The
+    spectrum is evaluated once; a batch of several trials raises
+    :class:`ValidationError` before any is evaluated.
+    """
+    trials = len(batch.estimates)
+    if trials != 1:
+        raise ValidationError(f"a spectrum CSV holds one trial; the batch has {trials}")
+    (spectrum,), (estimates,) = batch.spectrum, batch.estimates
+    thetas, phis = batch.setup.theta_grid_deg, batch.setup.elevation_grid_deg
+    two_angles = phis.size > 1
+    # Each coordinate is formatted once and each azimuth's row written in
+    # one call; a 2-D grid has tens of thousands of points.
+    phis = [f",{p:.10g}" for p in phis] if two_angles else [""]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("theta_deg,phi_deg,value\n" if two_angles else "theta_deg,value\n")
+        for t, values in zip(thetas, spectrum):
+            theta = f"{t:.10g}"
+            fh.write("".join(f"{theta}{p},{v:.10g}\n" for p, v in zip(phis, values)))
+        for est in estimates:
+            phi = f",{est.phi_deg:.10g}" if two_angles else ""
+            fh.write(f"# estimate,{est.theta_deg:.10g}{phi}\n")
+
+
+def write_snapshots_csv(bins: np.ndarray, path: str) -> None:
+    """Write a (2P+1, I) bin matrix as CSV rows (snapshot_index, p, re, im)."""
+    max_harmonic = bins.shape[0] // 2
+    orders = range(-max_harmonic, max_harmonic + 1)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("snapshot_index,p,re,im\n")
+        for i in range(bins.shape[1]):
+            for row, p in enumerate(orders):
+                v = bins[row, i]
+                fh.write(f"{i},{p},{v.real:.10g},{v.imag:.10g}\n")
+
+
+def write_time_series(series: TimeSeries, plan: SamplingPlan, path: str, seed=None) -> None:
+    """Write samples as little-endian float64 (re, im) pairs plus a sidecar.
+
+    The sidecar ``<path>.hdr`` records sample rate, points per snapshot,
+    snapshot count, and the seed as ``key=value`` lines.
+    """
+    data = np.empty(2 * series.samples.size, dtype="<f8")
+    data[0::2] = series.samples.real
+    data[1::2] = series.samples.imag
+    data.tofile(path)
+    with open(f"{path}.hdr", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"sample_rate_hz={series.sample_rate_hz!r}\n")
+        fh.write(f"points_per_snapshot={plan.points_per_snapshot}\n")
+        fh.write(f"num_snapshots={plan.num_snapshots}\n")
+        fh.write(f"seed={seed}\n")
+
+
+def read_time_series(path: str) -> TimeSeries:
+    """Read a series written by :func:`write_time_series`.
+
+    Raises :class:`ValidationError`, naming the file, when the sidecar
+    lacks a numeric sample rate, points per snapshot or snapshot count,
+    or when the data is not one (re, im) pair per sample the sidecar
+    counts.
+    """
+    header = {}
+    with open(f"{path}.hdr", "r", encoding="utf-8") as fh:
+        for line in fh:
+            key, _, value = line.strip().partition("=")
+            header[key] = value
+    try:
+        rate = float(header["sample_rate_hz"])
+        samples = int(header["points_per_snapshot"]) * int(header["num_snapshots"])
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(
+            f"{path}.hdr: needs numeric sample_rate_hz, points_per_snapshot and "
+            f"num_snapshots; {exc!r}"
+        ) from exc
+    raw = np.fromfile(path, dtype="<f8")
+    if raw.size != 2 * samples:
+        raise ValidationError(
+            f"{path}: {raw.size} float64 values, not the (re, im) pairs of {samples} samples"
+        )
+    return TimeSeries(raw[0::2] + 1j * raw[1::2], rate)
 
 
 def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
@@ -399,6 +477,14 @@ def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
         amplitudes = draw_source_amplitudes(cfg.scene, cfg.plan.num_snapshots, amplitude_seed)
         bound = crb(context.bound, cfg.plan, cfg.noise_variance, amplitudes[None])
     return CrbResult(bound.matrix[0], bound.theta_bounds[0])
+
+
+def write_crb_csv(bound: CrbResult, path: str) -> None:
+    """Write a bound's angle covariance matrix as CSV, one matrix row per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# angle covariance floor, radians^2; azimuths then elevations\n")
+        for row in bound.matrix:
+            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
 def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:

@@ -66,15 +66,3 @@ def extract_snapshots(series: TimeSeries, plan: SamplingPlan, max_harmonic: int)
     # bins are scaled.
     bins = np.fft.fft(windows, axis=1)[:, (idx + q_len // 2) % q_len] / q_len
     return bins.T.copy()
-
-
-def write_snapshots_csv(bins: np.ndarray, path: str) -> None:
-    """Write a (2P+1, I) bin matrix as CSV rows (snapshot_index, p, re, im)."""
-    max_harmonic = bins.shape[0] // 2
-    orders = range(-max_harmonic, max_harmonic + 1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("snapshot_index,p,re,im\n")
-        for i in range(bins.shape[1]):
-            for row, p in enumerate(orders):
-                v = bins[row, i]
-                fh.write(f"{i},{p},{v.real:.10g},{v.imag:.10g}\n")

@@ -273,49 +273,3 @@ def synthesize_received(model: SignalModel, noise_variance: float, amplitudes, n
         samples.real += draws[0]
         samples.imag += draws[1]
     return TimeSeries(samples, model.plan.sample_rate_hz)
-
-
-def write_time_series(series: TimeSeries, plan: SamplingPlan, path: str, seed=None) -> None:
-    """Write samples as little-endian float64 (re, im) pairs plus a sidecar.
-
-    The sidecar ``<path>.hdr`` records sample rate, points per snapshot,
-    snapshot count, and the seed as ``key=value`` lines.
-    """
-    data = np.empty(2 * series.samples.size, dtype="<f8")
-    data[0::2] = series.samples.real
-    data[1::2] = series.samples.imag
-    data.tofile(path)
-    with open(f"{path}.hdr", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"sample_rate_hz={series.sample_rate_hz!r}\n")
-        fh.write(f"points_per_snapshot={plan.points_per_snapshot}\n")
-        fh.write(f"num_snapshots={plan.num_snapshots}\n")
-        fh.write(f"seed={seed}\n")
-
-
-def read_time_series(path: str) -> TimeSeries:
-    """Read a series written by :func:`write_time_series`.
-
-    Raises :class:`ValidationError`, naming the file, when the sidecar
-    lacks a numeric sample rate, points per snapshot or snapshot count,
-    or when the data is not one (re, im) pair per sample the sidecar
-    counts.
-    """
-    header = {}
-    with open(f"{path}.hdr", "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            header[key] = value
-    try:
-        rate = float(header["sample_rate_hz"])
-        samples = int(header["points_per_snapshot"]) * int(header["num_snapshots"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(
-            f"{path}.hdr: needs numeric sample_rate_hz, points_per_snapshot and "
-            f"num_snapshots; {exc!r}"
-        ) from exc
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size != 2 * samples:
-        raise ValidationError(
-            f"{path}: {raw.size} float64 values, not the (re, im) pairs of {samples} samples"
-        )
-    return TimeSeries(raw[0::2] + 1j * raw[1::2], rate)
