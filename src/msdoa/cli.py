@@ -1,5 +1,8 @@
 """Command-line harness.
 
+Each command calls :mod:`msdoa.harness`, which writes its output
+files; this module opens none.
+
 Exit codes, set by the error's type alone: 0 success; 2 invalid config
 or arguments (``ValidationError``, checks that no draw can change
 included) or a path that cannot be read or written; 3 a failed draw.

@@ -22,7 +22,8 @@ covariance and the search manifold.
 of trials, each with the weight bank it is given. Every stage takes
 arrays with a leading trial axis and makes, per trial, the BLAS or
 LAPACK call a batch of one makes, so no bit of a result depends on the
-batch size.
+batch size. The module opens no file; :func:`msdoa.harness.write_spectrum_csv`
+writes a search's spectrum.
 """
 
 from __future__ import annotations

@@ -23,6 +23,15 @@ call a batch of one makes, so every output is bitwise the same for any
 batch size or worker count. Trials fail fast: any estimator error
 aborts the sweep with context rather than emitting partial rows.
 README's "How a sweep runs" tells the whole path.
+
+This module alone opens msdoa's output files. It writes every
+artifact, the sweep, spatial, snapshots, frequency and bound CSVs and
+the series with its sidecar, and reads the series back
+(:func:`read_time_series`). They share one byte contract: UTF-8 text
+with LF line ends, numbers formatted ``.10g``, and the series as
+little-endian float64 (re, im) pairs with a ``key=value`` ``.hdr``
+sidecar. Each writer checks its input before it opens a file. README's
+"Output formats" gives each file byte for byte.
 """
 
 from __future__ import annotations
@@ -404,7 +413,12 @@ def write_spectrum_csv(batch: MusicBatch, path: str) -> None:
 
 
 def write_snapshots_csv(bins: np.ndarray, path: str) -> None:
-    """Write a (2P+1, I) bin matrix as CSV rows (snapshot_index, p, re, im)."""
+    """Write a (2P+1, I) bin matrix as CSV rows (snapshot_index, p, re, im).
+
+    Any other array raises :class:`ValidationError` before the file is opened.
+    """
+    if bins.ndim != 2 or bins.shape[0] % 2 == 0:
+        raise ValidationError(f"snapshot bins have shape {bins.shape}; expected (2P+1, I)")
     max_harmonic = bins.shape[0] // 2
     orders = range(-max_harmonic, max_harmonic + 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -419,8 +433,18 @@ def write_time_series(series: TimeSeries, plan: SamplingPlan, path: str, seed=No
     """Write samples as little-endian float64 (re, im) pairs plus a sidecar.
 
     The sidecar ``<path>.hdr`` records sample rate, points per snapshot,
-    snapshot count, and the seed as ``key=value`` lines.
+    snapshot count, and the seed as ``key=value`` lines. A series that
+    is not ``plan.total_points`` samples at the plan's sample rate (to a
+    relative 1e-9, as :func:`~msdoa.snapshot.extract_snapshots` reads
+    it) raises :class:`ValidationError` before either file is written.
     """
+    if series.samples.size != plan.total_points or (
+        abs(series.sample_rate_hz - plan.sample_rate_hz) > 1e-9 * plan.sample_rate_hz
+    ):
+        raise ValidationError(
+            f"series of {series.samples.size} samples at {series.sample_rate_hz} Hz does not "
+            f"match the plan's {plan.total_points} samples at {plan.sample_rate_hz} Hz"
+        )
     data = np.empty(2 * series.samples.size, dtype="<f8")
     data[0::2] = series.samples.real
     data[1::2] = series.samples.imag

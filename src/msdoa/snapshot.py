@@ -4,7 +4,8 @@ Each snapshot window spans an integer number of coding periods, so the
 coding harmonics land exactly on FFT bins. The window is transformed
 with a length-Q DFT and sampled at the harmonic bins, read from the
 unshifted spectrum at their centered positions and scaled by 1/Q,
-giving one (2P+1)-vector per snapshot.
+giving one (2P+1)-vector per snapshot. The module opens no file;
+:func:`msdoa.harness.write_snapshots_csv` writes the bin matrix.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ amplitudes, and buried in circular complex Gaussian noise of a given
 per-element variance. Two signal models are available: ``full``
 evaluates the exact schedule sample by sample, ``ideal`` keeps only
 coding harmonics up to a chosen order (a band-limited idealization with
-no spectral folding).
+no spectral folding). The module opens no file;
+:func:`msdoa.harness.write_time_series` writes a series and
+:func:`msdoa.harness.read_time_series` reads it back.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Monte Carlo harness: seeding, worker equivalence, outputs, CLI."""
 
+import ast
 import concurrent.futures.process
 import contextlib
 import io
@@ -280,6 +281,34 @@ def test_run_single_default_prefix(tmp_path, monkeypatch):
     out = run_single(cfg)
     assert out["paths"]["frequency"] == "here_frequency.csv"
     assert os.path.exists("here_frequency.csv")
+
+
+# Calls that open a file: the builtin, io and os open and Path.open,
+# numpy's raw array file I/O, and pathlib's whole-file shortcuts.
+_FILE_CALLS = {"open", "tofile", "fromfile", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_calls(path):
+    """(call name, open mode) of each file-opening call in a module; mode None if not given."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in _FILE_CALLS:
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            yield name, ast.literal_eval(modes[0]) if modes else None
+
+
+def test_harness_alone_opens_files():
+    # Every artifact has one writer and the series one reader, in
+    # harness; config opens its config file to read it, and no other
+    # module opens a file.
+    package = Path(msdoa.harness.__file__).parent
+    calls = {p.name: list(_file_calls(p)) for p in sorted(package.glob("*.py"))}
+    assert "harness.py" in calls and "cli.py" in calls
+    assert {name for name, found in calls.items() if found} == {"harness.py", "config.py"}
+    assert calls["config.py"] == [("open", "r")]
+    assert {name for name, _ in calls["harness.py"]} == {"open", "tofile", "fromfile"}
 
 
 def _write_cfg(tmp_path, text):

@@ -128,6 +128,15 @@ def test_snapshots_csv(tmp_path, table1_cfg, table1_plan):
     assert float(first[2]) == pytest.approx(v.real, abs=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(31,), (4, 5), (2, 31, 5)])
+def test_snapshots_csv_refuses_an_array_that_is_not_a_bin_matrix(tmp_path, shape):
+    # Refused before the file is opened: no header or partial rows.
+    path = tmp_path / "snaps.csv"
+    with pytest.raises(ValidationError, match=r"bins have shape .*; expected \(2P\+1, I\)"):
+        write_snapshots_csv(np.ones(shape, complex), str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("name, overrides", [
     ("table1", []),
     ("table1", ["mode=ideal"]),

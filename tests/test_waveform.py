@@ -390,6 +390,29 @@ def test_series_roundtrip(tmp_path, table1_cfg, table1_plan):
     assert "points_per_snapshot=1600" in hdr
 
 
+@pytest.mark.parametrize("size, rate_hz", [(20, 123.0), (7999, 50e6), (8001, 50e6),
+                                           (8000, 50e6 * (1 + 2e-9))],
+                         ids=["short-at-another-rate", "one-short", "one-long", "rate-off"])
+def test_series_writer_refuses_a_series_its_plan_does_not_describe(tmp_path, table1_plan,
+                                                                   size, rate_hz):
+    # The sidecar describes the plan, so a series of another length or
+    # rate is refused before either file exists.
+    series = TimeSeries(np.ones(size, complex), rate_hz)
+    with pytest.raises(ValidationError, match=r"does not match the plan's 8000 samples at 5"):
+        write_time_series(series, table1_plan, str(tmp_path / "rx.bin"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_series_writer_takes_the_plan_rate_to_a_relative_1e9(tmp_path, table1_plan):
+    rate = table1_plan.sample_rate_hz * (1 + 5e-10)
+    series = TimeSeries(np.arange(table1_plan.total_points) * (1 - 1j), rate)
+    path = str(tmp_path / "rx.bin")
+    write_time_series(series, table1_plan, path, seed=3)
+    back = read_time_series(path)
+    assert back.samples.tobytes() == series.samples.tobytes()
+    assert back.sample_rate_hz == rate
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (lambda data, hdr: (np.append(data, 0.0), hdr), r"rx\.bin: 16001 float64 values"),
     (lambda data, hdr: (data, hdr.replace("sample_rate_hz=", "rate=")),
