@@ -434,12 +434,12 @@ def write_time_series(series: TimeSeries, plan: SamplingPlan, path: str, seed=No
 
     The sidecar ``<path>.hdr`` records sample rate, points per snapshot,
     snapshot count, and the seed as ``key=value`` lines. A series that
-    is not ``plan.total_points`` samples at the plan's sample rate (to a
-    relative 1e-9, as :func:`~msdoa.snapshot.extract_snapshots` reads
-    it) raises :class:`ValidationError` before either file is written.
+    is not ``plan.total_points`` samples at the plan's sample rate (to
+    the relative 1e-9 of :func:`~msdoa.snapshot.extract_snapshots`)
+    raises :class:`ValidationError` before either file is written.
     """
-    if series.samples.size != plan.total_points or (
-        abs(series.sample_rate_hz - plan.sample_rate_hz) > 1e-9 * plan.sample_rate_hz
+    if series.samples.size != plan.total_points or not (
+        abs(series.sample_rate_hz - plan.sample_rate_hz) <= 1e-9 * plan.sample_rate_hz
     ):
         raise ValidationError(
             f"series of {series.samples.size} samples at {series.sample_rate_hz} Hz does not "

@@ -289,14 +289,14 @@ _FILE_CALLS = {"open", "tofile", "fromfile", "read_text", "write_text", "read_by
 
 
 def _file_calls(path):
-    """(call name, open mode) of each file-opening call in a module; mode None if not given."""
+    """(call name, literal mode) of each file-opening call in a module; None if none is given."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         if name in _FILE_CALLS:
             modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-            yield name, ast.literal_eval(modes[0]) if modes else None
+            yield name, getattr(modes[0], "value", None) if modes else None
 
 
 def test_harness_alone_opens_files():

@@ -391,8 +391,9 @@ def test_series_roundtrip(tmp_path, table1_cfg, table1_plan):
 
 
 @pytest.mark.parametrize("size, rate_hz", [(20, 123.0), (7999, 50e6), (8001, 50e6),
-                                           (8000, 50e6 * (1 + 2e-9))],
-                         ids=["short-at-another-rate", "one-short", "one-long", "rate-off"])
+                                           (8000, 50e6 * (1 + 2e-9)), (8000, np.nan)],
+                         ids=["short-at-another-rate", "one-short", "one-long", "rate-off",
+                              "rate-nan"])
 def test_series_writer_refuses_a_series_its_plan_does_not_describe(tmp_path, table1_plan,
                                                                    size, rate_hz):
     # The sidecar describes the plan, so a series of another length or
