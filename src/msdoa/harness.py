@@ -30,7 +30,9 @@ the series with its sidecar, and reads the series back
 (:func:`read_time_series`). They share one byte contract: UTF-8 text
 with LF line ends, numbers formatted ``.10g``, and the series as
 little-endian float64 (re, im) pairs with a ``key=value`` ``.hdr``
-sidecar. Each writer checks its input before it opens a file. README's
+sidecar. Each writer checks its input before it opens a file. The
+series' sampling plan is its one description: the writer writes the
+plan's sidecar lines and the reader refuses any others. README's
 "Output formats" gives each file byte for byte.
 """
 
@@ -429,60 +431,50 @@ def write_snapshots_csv(bins: np.ndarray, path: str) -> None:
                 fh.write(f"{i},{p},{v.real:.10g},{v.imag:.10g}\n")
 
 
+def _series_header(plan: SamplingPlan) -> list[str]:
+    """The sidecar's rate, Q and I lines: the writer writes them and the reader expects them."""
+    rate, q_len, count = plan.sample_rate_hz, plan.points_per_snapshot, plan.num_snapshots
+    return [f"sample_rate_hz={rate!r}", f"points_per_snapshot={q_len}", f"num_snapshots={count}"]
+
+
 def write_time_series(series: TimeSeries, plan: SamplingPlan, path: str, seed=None) -> None:
     """Write samples as little-endian float64 (re, im) pairs plus a sidecar.
 
-    The sidecar ``<path>.hdr`` records sample rate, points per snapshot,
-    snapshot count, and the seed as ``key=value`` lines. A series that
-    is not ``plan.total_points`` samples at the plan's sample rate (to
-    the relative 1e-9 of :func:`~msdoa.snapshot.extract_snapshots`)
-    raises :class:`ValidationError` before either file is written.
+    The sidecar ``<path>.hdr`` records the plan's sample rate, points
+    per snapshot and snapshot count, then the seed, as ``key=value``
+    lines. A series the plan does not cut into its windows raises
+    :class:`ValidationError` before either file is written.
     """
-    if series.samples.size != plan.total_points or not (
-        abs(series.sample_rate_hz - plan.sample_rate_hz) <= 1e-9 * plan.sample_rate_hz
-    ):
-        raise ValidationError(
-            f"series of {series.samples.size} samples at {series.sample_rate_hz} Hz does not "
-            f"match the plan's {plan.total_points} samples at {plan.sample_rate_hz} Hz"
-        )
+    plan.windows(series)  # refuses a series the sidecar would misdescribe
     data = np.empty(2 * series.samples.size, dtype="<f8")
     data[0::2] = series.samples.real
     data[1::2] = series.samples.imag
     data.tofile(path)
     with open(f"{path}.hdr", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"sample_rate_hz={series.sample_rate_hz!r}\n")
-        fh.write(f"points_per_snapshot={plan.points_per_snapshot}\n")
-        fh.write(f"num_snapshots={plan.num_snapshots}\n")
+        fh.write("".join(f"{line}\n" for line in _series_header(plan)))
         fh.write(f"seed={seed}\n")
 
 
-def read_time_series(path: str) -> TimeSeries:
-    """Read a series written by :func:`write_time_series`.
+def read_time_series(path: str, plan: SamplingPlan) -> TimeSeries:
+    """Read a series that :func:`write_time_series` wrote for ``plan``.
 
-    Raises :class:`ValidationError`, naming the file, when the sidecar
-    lacks a numeric sample rate, points per snapshot or snapshot count,
-    or when the data is not one (re, im) pair per sample the sidecar
-    counts.
+    Raises :class:`ValidationError`, naming the file, when the sidecar's
+    first three lines are not the rate, points per snapshot and snapshot
+    count lines the writer writes for ``plan``, or when the data is not
+    one (re, im) pair per sample of the plan.
     """
-    header = {}
-    with open(f"{path}.hdr", "r", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            header[key] = value
-    try:
-        rate = float(header["sample_rate_hz"])
-        samples = int(header["points_per_snapshot"]) * int(header["num_snapshots"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(
-            f"{path}.hdr: needs numeric sample_rate_hz, points_per_snapshot and "
-            f"num_snapshots; {exc!r}"
-        ) from exc
+    want = _series_header(plan)
+    with open(f"{path}.hdr", "r", encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().split("\n")[:3]
+    if lines != want:
+        raise ValidationError(f"{path}.hdr: {lines} are not the plan's sidecar lines {want}")
     raw = np.fromfile(path, dtype="<f8")
-    if raw.size != 2 * samples:
+    if raw.size != 2 * plan.total_points:
         raise ValidationError(
-            f"{path}: {raw.size} float64 values, not the (re, im) pairs of {samples} samples"
+            f"{path}: {raw.size} float64 values, not the (re, im) pairs of "
+            f"{plan.total_points} samples"
         )
-    return TimeSeries(raw[0::2] + 1j * raw[1::2], rate)
+    return TimeSeries(raw[0::2] + 1j * raw[1::2])
 
 
 def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
@@ -504,9 +496,15 @@ def trial_zero_bound(cfg: ExperimentConfig) -> CrbResult:
 
 
 def write_crb_csv(bound: CrbResult, path: str) -> None:
-    """Write a bound's angle covariance matrix as CSV, one matrix row per line."""
+    """Write a bound's angle covariance matrix as CSV, one matrix row per line.
+
+    The header names the matrix's angles: azimuths alone when it has one
+    row per azimuth bound, as under known elevations.
+    """
+    azimuths_only = len(bound.matrix) == len(bound.theta_bounds)
+    angles = "azimuths" if azimuths_only else "azimuths then elevations"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# angle covariance floor, radians^2; azimuths then elevations\n")
+        fh.write(f"# angle covariance floor, radians^2; {angles}\n")
         for row in bound.matrix:
             fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
@@ -533,7 +531,7 @@ def run_single(cfg: ExperimentConfig, out_prefix: str | None = None) -> dict:
     prefix = out_prefix if out_prefix is not None else cfg.output
 
     q_len = cfg.plan.points_per_snapshot
-    windows = series.samples[: cfg.plan.total_points].reshape(-1, q_len)
+    windows = cfg.plan.windows(series)
     magnitude = np.abs(np.fft.fftshift(np.fft.fft(windows, axis=1), axes=1) / q_len).mean(axis=0)
     selected = np.zeros(q_len, dtype=int)
     selected[frequency_indices(cfg.plan, cfg.max_harmonic)] = 1

@@ -1,7 +1,9 @@
 """Frequency-snapshot extraction from the receiver time series.
 
 Each snapshot window spans an integer number of coding periods, so the
-coding harmonics land exactly on FFT bins. The window is transformed
+coding harmonics land exactly on FFT bins. The sampling plan cuts the
+series into its windows (:meth:`~msdoa.waveform.SamplingPlan.windows`)
+and refuses a series of other than Q*I samples. Each window is transformed
 with a length-Q DFT and sampled at the harmonic bins, read from the
 unshifted spectrum at their centered positions and scaled by 1/Q,
 giving one (2P+1)-vector per snapshot. The module opens no file;
@@ -47,22 +49,12 @@ def extract_snapshots(series: TimeSeries, plan: SamplingPlan, max_harmonic: int)
     """Slice the series into snapshots and sample their harmonic bins.
 
     Returns the (2P+1, I) bin matrix: row p+P holds harmonic p, column i
-    snapshot i. Uses the first Q*I samples; the series must be at least
-    that long and carry the plan's sample rate.
+    snapshot i. The series must hold exactly the plan's Q*I samples
+    (:meth:`~msdoa.waveform.SamplingPlan.windows`).
     """
-    if abs(series.sample_rate_hz - plan.sample_rate_hz) > 1e-9 * plan.sample_rate_hz:
-        raise ValidationError(
-            f"series sample rate {series.sample_rate_hz} does not match "
-            f"the plan's {plan.sample_rate_hz}"
-        )
+    windows = plan.windows(series)
     q_len = plan.points_per_snapshot
-    needed = plan.total_points
-    if series.samples.size < needed:
-        raise ValidationError(
-            f"series has {series.samples.size} samples but the plan needs {needed}"
-        )
     idx = frequency_indices(plan, max_harmonic)
-    windows = series.samples[:needed].reshape(plan.num_snapshots, q_len)
     # Centered bin b is unshifted bin (b + Q/2) mod Q; only the sampled
     # bins are scaled.
     bins = np.fft.fft(windows, axis=1)[:, (idx + q_len // 2) % q_len] / q_len

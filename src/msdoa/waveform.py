@@ -7,9 +7,11 @@ amplitudes, and buried in circular complex Gaussian noise of a given
 per-element variance. Two signal models are available: ``full``
 evaluates the exact schedule sample by sample, ``ideal`` keeps only
 coding harmonics up to a chosen order (a band-limited idealization with
-no spectral folding). The module opens no file;
-:func:`msdoa.harness.write_time_series` writes a series and
-:func:`msdoa.harness.read_time_series` reads it back.
+no spectral folding). A :class:`TimeSeries` holds samples alone: its
+:class:`SamplingPlan` gives their rate and, through
+:meth:`SamplingPlan.windows`, alone checks that a series fits it. The
+module opens no file; :func:`msdoa.harness.write_time_series` writes a
+series and :func:`msdoa.harness.read_time_series` reads it back.
 """
 
 from __future__ import annotations
@@ -118,13 +120,20 @@ class SamplingPlan:
     def total_points(self) -> int:
         return self.points_per_snapshot * self.num_snapshots
 
+    def windows(self, series: TimeSeries) -> np.ndarray:
+        """The series as its (I, Q) snapshot windows; it must hold ``total_points`` samples."""
+        if series.samples.size != self.total_points:
+            raise ValidationError(
+                f"series has {series.samples.size} samples but the plan needs {self.total_points}"
+            )
+        return series.samples.reshape(self.num_snapshots, self.points_per_snapshot)
+
 
 @dataclass(eq=False)
 class TimeSeries:
-    """Complex baseband receiver samples on a uniform grid."""
+    """Complex baseband receiver samples; the sampling plan gives their rate."""
 
     samples: np.ndarray
-    sample_rate_hz: float
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -251,8 +260,8 @@ def _signal_samples(model: SignalModel, amplitudes: np.ndarray) -> np.ndarray:
 def synthesize_received(model: SignalModel, noise_variance: float, amplitudes, noise_seed):
     """Synthesize the receiver time series of one run of a :func:`signal_model`.
 
-    Samples sit at t_q = q / sample_rate_hz with the coding phase
-    continuous across snapshot boundaries (time origin 0). The signal
+    Samples sit at t_q = q / fs, fs the plan's sample rate, with the coding
+    phase continuous across snapshot boundaries (time origin 0). The signal
     is scaled by the (K, I) source amplitudes ``amplitudes`` (see
     :func:`draw_source_amplitudes`), and circular Gaussian noise of
     per-element variance ``noise_variance`` (M*N times that at the
@@ -274,4 +283,4 @@ def synthesize_received(model: SignalModel, noise_variance: float, amplitudes, n
         draws *= scale
         samples.real += draws[0]
         samples.imag += draws[1]
-    return TimeSeries(samples, model.plan.sample_rate_hz)
+    return TimeSeries(samples)

@@ -62,6 +62,8 @@ def test_tracer_reads_the_batched_sweep():
     # Each point's trials fit one batch: one search serves all of them.
     assert calls["estimator.search"] == points
     assert tracer.counts["grid_points"] == trials * points * grid
+    # The sample counter reads each synthesized series' samples.
+    assert tracer.counts["samples"] == trials * points * cfg.plan.total_points
     # Layer times sum every span of a name, so no estimator stage may
     # run inside another: each one's parent is the estimator span.
     nested = {

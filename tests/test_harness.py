@@ -43,6 +43,7 @@ from msdoa import (
     load_config,
     make_ps_weights,
     parse_config,
+    read_time_series,
     resolve_experiment,
     run_single,
     run_sweep,
@@ -648,6 +649,18 @@ def test_run_single_is_trial_zero(tmp_path):
     ):
         with open(got, "rb") as a, open(want, "rb") as b:
             assert a.read() == b.read(), got
+
+
+@pytest.mark.parametrize("name", ["table1", "table1_2d"])
+def test_single_series_file_extracts_to_trial_zero_bins(tmp_path, name):
+    # The series file, read back for the config's plan and extracted,
+    # gives trial (0, 0)'s bins bit for bit.
+    cfg = load_config(builtin_config_path(name))
+    out = run_single(cfg, str(tmp_path / "run"))
+    series = read_time_series(out["paths"]["series"], cfg.plan)
+    bins = extract_snapshots(series, cfg.plan, cfg.max_harmonic)
+    _, _, want, _ = msdoa.harness.draw_trial(build_context(cfg), 0, 0)
+    assert bins.tobytes() == want.tobytes()
 
 
 @st.composite

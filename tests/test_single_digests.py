@@ -60,7 +60,7 @@ DIGESTS = {
 }
 
 CRB_DIGESTS = {
-    "table1": "064873e6bce0a3e242da5c94a93cef60ddbb2c53b994444c89c34d68f24e2c40",
+    "table1": "9a3ea72dd88e16e65ffaa1db955d3000b8d6f69c00f01fe9c06150beb39d439c",
     "table1_2d": "ceeec5d4391ff0094d2376fa9ceaf58c41183e9492cbbb84f57fd1c135392d55",
 }
 

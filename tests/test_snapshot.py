@@ -69,11 +69,9 @@ def test_extraction_linearity(table1_plan):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(8000) + 1j * rng.standard_normal(8000)
     y = rng.standard_normal(8000) + 1j * rng.standard_normal(8000)
-    fs = table1_plan.sample_rate_hz
-    sx = extract_snapshots(TimeSeries(x, fs), table1_plan, 15)
-    sy = extract_snapshots(TimeSeries(y, fs), table1_plan, 15)
-    sxy = extract_snapshots(
-        TimeSeries(2.0 * x - 3j * y, fs), table1_plan, 15)
+    sx = extract_snapshots(TimeSeries(x), table1_plan, 15)
+    sy = extract_snapshots(TimeSeries(y), table1_plan, 15)
+    sxy = extract_snapshots(TimeSeries(2.0 * x - 3j * y), table1_plan, 15)
     assert np.allclose(sxy, 2.0 * sx - 3j * sy, atol=1e-12)
 
 
@@ -82,8 +80,7 @@ def test_pure_tone_lands_on_its_bin(table1_plan):
     q = np.arange(table1_plan.points_per_snapshot)
     z = table1_plan.points_per_period
     tone = 0.7j * np.exp(2j * np.pi * 4 * q / z)
-    series = TimeSeries(np.tile(tone, table1_plan.num_snapshots),
-                        table1_plan.sample_rate_hz)
+    series = TimeSeries(np.tile(tone, table1_plan.num_snapshots))
     bins = extract_snapshots(series, table1_plan, 15)
     assert np.allclose(bins[15 + 4], 0.7j, atol=1e-12)
     others = np.delete(np.arange(31), 15 + 4)
@@ -104,12 +101,12 @@ def test_extraction_parseval(table1_plan):
 
 
 def test_extraction_validation(table1_plan):
-    short = TimeSeries(np.zeros(100, dtype=complex), 50e6)
-    with pytest.raises(ValidationError):
-        extract_snapshots(short, table1_plan, 15)
-    wrong_rate = TimeSeries(np.zeros(8000, dtype=complex), 25e6)
-    with pytest.raises(ValidationError):
-        extract_snapshots(wrong_rate, table1_plan, 15)
+    # The plan's windows take exactly Q*I samples: a longer series is
+    # refused, not cut.
+    for size in (100, 8001):
+        series = TimeSeries(np.zeros(size, dtype=complex))
+        with pytest.raises(ValidationError, match=f"series has {size} samples but the plan needs 8000"):
+            extract_snapshots(series, table1_plan, 15)
 
 
 def test_snapshots_csv(tmp_path, table1_cfg, table1_plan):
@@ -161,6 +158,6 @@ def test_extraction_equals_fftshift_oracle_at_the_band_edge():
     plan = SamplingPlan(2.5e6, 1, 3, 1.6e-5)  # 40 points per snapshot
     rng = np.random.default_rng(11)
     x = rng.standard_normal(120) + 1j * rng.standard_normal(120)
-    got = extract_snapshots(TimeSeries(x, plan.sample_rate_hz), plan, 19)
-    want = fftshift_snapshots(TimeSeries(x, plan.sample_rate_hz), plan, 19)
+    got = extract_snapshots(TimeSeries(x), plan, 19)
+    want = fftshift_snapshots(TimeSeries(x), plan, 19)
     assert got.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 """Source scenes, sampling plans, and received-signal synthesis."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -119,7 +120,7 @@ def test_amplitude_and_series_input_checks():
     with pytest.raises(ValidationError, match="resolve_experiment"):
         draw_source_amplitudes(SourceScene(TWO, (1.0, 1.0), coherence="coherent"), 5, 7)
     with pytest.raises(ValidationError, match="one-dimensional"):
-        TimeSeries(np.zeros((2, 3)), 1e6)
+        TimeSeries(np.zeros((2, 3)))
 
 
 def test_sampling_plan_table1(table1_plan):
@@ -382,46 +383,34 @@ def test_series_roundtrip(tmp_path, table1_cfg, table1_plan):
     series, _ = seeded_synthesis(model, scene, 0.3, 8)
     path = str(tmp_path / "rx.bin")
     write_time_series(series, table1_plan, path, seed=8)
-    back = read_time_series(path)
-    assert np.array_equal(back.samples, series.samples)
-    assert back.sample_rate_hz == series.sample_rate_hz
+    back = read_time_series(path, table1_plan)
+    assert back.samples.tobytes() == series.samples.tobytes()
     hdr = (tmp_path / "rx.bin.hdr").read_text()
     assert "seed=8" in hdr
     assert "points_per_snapshot=1600" in hdr
 
 
-@pytest.mark.parametrize("size, rate_hz", [(20, 123.0), (7999, 50e6), (8001, 50e6),
-                                           (8000, 50e6 * (1 + 2e-9)), (8000, np.nan)],
-                         ids=["short-at-another-rate", "one-short", "one-long", "rate-off",
-                              "rate-nan"])
+@pytest.mark.parametrize("size", [20, 7999, 8001],
+                         ids=["short-at-another-rate", "one-short", "one-long"])
 def test_series_writer_refuses_a_series_its_plan_does_not_describe(tmp_path, table1_plan,
-                                                                   size, rate_hz):
-    # The sidecar describes the plan, so a series of another length or
-    # rate is refused before either file exists.
-    series = TimeSeries(np.ones(size, complex), rate_hz)
-    with pytest.raises(ValidationError, match=r"does not match the plan's 8000 samples at 5"):
+                                                                   size):
+    # The sidecar describes the plan, so a series of another length, as
+    # a plan at another rate would synthesize, is refused before either
+    # file exists.
+    series = TimeSeries(np.ones(size, complex))
+    with pytest.raises(ValidationError, match=f"series has {size} samples but the plan needs 8000"):
         write_time_series(series, table1_plan, str(tmp_path / "rx.bin"))
     assert list(tmp_path.iterdir()) == []
-
-
-def test_series_writer_takes_the_plan_rate_to_a_relative_1e9(tmp_path, table1_plan):
-    rate = table1_plan.sample_rate_hz * (1 + 5e-10)
-    series = TimeSeries(np.arange(table1_plan.total_points) * (1 - 1j), rate)
-    path = str(tmp_path / "rx.bin")
-    write_time_series(series, table1_plan, path, seed=3)
-    back = read_time_series(path)
-    assert back.samples.tobytes() == series.samples.tobytes()
-    assert back.sample_rate_hz == rate
 
 
 @pytest.mark.parametrize("corrupt, match", [
     (lambda data, hdr: (np.append(data, 0.0), hdr), r"rx\.bin: 16001 float64 values"),
     (lambda data, hdr: (data, hdr.replace("sample_rate_hz=", "rate=")),
-     r"rx\.bin\.hdr: needs numeric sample_rate_hz"),
+     r"rx\.bin\.hdr: \['rate=50000000\.0', .* are not the plan's sidecar lines"),
     (lambda data, hdr: (data[:-2], hdr), r"rx\.bin: 15998 float64 values"),
 ], ids=["odd-value-count", "no-sample-rate", "one-sample-short"])
 def test_series_reader_refuses_files_that_disagree(tmp_path, table1_plan, corrupt, match):
-    series = TimeSeries(np.arange(table1_plan.total_points) * (1 + 2j), table1_plan.sample_rate_hz)
+    series = TimeSeries(np.arange(table1_plan.total_points) * (1 + 2j))
     path = tmp_path / "rx.bin"
     hdr_path = tmp_path / "rx.bin.hdr"
     write_time_series(series, table1_plan, str(path))
@@ -429,4 +418,25 @@ def test_series_reader_refuses_files_that_disagree(tmp_path, table1_plan, corrup
     data.tofile(path)
     hdr_path.write_text(hdr)
     with pytest.raises(ValidationError, match=match):
-        read_time_series(str(path))
+        read_time_series(str(path), table1_plan)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda hdr: hdr.replace(b"sample_rate_hz=50000000.0", b"sample_rate_hz=nan"),
+    lambda hdr: hdr.replace(b"=1600", b"=-1600").replace(b"num_snapshots=5", b"num_snapshots=-5"),
+    lambda hdr: hdr.replace(b"=1600", b"=800").replace(b"num_snapshots=5", b"num_snapshots=10"),
+    None,
+    lambda hdr: b"\xff" + hdr,
+], ids=["rate-nan", "negative-counts", "another-split", "twice-the-rate", "not-utf-8"])
+def test_series_reader_refuses_a_sidecar_its_plan_does_not_write(tmp_path, table1_plan, edit):
+    # Each sidecar counts as many samples as the data holds, or (at twice
+    # the rate) describes the data it came with, so only the plan's own
+    # lines can refuse it; a sidecar that is not UTF-8 cannot match them.
+    plan = table1_plan if edit else replace(table1_plan, sample_rate_hz=1e8)
+    path = tmp_path / "rx.bin"
+    write_time_series(TimeSeries(np.arange(plan.total_points) * (1 - 1j)), plan, str(path))
+    if edit:
+        hdr_path = tmp_path / "rx.bin.hdr"
+        hdr_path.write_bytes(edit(hdr_path.read_bytes()))
+    with pytest.raises(ValidationError, match=r"rx\.bin\.hdr: .* are not the plan's sidecar lines"):
+        read_time_series(str(path), table1_plan)
