@@ -64,8 +64,7 @@ def recover_channels(bins, harmonics: HarmonicMatrix) -> np.ndarray:
 
     ``bins`` is (2P+1,), (2P+1, snapshots) or a stack of the latter,
     (trials, 2P+1, snapshots). Solves the overdetermined mixing system
-    with the cached SVD left inverse; requires at least M*N frequency
-    lines and a numerically full-rank harmonic matrix.
+    with the harmonic matrix's SVD left inverse.
     """
     bins = np.asarray(bins, dtype=complex)
     lines = 2 * harmonics.max_harmonic + 1
@@ -311,9 +310,13 @@ def search_grids(
     rows alone see only sin(theta)*sin(phi) and window positions alone
     only cos(theta)*sin(phi), so it needs 2 of each. The K sources must
     leave a noise subspace: K below rows * window positions. Every
-    source lies strictly inside each searched grid, and a "2d" elevation
-    grid ends at 90 at most. Grids are in degrees. These checks refuse a
-    config at load and every :func:`search_setup` alike.
+    source lies strictly inside each searched grid. No two points the
+    search can report are one direction to it: the azimuth grid's inner
+    points span less than 360, and lie within -90 .. 90 when rows see
+    them alone and within -180 .. 0 or 0 .. 180 when window positions
+    do; a "2d" elevation grid lies within 0 .. 90. Grids are in degrees.
+    These checks refuse a config at load and every :func:`search_setup`
+    alike.
     """
     theta_grid = inclusive_grid(*params.theta_grid_deg)
     width = surface.cols if params.subarray_width is None else params.subarray_width
@@ -341,16 +344,35 @@ def search_grids(
             f"{scene.num_sources} sources need a search dimension above "
             f"{scene.num_sources}; this geometry gives {dim}"
         )
+    # Rows see a direction only through sin(theta)*sin(phi) and window
+    # positions only through cos(theta)*sin(phi). Two inner azimuths (the
+    # search never reports an end point) that give the same pair would be
+    # reported as a mirrored pair. One row and one window position see no
+    # direction and have no peak to mirror.
+    lo, hi = theta_grid[1], theta_grid[-2]
+    reach = max(-lo, hi)
+    runs = f"theta_grid_deg reports peaks at {lo:g} .. {hi:g} deg;"
+    mirrors = [
+        (hi - lo >= 360.0, f"{runs} azimuths 360 apart are one direction"),
+        (out_cols == 1 < surface.rows and reach > 90.0,
+         f"{runs} one window position sees only sin(theta), and theta and 180 - theta "
+         "look alike beyond -90 .. 90"),
+        (surface.rows == 1 < out_cols and (reach > 180.0 or lo < 0.0 < hi),
+         f"{runs} one row sees only cos(theta), and theta and -theta look alike "
+         "across 0 or beyond -180 .. 180"),
+    ]
     axes = [("theta", "theta_grid_deg", theta_grid)]
     if params.kind == "2d":
         axes.append(("phi", "phi_grid_deg", elevations))
-        # The manifold sees the elevation only through sin(phi), so phi
-        # and 180 - phi cannot be told apart.
-        if elevations[-1] > 90.0:
-            raise ConfigurationError(
-                f"phi_grid_deg reaches {elevations[-1]:g} deg; elevations past 90 "
-                "mirror those below it, so the search would return mirrored pairs"
-            )
+        mirrors += [
+            (elevations[-1] > 90.0, f"phi_grid_deg reaches {elevations[-1]:g} deg; "
+             "elevations past 90 mirror those below it"),
+            (elevations[0] < 0.0, f"phi_grid_deg starts at {elevations[0]:g} deg; "
+             "(theta, -phi) is the direction (theta + 180, phi)"),
+        ]
+    for mirrored, what in mirrors:
+        if mirrored:
+            raise ConfigurationError(f"{what}, so the search would return mirrored pairs")
     # The peak search reports strict interior maxima only, so a source
     # on or beyond a grid end point could never be found.
     for k, doa in enumerate(scene.doas, 1):
@@ -423,10 +445,9 @@ def search_setup(
     """Precompute the trial-invariant part of :func:`estimate_doa` for a search of ``scene``.
 
     ``harmonics`` is the harmonic matrix that mixes the element
-    channels into the snapshot bins; reading its inverse Gram matrix
-    for the whitener table checks its rank
-    (:meth:`~msdoa.surface.HarmonicMatrix.decompose`). The window width,
-    the grids and the source count come from :func:`search_grids`.
+    channels into the snapshot bins; its inverse Gram matrix forms the
+    whitener table. The window width, the grids and the source count
+    come from :func:`search_grids`.
     """
     width, theta_grid, elevations = search_grids(params, cfg, scene)
     comp = compensation(cfg)

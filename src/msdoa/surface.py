@@ -7,9 +7,9 @@ element is flipped to +1 during its own slot. A single receiver sits on
 the -z axis below the surface center. This module provides element
 positions, the Fourier-series coefficients of the coding schedule,
 steering vectors that include the element-to-receiver path, and the
-stacked harmonic matrix that maps element signals to frequency lines.
-The coefficients are per period; the period itself belongs to the
-sampling plan (:class:`msdoa.waveform.SamplingPlan`).
+harmonic matrix that maps element signals to frequency lines, checked
+and inverted when it is made. The coefficients are per period; the
+period belongs to the sampling plan (:class:`msdoa.waveform.SamplingPlan`).
 """
 
 from __future__ import annotations
@@ -217,14 +217,15 @@ def steering_matrix(doas, cfg: SurfaceConfig) -> np.ndarray:
 
 
 class HarmonicMatrix:
-    """Stacked Fourier-coefficient rows of the element coding waveforms.
+    """Stacked Fourier-coefficient rows of the element coding waveforms, checked and inverted.
 
     Row ``p + max_harmonic`` holds the order-p coefficients of every
     element; columns follow row-major element order, matching
     :func:`steering_vector`. Row 0 (order ``-max_harmonic``) through the
     top are conjugate-symmetric about the center row, whose entries all
-    equal the duty-cycle mean. ``entries`` is a read-only copy, so the
-    cached inverses always match it.
+    equal the duty-cycle mean. It is made with its inverses, so fewer
+    lines than elements raise ``ConfigurationError`` and rank deficiency
+    ``DegenerateCodingError``. ``entries`` (a copy) and both inverses are read-only.
     """
 
     def __init__(self, max_harmonic: int, entries: np.ndarray):
@@ -233,56 +234,47 @@ class HarmonicMatrix:
             raise ValidationError(
                 f"entries must be (2*max_harmonic+1, M*N); got {entries.shape}"
             )
-        entries.flags.writeable = False
+        rows, cols = entries.shape
+        if rows < cols:
+            raise ConfigurationError(
+                f"harmonic matrix has {rows} frequency lines for {cols} "
+                "elements; channel recovery needs at least as many lines "
+                "as elements (increase max_harmonic)"
+            )
+        u, s, vh = np.linalg.svd(entries, full_matrices=False)
+        refuse_degenerate(
+            s[-1], s[0], RANK_RTOL, DegenerateCodingError,
+            "harmonic matrix is numerically rank deficient; the coding schedule "
+            "does not separate the element channels; singular values",
+        )
         self.max_harmonic = int(max_harmonic)
         self.entries = entries
-        self._inverses = None
+        self._pseudo = (vh.conj().T / s) @ u.conj().T
+        self._gram = (vh.conj().T / s**2) @ vh
+        for arr in (self.entries, self._pseudo, self._gram):
+            arr.flags.writeable = False
 
     @property
     def harmonic_orders(self) -> np.ndarray:
         """Row harmonic orders -P..P."""
         return np.arange(-self.max_harmonic, self.max_harmonic + 1)
 
-    def decompose(self) -> "HarmonicMatrix":
-        """Check the rank and cache both inverses, once; returns ``self``.
-
-        The cached inverses are read-only, since every holder of this
-        matrix shares them.
-        """
-        if self._inverses is None:
-            rows, cols = self.entries.shape
-            if rows < cols:
-                raise ConfigurationError(
-                    f"harmonic matrix has {rows} frequency lines for {cols} "
-                    "elements; channel recovery needs at least as many lines "
-                    "as elements (increase max_harmonic)"
-                )
-            u, s, vh = np.linalg.svd(self.entries, full_matrices=False)
-            refuse_degenerate(
-                s[-1], s[0], RANK_RTOL, DegenerateCodingError,
-                "harmonic matrix is numerically rank deficient; the coding schedule "
-                "does not separate the element channels; singular values",
-            )
-            pseudo = (vh.conj().T / s) @ u.conj().T
-            gram = (vh.conj().T / s**2) @ vh
-            pseudo.flags.writeable = False
-            gram.flags.writeable = False
-            self._inverses = (pseudo, gram)
-        return self
-
     @property
     def pseudo_inverse(self) -> np.ndarray:
-        """Left inverse (U^H U)^-1 U^H, computed once via SVD."""
-        return self.decompose()._inverses[0]
+        """Left inverse (U^H U)^-1 U^H, from the SVD taken at construction."""
+        return self._pseudo
 
     @property
     def gram_inverse(self) -> np.ndarray:
-        """(U^H U)^-1, computed once via SVD."""
-        return self.decompose()._inverses[1]
+        """(U^H U)^-1, from the SVD taken at construction."""
+        return self._gram
 
 
 def harmonic_matrix(max_harmonic: int, cfg: SurfaceConfig) -> HarmonicMatrix:
-    """Build the (2*max_harmonic+1) x (M*N) harmonic matrix."""
+    """Build the (2*max_harmonic+1) x (M*N) harmonic matrix, checked and inverted.
+
+    :func:`fourier_coefficient` gives any orders' coefficients unchecked.
+    """
     if max_harmonic < 0:
         raise ValidationError("max_harmonic must be nonnegative")
     orders = np.arange(-max_harmonic, max_harmonic + 1)

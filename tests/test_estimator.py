@@ -64,8 +64,14 @@ def _estimate_one(bins, setup, weights):
 
 
 def _whitener(weights, um, cfg):
-    """The smoothing whitener of one weight bank, from the search setup's table."""
-    params = EstimatorParams(num_weights=1, subarray_width=weights.shape[-1])
+    """The smoothing whitener of one weight bank, from the search setup's table.
+
+    The table does not depend on the grid. A one-sided azimuth grid keeps
+    every surface searchable: one row sees only cos(theta), and the search
+    refuses a grid on both sides of 0 there.
+    """
+    params = EstimatorParams(num_weights=1, subarray_width=weights.shape[-1],
+                             theta_grid_deg=(0.0, 90.0, 0.1))
     setup = search_setup(cfg, oracles.sources(0), params, um)
     return smoothing_whitener(weights, setup.window_gram)
 
@@ -408,30 +414,62 @@ def test_estimator_params_validation(table1_cfg):
         search_grids(EstimatorParams(num_weights=5, kind="2d"), table1_cfg, oracles.sources(2))
 
 
-@pytest.mark.parametrize("name, override, doas, grids", [
-    ("table1", "angles_deg = -90, 12", ((-90.0, 90.0), (12.0, 90.0)), {}),
-    ("table1", "angles_deg = -22, 90", ((-22.0, 90.0), (90.0, 90.0)), {}),
-    ("table1", "theta_grid_deg = -20, 20, 0.5", None, {"theta_grid_deg": (-20.0, 20.0, 0.5)}),
-    ("table1_2d", "angles_deg = (-36, 90), (42, 45)", ((-36.0, 90.0), (42.0, 45.0)), {}),
-    ("table1_2d", "phi_grid_deg = 0, 95, 0.5", None, {"phi_grid_deg": (0.0, 95.0, 0.5)}),
+@pytest.mark.parametrize("name, overrides, doas, fields", [
+    ("table1", ["angles_deg = -90, 12"], ((-90.0, 90.0), (12.0, 90.0)), {}),
+    ("table1", ["angles_deg = -22, 90"], ((-22.0, 90.0), (90.0, 90.0)), {}),
+    ("table1", ["theta_grid_deg = -20, 20, 0.5"], None, {"theta_grid_deg": (-20.0, 20.0, 0.5)}),
+    ("table1_2d", ["angles_deg = (-36, 90), (42, 45)"], ((-36.0, 90.0), (42.0, 45.0)), {}),
+    ("table1_2d", ["phi_grid_deg = 0, 95, 0.5"], None, {"phi_grid_deg": (0.0, 95.0, 0.5)}),
+    ("table1", ["theta_grid_deg = -179, 179, 0.1"], None,
+     {"theta_grid_deg": (-179.0, 179.0, 0.1)}),
+    ("table2", ["theta_grid_deg = -179, 179, 0.1"], None,
+     {"theta_grid_deg": (-179.0, 179.0, 0.1)}),
+    ("table1", ["rows = 1", "subarray_width = 3"], None, {"rows": 1, "subarray_width": 3}),
+    ("table1_2d", ["phi_grid_deg = -30, 90, 0.5", "theta_grid_deg = -179, 179, 0.5"], None,
+     {"phi_grid_deg": (-30.0, 90.0, 0.5), "theta_grid_deg": (-179.0, 179.0, 0.5)}),
+    ("table1_2d", ["angles_deg = (-36, 20), (120, 45)", "theta_grid_deg = -270, 270, 0.5"],
+     ((-36.0, 20.0), (120.0, 45.0)), {"theta_grid_deg": (-270.0, 270.0, 0.5)}),
 ], ids=["azimuth-on-start", "azimuth-on-stop", "azimuth-outside", "elevation-on-90",
-        "elevation-grid-to-95"])
-def test_the_search_alone_refuses_a_scene_it_cannot_find(name, override, doas, grids):
-    # The peak search reports strict interior maxima only and cannot
-    # tell phi from 180 - phi. A direct caller of the search gets the
-    # refusal a config gets when it is loaded, word for word.
+        "elevation-grid-to-95", "rows-alone-past-90", "rows-alone-past-90-table2",
+        "one-row-across-0", "elevation-grid-below-0", "azimuth-grid-past-360"])
+def test_the_search_alone_refuses_a_scene_it_cannot_find(name, overrides, doas, fields):
+    # The peak search reports strict interior maxima only, and cannot
+    # tell apart two grid points that give the manifold the same
+    # sin(theta)*sin(phi) along rows and cos(theta)*sin(phi) across
+    # window positions. A direct caller of the search gets the refusal
+    # a config gets when it is loaded, word for word.
     with pytest.raises(ConfigurationError) as loaded:
-        load_config(builtin_config_path(name), overrides=[override])
+        load_config(builtin_config_path(name), overrides=overrides)
     cfg = load_config(builtin_config_path(name))
     scene = cfg.scene if doas is None else replace(
         cfg.scene, doas=tuple(Doa.from_degrees(*doa) for doa in doas))
-    params = replace(cfg.estimator, **grids)
+    surface = replace(cfg.surface, rows=fields.get("rows", cfg.surface.rows))
+    params = replace(cfg.estimator, **{k: v for k, v in fields.items() if k != "rows"})
     with pytest.raises(ConfigurationError) as searched:
-        search_grids(params, cfg.surface, scene)
+        search_grids(params, surface, scene)
     assert str(searched.value) == str(loaded.value)
     with pytest.raises(ConfigurationError) as setup:
-        search_setup(cfg.surface, scene, params, harmonic_matrix(cfg.max_harmonic, cfg.surface))
+        search_setup(surface, scene, params, harmonic_matrix(cfg.max_harmonic, surface))
     assert str(setup.value) == str(loaded.value)
+
+
+def test_the_search_takes_every_grid_it_can_tell_apart(table1_cfg):
+    # Window positions tell theta from 180 - theta, so table1 with a
+    # 3-column window searches -179 .. 179; one row takes either half
+    # turn; a 1x1 surface's manifold is constant, so it has no peak to
+    # mirror; and an end point past 90, never reported, is kept.
+    cfg = load_config(builtin_config_path("table1"),
+                      ["subarray_width=3", "theta_grid_deg=-179, 179, 0.1"])
+    assert search_grids(cfg.estimator, cfg.surface, cfg.scene)[1][[0, -1]].tolist() == [
+        -179.0, pytest.approx(179.0)]
+    one_row = SurfaceConfig(1, 6, 1e9, 0.3)
+    for grid in ((-180.0, 0.0, 0.5), (0.0, 180.0, 0.5)):
+        search_grids(EstimatorParams(1, subarray_width=3, theta_grid_deg=grid), one_row,
+                     oracles.sources(0))
+    search_grids(EstimatorParams(1, theta_grid_deg=(-179.0, 179.0, 0.1)),
+                 SurfaceConfig(1, 1, 1e9, 0.3), oracles.sources(0))
+    assert search_grids(EstimatorParams(1, theta_grid_deg=(-90.0, 90.0, 7.0)), table1_cfg,
+                        oracles.sources(2))[1][-1] == 92.0
 
 
 def test_inclusive_grid():
@@ -578,9 +616,8 @@ def test_smooth_and_whitener_match_dense_oracles(case):
     with pytest.raises(ConfigurationError):
         smooth(columns, comp, make_ps_weights(1, cols + 1, seed), cfg)
 
-    um = harmonic_matrix(max_harmonic, cfg)
     try:
-        um.decompose()
+        um = harmonic_matrix(max_harmonic, cfg)
     except DegenerateCodingError:
         assume(False)
     # The explicit normal equations lose cond(U)^2 digits; compare on
@@ -602,9 +639,8 @@ def test_bins_times_smoothed_recovery_matrix_smooth_the_recovered_snapshots(case
     # smooth(B b) = sum_i b_i V_i, for each trial's own weight bank.
     rows, cols, width, count, max_harmonic, snapshots, seed = case
     cfg = SurfaceConfig(rows, cols, 1e9, 0.3)
-    um = harmonic_matrix(max_harmonic, cfg)
     try:
-        um.decompose()
+        um = harmonic_matrix(max_harmonic, cfg)
     except DegenerateCodingError:
         assume(False)
     comp = compensation(cfg)
@@ -748,7 +784,9 @@ def _search_cases(draw):
     unset = not two_d and draw(st.booleans())
     width = cols if unset else draw(st.integers(1, cols - two_d))
     dim = rows * (cols - width + 1)
-    start = draw(st.sampled_from([-90.0, -75.0, -40.0]))
+    # One row with several window positions sees only cos(theta), and the
+    # search refuses an azimuth grid on both sides of 0 there.
+    start = 0.0 if rows == 1 and width < cols else draw(st.sampled_from([-90.0, -75.0, -40.0]))
     theta_grid = (start, draw(st.sampled_from([30.0, 60.0, 90.0])),
                   draw(st.sampled_from([2.5, 3.0, 5.0, 7.0])))
     # A 2-D search refuses an elevation grid past 90; 5, 90, 15 would reach 95.
@@ -778,9 +816,8 @@ def _random_hermitian(rng, trials, dim, extra):
 
 def _surface_setup(rows, cols, scene, params):
     cfg = SurfaceConfig(rows, cols, 1e9, 0.3)
-    harmonics = harmonic_matrix(rows * cols, cfg)
     try:
-        harmonics.decompose()
+        harmonics = harmonic_matrix(rows * cols, cfg)
     except DegenerateCodingError:
         assume(False)
     return search_setup(cfg, scene, params, harmonics)
@@ -789,8 +826,8 @@ def _surface_setup(rows, cols, scene, params):
 @settings(max_examples=80, deadline=None)
 @given(_search_cases())
 @example((1, 1, oracles.sources(0), EstimatorParams(num_weights=2), 1, 2, 0))
-@example((1, 3, oracles.sources(1, 55.0),
-          EstimatorParams(num_weights=2, subarray_width=1, theta_grid_deg=(-90.0, 90.0, 5.0)),
+@example((1, 3, SourceScene((Doa.from_degrees(45.0, 55.0),), (1.0,)),
+          EstimatorParams(num_weights=2, subarray_width=1, theta_grid_deg=(0.0, 90.0, 5.0)),
           3, 2, 1))
 @example((3, 2, oracles.sources(1, 20.0),
           EstimatorParams(num_weights=2, subarray_width=2, theta_grid_deg=(-90.0, 90.0, 5.0)),
@@ -818,8 +855,7 @@ def test_lag_polynomial_matches_the_projection_search(case):
 
 def _assert_same_estimates(got, want, spectrum, setup):
     """Equal estimates, except that peaks whose spectrum values tie within
-    1e-9 may rank in either order. A one-row surface sees only
-    cos(theta), so theta and -theta tie exactly in exact arithmetic."""
+    1e-9 may rank in either order."""
     thetas, phis = setup.theta_grid_deg, setup.elevation_grid_deg
 
     def value(doa):

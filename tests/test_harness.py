@@ -369,6 +369,29 @@ def test_cli_rejects_elevation_grid_past_90(capsys):
     assert main(["validate", "-c", path, "--set", "phi_grid_deg=0, 90, 0.5"]) == 0
 
 
+@pytest.mark.parametrize("name, overrides, key", [
+    ("table1", ["theta_grid_deg=-179, 179, 0.1"], "theta_grid_deg"),
+    ("table2", ["theta_grid_deg=-179, 179, 0.1"], "theta_grid_deg"),
+    ("table1", ["rows=1", "subarray_width=3"], "theta_grid_deg"),
+    ("table1_2d", ["phi_grid_deg=-30, 90, 0.5", "theta_grid_deg=-179, 179, 0.5"], "phi_grid_deg"),
+    ("table1_2d", ["angles_deg=(-36, 20), (120, 45)", "theta_grid_deg=-270, 270, 0.5"],
+     "theta_grid_deg"),
+], ids=["rows-alone-past-90", "rows-alone-past-90-table2", "one-row-across-0",
+        "elevation-grid-below-0", "azimuth-grid-past-360"])
+def test_cli_rejects_a_grid_of_mirrored_directions(capsys, name, overrides, key):
+    # Rows see only sin(theta)*sin(phi) and window positions only
+    # cos(theta)*sin(phi): with one window position theta and 180 - theta
+    # look alike, with one row theta and -theta, and (theta, -phi) is
+    # (theta + 180, phi). A grid whose inner points hold such a pair, or
+    # two azimuths 360 apart, is refused naming its key.
+    args = ["validate", "-c", builtin_config_path(name)]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert key in err and "mirrored pairs" in err
+
+
 # A 2 x 1 surface's harmonic matrix is rank deficient; only the SVD that
 # building each point's context makes can tell.
 RANK_DEFICIENT = ["rows=2", "cols=1", "max_harmonic=1", "angles_deg=-22", "powers=1"]

@@ -20,7 +20,7 @@ from msdoa import (
     steering_vector,
     wave_vector,
 )
-from msdoa.surface import arrival_delays, receiver_delays
+from msdoa.surface import RANK_RTOL, arrival_delays, receiver_delays
 from oracles import coding_waveform, harmonic_entries
 
 C0 = 299792458.0
@@ -209,6 +209,28 @@ def test_harmonic_matrix_conjugate_rows(table1_cfg):
         assert np.allclose(um.entries[15 - p], np.conj(um.entries[15 + p]))
 
 
+def _coefficient_table(max_harmonic, cfg):
+    """The broadcast coefficient call over orders -P..P that fills the harmonic matrix.
+
+    ``harmonic_matrix`` holds exactly its bytes when the table can be
+    inverted, and otherwise refuses it with the typed error: too few
+    lines for the elements, or a numerically deficient rank.
+    """
+    orders = np.arange(-max_harmonic, max_harmonic + 1)
+    m, n = np.divmod(np.arange(cfg.size), cfg.cols)
+    table = fourier_coefficient(m + 1, n + 1, orders[:, None], cfg)
+    if orders.size < cfg.size:
+        with pytest.raises(ConfigurationError, match="frequency lines"):
+            harmonic_matrix(max_harmonic, cfg)
+        return table
+    try:
+        assert harmonic_matrix(max_harmonic, cfg).entries.tobytes() == table.tobytes()
+    except DegenerateCodingError:
+        s = np.linalg.svd(table, compute_uv=False)
+        assert not s[-1] > RANK_RTOL * s[0]
+    return table
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 4), cols=st.integers(1, 4), max_harmonic=st.integers(0, 40))
 def test_harmonic_matrix_conjugate_rows_any_surface(rows, cols, max_harmonic):
@@ -216,7 +238,7 @@ def test_harmonic_matrix_conjugate_rows_any_surface(rows, cols, max_harmonic):
     # order -p is the conjugate of the row of order +p and the mean row
     # is real.
     cfg = SurfaceConfig(rows=rows, cols=cols, carrier_hz=1e9, receiver_offset_m=0.6)
-    entries = harmonic_matrix(max_harmonic, cfg).entries
+    entries = _coefficient_table(max_harmonic, cfg)
     assert np.allclose(entries[::-1], np.conj(entries), rtol=0.0, atol=1e-14)
     assert np.all(entries[max_harmonic].imag == 0.0)
 
@@ -227,7 +249,7 @@ def test_harmonic_matrix_matches_the_per_element_oracle(name, max_harmonic):
     # One broadcast coefficient call fills the matrix with the bits the
     # per-element loop wrote.
     surface = load_config(builtin_config_path(name)).surface
-    entries = harmonic_matrix(max_harmonic, surface).entries
+    entries = _coefficient_table(max_harmonic, surface)
     assert entries.tobytes() == harmonic_entries(max_harmonic, surface).tobytes()
 
 
@@ -235,7 +257,7 @@ def test_harmonic_matrix_matches_the_per_element_oracle(name, max_harmonic):
 @given(rows=st.integers(1, 8), cols=st.integers(1, 8), max_harmonic=st.integers(0, 60))
 def test_harmonic_matrix_matches_the_per_element_oracle_any_surface(rows, cols, max_harmonic):
     cfg = SurfaceConfig(rows=rows, cols=cols, carrier_hz=1e9, receiver_offset_m=0.6)
-    entries = harmonic_matrix(max_harmonic, cfg).entries
+    entries = _coefficient_table(max_harmonic, cfg)
     assert entries.tobytes() == harmonic_entries(max_harmonic, cfg).tobytes()
 
 
@@ -289,8 +311,8 @@ def test_entries_are_a_read_only_copy(table1_cfg):
 
 
 def test_harmonic_matrix_too_few_lines(table1_cfg):
-    with pytest.raises(ConfigurationError):
-        harmonic_matrix(14, table1_cfg).pseudo_inverse  # 29 lines < 30 elements
+    with pytest.raises(ConfigurationError, match="29 frequency lines for 30 elements"):
+        harmonic_matrix(14, table1_cfg)
 
 
 def test_degenerate_coding_detection():
@@ -299,7 +321,7 @@ def test_degenerate_coding_detection():
     entries[:, 1] = 1.0  # duplicated column: rank deficient
     entries[:, 2] = np.arange(5)
     with pytest.raises(DegenerateCodingError):
-        HarmonicMatrix(2, entries).pseudo_inverse
+        HarmonicMatrix(2, entries)
 
 
 def test_surface_validation():
