@@ -62,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo sweep to CSV")
     _add_common(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel trial workers (at least 1)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="parallel trial workers (at least 1; the pool is capped at the "
+                              "trials and the CPU count)")
 
     p_crb = sub.add_parser("crb", help="angle error bound for the configured scene")
     _add_common(p_crb)

@@ -5,7 +5,14 @@ Grammar: one ``key = value`` pair per line; ``#`` starts a comment
 most once. Values are plain scalars, comma-separated lists, or
 comma-separated ``(theta, phi)`` pairs for two-angle sources. Units are
 part of the key names (Hz, seconds, meters, dB, degrees); angles are
-degrees in files and radians inside the library.
+degrees in files and radians inside the library. An empty item of a
+list is refused.
+
+Each key is declared once, in the ordered table ``_KEYS``: its parser,
+its default (or ``_REQUIRED``) and its canonical text, which
+:func:`emit_config` writes. The reader parses every key's text in that
+order before it makes any object, so a config's first text fault is
+reported before any object or cross-field check.
 
 An :class:`ExperimentConfig` is checked whenever one is made
 (:func:`validate_experiment`), by the reader or by
@@ -20,7 +27,10 @@ import contextlib
 import hashlib
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import NamedTuple
 
 from .errors import ConfigurationError, MsdoaError, ValidationError
 from .estimator import KINDS, EstimatorParams, grid_points, search_grids
@@ -29,7 +39,7 @@ from .surface import Doa, SurfaceConfig
 from .waveform import AMPLITUDE_MODELS, COHERENCE, MODES, SamplingPlan, SourceScene
 
 
-def _number(text, kind, where: str):
+def _number(text, where: str, kind=float):
     """``text``, or a number already parsed, as a finite ``kind`` (``int`` or ``float``).
 
     Every failure is a ``ValidationError`` reading ``<where>: not a
@@ -48,11 +58,16 @@ def _number(text, kind, where: str):
     return value
 
 
-def _choice(value, choices, where: str):
+def _choice(value, where: str, choices):
     """``value`` if it is one of ``choices``, else a ``ValidationError``."""
     if value not in choices:
         raise ValidationError(f"{where}: not one of {'/'.join(choices)}: {value!r}")
     return value
+
+
+# Parsers of a value (text, or already parsed) under its ``where`` label.
+_int = partial(_number, kind=int)
+_mode = partial(_choice, choices=MODES)
 
 
 # Most values one trial's series, the one-period signal model, one
@@ -91,25 +106,24 @@ class NoiseSpec:
             raise ValidationError(f"snr_db: not finite: {self.snr_db!r}")
 
 
-# Each sweep variable: the kind of its values (``int``, ``float`` or
-# the tuple of choices), and the fields one value gives its point.
+# Each sweep variable: the parser of its values, and the fields one
+# value gives its point.
 _SWEEPS = {
-    "I": (int, lambda cfg, v: {"plan": replace(cfg.plan, num_snapshots=v)}),
-    "k0": (int, lambda cfg, v: {"plan": replace(cfg.plan, periods_per_snapshot=v)}),
-    "snr_db": (float, lambda cfg, v: {"noise": NoiseSpec(snr_db=v)}),
-    "P": (int, lambda cfg, v: {"max_harmonic": v}),
-    "L": (int, lambda cfg, v: {"estimator": replace(cfg.estimator, num_weights=v)}),
-    "fs_mult": (float, lambda cfg, v: {
+    "I": (_int, lambda cfg, v: {"plan": replace(cfg.plan, num_snapshots=v)}),
+    "k0": (_int, lambda cfg, v: {"plan": replace(cfg.plan, periods_per_snapshot=v)}),
+    "snr_db": (_number, lambda cfg, v: {"noise": NoiseSpec(snr_db=v)}),
+    "P": (_int, lambda cfg, v: {"max_harmonic": v}),
+    "L": (_int, lambda cfg, v: {"estimator": replace(cfg.estimator, num_weights=v)}),
+    "fs_mult": (_number, lambda cfg, v: {
         "plan": replace(cfg.plan, sample_rate_hz=cfg.plan.sample_rate_hz * v)}),
-    "mode": (MODES, lambda cfg, v: {"mode": v}),
+    "mode": (_mode, lambda cfg, v: {"mode": v}),
 }
 SWEEP_VARIABLES = tuple(_SWEEPS)
 
 
 def _sweep_value(variable: str, value):
     """One value of ``variable`` (text or already parsed) as its kind."""
-    kind, where = _SWEEPS[variable][0], f"sweep {variable}"
-    return _choice(value, kind, where) if kind is MODES else _number(value, kind, where)
+    return _SWEEPS[variable][0](value, f"sweep {variable}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +182,8 @@ class ExperimentConfig:
         validate_experiment(self)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x: float | None) -> str | None:
+    return None if x is None else repr(float(x))
 
 
 def _floats(values) -> str:
@@ -191,50 +205,109 @@ def _sweep_text(cfg: ExperimentConfig) -> str:
     return f"{cfg.sweep.variable}: {', '.join(str(v) for v in cfg.sweep.values)}"
 
 
-# Every config key in canonical order, mapped to the value a config
-# writes for it, or to None where the canonical text leaves it out.
-_CANONICAL = {
-    "rows": lambda c: c.surface.rows,
-    "cols": lambda c: c.surface.cols,
-    "carrier_hz": lambda c: _fmt(c.surface.carrier_hz),
-    "coding_period_s": lambda c: _fmt(c.plan.coding_period_s),
-    "spacing_m": lambda c: _fmt(c.surface.spacing_m),
-    "receiver_offset_m": lambda c: _fmt(c.surface.receiver_offset_m),
-    "wave_speed": lambda c: _fmt(c.surface.wave_speed),
-    "angles_deg": _angles_text,
-    "coherence": lambda c: c.scene.coherence,
-    # A scene without sources has no powers line to write.
-    "powers": lambda c: _floats(c.scene.powers) or None,
-    "amplitude_model": lambda c: c.scene.amplitude_model,
-    "sampling_rate_hz": lambda c: _fmt(c.plan.sample_rate_hz),
-    "periods_per_snapshot": lambda c: c.plan.periods_per_snapshot,
-    "snapshots": lambda c: c.plan.num_snapshots,
-    "snr_db": lambda c: None if c.noise.snr_db is None else _fmt(c.noise.snr_db),
-    "noise_variance": lambda c: None if c.noise.variance is None else _fmt(c.noise.variance),
-    "max_harmonic": lambda c: c.max_harmonic,
-    "num_weights": lambda c: c.estimator.num_weights,
-    "estimator": lambda c: c.estimator.kind,
-    # The one elevation of a 1-D search's sources; the 2-D search reads none.
-    "elevation_deg": lambda c: (
-        _fmt(c.scene.doas[0].phi_deg if c.scene.doas else 90.0)
-        if c.estimator.kind == "1d" else None),
-    "subarray_width": lambda c: c.estimator.subarray_width,
-    "theta_grid_deg": lambda c: _floats(c.estimator.theta_grid_deg),
-    "phi_grid_deg": lambda c: _floats(c.estimator.phi_grid_deg),
-    "mode": lambda c: c.mode,
-    "trials": lambda c: c.trials,
-    "seed": lambda c: c.seed,
-    "sweep": _sweep_text,
-    "output": lambda c: c.output,
-}
+def _auto(text: str, where: str) -> float | None:
+    """A length, or None for ``auto``, which the surface resolves."""
+    return None if text == "auto" else _number(text, where)
+
+
+def _numbers(text: str, where: str) -> tuple[float, ...]:
+    """A comma-separated list of finite floats; an empty item is not a number."""
+    return tuple(_number(v.strip(), where) for v in text.split(","))
+
 
 _PAIR_RE = re.compile(r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)")
+
+
+def _parse_angles(text: str, where: str) -> tuple:
+    """Floats (1-D) or (theta, phi) float pairs (2-D); ``none`` is no source."""
+    if text == "none":
+        return ()
+    if "(" not in text:
+        return _numbers(text, where)
+    # Every comma-separated item must be one pair.
+    if {item.strip() for item in _PAIR_RE.sub("()", text).split(",")} != {"()"}:
+        raise ValidationError(f"{where}: expected '(theta, phi), (theta, phi), ...'; got {text!r}")
+    return tuple((_number(a, where), _number(b, where)) for a, b in _PAIR_RE.findall(text))
+
+
+def _parse_grid(text: str, where: str) -> tuple[float, float, float]:
+    values = _numbers(text, where)
+    if len(values) != 3:
+        raise ValidationError(f"{where} must be 'start, stop, step'")
+    return values
+
+
+def _parse_sweep(text: str, where: str) -> SweepSpec | None:
+    if text == "none":
+        return None
+    if ":" not in text:
+        raise ValidationError("sweep must be 'none' or 'variable: v1, v2, ...'")
+    var, _, rest = text.partition(":")
+    # SweepSpec checks the name and the count on the text before any
+    # value is parsed.
+    spec = SweepSpec(var.strip(), tuple(v.strip() for v in rest.split(",")) if rest.strip() else ())
+    return replace(spec, values=tuple(_sweep_value(spec.variable, v) for v in spec.values))
+
+
+_REQUIRED = object()  # the default of a key every config must set
+
+
+class _Key(NamedTuple):
+    parse: Callable  # (text, "config key '<k>'") -> the key's value
+    default: object  # the value of a config without the key, or _REQUIRED
+    text: Callable  # config -> the key's canonical text, or None to leave it out
+
+
+# Every config key in canonical order. Defaults that a dataclass states
+# are read from it.
+_KEYS = {
+    "rows": _Key(_int, _REQUIRED, lambda c: c.surface.rows),
+    "cols": _Key(_int, _REQUIRED, lambda c: c.surface.cols),
+    "carrier_hz": _Key(_number, _REQUIRED, lambda c: _fmt(c.surface.carrier_hz)),
+    "coding_period_s": _Key(_number, _REQUIRED, lambda c: _fmt(c.plan.coding_period_s)),
+    "spacing_m": _Key(_auto, SurfaceConfig.spacing_m, lambda c: _fmt(c.surface.spacing_m)),
+    "receiver_offset_m": _Key(_auto, SurfaceConfig.receiver_offset_m,
+                              lambda c: _fmt(c.surface.receiver_offset_m)),
+    "wave_speed": _Key(_number, SurfaceConfig.wave_speed, lambda c: _fmt(c.surface.wave_speed)),
+    "angles_deg": _Key(_parse_angles, _REQUIRED, _angles_text),
+    "coherence": _Key(partial(_choice, choices=COHERENCE), SourceScene.coherence,
+                      lambda c: c.scene.coherence),
+    # Left out, each source has power 1; a scene without sources writes no line.
+    "powers": _Key(_numbers, None, lambda c: _floats(c.scene.powers) or None),
+    "amplitude_model": _Key(partial(_choice, choices=AMPLITUDE_MODELS),
+                            SourceScene.amplitude_model, lambda c: c.scene.amplitude_model),
+    "sampling_rate_hz": _Key(_number, _REQUIRED, lambda c: _fmt(c.plan.sample_rate_hz)),
+    "periods_per_snapshot": _Key(_int, _REQUIRED, lambda c: c.plan.periods_per_snapshot),
+    "snapshots": _Key(_int, _REQUIRED, lambda c: c.plan.num_snapshots),
+    # NoiseSpec refuses a config that states both noise keys or neither.
+    "snr_db": _Key(_number, NoiseSpec.snr_db, lambda c: _fmt(c.noise.snr_db)),
+    "noise_variance": _Key(_number, NoiseSpec.variance, lambda c: _fmt(c.noise.variance)),
+    "max_harmonic": _Key(_int, _REQUIRED, lambda c: c.max_harmonic),
+    "num_weights": _Key(_int, _REQUIRED, lambda c: c.estimator.num_weights),
+    "estimator": _Key(partial(_choice, choices=KINDS), EstimatorParams.kind,
+                      lambda c: c.estimator.kind),
+    # The one elevation of a 1-D search's sources; the 2-D search reads none.
+    "elevation_deg": _Key(_number, 90.0, lambda c: (
+        _fmt(c.scene.doas[0].phi_deg if c.scene.doas else 90.0)
+        if c.estimator.kind == "1d" else None)),
+    "subarray_width": _Key(_int, EstimatorParams.subarray_width,
+                           lambda c: c.estimator.subarray_width),
+    "theta_grid_deg": _Key(_parse_grid, EstimatorParams.theta_grid_deg,
+                           lambda c: _floats(c.estimator.theta_grid_deg)),
+    "phi_grid_deg": _Key(_parse_grid, EstimatorParams.phi_grid_deg,
+                         lambda c: _floats(c.estimator.phi_grid_deg)),
+    "mode": _Key(_mode, "full", lambda c: c.mode),
+    "trials": _Key(_int, 100, lambda c: c.trials),
+    "seed": _Key(_int, 1, lambda c: c.seed),
+    "sweep": _Key(_parse_sweep, None, _sweep_text),
+    "output": _Key(lambda text, where: text, "results", lambda c: c.output),
+}
 
 
 def _key_value(pair: str, where: str) -> tuple[str, str]:
     """Split ``key = value`` (the caller checked the ``=``) and check both sides."""
     key, value = (part.strip() for part in pair.split("=", 1))
-    if key not in _CANONICAL:
+    if key not in _KEYS:
         raise ValidationError(f"{where}: unknown key {key!r}")
     if not value:
         raise ValidationError(f"{where}: empty value for {key!r}")
@@ -260,57 +333,6 @@ def _parse_lines(text: str) -> dict:
     return raw
 
 
-def _get_number(raw, key, kind=float, default=None):
-    """``raw[key]`` as ``kind`` (``float`` or ``int``); required unless a default is given."""
-    if key not in raw:
-        if default is None:
-            raise ValidationError(f"missing required config key {key!r}")
-        return default
-    return _number(raw[key], kind, f"config key {key!r}")
-
-
-def _numbers(text: str, where: str) -> list[float]:
-    """A comma-separated list of finite floats."""
-    return [_number(v.strip(), float, where) for v in text.split(",") if v.strip()]
-
-
-def _parse_angles(value: str):
-    """Return a list of floats (1-D) or (theta, phi) float pairs (2-D)."""
-    if value == "none":
-        return []
-    where = "config key 'angles_deg'"
-    if "(" in value:
-        pairs = _PAIR_RE.findall(value)
-        stripped = _PAIR_RE.sub("", value).replace(",", "").strip()
-        if not pairs or stripped:
-            raise ValidationError(
-                f"{where}: expected '(theta, phi), (theta, phi), ...'; got {value!r}"
-            )
-        return [(_number(a, float, where), _number(b, float, where)) for a, b in pairs]
-    return _numbers(value, where)
-
-
-def _parse_grid(raw, key, default):
-    if key not in raw:
-        return default
-    vals = _numbers(raw[key], f"config key {key!r}")
-    if len(vals) != 3:
-        raise ValidationError(f"config key {key!r} must be 'start, stop, step'")
-    return tuple(vals)
-
-
-def _parse_sweep(value: str) -> SweepSpec | None:
-    if value == "none":
-        return None
-    if ":" not in value:
-        raise ValidationError("sweep must be 'none' or 'variable: v1, v2, ...'")
-    var, _, rest = value.partition(":")
-    # SweepSpec checks the name and the count on the text before any
-    # value is parsed.
-    spec = SweepSpec(var.strip(), tuple(v.strip() for v in rest.split(",") if v.strip()))
-    return replace(spec, values=tuple(_sweep_value(spec.variable, v) for v in spec.values))
-
-
 def parse_config(text: str, overrides=None) -> ExperimentConfig:
     """Parse config text, apply ``key=value`` override strings, validate."""
     raw = _parse_lines(text)
@@ -328,85 +350,39 @@ def load_config(path: str, overrides=None) -> ExperimentConfig:
 
 
 def _build(raw: dict) -> ExperimentConfig:
-    rows, cols = _get_number(raw, "rows", int), _get_number(raw, "cols", int)
-    carrier_hz = _get_number(raw, "carrier_hz")
-    # The period goes to the plan below; it is read among the surface
-    # keys so errors for missing or malformed keys keep their order.
-    coding_period_s = _get_number(raw, "coding_period_s")
-    # An 'auto' length is left unset, for the surface to resolve.
-    surface = SurfaceConfig(
-        rows, cols, carrier_hz,
-        wave_speed=_get_number(raw, "wave_speed", float, SurfaceConfig.wave_speed),
-        **{key: _get_number(raw, key) for key in ("spacing_m", "receiver_offset_m")
-           if raw.get(key, "auto") != "auto"},
-    )
+    # All text first, in key order: a text fault precedes any object check.
+    v = {}
+    for key, (parse, default, _) in _KEYS.items():
+        if key in raw:
+            v[key] = parse(raw[key], f"config key {key!r}")
+        elif default is _REQUIRED:
+            raise ValidationError(f"missing required config key {key!r}")
+        else:
+            v[key] = default
 
-    kind = _choice(raw.get("estimator", EstimatorParams.kind), KINDS, "config key 'estimator'")
-    elevation_deg = _get_number(raw, "elevation_deg", float, 90.0)
-    if "angles_deg" not in raw:
-        raise ValidationError("missing required config key 'angles_deg'")
-    angles = _parse_angles(raw["angles_deg"])
-    if not angles:
-        doas = ()
-    elif kind == "1d":
+    surface = SurfaceConfig(v["rows"], v["cols"], v["carrier_hz"], spacing_m=v["spacing_m"],
+                            receiver_offset_m=v["receiver_offset_m"], wave_speed=v["wave_speed"])
+    angles, kind = v["angles_deg"], v["estimator"]
+    if kind == "1d":
         if any(isinstance(a, tuple) for a in angles):
-            raise ValidationError(
-                "1-D estimation expects scalar azimuths in angles_deg; all "
-                "sources share elevation_deg"
-            )
-        doas = tuple(Doa.from_degrees(a, elevation_deg) for a in angles)
+            raise ValidationError("1-D estimation expects scalar azimuths in angles_deg; "
+                                  "all sources share elevation_deg")
+        doas = tuple(Doa.from_degrees(a, v["elevation_deg"]) for a in angles)
     else:
         if not all(isinstance(a, tuple) for a in angles):
-            raise ValidationError(
-                "2-D estimation expects '(theta, phi)' pairs in angles_deg"
-            )
+            raise ValidationError("2-D estimation expects '(theta, phi)' pairs in angles_deg")
         doas = tuple(Doa.from_degrees(t, p) for t, p in angles)
-
-    powers = raw.get("powers")
-    scene = SourceScene(
-        doas=doas,
-        powers=tuple(_numbers(powers, "config key 'powers'")) if powers else (1.0,) * len(doas),
-        coherence=_choice(
-            raw.get("coherence", SourceScene.coherence), COHERENCE, "config key 'coherence'"
-        ),
-        amplitude_model=_choice(
-            raw.get("amplitude_model", SourceScene.amplitude_model),
-            AMPLITUDE_MODELS,
-            "config key 'amplitude_model'",
-        ),
-    )
-
-    plan = SamplingPlan(
-        sample_rate_hz=_get_number(raw, "sampling_rate_hz"),
-        periods_per_snapshot=_get_number(raw, "periods_per_snapshot", int),
-        num_snapshots=_get_number(raw, "snapshots", int),
-        coding_period_s=coding_period_s,
-    )
-
-    # NoiseSpec refuses a config that states both noise keys or neither.
-    noise = NoiseSpec(**{name: _get_number(raw, key) for name, key in
-                         (("variance", "noise_variance"), ("snr_db", "snr_db")) if key in raw})
-
-    estimator = EstimatorParams(
-        num_weights=_get_number(raw, "num_weights", int),
-        kind=kind,
-        subarray_width=_get_number(raw, "subarray_width", int) if "subarray_width" in raw else None,
-        theta_grid_deg=_parse_grid(raw, "theta_grid_deg", EstimatorParams.theta_grid_deg),
-        phi_grid_deg=_parse_grid(raw, "phi_grid_deg", EstimatorParams.phi_grid_deg),
-    )
-
+    powers = (1.0,) * len(doas) if v["powers"] is None else v["powers"]
     return ExperimentConfig(
         surface=surface,
-        scene=scene,
-        plan=plan,
-        noise=noise,
-        max_harmonic=_get_number(raw, "max_harmonic", int),
-        estimator=estimator,
-        mode=_choice(raw.get("mode", "full"), MODES, "config key 'mode'"),
-        trials=_get_number(raw, "trials", int, 100),
-        seed=_get_number(raw, "seed", int, 1),
-        sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
-        output=raw.get("output", "results"),
+        scene=SourceScene(doas, powers, v["coherence"], amplitude_model=v["amplitude_model"]),
+        plan=SamplingPlan(v["sampling_rate_hz"], v["periods_per_snapshot"], v["snapshots"],
+                          v["coding_period_s"]),
+        noise=NoiseSpec(variance=v["noise_variance"], snr_db=v["snr_db"]),
+        max_harmonic=v["max_harmonic"],
+        estimator=EstimatorParams(v["num_weights"], kind, v["subarray_width"],
+                                  v["theta_grid_deg"], v["phi_grid_deg"]),
+        mode=v["mode"], trials=v["trials"], seed=v["seed"], sweep=v["sweep"], output=v["output"],
     )
 
 
@@ -463,7 +439,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         raise ValidationError("trials must be at least 1")
     if cfg.seed < 0:
         raise ValidationError("seed must be nonnegative")
-    _choice(cfg.mode, MODES, "mode")
+    _mode(cfg.mode, "mode")
     point_configs(cfg)  # checks each sweep point as a config of its own
 
 
@@ -503,7 +479,7 @@ def apply_sweep_value(cfg: ExperimentConfig, value) -> ExperimentConfig:
 
 def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it reproduces an equal config."""
-    texts = ((key, text(cfg)) for key, text in _CANONICAL.items())
+    texts = ((key, spec.text(cfg)) for key, spec in _KEYS.items())
     return "".join(f"{key} = {value}\n" for key, value in texts if value is not None)
 
 

@@ -272,17 +272,19 @@ def _point_results(points, workers: int):
     """Scope of an iterator over each point's trial results, in trial order.
 
     ``points`` lists (config, sweep index) pairs, which share one trial
-    count. Each point is cut into the same contiguous chunks, one per
-    process, and the run's chunks go to one ``map``: the builtin lazy
-    one with one chunk per point, so a point runs when its results are
-    read, else a process pool's, which queues every chunk at once. A
-    point's error is raised when its results are read; the pool then
-    runs only the chunks it has already handed to a process.
+    count. The run has at most as many processes as ``workers``, the
+    trials and the CPUs. Each point is cut into the same contiguous
+    chunks, one per process, and the run's chunks go to one ``map``:
+    the builtin lazy one with one chunk per point, so a point runs when
+    its results are read, else a process pool's, which queues every
+    chunk at once. A point's error is raised when its results are read;
+    the pool then runs only the chunks it has already handed to a
+    process.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1; got {workers}")
     trials = points[0][0].trials
-    processes = min(workers, trials)
+    processes = min(workers, trials, os.cpu_count() or 1)
     size = -(-trials // processes)
     starts = range(0, trials, size)
     tasks = [(p, i, range(s, min(s + size, trials))) for p, i in points for s in starts]

@@ -1,5 +1,6 @@
 """Config parsing, validation, round-trip, and sweep expansion."""
 
+import ast
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msdoa.config
 from msdoa import (
     ConfigurationError,
     Doa,
@@ -24,7 +26,7 @@ from msdoa import (
     parse_config,
 )
 from msdoa.cli import main
-from msdoa.config import _CANONICAL, MAX_POINTS, SWEEP_VARIABLES, point_configs
+from msdoa.config import _KEYS, _REQUIRED, MAX_POINTS, SWEEP_VARIABLES, point_configs
 
 # Minimal valid config; everything else exercises the defaults.
 BASE = """\
@@ -123,6 +125,37 @@ def test_malformed_lines():
         parse_config(BASE.replace("rows = 5", "rows = five"))
     with pytest.raises(ValidationError, match="not a number"):
         parse_config(BASE.replace("snr_db = 0", "snr_db = loud"))
+
+
+@pytest.mark.parametrize("override, message", [
+    ("angles_deg = -22,,12", "config key 'angles_deg': not a number: ''"),
+    ("angles_deg = ,", "config key 'angles_deg': not a number: ''"),
+    ("powers = 1, 1, ,", "config key 'powers': not a number: ''"),
+    ("theta_grid_deg = -90, 90, 0.1,", "config key 'theta_grid_deg': not a number: ''"),
+    ("sweep = snr_db: 0,, 10", "sweep snr_db: not a number: ''"),
+    ("sweep = mode: full,", "sweep mode: not one of full/ideal: ''"),
+    ("sweep = snr_db:", "sweep needs at least one value"),
+])
+def test_an_empty_list_item_is_refused(override, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(BASE, overrides=[override])
+
+
+@pytest.mark.parametrize("angles", ["(-36, 20), , (42, 45)", "(-36, 20), (42, 45),",
+                                    "(-36, 20) (42, 45)"])
+def test_angle_pairs_are_one_per_item(angles):
+    overrides = ["estimator = 2d", "subarray_width = 4", f"angles_deg = {angles}"]
+    with pytest.raises(ValidationError, match=r"^config key 'angles_deg': expected '\(theta"):
+        parse_config(BASE, overrides=overrides)
+
+
+def test_text_faults_come_before_object_checks():
+    # Every key's text is read, in canonical order, before any object
+    # is made: the mode fault wins over the surface one.
+    with pytest.raises(ValidationError, match="^config key 'mode': not one of full/ideal"):
+        parse_config(BASE, overrides=["rows = 0", "mode = fast"])
+    with pytest.raises(ValidationError, match="at least one row"):
+        parse_config(BASE, overrides=["rows = 0"])
 
 
 # Each number a config holds is finite. Every one of these overrides is
@@ -554,11 +587,67 @@ def test_readme_config_table_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
-    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
-    assert keys == list(_CANONICAL)
+    cells = [row.split(" | ") for row in rows]
+    keys = [key for cell in cells for key in re.findall(r"`([^`]+)`", cell[0])]
+    assert keys == list(_KEYS)
+    required = {key for cell in cells if cell[1] == "required"
+                for key in re.findall(r"`([^`]+)`", cell[0])}
+    assert required == {key for key, spec in _KEYS.items() if spec.default is _REQUIRED}
     sweep_row = next(row for row in rows if row.startswith("| `sweep` |"))
     listed = re.search(r"one of `([^`]+)`", sweep_row).group(1)
     assert tuple(name.strip() for name in listed.split(",")) == SWEEP_VARIABLES
+
+
+def _without(text, key):
+    return "".join(line for line in text.splitlines(True) if line.split("=")[0].strip() != key)
+
+
+# A base config of each search kind. The 2-D one sets the two keys its
+# search needs, so the 1-D base alone leaves those out.
+KIND_BASES = {
+    "1d": BASE,
+    "2d": BASE.replace("angles_deg = -22, 12", "angles_deg = (-36, 20), (42, 45)")
+    + "estimator = 2d\nsubarray_width = 4\n",
+}
+DEFAULTED = [key for key, spec in _KEYS.items() if spec.default is not _REQUIRED]
+
+
+@pytest.mark.parametrize("kind, key", [
+    *(("1d", key) for key in DEFAULTED),
+    *(("2d", key) for key in DEFAULTED if key not in ("estimator", "subarray_width")),
+])
+def test_a_left_out_key_reads_as_the_default_it_writes(kind, key):
+    # The table's default and canonical text agree: a config without
+    # the key equals the config with the line emit_config writes for it.
+    text = _without(KIND_BASES[kind], key)
+    if key == "snr_db":  # a config states one noise key
+        text += "noise_variance = 0.5\n"
+    cfg = parse_config(text)
+    line = "".join(ln for ln in emit_config(cfg).splitlines(True) if ln.startswith(f"{key} = "))
+    again = parse_config(text + line)
+    assert again == cfg
+    assert config_digest(again) == config_digest(cfg)
+
+
+def test_config_reads_its_text_only_in_the_table_loop():
+    # Every key is read through _KEYS, so a new key cannot bypass the
+    # table: the one read of a raw value sits in the loop over _KEYS,
+    # and nothing calls raw.get.
+    tree = ast.parse(Path(msdoa.config.__file__).read_text(encoding="utf-8"))
+
+    def is_raw(node):
+        return isinstance(node, ast.Name) and node.id == "raw"
+
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and any(isinstance(n, ast.Name) and n.id == "_KEYS" for n in ast.walk(node.iter))]
+    in_loops = {id(n) for loop in loops for n in ast.walk(loop)}
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+             and is_raw(node.value) and isinstance(node.ctx, ast.Load)]
+    gets = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and is_raw(node.func.value)
+            and node.func.attr == "get"]
+    assert len(reads) == 1 and id(reads[0]) in in_loops
+    assert gets == []
 
 
 def test_builtin_path_unknown():

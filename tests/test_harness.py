@@ -1053,10 +1053,8 @@ def test_failing_pooled_sweep_runs_only_the_chunks_handed_out(monkeypatch, tmp_p
     assert started <= handed_out < (points - 1) * 2
 
 
-@pytest.mark.parametrize("workers, trials, processes", [
-    (1000, 3, 3), (2, 3, 2), (3, 5, 3), (4, 1, None), (1, 3, None),
-])
-def test_pool_never_outnumbers_the_trials(monkeypatch, workers, trials, processes):
+def _pool_sizes(monkeypatch, cpus, workers, trials):
+    """The process counts ``run_trials`` opens pools with on ``cpus`` CPUs, run in-process."""
     sizes, chunks = [], []
 
     class InlinePool:
@@ -1077,9 +1075,30 @@ def test_pool_never_outnumbers_the_trials(monkeypatch, workers, trials, processe
             return map(fn, tasks)
 
     monkeypatch.setattr(msdoa.harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(msdoa.harness.os, "cpu_count", lambda: cpus)
     cfg = parse_config(SMALL.replace("trials = 3", f"trials = {trials}"))
     assert run_trials(cfg, workers=workers) == run_trials(cfg)
-    assert sizes == chunks == ([] if processes is None else [processes])
+    assert sizes == chunks
+    return sizes
+
+
+@pytest.mark.parametrize("workers, trials, processes", [
+    (1000, 3, 3), (2, 3, 2), (3, 5, 3), (4, 1, None), (1, 3, None),
+])
+def test_pool_never_outnumbers_the_trials(monkeypatch, workers, trials, processes):
+    # With more CPUs than trials, the trials bound the pool.
+    expected = [] if processes is None else [processes]
+    assert _pool_sizes(monkeypatch, 8, workers, trials) == expected
+
+
+@pytest.mark.parametrize("cpus, workers, trials, processes", [
+    (2, 1000, 3, 2), (2, 4, 5, 2), (1, 4, 3, None),
+    # An unknown CPU count counts as one.
+    (None, 4, 3, None),
+])
+def test_pool_never_outnumbers_the_cpus(monkeypatch, cpus, workers, trials, processes):
+    expected = [] if processes is None else [processes]
+    assert _pool_sizes(monkeypatch, cpus, workers, trials) == expected
 
 
 @pytest.mark.parametrize("workers", [0, -2])
