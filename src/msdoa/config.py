@@ -397,7 +397,7 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
     """Eager cross-field checks of every config made; raises on the first violation.
 
     Which scenes the search can find is :func:`~msdoa.estimator.search_grids`'s
-    to decide; this reads only the window width from it.
+    to decide; this reads only the window width and positions from it.
     """
     surface, plan, est = cfg.surface, cfg.plan, cfg.estimator
     # Checked before anything is allocated: a trial's series; the one-period
@@ -430,8 +430,8 @@ def validate_experiment(cfg: ExperimentConfig) -> None:
         )
     # Also enforces even Q and that harmonic k0*P fits below Q/2.
     frequency_indices(plan, cfg.max_harmonic)
-    width = search_grids(est, surface, cfg.scene)[0]
-    dim = surface.rows * (surface.cols - width + 1)
+    width, positions = search_grids(est, surface, cfg.scene)[:2]
+    dim = surface.rows * positions
     _refuse_past_limit("the whitener table", width**2 * dim**2)
     _refuse_past_limit("a search batch's smoothed stack",
                        batch * plan.num_snapshots * est.num_weights * dim)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby
 from math import isqrt
 
 import numpy as np
@@ -194,51 +195,48 @@ def whiten(covariance: np.ndarray, w_inv_sqrt: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
-def _half_plane_lags(rows: int, out_cols: int) -> np.ndarray:
+def _half_plane_lags(rows: int, positions: int) -> np.ndarray:
     """(row, column) lags q - p of the smoothed grid: (0, 0), then one of each +- pair.
 
-    The kept half is (0, 1 .. out_cols-1), then for each row lag
-    1 .. rows-1 the column lags -(out_cols-1) .. out_cols-1; shape
-    (1 + H, 2) with H = ((2*rows - 1)*(2*out_cols - 1) - 1) / 2.
+    The one statement of the lag order. The kept half is (0, 1 .. P-1),
+    then for each row lag 1 .. rows-1 the column lags -(P-1) .. P-1, with
+    P = ``positions``; shape (1 + H, 2), H = ((2*rows - 1)*(2*P - 1) - 1) / 2.
     """
-    cols = range(1 - out_cols, out_cols)
-    half = [(0, r) for r in range(1, out_cols)] + [(m, r) for m in range(1, rows) for r in cols]
+    cols = range(1 - positions, positions)
+    half = [(0, r) for r in range(1, positions)] + [(m, r) for m in range(1, rows) for r in cols]
     return np.array([(0, 0), *half], dtype=int).reshape(-1, 2)
 
 
-def _lag_fold(rows: int, out_cols: int) -> np.ndarray:
-    """Flat indices of the Gram entries Q[p, q] at each :func:`_half_plane_lags` lag.
+def _lag_fold(lags: np.ndarray) -> np.ndarray:
+    """Flat indices of the Gram entries Q[p, q] at each lag of a :func:`_half_plane_lags` table.
 
-    Row h lists, in row-major (p, q) order, the entries of a
-    (rows*out_cols)-square matrix whose lag q - p is lag h, padded with
+    Row h lists, in row-major (p, q) order, the entries of the grid's
+    (rows*positions)-square matrix whose lag q - p is lag h, padded with
     the index one past its last entry, where the search appends a zero.
     """
-    dim = rows * out_cols
-    m, r = np.divmod(np.arange(dim), out_cols)
+    rows, positions = lags.max(axis=0) + 1
+    m, r = np.divmod(np.arange(rows * positions), positions)
     row_lag, col_lag = m[None, :] - m[:, None], r[None, :] - r[:, None]
-    members = [
-        np.flatnonzero((row_lag == a) & (col_lag == b)) for a, b in _half_plane_lags(rows, out_cols)
-    ]
-    fold = np.full((len(members), max(idx.size for idx in members)), dim * dim)
+    members = [np.flatnonzero((row_lag == a) & (col_lag == b)) for a, b in lags]
+    fold = np.full((len(members), max(idx.size for idx in members)), row_lag.size)
     for h, idx in enumerate(members):
         fold[h, : idx.size] = idx
     return fold
 
 
-def _lag_basis(rows: int, out_cols: int, directions: np.ndarray, phase_scale: float) -> np.ndarray:
+def _lag_basis(lags: np.ndarray, directions: np.ndarray, phase_scale: float) -> np.ndarray:
     """Rows [1; cos psi_h; sin psi_h] over an azimuth grid at one elevation.
 
-    ``directions`` is [sin(theta); cos(theta)] over the grid and
-    phase_scale = w0*d*sin(phi)/c. For each :func:`_half_plane_lags` lag
-    (dm_h, dr_h) after (0, 0), psi_h = phase_scale*(dm_h*sin(theta) +
-    dr_h*cos(theta)); shape (2H+1, thetas). exp(j*psi_h) is the product
-    of the dm_h-th power of exp(j*phase_scale*sin(theta)) and the
-    dr_h-th power of exp(j*phase_scale*cos(theta)), each power taken by
-    repeated multiplication and a negative one by conjugation.
+    For each lag (dm_h, dr_h) after (0, 0) of the :func:`_half_plane_lags`
+    table ``lags``, psi_h = phase_scale*(dm_h*sin(theta) + dr_h*cos(theta)),
+    with ``directions`` = [sin(theta); cos(theta)] over the grid and
+    phase_scale = w0*d*sin(phi)/c; shape (2H+1, thetas). exp(j*psi_h) is
+    the dm_h-th power of exp(j*phase_scale*sin(theta)) times the |dr_h|-th
+    of exp(j*phase_scale*cos(theta)), conjugated when dr_h < 0, each by
+    repeated multiplication; a term with dm_h = 0 is its column power's copy.
     """
     thetas = directions.shape[1]
-    half = ((2 * rows - 1) * (2 * out_cols - 1) - 1) // 2
-    count = max(rows, out_cols)
+    count = lags.max() + 1
     # powers[i] = [exp(j*i*u); exp(j*i*v)], u and v the row and column phases.
     powers = np.empty((count, 2, thetas), dtype=complex)
     powers[0] = 1.0
@@ -248,17 +246,15 @@ def _lag_basis(rows: int, out_cols: int, directions: np.ndarray, phase_scale: fl
         np.sin(phase, out=powers[1].imag)
     for i in range(2, count):
         np.multiply(powers[i - 1], powers[1], out=powers[i])
-    row, col = powers[:rows, 0], powers[:out_cols, 1]
-    terms = np.empty((half, thetas), dtype=complex)
-    terms[: out_cols - 1] = col[1:]
-    grid = terms[out_cols - 1 :].reshape(rows - 1, 2 * out_cols - 1, thetas)
-    np.multiply(row[1:, None], col[None, :], out=grid[:, out_cols - 1 :])
-    np.multiply(row[1:, None], col[None, :0:-1].conj(), out=grid[:, : out_cols - 1])
-    basis = np.empty((2 * half + 1, thetas))
-    basis[0] = 1.0
-    basis[1 : half + 1] = terms.real
-    basis[half + 1 :] = terms.imag
-    return basis
+    row_lags, col_lags = lags[1:].T
+    terms = powers[:, 1].take(np.abs(col_lags), axis=0)
+    np.conjugate(terms, out=terms, where=(col_lags < 0)[:, None])
+    stop = 0
+    for m, run in groupby(row_lags.tolist()):
+        start, stop = stop, stop + len(list(run))
+        if m:
+            np.multiply(powers[m, 0], terms[start:stop], out=terms[start:stop])
+    return np.concatenate([np.ones((1, thetas)), terms.real, terms.imag])
 
 
 @dataclass(frozen=True)
@@ -297,48 +293,49 @@ def inclusive_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 def search_grids(
     params: EstimatorParams, surface: SurfaceConfig, scene: SourceScene
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """The window width, the azimuth grid and the elevation grid of a search of ``scene``.
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The window width and positions, the azimuth grid and the elevation grid of a search.
 
     The window is ``subarray_width`` columns wide, the full width when
-    that is unset. The estimator ``kind`` picks only the elevation grid:
-    "1d" the one elevation of all the scene's sources (90 without any),
-    "2d" the ``phi_grid_deg`` grid. The elevation is searched exactly
-    when the grid has more than one point. The peak search needs a
-    neighbor on each side of a point, so the azimuth grid, and under
-    "2d" the elevation grid, must have at least 3 points. Under "2d",
-    rows alone see only sin(theta)*sin(phi) and window positions alone
-    only cos(theta)*sin(phi), so it needs 2 of each. The K sources must
-    leave a noise subspace: K below rows * window positions. Every
-    source lies strictly inside each searched grid. No two points the
-    search can report are one direction to it: the azimuth grid's inner
-    points span less than 360, and lie within -90 .. 90 when rows see
-    them alone and within -180 .. 0 or 0 .. 180 when window positions
-    do; a "2d" elevation grid lies within 0 .. 90. Grids are in degrees.
-    These checks refuse a config at load and every :func:`search_setup`
-    alike.
+    that is unset; it takes cols - width + 1 positions per row, a count
+    worked out here alone. The estimator ``kind`` picks only the
+    elevation grid: "1d" the one elevation of all the scene's sources
+    (90 without any), "2d" the ``phi_grid_deg`` grid. The elevation is
+    searched exactly when the grid has more than one point. The peak
+    search needs a neighbor on each side of a point, so the azimuth
+    grid, and under "2d" the elevation grid, must have at least 3
+    points. Under "2d", rows alone see only sin(theta)*sin(phi) and
+    window positions alone only cos(theta)*sin(phi), so it needs 2 of
+    each. The K sources must leave a noise subspace: K below rows *
+    window positions. Every source lies strictly inside each searched
+    grid. No two points the search can report are one direction to it:
+    the azimuth grid's inner points span less than 360, and lie within
+    -90 .. 90 when rows see them alone and within -180 .. 0 or 0 .. 180
+    when window positions do; a "2d" elevation grid lies within 0 .. 90.
+    Grids are in degrees. These checks refuse a config at load and every
+    :func:`search_setup` alike.
     """
     theta_grid = inclusive_grid(*params.theta_grid_deg)
     width = surface.cols if params.subarray_width is None else params.subarray_width
     if not 1 <= width <= surface.cols:
         raise ConfigurationError(f"subarray_width={width} must lie in [1, {surface.cols}]")
-    out_cols = surface.cols - width + 1
+    positions = surface.cols - width + 1
     if params.kind == "1d":
         phis = list(dict.fromkeys(doa.phi_deg for doa in scene.doas)) or [90.0]
         if len(phis) > 1:
             raise ConfigurationError(f"a 1d search needs its sources at one elevation; got {phis}")
         elevations = np.array(phis)
-    elif surface.rows < 2 or out_cols < 2:
+    elif surface.rows < 2 or positions < 2:
         raise ConfigurationError(
             "a 2d search needs at least 2 rows and 2 window positions to tell azimuth "
-            f"from elevation; this geometry gives {surface.rows} rows and {out_cols} "
+            f"from elevation; this geometry gives {surface.rows} rows and {positions} "
             f"window positions (subarray_width={width} of {surface.cols} columns)"
         )
     else:
         elevations = inclusive_grid(*params.phi_grid_deg)
     if theta_grid.size < 3 or (params.kind == "2d" and elevations.size < 3):
         raise ValidationError("a searched angle grid needs at least 3 points")
-    dim = surface.rows * out_cols
+    dim = surface.rows * positions
     if scene.num_sources >= dim:
         raise ConfigurationError(
             f"{scene.num_sources} sources need a search dimension above "
@@ -354,10 +351,10 @@ def search_grids(
     runs = f"theta_grid_deg reports peaks at {lo:g} .. {hi:g} deg;"
     mirrors = [
         (hi - lo >= 360.0, f"{runs} azimuths 360 apart are one direction"),
-        (out_cols == 1 < surface.rows and reach > 90.0,
+        (positions == 1 < surface.rows and reach > 90.0,
          f"{runs} one window position sees only sin(theta), and theta and 180 - theta "
          "look alike beyond -90 .. 90"),
-        (surface.rows == 1 < out_cols and (reach > 180.0 or lo < 0.0 < hi),
+        (surface.rows == 1 < positions and (reach > 180.0 or lo < 0.0 < hi),
          f"{runs} one row sees only cos(theta), and theta and -theta look alike "
          "across 0 or beyond -180 .. 180"),
     ]
@@ -384,7 +381,7 @@ def search_grids(
                     f"points of {key} ({grid[0]:g} .. {grid[-1]:g}); the peak "
                     "search never reports an end point"
                 )
-    return width, theta_grid, elevations
+    return width, positions, theta_grid, elevations
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,12 +389,12 @@ class SearchSetup:
     """The part of :func:`estimate_doa` that no trial changes.
 
     Holds the surface, the source count, the harmonic matrix that mixed
-    the snapshot bins, the phase compensation, the smoothing window
-    width that every trial's weight rows span, the table from which each
-    trial's whitener is formed (see :func:`smoothing_whitener`), the
-    azimuth and elevation grids, the sines and cosines of the azimuths,
-    and the table that folds a Gram matrix onto the half-plane lags of
-    the smoothed grid. Arrays are read-only: trials share them.
+    the snapshot bins, the phase compensation, the window width that
+    every trial's weight rows span and its positions per surface row,
+    the whitener table (see :func:`smoothing_whitener`), the azimuth and
+    elevation grids, the sines and cosines of the azimuths, and the
+    smoothed grid's :func:`_half_plane_lags` table ``lags`` with its
+    :func:`_lag_fold`. Arrays are read-only: trials share them.
     """
 
     surface: SurfaceConfig
@@ -405,10 +402,12 @@ class SearchSetup:
     harmonics: HarmonicMatrix
     compensation: np.ndarray
     width: int
+    positions: int
     window_gram: np.ndarray
     theta_grid_deg: np.ndarray
     elevation_grid_deg: np.ndarray
     directions: np.ndarray
+    lags: np.ndarray
     fold: np.ndarray
 
 
@@ -446,23 +445,23 @@ def search_setup(
 
     ``harmonics`` is the harmonic matrix that mixes the element
     channels into the snapshot bins; its inverse Gram matrix forms the
-    whitener table. The window width, the grids and the source count
-    come from :func:`search_grids`.
+    whitener table. The window width and positions, the grids and the
+    source count come from :func:`search_grids`.
     """
-    width, theta_grid, elevations = search_grids(params, cfg, scene)
+    width, positions, theta_grid, elevations = search_grids(params, cfg, scene)
     comp = compensation(cfg)
-    out_cols = cfg.cols - width + 1
     # Entry (c*width + c', a*dim + b) is (C G C^H)[a + c, b + c'], with a
     # and b the elements that start two smoothed points' windows and c, c'
     # window offsets (see smoothing_whitener).
     shaped = comp[:, None] * harmonics.gram_inverse * comp.conj()
-    m, r = np.divmod(np.arange(cfg.rows * out_cols), out_cols)
+    m, r = np.divmod(np.arange(cfg.rows * positions), positions)
     members = m * cfg.cols + r + np.arange(width)[:, None]
     window_gram = shaped[members[:, None, :, None], members[None, :, None, :]].reshape(width**2, -1)
     theta_rad = np.deg2rad(theta_grid)
     directions = np.stack([np.sin(theta_rad), np.cos(theta_rad)])
-    fold = _lag_fold(cfg.rows, out_cols)
-    for arr in (comp, window_gram, theta_grid, elevations, directions, fold):
+    lags = _half_plane_lags(cfg.rows, positions)
+    fold = _lag_fold(lags)
+    for arr in (comp, window_gram, theta_grid, elevations, directions, lags, fold):
         arr.flags.writeable = False
     return SearchSetup(
         cfg,
@@ -470,10 +469,12 @@ def search_setup(
         harmonics,
         comp,
         width,
+        positions,
         window_gram,
         theta_grid,
         elevations,
         directions,
+        lags,
         fold,
     )
 
@@ -482,21 +483,19 @@ def _spectrum_rows(coef: np.ndarray, setup: SearchSetup) -> Iterator[np.ndarray]
     """Each elevation's (trials, azimuths) spectrum denominators, in grid order.
 
     ``coef`` stacks one lag-polynomial row per trial, (trials, 2H+1)
-    (see :func:`music_search`). The rows are zero-padded to whole blocks
-    of ``GEMM_ROWS`` once per call, and each elevation's denominators
-    are the (blocks, GEMM_ROWS, 2H+1) stack times its lag basis: one
-    matrix-matrix product of the same shape per block, so a trial's row
-    has the same bits at any position of any batch, a batch of one
-    included. Each elevation's basis is built once per call. The
-    yielded rows are C-contiguous.
+    (see :func:`music_search`), over the setup's ``lags``. The rows are
+    zero-padded to whole blocks of ``GEMM_ROWS`` once per call, and each
+    elevation's denominators are the (blocks, GEMM_ROWS, 2H+1) stack
+    times its lag basis: one matrix-matrix product of the same shape per
+    block, so a trial's row has the same bits at any position of any
+    batch, a batch of one included. Each elevation's basis is built once
+    per call. The yielded rows are C-contiguous.
     """
-    cfg = setup.surface
-    out_cols = cfg.cols - setup.width + 1
     trials, terms = coef.shape
     blocks = np.zeros((-(-trials // GEMM_ROWS), GEMM_ROWS, terms))
     blocks.reshape(-1, terms)[:trials] = coef
     for phi in np.deg2rad(setup.elevation_grid_deg):
-        basis = _lag_basis(cfg.rows, out_cols, setup.directions, _phase_scale(cfg, phi))
+        basis = _lag_basis(setup.lags, setup.directions, _phase_scale(setup.surface, phi))
         yield (blocks @ basis).reshape(-1, basis.shape[1])[:trials]
 
 
@@ -624,11 +623,10 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
     trials, dim = whitened.shape[0], whitened.shape[-1]
     if whitened.shape != (trials, dim, dim) or w_inv_sqrt.shape != whitened.shape:
         raise ValidationError("whitened covariances and whiteners must be matching square stacks")
-    out_cols = cfg.cols - setup.width + 1
-    if dim != cfg.rows * out_cols:
+    if dim != cfg.rows * setup.positions:
         raise ConfigurationError(
             f"search with {setup.width}-column windows expects covariance "
-            f"dimension {cfg.rows * out_cols}; got {dim}"
+            f"dimension {cfg.rows * setup.positions}; got {dim}"
         )
 
     vals, vecs = np.linalg.eigh(whitened)

@@ -363,6 +363,39 @@ def manifold(theta_rad, phi_rad, out_cols, cfg):
     return (rows[:, None, :] * ramp[None, :, :]).reshape(-1, theta_rad.size)
 
 
+def slicing_lag_basis(rows, out_cols, directions, phase_scale):
+    """The lag basis [1; cos psi_h; sin psi_h] by whole-block slicing.
+
+    The half-plane order, (0, 1 .. out_cols-1) and then each row lag's
+    column lags -(out_cols-1) .. out_cols-1, is written into the slices
+    here, and the products run as two broadcasts over all row lags at
+    once. ``_lag_basis``, which reads the order from its lag table,
+    must match this bit for bit.
+    """
+    thetas = directions.shape[1]
+    half = ((2 * rows - 1) * (2 * out_cols - 1) - 1) // 2
+    count = max(rows, out_cols)
+    powers = np.empty((count, 2, thetas), dtype=complex)
+    powers[0] = 1.0
+    if count > 1:
+        phase = phase_scale * directions
+        np.cos(phase, out=powers[1].real)
+        np.sin(phase, out=powers[1].imag)
+    for i in range(2, count):
+        np.multiply(powers[i - 1], powers[1], out=powers[i])
+    row, col = powers[:rows, 0], powers[:out_cols, 1]
+    terms = np.empty((half, thetas), dtype=complex)
+    terms[: out_cols - 1] = col[1:]
+    grid = terms[out_cols - 1 :].reshape(rows - 1, 2 * out_cols - 1, thetas)
+    np.multiply(row[1:, None], col[None, :], out=grid[:, out_cols - 1 :])
+    np.multiply(row[1:, None], col[None, :0:-1].conj(), out=grid[:, : out_cols - 1])
+    basis = np.empty((2 * half + 1, thetas))
+    basis[0] = 1.0
+    basis[1 : half + 1] = terms.real
+    basis[half + 1 :] = terms.imag
+    return basis
+
+
 def projection_search(whitened, w_inv_sqrt, setup):
     """Spectra and estimates of a batch by projecting onto the manifold.
 
@@ -374,7 +407,6 @@ def projection_search(whitened, w_inv_sqrt, setup):
     elevations) spectra and one tuple of :class:`Doa` per trial.
     """
     cfg, num_sources = setup.surface, setup.num_sources
-    out_cols = cfg.cols - setup.width + 1
     thetas, phis = setup.theta_grid_deg, setup.elevation_grid_deg
     spectra, estimates = [], []
     for cov, w in zip(whitened, w_inv_sqrt):
@@ -383,7 +415,7 @@ def projection_search(whitened, w_inv_sqrt, setup):
         basis = noise.conj().T @ w
         spectrum = np.empty((thetas.size, phis.size))
         for j, phi in enumerate(np.deg2rad(phis)):
-            a = manifold(np.deg2rad(thetas), phi, out_cols, cfg)
+            a = manifold(np.deg2rad(thetas), phi, setup.positions, cfg)
             power = np.sum(np.abs(basis @ a) ** 2, axis=0)
             spectrum[:, j] = 1.0 / np.maximum(power, np.finfo(float).tiny)
         # A one-elevation grid is searched along azimuth alone.

@@ -43,8 +43,10 @@ from msdoa import (
     write_spectrum_csv,
 )
 from msdoa.estimator import (
+    _half_plane_lags,
     _lag_basis,
     _lag_fold,
+    _phase_scale,
     _ranked_peaks,
     _row_peaks,
     _spectrum_rows,
@@ -397,6 +399,8 @@ def test_1d_search_honours_subarray_width():
     setup = search_setup(cfg.surface, cfg.scene, cfg.estimator,
                          harmonic_matrix(cfg.max_harmonic, cfg.surface))
     assert setup.width == 2
+    assert setup.positions == 5
+    assert setup.lags.tolist() == _half_plane_lags(5, 5).tolist()
     assert setup.elevation_grid_deg.tolist() == [90.0]
     weights = make_ps_weights(cfg.estimator.num_weights, setup.width, 0)
     assert setup.window_gram.shape == (2 * 2, 25 * 25)
@@ -460,7 +464,7 @@ def test_the_search_takes_every_grid_it_can_tell_apart(table1_cfg):
     # mirror; and an end point past 90, never reported, is kept.
     cfg = load_config(builtin_config_path("table1"),
                       ["subarray_width=3", "theta_grid_deg=-179, 179, 0.1"])
-    assert search_grids(cfg.estimator, cfg.surface, cfg.scene)[1][[0, -1]].tolist() == [
+    assert search_grids(cfg.estimator, cfg.surface, cfg.scene)[2][[0, -1]].tolist() == [
         -179.0, pytest.approx(179.0)]
     one_row = SurfaceConfig(1, 6, 1e9, 0.3)
     for grid in ((-180.0, 0.0, 0.5), (0.0, 180.0, 0.5)):
@@ -469,7 +473,7 @@ def test_the_search_takes_every_grid_it_can_tell_apart(table1_cfg):
     search_grids(EstimatorParams(1, theta_grid_deg=(-179.0, 179.0, 0.1)),
                  SurfaceConfig(1, 1, 1e9, 0.3), oracles.sources(0))
     assert search_grids(EstimatorParams(1, theta_grid_deg=(-90.0, 90.0, 7.0)), table1_cfg,
-                        oracles.sources(2))[1][-1] == 92.0
+                        oracles.sources(2))[2][-1] == 92.0
 
 
 def test_inclusive_grid():
@@ -876,15 +880,32 @@ def test_lag_fold_evaluates_the_hermitian_form(rows, out_cols, seed):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q = q + q.conj().T  # Hermitian, not definite
-    sums = np.append(q.ravel(), 0.0)[_lag_fold(rows, out_cols)].sum(axis=1)
+    lags = _half_plane_lags(rows, out_cols)
+    sums = np.append(q.ravel(), 0.0)[_lag_fold(lags)].sum(axis=1)
     coef = np.concatenate([sums[:1].real, 2.0 * sums[1:].real, -2.0 * sums[1:].imag])
     thetas = np.deg2rad(rng.uniform(-90.0, 90.0, 17))
     phi = np.deg2rad(rng.uniform(0.0, 90.0))
     scale = cfg.omega0 * cfg.spacing_m * np.sin(phi) / cfg.wave_speed
-    basis = _lag_basis(rows, out_cols, np.stack([np.sin(thetas), np.cos(thetas)]), scale)
+    directions = np.stack([np.sin(thetas), np.cos(thetas)])
+    basis = _lag_basis(lags, directions, scale)
+    # The table-driven basis has the bits of the whole-block slicing form.
+    assert basis.tobytes() == oracles.slicing_lag_basis(rows, out_cols, directions, scale).tobytes()
     a = oracles.manifold(thetas, phi, out_cols, cfg)
     want = np.einsum("pt,pq,qt->t", a.conj(), q, a)
     assert np.max(np.abs(coef @ basis - want)) < 1e-12 * np.sum(np.abs(q))
+
+
+@pytest.mark.parametrize("name", ["table1_2d", "table1", "table2"])
+def test_lag_basis_keeps_the_bits_of_the_slicing_form(name):
+    # Every elevation of a shipped config: the basis read off the one lag
+    # table is byte-equal to the one that wrote the lag order into slices.
+    setup = build_context(load_config(builtin_config_path(name))).search
+    for phi in np.deg2rad(setup.elevation_grid_deg):
+        scale = _phase_scale(setup.surface, phi)
+        got = _lag_basis(setup.lags, setup.directions, scale)
+        want = oracles.slicing_lag_basis(setup.surface.rows, setup.positions,
+                                         setup.directions, scale)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("params, source", [
@@ -899,8 +920,8 @@ def test_noiseless_source_on_a_grid_point_is_found(table1_cfg, params, source):
     # finite and positive, and the peak is the source.
     scene = SourceScene((Doa.from_degrees(*source),), (1.0,))
     setup = search_setup(table1_cfg, scene, params, harmonic_matrix(15, table1_cfg))
-    out_cols = table1_cfg.cols - setup.width + 1
-    a = oracles.manifold(np.deg2rad([source[0]]), np.deg2rad(source[1]), out_cols, table1_cfg)
+    a = oracles.manifold(np.deg2rad([source[0]]), np.deg2rad(source[1]), setup.positions,
+                         table1_cfg)
     whitened = (a @ a.conj().T)[None]
     w_inv_sqrt = np.eye(a.shape[0], dtype=complex)[None]
     got = music_search(whitened, w_inv_sqrt, setup)
@@ -1055,7 +1076,7 @@ def test_search_holds_rows_and_evaluates_a_spectrum_once():
     setup = build_context(load_config(builtin_config_path("table1_2d"))).search
     trials, thetas, phis = 30, setup.theta_grid_deg.size, setup.elevation_grid_deg.size
     assert 8 * trials * thetas * phis > 15e6
-    dim = setup.surface.rows * (setup.surface.cols - setup.width + 1)
+    dim = setup.surface.rows * setup.positions
     rng = np.random.default_rng(11)
     whitened = _random_hermitian(rng, trials, dim, 2)
     w_inv_sqrt = _random_hermitian(rng, trials, dim, 1) + np.eye(dim)
@@ -1078,7 +1099,7 @@ def test_search_footprint_fits_its_byte_model():
     # elevations with the next elevation's): the eigenvector,
     # noise-basis and Gram stacks are dropped before rows are evaluated.
     setup = build_context(load_config(builtin_config_path("table1_2d"))).search
-    dim = setup.surface.rows * (setup.surface.cols - setup.width + 1)
+    dim = setup.surface.rows * setup.positions
     peaks = []
     for trials in (10, 100):
         rng = np.random.default_rng(11)

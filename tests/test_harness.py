@@ -755,13 +755,16 @@ def _batched_runs(draw):
 @pytest.mark.parametrize("name, elevations", [("table1_2d", 181), ("table2", 1), ("table1", 1)])
 def test_a_point_is_one_search(monkeypatch, name, elevations):
     # One music_search call takes all 100 trials of a point, 1-D or 2-D,
-    # and each elevation's lag basis is built once.
+    # and each elevation's lag basis is built once, from the setup's one
+    # read-only lag table.
     cfg = load_config(builtin_config_path(name))
     searches = _count_calls(monkeypatch, msdoa.estimator, "music_search")
     bases = _count_calls(monkeypatch, msdoa.estimator, "_lag_basis")
     assert len(run_trials(cfg)) == cfg.trials == 100
     assert [args[0].shape[0] for args in searches] == [100]
     assert len(bases) == elevations
+    lags = searches[0][2].lags
+    assert all(args[0] is lags for args in bases) and not lags.flags.writeable
 
 
 def test_the_search_reads_its_sources_from_the_scene():
@@ -856,7 +859,8 @@ def test_context_belongs_to_its_config():
                 context.search.harmonics.gram_inverse,
                 context.signal.patterns, context.search.compensation,
                 context.search.theta_grid_deg, context.search.elevation_grid_deg,
-                context.search.directions, context.search.fold, context.bound.core):
+                context.search.directions, context.search.lags, context.search.fold,
+                context.bound.core):
         assert not arr.flags.writeable
 
 
