@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
-from .errors import ConfigurationError, MsdoaError, ValidationError
+from .errors import ConfigurationError, MsdoaError, ValidationError, integer_fields
 from .estimator import KINDS, EstimatorParams, grid_points, search_grids
 from .snapshot import frequency_indices
 from .surface import Doa, SurfaceConfig
@@ -168,6 +168,7 @@ class ExperimentConfig:
     noise_variance: float = field(init=False, compare=False)
 
     def __post_init__(self):
+        integer_fields(self, "max_harmonic", "trials", "seed")
         variance, snr_db = self.noise.variance, self.noise.snr_db
         if snr_db is not None:
             reference = self.scene.powers[0] if self.scene.powers else 1.0

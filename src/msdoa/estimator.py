@@ -41,6 +41,7 @@ from .errors import (
     MsdoaError,
     NearSingularWhitenerError,
     ValidationError,
+    integer_fields,
     refuse_degenerate,
 )
 from .surface import Doa, HarmonicMatrix, SurfaceConfig, receiver_delays
@@ -273,6 +274,9 @@ class EstimatorParams:
     phi_grid_deg: tuple[float, float, float] = (0.0, 90.0, 0.5)
 
     def __post_init__(self):
+        integer_fields(self, "num_weights")
+        if self.subarray_width is not None:
+            integer_fields(self, "subarray_width")
         if self.num_weights < 1:
             raise ValidationError("num_weights must be at least 1")
         if self.kind not in KINDS:
@@ -417,15 +421,12 @@ class MusicBatch:
 
     ``coef`` holds each trial's spectrum-denominator polynomial row,
     read-only, shape (trials, 2H+1) (see :func:`music_search`);
-    ``estimates`` one tuple of :class:`Doa` per trial, best first; and
-    ``eigenvalues`` each trial's whitened-covariance eigenvalues in
-    descending order, shape (trials, dim).
+    and ``estimates`` one tuple of :class:`Doa` per trial, best first.
     """
 
     setup: SearchSetup
     coef: np.ndarray
     estimates: tuple[tuple[Doa, ...], ...]
-    eigenvalues: np.ndarray
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -630,8 +631,8 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
         )
 
     vals, vecs = np.linalg.eigh(whitened)
+    # A stable sort fixes the noise basis's column order, which sets the Gram matrix's bits.
     order = np.argsort(-vals, axis=1, kind="stable")
-    eigenvalues = np.take_along_axis(vals, order, axis=1)
     noise = np.take_along_axis(vecs, order[:, None, num_sources:], axis=2)
     # Each stack is dropped once the next is formed, so none of them
     # adds to the peak of the row evaluation below.
@@ -661,7 +662,7 @@ def music_search(whitened: np.ndarray, w_inv_sqrt: np.ndarray, setup: SearchSetu
         )
         for thetas, phis in _ranked_peaks(_spectrum_rows(coef, setup), num_sources)
     )
-    return MusicBatch(setup, coef, estimates, eigenvalues)
+    return MusicBatch(setup, coef, estimates)
 
 
 def estimate_doa(bins, setup: SearchSetup, weights) -> MusicBatch:

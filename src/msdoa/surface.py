@@ -4,12 +4,13 @@ The surface is an M x N grid of reflecting elements that multiply the
 incident field by a periodic +/-1 schedule: each coding period is split
 into M*N equal slots, swept in row-major element order, and exactly one
 element is flipped to +1 during its own slot. A single receiver sits on
-the -z axis below the surface center. This module provides element
-positions, the Fourier-series coefficients of the coding schedule,
-steering vectors that include the element-to-receiver path, and the
-harmonic matrix that maps element signals to frequency lines, checked
-and inverted when it is made. The coefficients are per period; the
-period belongs to the sampling plan (:class:`msdoa.waveform.SamplingPlan`).
+the -z axis below the surface center. This module alone states that
+schedule, in both domains: in frequency as each element's Fourier
+coefficients, which the harmonic matrix stacks, checked and inverted
+when it is made; in time as one sampled period of the switched surface
+sum. It also gives element positions and steering vectors with the
+element-to-receiver path. The coefficients are per period; the period
+belongs to the sampling plan (:class:`msdoa.waveform.SamplingPlan`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateCodingError, ValidationError, refuse_degenerate
+from .errors import (
+    ConfigurationError,
+    DegenerateCodingError,
+    ValidationError,
+    integer_fields,
+    refuse_degenerate,
+)
 
 SPEED_OF_LIGHT = 2.99792458e8
 
@@ -47,8 +54,7 @@ class SurfaceConfig:
     wave_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        if int(self.rows) != self.rows or int(self.cols) != self.cols:
-            raise ValidationError("rows and cols must be integers")
+        integer_fields(self, "rows", "cols")
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("surface needs at least one row and one column")
         unset = {"spacing_m": lambda: self.wave_speed / (2.0 * self.carrier_hz),
@@ -186,6 +192,20 @@ def fourier_coefficient(m, n, p, cfg: SurfaceConfig):
     )
     val = np.where(p_arr == 0, 2.0 / size - 1.0 + 0.0j, val)
     return complex(val) if val.ndim == 0 else val
+
+
+def switched_period(steering: np.ndarray, points_per_period: int) -> np.ndarray:
+    """One sampled coding period of the switched surface sum, (z, K).
+
+    Sample r of z = ``points_per_period`` lies in slot ceil(r*M*N/z) - 1,
+    by integer division so boundaries are exact, and phase 0 in the last
+    slot. That slot's element counts +1 and every other -1, so row r is
+    2*a[slot] - sum(a) for each steering column a (M*N row-major entries).
+    """
+    size, z = steering.shape[0], points_per_period
+    num = np.arange(z) * size
+    slots = np.where(num == 0, size - 1, (num + z - 1) // z - 1)
+    return 2.0 * steering[slots] - steering.sum(axis=0)
 
 
 def receiver_delays(cfg: SurfaceConfig) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .surface import Doa, HarmonicMatrix, SurfaceConfig, steering_matrix
+from .errors import ValidationError, integer_fields
+from .surface import Doa, HarmonicMatrix, SurfaceConfig, steering_matrix, switched_period
 
 MODES = ("full", "ideal")
 AMPLITUDE_MODELS = ("gaussian", "constant_modulus")
@@ -87,6 +87,7 @@ class SamplingPlan:
     coding_period_s: float
 
     def __post_init__(self):
+        integer_fields(self, "periods_per_snapshot", "num_snapshots")
         if not (0 < self.sample_rate_hz < np.inf and 0 < self.coding_period_s < np.inf):
             raise ValidationError("sample_rate_hz and coding_period_s must be positive and finite")
         if self.periods_per_snapshot < 1:
@@ -175,18 +176,6 @@ def draw_source_amplitudes(scene: SourceScene, num_snapshots: int, rng_seed) -> 
     return _draw((k, num_snapshots), powers[:, None])
 
 
-def _slot_indices(sample_indices: np.ndarray, points_per_period: int, size: int) -> np.ndarray:
-    """Active element (row-major slot) for each integer sample index.
-
-    Integer arithmetic keeps slot-boundary decisions exact: sample q at
-    period phase r/z belongs to slot ceil(r*size/z) - 1, with phase 0
-    wrapping to the last slot (the schedule is left-open in time).
-    """
-    r = sample_indices % points_per_period
-    num = r * size
-    return np.where(num == 0, size - 1, (num + points_per_period - 1) // points_per_period - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class SignalModel:
     """The part of the noiseless received signal no amplitude draw changes.
@@ -196,10 +185,9 @@ class SignalModel:
     each source's noiseless signal at unit amplitude, a read-only
     (K, points_per_period) array that trials share. The record repeats
     it, since the coding repeats with the period and snapshots span
-    whole periods. In full mode a pattern is the switched surface sum:
-    at each sample the active element's steering entry counts +1 and
-    every other entry -1, i.e. ``2*a[slot] - sum(a)``. In ideal mode it
-    is the coding harmonics' sum over the period. Without sources the
+    whole periods. In full mode a pattern is the switched surface sum
+    of :func:`msdoa.surface.switched_period`. In ideal mode it is the
+    coding harmonics' sum over the period. Without sources the
     stack is empty, (0, points_per_period).
     """
 
@@ -233,8 +221,7 @@ def signal_model(
     else:
         steering = steering_matrix(scene.doas, cfg)
         if mode == "full":
-            slots = _slot_indices(np.arange(z), z, cfg.size)
-            period = 2.0 * steering[slots] - steering.sum(axis=0)
+            period = switched_period(steering, z)
         else:
             # The phase p*q/z is reduced to an integer index into the z
             # roots of unity, which keeps it exact for large p*q.

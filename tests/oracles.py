@@ -7,9 +7,9 @@ purpose and live here rather than in the package.
 
 import numpy as np
 
-from msdoa import (Doa, SourceScene, draw_source_amplitudes, fourier_coefficient,
+from msdoa import (Doa, SourceScene, ValidationError, draw_source_amplitudes, fourier_coefficient,
                    harmonic_matrix, smooth, steering_derivatives, synthesize_received)
-from msdoa.surface import _check_element, steering_matrix
+from msdoa.surface import steering_matrix
 
 
 def coding_waveform(m, n, t, cfg, coding_period_s):
@@ -20,9 +20,11 @@ def coding_waveform(m, n, t, cfg, coding_period_s):
     in row-major order; the element is +1 exactly during its own slot.
     Slots are half-open on the left, (lower, upper], with the period
     phase mapped into (0, 1]; values exactly on slot boundaries are
-    measure-zero and sampled time grids should not rely on them.
+    measure-zero and sampled time grids should not rely on them. An
+    element outside the grid raises ``ValidationError``.
     """
-    _check_element(m, n, cfg)
+    if not (1 <= m <= cfg.rows and 1 <= n <= cfg.cols):
+        raise ValidationError(f"element ({m}, {n}) is outside the {cfg.rows} x {cfg.cols} grid")
     frac = np.mod(np.asarray(t, dtype=float) / coding_period_s, 1.0)
     frac = np.where(frac == 0.0, 1.0, frac)
     # Boundaries as single divisions of integers, so adjacent slots share

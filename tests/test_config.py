@@ -511,6 +511,34 @@ def test_replace_checks_the_config_it_makes(change, message):
         replace(cfg, **change)
 
 
+INTEGER_FIELDS = [("surface", "rows"), ("surface", "cols"), ("plan", "periods_per_snapshot"),
+                  ("plan", "num_snapshots"), ("estimator", "num_weights"),
+                  ("estimator", "subarray_width"), (None, "max_harmonic"), (None, "trials"),
+                  (None, "seed")]
+
+
+@pytest.mark.parametrize("owner, name", INTEGER_FIELDS, ids=[name for _, name in INTEGER_FIELDS])
+def test_an_integer_field_holds_an_int_however_it_is_made(owner, name):
+    # The dataclass that owns the field converts a whole number to int
+    # and refuses any other value with a typed error that names it.
+    text = BASE.replace("rows = 5", "rows = 2").replace("cols = 6", "cols = 5")
+    cfg = parse_config(text + "subarray_width = 4\n")
+    target = cfg if owner is None else getattr(cfg, owner)
+    for whole in (5.0, np.int64(5)):
+        value = getattr(replace(target, **{name: whole}), name)
+        assert type(value) is int and value == 5
+    for bad in (2.5, np.nan, np.inf):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer; got"):
+            replace(target, **{name: bad})
+
+
+def test_a_whole_float_seed_writes_text_that_reads_back():
+    cfg = load_config(builtin_config_path("table1"))
+    made = replace(cfg, seed=3.0)
+    assert parse_config(emit_config(made)) == made
+    assert config_digest(made) == config_digest(replace(cfg, seed=3))
+
+
 def test_replace_names_the_sweep_point_it_refuses():
     cfg = load_config(builtin_config_path("table2"))
     loud = replace(cfg.scene, powers=(1e306, 1e306))

@@ -829,10 +829,10 @@ def _spied_batch(context, drawn):
 
 
 def _trial_arrays(batch, t):
-    """Spectrum, eigenvalues, bound, azimuth bounds, whitened covariance
-    and whitening transform of trial ``t`` of a :func:`_spied_batch`."""
+    """Spectrum, bound, azimuth bounds, whitened covariance and
+    whitening transform of trial ``t`` of a :func:`_spied_batch`."""
     search, bound, whitened, w_inv_sqrt = batch
-    return (search.spectrum[t], search.eigenvalues[t], bound.matrix[t],
+    return (search.spectrum[t], bound.matrix[t],
             bound.theta_bounds[t], whitened[t], w_inv_sqrt[t])
 
 

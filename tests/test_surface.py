@@ -1,4 +1,7 @@
-"""Geometry, coding waveform, Fourier coefficients, harmonic matrix."""
+"""Geometry, coding waveform in time and frequency, harmonic matrix."""
+
+from fractions import Fraction
+from math import ceil
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from msdoa import (
     steering_vector,
     wave_vector,
 )
-from msdoa.surface import RANK_RTOL, arrival_delays, receiver_delays
+from msdoa.surface import RANK_RTOL, arrival_delays, receiver_delays, switched_period
 from oracles import coding_waveform, harmonic_entries
 
 C0 = 299792458.0
@@ -94,6 +97,50 @@ def test_waveform_periodicity(small_cfg):
         a = coding_waveform(m, n, t, small_cfg, PERIOD)
         b = coding_waveform(m, n, t + 7 * PERIOD, small_cfg, PERIOD)
         assert np.array_equal(a, b)
+
+
+def _period_slots(z, size):
+    """Each sample's slot in one period of :func:`switched_period` with unit
+    steering, whose row r is +1 at its slot's element and -1 elsewhere."""
+    period = switched_period(np.eye(size), z)
+    slots = np.argmax(period, axis=1)
+    assert np.array_equal(period, np.where(np.arange(size) == slots[:, None], 1.0, -1.0))
+    return slots
+
+
+def test_switched_period_partition():
+    z, size = 600, 6
+    slots = _period_slots(z, size)
+    # Equal occupancy and the wrap sample q=0 lands in the last slot.
+    assert np.array_equal(np.bincount(slots, minlength=size),
+                          np.full(size, z // size))
+    assert slots[0] == size - 1
+    assert slots[1] == 0
+    assert slots[100] == 0  # boundary sample belongs to the slot it closes
+    assert slots[101] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), size=st.integers(2, 64))
+def test_switched_period_matches_exact_reference(data, size):
+    # Sample r of a period is in slot ceil(r*size/z) - 1, and phase 0
+    # wraps to the last slot, also when z is no multiple of the element
+    # count.
+    z = data.draw(st.integers(1, 5000).filter(lambda v: v % size != 0), label="z")
+    want = [size - 1 if r == 0 else ceil(Fraction(r * size, z)) - 1 for r in range(z)]
+    assert _period_slots(z, size).tolist() == want
+
+
+def test_switched_period_matches_waveform(small_cfg):
+    # The sampled period agrees with the continuous-time schedule.
+    z = 48
+    t = np.arange(z) / z * PERIOD
+    slots = _period_slots(z, small_cfg.size)
+    for m in range(1, 3):
+        for n in range(1, 4):
+            u = coding_waveform(m, n, t, small_cfg, PERIOD)
+            k = (m - 1) * 3 + (n - 1)
+            assert np.array_equal(u == 1.0, slots == k)
 
 
 def test_fourier_coefficient_matches_quadrature(small_cfg):
@@ -333,7 +380,7 @@ def test_surface_validation():
         SurfaceConfig(5, 6, 1e9, -0.3)
     with pytest.raises(ValidationError):
         SurfaceConfig(5, 6, 1e9, 0.3, spacing_m=0.0)
-    with pytest.raises(ValidationError, match="integers"):
+    with pytest.raises(ValidationError, match="rows must be an integer"):
         SurfaceConfig(5.5, 6, 1e9, 0.3)
     # Each range is finite: an infinite carrier would otherwise give a
     # zero spacing, and NaN fails no comparison.

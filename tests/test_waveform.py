@@ -6,8 +6,6 @@ from math import ceil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from msdoa import (
     Doa,
@@ -27,8 +25,7 @@ from msdoa import (
 )
 from msdoa.harness import build_context, draw_trial, trial_seeds
 from msdoa.surface import steering_matrix
-from msdoa.waveform import _slot_indices
-from oracles import coding_waveform, repeat_synthesis, seeded_synthesis, split_seed
+from oracles import repeat_synthesis, seeded_synthesis, split_seed
 
 TWO = (Doa.from_degrees(-22.0, 90.0), Doa.from_degrees(12.0, 90.0))
 
@@ -148,45 +145,6 @@ def test_sampling_plan_validation():
         SamplingPlan(1e200, 2, 5, 1e200)
 
 
-def test_slot_indices_partition():
-    z, size = 600, 6
-    slots = _slot_indices(np.arange(z), z, size)
-    # Equal occupancy and the wrap sample q=0 lands in the last slot.
-    assert np.array_equal(np.bincount(slots, minlength=size),
-                          np.full(size, z // size))
-    assert slots[0] == size - 1
-    assert slots[1] == 0
-    assert slots[100] == 0  # boundary sample belongs to the slot it closes
-    assert slots[101] == 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), size=st.integers(2, 64))
-def test_slot_indices_match_exact_reference(data, size):
-    # Sample q at phase r = q mod z is in slot ceil(r*size/z) - 1, and
-    # phase 0 wraps to the last slot, also when z is no multiple of the
-    # element count and q lies many periods out.
-    z = data.draw(st.integers(1, 5000).filter(lambda v: v % size != 0), label="z")
-    periods = data.draw(st.integers(0, 10**9), label="periods")
-    phases = data.draw(st.lists(st.integers(0, z - 1), min_size=1, max_size=20), label="r")
-    q = np.array([periods * z + r for r in [0, *phases]], dtype=np.int64)
-    want = [size - 1 if r == 0 else ceil(Fraction(r * size, z)) - 1 for r in [0, *phases]]
-    assert _slot_indices(q, z, size).tolist() == want
-
-
-def test_slot_indices_match_waveform(small_cfg, table1_plan):
-    # The synthesis slot table agrees with the continuous-time schedule.
-    z = 48
-    period = table1_plan.coding_period_s
-    t = np.arange(z) / z * period
-    slots = _slot_indices(np.arange(z), z, small_cfg.size)
-    for m in range(1, 3):
-        for n in range(1, 4):
-            u = coding_waveform(m, n, t, small_cfg, period)
-            k = (m - 1) * 3 + (n - 1)
-            assert np.array_equal(u == 1.0, slots == k)
-
-
 def _table1_scene():
     return SourceScene(TWO, (1.0, 1.0))
 
@@ -229,8 +187,12 @@ def test_full_mode_holds_one_period_per_source(table1_cfg):
     assert model.patterns.shape == (2, z)
     assert not model.patterns.flags.writeable
 
+    # Sample q is in slot ceil(r*size/z) - 1 of its phase r = q mod z,
+    # and phase 0 wraps to the last slot.
+    size = table1_cfg.size
+    phase_slots = [size - 1 if r == 0 else ceil(Fraction(r * size, z)) - 1 for r in range(z)]
+    slots = np.array(phase_slots)[np.arange(plan.total_points) % z]
     steering = steering_matrix(scene.doas, table1_cfg)
-    slots = _slot_indices(np.arange(plan.total_points), z, table1_cfg.size)
     col_sums = steering.sum(axis=0)
     record = np.stack([2.0 * steering[slots, j] - col_sums[j] for j in range(2)])
     assert np.tile(model.patterns, plan.total_points // z).tobytes() == record.tobytes()
